@@ -70,14 +70,24 @@ def _write_bytes(out: str, data: bytes) -> None:
         Path(out).write_bytes(data)
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _section(obj, allowed: set[str], where: str, required: tuple[str, ...] = ()) -> dict:
+    """``obj`` as a configuration object with only ``allowed`` and all ``required`` keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    return obj
 
 
 def _vec_field(obj, n: int, where: str) -> np.ndarray:
-    a = np.asarray(obj, dtype=float)
+    try:
+        a = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected numbers") from exc
     if a.ndim == 0:
         return np.full(n, float(a))
     if a.shape != (n,):
@@ -88,6 +98,18 @@ def _vec_field(obj, n: int, where: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # metrics report / shift
 # ---------------------------------------------------------------------------
+
+
+def _check_task_names(tables) -> None:
+    """Each task names one CSV file inside the output directory."""
+    seen = set()
+    for table in tables:
+        name = table.task
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise InputFormatError(f"task name {name!r} is not a plain file name")
+        if name in seen:
+            raise InputFormatError(f"task {name!r} appears in more than one table")
+        seen.add(name)
 
 
 def cmd_metrics_report(args) -> int:
@@ -109,6 +131,7 @@ def cmd_metrics_report(args) -> int:
             body = part.split("\n", 1)[1]
             sys.stdout.write(body)
     else:
+        _check_task_names(tables)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for table, part in zip(tables, csv_parts):
@@ -141,11 +164,16 @@ _CTRL_KEYS = {"h_sim", "h_ctrl"}
 
 def _ctrl_config(kind: str, overrides: dict | None) -> CtrlConfig:
     cfg = default_config(kind)
-    if overrides:
-        _check_keys(overrides, _CTRL_KEYS, "ctrl")
+    if overrides is not None:
+        _section(overrides, _CTRL_KEYS, "ctrl")
+        try:
+            h_sim = float(overrides.get("h_sim", cfg.h_sim))
+            h_ctrl = float(overrides.get("h_ctrl", cfg.h_ctrl))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("ctrl: h_sim and h_ctrl must be numbers") from exc
         cfg = CtrlConfig(
-            h_sim=float(overrides.get("h_sim", cfg.h_sim)),
-            h_ctrl=float(overrides.get("h_ctrl", cfg.h_ctrl)),
+            h_sim=h_sim,
+            h_ctrl=h_ctrl,
             arm_limits=cfg.arm_limits,
             grip_limits=cfg.grip_limits,
             grip_filter_threshold=cfg.grip_filter_threshold,
@@ -156,16 +184,12 @@ def _ctrl_config(kind: str, overrides: dict | None) -> CtrlConfig:
 def cmd_sysid_fit(args) -> int:
     chain = chain_from_json(Path(args.chain).read_text())
     n = chain.n
-    config = _read_json(args.config)
-    if not isinstance(config, dict):
-        raise ConfigError(f"{args.config}: expected a configuration object")
-    _check_keys(config, _SYSID_KEYS, args.config)
+    config = _section(_read_json(args.config), _SYSID_KEYS, args.config, required=("init", "range"))
     kind = config.get("controller", WIDOWX)
     if kind not in (GOOGLE, WIDOWX):
         raise ConfigError(f"controller must be '{GOOGLE}' or '{WIDOWX}', got {kind!r}")
 
-    dyn_obj = config.get("dynamics", {})
-    _check_keys(dyn_obj, _DYN_KEYS, "dynamics")
+    dyn_obj = _section(config.get("dynamics", {}), _DYN_KEYS, "dynamics")
     dyn = JointDynamics(
         _vec_field(dyn_obj.get("inertia", 1.0), n, "dynamics.inertia"),
         _vec_field(dyn_obj.get("damping", 0.0), n, "dynamics.damping"),
@@ -173,16 +197,10 @@ def cmd_sysid_fit(args) -> int:
         chain.upper,
     )
 
-    init_obj = config.get("init")
-    if init_obj is None:
-        raise ConfigError("config needs an 'init' object with 'p' and 'd'")
-    _check_keys(init_obj, _INIT_KEYS, "init")
+    init_obj = _section(config["init"], _INIT_KEYS, "init", required=("p", "d"))
     init = PDParams(_vec_field(init_obj["p"], n, "init.p"), _vec_field(init_obj["d"], n, "init.d"))
 
-    range_obj = config.get("range")
-    if range_obj is None:
-        raise ConfigError("config needs a 'range' object")
-    _check_keys(range_obj, _RANGE_KEYS, "range")
+    range_obj = _section(config["range"], _RANGE_KEYS, "range", required=("p_low", "p_high", "d_low", "d_high"))
     rng = SysIdRange(
         _vec_field(range_obj["p_low"], n, "range.p_low"),
         _vec_field(range_obj["p_high"], n, "range.p_high"),
@@ -190,8 +208,7 @@ def cmd_sysid_fit(args) -> int:
         _vec_field(range_obj["d_high"], n, "range.d_high"),
     )
 
-    anneal_obj = dict(config.get("anneal", {}))
-    _check_keys(anneal_obj, _ANNEAL_KEYS, "anneal")
+    anneal_obj = dict(_section(config.get("anneal", {}), _ANNEAL_KEYS, "anneal"))
     if args.seed is not None:
         anneal_obj["rng_seed"] = args.seed
     anneal = AnnealConfig(**anneal_obj)
@@ -250,8 +267,7 @@ def cmd_replay(args) -> int:
     chain = chain_from_json(Path(args.chain).read_text())
     rec = TrajectoryRecord.from_json(Path(args.trajectory).read_text())
     pd = _load_pd(args.params, chain.n)
-    dyn_obj = _read_json(args.dynamics) if args.dynamics else {}
-    _check_keys(dyn_obj, _DYN_KEYS, args.dynamics or "dynamics")
+    dyn_obj = _section(_read_json(args.dynamics) if args.dynamics else {}, _DYN_KEYS, args.dynamics or "dynamics")
     dyn = JointDynamics(
         _vec_field(dyn_obj.get("inertia", 1.0), chain.n, "dynamics.inertia"),
         _vec_field(dyn_obj.get("damping", 0.0), chain.n, "dynamics.damping"),
@@ -272,13 +288,11 @@ def cmd_replay(args) -> int:
     if args.dump_plan:
         dt = 1.0 / cfg.h_sim
 
-        def sink(step, tick, tgt):
-            t = step / cfg.h_ctrl + (tick + 1) * dt
-            if hasattr(tgt, "arm_v"):
-                row = [t, *tgt.arm_q, *tgt.arm_v, *tgt.arm_a, tgt.grip_q, tgt.grip_v, tgt.grip_a]
-            else:
-                row = [t, *tgt.arm_q, *np.zeros(chain.n), *np.zeros(chain.n), tgt.grip_q, 0.0, 0.0]
-            plan_rows.append(row)
+        def sink(step, tgt):
+            ts = step / cfg.h_ctrl + np.arange(1, tgt.arm_q.shape[0] + 1) * dt
+            plan_rows.append(
+                np.column_stack([ts, tgt.arm_q, tgt.arm_v, tgt.arm_a, tgt.grip_q, tgt.grip_v, tgt.grip_a])
+            )
 
     sim_poses = replay_open_loop(chain, dyn, pd, args.controller, rec, None, cfg, plan_sink=sink)
     losses = trajectory_losses(rec.ee_poses, sim_poses[: len(rec.ee_poses)])
@@ -304,8 +318,8 @@ def cmd_replay(args) -> int:
         head += [f"a_d{i}" for i in range(chain.n)]
         head += ["grip_q", "grip_v", "grip_a"]
         w.writerow(head)
-        for row in plan_rows:
-            w.writerow([f"{v:.9f}" for v in row])
+        for rows in plan_rows:
+            w.writerows([f"{v:.9f}" for v in row] for row in rows)
         _write_text(args.dump_plan, buf.getvalue())
     return EXIT_OK
 

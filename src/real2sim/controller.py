@@ -1,10 +1,11 @@
 """Deterministic per-tick controllers for the two simulated robot stacks.
 
-The Google Robot controller plans jerk-limited arm and gripper trajectories
-every control tick and emits floor(H_sim / H_ctrl) per-simulation-step
-targets sampled from those plans. The WidowX controller emits a single
-joint-position target per tick, chaining pose goals off the previously
-commanded goal rather than the sensed state.
+Each control tick returns one SimStepTargets record that covers the
+floor(H_sim / H_ctrl) simulation steps of the control interval. The Google
+Robot controller plans jerk-limited arm and gripper trajectories and samples
+them at every simulation step. The WidowX controller holds a single
+joint-position target for the whole interval, chaining pose goals off the
+previously commanded goal rather than the sensed state.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .chain import ChainSpec, IkSettings, ik_dls, fk
 from .geometry import Pose, Rot3, UnitQuat, axis_angle_to_matrix, quat_to_rot
-from .profile import LimitSet, plan_scurve_1d, plan_synchronized
+from .profile import LimitSet, plan_scurve_1d, synchronize
 
 __all__ = [
     "ControllerError",
@@ -25,7 +26,6 @@ __all__ = [
     "GoogleCtrlState",
     "WidowXCtrlState",
     "SimStepTargets",
-    "WidowXTargets",
     "GOOGLE_ARM_LIMITS",
     "GOOGLE_GRIP_LIMITS",
     "google_config",
@@ -116,7 +116,7 @@ def google_config() -> CtrlConfig:
 
 
 def widowx_config() -> CtrlConfig:
-    return CtrlConfig(h_sim=500.0, h_ctrl=5.0, arm_limits=GOOGLE_ARM_LIMITS, grip_limits=GOOGLE_GRIP_LIMITS)
+    return CtrlConfig(h_sim=500.0, h_ctrl=5.0)
 
 
 @dataclass(frozen=True)
@@ -139,20 +139,19 @@ class WidowXCtrlState:
 
 @dataclass(frozen=True, eq=False)
 class SimStepTargets:
-    """Targets applied at one simulation step of a control interval."""
+    """Targets for every simulation step of one control interval.
+
+    Row k holds the targets applied at simulation step k + 1 of the
+    interval: the arm fields are (ticks, n) arrays, the gripper fields
+    (ticks,) arrays. The plant tracks ``arm_q`` only.
+    """
 
     arm_q: np.ndarray
     arm_v: np.ndarray
     arm_a: np.ndarray
-    grip_q: float
-    grip_v: float
-    grip_a: float
-
-
-@dataclass(frozen=True, eq=False)
-class WidowXTargets:
-    arm_q: np.ndarray
-    grip_q: float
+    grip_q: np.ndarray
+    grip_v: np.ndarray
+    grip_a: np.ndarray
 
 
 def _sanitize_velocity(v: np.ndarray, vmax: float) -> np.ndarray:
@@ -174,7 +173,7 @@ def google_step(
     chain: ChainSpec,
     cfg: CtrlConfig | None = None,
     ik_settings: IkSettings | None = None,
-) -> tuple[list[SimStepTargets], GoogleCtrlState]:
+) -> tuple[SimStepTargets, GoogleCtrlState]:
     """One control tick of the Google Robot stack.
 
     Plans the arm toward the IK solution of the delta-pose goal and the
@@ -205,7 +204,7 @@ def google_step(
             "google_step t=%d: IK did not converge (pos %.2e m, rot %.2e rad); planning toward best effort",
             state.t, ik.residual_pos, ik.residual_rot,
         )
-    arm_plan = plan_synchronized(
+    arm_plan = synchronize(
         q_arm, _sanitize_velocity(v_arm, cfg.arm_limits.v_max), ik.q, np.zeros(chain.n), cfg.arm_limits
     )
 
@@ -222,43 +221,24 @@ def google_step(
         cfg.grip_limits,
     )
 
-    targets = []
-    q_lastplan_grip = state.q_lastplan_grip
-    v_lastplan_grip = state.v_lastplan_grip
-    for i in range(1, cfg.ticks_per_step + 1):
-        t = i / cfg.h_sim
-        aq, av, aa = arm_plan.sample(t)
-        gq, gv, ga = grip_plan.sample(t)
-        q_lastplan_grip = float(gq)
-        v_lastplan_grip = float(gv)
-        targets.append(SimStepTargets(aq, av, aa, q_lastplan_grip, v_lastplan_grip, float(ga)))
-
+    ts = np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim
+    targets = SimStepTargets(*arm_plan.sample(ts), *grip_plan.sample(ts))
     new_state = GoogleCtrlState(
         t=state.t + 1,
         q_lastgoal_grip=float(grip_goal),
-        q_lastplan_grip=q_lastplan_grip,
-        v_lastplan_grip=v_lastplan_grip,
+        q_lastplan_grip=float(targets.grip_q[-1]),
+        v_lastplan_grip=float(targets.grip_v[-1]),
     )
     return targets, new_state
-
-
-def _hom(pos: np.ndarray, rot: np.ndarray) -> np.ndarray:
-    t = np.eye(4)
-    t[:3, :3] = rot
-    t[:3, 3] = pos
-    return t
 
 
 def widowx_goal_pose(x: np.ndarray, r: Rot3, x_a: np.ndarray, r_a: Rot3) -> Pose:
     """Delta rotation applied about the current end-effector origin.
 
-    Computed as the explicit homogeneous product
-    T(x, I) * T(x_a, R_a) * T(-x, I) * T(x, R), which reduces to
-    (x + x_a, R_a R).
+    The homogeneous product T(x, I) * T(x_a, R_a) * T(-x, I) * T(x, R)
+    reduces to (x + x_a, R_a R).
     """
-    eye = np.eye(3)
-    t = _hom(x, eye) @ _hom(x_a, r_a.m) @ _hom(-x, eye) @ _hom(x, r.m)
-    return Pose.from_matrix(t)
+    return Pose(r_a @ r, x + x_a)
 
 
 def widowx_step(
@@ -268,11 +248,13 @@ def widowx_step(
     chain: ChainSpec,
     cfg: CtrlConfig | None = None,
     ik_settings: IkSettings | None = None,
-) -> tuple[WidowXTargets, WidowXCtrlState]:
+) -> tuple[SimStepTargets, WidowXCtrlState]:
     """One control tick of the WidowX stack.
 
     The pose goal chains off the previously commanded joint goal (sensed
     positions only seed the IK); the gripper target is the raw action value.
+    Both targets hold for the whole control interval, with zero velocity
+    and acceleration.
     """
     cfg = cfg or widowx_config()
     q_arm = np.asarray(q_arm, dtype=float).reshape(-1)
@@ -288,5 +270,11 @@ def widowx_step(
             "widowx_step t=%d: IK did not converge (pos %.2e m, rot %.2e rad); commanding best effort",
             state.t, ik.residual_pos, ik.residual_rot,
         )
-    targets = WidowXTargets(arm_q=ik.q, grip_q=action.gripper)
+    ticks = cfg.ticks_per_step
+    zero_arm = np.zeros((ticks, chain.n))
+    zero_grip = np.zeros(ticks)
+    targets = SimStepTargets(
+        np.broadcast_to(ik.q, (ticks, chain.n)), zero_arm, zero_arm,
+        np.full(ticks, action.gripper), zero_grip, zero_grip,
+    )
     return targets, WidowXCtrlState(t=state.t + 1, q_lastgoal=ik.q)

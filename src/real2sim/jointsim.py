@@ -21,6 +21,7 @@ from .controller import (
     Action,
     CtrlConfig,
     GoogleCtrlState,
+    SimStepTargets,
     WidowXCtrlState,
     google_config,
     google_step,
@@ -242,7 +243,7 @@ def _simulate(
     q_init,
     cfg: CtrlConfig | None,
     ik_settings: IkSettings | None,
-    plan_sink: Callable[[int, int, object], None] | None = None,
+    plan_sink: Callable[[int, SimStepTargets], None] | None = None,
     joint_log: list | None = None,
 ) -> list[Pose]:
     if dyn.n != chain.n or pd.n != chain.n:
@@ -265,17 +266,11 @@ def _simulate(
             # the gripper never feeds back into the arm: sensed gripper
             # state matters only at t=0, so a resting gripper is assumed
             targets, g_state = google_step(g_state, action, q, v, 0.0, 0.0, chain, cfg, ik_settings)
-            if plan_sink is not None:
-                for tick, tgt in enumerate(targets):
-                    plan_sink(step_idx, tick, tgt)
-            target_arr = np.stack([tgt.arm_q for tgt in targets])
         else:
-            tgt, w_state = widowx_step(w_state, action, q, chain, cfg, ik_settings)
-            if plan_sink is not None:
-                for tick in range(cfg.ticks_per_step):
-                    plan_sink(step_idx, tick, tgt)
-            target_arr = np.broadcast_to(tgt.arm_q, (cfg.ticks_per_step, chain.n))
-        q, v = _integrate_targets(q, v, target_arr, pd, dyn, dt)
+            targets, w_state = widowx_step(w_state, action, q, chain, cfg, ik_settings)
+        if plan_sink is not None:
+            plan_sink(step_idx, targets)
+        q, v = _integrate_targets(q, v, targets.arm_q, pd, dyn, dt)
         poses.append(fk(chain, q))
         if joint_log is not None:
             joint_log.append(q.copy())
@@ -297,7 +292,9 @@ def replay_open_loop(
 
     The returned sequence starts at the initial pose and appends the pose
     after every action (length T+1); compare element-wise against
-    ``rec.ee_poses`` truncated to the shorter of the two.
+    ``rec.ee_poses`` truncated to the shorter of the two. ``plan_sink``, if
+    given, is called as ``plan_sink(step_index, targets)`` with the
+    SimStepTargets of every control step.
     """
     if q_init is None:
         if rec.joint_positions is not None:

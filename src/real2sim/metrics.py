@@ -197,10 +197,6 @@ class KruskalResult(NamedTuple):
     p: float
 
 
-def _ln_gamma(a: float) -> float:
-    return math.lgamma(a)
-
-
 def _gammainc_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) via series / continued fraction."""
     if a <= 0.0 or x < 0.0:
@@ -218,7 +214,7 @@ def _gammainc_upper(a: float, x: float) -> float:
             summ += term
             if abs(term) < abs(summ) * 1e-16:
                 break
-        p = summ * math.exp(-x + a * math.log(x) - _ln_gamma(a))
+        p = summ * math.exp(-x + a * math.log(x) - math.lgamma(a))
         return max(0.0, min(1.0, 1.0 - p))
     # modified Lentz continued fraction for the upper tail
     tiny = 1e-300
@@ -240,7 +236,7 @@ def _gammainc_upper(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 1e-16:
             break
-    q = math.exp(-x + a * math.log(x) - _ln_gamma(a)) * h
+    q = math.exp(-x + a * math.log(x) - math.lgamma(a)) * h
     return max(0.0, min(1.0, q))
 
 

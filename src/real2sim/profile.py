@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "MotionPlan",
     "plan_scurve_1d",
     "synchronize",
-    "plan_synchronized",
 ]
 
 _BISECT_MAX_ITERS = 200
@@ -122,12 +120,6 @@ class SegmentProfile:
         if np.ndim(t) == 0:
             return float(q[0]), float(v[0]), float(a[0])
         return q, v, a
-
-
-def _phase_time(dv: float, am: float, jm: float) -> float:
-    if dv <= am * am / jm:
-        return 2.0 * math.sqrt(dv / jm)
-    return dv / am + am / jm
 
 
 def _phase_time_vec(dv: np.ndarray, am: float, jm: float) -> np.ndarray:
@@ -300,49 +292,37 @@ class MotionPlan:
     def n(self) -> int:
         return len(self.profiles)
 
-    def sample(self, t: float):
-        """Per-DOF (q, v, a) arrays at time t; exact goals for t >= duration."""
-        n = self.n
-        q = np.empty(n)
-        v = np.empty(n)
-        a = np.empty(n)
-        if t >= self.duration:
-            for i, prof in enumerate(self.profiles):
-                q[i] = prof.q_goal
-                v[i] = prof.v_goal / self.scales[i]
-                a[i] = 0.0
-            return q, v, a
-        for i, prof in enumerate(self.profiles):
-            s = self.scales[i]
+    def sample(self, t):
+        """Per-DOF (q, v, a) arrays of shape ``t.shape + (n,)`` at time(s) t.
+
+        Times at or past the duration give the exact goals.
+        """
+        t = np.asarray(t, dtype=float)
+        done = t >= self.duration
+        q, v, a = [], [], []
+        for prof, s in zip(self.profiles, self.scales):
             qi, vi, ai = prof.sample(t / s)
-            q[i] = qi
-            v[i] = vi / s
-            a[i] = ai / (s * s)
-        return q, v, a
+            q.append(np.where(done, prof.q_goal, qi))
+            v.append(np.where(done, prof.v_goal / s, vi / s))
+            a.append(np.where(done, 0.0, ai / (s * s)))
+        return np.stack(q, axis=-1), np.stack(v, axis=-1), np.stack(a, axis=-1)
 
 
-def synchronize(per_dof: Sequence[tuple[tuple[float, float], tuple[float, float], LimitSet]]) -> MotionPlan:
-    """Plan every DOF time-optimally, then slow each by T_max / T_dof.
+def synchronize(q0, v0, q_goal, v_goal, lim: LimitSet) -> MotionPlan:
+    """Plan every DOF time-optimally under ``lim``, then slow each by T_max / T_dof.
 
     Positions are sampled as q(t / scale), so scaling never tightens any
     limit and all DOFs reach their goals exactly at the common duration.
     """
-    if not per_dof:
-        raise PlanningError("synchronize needs at least one DOF")
-    profiles = []
-    for (start_q, start_v), (goal_q, goal_v), lim in per_dof:
-        profiles.append(plan_scurve_1d(start_q, start_v, goal_q, goal_v, lim))
-    duration = max(p.duration for p in profiles)
-    scales = np.array([duration / p.duration if p.duration > 0.0 else 1.0 for p in profiles])
-    return MotionPlan(tuple(profiles), duration, scales)
-
-
-def plan_synchronized(q0, v0, q_goal, v_goal, lim: LimitSet) -> MotionPlan:
-    """Vector convenience wrapper: one shared LimitSet across all DOFs."""
     q0 = np.asarray(q0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     qg = np.asarray(q_goal, dtype=float)
     vg = np.asarray(v_goal, dtype=float)
-    if not (q0.shape == v0.shape == qg.shape == vg.shape):
-        raise PlanningError("mismatched joint-vector shapes")
-    return synchronize([((q0[i], v0[i]), (qg[i], vg[i]), lim) for i in range(q0.shape[0])])
+    if not (q0.shape == v0.shape == qg.shape == vg.shape) or q0.ndim != 1:
+        raise PlanningError("synchronize needs joint vectors of one shape")
+    if q0.shape[0] == 0:
+        raise PlanningError("synchronize needs at least one DOF")
+    profiles = [plan_scurve_1d(q0[i], v0[i], qg[i], vg[i], lim) for i in range(q0.shape[0])]
+    duration = max(p.duration for p in profiles)
+    scales = np.array([duration / p.duration if p.duration > 0.0 else 1.0 for p in profiles])
+    return MotionPlan(tuple(profiles), duration, scales)

@@ -152,7 +152,7 @@ def test_criterion_06_controller_fidelity(six_dof):
     targets, state = google_step(
         GoogleCtrlState(), Action(np.zeros(3), Rot3(np.eye(3)), 0.0), q, np.zeros(6), 0.2, 0.0, six_dof, cfg
     )
-    assert len(targets) == 167
+    assert targets.arm_q.shape == (167, 6)
 
     # sub-threshold gripper actions never move the goal, from any state
     rng = np.random.default_rng(66)

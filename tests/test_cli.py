@@ -102,6 +102,39 @@ def test_metrics_report_single_policy_exits_3(tmp_path):
     assert main(["metrics", "report", "--table", str(bad), "--out", str(tmp_path / "o")]) == 3
 
 
+def two_policy_table(task):
+    return {"task": task, "evals": [
+        {"policy_id": "a", "real_rate": 0.5, "sim_rate": 0.4},
+        {"policy_id": "b", "real_rate": 0.7, "sim_rate": 0.6},
+    ]}
+
+
+def files_under(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("task", ["../escaped", "", ".", "..", "a/b", "a\\b", "a\0b"])
+def test_metrics_report_unsafe_task_name_exits_2(tmp_path, task):
+    tables = tmp_path / "in" / "tables.json"
+    tables.parent.mkdir()
+    tables.write_text(json.dumps({"tables": [two_policy_table("ok"), two_policy_table(task)]}))
+    out = tmp_path / "in" / "report"
+    before = files_under(tmp_path)
+    assert main(["metrics", "report", "--table", str(tables), "--out", str(out)]) == 2
+    assert files_under(tmp_path) == before
+
+
+def test_metrics_report_duplicate_task_exits_2(tmp_path):
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    first.write_text(json.dumps(two_policy_table("dup")))
+    second.write_text(json.dumps(two_policy_table("dup")))
+    out = tmp_path / "report"
+    before = files_under(tmp_path)
+    assert main(["metrics", "report", "--table", str(first), "--table", str(second), "--out", str(out)]) == 2
+    assert files_under(tmp_path) == before
+
+
 def test_metrics_shift_reproduces_published_deltas(tmp_path):
     out = tmp_path / "shift.csv"
     rc = main(["metrics", "shift", "--shifts", str(fixture_path("rt1_pick_coke_shift.json")), "--out", str(out)])
@@ -289,6 +322,31 @@ def test_sysid_fit_unknown_key_exits_3(sysid_workspace, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("init", {"d": 1}, "init: missing keys ['p']"),
+        ("range", {"p_low": 0.5}, "range: missing keys ['p_high', 'd_low', 'd_high']"),
+        ("dynamics", [1, 2], "dynamics: expected an object"),
+        ("init", {"p": {"x": 1}, "d": 1}, "init.p: expected numbers"),
+        ("ctrl", {"h_sim": [1]}, "ctrl: h_sim and h_ctrl must be numbers"),
+    ],
+)
+def test_sysid_fit_bad_section_exits_3(sysid_workspace, tmp_path, capsys, section, value, message):
+    root = sysid_workspace
+    config = json.loads((root / "sysid.json").read_text())
+    config[section] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    rc = main([
+        "sysid", "fit", "--trajectories", str(root / "trajectories"),
+        "--chain", str(root / "chain.json"), "--config", str(bad), "--out", "-",
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 def test_replay_cli_self_consistency(sysid_workspace, tmp_path):
     root = sysid_workspace
     params = tmp_path / "pd.json"
@@ -310,6 +368,41 @@ def test_replay_cli_self_consistency(sysid_workspace, tmp_path):
     rows = read_csv(plan_csv)
     assert rows[0][0] == "t"
     assert len(rows) > 100
+
+
+def test_replay_cli_google_dump_plan(tmp_path):
+    chain = planar_3link()
+    (tmp_path / "chain.json").write_text(chain_to_json(chain))
+    dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
+    truth = PDParams(np.full(3, 60.0), np.full(3, 3.0))
+    q0 = np.array([0.4, 0.9, -0.7])
+    actions = fk_path_actions(chain, q0, 3, np.random.default_rng(4), amp=0.25, gripper=0.5)
+    rec = synthesize_record(chain, dyn, truth, "google", actions, q0, ik_settings=IkSettings(max_iters=60))
+    (tmp_path / "rec.json").write_text(rec.to_json())
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    plan_csv = tmp_path / "plan.csv"
+    rc = main([
+        "replay", "--trajectory", str(tmp_path / "rec.json"),
+        "--chain", str(tmp_path / "chain.json"), "--params", str(tmp_path / "pd.json"),
+        "--dynamics", str(write_dyn(tmp_path)), "--controller", "google",
+        "--out", str(tmp_path / "poses.json"), "--dump-plan", str(plan_csv),
+    ])
+    assert rc == 0
+    rows = read_csv(plan_csv)
+    assert len(rows) == 1 + len(actions) * 167
+    head = rows[0]
+    assert head == ["t", "q_d0", "q_d1", "q_d2", "v_d0", "v_d1", "v_d2", "a_d0", "a_d1", "a_d2",
+                    "grip_q", "grip_v", "grip_a"]
+    data = np.array(rows[1:], dtype=float).reshape(len(actions), 167, len(head))
+    assert np.allclose(np.diff(data[:, :, 0], axis=1), 1.0 / 501.0, rtol=0.0, atol=2e-9)
+    col = {name: data[:, :, i] for i, name in enumerate(head)}
+    v = np.stack([col[f"v_d{i}"] for i in range(3)])
+    a = np.stack([col[f"a_d{i}"] for i in range(3)])
+    assert np.abs(v).max() <= 1.5 * (1 + 1e-6)
+    assert np.abs(a).max() <= 2.0 * (1 + 1e-6)
+    assert np.abs(col["grip_v"]).max() <= 1.0
+    assert np.abs(col["grip_a"]).max() <= 7.0
+    assert np.abs(col["grip_v"]).max() > 0.0
 
 
 def test_replay_cli_ctrl_mismatch_exits_3(sysid_workspace, tmp_path):

@@ -32,14 +32,14 @@ def test_ticks_per_step_floor():
 def test_google_emits_167_targets(three_link):
     q = np.array([0.2, -0.3, 0.4])
     targets, state = google_step(GoogleCtrlState(), IDENTITY_ACTION, q, np.zeros(3), 0.1, 0.0, three_link)
-    assert len(targets) == 167
+    assert targets.arm_q.shape == (167, 3)
     assert state.t == 1
 
 
 def test_google_identity_action_holds_position(three_link):
     q = np.array([0.2, -0.3, 0.4])
     targets, _ = google_step(GoogleCtrlState(), IDENTITY_ACTION, q, np.zeros(3), 0.0, 0.0, three_link)
-    worst = max(np.abs(t.arm_q - q).max() for t in targets)
+    worst = np.abs(targets.arm_q - q).max()
     assert worst < 1e-6
 
 
@@ -58,7 +58,7 @@ def test_google_gripper_accumulates_on_planned_state(three_link):
     targets, new_state = google_step(state, action, q, np.zeros(3), 0.0, 0.0, three_link)
     assert new_state.q_lastgoal_grip == pytest.approx(0.7)
     # the plan is seeded at the last planned state, not the sensed gripper
-    assert targets[0].grip_q == pytest.approx(0.2, abs=1e-3)
+    assert targets.grip_q[0] == pytest.approx(0.2, abs=1e-3)
 
 
 def test_google_gripper_goal_reaches_sum_when_plans_complete(three_link):
@@ -80,7 +80,7 @@ def test_google_initializes_gripper_state_from_sensed(three_link):
     q = np.array([0.2, -0.3, 0.4])
     targets, state = google_step(GoogleCtrlState(), IDENTITY_ACTION, q, np.zeros(3), 0.33, 0.0, three_link)
     assert state.q_lastgoal_grip == pytest.approx(0.33)
-    assert targets[0].grip_q == pytest.approx(0.33, abs=1e-6)
+    assert targets.grip_q[0] == pytest.approx(0.33, abs=1e-6)
 
 
 def test_google_rejects_missized_sensed(three_link):
@@ -94,9 +94,8 @@ def test_google_deterministic(three_link):
     out1, s1 = google_step(GoogleCtrlState(), action, q, np.zeros(3), 0.0, 0.0, three_link)
     out2, s2 = google_step(GoogleCtrlState(), action, q, np.zeros(3), 0.0, 0.0, three_link)
     assert s1 == s2
-    for a, b in zip(out1, out2):
-        assert np.array_equal(a.arm_q, b.arm_q)
-        assert a.grip_q == b.grip_q and a.grip_v == b.grip_v
+    assert np.array_equal(out1.arm_q, out2.arm_q)
+    assert np.array_equal(out1.grip_q, out2.grip_q) and np.array_equal(out1.grip_v, out2.grip_v)
 
 
 def test_widowx_goal_pose_example():
@@ -105,36 +104,48 @@ def test_widowx_goal_pose_example():
     np.testing.assert_allclose(goal.rot.m, rot_z(math.pi / 2).m, atol=1e-12)
 
 
+def _hom(pos, rot):
+    t = np.eye(4)
+    t[:3, :3] = rot
+    t[:3, 3] = pos
+    return t
+
+
 def test_widowx_shortcut_equals_explicit_product():
+    # the delta rotation acts about the end-effector origin:
+    # T(x, I) * T(x_a, R_a) * T(-x, I) * T(x, R)
     rng = np.random.default_rng(5)
+    eye = np.eye(3)
     for _ in range(200):
         x = rng.normal(size=3)
         xa = rng.normal(size=3) * 0.1
         r = random_rotation(rng)
         ra = random_rotation(rng)
         goal = widowx_goal_pose(x, r, xa, ra)
-        assert np.abs(goal.pos - (x + xa)).max() < 1e-12
-        assert np.abs(goal.rot.m - ra.m @ r.m).max() < 1e-12
+        explicit = _hom(x, eye) @ _hom(xa, ra.m) @ _hom(-x, eye) @ _hom(x, r.m)
+        assert np.abs(goal.pos - explicit[:3, 3]).max() < 1e-12
+        assert np.abs(goal.rot.m - explicit[:3, :3]).max() < 1e-12
 
 
 def test_widowx_initializes_lastgoal_from_sensed(three_link):
     q = np.array([0.2, -0.3, 0.4])
     targets, state = widowx_step(WidowXCtrlState(), IDENTITY_ACTION, q, three_link)
     assert state.t == 1
-    np.testing.assert_allclose(targets.arm_q, q, atol=1e-5)
+    assert targets.arm_q.shape == (100, 3)
+    np.testing.assert_allclose(targets.arm_q[0], q, atol=1e-5)
 
 
 def test_widowx_identity_action_keeps_goal(three_link):
     q = np.array([0.2, -0.3, 0.4])
     _, state = widowx_step(WidowXCtrlState(), IDENTITY_ACTION, q, three_link)
     targets, state2 = widowx_step(state, IDENTITY_ACTION, q, three_link)
-    np.testing.assert_allclose(targets.arm_q, state.q_lastgoal, atol=1e-5)
+    np.testing.assert_allclose(targets.arm_q[0], state.q_lastgoal, atol=1e-5)
 
 
 def test_widowx_gripper_passthrough(three_link):
     action = Action(np.zeros(3), Rot3(np.eye(3)), 0.73)
     targets, _ = widowx_step(WidowXCtrlState(), action, np.array([0.2, -0.3, 0.4]), three_link)
-    assert targets.grip_q == 0.73
+    assert np.all(targets.grip_q == 0.73)
 
 
 def test_widowx_chains_goals_not_sensed(three_link):

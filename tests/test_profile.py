@@ -10,7 +10,6 @@ from real2sim.profile import (
     LimitSet,
     PlanningError,
     plan_scurve_1d,
-    plan_synchronized,
     synchronize,
 )
 
@@ -117,7 +116,7 @@ def test_determinism_bit_identical():
 
 def test_synchronize_single_dof_matches_1d():
     prof = plan_scurve_1d(0.0, 0.0, 1.2, 0.0, GRIP)
-    plan = synchronize([((0.0, 0.0), (1.2, 0.0), GRIP)])
+    plan = synchronize([0.0], [0.0], [1.2], [0.0], GRIP)
     assert plan.duration == prof.duration
     q, v, a = plan.sample(0.3 * plan.duration)
     q1, v1, a1 = prof.sample(0.3 * plan.duration)
@@ -126,7 +125,7 @@ def test_synchronize_single_dof_matches_1d():
 
 
 def test_synchronize_scales_fast_dof():
-    plan = synchronize([((0.0, 0.0), (10.0, 0.0), ARM), ((0.0, 0.0), (1.0, 0.0), ARM)])
+    plan = synchronize([0.0, 0.0], [0.0, 0.0], [10.0, 1.0], [0.0, 0.0], ARM)
     solo_fast = plan_scurve_1d(0.0, 0.0, 1.0, 0.0, ARM)
     solo_slow = plan_scurve_1d(0.0, 0.0, 10.0, 0.0, ARM)
     assert plan.duration == solo_slow.duration
@@ -138,7 +137,7 @@ def test_synchronize_scales_fast_dof():
 
 
 def test_synchronize_terminal_exact():
-    plan = plan_synchronized(
+    plan = synchronize(
         np.array([0.0, 1.0, -2.0]),
         np.zeros(3),
         np.array([0.5, -1.0, -2.0]),
@@ -155,4 +154,24 @@ def test_synchronize_terminal_exact():
 
 def test_synchronize_empty_rejected():
     with pytest.raises(PlanningError):
-        synchronize([])
+        synchronize([], [], [], [], ARM)
+
+
+def test_synchronize_rejects_mismatched_vectors():
+    with pytest.raises(PlanningError):
+        synchronize([0.0, 1.0], [0.0], [1.0, 2.0], [0.0, 0.0], ARM)
+
+
+def test_plan_sample_array_matches_scalar_profiles():
+    plan = synchronize([0.0, 1.0, -2.0, 0.5], [0.4, 0.0, -0.3, 0.0], [2.0, -1.0, -2.5, 0.5], [0.2, 0.0, 0.1, 0.0], ARM)
+    inside = np.linspace(0.0, plan.duration, 300, endpoint=False)
+    past = plan.duration * np.array([1.0 + 1e-9, 1.5, 3.0])
+    ts = np.concatenate([inside, past])
+    q, v, a = plan.sample(ts)
+    assert q.shape == v.shape == a.shape == (ts.shape[0], plan.n)
+    for i, (prof, s) in enumerate(zip(plan.profiles, plan.scales)):
+        want = np.array([prof.sample(t / s) for t in ts])
+        assert np.array_equal(q[:, i], want[:, 0])
+        assert np.array_equal(v[:, i], want[:, 1] / s)
+        assert np.array_equal(a[:, i], want[:, 2] / (s * s))
+    np.testing.assert_array_equal(q[-3:], np.broadcast_to([2.0, -1.0, -2.5, 0.5], (3, 4)))
