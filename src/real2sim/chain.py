@@ -100,19 +100,31 @@ class ChainSpec:
         names = [j.name for j in self.joints]
         if len(set(names)) != len(names):
             raise ChainError("joint names must be unique")
-        # cached raw arrays for the hot kinematics path
-        object.__setattr__(self, "_r_org", np.stack([j.origin.rot.m for j in self.joints]))
-        object.__setattr__(self, "_p_org", np.stack([j.origin.pos for j in self.joints]))
+        # cached arrays for the hot kinematics path: a joint's local
+        # transform is basis[0] + sin(q) basis[1] + (1 - cos(q)) basis[2]
+        # + q basis[3] (Rodrigues terms for revolute joints, a slide along
+        # the axis for prismatic ones)
+        revolute = np.array([j.kind == REVOLUTE for j in self.joints])
+        basis = np.zeros((4, self.n, 4, 4))
+        for i, j in enumerate(self.joints):
+            r_org = j.origin.rot.m
+            basis[0, i, :3, :3] = r_org
+            basis[0, i, :3, 3] = j.origin.pos
+            basis[0, i, 3, 3] = 1.0
+            if revolute[i]:
+                ax, ay, az = j.axis
+                skew = np.array([[0.0, -az, ay], [az, 0.0, -ax], [-ay, ax, 0.0]])
+                basis[1, i, :3, :3] = r_org @ skew
+                basis[2, i, :3, :3] = r_org @ skew @ skew
+            else:
+                basis[3, i, :3, 3] = r_org @ j.axis
+        object.__setattr__(self, "_basis", basis)
+        object.__setattr__(self, "_ones", np.ones(self.n))
         object.__setattr__(self, "_axes", np.stack([j.axis for j in self.joints]))
-        object.__setattr__(self, "_revolute", np.array([j.kind == REVOLUTE for j in self.joints]))
+        object.__setattr__(self, "_revolute", revolute)
+        object.__setattr__(self, "_ee_matrix", self.ee_offset.as_matrix())
         object.__setattr__(self, "lower", np.array([j.lower for j in self.joints]))
         object.__setattr__(self, "upper", np.array([j.upper for j in self.joints]))
-        skews = np.zeros((self.n, 3, 3))
-        for i, j in enumerate(self.joints):
-            ax, ay, az = j.axis
-            skews[i] = [[0.0, -az, ay], [az, 0.0, -ax], [-ay, ax, 0.0]]
-        object.__setattr__(self, "_skew", skews)
-        object.__setattr__(self, "_skew2", skews @ skews)
 
     @property
     def n(self) -> int:
@@ -154,37 +166,19 @@ def _check_q(chain: ChainSpec, q) -> np.ndarray:
     return q
 
 
-_EYE3 = np.eye(3)
+def _frames(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
+    """World transform (4x4) of every joint frame after its own motion.
 
-
-def _frames(chain: ChainSpec, q: np.ndarray):
-    """Per-joint frames after the origin transform (rotation, position)."""
-    rs = np.empty((chain.n, 3, 3))
-    ps = np.empty((chain.n, 3))
-    # Rodrigues motion matrices for all joints at once (prismatic rows unused)
-    motion = (
-        _EYE3
-        + np.sin(q)[:, None, None] * chain._skew
-        + (1.0 - np.cos(q))[:, None, None] * chain._skew2
-    )
-    r = _EYE3
-    p = np.zeros(3)
-    for i in range(chain.n):
-        p = r @ chain._p_org[i] + p
-        r = r @ chain._r_org[i]
-        rs[i] = r
-        ps[i] = p
-        if chain._revolute[i]:
-            r = r @ motion[i]
-        else:
-            p = p + r @ (chain._axes[i] * q[i])
-    return rs, ps, r, p
-
-
-def _fk_raw(chain: ChainSpec, q: np.ndarray):
-    _, _, r, p = _frames(chain, q)
-    ee = chain.ee_offset
-    return r @ ee.rot.m, r @ ee.pos + p
+    A joint's motion keeps its origin (revolute) or its orientation
+    (prismatic), and a revolute joint's rotation keeps its axis, so these
+    frames also give each joint's world axis and, for revolute joints, its
+    world origin. The last one is the flange.
+    """
+    coef = np.array([chain._ones, np.sin(q), 1.0 - np.cos(q), q])
+    local = np.einsum("kn,knij->nij", coef, chain._basis)
+    for i in range(1, chain.n):
+        np.matmul(local[i - 1], local[i], out=local[i])
+    return local
 
 
 def fk(chain: ChainSpec, q) -> Pose:
@@ -197,32 +191,27 @@ def fk(chain: ChainSpec, q) -> Pose:
     qc = chain.clamp(q)
     if not np.array_equal(q, qc):
         logger.warning("fk: joint values clamped to limits (max excess %.3e)", np.abs(q - qc).max())
-    r, p = _fk_raw(chain, qc)
-    return Pose(Rot3(r), p)
+    tool = _frames(chain, qc)[-1] @ chain._ee_matrix
+    return Pose(Rot3(tool[:3, :3]), tool[:3, 3])
 
 
-def _jacobian_from_frames(chain: ChainSpec, rs, ps, p_tool) -> np.ndarray:
-    jac = np.zeros((6, chain.n))
-    axes_w = np.einsum("nij,nj->ni", rs, chain._axes)
-    for i in range(chain.n):
-        axis_w = axes_w[i]
-        if chain._revolute[i]:
-            rx = p_tool - ps[i]
-            jac[0, i] = axis_w[1] * rx[2] - axis_w[2] * rx[1]
-            jac[1, i] = axis_w[2] * rx[0] - axis_w[0] * rx[2]
-            jac[2, i] = axis_w[0] * rx[1] - axis_w[1] * rx[0]
-            jac[3:, i] = axis_w
-        else:
-            jac[:3, i] = axis_w
-    return jac
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _LEVI_CIVITA[_i, _j, _k] = 1.0
+    _LEVI_CIVITA[_i, _k, _j] = -1.0
+
+
+def _jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool) -> np.ndarray:
+    axes_w = np.einsum("nij,nj->in", frames[:, :3, :3], chain._axes)
+    lin = np.einsum("ijk,jn,kn->in", _LEVI_CIVITA, axes_w, p_tool[:, None] - frames[:, :3, 3].T)
+    return np.concatenate([np.where(chain._revolute, lin, axes_w), np.where(chain._revolute, axes_w, 0.0)])
 
 
 def jacobian(chain: ChainSpec, q) -> np.ndarray:
     """Geometric Jacobian in the base frame: rows 0..2 linear (m), 3..5 angular (rad)."""
     q = _check_q(chain, q)
-    rs, ps, r_ee, p_ee = _frames(chain, q)
-    p_tool = r_ee @ chain.ee_offset.pos + p_ee
-    return _jacobian_from_frames(chain, rs, ps, p_tool)
+    frames = _frames(chain, q)
+    return _jacobian_from_frames(chain, frames, (frames[-1] @ chain._ee_matrix)[:3, 3])
 
 
 def ik_dls(chain: ChainSpec, target: Pose, q_seed, settings: IkSettings | None = None) -> IkResult:
@@ -237,23 +226,23 @@ def ik_dls(chain: ChainSpec, target: Pose, q_seed, settings: IkSettings | None =
     q = chain.clamp(_check_q(chain, q_seed))
     target_r = target.rot.m
     target_p = target.pos
-    eye6 = np.eye(6)
+    damp = (s.damping**2) * np.eye(6)
+    lo = chain.lower
+    hi = chain.upper
 
     best_q = q.copy()
     best_pos = math.inf
     best_rot = math.inf
     converged = False
     iterations = 0
-    ee_r = chain.ee_offset.rot.m
-    ee_p = chain.ee_offset.pos
     for it in range(s.max_iters + 1):
-        rs, ps, r_flange, p_flange = _frames(chain, q)
-        r = r_flange @ ee_r
-        p = r_flange @ ee_p + p_flange
+        frames = _frames(chain, q)
+        tool = frames[-1] @ chain._ee_matrix
+        p = tool[:3, 3]
         e_pos = target_p - p
-        e_rot = matrix_to_rotvec(target_r @ r.T)
-        res_pos = float(np.linalg.norm(e_pos))
-        res_rot = float(np.linalg.norm(e_rot))
+        e_rot = matrix_to_rotvec(target_r @ tool[:3, :3].T)
+        res_pos = math.sqrt(e_pos @ e_pos)
+        res_rot = math.sqrt(e_rot @ e_rot)
         if res_pos + res_rot < best_pos + best_rot:
             best_q = q.copy()
             best_pos = res_pos
@@ -264,13 +253,13 @@ def ik_dls(chain: ChainSpec, target: Pose, q_seed, settings: IkSettings | None =
             break
         if it == s.max_iters:
             break
-        jac = _jacobian_from_frames(chain, rs, ps, p)
+        jac = _jacobian_from_frames(chain, frames, p)
         err = np.concatenate([e_pos, e_rot])
-        dq = jac.T @ np.linalg.solve(jac @ jac.T + (s.damping**2) * eye6, err)
+        dq = jac.T @ np.linalg.solve(jac @ jac.T + damp, err)
         biggest = np.abs(dq).max()
         if biggest > s.max_step:
             dq *= s.max_step / biggest
-        q = chain.clamp(q + dq)
+        q = np.minimum(np.maximum(q + dq, lo), hi)
     return IkResult(best_q, best_pos, best_rot, converged, iterations)
 
 

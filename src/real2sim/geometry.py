@@ -241,7 +241,7 @@ def axis_angle_to_matrix(axis, angle: float) -> np.ndarray:
 
 def matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
     """Rotation vector (axis * angle) of a rotation matrix."""
-    c = 0.5 * (np.trace(m) - 1.0)
+    c = 0.5 * (m[0, 0] + m[1, 1] + m[2, 2] - 1.0)
     angle = math.acos(min(1.0, max(-1.0, c)))
     if angle < 1e-9:
         # skew part / 2 is exact to O(angle^3)

@@ -226,6 +226,57 @@ def _integrate_targets(q, v, targets: np.ndarray, pd: PDParams, dyn: JointDynami
     return q, v
 
 
+# longest run of ticks one table of matrix powers covers
+_MAX_RUN = 256
+
+
+def _plant_powers(pd: PDParams, dyn: JointDynamics, dt: float, ticks: int) -> np.ndarray:
+    """Per-joint M^0 .. M^k, k = min(ticks, _MAX_RUN), as a (k + 1, n, 2, 2) array.
+
+    One dyn_step with target_v = 0 maps the offset e = (q - target, v) of a
+    joint from its resting point (target, 0) to M e, with
+    M = [[1 - dt g, dt c], [-g, c]], g = p dt / m and c = 1 - (d + b) dt / m.
+    """
+    keep = 1.0 - (pd.d + dyn.damping) / dyn.inertia * dt
+    gain = pd.p / dyn.inertia * dt
+    ticks = min(ticks, _MAX_RUN)
+    powers = np.empty((ticks + 1, gain.shape[0], 2, 2))
+    powers[0] = np.eye(2)
+    powers[1:2, :, 0, 0] = 1.0 - dt * gain
+    powers[1:2, :, 0, 1] = dt * keep
+    powers[1:2, :, 1, 0] = -gain
+    powers[1:2, :, 1, 1] = keep
+    k = 1
+    while k < ticks:  # M^(k+1 .. k+j) from M^k and M^(1 .. j)
+        j = min(k, ticks - k)
+        powers[k + 1 : k + j + 1] = powers[k] @ powers[1 : j + 1]
+        k += j
+    return powers
+
+
+def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, dyn: JointDynamics):
+    """Run dyn_step semantics for ``ticks`` steps toward one held target.
+
+    Equivalent to ``ticks`` dyn_step calls with target_v = 0: the offset
+    from (target, 0) evolves as M^k e until a joint leaves its limits; that
+    step is clamped and the closed form restarts from the clamped state.
+    """
+    while ticks:
+        k = min(ticks, powers.shape[0] - 1)
+        e_q = q - target
+        qs = target + powers[1 : k + 1, :, 0, 0] * e_q + powers[1 : k + 1, :, 0, 1] * v
+        out = (qs < dyn.lower) | (qs > dyn.upper)
+        hit = out.any(axis=1)
+        r = int(np.argmax(hit)) if hit.any() else k - 1
+        v = powers[r + 1, :, 1, 0] * e_q + powers[r + 1, :, 1, 1] * v
+        q = qs[r]
+        if hit[r]:
+            q = np.clip(q, dyn.lower, dyn.upper)
+            v = np.where(out[r], 0.0, v)
+        ticks -= r + 1
+    return q, v
+
+
 def default_config(controller_kind: str) -> CtrlConfig:
     if controller_kind == GOOGLE:
         return google_config()
@@ -256,6 +307,8 @@ def _simulate(
         raise JointSimError(f"q_init must have {chain.n} entries")
     v = np.zeros(chain.n)
     dt = 1.0 / cfg.h_sim
+    if controller_kind == WIDOWX:
+        powers = _plant_powers(pd, dyn, dt, cfg.ticks_per_step)
     poses = [fk(chain, q)]
     if joint_log is not None:
         joint_log.append(q.copy())
@@ -270,7 +323,10 @@ def _simulate(
             targets, w_state = widowx_step(w_state, action, q, chain, cfg, ik_settings)
         if plan_sink is not None:
             plan_sink(step_idx, targets)
-        q, v = _integrate_targets(q, v, targets.arm_q, pd, dyn, dt)
+        if controller_kind == GOOGLE:
+            q, v = _integrate_targets(q, v, targets.arm_q, pd, dyn, dt)
+        else:
+            q, v = _hold_target(q, v, targets.arm_q[0], targets.arm_q.shape[0], powers, dyn)
         poses.append(fk(chain, q))
         if joint_log is not None:
             joint_log.append(q.copy())

@@ -13,7 +13,10 @@ from real2sim.jointsim import (
     JointSimError,
     PDParams,
     TrajectoryRecord,
+    _MAX_RUN,
+    _hold_target,
     _integrate_targets,
+    _plant_powers,
     dyn_step,
     initial_joint_positions,
     replay_open_loop,
@@ -97,6 +100,25 @@ def test_integrate_targets_matches_dyn_step_sequence():
         qs, vs = dyn_step(qs, vs, targets[i], np.zeros(4), pd, dyn, 1 / 500)
     np.testing.assert_allclose(qf, qs, atol=1e-12)
     np.testing.assert_allclose(vf, vs, atol=1e-12)
+
+
+@pytest.mark.parametrize("ticks", [1, 100, _MAX_RUN + 45])
+def test_hold_target_matches_dyn_step_sequence(ticks):
+    # a held target outside the +-0.4 limits drives some joints into the stop
+    rng = np.random.default_rng(8)
+    pd = PDParams(rng.uniform(50, 300, 4), rng.uniform(2, 30, 4))
+    dyn = JointDynamics(rng.uniform(0.5, 2, 4), rng.uniform(0, 1, 4), np.full(4, -0.4), np.full(4, 0.4))
+    powers = _plant_powers(pd, dyn, 1 / 500, ticks)
+    for _ in range(20):
+        q = rng.uniform(-0.4, 0.4, 4)
+        v = rng.normal(size=4) * 2.0
+        target = rng.normal(size=4) * 0.6
+        qf, vf = _hold_target(q, v, target, ticks, powers, dyn)
+        qs, vs = q.copy(), v.copy()
+        for _ in range(ticks):
+            qs, vs = dyn_step(qs, vs, target, np.zeros(4), pd, dyn, 1 / 500)
+        np.testing.assert_allclose(qf, qs, atol=1e-12)
+        np.testing.assert_allclose(vf, vs, atol=1e-12)
 
 
 def test_dyn_step_rejects_bad_dt():
