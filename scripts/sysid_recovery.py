@@ -9,15 +9,10 @@ recovered. Deterministic for a fixed --seed.
 
 import argparse
 import logging
-import math
 import time
 
-import numpy as np
-
-from real2sim.bench import arm_6dof, fk_path_actions
-from real2sim.chain import IkSettings
-from real2sim.jointsim import JointDynamics, PDParams, synthesize_record
-from real2sim.sysid import AnnealConfig, SysIdRange, anneal_fit
+from real2sim.bench import recovery_setup
+from real2sim.sysid import AnnealConfig, anneal_fit
 
 
 def main() -> None:
@@ -31,30 +26,15 @@ def main() -> None:
     args = parser.parse_args()
 
     logging.getLogger("real2sim").setLevel(logging.ERROR)
-    chain = arm_6dof()
-    q0 = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
-    dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
-    truth = PDParams(np.full(6, args.p_true), np.full(6, args.d_true))
-    iks = IkSettings(max_iters=60)
-
-    rng = np.random.default_rng(11)
     print(f"generating {args.records} trajectories of {args.actions} actions each ...")
-    records = [
-        synthesize_record(chain, dyn, truth, "widowx",
-                          fk_path_actions(chain, q0, args.actions, rng), q0, ik_settings=iks)
-        for _ in range(args.records)
-    ]
-
-    init = PDParams(truth.p * 2.5, truth.d * 0.6)
-    bounds = SysIdRange(
-        truth.p / math.sqrt(10.0), truth.p * math.sqrt(10.0),
-        truth.d / math.sqrt(10.0), truth.d * math.sqrt(10.0),
-    )
+    setup = recovery_setup(args.records, args.actions, args.p_true, args.d_true)
+    truth = setup.truth
     cfg = AnnealConfig(rounds=3, iters_per_round=args.iters, sigma=0.12, shrink=0.28,
                        rng_seed=args.seed, tie_joints=True)
 
     t0 = time.monotonic()
-    result = anneal_fit(records, chain, dyn, "widowx", init, bounds, cfg, ik_settings=iks)
+    result = anneal_fit(setup.records, setup.chain, setup.dyn, "widowx", setup.init, setup.bounds, cfg,
+                        ik_settings=setup.ik_settings)
     elapsed = time.monotonic() - t0
 
     print(f"done in {elapsed:.1f} s, {result.evaluations} objective evaluations")

@@ -1,18 +1,23 @@
 """Synthetic benchmark fixtures: a 6-DOF arm and demonstration-like actions.
 
 Used by the identification experiments and the test suite to build
-deterministic, reachable-by-construction action sequences.
+deterministic, reachable-by-construction action sequences and the synthetic
+gain-recovery problem.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .chain import ChainSpec, JointSpec, fk
+from .chain import ChainSpec, IkSettings, JointSpec, fk
 from .controller import Action
 from .geometry import Pose, Rot3, rot_x
+from .jointsim import JointDynamics, PDParams, TrajectoryRecord, synthesize_record
+from .sysid import SysIdRange
 
-__all__ = ["arm_6dof", "fk_path_actions"]
+__all__ = ["arm_6dof", "fk_path_actions", "RecoverySetup", "recovery_setup"]
 
 
 def arm_6dof(seed: int = 3) -> ChainSpec:
@@ -57,3 +62,34 @@ def fk_path_actions(
         Action(b.pos - a.pos, Rot3(b.rot.m @ a.rot.m.T), gripper)
         for a, b in zip(poses[:-1], poses[1:])
     ]
+
+
+class RecoverySetup(NamedTuple):
+    chain: ChainSpec
+    dyn: JointDynamics
+    truth: PDParams
+    ik_settings: IkSettings
+    records: list[TrajectoryRecord]
+    init: PDParams
+    bounds: SysIdRange
+
+
+def recovery_setup(n_records: int = 5, n_actions: int = 30, p_true: float = 80.0, d_true: float = 3.0) -> RecoverySetup:
+    """Synthetic WidowX gain-recovery problem on ``arm_6dof``.
+
+    Records are replays under the true gains (rng seed 11). The initial
+    guess is 2.5x the true stiffness and 0.6x the true damping, inside a
+    range that spans a factor of 10 around the truth.
+    """
+    chain = arm_6dof()
+    q0 = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
+    dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
+    truth = PDParams(np.full(chain.n, p_true), np.full(chain.n, d_true))
+    iks = IkSettings(max_iters=60)
+    rng = np.random.default_rng(11)
+    records = [
+        synthesize_record(chain, dyn, truth, "widowx", fk_path_actions(chain, q0, n_actions, rng), q0, ik_settings=iks)
+        for _ in range(n_records)
+    ]
+    init = PDParams(truth.p * 2.5, truth.d * 0.6)
+    return RecoverySetup(chain, dyn, truth, iks, records, init, SysIdRange.around(truth, 10.0))

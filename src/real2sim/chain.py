@@ -267,7 +267,7 @@ def ik_dls(chain: ChainSpec, target: Pose, q_seed, settings: IkSettings | None =
 # URDF subset
 # ---------------------------------------------------------------------------
 
-_SUPPORTED_JOINT_TYPES = (REVOLUTE, PRISMATIC, "fixed")
+_SUPPORTED_JOINT_TYPES = (REVOLUTE, PRISMATIC, "continuous", "fixed")
 
 
 def _rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
@@ -297,8 +297,9 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
     """Parse the unique serial chain of a URDF document.
 
     Supported elements: <robot>, <link> (names only), and <joint> with
-    type/origin/axis/limit/parent/child. Fixed joints are folded into the
-    next moving joint's origin; a trailing run of fixed joints becomes the
+    type/origin/axis/limit/parent/child. A continuous joint is read as a
+    revolute joint without limits. Fixed joints are folded into the next
+    moving joint's origin; a trailing run of fixed joints becomes the
     tool offset. ``tip`` stops the walk at the named link (default: the
     chain's leaf).
     """
@@ -367,7 +368,8 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
                 raise UrdfParseError(f"joint {jname!r}: malformed axis xyz") from exc
             if len(axis) != 3:
                 raise UrdfParseError(f"joint {jname!r}: axis xyz needs exactly 3 numbers")
-            limit = joint.find("limit")
+            # a continuous joint is a revolute joint without position limits
+            limit = None if jtype == "continuous" else joint.find("limit")
             lower = -math.inf
             upper = math.inf
             if limit is not None:
@@ -377,7 +379,8 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
                 except ValueError as exc:
                     raise UrdfParseError(f"joint {jname!r}: malformed limit bounds") from exc
             try:
-                joints.append(JointSpec(jname, jtype, origin, np.array(axis), lower, upper))
+                kind = REVOLUTE if jtype == "continuous" else jtype
+                joints.append(JointSpec(jname, kind, origin, np.array(axis), lower, upper))
             except (ChainError, GeometryError) as exc:
                 raise UrdfParseError(f"joint {jname!r}: {exc}") from exc
             pending = Pose.identity()
@@ -394,6 +397,7 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
 
 
 def chain_to_dict(chain: ChainSpec) -> dict:
+    """Plain-JSON form; an infinite limit is written as null."""
     return {
         "joints": [
             {
@@ -401,7 +405,7 @@ def chain_to_dict(chain: ChainSpec) -> dict:
                 "kind": j.kind,
                 "origin": pose_to_dict(j.origin),
                 "axis": [float(v) for v in j.axis],
-                "limits": [j.lower, j.upper],
+                "limits": [v if math.isfinite(v) else None for v in (j.lower, j.upper)],
             }
             for j in chain.joints
         ],
@@ -423,8 +427,8 @@ def chain_from_dict(d: dict) -> ChainSpec:
                     kind=str(j["kind"]),
                     origin=pose_from_dict(j["origin"]),
                     axis=np.asarray(j["axis"], dtype=float),
-                    lower=float(j["limits"][0]),
-                    upper=float(j["limits"][1]),
+                    lower=-math.inf if j["limits"][0] is None else float(j["limits"][0]),
+                    upper=math.inf if j["limits"][1] is None else float(j["limits"][1]),
                 )
             )
         except (KeyError, TypeError, IndexError) as exc:

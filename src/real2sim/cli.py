@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import report as rep
-from .chain import ChainError, UrdfParseError, chain_from_json, chain_to_json, parse_urdf_subset
+from .chain import ChainError, ChainSpec, UrdfParseError, chain_from_json, chain_to_json, parse_urdf_subset
 from .controller import ControllerError, CtrlConfig
 from .geometry import GeometryError, pose_to_dict
 from .imaging import ImageError, composite, read_pgm, read_ppm, write_ppm
@@ -164,21 +164,25 @@ _CTRL_KEYS = {"h_sim", "h_ctrl"}
 
 def _ctrl_config(kind: str, overrides: dict | None) -> CtrlConfig:
     cfg = default_config(kind)
-    if overrides is not None:
-        _section(overrides, _CTRL_KEYS, "ctrl")
-        try:
-            h_sim = float(overrides.get("h_sim", cfg.h_sim))
-            h_ctrl = float(overrides.get("h_ctrl", cfg.h_ctrl))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("ctrl: h_sim and h_ctrl must be numbers") from exc
-        cfg = CtrlConfig(
-            h_sim=h_sim,
-            h_ctrl=h_ctrl,
-            arm_limits=cfg.arm_limits,
-            grip_limits=cfg.grip_limits,
-            grip_filter_threshold=cfg.grip_filter_threshold,
-        )
-    return cfg
+    if overrides is None:
+        return cfg
+    _section(overrides, _CTRL_KEYS, "ctrl")
+    try:
+        h_sim = float(overrides.get("h_sim", cfg.h_sim))
+        h_ctrl = float(overrides.get("h_ctrl", cfg.h_ctrl))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("ctrl: h_sim and h_ctrl must be numbers") from exc
+    return CtrlConfig(h_sim=h_sim, h_ctrl=h_ctrl)
+
+
+def _dynamics(obj, chain: ChainSpec, where: str) -> JointDynamics:
+    dyn_obj = _section(obj, _DYN_KEYS, where)
+    return JointDynamics(
+        _vec_field(dyn_obj.get("inertia", 1.0), chain.n, "dynamics.inertia"),
+        _vec_field(dyn_obj.get("damping", 0.0), chain.n, "dynamics.damping"),
+        chain.lower,
+        chain.upper,
+    )
 
 
 def cmd_sysid_fit(args) -> int:
@@ -189,13 +193,7 @@ def cmd_sysid_fit(args) -> int:
     if kind not in (GOOGLE, WIDOWX):
         raise ConfigError(f"controller must be '{GOOGLE}' or '{WIDOWX}', got {kind!r}")
 
-    dyn_obj = _section(config.get("dynamics", {}), _DYN_KEYS, "dynamics")
-    dyn = JointDynamics(
-        _vec_field(dyn_obj.get("inertia", 1.0), n, "dynamics.inertia"),
-        _vec_field(dyn_obj.get("damping", 0.0), n, "dynamics.damping"),
-        chain.lower,
-        chain.upper,
-    )
+    dyn = _dynamics(config.get("dynamics", {}), chain, "dynamics")
 
     init_obj = _section(config["init"], _INIT_KEYS, "init", required=("p", "d"))
     init = PDParams(_vec_field(init_obj["p"], n, "init.p"), _vec_field(init_obj["d"], n, "init.d"))
@@ -267,13 +265,7 @@ def cmd_replay(args) -> int:
     chain = chain_from_json(Path(args.chain).read_text())
     rec = TrajectoryRecord.from_json(Path(args.trajectory).read_text())
     pd = _load_pd(args.params, chain.n)
-    dyn_obj = _section(_read_json(args.dynamics) if args.dynamics else {}, _DYN_KEYS, args.dynamics or "dynamics")
-    dyn = JointDynamics(
-        _vec_field(dyn_obj.get("inertia", 1.0), chain.n, "dynamics.inertia"),
-        _vec_field(dyn_obj.get("damping", 0.0), chain.n, "dynamics.damping"),
-        chain.lower,
-        chain.upper,
-    )
+    dyn = _dynamics(_read_json(args.dynamics) if args.dynamics else {}, chain, args.dynamics or "dynamics")
     cfg = _ctrl_config(args.controller, None)
     if args.sim_hz or args.ctrl_hz:
         cfg = _ctrl_config(args.controller, {"h_sim": args.sim_hz or cfg.h_sim, "h_ctrl": args.ctrl_hz or cfg.h_ctrl})

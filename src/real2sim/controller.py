@@ -28,6 +28,7 @@ __all__ = [
     "SimStepTargets",
     "GOOGLE_ARM_LIMITS",
     "GOOGLE_GRIP_LIMITS",
+    "GOOGLE_GRIP_FILTER",
     "google_config",
     "widowx_config",
     "google_step",
@@ -39,6 +40,7 @@ logger = logging.getLogger(__name__)
 
 GOOGLE_ARM_LIMITS = LimitSet(v_max=1.5, a_max=2.0, j_max=50.0)
 GOOGLE_GRIP_LIMITS = LimitSet(v_max=1.0, a_max=7.0, j_max=50.0)
+GOOGLE_GRIP_FILTER = 0.01  # gripper actions below this magnitude leave the goal unchanged
 
 
 class ControllerError(ValueError):
@@ -88,7 +90,7 @@ class Action:
 
 @dataclass(frozen=True)
 class CtrlConfig:
-    """Controller frequencies and planning limits.
+    """Simulation and control frequencies.
 
     ``ticks_per_step`` is floor(h_sim / h_ctrl); the frequencies need not
     divide evenly.
@@ -96,9 +98,6 @@ class CtrlConfig:
 
     h_sim: float = 501.0
     h_ctrl: float = 3.0
-    arm_limits: LimitSet = GOOGLE_ARM_LIMITS
-    grip_limits: LimitSet = GOOGLE_GRIP_LIMITS
-    grip_filter_threshold: float = 0.01
 
     def __post_init__(self):
         if self.h_sim <= 0 or self.h_ctrl <= 0:
@@ -112,7 +111,7 @@ class CtrlConfig:
 
 
 def google_config() -> CtrlConfig:
-    return CtrlConfig(h_sim=501.0, h_ctrl=3.0, arm_limits=GOOGLE_ARM_LIMITS, grip_limits=GOOGLE_GRIP_LIMITS)
+    return CtrlConfig(h_sim=501.0, h_ctrl=3.0)
 
 
 def widowx_config() -> CtrlConfig:
@@ -205,20 +204,20 @@ def google_step(
             state.t, ik.residual_pos, ik.residual_rot,
         )
     arm_plan = synchronize(
-        q_arm, _sanitize_velocity(v_arm, cfg.arm_limits.v_max), ik.q, np.zeros(chain.n), cfg.arm_limits
+        q_arm, _sanitize_velocity(v_arm, GOOGLE_ARM_LIMITS.v_max), ik.q, np.zeros(chain.n), GOOGLE_ARM_LIMITS
     )
 
     # gripper: accumulate on the planned state, filtering small actions
-    if abs(action.gripper) < cfg.grip_filter_threshold:
+    if abs(action.gripper) < GOOGLE_GRIP_FILTER:
         grip_goal = state.q_lastgoal_grip
     else:
         grip_goal = state.q_lastplan_grip + action.gripper
     grip_plan = plan_scurve_1d(
         state.q_lastplan_grip,
-        min(max(state.v_lastplan_grip, -cfg.grip_limits.v_max), cfg.grip_limits.v_max),
+        min(max(state.v_lastplan_grip, -GOOGLE_GRIP_LIMITS.v_max), GOOGLE_GRIP_LIMITS.v_max),
         grip_goal,
         0.0,
-        cfg.grip_limits,
+        GOOGLE_GRIP_LIMITS,
     )
 
     ts = np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim

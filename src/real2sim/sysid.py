@@ -10,6 +10,7 @@ incumbent best and contracted, clipped to the original bounds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -121,6 +122,18 @@ class AnnealConfig:
     tie_joints: bool = False
 
     def __post_init__(self):
+        for name in ("rounds", "iters_per_round", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise SysIdError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.tie_joints, bool):
+            raise SysIdError(f"tie_joints must be true or false, got {self.tie_joints!r}")
+        for name in ("t0", "cooling", "sigma", "shrink"):
+            value = getattr(self, name)
+            if value is None and name == "t0":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise SysIdError(f"{name} must be a finite number, got {value!r}")
         if self.rounds < 1 or self.iters_per_round < 1:
             raise SysIdError("rounds and iters_per_round must be at least 1")
         if not 0.0 < self.cooling < 1.0:
@@ -152,21 +165,6 @@ class AnnealResult:
     evaluations: int
 
 
-def _theta_to_pd(theta: np.ndarray, n: int, tied: bool) -> PDParams:
-    if tied:
-        return PDParams(np.full(n, theta[0]), np.full(n, theta[1]))
-    return PDParams(theta[:n], theta[n:])
-
-
-def normalize_params(theta: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    """Map parameters into [0, 1] range coordinates."""
-    return (theta - lows) / (highs - lows)
-
-
-def denormalize_params(u: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-    return lows + u * (highs - lows)
-
-
 def anneal_fit(
     dataset: Sequence[TrajectoryRecord],
     chain: ChainSpec,
@@ -180,8 +178,8 @@ def anneal_fit(
 ) -> AnnealResult:
     """Fit PD gains by multi-round simulated annealing of the replay loss.
 
-    The objective is the unweighted mean of the total trajectory loss over
-    the dataset. With ``tie_joints`` the search runs over two shared scalars
+    The objective is the unweighted mean of the trajectory losses over the
+    dataset. With ``tie_joints`` the search runs over two shared scalars
     mapped to each joint's bounds; otherwise every joint's gains are free.
     """
     cfg = cfg or AnnealConfig()
@@ -207,74 +205,51 @@ def anneal_fit(
         except JointSimError as exc:
             raise SysIdError(f"record {i}: {exc}") from exc
 
-    def objective(pd: PDParams) -> float:
-        total = 0.0
+    def objective(pd: PDParams) -> TrajectoryLosses:
+        sums = (0.0, 0.0, 0.0)
         for rec, q0 in zip(dataset, q_inits):
             sim = replay_open_loop(chain, dyn, pd, controller_kind, rec, q0, ctrl_cfg, ik_settings)
-            total += trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)]).total
-        return total / len(dataset)
+            losses = trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
+            sums = tuple(a + b for a, b in zip(sums, losses))
+        return TrajectoryLosses(*(s / len(dataset) for s in sums))
 
-    tied = cfg.tie_joints
-    dim = 2 if tied else 2 * chain.n
+    # u in [0, 1]^dim; each coordinate sets k consecutive entries of theta = (p, d)
+    n = chain.n
+    dim = 2 if cfg.tie_joints else 2 * n
+    k = 2 * n // dim
+
+    def to_pd(u: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> PDParams:
+        theta = lows + np.repeat(u, k) * (highs - lows)
+        return PDParams(theta[:n], theta[n:])
+
+    def to_u(theta: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        return np.clip(((theta - lows) / (highs - lows)).reshape(dim, k).mean(axis=1), 0.0, 1.0)
+
     rng = np.random.default_rng(cfg.rng_seed)
-
-    if tied:
-        # tied coordinates share one normalized position across joints
-        def denorm(u, lows, highs):
-            n = chain.n
-            p = lows[:n] + u[0] * (highs[:n] - lows[:n])
-            d = lows[n:] + u[1] * (highs[n:] - lows[n:])
-            return PDParams(p, d)
-
-        def norm_init(theta, lows, highs):
-            scaled = (theta - lows) / (highs - lows)
-            return np.array([float(np.mean(scaled[: chain.n])), float(np.mean(scaled[chain.n:]))])
-    else:
-
-        def denorm(u, lows, highs):
-            return _theta_to_pd(denormalize_params(u, lows, highs), chain.n, False)
-
-        def norm_init(theta, lows, highs):
-            return normalize_params(theta, lows, highs)
-
-    lows = lows0.copy()
-    highs = highs0.copy()
-    u = np.clip(norm_init(theta_init, lows, highs), 0.0, 1.0)
-    current_pd = denorm(u, lows, highs)
-    current_loss = objective(current_pd)
-    evals = 1
-    initial_loss = current_loss
-
-    best_pd = current_pd
-    best_loss = current_loss
-    best_u = u.copy()
+    lows, highs = lows0, highs0
+    best_u = to_u(theta_init, lows, highs)
+    best_pd = to_pd(best_u, lows, highs)
+    best = objective(best_pd)
+    initial_loss = best.total
 
     history: list[RoundStats] = []
     for round_index in range(cfg.rounds):
-        temp = cfg.t0 if cfg.t0 is not None else max(0.1 * best_loss, 1e-12)
-        u = best_u.copy()
-        current_loss = best_loss
-        round_evals = 0
+        temp = cfg.t0 if cfg.t0 is not None else max(0.1 * best.total, 1e-12)
+        u = best_u
+        current_loss = best.total
         for _ in range(cfg.iters_per_round):
             proposal = np.clip(u + rng.normal(0.0, cfg.sigma, size=dim), 0.0, 1.0)
-            cand_pd = denorm(proposal, lows, highs)
-            cand_loss = objective(cand_pd)
-            evals += 1
-            round_evals += 1
-            delta = cand_loss - current_loss
+            cand_pd = to_pd(proposal, lows, highs)
+            cand = objective(cand_pd)
+            delta = cand.total - current_loss
             if delta <= 0.0 or rng.random() < math.exp(-delta / temp):
                 u = proposal
-                current_loss = cand_loss
-            if cand_loss < best_loss:
-                best_loss = cand_loss
-                best_pd = cand_pd
-                best_u = proposal.copy()
+                current_loss = cand.total
+            if cand.total < best.total:
+                best, best_pd, best_u = cand, cand_pd, proposal
             temp *= cfg.cooling
         history.append(
-            RoundStats(
-                round_index, best_loss, best_pd.p.copy(), best_pd.d.copy(), round_evals,
-                lows.copy(), highs.copy(),
-            )
+            RoundStats(round_index, best.total, best_pd.p, best_pd.d, cfg.iters_per_round, lows, highs)
         )
         if round_index + 1 < cfg.rounds:
             # recenter on the incumbent, contract, clip to the original range
@@ -285,16 +260,7 @@ def anneal_fit(
             too_narrow = highs - lows < 1e-12
             highs = np.where(too_narrow, np.minimum(lows + 1e-12, highs0), highs)
             lows = np.where(highs - lows < 1e-12, highs - 1e-12, lows)
-            best_u = np.clip(norm_init(np.concatenate([best_pd.p, best_pd.d]), lows, highs), 0.0, 1.0)
+            best_u = to_u(center, lows, highs)
 
-    # final loss breakdown at the optimum
-    sims = []
-    for rec, q0 in zip(dataset, q_inits):
-        sim = replay_open_loop(chain, dyn, best_pd, controller_kind, rec, q0, ctrl_cfg, ik_settings)
-        sims.append(trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)]))
-    losses = TrajectoryLosses(
-        float(np.mean([s.translation for s in sims])),
-        float(np.mean([s.rotation for s in sims])),
-        float(np.mean([s.total for s in sims])),
-    )
-    return AnnealResult(best_pd, best_loss, initial_loss, losses, tuple(history), evals)
+    evaluations = 1 + cfg.rounds * cfg.iters_per_round
+    return AnnealResult(best_pd, best.total, initial_loss, best, tuple(history), evaluations)

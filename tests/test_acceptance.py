@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from helpers import (
-    fk_path_actions,
     integrate_profile,
     permutation_midp,
     random_rotation,
@@ -28,10 +27,10 @@ from real2sim.controller import (
 )
 from real2sim.geometry import Rot3, rot_frobenius_loss, rotation_angle
 from real2sim.imaging import ImageRGB8, MaskGray8, composite, read_pgm, read_ppm, write_pgm, write_ppm
-from real2sim.jointsim import JointDynamics, PDParams, synthesize_record
 from real2sim.metrics import delta_success, kruskal_wallis, mmrv, pearson
-from real2sim.sysid import AnnealConfig, SysIdRange, anneal_fit
+from real2sim.sysid import AnnealConfig, anneal_fit
 from real2sim import report as rep
+from real2sim.bench import recovery_setup
 from real2sim.data import load_fixture
 
 
@@ -177,24 +176,9 @@ def test_criterion_06_controller_fidelity(six_dof):
     announce(6, f"controller fidelity (167 targets, gripper filter, composition dev {worst:.1e})", elapsed)
 
 
-def test_criterion_07_sysid_synthetic_recovery(six_dof):
+def test_criterion_07_sysid_synthetic_recovery():
     t0 = time.monotonic()
-    chain = six_dof
-    q0 = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
-    dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
-    truth = PDParams(np.full(6, 80.0), np.full(6, 3.0))
-    iks = IkSettings(max_iters=60)
-
-    rng = np.random.default_rng(11)
-    records = [
-        synthesize_record(chain, dyn, truth, "widowx", fk_path_actions(chain, q0, 30, rng), q0, ik_settings=iks)
-        for _ in range(5)
-    ]
-    init = PDParams(truth.p * 2.5, truth.d * 0.6)
-    bounds = SysIdRange(
-        truth.p / math.sqrt(10.0), truth.p * math.sqrt(10.0),
-        truth.d / math.sqrt(10.0), truth.d * math.sqrt(10.0),
-    )
+    chain, dyn, truth, iks, records, init, bounds = recovery_setup(n_records=5, n_actions=30)
     cfg = AnnealConfig(rounds=3, iters_per_round=90, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
     result = anneal_fit(records, chain, dyn, "widowx", init, bounds, cfg, ik_settings=iks)
     assert result.best_loss < 1e-3

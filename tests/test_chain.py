@@ -112,6 +112,19 @@ def test_parse_rejects_unknown_joint_type():
         parse_urdf_subset(PLANAR_URDF.replace('type="revolute"', 'type="floating"', 1))
 
 
+def test_continuous_joint_is_an_unlimited_revolute_joint():
+    j1_limit = '<limit lower="-3.14" upper="3.14"/>'
+    continuous = parse_urdf_subset(PLANAR_URDF.replace('type="revolute"', 'type="continuous"', 1))
+    unlimited = parse_urdf_subset(PLANAR_URDF.replace(j1_limit, "", 1))
+    assert continuous.joints[0].kind == "revolute"
+    assert (continuous.joints[0].lower, continuous.joints[0].upper) == (-math.inf, math.inf)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        q = [rng.uniform(-8.0, 8.0), rng.uniform(-3.0, 3.0)]
+        a, b = fk(continuous, q), fk(unlimited, q)
+        assert np.array_equal(a.pos, b.pos) and np.array_equal(a.rot.m, b.rot.m)
+
+
 def test_parse_rejects_missing_axis():
     with pytest.raises(UrdfParseError, match="j1.*axis|axis.*j1"):
         parse_urdf_subset(PLANAR_URDF.replace('<axis xyz="0 0 1"/>', "", 1))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import fk_path_actions, planar_3link
-from real2sim.chain import IkSettings, chain_to_json
+from real2sim.chain import IkSettings, chain_from_json, chain_to_json
 from real2sim.cli import main
 from real2sim.controller import CtrlConfig
 from real2sim.data import fixture_path
@@ -208,6 +208,20 @@ def test_urdf_convert(tmp_path):
     assert obj["joints"][0]["kind"] == "revolute"
 
 
+def test_urdf_convert_continuous_joint_writes_null_limits(tmp_path):
+    (tmp_path / "r.urdf").write_text(URDF.replace('type="revolute"', 'type="continuous"'))
+    out = tmp_path / "chain.json"
+    assert main(["urdf", "convert", "--in", str(tmp_path / "r.urdf"), "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    text = out.read_text()
+    assert json.loads(text, parse_constant=reject)["joints"][0]["limits"] == [None, None]
+    joint = chain_from_json(text).joints[0]
+    assert (joint.kind, joint.lower, joint.upper) == ("revolute", -np.inf, np.inf)
+
+
 def test_urdf_convert_branching_exits_2(tmp_path):
     bad = URDF.replace(
         "</robot>",
@@ -330,6 +344,16 @@ def test_sysid_fit_unknown_key_exits_3(sysid_workspace, tmp_path):
         ("dynamics", [1, 2], "dynamics: expected an object"),
         ("init", {"p": {"x": 1}, "d": 1}, "init.p: expected numbers"),
         ("ctrl", {"h_sim": [1]}, "ctrl: h_sim and h_ctrl must be numbers"),
+        ("anneal", {"rounds": "x"}, "rounds must be an integer, got 'x'"),
+        ("anneal", {"rounds": 1.5}, "rounds must be an integer, got 1.5"),
+        ("anneal", {"rounds": True}, "rounds must be an integer, got True"),
+        ("anneal", {"iters_per_round": None}, "iters_per_round must be an integer, got None"),
+        ("anneal", {"rng_seed": True}, "rng_seed must be an integer, got True"),
+        ("anneal", {"tie_joints": "no"}, "tie_joints must be true or false, got 'no'"),
+        ("anneal", {"sigma": float("nan")}, "sigma must be a finite number, got nan"),
+        ("anneal", {"t0": float("nan")}, "t0 must be a finite number, got nan"),
+        ("anneal", {"cooling": "0.9"}, "cooling must be a finite number, got '0.9'"),
+        ("anneal", {"shrink": float("inf")}, "shrink must be a finite number, got inf"),
     ],
 )
 def test_sysid_fit_bad_section_exits_3(sysid_workspace, tmp_path, capsys, section, value, message):

@@ -7,14 +7,12 @@ from helpers import fk_path_actions, planar_3link
 from real2sim.chain import IkSettings, fk
 from real2sim.controller import CtrlConfig
 from real2sim.geometry import Pose, rot_z
-from real2sim.jointsim import JointDynamics, PDParams, synthesize_record
+from real2sim.jointsim import JointDynamics, PDParams, replay_open_loop, synthesize_record
 from real2sim.sysid import (
     AnnealConfig,
     SysIdError,
     SysIdRange,
     anneal_fit,
-    denormalize_params,
-    normalize_params,
     trajectory_losses,
 )
 
@@ -79,15 +77,6 @@ def test_anneal_config_validation():
         AnnealConfig(shrink=0.0)
     with pytest.raises(SysIdError):
         AnnealConfig(rounds=0)
-
-
-def test_normalize_roundtrip():
-    rng = np.random.default_rng(0)
-    lows = rng.uniform(0, 10, 8)
-    highs = lows + rng.uniform(1, 100, 8)
-    theta = lows + rng.uniform(0, 1, 8) * (highs - lows)
-    back = denormalize_params(normalize_params(theta, lows, highs), lows, highs)
-    np.testing.assert_allclose(back, theta, rtol=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +154,18 @@ def test_anneal_seed_changes_path(small_problem):
     a = run_anneal(small_problem, seed=1, iters=8)
     b = run_anneal(small_problem, seed=2, iters=8)
     assert a.best_loss != b.best_loss or not np.array_equal(a.best.p, b.best.p)
+
+
+@pytest.mark.parametrize("tie", [True, False])
+def test_anneal_losses_are_the_incumbents_replay(small_problem, tie):
+    chain, dyn, truth, records, iks = small_problem
+    result = run_anneal(small_problem, iters=6, tie=tie)
+    fresh = []
+    for rec in records:
+        sim = replay_open_loop(chain, dyn, result.best, "widowx", rec, None, FAST_CFG, iks)
+        fresh.append(trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)]))
+    assert result.losses == tuple(sum(col) / len(records) for col in zip(*fresh))
+    assert result.best_loss == result.losses.total
 
 
 def test_anneal_per_joint_mode_runs(small_problem):
