@@ -266,9 +266,8 @@ def cmd_replay(args) -> int:
     rec = TrajectoryRecord.from_json(Path(args.trajectory).read_text())
     pd = _load_pd(args.params, chain.n)
     dyn = _dynamics(_read_json(args.dynamics) if args.dynamics else {}, chain, args.dynamics or "dynamics")
-    cfg = _ctrl_config(args.controller, None)
-    if args.sim_hz or args.ctrl_hz:
-        cfg = _ctrl_config(args.controller, {"h_sim": args.sim_hz or cfg.h_sim, "h_ctrl": args.ctrl_hz or cfg.h_ctrl})
+    overrides = {k: v for k, v in (("h_sim", args.sim_hz), ("h_ctrl", args.ctrl_hz)) if v is not None}
+    cfg = _ctrl_config(args.controller, overrides or None)
     if abs(cfg.h_ctrl - rec.ctrl_frequency) > 1e-9:
         raise JointSimError(
             f"record control frequency {rec.ctrl_frequency} Hz does not match the "

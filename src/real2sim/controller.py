@@ -68,13 +68,18 @@ class Action:
         except (KeyError, TypeError, ValueError) as exc:
             raise ControllerError(f"action needs 'xyz' and 'gripper': {d!r}") from exc
         if "quat_wxyz" in d:
-            rot = quat_to_rot(UnitQuat(*[float(v) for v in d["quat_wxyz"]]))
+            rot_values = [float(v) for v in d["quat_wxyz"]]
         elif "rot_axis_angle" in d:
-            rv = np.asarray(d["rot_axis_angle"], dtype=float).reshape(3)
-            angle = float(np.linalg.norm(rv))
-            rot = Rot3(np.eye(3)) if angle < 1e-12 else Rot3(axis_angle_to_matrix(rv, angle))
+            rot_values = np.asarray(d["rot_axis_angle"], dtype=float).reshape(3)
         else:
             raise ControllerError("action needs 'rot_axis_angle' or 'quat_wxyz'")
+        if not np.all(np.isfinite(np.concatenate([xyz, [g], rot_values]))):
+            raise ControllerError(f"action values must be finite: {d!r}")
+        if "quat_wxyz" in d:
+            rot = quat_to_rot(UnitQuat(*rot_values))
+        else:
+            angle = float(np.linalg.norm(rot_values))
+            rot = Rot3(np.eye(3)) if angle < 1e-12 else Rot3(axis_angle_to_matrix(rot_values, angle))
         return Action(xyz, rot, g)
 
     def to_dict(self) -> dict:

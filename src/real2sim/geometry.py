@@ -24,9 +24,7 @@ __all__ = [
     "rot_frobenius_loss",
     "quat_to_rot",
     "rot_to_quat",
-    "orthonormalized",
     "rot_x",
-    "rot_y",
     "rot_z",
     "axis_angle_to_matrix",
     "matrix_to_rotvec",
@@ -47,21 +45,6 @@ def _as_matrix(m) -> np.ndarray:
     if a.shape != (3, 3):
         raise GeometryError(f"expected a 3x3 matrix, got shape {a.shape}")
     return a
-
-
-def orthonormalized(m) -> np.ndarray:
-    """Project an approximate rotation matrix onto the nearest rotation.
-
-    Intended for matrices assembled from parsed or measured data before
-    wrapping them in :class:`Rot3`.
-    """
-    u, _, vt = np.linalg.svd(_as_matrix(m))
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
-    return r
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -258,10 +241,6 @@ def matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
 
 def rot_x(angle: float) -> Rot3:
     return Rot3(axis_angle_to_matrix([1.0, 0.0, 0.0], angle))
-
-
-def rot_y(angle: float) -> Rot3:
-    return Rot3(axis_angle_to_matrix([0.0, 1.0, 0.0], angle))
 
 
 def rot_z(angle: float) -> Rot3:

@@ -4,15 +4,20 @@ Each 1-DOF profile moves from (q0, v0) to (q_goal, v_goal) with zero initial
 and final acceleration under velocity/acceleration/jerk bounds. The profile
 is accelerate / cruise / decelerate, where each velocity-change phase is a
 jerk-limited bang-bang in acceleration (trapezoidal or triangular). The
-cruise-less peak velocity is found in closed form where possible and by
-bisection otherwise. Multi-DOF plans are synchronized by per-DOF linear time
-scaling, which only slows motion and therefore preserves all limits.
+cruise-less peak velocity is found in closed form for rest-to-rest moves and
+by bisection otherwise.
+
+All DOFs are planned in one vectorised pass (one bisection for every
+bracket of every row), stored as padded (n, segment) arrays and sampled
+without a per-DOF loop; ``plan_scurve_1d`` is the n = 1 case. Multi-DOF
+plans are synchronized by per-DOF linear time scaling, which only slows
+motion and therefore preserves all limits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +32,7 @@ __all__ = [
 
 _BISECT_MAX_ITERS = 200
 _TINY_TIME = 1e-15
+_GRID_POINTS = 513
 
 
 class PlanningError(ValueError):
@@ -48,9 +54,90 @@ class LimitSet:
                 raise PlanningError(f"LimitSet.{name} must be strictly positive, got {v}")
 
 
+def _accumulate(start: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """Per-row running sums that add terms[0][:, i], terms[1][:, i], ... one at a
+    time, segment after segment, as a loop would; (n, k + 1) values at the knots."""
+    steps = np.array(terms).transpose(1, 2, 0).reshape(start.shape[0], -1)
+    return np.cumsum(np.concatenate([start[:, None], steps], axis=1), axis=1)[:, :: len(terms)]
+
+
+@dataclass(frozen=True, eq=False)
+class MotionPlan:
+    """Per-DOF piecewise-constant-jerk profiles stretched to finish together.
+
+    Row i of the (n, k) ``durations``/``jerks`` arrays is DOF i's profile,
+    padded after its last segment with zero-length, zero-jerk segments.
+    DOF i is sampled at t / ``scales[i]``, so every DOF reaches its goal at
+    ``duration``; sampling past it holds (q_goal, v_goal / scale, 0).
+    """
+
+    q0: np.ndarray
+    v0: np.ndarray
+    q_goal: np.ndarray
+    v_goal: np.ndarray
+    durations: np.ndarray
+    jerks: np.ndarray
+    duration: float = field(init=False)
+    scales: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        q0, v0, qg, vg = np.array([self.q0, self.v0, self.q_goal, self.v_goal], dtype=float).reshape(4, -1)
+        dur = np.array(self.durations, dtype=float, ndmin=2)
+        jrk = np.array(self.jerks, dtype=float, ndmin=2)
+        if dur.shape != jrk.shape or dur.shape[0] != q0.shape[0]:
+            raise PlanningError("durations and jerks must have equal length")
+        if np.any(dur < 0.0):
+            raise PlanningError("segment durations must be non-negative")
+        n, k = dur.shape
+        zero = np.zeros(n)
+        # scalar pow: numpy's vectorised pow can differ from libm's in the last bit
+        cubes = np.array([[t**3 for t in row] for row in dur.tolist()]).reshape(n, k)
+        knots = _accumulate(zero, dur)
+        ak = _accumulate(zero, jrk * dur)
+        vk = _accumulate(v0, ak[:, :-1] * dur, 0.5 * jrk * dur * dur)
+        qk = _accumulate(q0, vk[:, :-1] * dur, 0.5 * ak[:, :-1] * dur * dur, jrk * cubes / 6.0)
+        # time, q, v, a and jerk at each knot; the last knot's jerk is 0
+        table = np.array([knots, qk, vk, ak, np.concatenate([jrk, zero[:, None]], axis=1)])
+        dq, dv = qk[:, -1] - qg, vk[:, -1] - vg
+        for i in np.flatnonzero((np.abs(dq) > 1e-6) | (np.abs(dv) > 1e-6))[:1]:
+            raise PlanningError(f"segments do not reproduce the goal state (dq={dq[i]:.3e}, dv={dv[i]:.3e})")
+        ends = knots[:, -1]
+        duration = float(ends.max())
+        scales = np.divide(duration, ends, out=np.ones(n), where=ends > 0.0)
+        for name, arr in (("q0", q0), ("v0", v0), ("q_goal", qg), ("v_goal", vg), ("durations", dur),
+                          ("jerks", jrk), ("scales", scales), ("_table", table)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "duration", duration)
+
+    @property
+    def n(self) -> int:
+        return self.q0.shape[0]
+
+    def sample(self, t):
+        """Per-DOF (q, v, a) arrays of shape ``t.shape + (n,)`` at time(s) t.
+
+        Times at or past the duration give the exact goals.
+        """
+        t = np.asarray(t, dtype=float)[..., None]
+        s = self.scales
+        tt = np.clip(t / s, 0.0, None)
+        knots = self._table[0]
+        # the segment holding tt: padding knots equal the row's end, past every tt it serves
+        idx = (knots[:, 1:] <= tt[..., None]).sum(axis=-1)
+        k0, q0, v0, a0, j = self._table[:, np.arange(self.n), idx]
+        tau = tt - k0
+        a = a0 + j * tau
+        v = v0 + a0 * tau + 0.5 * j * tau * tau
+        q = q0 + v0 * tau + 0.5 * a0 * tau * tau + j * tau**3 / 6.0
+        done = (tt >= knots[:, -1]) | (t >= self.duration)
+        return (np.where(done, self.q_goal, q), np.where(done, self.v_goal, v) / s,
+                np.where(done, 0.0, a) / (s * s))
+
+
 @dataclass(frozen=True, eq=False)
 class SegmentProfile:
-    """Piecewise-constant-jerk profile; sampleable at any t >= 0.
+    """One DOF's piecewise-constant-jerk profile; sampleable at any t >= 0.
 
     Sampling past the duration holds the terminal state (q_goal, v_goal, 0).
     """
@@ -63,169 +150,148 @@ class SegmentProfile:
     jerks: np.ndarray
 
     def __post_init__(self):
-        dur = np.array(self.durations, dtype=float).reshape(-1)
-        jrk = np.array(self.jerks, dtype=float).reshape(-1)
-        if dur.shape != jrk.shape:
-            raise PlanningError("durations and jerks must have equal length")
-        if np.any(dur < 0.0):
-            raise PlanningError("segment durations must be non-negative")
-        k = dur.shape[0]
-        knots = np.concatenate([[0.0], np.cumsum(dur)])
-        qk = np.empty(k + 1)
-        vk = np.empty(k + 1)
-        ak = np.empty(k + 1)
-        qk[0], vk[0], ak[0] = self.q0, self.v0, 0.0
-        for i in range(k):
-            t = dur[i]
-            j = jrk[i]
-            qk[i + 1] = qk[i] + vk[i] * t + 0.5 * ak[i] * t * t + j * t**3 / 6.0
-            vk[i + 1] = vk[i] + ak[i] * t + 0.5 * j * t * t
-            ak[i + 1] = ak[i] + j * t
-        if abs(qk[-1] - self.q_goal) > 1e-6 or abs(vk[-1] - self.v_goal) > 1e-6:
-            raise PlanningError(
-                f"segments do not reproduce the goal state "
-                f"(dq={qk[-1] - self.q_goal:.3e}, dv={vk[-1] - self.v_goal:.3e})"
-            )
-        for name, arr in (("durations", dur), ("jerks", jrk), ("_knots", knots),
-                          ("_qk", qk), ("_vk", vk), ("_ak", ak)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        plan = MotionPlan([self.q0], [self.v0], [self.q_goal], [self.v_goal], [self.durations], [self.jerks])
+        object.__setattr__(self, "durations", plan.durations[0])
+        object.__setattr__(self, "jerks", plan.jerks[0])
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def duration(self) -> float:
-        return float(self._knots[-1])
+        return self._plan.duration
 
     def sample(self, t):
         """State (q, v, a) at time(s) ``t``; scalar in, scalar out."""
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        tt = np.clip(tt, 0.0, None)
-        if self.durations.shape[0] == 0:
-            q = np.full_like(tt, self.q_goal)
-            v = np.full_like(tt, self.v_goal)
-            a = np.zeros_like(tt)
-        else:
-            idx = np.clip(np.searchsorted(self._knots, tt, side="right") - 1, 0, self.durations.shape[0] - 1)
-            tau = tt - self._knots[idx]
-            j = self.jerks[idx]
-            a0 = self._ak[idx]
-            v0 = self._vk[idx]
-            q0 = self._qk[idx]
-            a = a0 + j * tau
-            v = v0 + a0 * tau + 0.5 * j * tau * tau
-            q = q0 + v0 * tau + 0.5 * a0 * tau * tau + j * tau**3 / 6.0
-            done = tt >= self.duration
-            q[done] = self.q_goal
-            v[done] = self.v_goal
-            a[done] = 0.0
+        q, v, a = self._plan.sample(t)
         if np.ndim(t) == 0:
             return float(q[0]), float(v[0]), float(a[0])
-        return q, v, a
+        return q[..., 0], v[..., 0], a[..., 0]
 
 
-def _phase_time_vec(dv: np.ndarray, am: float, jm: float) -> np.ndarray:
-    tri = 2.0 * np.sqrt(dv / jm)
-    trap = dv / am + am / jm
-    return np.where(dv <= am * am / jm, tri, trap)
+def _cruiseless_distance(vp, ends, am: float, jm: float):
+    """Displacement of the cruise-less profile with peak velocity vp (elementwise).
 
-
-def _phase_segments(va: float, vb: float, am: float, jm: float) -> list[tuple[float, float]]:
-    dv = vb - va
-    adv = abs(dv)
-    if adv < 1e-15:
-        return []
-    s = 1.0 if dv > 0.0 else -1.0
-    if adv <= am * am / jm:
-        tj = math.sqrt(adv / jm)
-        return [(tj, s * jm), (tj, -s * jm)]
-    tj = am / jm
-    ta = adv / am - am / jm
-    return [(tj, s * jm), (ta, 0.0), (tj, -s * jm)]
-
-
-def _cruiseless_distance(vp, v0: float, vg: float, am: float, jm: float):
-    """Displacement of the cruise-less profile with peak velocity vp.
-
-    Each phase covers mean-velocity * phase-time because the velocity curve
-    is point-symmetric about the phase midpoint.
+    ``ends`` holds v0 and v_goal on its first axis. Each phase covers
+    mean-velocity * phase-time because the velocity curve is point-symmetric
+    about the phase midpoint.
     """
-    vp = np.asarray(vp, dtype=float)
-    t1 = _phase_time_vec(np.abs(vp - v0), am, jm)
-    t2 = _phase_time_vec(np.abs(vg - vp), am, jm)
-    return 0.5 * (v0 + vp) * t1 + 0.5 * (vp + vg) * t2
+    dv = np.abs(vp - ends)
+    t = np.where(dv <= am * am / jm, 2.0 * np.sqrt(dv / jm), dv / am + am / jm)
+    d = 0.5 * (ends + vp) * t
+    return d[0] + d[1]
 
 
-def _build(q0, v0, q_goal, vg, vp, am, jm) -> SegmentProfile | None:
-    segs1 = _phase_segments(v0, vp, am, jm)
-    segs2 = _phase_segments(vp, vg, am, jm)
-    d1 = 0.5 * (v0 + vp) * sum(t for t, _ in segs1)
-    d2 = 0.5 * (vp + vg) * sum(t for t, _ in segs2)
-    rem = (q_goal - q0) - d1 - d2
-    if abs(vp) > 1e-9:
-        t_c = rem / vp
-        if t_c < -1e-6:
-            return None
-        t_c = max(t_c, 0.0)
-    else:
-        if abs(rem) > 1e-6:
-            return None
-        t_c = 0.0
-    segs = list(segs1)
-    if t_c > _TINY_TIME:
-        segs.append((t_c, 0.0))
-    segs += segs2
-    durations = np.array([t for t, _ in segs]) if segs else np.empty(0)
-    jerks = np.array([j for _, j in segs]) if segs else np.empty(0)
-    return SegmentProfile(q0, v0, q_goal, vg, durations, jerks)
-
-
-def _rest_to_rest_peak(dist: float, am: float, jm: float) -> float:
-    """Closed-form cruise-less peak velocity for a rest-to-rest move."""
-    c = am * am / jm
-    vp_trap = 0.5 * (-c + math.sqrt(c * c + 4.0 * dist * am))
-    if vp_trap >= c:
-        return vp_trap
-    return (dist * dist * jm / 4.0) ** (1.0 / 3.0)
-
-
-def _scan_roots(dq: float, v0: float, vg: float, vm: float, am: float, jm: float) -> list[float]:
-    """Peak velocities with cruise-less displacement equal to dq.
+def _scan_roots(dq: np.ndarray, ends: np.ndarray, vm: float, am: float, jm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Peak velocities with cruise-less displacement equal to dq, per row.
 
     The displacement is piecewise smooth with sqrt-shaped humps near v0 and
     vg, so sign changes are located on a dense grid (plus the regime
-    breakpoints) and refined by bisection.
+    breakpoints) and refined by bisection. Returns row indices and roots.
     """
     c = am * am / jm
-    breakpoints = [v0, vg, v0 - c, v0 + c, vg - c, vg + c]
-    grid = np.concatenate([np.linspace(-vm, vm, 513), np.clip(breakpoints, -vm, vm)])
-    grid = np.unique(grid)
-    g = _cruiseless_distance(grid, v0, vg, am, jm) - dq
+    v0, vg = ends
+    grid = np.empty((dq.shape[0], _GRID_POINTS + 6))
+    grid[:, :_GRID_POINTS] = np.linspace(-vm, vm, _GRID_POINTS)
+    grid[:, _GRID_POINTS:] = np.clip(np.array([v0, vg, v0 - c, v0 + c, vg - c, vg + c]).T, -vm, vm)
+    grid.sort(axis=1)
+    g = _cruiseless_distance(grid, ends[..., None], am, jm) - dq[:, None]
+    # np.unique would keep the first copy of a repeated value (its bits: -0.0
+    # vs 0.0); later copies are no hits, and a bracket starts at the first copy
+    fresh = np.ones(grid.shape, dtype=bool)
+    fresh[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    first = np.maximum.accumulate(np.where(fresh, np.arange(grid.shape[1]), 0), axis=1)
+    hit_rows, hit_cols = np.nonzero(fresh & (np.abs(g) <= 1e-15 * np.maximum(max(1.0, vm), np.abs(dq))[:, None]))
+    rows, cols = np.nonzero(g[:, :-1] * g[:, 1:] < 0.0)
+    hits = grid[hit_rows, hit_cols]
+    if not rows.size:
+        return hit_rows, hits
+    lo, hi, glo = grid[rows, first[rows, cols]], grid[rows, cols + 1], g[rows, cols]
+    ends, dq = ends[:, rows], dq[rows]
     tol = 1e-12 * max(1.0, vm)
-    roots = []
-    near_zero = np.abs(g) <= 1e-15 * max(1.0, vm, abs(dq))
-    for x in grid[near_zero]:
-        roots.append(float(x))
-    sign_change = np.where(g[:-1] * g[1:] < 0.0)[0]
-    for i in sign_change:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        glo = float(g[i])
-        for _ in range(_BISECT_MAX_ITERS):
-            mid = 0.5 * (lo + hi)
-            gm = float(_cruiseless_distance(mid, v0, vg, am, jm)) - dq
-            if glo * gm <= 0.0:
-                hi = mid
-            else:
-                lo = mid
-                glo = gm
-            if hi - lo <= tol:
-                break
-        # keep the end whose residual can be absorbed by a non-negative cruise
+    active = np.ones(rows.shape, dtype=bool)
+    for _ in range(_BISECT_MAX_ITERS):
         mid = 0.5 * (lo + hi)
-        if mid > 0.0:
-            root = lo if float(_cruiseless_distance(lo, v0, vg, am, jm)) - dq <= 0.0 else hi
-        else:
-            root = hi if float(_cruiseless_distance(hi, v0, vg, am, jm)) - dq >= 0.0 else lo
-        roots.append(float(root))
-    return roots
+        gm = _cruiseless_distance(mid, ends, am, jm) - dq
+        left = glo * gm <= 0.0
+        np.copyto(hi, mid, where=active & left)
+        right = active & ~left
+        np.copyto(lo, mid, where=right)
+        np.copyto(glo, gm, where=right)
+        active &= hi - lo > tol
+        if not active.any():
+            break
+    # keep the end whose residual can be absorbed by a non-negative cruise
+    g_lo, g_hi = _cruiseless_distance(np.array([lo, hi]), ends[:, None], am, jm) - dq
+    roots = np.where(0.5 * (lo + hi) > 0.0, np.where(g_lo <= 0.0, lo, hi), np.where(g_hi >= 0.0, hi, lo))
+    # within a row: grid hits, then bracket roots, each in grid order
+    return np.concatenate([hit_rows, rows]), np.concatenate([hits, roots])
+
+
+def _plan_rows(q0, v0, q_goal, v_goal, lim: LimitSet):
+    """Fastest accelerate/cruise/decelerate profile of every row: the clipped
+    boundary velocities, padded (n, k) durations and jerks, and segment counts."""
+    vm, am, jm = lim.v_max, lim.a_max, lim.j_max
+    vals = np.array([q0, v0, q_goal, v_goal])
+    bad = np.concatenate([~np.isfinite(vals), np.abs(vals[1::2]) > vm * (1.0 + 1e-9)])
+    if bad.any():  # the first failing row's first failing check
+        i, k = np.argwhere(bad.T)[0]
+        raise PlanningError(("q0 is not finite", "v0 is not finite", "q_goal is not finite", "v_goal is not finite",
+                             f"initial velocity {v0[i]} exceeds v_max {vm}",
+                             f"goal velocity {v_goal[i]} exceeds v_max {vm}")[k])
+    n = q0.shape[0]
+    ends = np.clip(vals[1::2], -vm, vm)
+    v0, vg = ends
+    dq = q_goal - q0
+
+    # candidate peak velocities, per row in tie-break order: +v_max, -v_max, then
+    # the rest-to-rest closed form (a zero move gives the empty profile) or the roots
+    c = am * am / jm
+    rest = (v0 == 0.0) & (vg == 0.0)
+    dist = np.abs(dq[rest])
+    peak = 0.5 * (-c + np.sqrt(c * c + 4.0 * dist * am))
+    tri = peak < c  # triangular phases: a cube root, in scalar pow as in MotionPlan
+    peak[tri] = [x ** (1.0 / 3.0) for x in (dist[tri] * dist[tri] * jm / 4.0).tolist()]
+    peak = np.copysign(np.minimum(peak, vm), dq[rest])
+    moving = np.flatnonzero(~rest)
+    root_rows, roots = _scan_roots(dq[moving], ends[:, moving], vm, am, jm) if moving.size else ([], [])
+    d_hi, d_lo = _cruiseless_distance(np.array([[vm], [-vm]]), ends[:, None], am, jm)
+    row = np.concatenate([np.arange(n), np.arange(n), np.flatnonzero(rest), moving[root_rows]])
+    vp = np.concatenate([np.full(n, vm), np.full(n, -vm), peak, roots])
+    ok = np.concatenate([dq >= d_hi, dq <= d_lo, np.ones(vp.shape[0] - 2 * n, dtype=bool)])
+
+    # each velocity change (v0 to vp, vp to v_goal) is segments (tj, ta, tj),
+    # ta = 0 when triangular; absent segments take zero time
+    ends, dq = ends[:, row], dq[row]
+    dv = np.array([vp - ends[0], ends[1] - vp])
+    adv = np.abs(dv)
+    on = adv >= 1e-15
+    trap = on & (adv > c)
+    tj = np.where(on, np.where(trap, am / jm, np.sqrt(adv / jm)), 0.0)
+    ta = np.where(trap, adv / am - am / jm, 0.0)
+    jerk = np.where(dv > 0.0, jm, -jm)
+    d = 0.5 * (ends + vp) * ((tj + ta) + tj)
+    rem = dq - d[0] - d[1]
+    big = np.abs(vp) > 1e-9
+    tc = np.divide(rem, vp, out=np.zeros_like(rem), where=big)
+    ok &= np.where(big, tc >= -1e-6, np.abs(rem) <= 1e-6)
+    cruise = big & (tc > _TINY_TIME)
+    tc = np.where(cruise, tc, 0.0)
+    zero = np.zeros_like(tc)
+    seg_t = np.array([tj[0], ta[0], tj[0], tc, tj[1], ta[1], tj[1]])
+    seg_j = np.array([jerk[0], zero, -jerk[0], zero, jerk[1], zero, -jerk[1]])
+    seg_on = np.array([on[0], trap[0], on[0], cruise, on[1], trap[1], on[1]])
+    # cumsum adds in segment order, as the knots do; absent segments add 0
+    total = np.where(ok, np.cumsum(seg_t, axis=0)[-1], np.inf)
+    # each row's first fastest candidate (lexsort is stable)
+    order = np.lexsort((total, row))
+    best = order[np.searchsorted(row[order], np.arange(n))]
+    if np.isinf(total[best]).any():
+        raise PlanningError("no feasible profile found (internal planner error)")
+
+    seg_t, seg_j, seg_on = seg_t[:, best].T, seg_j[:, best].T, seg_on[:, best].T
+    # present segments first, in order; the padding after them has zero time and jerk
+    counts = seg_on.sum(axis=1)
+    pick = (np.arange(n)[:, None], np.argsort(~seg_on, axis=1, kind="stable")[:, : counts.max()])
+    return v0, vg, seg_t[pick], np.where(seg_on, seg_j, 0.0)[pick], counts
 
 
 def plan_scurve_1d(q0: float, v0: float, q_goal: float, v_goal: float, lim: LimitSet) -> SegmentProfile:
@@ -235,77 +301,8 @@ def plan_scurve_1d(q0: float, v0: float, q_goal: float, v_goal: float, lim: Limi
     the velocity bound. The returned profile is the fastest member of the
     accelerate/cruise/decelerate family.
     """
-    vm, am, jm = lim.v_max, lim.a_max, lim.j_max
-    for name, v in (("q0", q0), ("v0", v0), ("q_goal", q_goal), ("v_goal", v_goal)):
-        if not math.isfinite(v):
-            raise PlanningError(f"{name} is not finite")
-    if abs(v0) > vm * (1.0 + 1e-9):
-        raise PlanningError(f"initial velocity {v0} exceeds v_max {vm}")
-    if abs(v_goal) > vm * (1.0 + 1e-9):
-        raise PlanningError(f"goal velocity {v_goal} exceeds v_max {vm}")
-    v0 = min(max(v0, -vm), vm)
-    vg = min(max(v_goal, -vm), vm)
-    dq = q_goal - q0
-
-    if dq == 0.0 and v0 == 0.0 and vg == 0.0:
-        return SegmentProfile(q0, v0, q_goal, v_goal, np.empty(0), np.empty(0))
-
-    candidates: list[SegmentProfile] = []
-
-    def add(vp: float):
-        prof = _build(q0, v0, q_goal, vg, vp, am, jm)
-        if prof is not None:
-            candidates.append(prof)
-
-    d_hi = float(_cruiseless_distance(vm, v0, vg, am, jm))
-    d_lo = float(_cruiseless_distance(-vm, v0, vg, am, jm))
-    if dq >= d_hi:
-        add(vm)
-    if dq <= d_lo:
-        add(-vm)
-    if v0 == 0.0 and vg == 0.0:
-        vp = _rest_to_rest_peak(abs(dq), am, jm)
-        add(math.copysign(min(vp, vm), dq))
-    else:
-        for root in _scan_roots(dq, v0, vg, vm, am, jm):
-            add(root)
-    if not candidates:
-        raise PlanningError("no feasible profile found (internal planner error)")
-    return min(candidates, key=lambda p: p.duration)
-
-
-@dataclass(frozen=True, eq=False)
-class MotionPlan:
-    """Per-DOF profiles stretched to finish together at ``duration``."""
-
-    profiles: tuple[SegmentProfile, ...]
-    duration: float
-    scales: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "profiles", tuple(self.profiles))
-        s = np.array(self.scales, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "scales", s)
-
-    @property
-    def n(self) -> int:
-        return len(self.profiles)
-
-    def sample(self, t):
-        """Per-DOF (q, v, a) arrays of shape ``t.shape + (n,)`` at time(s) t.
-
-        Times at or past the duration give the exact goals.
-        """
-        t = np.asarray(t, dtype=float)
-        done = t >= self.duration
-        q, v, a = [], [], []
-        for prof, s in zip(self.profiles, self.scales):
-            qi, vi, ai = prof.sample(t / s)
-            q.append(np.where(done, prof.q_goal, qi))
-            v.append(np.where(done, prof.v_goal / s, vi / s))
-            a.append(np.where(done, 0.0, ai / (s * s)))
-        return np.stack(q, axis=-1), np.stack(v, axis=-1), np.stack(a, axis=-1)
+    v0c, vgc, dur, jrk, counts = _plan_rows(*(np.array([x], dtype=float) for x in (q0, v0, q_goal, v_goal)), lim)
+    return SegmentProfile(q0, float(v0c[0]), q_goal, float(vgc[0]), dur[0, : counts[0]], jrk[0, : counts[0]])
 
 
 def synchronize(q0, v0, q_goal, v_goal, lim: LimitSet) -> MotionPlan:
@@ -314,15 +311,10 @@ def synchronize(q0, v0, q_goal, v_goal, lim: LimitSet) -> MotionPlan:
     Positions are sampled as q(t / scale), so scaling never tightens any
     limit and all DOFs reach their goals exactly at the common duration.
     """
-    q0 = np.asarray(q0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    qg = np.asarray(q_goal, dtype=float)
-    vg = np.asarray(v_goal, dtype=float)
+    q0, v0, qg, vg = (np.asarray(x, dtype=float) for x in (q0, v0, q_goal, v_goal))
     if not (q0.shape == v0.shape == qg.shape == vg.shape) or q0.ndim != 1:
         raise PlanningError("synchronize needs joint vectors of one shape")
     if q0.shape[0] == 0:
         raise PlanningError("synchronize needs at least one DOF")
-    profiles = [plan_scurve_1d(q0[i], v0[i], qg[i], vg[i], lim) for i in range(q0.shape[0])]
-    duration = max(p.duration for p in profiles)
-    scales = np.array([duration / p.duration if p.duration > 0.0 else 1.0 for p in profiles])
-    return MotionPlan(tuple(profiles), duration, scales)
+    v0c, vgc, dur, jrk, _ = _plan_rows(q0, v0, qg, vg, lim)
+    return MotionPlan(q0, v0c, qg, vgc, dur, jrk)

@@ -84,6 +84,8 @@ class SysIdRange:
             object.__setattr__(self, name, a)
         if not (arrays["p_low"].shape == arrays["p_high"].shape == arrays["d_low"].shape == arrays["d_high"].shape):
             raise SysIdError("range vectors must have equal length")
+        if not all(np.all(np.isfinite(a)) for a in arrays.values()):
+            raise SysIdError("range bounds must be finite")
         if np.any(arrays["p_low"] < 0.0) or np.any(arrays["d_low"] < 0.0):
             raise SysIdError("range bounds must be non-negative")
         if np.any(arrays["p_low"] >= arrays["p_high"]) or np.any(arrays["d_low"] >= arrays["d_high"]):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 
 from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
 from real2sim.chain import ChainSpec, JointSpec
 from real2sim.geometry import Pose, Rot3, UnitQuat, quat_to_rot
+from real2sim.profile import LimitSet, PlanningError
 
 
 def random_rotation(rng: np.random.Generator) -> Rot3:
@@ -124,3 +128,213 @@ def permutation_midp(a, b, h_obs, n_resamples=100_000, seed=7):
         elif hv >= h_obs - 1e-12:
             equal += int(c)
     return (above + 0.5 * equal) / n_resamples
+
+
+# ---------------------------------------------------------------------------
+# Slow reference planner: the scalar, one-DOF-at-a-time S-curve planner that
+# the batched real2sim.profile replaces. The batched planner must reproduce
+# its roots, segments and durations bit for bit.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class RefProfile:
+    """Piecewise-constant-jerk profile with a per-segment knot loop."""
+
+    q0: float
+    v0: float
+    q_goal: float
+    v_goal: float
+    durations: np.ndarray
+    jerks: np.ndarray
+
+    def __post_init__(self):
+        dur = np.array(self.durations, dtype=float).reshape(-1)
+        jrk = np.array(self.jerks, dtype=float).reshape(-1)
+        if dur.shape != jrk.shape:
+            raise PlanningError("durations and jerks must have equal length")
+        if np.any(dur < 0.0):
+            raise PlanningError("segment durations must be non-negative")
+        k = dur.shape[0]
+        knots = np.concatenate([[0.0], np.cumsum(dur)])
+        qk = np.empty(k + 1)
+        vk = np.empty(k + 1)
+        ak = np.empty(k + 1)
+        qk[0], vk[0], ak[0] = self.q0, self.v0, 0.0
+        for i in range(k):
+            t = dur[i]
+            j = jrk[i]
+            qk[i + 1] = qk[i] + vk[i] * t + 0.5 * ak[i] * t * t + j * t**3 / 6.0
+            vk[i + 1] = vk[i] + ak[i] * t + 0.5 * j * t * t
+            ak[i + 1] = ak[i] + j * t
+        if abs(qk[-1] - self.q_goal) > 1e-6 or abs(vk[-1] - self.v_goal) > 1e-6:
+            raise PlanningError(
+                f"segments do not reproduce the goal state "
+                f"(dq={qk[-1] - self.q_goal:.3e}, dv={vk[-1] - self.v_goal:.3e})"
+            )
+        for name, arr in (("durations", dur), ("jerks", jrk), ("_knots", knots),
+                          ("_qk", qk), ("_vk", vk), ("_ak", ak)):
+            object.__setattr__(self, name, arr)
+
+    @property
+    def duration(self) -> float:
+        return float(self._knots[-1])
+
+    def sample(self, t):
+        """State (q, v, a) at time(s) ``t``; scalar in, scalar out."""
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        tt = np.clip(tt, 0.0, None)
+        if self.durations.shape[0] == 0:
+            q = np.full_like(tt, self.q_goal)
+            v = np.full_like(tt, self.v_goal)
+            a = np.zeros_like(tt)
+        else:
+            idx = np.clip(np.searchsorted(self._knots, tt, side="right") - 1, 0, self.durations.shape[0] - 1)
+            tau = tt - self._knots[idx]
+            j = self.jerks[idx]
+            a0 = self._ak[idx]
+            v0 = self._vk[idx]
+            q0 = self._qk[idx]
+            a = a0 + j * tau
+            v = v0 + a0 * tau + 0.5 * j * tau * tau
+            q = q0 + v0 * tau + 0.5 * a0 * tau * tau + j * tau**3 / 6.0
+            done = tt >= self.duration
+            q[done] = self.q_goal
+            v[done] = self.v_goal
+            a[done] = 0.0
+        if np.ndim(t) == 0:
+            return float(q[0]), float(v[0]), float(a[0])
+        return q, v, a
+
+
+def _ref_phase_time(dv, am, jm):
+    tri = 2.0 * np.sqrt(dv / jm)
+    trap = dv / am + am / jm
+    return np.where(dv <= am * am / jm, tri, trap)
+
+
+def _ref_phase_segments(va, vb, am, jm):
+    dv = vb - va
+    adv = abs(dv)
+    if adv < 1e-15:
+        return []
+    s = 1.0 if dv > 0.0 else -1.0
+    if adv <= am * am / jm:
+        tj = math.sqrt(adv / jm)
+        return [(tj, s * jm), (tj, -s * jm)]
+    tj = am / jm
+    ta = adv / am - am / jm
+    return [(tj, s * jm), (ta, 0.0), (tj, -s * jm)]
+
+
+def ref_cruiseless_distance(vp, v0, vg, am, jm):
+    vp = np.asarray(vp, dtype=float)
+    t1 = _ref_phase_time(np.abs(vp - v0), am, jm)
+    t2 = _ref_phase_time(np.abs(vg - vp), am, jm)
+    return 0.5 * (v0 + vp) * t1 + 0.5 * (vp + vg) * t2
+
+
+def _ref_build(q0, v0, q_goal, vg, vp, am, jm):
+    segs1 = _ref_phase_segments(v0, vp, am, jm)
+    segs2 = _ref_phase_segments(vp, vg, am, jm)
+    d1 = 0.5 * (v0 + vp) * sum(t for t, _ in segs1)
+    d2 = 0.5 * (vp + vg) * sum(t for t, _ in segs2)
+    rem = (q_goal - q0) - d1 - d2
+    if abs(vp) > 1e-9:
+        t_c = rem / vp
+        if t_c < -1e-6:
+            return None
+        t_c = max(t_c, 0.0)
+    else:
+        if abs(rem) > 1e-6:
+            return None
+        t_c = 0.0
+    segs = list(segs1)
+    if t_c > 1e-15:
+        segs.append((t_c, 0.0))
+    segs += segs2
+    durations = np.array([t for t, _ in segs]) if segs else np.empty(0)
+    jerks = np.array([j for _, j in segs]) if segs else np.empty(0)
+    return RefProfile(q0, v0, q_goal, vg, durations, jerks)
+
+
+def _ref_rest_to_rest_peak(dist, am, jm):
+    c = am * am / jm
+    vp_trap = 0.5 * (-c + math.sqrt(c * c + 4.0 * dist * am))
+    if vp_trap >= c:
+        return vp_trap
+    return (dist * dist * jm / 4.0) ** (1.0 / 3.0)
+
+
+def ref_scan_roots(dq, v0, vg, vm, am, jm):
+    """Scalar root scan: a unique 519-point grid, then one bisection per bracket."""
+    c = am * am / jm
+    breakpoints = [v0, vg, v0 - c, v0 + c, vg - c, vg + c]
+    grid = np.concatenate([np.linspace(-vm, vm, 513), np.clip(breakpoints, -vm, vm)])
+    grid = np.unique(grid)
+    g = ref_cruiseless_distance(grid, v0, vg, am, jm) - dq
+    tol = 1e-12 * max(1.0, vm)
+    roots = []
+    near_zero = np.abs(g) <= 1e-15 * max(1.0, vm, abs(dq))
+    for x in grid[near_zero]:
+        roots.append(float(x))
+    sign_change = np.where(g[:-1] * g[1:] < 0.0)[0]
+    for i in sign_change:
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        glo = float(g[i])
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            gm = float(ref_cruiseless_distance(mid, v0, vg, am, jm)) - dq
+            if glo * gm <= 0.0:
+                hi = mid
+            else:
+                lo = mid
+                glo = gm
+            if hi - lo <= tol:
+                break
+        mid = 0.5 * (lo + hi)
+        if mid > 0.0:
+            root = lo if float(ref_cruiseless_distance(lo, v0, vg, am, jm)) - dq <= 0.0 else hi
+        else:
+            root = hi if float(ref_cruiseless_distance(hi, v0, vg, am, jm)) - dq >= 0.0 else lo
+        roots.append(float(root))
+    return roots
+
+
+def ref_plan_scurve_1d(q0, v0, q_goal, v_goal, lim: LimitSet) -> RefProfile:
+    """Scalar planner: every candidate built as a profile, the fastest kept."""
+    vm, am, jm = lim.v_max, lim.a_max, lim.j_max
+    for name, v in (("q0", q0), ("v0", v0), ("q_goal", q_goal), ("v_goal", v_goal)):
+        if not math.isfinite(v):
+            raise PlanningError(f"{name} is not finite")
+    if abs(v0) > vm * (1.0 + 1e-9):
+        raise PlanningError(f"initial velocity {v0} exceeds v_max {vm}")
+    if abs(v_goal) > vm * (1.0 + 1e-9):
+        raise PlanningError(f"goal velocity {v_goal} exceeds v_max {vm}")
+    v0 = min(max(v0, -vm), vm)
+    vg = min(max(v_goal, -vm), vm)
+    dq = q_goal - q0
+    if dq == 0.0 and v0 == 0.0 and vg == 0.0:
+        return RefProfile(q0, v0, q_goal, v_goal, np.empty(0), np.empty(0))
+    candidates = []
+
+    def add(vp):
+        prof = _ref_build(q0, v0, q_goal, vg, vp, am, jm)
+        if prof is not None:
+            candidates.append(prof)
+
+    d_hi = float(ref_cruiseless_distance(vm, v0, vg, am, jm))
+    d_lo = float(ref_cruiseless_distance(-vm, v0, vg, am, jm))
+    if dq >= d_hi:
+        add(vm)
+    if dq <= d_lo:
+        add(-vm)
+    if v0 == 0.0 and vg == 0.0:
+        vp = _ref_rest_to_rest_peak(abs(dq), am, jm)
+        add(math.copysign(min(vp, vm), dq))
+    else:
+        for root in ref_scan_roots(dq, v0, vg, vm, am, jm):
+            add(root)
+    if not candidates:
+        raise PlanningError("no feasible profile found (internal planner error)")
+    return min(candidates, key=lambda p: p.duration)

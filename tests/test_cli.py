@@ -441,6 +441,56 @@ def test_replay_cli_ctrl_mismatch_exits_3(sysid_workspace, tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flag", ["--sim-hz", "--ctrl-hz"])
+def test_replay_cli_zero_frequency_exits_3(sysid_workspace, tmp_path, flag):
+    root = sysid_workspace
+    params = tmp_path / "pd.json"
+    params.write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    rc = main([
+        "replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+        "--chain", str(root / "chain.json"), "--params", str(params),
+        "--controller", "widowx", flag, "0", "--out", str(out),
+    ])
+    assert rc == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("controller, hz", [("widowx", 5.0), ("google", 3.0)])
+def test_replay_cli_nan_action_exits_3(sysid_workspace, tmp_path, capsys, controller, hz):
+    root = sysid_workspace
+    rec = json.loads((root / "trajectories" / "rec0.json").read_text())
+    rec["ctrl_frequency"] = hz
+    rec["actions"][1]["xyz"][0] = float("nan")
+    (tmp_path / "rec.json").write_text(json.dumps(rec))
+    params = tmp_path / "pd.json"
+    params.write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    rc = main([
+        "replay", "--trajectory", str(tmp_path / "rec.json"), "--chain", str(root / "chain.json"),
+        "--params", str(params), "--controller", controller, "--out", str(out),
+    ])
+    assert rc == 3
+    assert "action values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sysid_fit_nan_range_exits_3(sysid_workspace, tmp_path, capsys):
+    root = sysid_workspace
+    config = json.loads((root / "sysid.json").read_text())
+    config["range"]["p_high"] = float("nan")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "fit.json"
+    rc = main([
+        "sysid", "fit", "--trajectories", str(root / "trajectories"),
+        "--chain", str(root / "chain.json"), "--config", str(bad), "--out", str(out),
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: range bounds must be finite\n"
+    assert not out.exists()
+
+
 def test_report_csv_includes_kruskal_footer():
     table = PairedEvalTable(
         "demo",

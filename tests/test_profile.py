@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from helpers import integrate_profile
+from helpers import integrate_profile, ref_cruiseless_distance, ref_plan_scurve_1d, ref_scan_roots
 from real2sim.profile import (
     LimitSet,
     PlanningError,
+    _plan_rows,
+    _scan_roots,
     plan_scurve_1d,
     synchronize,
 )
@@ -163,15 +165,123 @@ def test_synchronize_rejects_mismatched_vectors():
 
 
 def test_plan_sample_array_matches_scalar_profiles():
-    plan = synchronize([0.0, 1.0, -2.0, 0.5], [0.4, 0.0, -0.3, 0.0], [2.0, -1.0, -2.5, 0.5], [0.2, 0.0, 0.1, 0.0], ARM)
+    q0, v0, qg, vg = [0.0, 1.0, -2.0, 0.5], [0.4, 0.0, -0.3, 0.0], [2.0, -1.0, -2.5, 0.5], [0.2, 0.0, 0.1, 0.0]
+    plan = synchronize(q0, v0, qg, vg, ARM)
+    refs = [ref_plan_scurve_1d(*row, ARM) for row in zip(q0, v0, qg, vg)]
+    duration = max(p.duration for p in refs)
+    assert plan.duration == duration
     inside = np.linspace(0.0, plan.duration, 300, endpoint=False)
     past = plan.duration * np.array([1.0 + 1e-9, 1.5, 3.0])
     ts = np.concatenate([inside, past])
     q, v, a = plan.sample(ts)
     assert q.shape == v.shape == a.shape == (ts.shape[0], plan.n)
-    for i, (prof, s) in enumerate(zip(plan.profiles, plan.scales)):
+    for i, prof in enumerate(refs):
+        s = duration / prof.duration if prof.duration > 0.0 else 1.0
+        assert plan.scales[i] == s
         want = np.array([prof.sample(t / s) for t in ts])
         assert np.array_equal(q[:, i], want[:, 0])
         assert np.array_equal(v[:, i], want[:, 1] / s)
         assert np.array_equal(a[:, i], want[:, 2] / (s * s))
+        one = plan_scurve_1d(q0[i], v0[i], qg[i], vg[i], ARM)
+        for got, exp in zip(one.sample(ts), prof.sample(ts)):
+            assert np.array_equal(got, exp)
+        assert one.sample(ts[7]) == prof.sample(ts[7])
     np.testing.assert_array_equal(q[-3:], np.broadcast_to([2.0, -1.0, -2.5, 0.5], (3, 4)))
+
+
+def _hexes(values):
+    return [float(x).hex() for x in values]
+
+
+def _assert_matches_reference(q0, v0, qg, vg, lim=ARM):
+    """The batched planner reproduces the scalar reference bit for bit."""
+    q0, v0, qg, vg = (np.asarray(x, dtype=float) for x in (q0, v0, qg, vg))
+    refs = [ref_plan_scurve_1d(*row, lim) for row in zip(q0, v0, qg, vg)]
+    v0c, vgc, dur, jrk, counts = _plan_rows(q0, v0, qg, vg, lim)
+    moving = np.flatnonzero((v0c != 0.0) | (vgc != 0.0))
+    ends = np.array([v0c[moving], vgc[moving]])
+    rows, roots = _scan_roots(qg[moving] - q0[moving], ends, lim.v_max, lim.a_max, lim.j_max)
+    for r, i in enumerate(moving):
+        want = ref_scan_roots(qg[i] - q0[i], v0c[i], vgc[i], lim.v_max, lim.a_max, lim.j_max)
+        assert _hexes(roots[rows == r]) == _hexes(want)
+    plan = synchronize(q0, v0, qg, vg, lim)
+    for i, ref in enumerate(refs):
+        one = plan_scurve_1d(q0[i], v0[i], qg[i], vg[i], lim)
+        assert counts[i] == ref.durations.shape[0]
+        for got in (one.durations, dur[i, : counts[i]], plan.durations[i, : counts[i]]):
+            assert _hexes(got) == _hexes(ref.durations)
+        for got in (one.jerks, jrk[i, : counts[i]], plan.jerks[i, : counts[i]]):
+            assert _hexes(got) == _hexes(ref.jerks)
+        assert not plan.durations[i, counts[i]:].any() and not plan.jerks[i, counts[i]:].any()
+        assert one.duration.hex() == ref.duration.hex()
+    duration = max(p.duration for p in refs)
+    scales = [duration / p.duration if p.duration > 0.0 else 1.0 for p in refs]
+    assert plan.duration.hex() == duration.hex()
+    assert _hexes(plan.scales) == _hexes(scales)
+    # sampled states, as the per-DOF loop sampled them
+    ts = np.linspace(0.0, 1.1 * duration, 61)
+    done = ts >= duration
+    got = plan.sample(ts)
+    for i, (ref, s) in enumerate(zip(refs, scales)):
+        q, v, a = ref.sample(ts / s)
+        want = (np.where(done, ref.q_goal, q), np.where(done, ref.v_goal / s, v / s),
+                np.where(done, 0.0, a / (s * s)))
+        for g, w in zip(got, want):
+            assert np.array_equal(g[:, i], w)
+
+
+@pytest.mark.parametrize("n", [1, 6, 40])
+def test_batched_planner_matches_reference_on_random_rows(n):
+    rng = np.random.default_rng(1000 + n)
+    for _ in range(4):
+        q0, qg = rng.uniform(-5.0, 5.0, (2, n))
+        v0, vg = rng.uniform(-1.5, 1.5, (2, n))
+        rest = rng.random(n) < 0.3
+        v0[rest] = vg[rest] = 0.0
+        _assert_matches_reference(q0, v0, qg, vg)
+
+
+def test_batched_planner_matches_reference_on_short_rest_moves():
+    # rest-to-rest moves too short to reach a_max: the cube-root closed form
+    dq = np.random.default_rng(7).uniform(-0.006, 0.006, 200)
+    _assert_matches_reference(np.zeros(200), np.zeros(200), dq, np.zeros(200))
+
+
+C = ARM.a_max**2 / ARM.j_max  # velocity change where a phase turns trapezoidal
+
+
+@pytest.mark.parametrize(
+    "q0,v0,qg,vg",
+    [
+        # v0 = +-v_max, towards and away from the goal, short and long moves
+        ([0.0, 0.0, 1.0, -1.0, 0.0], [1.5, -1.5, 1.5, -1.5, 1.5],
+         [3.0, -3.0, -2.0, 2.0, 0.01], [0.0, 0.5, 0.0, -1.5, 1.5]),
+        # v0 or v_goal on the +-a^2/j breakpoints, and one pair exactly a^2/j apart
+        ([0.0, 0.0, 0.5, -0.5, 0.0, 0.2], [C, -C, 0.0, 0.3, 0.4 + C, -C],
+         [1.0, -0.2, 0.1, -1.0, 2.0, 0.0], [0.0, C, -C, -C, 0.4, C]),
+        # dq = 0 while moving
+        ([1.0, -0.5, 0.0, 2.0], [0.3, -1.2, 1.5, 0.001], [1.0, -0.5, 0.0, 2.0], [0.0, 0.4, -1.5, 0.0]),
+        # rest-to-rest rows (tiny, short, medium, cruising, zero) mixed with moving rows
+        ([0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.7, 0.0],
+         [1e-6, 0.01, -0.5, 10.0, 3.0, -0.4, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0, 0.1, -0.2]),
+        # signed zeros: v_goal = -0.0 while moving, v0 = -0.0, a -0.0 goal at rest
+        ([0.0, 0.0, 0.0, 0.5], [0.8, -0.0, -0.0, -0.3], [0.3, 0.4, -0.0, 0.5], [-0.0, -0.6, 0.0, -0.0]),
+    ],
+    ids=["v_max", "breakpoints", "zero_move", "rest_mixed", "signed_zeros"],
+)
+def test_batched_planner_matches_reference_on_edge_rows(q0, v0, qg, vg):
+    _assert_matches_reference(q0, v0, qg, vg)
+
+
+def test_batched_planner_matches_reference_on_roots_at_signed_zero():
+    # roots within the bisection tolerance of a -0.0/0.0 grid pair come out as the pair's kept copy
+    rows = [(0.8, -0.0, 1e-13), (0.8, -0.0, -1e-13), (-0.0, 0.7, 1e-13), (-0.0, 0.7, -1e-13)]
+    dq = [float(ref_cruiseless_distance(vp, v0, vg, ARM.a_max, ARM.j_max)) for v0, vg, vp in rows]
+    _assert_matches_reference(np.zeros(4), [r[0] for r in rows], dq, [r[1] for r in rows])
+
+
+def test_synchronize_reports_first_bad_row():
+    with pytest.raises(PlanningError, match=r"^initial velocity 2.0 exceeds v_max 1.5$"):
+        synchronize([0.0, 0.0, 0.0], [0.1, 2.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, -2.0], ARM)
+    with pytest.raises(PlanningError, match=r"^q_goal is not finite$"):
+        synchronize([0.0, 0.0], [0.1, 2.0], [1.0, np.nan], [0.0, 0.0], ARM)
