@@ -23,7 +23,7 @@ from .geometry import (
 from .chain import ChainSpec, IkSettings, JointSpec, fk, ik_dls, jacobian, parse_urdf_subset
 from .profile import LimitSet, MotionPlan, SegmentProfile, plan_scurve_1d, synchronize
 from .controller import Action, CtrlConfig, google_config, google_step, widowx_config, widowx_step
-from .jointsim import JointDynamics, PDParams, TrajectoryRecord, dyn_step, replay_open_loop, synthesize_record
+from .jointsim import JointDynamics, PDParams, TrajectoryRecord, replay_open_loop, synthesize_record
 from .sysid import AnnealConfig, SysIdRange, anneal_fit, trajectory_losses
 from .metrics import (
     PairedEvalTable,

@@ -119,9 +119,8 @@ class ChainSpec:
             else:
                 basis[3, i, :3, 3] = r_org @ j.axis
         object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_ones", np.ones(self.n))
         object.__setattr__(self, "_axes", np.stack([j.axis for j in self.joints]))
-        object.__setattr__(self, "_revolute", revolute)
+        object.__setattr__(self, "_prismatic", np.flatnonzero(~revolute))
         object.__setattr__(self, "_ee_matrix", self.ee_offset.as_matrix())
         object.__setattr__(self, "lower", np.array([j.lower for j in self.joints]))
         object.__setattr__(self, "upper", np.array([j.upper for j in self.joints]))
@@ -129,9 +128,6 @@ class ChainSpec:
     @property
     def n(self) -> int:
         return len(self.joints)
-
-    def clamp(self, q: np.ndarray) -> np.ndarray:
-        return np.clip(q, self.lower, self.upper)
 
 
 @dataclass(frozen=True)
@@ -167,18 +163,30 @@ def _check_q(chain: ChainSpec, q) -> np.ndarray:
 
 
 def _frames(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
-    """World transform (4x4) of every joint frame after its own motion.
+    """World transforms (n, B, 4, 4) of every joint frame after its own motion, for the B rows of ``q``.
 
     A joint's motion keeps its origin (revolute) or its orientation
     (prismatic), and a revolute joint's rotation keeps its axis, so these
     frames also give each joint's world axis and, for revolute joints, its
     world origin. The last one is the flange.
     """
-    coef = np.array([chain._ones, np.sin(q), 1.0 - np.cos(q), q])
-    local = np.einsum("kn,knij->nij", coef, chain._basis)
+    coef = np.empty((4,) + q.shape)
+    coef[0] = 1.0
+    np.sin(q, out=coef[1])
+    np.subtract(1.0, np.cos(q), out=coef[2])
+    coef[3] = q
+    frames = [*np.einsum("kbn,knij->nbij", coef, chain._basis)]
     for i in range(1, chain.n):
-        np.matmul(local[i - 1], local[i], out=local[i])
-    return local
+        frames[i] = frames[i - 1] @ frames[i]
+    return np.array(frames)
+
+
+def _tools(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
+    """Tool transforms (B, 4, 4) of the rows of ``q``, clamped to the limits as ``fk`` documents."""
+    qc = np.minimum(np.maximum(q, chain.lower), chain.upper)
+    if not np.array_equal(q, qc):
+        logger.warning("fk: joint values clamped to limits (max excess %.3e)", np.abs(q - qc).max())
+    return _frames(chain, qc)[-1] @ chain._ee_matrix
 
 
 def fk(chain: ChainSpec, q) -> Pose:
@@ -187,11 +195,7 @@ def fk(chain: ChainSpec, q) -> Pose:
     Out-of-limit values are clamped and logged; pass in-limit values to get
     the exact configuration.
     """
-    q = _check_q(chain, q)
-    qc = chain.clamp(q)
-    if not np.array_equal(q, qc):
-        logger.warning("fk: joint values clamped to limits (max excess %.3e)", np.abs(q - qc).max())
-    tool = _frames(chain, qc)[-1] @ chain._ee_matrix
+    tool = _tools(chain, _check_q(chain, q)[None])[0]
     return Pose(Rot3(tool[:3, :3]), tool[:3, 3])
 
 
@@ -201,17 +205,76 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _LEVI_CIVITA[_i, _k, _j] = -1.0
 
 
-def _jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool) -> np.ndarray:
-    axes_w = np.einsum("nij,nj->in", frames[:, :3, :3], chain._axes)
-    lin = np.einsum("ijk,jn,kn->in", _LEVI_CIVITA, axes_w, p_tool[:, None] - frames[:, :3, 3].T)
-    return np.concatenate([np.where(chain._revolute, lin, axes_w), np.where(chain._revolute, axes_w, 0.0)])
+def _jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool: np.ndarray) -> np.ndarray:
+    """Geometric Jacobians (B, 6, n) from the frames and tool positions (B, 3) of B rows."""
+    axes_w = np.einsum("nbij,nj->bin", frames[:, :, :3, :3], chain._axes)
+    lever = p_tool[:, :, None] - frames[:, :, :3, 3].transpose(1, 2, 0)
+    jac = np.concatenate([np.einsum("ijk,bjn,bkn->bin", _LEVI_CIVITA, axes_w, lever), axes_w], axis=1)
+    if chain._prismatic.size:  # a slide moves the tool along its axis and turns nothing
+        jac[:, :3, chain._prismatic] = axes_w[:, :, chain._prismatic]
+        jac[:, 3:, chain._prismatic] = 0.0
+    return jac
 
 
 def jacobian(chain: ChainSpec, q) -> np.ndarray:
     """Geometric Jacobian in the base frame: rows 0..2 linear (m), 3..5 angular (rad)."""
-    q = _check_q(chain, q)
-    frames = _frames(chain, q)
-    return _jacobian_from_frames(chain, frames, (frames[-1] @ chain._ee_matrix)[:3, 3])
+    frames = _frames(chain, _check_q(chain, q)[None])
+    return _jacobian_from_frames(chain, frames, (frames[-1] @ chain._ee_matrix)[:, :3, 3])[0]
+
+
+def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q_seed: np.ndarray, s: IkSettings):
+    """Damped-least-squares IK of B rows in lockstep, each toward its own target.
+
+    ``target_rot`` is (B, 3, 3), ``target_pos`` (B, 3) and ``q_seed`` (B, n).
+    A converged row leaves the active set, so every row runs the iterates of a
+    solo run. Returns each row's best iterate, residuals, flag and iteration count.
+    """
+    lo, hi, b = chain.lower, chain.upper, q_seed.shape[0]
+    q = np.minimum(np.maximum(q_seed, lo), hi)
+    damp = (s.damping**2) * np.eye(6)
+    out_q, out_res = q.copy(), np.full((b, 2), math.inf)
+    converged, iterations = np.zeros(b, dtype=bool), np.zeros(b, dtype=int)
+    rows = np.arange(b)  # the original index of each active row
+    best_q, best_res, best_sum = q, out_res, [math.inf] * b
+    for it in range(s.max_iters + 1):
+        frames = _frames(chain, q)
+        tool = frames[-1] @ chain._ee_matrix
+        e_rot = matrix_to_rotvec(target_rot @ tool[:, :3, :3].transpose(0, 2, 1))
+        err = np.concatenate([target_pos - tool[:, :3, 3], e_rot], axis=1)
+        # position and rotation residuals, each summed as a 1-D e @ e would be
+        res = np.sqrt(err.reshape(-1, 2, 1, 3) @ err.reshape(-1, 2, 3, 1)).reshape(-1, 2)
+        # the bookkeeping of a few rows costs less in Python floats
+        res_rows = res.tolist()
+        total = [rp + rr for rp, rr in res_rows]
+        better = [t < bs for t, bs in zip(total, best_sum)]
+        if all(better):
+            best_q, best_res, best_sum = q, res, total
+        elif any(better):
+            mask = np.array(better)[:, None]
+            best_q, best_res = np.where(mask, q, best_q), np.where(mask, res, best_res)
+            best_sum = np.where(mask[:, 0], total, best_sum).tolist()
+        ok = [rp <= s.tol_pos and rr <= s.tol_rot for rp, rr in res_rows]
+        if any(ok) or it == s.max_iters:
+            ok = np.array(ok)
+            done = ok | (it == s.max_iters)
+            r = rows[done]
+            out_q[r], out_res[r], converged[r], iterations[r] = best_q[done], best_res[done], ok[done], it
+            keep = ~done
+            if not keep.any():
+                break
+            rows, q, tool, err, target_rot, target_pos, best_q, best_res = (
+                a[keep] for a in (rows, q, tool, err, target_rot, target_pos, best_q, best_res)
+            )
+            best_sum, frames = np.array(best_sum)[keep].tolist(), frames[:, keep]
+        jac = _jacobian_from_frames(chain, frames, tool[:, :3, 3])
+        jac_t = jac.transpose(0, 2, 1)
+        dq = (jac_t @ np.linalg.solve(jac @ jac_t + damp, err[:, :, None]))[:, :, 0]
+        for i, row in enumerate(dq.tolist()):
+            biggest = max(map(abs, row))
+            if biggest > s.max_step:
+                dq[i] *= s.max_step / biggest
+        q = np.minimum(np.maximum(q + dq, lo), hi)
+    return out_q, out_res[:, 0], out_res[:, 1], converged, iterations
 
 
 def ik_dls(chain: ChainSpec, target: Pose, q_seed, settings: IkSettings | None = None) -> IkResult:
@@ -222,45 +285,10 @@ def ik_dls(chain: ChainSpec, target: Pose, q_seed, settings: IkSettings | None =
     on non-convergence: the best iterate found is always returned, with the
     ``converged`` flag and residuals reporting the outcome.
     """
-    s = settings or IkSettings()
-    q = chain.clamp(_check_q(chain, q_seed))
-    target_r = target.rot.m
-    target_p = target.pos
-    damp = (s.damping**2) * np.eye(6)
-    lo = chain.lower
-    hi = chain.upper
-
-    best_q = q.copy()
-    best_pos = math.inf
-    best_rot = math.inf
-    converged = False
-    iterations = 0
-    for it in range(s.max_iters + 1):
-        frames = _frames(chain, q)
-        tool = frames[-1] @ chain._ee_matrix
-        p = tool[:3, 3]
-        e_pos = target_p - p
-        e_rot = matrix_to_rotvec(target_r @ tool[:3, :3].T)
-        res_pos = math.sqrt(e_pos @ e_pos)
-        res_rot = math.sqrt(e_rot @ e_rot)
-        if res_pos + res_rot < best_pos + best_rot:
-            best_q = q.copy()
-            best_pos = res_pos
-            best_rot = res_rot
-        iterations = it
-        if res_pos <= s.tol_pos and res_rot <= s.tol_rot:
-            converged = True
-            break
-        if it == s.max_iters:
-            break
-        jac = _jacobian_from_frames(chain, frames, p)
-        err = np.concatenate([e_pos, e_rot])
-        dq = jac.T @ np.linalg.solve(jac @ jac.T + damp, err)
-        biggest = np.abs(dq).max()
-        if biggest > s.max_step:
-            dq *= s.max_step / biggest
-        q = np.minimum(np.maximum(q + dq, lo), hi)
-    return IkResult(best_q, best_pos, best_rot, converged, iterations)
+    q, pos, rot, ok, its = _ik_rows(
+        chain, target.rot.m[None], target.pos[None], _check_q(chain, q_seed)[None], settings or IkSettings()
+    )
+    return IkResult(q[0], float(pos[0]), float(rot[0]), bool(ok[0]), int(its[0]))
 
 
 # ---------------------------------------------------------------------------

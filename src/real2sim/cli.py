@@ -275,17 +275,14 @@ def cmd_replay(args) -> int:
         )
 
     plan_rows = []
-    sink = None
-    if args.dump_plan:
-        dt = 1.0 / cfg.h_sim
 
-        def sink(step, tgt):
-            ts = step / cfg.h_ctrl + np.arange(1, tgt.arm_q.shape[0] + 1) * dt
-            plan_rows.append(
-                np.column_stack([ts, tgt.arm_q, tgt.arm_v, tgt.arm_a, tgt.grip_q, tgt.grip_v, tgt.grip_a])
-            )
+    def dump(step, tgt):
+        ts = step / cfg.h_ctrl + np.arange(1, tgt.arm_q.shape[0] + 1) * (1.0 / cfg.h_sim)
+        plan_rows.append(np.column_stack([ts, tgt.arm_q, tgt.arm_v, tgt.arm_a, tgt.grip_q, tgt.grip_v, tgt.grip_a]))
 
-    sim_poses = replay_open_loop(chain, dyn, pd, args.controller, rec, None, cfg, plan_sink=sink)
+    sim_poses = replay_open_loop(
+        chain, dyn, pd, args.controller, rec, None, cfg, plan_sink=dump if args.dump_plan else None
+    )
     losses = trajectory_losses(rec.ee_poses, sim_poses[: len(rec.ee_poses)])
     out = {
         "ee_poses": [pose_to_dict(p) for p in sim_poses],
@@ -298,20 +295,9 @@ def cmd_replay(args) -> int:
             f"loss_total={losses.total:.9f}\n"
         )
     if args.dump_plan:
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        w = _csv.writer(buf, lineterminator="\n")
-        head = ["t"]
-        head += [f"q_d{i}" for i in range(chain.n)]
-        head += [f"v_d{i}" for i in range(chain.n)]
-        head += [f"a_d{i}" for i in range(chain.n)]
-        head += ["grip_q", "grip_v", "grip_a"]
-        w.writerow(head)
-        for rows in plan_rows:
-            w.writerows([f"{v:.9f}" for v in row] for row in rows)
-        _write_text(args.dump_plan, buf.getvalue())
+        head = ["t"] + [f"{x}_d{i}" for x in "qva" for i in range(chain.n)] + ["grip_q", "grip_v", "grip_a"]
+        lines = [",".join(head)] + [",".join(f"{v:.9f}" for v in row) for rows in plan_rows for row in rows]
+        _write_text(args.dump_plan, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

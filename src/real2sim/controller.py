@@ -1,9 +1,10 @@
 """Deterministic per-tick controllers for the two simulated robot stacks.
 
-Each control tick returns one SimStepTargets record that covers the
+Each control tick steps B records in lockstep and covers the
 floor(H_sim / H_ctrl) simulation steps of the control interval. The Google
-Robot controller plans jerk-limited arm and gripper trajectories and samples
-them at every simulation step. The WidowX controller holds a single
+Robot controller plans jerk-limited arm trajectories and samples them at
+every simulation step; its gripper, which never feeds back into the arm, is a
+separate one-record controller. The WidowX controller holds a single
 joint-position target for the whole interval, chaining pose goals off the
 previously commanded goal rather than the sensed state.
 """
@@ -11,12 +12,13 @@ previously commanded goal rather than the sensed state.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, IkSettings, ik_dls, fk
-from .geometry import Pose, Rot3, UnitQuat, axis_angle_to_matrix, quat_to_rot
+from .chain import ChainSpec, IkSettings, _ik_rows, _tools
+from .geometry import Pose, Rot3, UnitQuat, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from .profile import LimitSet, plan_scurve_1d, synchronize
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "google_config",
     "widowx_config",
     "google_step",
+    "google_grip_step",
     "widowx_step",
     "widowx_goal_pose",
 ]
@@ -83,8 +86,6 @@ class Action:
         return Action(xyz, rot, g)
 
     def to_dict(self) -> dict:
-        from .geometry import matrix_to_rotvec
-
         rv = matrix_to_rotvec(self.delta_rot.m)
         return {
             "xyz": [float(v) for v in self.delta_pos],
@@ -105,8 +106,10 @@ class CtrlConfig:
     h_ctrl: float = 3.0
 
     def __post_init__(self):
-        if self.h_sim <= 0 or self.h_ctrl <= 0:
-            raise ControllerError("frequencies must be positive")
+        for name in ("h_sim", "h_ctrl"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ControllerError(f"{name} must be a positive finite frequency, got {value}")
         if self.h_sim < self.h_ctrl:
             raise ControllerError("h_sim must be at least h_ctrl")
 
@@ -125,7 +128,7 @@ def widowx_config() -> CtrlConfig:
 
 @dataclass(frozen=True)
 class GoogleCtrlState:
-    """Episode state threaded through google_step calls."""
+    """Gripper state of one record threaded through google_grip_step calls."""
 
     t: int = 0
     q_lastgoal_grip: float = 0.0
@@ -135,7 +138,7 @@ class GoogleCtrlState:
 
 @dataclass(frozen=True, eq=False)
 class WidowXCtrlState:
-    """Episode state threaded through widowx_step calls."""
+    """Episode state of B records threaded through widowx_step calls; ``q_lastgoal`` is (B, n)."""
 
     t: int = 0
     q_lastgoal: np.ndarray | None = None
@@ -143,7 +146,7 @@ class WidowXCtrlState:
 
 @dataclass(frozen=True, eq=False)
 class SimStepTargets:
-    """Targets for every simulation step of one control interval.
+    """Targets of one record for every simulation step of one control interval.
 
     Row k holds the targets applied at simulation step k + 1 of the
     interval: the arm fields are (ticks, n) arrays, the gripper fields
@@ -167,52 +170,66 @@ def _sanitize_velocity(v: np.ndarray, vmax: float) -> np.ndarray:
     return out
 
 
+def _rows(x, chain: ChainSpec, count: int, what: str) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if a.shape != (count, chain.n):
+        raise ControllerError(f"{what} must be ({count}, {chain.n}) arrays, one row per action")
+    return a
+
+
+def _ik_goals(tag: str, t: int, chain: ChainSpec, actions, base: np.ndarray, q_seed, ik_settings, fallback: str):
+    """IK solutions of every row's goal: the action's delta pose applied to the
+    tool pose at ``base`` (the delta rotation about the tool origin)."""
+    tool = _tools(chain, base)
+    goal_rot = np.array([a.delta_rot.m for a in actions]) @ tool[:, :3, :3]
+    goal_pos = tool[:, :3, 3] + np.array([a.delta_pos for a in actions])
+    q, res_pos, res_rot, ok, _ = _ik_rows(chain, goal_rot, goal_pos, q_seed, ik_settings or IkSettings())
+    for i in np.flatnonzero(~ok):
+        logger.warning(
+            "%s t=%d: IK did not converge (pos %.2e m, rot %.2e rad); %s", tag, t, res_pos[i], res_rot[i], fallback
+        )
+    return q
+
+
 def google_step(
-    state: GoogleCtrlState,
-    action: Action,
+    t: int,
+    actions,
     q_arm: np.ndarray,
     v_arm: np.ndarray,
-    q_grip: float,
-    v_grip: float,
     chain: ChainSpec,
     cfg: CtrlConfig | None = None,
     ik_settings: IkSettings | None = None,
-) -> tuple[SimStepTargets, GoogleCtrlState]:
-    """One control tick of the Google Robot stack.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Control tick ``t`` of the Google Robot arm for B records in lockstep.
 
-    Plans the arm toward the IK solution of the delta-pose goal and the
-    gripper toward an accumulated position goal (small gripper actions are
-    filtered), then samples both plans at every simulation step of the
-    control interval.
+    With one action and sensed (B, n) ``q_arm``/``v_arm`` rows per record,
+    each arm is planned toward the IK solution of its delta-pose goal; returns
+    the plans' position, velocity and acceleration at every simulation step of
+    the control interval as (ticks, B, n) arrays.
     """
     cfg = cfg or google_config()
-    q_arm = np.asarray(q_arm, dtype=float).reshape(-1)
-    v_arm = np.asarray(v_arm, dtype=float).reshape(-1)
-    if q_arm.shape[0] != chain.n or v_arm.shape[0] != chain.n:
-        raise ControllerError(f"sensed arm vectors must have {chain.n} entries")
-
-    if state.t == 0:
-        state = GoogleCtrlState(
-            t=0,
-            q_lastgoal_grip=float(q_grip),
-            q_lastplan_grip=float(q_grip),
-            v_lastplan_grip=0.0,
-        )
-
-    # arm: goal pose from the sensed configuration, IK seeded there
-    ee = fk(chain, q_arm)
-    goal = Pose(action.delta_rot @ ee.rot, ee.pos + action.delta_pos)
-    ik = ik_dls(chain, goal, q_arm, ik_settings)
-    if not ik.converged:
-        logger.warning(
-            "google_step t=%d: IK did not converge (pos %.2e m, rot %.2e rad); planning toward best effort",
-            state.t, ik.residual_pos, ik.residual_rot,
-        )
-    arm_plan = synchronize(
-        q_arm, _sanitize_velocity(v_arm, GOOGLE_ARM_LIMITS.v_max), ik.q, np.zeros(chain.n), GOOGLE_ARM_LIMITS
+    q_arm = _rows(q_arm, chain, len(actions), "sensed arm positions")
+    v_arm = _rows(v_arm, chain, len(actions), "sensed arm velocities")
+    q_goal = _ik_goals("google_step", t, chain, actions, q_arm, q_arm, ik_settings, "planning toward best effort")
+    plan = synchronize(
+        q_arm, _sanitize_velocity(v_arm, GOOGLE_ARM_LIMITS.v_max), q_goal, np.zeros_like(q_arm), GOOGLE_ARM_LIMITS
     )
+    return plan.sample(np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim)
 
-    # gripper: accumulate on the planned state, filtering small actions
+
+def google_grip_step(
+    state: GoogleCtrlState, action: Action, q_grip: float, cfg: CtrlConfig | None = None
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], GoogleCtrlState]:
+    """One control tick of the Google Robot gripper of one record.
+
+    Plans toward an accumulated position goal (small gripper actions are
+    filtered); returns the (ticks,) position, velocity and acceleration at
+    every simulation step, and the next state. ``q_grip`` is read at t = 0 only.
+    """
+    cfg = cfg or google_config()
+    if state.t == 0:
+        state = GoogleCtrlState(t=0, q_lastgoal_grip=float(q_grip), q_lastplan_grip=float(q_grip))
+    # accumulate on the planned state, filtering small actions
     if abs(action.gripper) < GOOGLE_GRIP_FILTER:
         grip_goal = state.q_lastgoal_grip
     else:
@@ -224,61 +241,36 @@ def google_step(
         0.0,
         GOOGLE_GRIP_LIMITS,
     )
-
-    ts = np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim
-    targets = SimStepTargets(*arm_plan.sample(ts), *grip_plan.sample(ts))
+    q, v, a = grip_plan.sample(np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim)
     new_state = GoogleCtrlState(
-        t=state.t + 1,
-        q_lastgoal_grip=float(grip_goal),
-        q_lastplan_grip=float(targets.grip_q[-1]),
-        v_lastplan_grip=float(targets.grip_v[-1]),
+        t=state.t + 1, q_lastgoal_grip=float(grip_goal), q_lastplan_grip=float(q[-1]), v_lastplan_grip=float(v[-1])
     )
-    return targets, new_state
+    return (q, v, a), new_state
 
 
 def widowx_goal_pose(x: np.ndarray, r: Rot3, x_a: np.ndarray, r_a: Rot3) -> Pose:
     """Delta rotation applied about the current end-effector origin.
 
     The homogeneous product T(x, I) * T(x_a, R_a) * T(-x, I) * T(x, R)
-    reduces to (x + x_a, R_a R).
+    reduces to (x + x_a, R_a R), which ``widowx_step`` applies to every row.
     """
     return Pose(r_a @ r, x + x_a)
 
 
 def widowx_step(
     state: WidowXCtrlState,
-    action: Action,
+    actions,
     q_arm: np.ndarray,
     chain: ChainSpec,
-    cfg: CtrlConfig | None = None,
     ik_settings: IkSettings | None = None,
-) -> tuple[SimStepTargets, WidowXCtrlState]:
-    """One control tick of the WidowX stack.
+) -> tuple[np.ndarray, WidowXCtrlState]:
+    """One control tick of the WidowX stack for B records in lockstep.
 
-    The pose goal chains off the previously commanded joint goal (sensed
-    positions only seed the IK); the gripper target is the raw action value.
-    Both targets hold for the whole control interval, with zero velocity
-    and acceleration.
+    Each record's pose goal chains off its previously commanded joint goal
+    (the sensed (B, n) ``q_arm`` only seeds the IK). Returns the (B, n) joint
+    goals, held for the whole control interval, and the next state.
     """
-    cfg = cfg or widowx_config()
-    q_arm = np.asarray(q_arm, dtype=float).reshape(-1)
-    if q_arm.shape[0] != chain.n:
-        raise ControllerError(f"sensed arm vector must have {chain.n} entries")
-
+    q_arm = _rows(q_arm, chain, len(actions), "sensed arm positions")
     q_lastgoal = q_arm if state.t == 0 else state.q_lastgoal
-    ee = fk(chain, q_lastgoal)
-    goal = widowx_goal_pose(ee.pos, ee.rot, action.delta_pos, action.delta_rot)
-    ik = ik_dls(chain, goal, q_arm, ik_settings)
-    if not ik.converged:
-        logger.warning(
-            "widowx_step t=%d: IK did not converge (pos %.2e m, rot %.2e rad); commanding best effort",
-            state.t, ik.residual_pos, ik.residual_rot,
-        )
-    ticks = cfg.ticks_per_step
-    zero_arm = np.zeros((ticks, chain.n))
-    zero_grip = np.zeros(ticks)
-    targets = SimStepTargets(
-        np.broadcast_to(ik.q, (ticks, chain.n)), zero_arm, zero_arm,
-        np.full(ticks, action.gripper), zero_grip, zero_grip,
-    )
-    return targets, WidowXCtrlState(t=state.t + 1, q_lastgoal=ik.q)
+    q_goal = _ik_goals("widowx_step", state.t, chain, actions, q_lastgoal, q_arm, ik_settings, "commanding best effort")
+    return q_goal, WidowXCtrlState(t=state.t + 1, q_lastgoal=q_goal)

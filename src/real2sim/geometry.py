@@ -222,21 +222,27 @@ def axis_angle_to_matrix(axis, angle: float) -> np.ndarray:
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def matrix_to_rotvec(m: np.ndarray) -> np.ndarray:
-    """Rotation vector (axis * angle) of a rotation matrix."""
-    c = 0.5 * (m[0, 0] + m[1, 1] + m[2, 2] - 1.0)
-    angle = math.acos(min(1.0, max(-1.0, c)))
-    if angle < 1e-9:
-        # skew part / 2 is exact to O(angle^3)
-        return 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    if angle > math.pi - 1e-6:
-        # near pi the skew part vanishes; R + I ~ 2 a a^T, so the dominant
-        # column of R + I is parallel to the axis
-        s = m + np.eye(3)
-        col = s[:, int(np.argmax(np.diagonal(s)))]
-        return col / np.linalg.norm(col) * angle
-    v = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    return v * (angle / (2.0 * math.sin(angle)))
+def matrix_to_rotvec(m) -> np.ndarray:
+    """Rotation vector (axis * angle) of a rotation matrix, or of each matrix of a stack.
+
+    Python floats: for a few matrices they cost less than numpy calls, and
+    math.acos is libm's, which numpy's vectorised arccos can miss by a bit.
+    """
+    m = np.asarray(m, dtype=float)
+    out = []
+    for i, (m00, m01, m02, m10, m11, m12, m20, m21, m22) in enumerate(m.reshape(-1, 9).tolist()):
+        angle = math.acos(min(1.0, max(-1.0, 0.5 * (m00 + m11 + m22 - 1.0))))
+        if angle > math.pi - 1e-6:
+            # near pi the skew part vanishes; R + I ~ 2 a a^T, so the dominant
+            # column of R + I is parallel to the axis
+            s = m.reshape(-1, 3, 3)[i] + np.eye(3)
+            col = s[:, int(np.argmax(np.diagonal(s)))]
+            out.append(col / np.linalg.norm(col) * angle)
+        else:
+            # below 1e-9 the skew part / 2 is exact to O(angle^3)
+            scale = 0.5 if angle < 1e-9 else angle / (2.0 * math.sin(angle))
+            out.append([(m21 - m12) * scale, (m02 - m20) * scale, (m10 - m01) * scale])
+    return np.array(out).reshape(m.shape[:-1])
 
 
 def rot_x(angle: float) -> Rot3:

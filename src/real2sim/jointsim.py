@@ -4,8 +4,8 @@ The plant replaces a full physics engine with independent second-order
 joints: accel = (p (q_t - q) + d (v_t - v) - b v) / m, integrated by
 semi-implicit Euler at the simulation frequency. Gravity and coupling are
 absorbed into the identified effective parameters. The replay engine drives
-a controller with a recorded action sequence and logs the end-effector pose
-at every control tick.
+a controller with recorded action sequences, all records in lockstep, and
+logs the end-effector pose at every control tick.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import ChainSpec, IkSettings, ik_dls, fk
+from .chain import ChainSpec, IkSettings, _tools, ik_dls
 from .controller import (
     Action,
     CtrlConfig,
@@ -24,18 +24,18 @@ from .controller import (
     SimStepTargets,
     WidowXCtrlState,
     google_config,
+    google_grip_step,
     google_step,
     widowx_config,
     widowx_step,
 )
-from .geometry import Pose, pose_from_dict, pose_to_dict
+from .geometry import Pose, Rot3, pose_from_dict, pose_to_dict
 
 __all__ = [
     "JointSimError",
     "PDParams",
     "JointDynamics",
     "TrajectoryRecord",
-    "dyn_step",
     "replay_open_loop",
     "synthesize_record",
     "initial_joint_positions",
@@ -179,51 +179,42 @@ class TrajectoryRecord:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def dyn_step(q, v, target_q, target_v, pd: PDParams, dyn: JointDynamics, dt: float):
-    """Advance the decoupled PD plant one step of semi-implicit Euler.
-
-    Positions are clamped to the joint limits with velocity zeroed at the
-    stop, mirroring a hard mechanical end stop.
-    """
-    if dt <= 0.0:
-        raise JointSimError("dt must be positive")
-    accel = (pd.p * (target_q - q) + pd.d * (target_v - v) - dyn.damping * v) / dyn.inertia
-    v_new = v + accel * dt
-    q_new = q + v_new * dt
-    clamped = np.clip(q_new, dyn.lower, dyn.upper)
-    v_new = np.where(clamped != q_new, 0.0, v_new)
-    return clamped, v_new
+def _check_stable(pd: PDParams, dyn: JointDynamics, dt: float, error: type[ValueError] = JointSimError) -> None:
+    """Semi-implicit Euler is stable only for p dt^2/m < 4 - 2 (d + b) dt/m on every joint."""
+    lhs, rhs = pd.p * dt * dt / dyn.inertia, 4.0 - 2.0 * (pd.d + dyn.damping) * dt / dyn.inertia
+    for i in np.flatnonzero(~(lhs < rhs))[:1]:
+        raise error(f"PD gains are unstable at {1.0 / dt:g} Hz on joint {i}: "
+                    f"p dt^2/m = {lhs[i]:.3g} must stay below 4 - 2 (d + b) dt/m = {rhs[i]:.3g}")
 
 
 def _integrate_targets(q, v, targets: np.ndarray, pd: PDParams, dyn: JointDynamics, dt: float):
-    """Run dyn_step semantics over a (k, n) array of position targets.
+    """Step the (B, n) plant states through (k, B, n) position targets, one
+    semi-implicit Euler step (target velocity 0) per tick. Positions are
+    clamped to the joint limits with velocity zeroed, as at a mechanical stop.
 
-    Equivalent to k dyn_step calls with target_v = 0, reorganized for the
-    replay hot loop (coefficients hoisted, in-place updates).
+    The stops are found in one comparison pass over the whole interval; only
+    an interval that reaches one is stepped again with a clamp every tick.
     """
     keep = 1.0 - (pd.d + dyn.damping) / dyn.inertia * dt
     gain = pd.p / dyn.inertia * dt
     lo = dyn.lower
     hi = dyn.upper
-    limited = bool(np.any(np.isfinite(lo)) or np.any(np.isfinite(hi)))
-    q = q.copy()
-    v = v.copy()
-    tmp = np.empty_like(q)
-    qc = np.empty_like(q)
-    for i in range(targets.shape[0]):
-        np.subtract(targets[i], q, out=tmp)
-        tmp *= gain
-        v *= keep
-        v += tmp
-        np.multiply(v, dt, out=tmp)
-        q += tmp
-        if limited:
-            np.maximum(q, lo, out=qc)
-            np.minimum(qc, hi, out=qc)
-            if not np.array_equal(qc, q):
-                v[qc != q] = 0.0
-                q[:] = qc
-    return q, v
+    qs = np.empty(targets.shape)
+    for clamp in (False, True):
+        q_t, v_t, tmp = q, v.copy(), np.empty_like(v)
+        for target, q_next in zip(targets, qs):
+            np.subtract(target, q_t, out=tmp)
+            tmp *= gain
+            v_t *= keep
+            v_t += tmp
+            np.multiply(v_t, dt, out=tmp)
+            q_t = np.add(q_t, tmp, out=q_next)
+            if clamp:
+                stop = (q_t < lo) | (q_t > hi)
+                v_t[stop] = 0.0
+                np.minimum(np.maximum(q_t, lo, out=q_t), hi, out=q_t)
+        if clamp or not ((qs < lo).any() or (qs > hi).any()):
+            return q_t.copy(), v_t
 
 
 # longest run of ticks one table of matrix powers covers
@@ -233,8 +224,8 @@ _MAX_RUN = 256
 def _plant_powers(pd: PDParams, dyn: JointDynamics, dt: float, ticks: int) -> np.ndarray:
     """Per-joint M^0 .. M^k, k = min(ticks, _MAX_RUN), as a (k + 1, n, 2, 2) array.
 
-    One dyn_step with target_v = 0 maps the offset e = (q - target, v) of a
-    joint from its resting point (target, 0) to M e, with
+    One plant step with target velocity 0 maps the offset e = (q - target, v)
+    of a joint from its resting point (target, 0) to M e, with
     M = [[1 - dt g, dt c], [-g, c]], g = p dt / m and c = 1 - (d + b) dt / m.
     """
     keep = 1.0 - (pd.d + dyn.damping) / dyn.inertia * dt
@@ -255,25 +246,30 @@ def _plant_powers(pd: PDParams, dyn: JointDynamics, dt: float, ticks: int) -> np
 
 
 def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, dyn: JointDynamics):
-    """Run dyn_step semantics for ``ticks`` steps toward one held target.
+    """Advance the (B, n) plant states ``ticks`` steps toward held (B, n) targets.
 
-    Equivalent to ``ticks`` dyn_step calls with target_v = 0: the offset
-    from (target, 0) evolves as M^k e until a joint leaves its limits; that
-    step is clamped and the closed form restarts from the clamped state.
+    Equivalent to ``ticks`` plant steps: a row's offset from (target, 0)
+    evolves as M^k e until one of its joints leaves its limits; that step is
+    clamped and the row's closed form restarts from the clamped state.
     """
-    while ticks:
-        k = min(ticks, powers.shape[0] - 1)
-        e_q = q - target
-        qs = target + powers[1 : k + 1, :, 0, 0] * e_q + powers[1 : k + 1, :, 0, 1] * v
+    rows, left = np.arange(q.shape[0]), np.full(q.shape[0], ticks)
+    q, v = q.copy(), v.copy()
+    while rows.size:
+        k = min(int(left[rows].max()), powers.shape[0] - 1)
+        tq, vr, e_q = target[rows], v[rows], q[rows] - target[rows]
+        qs = tq + powers[1 : k + 1, None, :, 0, 0] * e_q + powers[1 : k + 1, None, :, 0, 1] * vr
         out = (qs < dyn.lower) | (qs > dyn.upper)
-        hit = out.any(axis=1)
-        r = int(np.argmax(hit)) if hit.any() else k - 1
-        v = powers[r + 1, :, 1, 0] * e_q + powers[r + 1, :, 1, 1] * v
-        q = qs[r]
-        if hit[r]:
-            q = np.clip(q, dyn.lower, dyn.upper)
-            v = np.where(out[r], 0.0, v)
-        ticks -= r + 1
+        hit = out.any(axis=2)
+        # each row runs to its first end-stop tick, or to its last tick of this pass
+        r = np.minimum(np.where(hit.any(axis=0), hit.argmax(axis=0), k), np.minimum(left[rows], k) - 1)
+        cols = np.arange(rows.size)
+        v[rows] = powers[r + 1, :, 1, 0] * e_q + powers[r + 1, :, 1, 1] * vr
+        q[rows] = qs[r, cols]
+        stopped = rows[hit[r, cols]]
+        q[stopped] = np.minimum(np.maximum(q[stopped], dyn.lower), dyn.upper)
+        v[stopped] = np.where(out[r, cols][hit[r, cols]], 0.0, v[stopped])
+        left[rows] -= r + 1
+        rows = rows[left[rows] > 0]
     return q, v
 
 
@@ -290,47 +286,61 @@ def _simulate(
     dyn: JointDynamics,
     pd: PDParams,
     controller_kind: str,
-    actions,
-    q_init,
+    action_lists,
+    q_inits,
     cfg: CtrlConfig | None,
     ik_settings: IkSettings | None,
-    plan_sink: Callable[[int, SimStepTargets], None] | None = None,
-    joint_log: list | None = None,
-) -> list[Pose]:
+    plan_sink: Callable[[int, int, SimStepTargets], None] | None = None,
+) -> tuple[list[list[Pose]], list[list[np.ndarray]]]:
+    """Replay B action sequences in lockstep from the (B, n) ``q_inits``.
+
+    Each control step is one batched controller tick and plant update of the
+    records still running (a shorter record is frozen after its last action).
+    Returns each record's poses and joint positions, initial and after every
+    action. ``plan_sink(record, step, targets)`` gets every step's targets.
+    """
     if dyn.n != chain.n or pd.n != chain.n:
         raise JointSimError("dynamics/PD vectors must match the chain joint count")
-    cfg = cfg or default_config(controller_kind)
-    if controller_kind not in (GOOGLE, WIDOWX):
-        raise JointSimError(f"unknown controller kind {controller_kind!r}")
-    q = np.asarray(q_init, dtype=float).reshape(-1).copy()
-    if q.shape[0] != chain.n:
-        raise JointSimError(f"q_init must have {chain.n} entries")
-    v = np.zeros(chain.n)
-    dt = 1.0 / cfg.h_sim
-    if controller_kind == WIDOWX:
-        powers = _plant_powers(pd, dyn, dt, cfg.ticks_per_step)
-    poses = [fk(chain, q)]
-    if joint_log is not None:
-        joint_log.append(q.copy())
-    g_state = GoogleCtrlState()
-    w_state = WidowXCtrlState()
-    for step_idx, action in enumerate(actions):
-        if controller_kind == GOOGLE:
-            # the gripper never feeds back into the arm: sensed gripper
-            # state matters only at t=0, so a resting gripper is assumed
-            targets, g_state = google_step(g_state, action, q, v, 0.0, 0.0, chain, cfg, ik_settings)
-        else:
-            targets, w_state = widowx_step(w_state, action, q, chain, cfg, ik_settings)
-        if plan_sink is not None:
-            plan_sink(step_idx, targets)
-        if controller_kind == GOOGLE:
-            q, v = _integrate_targets(q, v, targets.arm_q, pd, dyn, dt)
-        else:
-            q, v = _hold_target(q, v, targets.arm_q[0], targets.arm_q.shape[0], powers, dyn)
-        poses.append(fk(chain, q))
-        if joint_log is not None:
-            joint_log.append(q.copy())
-    return poses
+    default = default_config(controller_kind)  # rejects an unknown kind
+    cfg = cfg or default
+    q = np.array(q_inits, dtype=float, ndmin=2)
+    if q.shape != (len(action_lists), chain.n):
+        raise JointSimError(f"q_init must have {chain.n} entries per record")
+    dt, ticks = 1.0 / cfg.h_sim, cfg.ticks_per_step
+    _check_stable(pd, dyn, dt)
+    lengths = [len(actions) for actions in action_lists]
+    # longest record first, so the records still running are always a prefix
+    order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
+    q, v = q[order], np.zeros_like(q)
+    powers = _plant_powers(pd, dyn, dt, ticks) if controller_kind == WIDOWX else None
+    w_state, g_states = WidowXCtrlState(), [GoogleCtrlState()] * len(order)
+    poses, joints = [[] for _ in order], [[] for _ in order]
+    for step in range(-1, max(lengths)):  # step -1 only logs the initial state
+        live = [b for b in order if lengths[b] > step]
+        m = len(live)
+        actions = [action_lists[b][step] for b in live] if step >= 0 else ()
+        if actions and controller_kind == GOOGLE:
+            arm_q, arm_v, arm_a = google_step(step, actions, q[:m], v[:m], chain, cfg, ik_settings)
+            q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm_q, pd, dyn, dt)
+        elif actions:
+            w_state = WidowXCtrlState(step, w_state.q_lastgoal[:m] if step else None)
+            goal, w_state = widowx_step(w_state, actions, q[:m], chain, ik_settings)
+            q[:m], v[:m] = _hold_target(q[:m], v[:m], goal, ticks, powers, dyn)
+        for j, b in enumerate(live if actions and plan_sink is not None else ()):
+            if controller_kind == GOOGLE:
+                # the gripper never feeds back into the arm: sensed gripper
+                # state matters only at t=0, so a resting gripper is assumed
+                grip, g_states[b] = google_grip_step(g_states[b], actions[j], 0.0, cfg)
+                arm = (arm_q[:, j], arm_v[:, j], arm_a[:, j])
+            else:
+                zero = np.zeros(ticks)
+                grip = (np.full(ticks, actions[j].gripper), zero, zero)
+                arm = (np.broadcast_to(goal[j], (ticks, chain.n)), *np.zeros((2, ticks, chain.n)))
+            plan_sink(b, step, SimStepTargets(*arm, *grip))
+        for b, tool, row in zip(live, _tools(chain, q[:m]), q):
+            poses[b].append(Pose(Rot3(tool[:3, :3]), tool[:3, 3]))
+            joints[b].append(row.copy())
+    return poses, joints
 
 
 def replay_open_loop(
@@ -357,7 +367,8 @@ def replay_open_loop(
             q_init = rec.joint_positions[0]
         else:
             q_init = initial_joint_positions(chain, rec.ee_poses[0])
-    return _simulate(chain, dyn, pd, controller_kind, rec.actions, q_init, cfg, ik_settings, plan_sink)
+    sink = None if plan_sink is None else (lambda _, step, targets: plan_sink(step, targets))
+    return _simulate(chain, dyn, pd, controller_kind, [rec.actions], [q_init], cfg, ik_settings, sink)[0][0]
 
 
 def synthesize_record(
@@ -372,9 +383,8 @@ def synthesize_record(
 ) -> TrajectoryRecord:
     """Run the simulator and package its own output as a reference record."""
     cfg = cfg or default_config(controller_kind)
-    joint_log: list = []
-    poses = _simulate(chain, dyn, pd, controller_kind, actions, q_init, cfg, ik_settings, joint_log=joint_log)
-    return TrajectoryRecord(tuple(actions), tuple(poses), cfg.h_ctrl, np.stack(joint_log))
+    (poses,), (joints,) = _simulate(chain, dyn, pd, controller_kind, [actions], [q_init], cfg, ik_settings)
+    return TrajectoryRecord(tuple(actions), tuple(poses), cfg.h_ctrl, np.stack(joints))
 
 
 def initial_joint_positions(

@@ -7,11 +7,12 @@ jerk-limited bang-bang in acceleration (trapezoidal or triangular). The
 cruise-less peak velocity is found in closed form for rest-to-rest moves and
 by bisection otherwise.
 
-All DOFs are planned in one vectorised pass (one bisection for every
-bracket of every row), stored as padded (n, segment) arrays and sampled
-without a per-DOF loop; ``plan_scurve_1d`` is the n = 1 case. Multi-DOF
-plans are synchronized by per-DOF linear time scaling, which only slows
-motion and therefore preserves all limits.
+All DOFs, of one record or of B records, are planned in one vectorised
+pass (one bisection for every bracket of every row), stored as padded
+(..., n, segment) arrays and sampled without a per-DOF loop;
+``plan_scurve_1d`` is the n = 1 case. The DOFs of a record are synchronized
+by per-DOF linear time scaling, which only slows motion and therefore
+preserves all limits.
 """
 
 from __future__ import annotations
@@ -65,10 +66,11 @@ def _accumulate(start: np.ndarray, *terms: np.ndarray) -> np.ndarray:
 class MotionPlan:
     """Per-DOF piecewise-constant-jerk profiles stretched to finish together.
 
-    Row i of the (n, k) ``durations``/``jerks`` arrays is DOF i's profile,
-    padded after its last segment with zero-length, zero-jerk segments.
-    DOF i is sampled at t / ``scales[i]``, so every DOF reaches its goal at
-    ``duration``; sampling past it holds (q_goal, v_goal / scale, 0).
+    The boundary arrays are (n,) for one record or (B, n) for B records;
+    ``durations``/``jerks`` add a segment axis, each row padded after its last
+    segment with zero-length, zero-jerk segments. A DOF is sampled at
+    t / ``scales``, so it reaches its goal at its record's ``duration`` (a
+    float, or (B,)); sampling past it holds (q_goal, v_goal / scale, 0).
     """
 
     q0: np.ndarray
@@ -77,60 +79,62 @@ class MotionPlan:
     v_goal: np.ndarray
     durations: np.ndarray
     jerks: np.ndarray
-    duration: float = field(init=False)
+    duration: float | np.ndarray = field(init=False)
     scales: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        q0, v0, qg, vg = np.array([self.q0, self.v0, self.q_goal, self.v_goal], dtype=float).reshape(4, -1)
-        dur = np.array(self.durations, dtype=float, ndmin=2)
-        jrk = np.array(self.jerks, dtype=float, ndmin=2)
-        if dur.shape != jrk.shape or dur.shape[0] != q0.shape[0]:
+        q0, v0, qg, vg = np.array([self.q0, self.v0, self.q_goal, self.v_goal], dtype=float)
+        dur = np.array(self.durations, dtype=float)
+        jrk = np.array(self.jerks, dtype=float)
+        if dur.shape != jrk.shape or dur.shape[:-1] != q0.shape:
             raise PlanningError("durations and jerks must have equal length")
         if np.any(dur < 0.0):
             raise PlanningError("segment durations must be non-negative")
-        n, k = dur.shape
-        zero = np.zeros(n)
+        d, j = dur.reshape(q0.size, -1), jrk.reshape(q0.size, -1)  # a row per DOF of every record
+        zero = np.zeros(q0.size)
         # scalar pow: numpy's vectorised pow can differ from libm's in the last bit
-        cubes = np.array([[t**3 for t in row] for row in dur.tolist()]).reshape(n, k)
-        knots = _accumulate(zero, dur)
-        ak = _accumulate(zero, jrk * dur)
-        vk = _accumulate(v0, ak[:, :-1] * dur, 0.5 * jrk * dur * dur)
-        qk = _accumulate(q0, vk[:, :-1] * dur, 0.5 * ak[:, :-1] * dur * dur, jrk * cubes / 6.0)
+        cubes = np.array([[t**3 for t in row] for row in d.tolist()]).reshape(d.shape)
+        knots = _accumulate(zero, d)
+        ak = _accumulate(zero, j * d)
+        vk = _accumulate(v0.ravel(), ak[:, :-1] * d, 0.5 * j * d * d)
+        qk = _accumulate(q0.ravel(), vk[:, :-1] * d, 0.5 * ak[:, :-1] * d * d, j * cubes / 6.0)
         # time, q, v, a and jerk at each knot; the last knot's jerk is 0
-        table = np.array([knots, qk, vk, ak, np.concatenate([jrk, zero[:, None]], axis=1)])
-        dq, dv = qk[:, -1] - qg, vk[:, -1] - vg
+        table = np.array([knots, qk, vk, ak, np.concatenate([j, zero[:, None]], axis=1)])
+        dq, dv = qk[:, -1] - qg.ravel(), vk[:, -1] - vg.ravel()
         for i in np.flatnonzero((np.abs(dq) > 1e-6) | (np.abs(dv) > 1e-6))[:1]:
             raise PlanningError(f"segments do not reproduce the goal state (dq={dq[i]:.3e}, dv={dv[i]:.3e})")
-        ends = knots[:, -1]
-        duration = float(ends.max())
-        scales = np.divide(duration, ends, out=np.ones(n), where=ends > 0.0)
+        ends = knots[:, -1].reshape(q0.shape)
+        duration = ends.max(axis=-1)
+        scales = np.divide(duration[..., None], ends, out=np.ones(q0.shape), where=ends > 0.0)
         for name, arr in (("q0", q0), ("v0", v0), ("q_goal", qg), ("v_goal", vg), ("durations", dur),
-                          ("jerks", jrk), ("scales", scales), ("_table", table)):
+                          ("jerks", jrk), ("scales", scales), ("_ends", ends), ("_table", table)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "duration", duration)
 
     @property
     def n(self) -> int:
-        return self.q0.shape[0]
+        return self.q0.shape[-1]
 
     def sample(self, t):
-        """Per-DOF (q, v, a) arrays of shape ``t.shape + (n,)`` at time(s) t.
+        """Per-DOF (q, v, a) arrays of shape ``t.shape + q0.shape`` at time(s) t.
 
-        Times at or past the duration give the exact goals.
+        Times at or past a record's duration give its exact goals.
         """
-        t = np.asarray(t, dtype=float)[..., None]
+        t = np.asarray(t, dtype=float)
+        t = t.reshape(t.shape + (1,) * self.q0.ndim)
         s = self.scales
         tt = np.clip(t / s, 0.0, None)
+        rows = tt.reshape(t.shape[: t.ndim - self.q0.ndim] + (-1,))
         knots = self._table[0]
         # the segment holding tt: padding knots equal the row's end, past every tt it serves
-        idx = (knots[:, 1:] <= tt[..., None]).sum(axis=-1)
-        k0, q0, v0, a0, j = self._table[:, np.arange(self.n), idx]
+        idx = (knots[:, 1:] <= rows[..., None]).sum(axis=-1)
+        k0, q0, v0, a0, j = self._table[:, np.arange(knots.shape[0]), idx].reshape((5,) + tt.shape)
         tau = tt - k0
         a = a0 + j * tau
         v = v0 + a0 * tau + 0.5 * j * tau * tau
         q = q0 + v0 * tau + 0.5 * a0 * tau * tau + j * tau**3 / 6.0
-        done = (tt >= knots[:, -1]) | (t >= self.duration)
+        done = (tt >= self._ends) | (t >= np.asarray(self.duration)[..., None])
         return (np.where(done, self.q_goal, q), np.where(done, self.v_goal, v) / s,
                 np.where(done, 0.0, a) / (s * s))
 
@@ -308,13 +312,16 @@ def plan_scurve_1d(q0: float, v0: float, q_goal: float, v_goal: float, lim: Limi
 def synchronize(q0, v0, q_goal, v_goal, lim: LimitSet) -> MotionPlan:
     """Plan every DOF time-optimally under ``lim``, then slow each by T_max / T_dof.
 
-    Positions are sampled as q(t / scale), so scaling never tightens any
-    limit and all DOFs reach their goals exactly at the common duration.
+    The boundary arrays are (n,) joint vectors, or (B, n) for B records that
+    each get their own duration. Positions are sampled as q(t / scale), so
+    scaling never tightens any limit and all DOFs of a record reach their
+    goals exactly at its duration.
     """
     q0, v0, qg, vg = (np.asarray(x, dtype=float) for x in (q0, v0, q_goal, v_goal))
-    if not (q0.shape == v0.shape == qg.shape == vg.shape) or q0.ndim != 1:
+    if not (q0.shape == v0.shape == qg.shape == vg.shape) or q0.ndim not in (1, 2):
         raise PlanningError("synchronize needs joint vectors of one shape")
-    if q0.shape[0] == 0:
+    if q0.shape[-1] == 0:
         raise PlanningError("synchronize needs at least one DOF")
-    v0c, vgc, dur, jrk, _ = _plan_rows(q0, v0, qg, vg, lim)
-    return MotionPlan(q0, v0c, qg, vgc, dur, jrk)
+    v0c, vgc, dur, jrk, _ = _plan_rows(q0.ravel(), v0.ravel(), qg.ravel(), vg.ravel(), lim)
+    lead = q0.shape + (-1,)
+    return MotionPlan(q0, v0c.reshape(q0.shape), qg, vgc.reshape(q0.shape), dur.reshape(lead), jrk.reshape(lead))

@@ -24,8 +24,10 @@ from .jointsim import (
     JointSimError,
     PDParams,
     TrajectoryRecord,
+    _check_stable,
+    _simulate,
+    default_config,
     initial_joint_positions,
-    replay_open_loop,
 )
 
 __all__ = [
@@ -195,6 +197,9 @@ def anneal_fit(
     theta_init = np.concatenate([init.p, init.d])
     if np.any(theta_init < lows0 - 1e-12) or np.any(theta_init > highs0 + 1e-12):
         raise SysIdError("initial parameters fall outside the search range")
+    # the stability bound tightens as p and d grow: check the range's top corner
+    dt = 1.0 / (ctrl_cfg or default_config(controller_kind)).h_sim
+    _check_stable(PDParams(range0.p_high, range0.d_high), dyn, dt, SysIdError)
 
     # fix per-record initial configurations once; replay failures abort here
     q_inits = []
@@ -207,10 +212,12 @@ def anneal_fit(
         except JointSimError as exc:
             raise SysIdError(f"record {i}: {exc}") from exc
 
+    actions = [rec.actions for rec in dataset]
+
     def objective(pd: PDParams) -> TrajectoryLosses:
+        sims, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_settings)
         sums = (0.0, 0.0, 0.0)
-        for rec, q0 in zip(dataset, q_inits):
-            sim = replay_open_loop(chain, dyn, pd, controller_kind, rec, q0, ctrl_cfg, ik_settings)
+        for rec, sim in zip(dataset, sims):
             losses = trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
             sums = tuple(a + b for a, b in zip(sums, losses))
         return TrajectoryLosses(*(s / len(dataset) for s in sums))

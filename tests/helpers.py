@@ -1,4 +1,5 @@
-"""Shared builders for test chains, rotations, and test-side oracles."""
+"""Shared builders for test chains, rotations, and test-side oracles,
+including the slow one-at-a-time references of the batched planner and replay."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
-from real2sim.chain import ChainSpec, JointSpec
-from real2sim.geometry import Pose, Rot3, UnitQuat, quat_to_rot
+from real2sim.chain import ChainSpec, IkResult, IkSettings, JointSpec
+from real2sim.geometry import Pose, Rot3, UnitQuat, matrix_to_rotvec, quat_to_rot
 from real2sim.profile import LimitSet, PlanningError
 
 
@@ -338,3 +339,150 @@ def ref_plan_scurve_1d(q0, v0, q_goal, v_goal, lim: LimitSet) -> RefProfile:
     if not candidates:
         raise PlanningError("no feasible profile found (internal planner error)")
     return min(candidates, key=lambda p: p.duration)
+
+
+# ---------------------------------------------------------------------------
+# Slow reference replay: one record at a time, the scalar kinematics and DLS
+# IK loop, the per-tick plant step and the per-row held-target closed form
+# that the lockstep real2sim.jointsim replay replaces.
+# ---------------------------------------------------------------------------
+
+
+def dyn_step(q, v, target_q, target_v, pd, dyn, dt: float):
+    """Advance the decoupled PD plant one step of semi-implicit Euler.
+
+    Positions are clamped to the joint limits with velocity zeroed at the
+    stop, mirroring a hard mechanical end stop.
+    """
+    accel = (pd.p * (target_q - q) + pd.d * (target_v - v) - dyn.damping * v) / dyn.inertia
+    v_new = v + accel * dt
+    q_new = q + v_new * dt
+    clamped = np.clip(q_new, dyn.lower, dyn.upper)
+    v_new = np.where(clamped != q_new, 0.0, v_new)
+    return clamped, v_new
+
+
+def ref_frames(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
+    """World transform (n, 4, 4) of every joint frame of one configuration."""
+    coef = np.array([np.ones(chain.n), np.sin(q), 1.0 - np.cos(q), q])
+    local = np.einsum("kn,knij->nij", coef, chain._basis)
+    for i in range(1, chain.n):
+        np.matmul(local[i - 1], local[i], out=local[i])
+    return local
+
+
+def ref_fk(chain: ChainSpec, q) -> Pose:
+    tool = ref_frames(chain, np.clip(q, chain.lower, chain.upper))[-1] @ chain._ee_matrix
+    return Pose(Rot3(tool[:3, :3]), tool[:3, 3])
+
+
+_LEVI = np.zeros((3, 3, 3))
+for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _LEVI[_i, _j, _k] = 1.0
+    _LEVI[_i, _k, _j] = -1.0
+
+
+def ref_jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool) -> np.ndarray:
+    revolute = np.array([j.kind == "revolute" for j in chain.joints])
+    axes_w = np.einsum("nij,nj->in", frames[:, :3, :3], chain._axes)
+    lin = np.einsum("ijk,jn,kn->in", _LEVI, axes_w, p_tool[:, None] - frames[:, :3, 3].T)
+    return np.concatenate([np.where(revolute, lin, axes_w), np.where(revolute, axes_w, 0.0)])
+
+
+def ref_ik_dls(chain: ChainSpec, target: Pose, q_seed, s: IkSettings | None = None) -> IkResult:
+    """The scalar DLS loop: one configuration, Python-float bookkeeping."""
+    s = s or IkSettings()
+    q = np.clip(np.asarray(q_seed, dtype=float), chain.lower, chain.upper)
+    damp = (s.damping**2) * np.eye(6)
+    best_q, best_pos, best_rot = q.copy(), math.inf, math.inf
+    converged = False
+    iterations = 0
+    for it in range(s.max_iters + 1):
+        frames = ref_frames(chain, q)
+        tool = frames[-1] @ chain._ee_matrix
+        p = tool[:3, 3]
+        e_pos = target.pos - p
+        e_rot = matrix_to_rotvec(target.rot.m @ tool[:3, :3].T)
+        res_pos = math.sqrt(e_pos @ e_pos)
+        res_rot = math.sqrt(e_rot @ e_rot)
+        if res_pos + res_rot < best_pos + best_rot:
+            best_q, best_pos, best_rot = q.copy(), res_pos, res_rot
+        iterations = it
+        if res_pos <= s.tol_pos and res_rot <= s.tol_rot:
+            converged = True
+            break
+        if it == s.max_iters:
+            break
+        jac = ref_jacobian_from_frames(chain, frames, p)
+        dq = jac.T @ np.linalg.solve(jac @ jac.T + damp, np.concatenate([e_pos, e_rot]))
+        biggest = np.abs(dq).max()
+        if biggest > s.max_step:
+            dq *= s.max_step / biggest
+        q = np.minimum(np.maximum(q + dq, chain.lower), chain.upper)
+    return IkResult(best_q, best_pos, best_rot, converged, iterations)
+
+
+def ref_integrate_targets(q, v, targets, pd, dyn, dt: float):
+    """Step one (n,) plant state through (k, n) targets, one tick at a time,
+    with the end stop found by a clamp and an array comparison."""
+    keep = 1.0 - (pd.d + dyn.damping) / dyn.inertia * dt
+    gain = pd.p / dyn.inertia * dt
+    q = q.copy()
+    v = v.copy()
+    for target in targets:
+        v = v * keep + (target - q) * gain
+        q = q + v * dt
+        qc = np.clip(q, dyn.lower, dyn.upper)
+        if not np.array_equal(qc, q):
+            v[qc != q] = 0.0
+            q = qc
+    return q, v
+
+
+def ref_hold_target(q, v, target, ticks: int, powers: np.ndarray, dyn):
+    """The one-row held-target closed form: restart at each end-stop tick."""
+    while ticks:
+        k = min(ticks, powers.shape[0] - 1)
+        e_q = q - target
+        qs = target + powers[1 : k + 1, :, 0, 0] * e_q + powers[1 : k + 1, :, 0, 1] * v
+        out = (qs < dyn.lower) | (qs > dyn.upper)
+        hit = out.any(axis=1)
+        r = int(np.argmax(hit)) if hit.any() else k - 1
+        v = powers[r + 1, :, 1, 0] * e_q + powers[r + 1, :, 1, 1] * v
+        q = qs[r]
+        if hit[r]:
+            q = np.clip(q, dyn.lower, dyn.upper)
+            v = np.where(out[r], 0.0, v)
+        ticks -= r + 1
+    return q, v
+
+
+def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_settings=None):
+    """Replay one record tick by tick; returns its poses and the (iterations,
+    converged) of every control step's IK."""
+    from real2sim.controller import GOOGLE_ARM_LIMITS
+    from real2sim.jointsim import _plant_powers
+    from real2sim.profile import synchronize
+
+    q = np.asarray(q_init, dtype=float).copy()
+    v = np.zeros_like(q)
+    dt = 1.0 / cfg.h_sim
+    ticks = cfg.ticks_per_step
+    powers = _plant_powers(pd, dyn, dt, ticks)
+    poses, stats = [ref_fk(chain, q)], []
+    last_goal = q
+    for t, action in enumerate(actions):
+        base = ref_fk(chain, q if kind == "google" else last_goal)
+        goal = Pose(action.delta_rot @ base.rot, base.pos + action.delta_pos)
+        ik = ref_ik_dls(chain, goal, q, ik_settings)
+        stats.append((ik.iterations, ik.converged))
+        if kind == "google":
+            vmax = GOOGLE_ARM_LIMITS.v_max
+            plan = synchronize(q, np.clip(v, -vmax, vmax), ik.q, np.zeros_like(q), GOOGLE_ARM_LIMITS)
+            arm_q = plan.sample(np.arange(1, ticks + 1) / cfg.h_sim)[0]
+            q, v = ref_integrate_targets(q, v, arm_q, pd, dyn, dt)
+        else:
+            last_goal = ik.q
+            q, v = ref_hold_target(q, v, ik.q, ticks, powers, dyn)
+        poses.append(ref_fk(chain, q))
+    return poses, stats

@@ -22,6 +22,7 @@ from real2sim.controller import (
     Action,
     GoogleCtrlState,
     google_config,
+    google_grip_step,
     google_step,
     widowx_goal_pose,
 )
@@ -148,19 +149,15 @@ def test_criterion_06_controller_fidelity(six_dof):
     cfg = google_config()
     assert cfg.h_sim == 501.0 and cfg.h_ctrl == 3.0
     q = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
-    targets, state = google_step(
-        GoogleCtrlState(), Action(np.zeros(3), Rot3(np.eye(3)), 0.0), q, np.zeros(6), 0.2, 0.0, six_dof, cfg
-    )
-    assert targets.arm_q.shape == (167, 6)
+    arm_q, _, _ = google_step(0, [Action(np.zeros(3), Rot3(np.eye(3)), 0.0)], q[None], np.zeros((1, 6)), six_dof, cfg)
+    assert arm_q[:, 0].shape == (167, 6)
 
     # sub-threshold gripper actions never move the goal, from any state
     rng = np.random.default_rng(66)
     state = GoogleCtrlState(t=1, q_lastgoal_grip=0.4, q_lastplan_grip=0.1, v_lastplan_grip=0.05)
     for _ in range(20):
         g = rng.uniform(-0.0099, 0.0099)
-        _, state = google_step(
-            state, Action(np.zeros(3), Rot3(np.eye(3)), g), q, np.zeros(6), rng.uniform(-1, 1), 0.0, six_dof, cfg
-        )
+        _, state = google_grip_step(state, Action(np.zeros(3), Rot3(np.eye(3)), g), rng.uniform(-1, 1), cfg)
         assert state.q_lastgoal_grip == 0.4
 
     worst = 0.0

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_serial_chain
+from helpers import random_serial_chain, ref_ik_dls
 from real2sim.chain import (
     ChainError,
     ChainSpec,
     IkSettings,
     JointSpec,
     UrdfParseError,
+    _ik_rows,
     chain_from_json,
     chain_to_json,
     fk,
@@ -235,6 +236,28 @@ def test_ik_roundtrip_random_chains():
         if res.converged and res.residual_pos <= 1e-4:
             ok += 1
     assert ok >= int(0.98 * total)
+
+
+def test_ik_lockstep_rows_match_solo_reference():
+    # six rows solved in lockstep: rows converge after different numbers of
+    # iterations and the last is out of reach; each row's iterate, residuals,
+    # flag and count equal the scalar reference loop's and ik_dls's, bit for bit
+    rng = np.random.default_rng(12)
+    chain = random_serial_chain(rng, 6)
+    q_true = rng.uniform(-2.0, 2.0, (6, 6))
+    seeds = q_true + rng.normal(size=(6, 6)) * np.array([0.0, 0.02, 0.05, 0.1, 0.3, 0.1])[:, None]
+    targets = [fk(chain, q) for q in q_true]
+    targets[5] = Pose(targets[5].rot, targets[5].pos * 10.0)
+    rots = np.array([t.rot.m for t in targets])
+    q, res_pos, res_rot, ok, its = _ik_rows(chain, rots, np.array([t.pos for t in targets]), seeds, IkSettings())
+    for b, target in enumerate(targets):
+        for ref in (ref_ik_dls(chain, target, seeds[b]), ik_dls(chain, target, seeds[b])):
+            assert np.array_equal(q[b], ref.q)
+            assert (res_pos[b], res_rot[b], ok[b], its[b]) == (
+                ref.residual_pos, ref.residual_rot, ref.converged, ref.iterations
+            )
+    assert len(set(its[:5].tolist())) >= 3 and ok[:5].all()
+    assert not ok[5] and its[5] == 200
 
 
 def test_iksettings_validation():

@@ -354,6 +354,12 @@ def test_sysid_fit_unknown_key_exits_3(sysid_workspace, tmp_path):
         ("anneal", {"t0": float("nan")}, "t0 must be a finite number, got nan"),
         ("anneal", {"cooling": "0.9"}, "cooling must be a finite number, got '0.9'"),
         ("anneal", {"shrink": float("inf")}, "shrink must be a finite number, got inf"),
+        ("ctrl", {"h_sim": float("nan")}, "h_sim must be a positive finite frequency, got nan"),
+        # semi-implicit Euler at 200 Hz: too stiff at the top of p, or damped too hard at the top of d
+        ("range", {"p_low": 20.0, "p_high": 1e9, "d_low": 1.0, "d_high": 10.0},
+         "PD gains are unstable at 200 Hz on joint 0: p dt^2/m = 2.5e+04 must stay below 4 - 2 (d + b) dt/m = 3.9"),
+        ("range", {"p_low": 20.0, "p_high": 200.0, "d_low": 1.0, "d_high": 400.0},
+         "PD gains are unstable at 200 Hz on joint 0: p dt^2/m = 0.005 must stay below 4 - 2 (d + b) dt/m = -0.003"),
     ],
 )
 def test_sysid_fit_bad_section_exits_3(sysid_workspace, tmp_path, capsys, section, value, message):
@@ -454,6 +460,40 @@ def test_replay_cli_zero_frequency_exits_3(sysid_workspace, tmp_path, flag):
     ])
     assert rc == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, field", [("--sim-hz", "h_sim"), ("--ctrl-hz", "h_ctrl")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_replay_cli_non_finite_frequency_exits_3(sysid_workspace, tmp_path, capsys, flag, field, value):
+    root = sysid_workspace
+    params = tmp_path / "pd.json"
+    params.write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    rc = main([
+        "replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+        "--chain", str(root / "chain.json"), "--params", str(params),
+        "--controller", "widowx", flag, value, "--out", str(out),
+    ])
+    assert rc == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {field} must be a positive finite frequency, got {float(value)}\n"
+
+
+def test_replay_cli_unstable_gains_exits_3(sysid_workspace, tmp_path, capsys):
+    # p = 1e9 at 500 Hz: p dt^2/m = 4000, far past the bound of 4 - 2 (d + b) dt/m
+    root = sysid_workspace
+    params = tmp_path / "pd.json"
+    params.write_text(json.dumps({"p": 1e9, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    plan_csv = tmp_path / "plan.csv"
+    rc = main([
+        "replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+        "--chain", str(root / "chain.json"), "--params", str(params),
+        "--controller", "widowx", "--sim-hz", "500", "--out", str(out), "--dump-plan", str(plan_csv),
+    ])
+    assert rc == 3
+    assert not out.exists() and not plan_csv.exists()
+    assert capsys.readouterr().err.startswith("error: PD gains are unstable at 500 Hz on joint 0")
 
 
 @pytest.mark.parametrize("controller, hz", [("widowx", 5.0), ("google", 3.0)])

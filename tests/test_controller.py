@@ -11,16 +11,25 @@ from real2sim.controller import (
     GoogleCtrlState,
     WidowXCtrlState,
     google_config,
+    google_grip_step,
     google_step,
     widowx_config,
     widowx_goal_pose,
     widowx_step,
 )
 from real2sim.chain import fk
+from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, replay_open_loop
 from real2sim.geometry import Rot3, rot_z
 
 
 IDENTITY_ACTION = Action(np.zeros(3), Rot3(np.eye(3)), 0.0)
+
+
+def test_ctrl_config_rejects_non_positive_and_non_finite_frequencies():
+    for field in ("h_sim", "h_ctrl"):
+        for bad in (0.0, -5.0, math.nan, math.inf):
+            with pytest.raises(ControllerError, match=f"^{field} must be a positive finite frequency"):
+                CtrlConfig(**{field: bad})
 
 
 def test_ticks_per_step_floor():
@@ -31,71 +40,84 @@ def test_ticks_per_step_floor():
 
 def test_google_emits_167_targets(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    targets, state = google_step(GoogleCtrlState(), IDENTITY_ACTION, q, np.zeros(3), 0.1, 0.0, three_link)
-    assert targets.arm_q.shape == (167, 3)
+    arm_q, _, _ = google_step(0, [IDENTITY_ACTION], q[None], np.zeros((1, 3)), three_link)
+    (grip_q, _, _), state = google_grip_step(GoogleCtrlState(), IDENTITY_ACTION, 0.1)
+    assert arm_q[:, 0].shape == (167, 3)
+    assert grip_q.shape == (167,)
     assert state.t == 1
 
 
 def test_google_identity_action_holds_position(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    targets, _ = google_step(GoogleCtrlState(), IDENTITY_ACTION, q, np.zeros(3), 0.0, 0.0, three_link)
-    worst = np.abs(targets.arm_q - q).max()
+    arm_q, _, _ = google_step(0, [IDENTITY_ACTION], q[None], np.zeros((1, 3)), three_link)
+    worst = np.abs(arm_q[:, 0] - q).max()
     assert worst < 1e-6
 
 
-def test_google_small_gripper_action_filtered(three_link):
-    q = np.array([0.2, -0.3, 0.4])
+def test_google_small_gripper_action_filtered():
     state = GoogleCtrlState(t=3, q_lastgoal_grip=0.9, q_lastplan_grip=0.4, v_lastplan_grip=0.0)
     action = Action(np.zeros(3), Rot3(np.eye(3)), 0.005)
-    _, new_state = google_step(state, action, q, np.zeros(3), 0.0, 0.0, three_link)
+    _, new_state = google_grip_step(state, action, 0.0)
     assert new_state.q_lastgoal_grip == 0.9
 
 
-def test_google_gripper_accumulates_on_planned_state(three_link):
-    q = np.array([0.2, -0.3, 0.4])
+def test_google_gripper_accumulates_on_planned_state():
     state = GoogleCtrlState(t=2, q_lastgoal_grip=0.1, q_lastplan_grip=0.2, v_lastplan_grip=0.0)
     action = Action(np.zeros(3), Rot3(np.eye(3)), 0.5)
-    targets, new_state = google_step(state, action, q, np.zeros(3), 0.0, 0.0, three_link)
+    (grip_q, _, _), new_state = google_grip_step(state, action, 0.0)
     assert new_state.q_lastgoal_grip == pytest.approx(0.7)
     # the plan is seeded at the last planned state, not the sensed gripper
-    assert targets.grip_q[0] == pytest.approx(0.2, abs=1e-3)
+    assert grip_q[0] == pytest.approx(0.2, abs=1e-3)
 
 
-def test_google_gripper_goal_reaches_sum_when_plans_complete(three_link):
+def test_google_gripper_goal_reaches_sum_when_plans_complete():
     # 1 Hz control interval lets every 0.1 move finish, so five actions
     # accumulate to exactly 0.5 no matter what the sensed gripper does
     cfg = CtrlConfig(h_sim=501.0, h_ctrl=1.0)
-    q = np.array([0.2, -0.3, 0.4])
     state = GoogleCtrlState()
     rng = np.random.default_rng(0)
     for k in range(5):
         action = Action(np.zeros(3), Rot3(np.eye(3)), 0.1)
         sensed_grip = rng.uniform(-1, 1)  # garbage: only the t=0 value is read
-        _, state = google_step(state, action, q, np.zeros(3), 0.0 if k == 0 else sensed_grip, 0.0, three_link, cfg)
+        _, state = google_grip_step(state, action, 0.0 if k == 0 else sensed_grip, cfg)
     assert state.q_lastgoal_grip == pytest.approx(0.5, abs=1e-9)
     assert state.q_lastplan_grip == pytest.approx(0.5, abs=1e-6)
 
 
-def test_google_initializes_gripper_state_from_sensed(three_link):
-    q = np.array([0.2, -0.3, 0.4])
-    targets, state = google_step(GoogleCtrlState(), IDENTITY_ACTION, q, np.zeros(3), 0.33, 0.0, three_link)
+def test_google_initializes_gripper_state_from_sensed():
+    (grip_q, _, _), state = google_grip_step(GoogleCtrlState(), IDENTITY_ACTION, 0.33)
     assert state.q_lastgoal_grip == pytest.approx(0.33)
-    assert targets.grip_q[0] == pytest.approx(0.33, abs=1e-6)
+    assert grip_q[0] == pytest.approx(0.33, abs=1e-6)
 
 
 def test_google_rejects_missized_sensed(three_link):
     with pytest.raises(ControllerError):
-        google_step(GoogleCtrlState(), IDENTITY_ACTION, np.zeros(2), np.zeros(2), 0.0, 0.0, three_link)
+        google_step(0, [IDENTITY_ACTION], np.zeros((1, 2)), np.zeros((1, 2)), three_link)
 
 
 def test_google_deterministic(three_link):
     q = np.array([0.2, -0.3, 0.4])
     action = Action(np.array([0.01, 0.0, 0.0]), rot_z(0.02), 0.2)
-    out1, s1 = google_step(GoogleCtrlState(), action, q, np.zeros(3), 0.0, 0.0, three_link)
-    out2, s2 = google_step(GoogleCtrlState(), action, q, np.zeros(3), 0.0, 0.0, three_link)
+    arm1 = google_step(0, [action], q[None], np.zeros((1, 3)), three_link)
+    arm2 = google_step(0, [action], q[None], np.zeros((1, 3)), three_link)
+    grip1, s1 = google_grip_step(GoogleCtrlState(), action, 0.0)
+    grip2, s2 = google_grip_step(GoogleCtrlState(), action, 0.0)
     assert s1 == s2
-    assert np.array_equal(out1.arm_q, out2.arm_q)
-    assert np.array_equal(out1.grip_q, out2.grip_q) and np.array_equal(out1.grip_v, out2.grip_v)
+    assert np.array_equal(arm1[0], arm2[0])
+    assert np.array_equal(grip1[0], grip2[0]) and np.array_equal(grip1[1], grip2[1])
+
+
+def test_google_rows_step_independently(three_link):
+    # a lockstep tick of three records equals three one-record ticks, bit for bit
+    rng = np.random.default_rng(9)
+    q = np.array([0.2, -0.3, 0.4]) + rng.normal(scale=0.1, size=(3, 3))
+    v = rng.normal(scale=0.3, size=(3, 3))
+    actions = [Action(rng.normal(scale=0.01, size=3), rot_z(rng.normal(scale=0.05)), 0.0) for _ in range(3)]
+    batched = google_step(4, actions, q, v, three_link)
+    for b in range(3):
+        solo = google_step(4, actions[b : b + 1], q[b : b + 1], v[b : b + 1], three_link)
+        for got, want in zip(batched, solo):
+            assert np.array_equal(got[:, b], want[:, 0])
 
 
 def test_widowx_goal_pose_example():
@@ -129,22 +151,31 @@ def test_widowx_shortcut_equals_explicit_product():
 
 def test_widowx_initializes_lastgoal_from_sensed(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    targets, state = widowx_step(WidowXCtrlState(), IDENTITY_ACTION, q, three_link)
+    goal, state = widowx_step(WidowXCtrlState(), [IDENTITY_ACTION], q[None], three_link)
     assert state.t == 1
-    assert targets.arm_q.shape == (100, 3)
-    np.testing.assert_allclose(targets.arm_q[0], q, atol=1e-5)
+    assert goal.shape == (1, 3)
+    np.testing.assert_allclose(goal[0], q, atol=1e-5)
 
 
 def test_widowx_identity_action_keeps_goal(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    _, state = widowx_step(WidowXCtrlState(), IDENTITY_ACTION, q, three_link)
-    targets, state2 = widowx_step(state, IDENTITY_ACTION, q, three_link)
-    np.testing.assert_allclose(targets.arm_q[0], state.q_lastgoal, atol=1e-5)
+    _, state = widowx_step(WidowXCtrlState(), [IDENTITY_ACTION], q[None], three_link)
+    goal, state2 = widowx_step(state, [IDENTITY_ACTION], q[None], three_link)
+    np.testing.assert_allclose(goal, state.q_lastgoal, atol=1e-5)
 
 
 def test_widowx_gripper_passthrough(three_link):
+    # the per-tick targets a plan sink sees: the goal held for 100 ticks, the raw gripper value
+    q = np.array([0.2, -0.3, 0.4])
     action = Action(np.zeros(3), Rot3(np.eye(3)), 0.73)
-    targets, _ = widowx_step(WidowXCtrlState(), action, np.array([0.2, -0.3, 0.4]), three_link)
+    rec = TrajectoryRecord((action,), (fk(three_link, q),), 5.0, np.array([q]))
+    dyn = JointDynamics.from_chain(three_link)
+    seen = []
+    replay_open_loop(three_link, dyn, PDParams(np.full(3, 80.0), np.full(3, 6.0)), "widowx", rec,
+                     plan_sink=lambda step, targets: seen.append(targets))
+    (targets,) = seen
+    assert targets.arm_q.shape == (100, 3)
+    np.testing.assert_allclose(targets.arm_q[0], q, atol=1e-5)
     assert np.all(targets.grip_q == 0.73)
 
 
@@ -154,9 +185,9 @@ def test_widowx_chains_goals_not_sensed(three_link):
     # start keeps both chained targets inside the dexterous workspace
     q = np.array([0.4, 0.9, -0.7])
     act = Action(np.array([0.02, 0.0, 0.0]), Rot3(np.eye(3)), 0.0)
-    t1, state = widowx_step(WidowXCtrlState(), act, q, three_link)
-    t2, state2 = widowx_step(state, act, q, three_link)
-    ee2 = fk(three_link, state2.q_lastgoal)
+    t1, state = widowx_step(WidowXCtrlState(), [act], q[None], three_link)
+    t2, state2 = widowx_step(state, [act], q[None], three_link)
+    ee2 = fk(three_link, state2.q_lastgoal[0])
     ee0 = fk(three_link, q)
     # two chained IK solves, each within the 1e-4 position tolerance
     assert ee2.pos[0] == pytest.approx(ee0.pos[0] + 0.04, abs=5e-4)

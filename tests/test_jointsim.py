@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fk_path_actions, planar_3link
+from helpers import dyn_step, fk_path_actions, planar_3link, ref_hold_target, ref_integrate_targets, ref_simulate
+from real2sim import controller
 from real2sim.chain import fk
 from real2sim.controller import Action, CtrlConfig
 from real2sim.geometry import Rot3
@@ -17,7 +18,7 @@ from real2sim.jointsim import (
     _hold_target,
     _integrate_targets,
     _plant_powers,
-    dyn_step,
+    _simulate,
     initial_joint_positions,
     replay_open_loop,
     synthesize_record,
@@ -33,10 +34,16 @@ def free_dynamics(n, inertia=1.0, damping=0.0):
     return JointDynamics(np.full(n, inertia), np.full(n, damping), np.full(n, -np.inf), np.full(n, np.inf))
 
 
+def step(q, v, target, pd, dyn, dt):
+    """One plant step of one row through the batched integrator."""
+    qs, vs = _integrate_targets(q[None], v[None], target[None, None], pd, dyn, dt)
+    return qs[0], vs[0]
+
+
 def test_equilibrium_is_fixed_point():
     pd = PDParams([100.0], [20.0])
     dyn = free_dynamics(1)
-    q, v = dyn_step(np.array([0.7]), np.array([0.0]), np.array([0.7]), np.array([0.0]), pd, dyn, 0.002)
+    q, v = step(np.array([0.7]), np.array([0.0]), np.array([0.7]), pd, dyn, 0.002)
     assert q[0] == 0.7
     assert v[0] == 0.0
 
@@ -51,7 +58,7 @@ def test_critically_damped_step_matches_closed_form():
     target = np.array([1.0])
     qs = [0.0]
     for _ in range(500):
-        q, v = dyn_step(q, v, target, np.zeros(1), pd, dyn, dt)
+        q, v = step(q, v, target, pd, dyn, dt)
         qs.append(float(q[0]))
     ts = np.arange(501) * dt
     ref = 1.0 - (1.0 + 10.0 * ts) * np.exp(-10.0 * ts)
@@ -73,7 +80,7 @@ def test_undamped_energy_stays_bounded():
     e0 = 0.5 * 100.0 * 1.0**2
     energies = []
     for _ in range(5000):
-        q, v = dyn_step(q, v, target, np.zeros(1), pd, dyn, dt)
+        q, v = step(q, v, target, pd, dyn, dt)
         energies.append(0.5 * v[0] ** 2 + 0.5 * 100.0 * (q[0] - 1.0) ** 2)
     assert max(energies) <= e0 * (1.0 + 0.25)
     assert min(energies) >= 0.0
@@ -82,49 +89,59 @@ def test_undamped_energy_stays_bounded():
 def test_limits_clamp_and_zero_velocity():
     pd = PDParams([1000.0], [0.0])
     dyn = JointDynamics([1.0], [0.0], [-0.5], [0.5])
-    q, v = dyn_step(np.array([0.49]), np.array([5.0]), np.array([2.0]), np.zeros(1), pd, dyn, 0.01)
+    q, v = step(np.array([0.49]), np.array([5.0]), np.array([2.0]), pd, dyn, 0.01)
     assert q[0] == 0.5
     assert v[0] == 0.0
 
 
 def test_integrate_targets_matches_dyn_step_sequence():
+    # targets beyond the +-0.4 limits: rows 0 and 1 never reach a stop, row 2
+    # does on 19 ticks; a lone row 0 skips the clamped pass entirely
     rng = np.random.default_rng(5)
     pd = PDParams(rng.uniform(50, 300, 4), rng.uniform(2, 30, 4))
     dyn = JointDynamics(rng.uniform(0.5, 2, 4), rng.uniform(0, 1, 4), np.full(4, -0.4), np.full(4, 0.4))
-    q = rng.normal(size=4) * 0.2
-    v = rng.normal(size=4) * 2.0
-    targets = rng.normal(size=(300, 4)) * 0.6
+    q = rng.normal(size=(3, 4)) * 0.1
+    v = rng.normal(size=(3, 4)) * 2.0
+    targets = rng.normal(size=(300, 3, 4)) * np.array([0.1, 0.6, 3.0])[:, None]
     qf, vf = _integrate_targets(q, v, targets, pd, dyn, 1 / 500)
-    qs, vs = q.copy(), v.copy()
-    for i in range(300):
-        qs, vs = dyn_step(qs, vs, targets[i], np.zeros(4), pd, dyn, 1 / 500)
-    np.testing.assert_allclose(qf, qs, atol=1e-12)
-    np.testing.assert_allclose(vf, vs, atol=1e-12)
+    stops = []
+    for b in range(3):
+        qs, vs = q[b].copy(), v[b].copy()
+        stops.append(0)
+        for i in range(300):
+            qs, vs = dyn_step(qs, vs, targets[i, b], np.zeros(4), pd, dyn, 1 / 500)
+            stops[b] += bool(np.any(np.abs(qs) == 0.4))
+        np.testing.assert_allclose(qf[b], qs, atol=1e-12)
+        np.testing.assert_allclose(vf[b], vs, atol=1e-12)
+        # the one-row loop it replaces gives the same bits
+        qr, vr = ref_integrate_targets(q[b], v[b], targets[:, b], pd, dyn, 1 / 500)
+        assert np.array_equal(qf[b], qr) and np.array_equal(vf[b], vr)
+        qb, vb = _integrate_targets(q[b : b + 1], v[b : b + 1], targets[:, b : b + 1], pd, dyn, 1 / 500)
+        assert np.array_equal(qb[0], qr) and np.array_equal(vb[0], vr)
+    assert stops == [0, 0, 19]
 
 
 @pytest.mark.parametrize("ticks", [1, 100, _MAX_RUN + 45])
 def test_hold_target_matches_dyn_step_sequence(ticks):
-    # a held target outside the +-0.4 limits drives some joints into the stop
+    # a held target outside the +-0.4 limits drives some joints into the stop,
+    # each row at its own tick; all rows advance in one call
     rng = np.random.default_rng(8)
     pd = PDParams(rng.uniform(50, 300, 4), rng.uniform(2, 30, 4))
     dyn = JointDynamics(rng.uniform(0.5, 2, 4), rng.uniform(0, 1, 4), np.full(4, -0.4), np.full(4, 0.4))
     powers = _plant_powers(pd, dyn, 1 / 500, ticks)
-    for _ in range(20):
-        q = rng.uniform(-0.4, 0.4, 4)
-        v = rng.normal(size=4) * 2.0
-        target = rng.normal(size=4) * 0.6
-        qf, vf = _hold_target(q, v, target, ticks, powers, dyn)
-        qs, vs = q.copy(), v.copy()
+    q = rng.uniform(-0.4, 0.4, (20, 4))
+    v = rng.normal(size=(20, 4)) * 2.0
+    target = rng.normal(size=(20, 4)) * 0.6
+    qf, vf = _hold_target(q, v, target, ticks, powers, dyn)
+    for b in range(20):
+        qs, vs = q[b].copy(), v[b].copy()
         for _ in range(ticks):
-            qs, vs = dyn_step(qs, vs, target, np.zeros(4), pd, dyn, 1 / 500)
-        np.testing.assert_allclose(qf, qs, atol=1e-12)
-        np.testing.assert_allclose(vf, vs, atol=1e-12)
-
-
-def test_dyn_step_rejects_bad_dt():
-    pd = PDParams([1.0], [1.0])
-    with pytest.raises(JointSimError):
-        dyn_step(np.zeros(1), np.zeros(1), np.zeros(1), np.zeros(1), pd, free_dynamics(1), 0.0)
+            qs, vs = dyn_step(qs, vs, target[b], np.zeros(4), pd, dyn, 1 / 500)
+        np.testing.assert_allclose(qf[b], qs, atol=1e-12)
+        np.testing.assert_allclose(vf[b], vs, atol=1e-12)
+        # the one-row closed form it replaces gives the same bits
+        qr, vr = ref_hold_target(q[b], v[b], target[b], ticks, powers, dyn)
+        assert np.array_equal(qf[b], qr) and np.array_equal(vf[b], vr)
 
 
 def test_stability_guard_overdamped():
@@ -136,10 +153,8 @@ def test_stability_guard_overdamped():
     dyn = JointDynamics(np.ones(n), np.zeros(n), np.full(n, -3.0), np.full(n, 3.0))
     rng = np.random.default_rng(0)
     q = rng.uniform(-1, 1, n)
-    v = np.zeros(n)
     target = rng.uniform(-1, 1, n)
-    for _ in range(10_000):
-        q, v = dyn_step(q, v, target, np.zeros(n), pd, dyn, 1 / 500)
+    q, v = _integrate_targets(q[None], np.zeros((1, n)), np.broadcast_to(target, (10_000, 1, n)), pd, dyn, 1 / 500)
     assert np.all(np.abs(q) <= 3.0)
     assert np.all(np.isfinite(v))
 
@@ -186,7 +201,9 @@ def test_replay_deterministic(replay_setup):
 
 def test_stiff_params_track_slow_actions(replay_setup):
     chain, q0, dyn, _ = replay_setup
-    stiff = PDParams(np.full(3, 1e5), np.full(3, 2.0 * np.sqrt(1e5)))
+    # stiff and still stable at 200 Hz: p dt^2 = 2.5 < 4 - 2 (d + b) dt = 2.68
+    # (d = 2 sqrt(p) would break that bound; test_unstable_gains_rejected)
+    stiff = PDParams(np.full(3, 1e5), np.full(3, 132.0))
     rng = np.random.default_rng(4)
     actions = fk_path_actions(chain, q0, 10, rng, amp=0.1, dphase=0.2)
     rec = synthesize_record(chain, dyn, stiff, "widowx", actions, q0, FAST_CFG)
@@ -237,3 +254,64 @@ def test_unknown_controller_kind_rejected(replay_setup):
     rec = synthesize_record(chain, dyn, pd, "widowx", [act], q0, FAST_CFG)
     with pytest.raises(JointSimError, match="controller kind"):
         replay_open_loop(chain, dyn, pd, "servo", rec, q0, FAST_CFG)
+
+
+def test_unstable_gains_rejected(replay_setup):
+    # semi-implicit Euler needs p dt^2/m < 4 - 2 (d + b) dt/m on every joint:
+    # too stiff, or damped too hard for the step
+    chain, q0, dyn, _ = replay_setup
+    act = Action(np.zeros(3), Rot3(np.eye(3)), 0.0)
+    cfg = CtrlConfig(h_sim=500.0, h_ctrl=5.0)
+    too_stiff = PDParams(np.full(3, 1e9), np.full(3, 6.0))
+    too_damped = PDParams(np.full(3, 1e5), np.full(3, 632.0))
+    for pd, at in ((too_stiff, cfg), (too_damped, FAST_CFG)):
+        with pytest.raises(JointSimError, match="unstable"):
+            synthesize_record(chain, dyn, pd, "widowx", [act], q0, at)
+
+
+def lockstep_case():
+    """Three records of unequal length on the 6-DOF arm: record 0 ends with an
+    action out of reach, and only record 1 drives joint 0 into an end stop."""
+    from helpers import arm_6dof
+
+    chain = arm_6dof()
+    base = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
+    q_inits = np.array([base, base + 0.05, base - 0.05])
+    q_inits[[0, 2], 0] -= 0.6
+    upper = chain.upper.copy()
+    upper[0] = q_inits[1, 0] + 0.02
+    dyn = JointDynamics(np.ones(6), np.full(6, 0.3), chain.lower, upper)
+    pd = PDParams(np.full(6, 80.0), np.full(6, 3.0))
+    rng = np.random.default_rng(21)
+    action_lists = [fk_path_actions(chain, q, t, rng, amp=0.3) for q, t in zip(q_inits, (5, 3, 4))]
+    action_lists[0].append(Action(np.array([3.0, 3.0, 3.0]), Rot3(np.eye(3)), 0.0))
+    return chain, dyn, pd, action_lists, q_inits
+
+
+@pytest.mark.parametrize("kind", ["widowx", "google"])
+def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
+    chain, dyn, pd, action_lists, q_inits = lockstep_case()
+    ik_calls = []
+    batched_ik = controller._ik_rows
+
+    def counting_ik(*args):
+        out = batched_ik(*args)
+        ik_calls.append(list(zip(out[4].tolist(), out[3].tolist())))
+        return out
+
+    monkeypatch.setattr(controller, "_ik_rows", counting_ik)
+    sims, logs = _simulate(chain, dyn, pd, kind, action_lists, q_inits, FAST_CFG, None)
+    # the records still running are a prefix of the longest-first order
+    order = np.argsort([-len(a) for a in action_lists], kind="stable")
+    for b, actions in enumerate(action_lists):
+        ref_poses, ref_stats = ref_simulate(chain, dyn, pd, kind, actions, q_inits[b], FAST_CFG)
+        assert len(sims[b]) == len(ref_poses) == len(actions) + 1
+        for got, want in zip(sims[b], ref_poses):
+            np.testing.assert_allclose(got.pos, want.pos, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got.rot.m, want.rot.m, rtol=0, atol=1e-12)
+        row = int(np.flatnonzero(order == b)[0])
+        assert [ik_calls[t][row] for t in range(len(actions))] == ref_stats
+    # the case covers what it claims: one unconverged IK, and an end stop in record 1 only
+    assert ik_calls[-1] == [(200, False)]
+    hits = [np.any(np.stack(log)[:, 0] == dyn.upper[0]) for log in logs]
+    assert hits == [False, True, False]

@@ -280,6 +280,24 @@ def test_batched_planner_matches_reference_on_roots_at_signed_zero():
     _assert_matches_reference(np.zeros(4), [r[0] for r in rows], dq, [r[1] for r in rows])
 
 
+def test_synchronize_records_finish_independently():
+    # (B, n) boundaries plan B records in one pass; each record keeps its own
+    # duration and scales, bit for bit those of planning it alone
+    rng = np.random.default_rng(31)
+    q0, qg = rng.uniform(-2.0, 2.0, (2, 4, 3))
+    v0 = rng.uniform(-1.0, 1.0, (4, 3))
+    plan = synchronize(q0, v0, qg, np.zeros((4, 3)), ARM)
+    assert plan.duration.shape == (4,) and len(set(plan.duration.tolist())) == 4
+    ts = np.linspace(0.0, 1.1 * plan.duration.max(), 97)
+    batched = plan.sample(ts)
+    for b in range(4):
+        solo = synchronize(q0[b], v0[b], qg[b], np.zeros(3), ARM)
+        assert solo.duration == plan.duration[b]
+        assert np.array_equal(solo.scales, plan.scales[b])
+        for got, want in zip(batched, solo.sample(ts)):
+            assert np.array_equal(got[:, b], want)
+
+
 def test_synchronize_reports_first_bad_row():
     with pytest.raises(PlanningError, match=r"^initial velocity 2.0 exceeds v_max 1.5$"):
         synchronize([0.0, 0.0, 0.0], [0.1, 2.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, -2.0], ARM)
