@@ -226,16 +226,15 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
     """Damped-least-squares IK of B rows in lockstep, each toward its own target.
 
     ``target_rot`` is (B, 3, 3), ``target_pos`` (B, 3) and ``q_seed`` (B, n).
-    A converged row leaves the active set, so every row runs the iterates of a
+    A finished row leaves the active set, so every row runs the iterates of a
     solo run. Returns each row's best iterate, residuals, flag and iteration count.
     """
-    lo, hi, b = chain.lower, chain.upper, q_seed.shape[0]
+    lo, hi = chain.lower, chain.upper
     q = np.minimum(np.maximum(q_seed, lo), hi)
     damp = (s.damping**2) * np.eye(6)
-    out_q, out_res = q.copy(), np.full((b, 2), math.inf)
-    converged, iterations = np.zeros(b, dtype=bool), np.zeros(b, dtype=int)
-    rows = np.arange(b)  # the original index of each active row
-    best_q, best_res, best_sum = q, out_res, [math.inf] * b
+    rows = list(range(q.shape[0]))  # the original index of each active row
+    best = [(row, math.inf, math.inf) for row in q]  # each active row's best iterate and residuals
+    out = [None] * q.shape[0]
     for it in range(s.max_iters + 1):
         frames = _frames(chain, q)
         tool = frames[-1] @ chain._ee_matrix
@@ -243,29 +242,20 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
         err = np.concatenate([target_pos - tool[:, :3, 3], e_rot], axis=1)
         # position and rotation residuals, each summed as a 1-D e @ e would be
         res = np.sqrt(err.reshape(-1, 2, 1, 3) @ err.reshape(-1, 2, 3, 1)).reshape(-1, 2)
-        # the bookkeeping of a few rows costs less in Python floats
-        res_rows = res.tolist()
-        total = [rp + rr for rp, rr in res_rows]
-        better = [t < bs for t, bs in zip(total, best_sum)]
-        if all(better):
-            best_q, best_res, best_sum = q, res, total
-        elif any(better):
-            mask = np.array(better)[:, None]
-            best_q, best_res = np.where(mask, q, best_q), np.where(mask, res, best_res)
-            best_sum = np.where(mask[:, 0], total, best_sum).tolist()
-        ok = [rp <= s.tol_pos and rr <= s.tol_rot for rp, rr in res_rows]
-        if any(ok) or it == s.max_iters:
-            ok = np.array(ok)
-            done = ok | (it == s.max_iters)
-            r = rows[done]
-            out_q[r], out_res[r], converged[r], iterations[r] = best_q[done], best_res[done], ok[done], it
-            keep = ~done
-            if not keep.any():
-                break
-            rows, q, tool, err, target_rot, target_pos, best_q, best_res = (
-                a[keep] for a in (rows, q, tool, err, target_rot, target_pos, best_q, best_res)
-            )
-            best_sum, frames = np.array(best_sum)[keep].tolist(), frames[:, keep]
+        keep = []  # the bookkeeping of a few rows costs less in Python floats
+        for j, (res_pos, res_rot) in enumerate(res.tolist()):
+            if res_pos + res_rot < best[j][1] + best[j][2]:
+                best[j] = (q[j], res_pos, res_rot)
+            converged = res_pos <= s.tol_pos and res_rot <= s.tol_rot
+            if converged or it == s.max_iters:
+                out[rows[j]] = (*best[j], converged, it)
+            else:
+                keep.append(j)
+        if not keep:
+            break
+        if len(keep) < len(rows):
+            rows, best, frames = [rows[j] for j in keep], [best[j] for j in keep], frames[:, keep]
+            q, tool, err, target_rot, target_pos = (a[keep] for a in (q, tool, err, target_rot, target_pos))
         jac = _jacobian_from_frames(chain, frames, tool[:, :3, 3])
         jac_t = jac.transpose(0, 2, 1)
         dq = (jac_t @ np.linalg.solve(jac @ jac_t + damp, err[:, :, None]))[:, :, 0]
@@ -274,7 +264,8 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
             if biggest > s.max_step:
                 dq[i] *= s.max_step / biggest
         q = np.minimum(np.maximum(q + dq, lo), hi)
-    return out_q, out_res[:, 0], out_res[:, 1], converged, iterations
+    q_best, res_pos, res_rot, converged, iterations = zip(*out)
+    return np.array(q_best), np.array(res_pos), np.array(res_rot), np.array(converged), np.array(iterations)
 
 
 def ik_dls(chain: ChainSpec, target: Pose, q_seed, settings: IkSettings | None = None) -> IkResult:
