@@ -11,40 +11,33 @@ Exit codes: 0 success, 2 input-format error, 3 semantic/validation error,
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
 
-from . import report as rep
-from .chain import ChainError, ChainSpec, UrdfParseError, chain_from_json, chain_to_json, parse_urdf_subset
-from .controller import ControllerError, CtrlConfig
-from .geometry import GeometryError, pose_to_dict
-from .imaging import ImageError, composite, read_pgm, read_ppm, write_ppm
-from .jointsim import (
-    GOOGLE,
-    WIDOWX,
-    JointDynamics,
-    JointSimError,
-    PDParams,
-    TrajectoryRecord,
-    default_config,
-    replay_open_loop,
-)
-from .metrics import MetricsError
-from .profile import PlanningError
-from .report import InputFormatError
-from .sysid import AnnealConfig, SysIdError, SysIdRange, anneal_fit, trajectory_losses
+def _lazy(name: str):
+    """Module ``name``, in ``sys.modules`` from now on; its body runs on first attribute access."""
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name) or importlib.import_module(name)  # raises if it is missing
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+        package, _, child = name.rpartition(".")
+        if package:
+            setattr(sys.modules[package], child, sys.modules[name])
+    return sys.modules[name]
+
+
+np = _lazy("numpy")
+geometry, chain, profile, controller, jointsim, sysid, metrics, report, imaging = (
+    _lazy(f"real2sim.{m}") for m in "geometry chain profile controller jointsim sysid metrics report imaging".split())
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
 EXIT_SEMANTIC = 3
 EXIT_NUMERIC = 4
-
-_FORMAT_ERRORS = (InputFormatError, UrdfParseError, ImageError, json.JSONDecodeError, FileNotFoundError, IsADirectoryError)
-_SEMANTIC_ERRORS = (MetricsError, SysIdError, JointSimError, ChainError, ControllerError, GeometryError, ValueError)
-_NUMERIC_ERRORS = (PlanningError, np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError)
 
 
 class ConfigError(ValueError):
@@ -84,6 +77,8 @@ def _section(obj, allowed: set[str], where: str, required: tuple[str, ...] = ())
 
 
 def _vec_field(obj, n: int, where: str) -> np.ndarray:
+    if any(isinstance(v, bool) for v in (obj if isinstance(obj, list) else [obj])):
+        raise ConfigError(f"{where}: expected numbers")
     try:
         a = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -106,9 +101,9 @@ def _check_task_names(tables) -> None:
     for table in tables:
         name = table.task
         if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-            raise InputFormatError(f"task name {name!r} is not a plain file name")
+            raise report.InputFormatError(f"task name {name!r} is not a plain file name")
         if name in seen:
-            raise InputFormatError(f"task {name!r} appears in more than one table")
+            raise report.InputFormatError(f"task {name!r} appears in more than one table")
         seen.add(name)
 
 
@@ -118,12 +113,12 @@ def cmd_metrics_report(args) -> int:
         try:
             obj = _read_json(path)
         except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{path}: invalid JSON ({exc})") from exc
-        tables.extend(rep.tables_from_obj(obj, source=path))
+            raise report.InputFormatError(f"{path}: invalid JSON ({exc})") from exc
+        tables.extend(report.tables_from_obj(obj, source=path))
     if not tables:
-        raise InputFormatError("no evaluation tables found in the inputs")
-    stats = [rep.compute_table_stats(t) for t in tables]
-    csv_parts = [rep.metrics_csv(t, s) for t, s in zip(tables, stats)]
+        raise report.InputFormatError("no evaluation tables found in the inputs")
+    stats = [report.compute_table_stats(t) for t in tables]
+    csv_parts = [report.metrics_csv(t, s) for t, s in zip(tables, stats)]
     if args.out == "-":
         header, *_ = csv_parts[0].splitlines(keepends=True)
         sys.stdout.write(header)
@@ -136,7 +131,7 @@ def cmd_metrics_report(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for table, part in zip(tables, csv_parts):
             (outdir / f"{table.task}.csv").write_text(part)
-        (outdir / "aggregate.json").write_text(rep.dumps_json(rep.aggregate_dict(stats)))
+        (outdir / "aggregate.json").write_text(report.dumps_json(report.aggregate_dict(stats)))
     return EXIT_OK
 
 
@@ -144,9 +139,9 @@ def cmd_metrics_shift(args) -> int:
     try:
         obj = _read_json(args.shifts)
     except json.JSONDecodeError as exc:
-        raise InputFormatError(f"{args.shifts}: invalid JSON ({exc})") from exc
-    rows = rep.shifts_from_obj(obj, source=args.shifts)
-    _write_text(args.out, rep.shift_csv(rows))
+        raise report.InputFormatError(f"{args.shifts}: invalid JSON ({exc})") from exc
+    rows = report.shifts_from_obj(obj, source=args.shifts)
+    _write_text(args.out, report.shift_csv(rows))
     return EXIT_OK
 
 
@@ -162,44 +157,53 @@ _ANNEAL_KEYS = {"rounds", "iters_per_round", "t0", "cooling", "sigma", "shrink",
 _CTRL_KEYS = {"h_sim", "h_ctrl"}
 
 
-def _ctrl_config(kind: str, overrides: dict | None) -> CtrlConfig:
-    cfg = default_config(kind)
+def _ctrl_config(kind: str, overrides: dict | None) -> controller.CtrlConfig:
+    cfg = jointsim.default_config(kind)
     if overrides is None:
         return cfg
     _section(overrides, _CTRL_KEYS, "ctrl")
     try:
+        if any(isinstance(v, bool) for v in overrides.values()):
+            raise TypeError
         h_sim = float(overrides.get("h_sim", cfg.h_sim))
         h_ctrl = float(overrides.get("h_ctrl", cfg.h_ctrl))
     except (TypeError, ValueError) as exc:
         raise ConfigError("ctrl: h_sim and h_ctrl must be numbers") from exc
-    return CtrlConfig(h_sim=h_sim, h_ctrl=h_ctrl)
+    return controller.CtrlConfig(h_sim=h_sim, h_ctrl=h_ctrl)
 
 
-def _dynamics(obj, chain: ChainSpec, where: str) -> JointDynamics:
+def _dynamics(obj, robot: chain.ChainSpec, where: str) -> jointsim.JointDynamics:
     dyn_obj = _section(obj, _DYN_KEYS, where)
-    return JointDynamics(
-        _vec_field(dyn_obj.get("inertia", 1.0), chain.n, "dynamics.inertia"),
-        _vec_field(dyn_obj.get("damping", 0.0), chain.n, "dynamics.damping"),
-        chain.lower,
-        chain.upper,
+    return jointsim.JointDynamics(
+        _vec_field(dyn_obj.get("inertia", 1.0), robot.n, "dynamics.inertia"),
+        _vec_field(dyn_obj.get("damping", 0.0), robot.n, "dynamics.damping"),
+        robot.lower,
+        robot.upper,
     )
 
 
-def cmd_sysid_fit(args) -> int:
-    chain = chain_from_json(Path(args.chain).read_text())
-    n = chain.n
-    config = _section(_read_json(args.config), _SYSID_KEYS, args.config, required=("init", "range"))
-    kind = config.get("controller", WIDOWX)
-    if kind not in (GOOGLE, WIDOWX):
-        raise ConfigError(f"controller must be '{GOOGLE}' or '{WIDOWX}', got {kind!r}")
+def _check_ctrl_frequency(records, cfg: controller.CtrlConfig, override: str) -> None:
+    for rec in records:
+        if abs(cfg.h_ctrl - rec.ctrl_frequency) > 1e-9:
+            raise jointsim.JointSimError(f"record control frequency {rec.ctrl_frequency} Hz does not match the "
+                                         f"controller's {cfg.h_ctrl} Hz (use {override} to override)")
 
-    dyn = _dynamics(config.get("dynamics", {}), chain, "dynamics")
+
+def cmd_sysid_fit(args) -> int:
+    robot = chain.chain_from_json(Path(args.chain).read_text())
+    n = robot.n
+    config = _section(_read_json(args.config), _SYSID_KEYS, args.config, required=("init", "range"))
+    kind = config.get("controller", jointsim.WIDOWX)
+    if kind not in (jointsim.GOOGLE, jointsim.WIDOWX):
+        raise ConfigError(f"controller must be '{jointsim.GOOGLE}' or '{jointsim.WIDOWX}', got {kind!r}")
+
+    dyn = _dynamics(config.get("dynamics", {}), robot, "dynamics")
 
     init_obj = _section(config["init"], _INIT_KEYS, "init", required=("p", "d"))
-    init = PDParams(_vec_field(init_obj["p"], n, "init.p"), _vec_field(init_obj["d"], n, "init.d"))
+    init = jointsim.PDParams(_vec_field(init_obj["p"], n, "init.p"), _vec_field(init_obj["d"], n, "init.d"))
 
     range_obj = _section(config["range"], _RANGE_KEYS, "range", required=("p_low", "p_high", "d_low", "d_high"))
-    rng = SysIdRange(
+    rng = sysid.SysIdRange(
         _vec_field(range_obj["p_low"], n, "range.p_low"),
         _vec_field(range_obj["p_high"], n, "range.p_high"),
         _vec_field(range_obj["d_low"], n, "range.d_low"),
@@ -209,17 +213,18 @@ def cmd_sysid_fit(args) -> int:
     anneal_obj = dict(_section(config.get("anneal", {}), _ANNEAL_KEYS, "anneal"))
     if args.seed is not None:
         anneal_obj["rng_seed"] = args.seed
-    anneal = AnnealConfig(**anneal_obj)
+    anneal = sysid.AnnealConfig(**anneal_obj)
 
     ctrl_cfg = _ctrl_config(kind, config.get("ctrl"))
 
     traj_dir = Path(args.trajectories)
     paths = sorted(traj_dir.glob("*.json")) if traj_dir.is_dir() else [traj_dir]
     if not paths:
-        raise SysIdError(f"no trajectory files found under {traj_dir}")
-    records = [TrajectoryRecord.from_json(p.read_text()) for p in paths]
+        raise sysid.SysIdError(f"no trajectory files found under {traj_dir}")
+    records = [jointsim.TrajectoryRecord.from_json(p.read_text()) for p in paths]
+    _check_ctrl_frequency(records, ctrl_cfg, "ctrl.h_ctrl")
 
-    result = anneal_fit(records, chain, dyn, kind, init, rng, anneal, ctrl_cfg)
+    result = sysid.anneal_fit(records, robot, dyn, kind, init, rng, anneal, ctrl_cfg)
     out = {
         "best": {"p": list(map(float, result.best.p)), "d": list(map(float, result.best.d))},
         "best_loss": result.best_loss,
@@ -243,7 +248,7 @@ def cmd_sysid_fit(args) -> int:
         "controller": kind,
         "rng_seed": anneal.rng_seed,
     }
-    _write_text(args.out, rep.dumps_json(out))
+    _write_text(args.out, report.dumps_json(out))
     return EXIT_OK
 
 
@@ -252,27 +257,23 @@ def cmd_sysid_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_pd(path: str, n: int) -> PDParams:
+def _load_pd(path: str, n: int) -> jointsim.PDParams:
     obj = _read_json(path)
     if isinstance(obj, dict) and "best" in obj:
         obj = obj["best"]
     if not isinstance(obj, dict) or "p" not in obj or "d" not in obj:
-        raise InputFormatError(f"{path}: expected an object with 'p' and 'd'")
-    return PDParams(_vec_field(obj["p"], n, "p"), _vec_field(obj["d"], n, "d"))
+        raise report.InputFormatError(f"{path}: expected an object with 'p' and 'd'")
+    return jointsim.PDParams(_vec_field(obj["p"], n, "p"), _vec_field(obj["d"], n, "d"))
 
 
 def cmd_replay(args) -> int:
-    chain = chain_from_json(Path(args.chain).read_text())
-    rec = TrajectoryRecord.from_json(Path(args.trajectory).read_text())
-    pd = _load_pd(args.params, chain.n)
-    dyn = _dynamics(_read_json(args.dynamics) if args.dynamics else {}, chain, args.dynamics or "dynamics")
+    robot = chain.chain_from_json(Path(args.chain).read_text())
+    rec = jointsim.TrajectoryRecord.from_json(Path(args.trajectory).read_text())
+    pd = _load_pd(args.params, robot.n)
+    dyn = _dynamics(_read_json(args.dynamics) if args.dynamics else {}, robot, args.dynamics or "dynamics")
     overrides = {k: v for k, v in (("h_sim", args.sim_hz), ("h_ctrl", args.ctrl_hz)) if v is not None}
     cfg = _ctrl_config(args.controller, overrides or None)
-    if abs(cfg.h_ctrl - rec.ctrl_frequency) > 1e-9:
-        raise JointSimError(
-            f"record control frequency {rec.ctrl_frequency} Hz does not match the "
-            f"controller's {cfg.h_ctrl} Hz (use --ctrl-hz to override)"
-        )
+    _check_ctrl_frequency([rec], cfg, "--ctrl-hz")
 
     plan_rows = []
 
@@ -280,22 +281,22 @@ def cmd_replay(args) -> int:
         ts = step / cfg.h_ctrl + np.arange(1, tgt.arm_q.shape[0] + 1) * (1.0 / cfg.h_sim)
         plan_rows.append(np.column_stack([ts, tgt.arm_q, tgt.arm_v, tgt.arm_a, tgt.grip_q, tgt.grip_v, tgt.grip_a]))
 
-    sim_poses = replay_open_loop(
-        chain, dyn, pd, args.controller, rec, None, cfg, plan_sink=dump if args.dump_plan else None
+    sim_poses = jointsim.replay_open_loop(
+        robot, dyn, pd, args.controller, rec, None, cfg, plan_sink=dump if args.dump_plan else None
     )
-    losses = trajectory_losses(rec.ee_poses, sim_poses[: len(rec.ee_poses)])
+    losses = sysid.trajectory_losses(rec.ee_poses, sim_poses[: len(rec.ee_poses)])
     out = {
-        "ee_poses": [pose_to_dict(p) for p in sim_poses],
+        "ee_poses": [geometry.pose_to_dict(p) for p in sim_poses],
         "losses": {"translation": losses.translation, "rotation": losses.rotation, "total": losses.total},
     }
-    _write_text(args.out, rep.dumps_json(out))
+    _write_text(args.out, report.dumps_json(out))
     if args.out != "-":
         sys.stdout.write(
             f"loss_translation={losses.translation:.9f} loss_rotation={losses.rotation:.9f} "
             f"loss_total={losses.total:.9f}\n"
         )
     if args.dump_plan:
-        head = ["t"] + [f"{x}_d{i}" for x in "qva" for i in range(chain.n)] + ["grip_q", "grip_v", "grip_a"]
+        head = ["t"] + [f"{x}_d{i}" for x in "qva" for i in range(robot.n)] + ["grip_q", "grip_v", "grip_a"]
         lines = [",".join(head)] + [",".join(f"{v:.9f}" for v in row) for rows in plan_rows for row in rows]
         _write_text(args.dump_plan, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -307,18 +308,18 @@ def cmd_replay(args) -> int:
 
 
 def cmd_composite(args) -> int:
-    sim = read_ppm(Path(args.sim).read_bytes())
-    real = read_ppm(Path(args.real).read_bytes())
-    mask = read_pgm(Path(args.mask).read_bytes())
-    out = composite(sim, mask, real, mode=args.mode)
-    _write_bytes(args.out, write_ppm(out))
+    sim = imaging.read_ppm(Path(args.sim).read_bytes())
+    real = imaging.read_ppm(Path(args.real).read_bytes())
+    mask = imaging.read_pgm(Path(args.mask).read_bytes())
+    out = imaging.composite(sim, mask, real, mode=args.mode)
+    _write_bytes(args.out, imaging.write_ppm(out))
     return EXIT_OK
 
 
 def cmd_urdf_convert(args) -> int:
     text = Path(args.infile).read_text()
-    chain = parse_urdf_subset(text, tip=args.tip)
-    _write_text(args.out, chain_to_json(chain) + "\n")
+    robot = chain.parse_urdf_subset(text, tip=args.tip)
+    _write_text(args.out, chain.chain_to_json(robot) + "\n")
     return EXIT_OK
 
 
@@ -331,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="real2sim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    metrics = sub.add_parser("metrics", help="evaluation-correlation reports")
-    msub = metrics.add_subparsers(dest="subcommand", required=True)
+    mcmd = sub.add_parser("metrics", help="evaluation-correlation reports")
+    msub = mcmd.add_subparsers(dest="subcommand", required=True)
 
     mreport = msub.add_parser("report", help="per-task CSV report plus aggregate JSON")
     mreport.add_argument("--table", action="append", required=True, help="evaluation-table JSON (repeatable)")
@@ -344,8 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     mshift.add_argument("--out", required=True, help="output CSV path, or -")
     mshift.set_defaults(func=cmd_metrics_shift)
 
-    sysid = sub.add_parser("sysid", help="PD-gain identification")
-    ssub = sysid.add_subparsers(dest="subcommand", required=True)
+    scmd = sub.add_parser("sysid", help="PD-gain identification")
+    ssub = scmd.add_subparsers(dest="subcommand", required=True)
     sfit = ssub.add_parser("fit", help="fit PD gains to recorded trajectories")
     sfit.add_argument("--trajectories", required=True, help="directory of trajectory JSON files (or one file)")
     sfit.add_argument("--chain", required=True, help="chain JSON file")
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--chain", required=True, help="chain JSON file")
     replay.add_argument("--params", required=True, help="PD params JSON (plain or sysid fit output)")
     replay.add_argument("--dynamics", default=None, help="joint dynamics JSON (inertia/damping)")
-    replay.add_argument("--controller", choices=[GOOGLE, WIDOWX], required=True)
+    replay.add_argument("--controller", choices=["google", "widowx"], required=True)  # jointsim.GOOGLE, WIDOWX
     replay.add_argument("--sim-hz", type=float, default=None, help="override simulation frequency")
     replay.add_argument("--ctrl-hz", type=float, default=None, help="override control frequency")
     replay.add_argument("--out", required=True, help="output poses JSON path, or -")
@@ -387,18 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Each handler's tuple is evaluated, loading the layers it names, only when a command fails.
     try:
         return args.func(args)
-    except _FORMAT_ERRORS as exc:
+    except (report.InputFormatError, chain.UrdfParseError, imaging.ImageError, json.JSONDecodeError,
+            FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except _NUMERIC_ERRORS as exc:
+    except (profile.PlanningError, np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _SEMANTIC_ERRORS as exc:
+    except ValueError as exc:  # ConfigError and every layer's semantic error class
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
 

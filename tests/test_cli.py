@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from helpers import fk_path_actions, planar_3link
-from real2sim.chain import IkSettings, chain_from_json, chain_to_json
-from real2sim.cli import main
+from real2sim import cli
+from real2sim.chain import IkSettings, UrdfParseError, chain_from_json, chain_to_json
+from real2sim.cli import ConfigError, main
 from real2sim.controller import CtrlConfig
 from real2sim.data import fixture_path
-from real2sim.imaging import ImageRGB8, MaskGray8, write_pgm, write_ppm
+from real2sim.imaging import ImageError, ImageRGB8, MaskGray8, write_pgm, write_ppm
 from real2sim.jointsim import JointDynamics, PDParams, synthesize_record
 from real2sim import report as rep
-from real2sim.metrics import PairedEvalTable, PolicyEval
+from real2sim.metrics import MetricsError, PairedEvalTable, PolicyEval
+from real2sim.profile import PlanningError
+from real2sim.sysid import SysIdError
 
 
 def read_csv(path):
@@ -360,6 +363,12 @@ def test_sysid_fit_unknown_key_exits_3(sysid_workspace, tmp_path):
          "PD gains are unstable at 200 Hz on joint 0: p dt^2/m = 2.5e+04 must stay below 4 - 2 (d + b) dt/m = 3.9"),
         ("range", {"p_low": 20.0, "p_high": 200.0, "d_low": 1.0, "d_high": 400.0},
          "PD gains are unstable at 200 Hz on joint 0: p dt^2/m = 0.005 must stay below 4 - 2 (d + b) dt/m = -0.003"),
+        # JSON true/false are not numbers, and the records were taken at 5 Hz
+        ("ctrl", {"h_ctrl": True}, "ctrl: h_sim and h_ctrl must be numbers"),
+        ("ctrl", {"h_ctrl": 3.0},
+         "record control frequency 5.0 Hz does not match the controller's 3.0 Hz (use ctrl.h_ctrl to override)"),
+        ("dynamics", {"inertia": True}, "dynamics.inertia: expected numbers"),
+        ("dynamics", {"damping": [0.3, False, 0.3]}, "dynamics.damping: expected numbers"),
     ],
 )
 def test_sysid_fit_bad_section_exits_3(sysid_workspace, tmp_path, capsys, section, value, message):
@@ -375,6 +384,29 @@ def test_sysid_fit_bad_section_exits_3(sysid_workspace, tmp_path, capsys, sectio
     assert rc == 3
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
+
+
+EXIT_CODES = [
+    (rep.InputFormatError, 2),
+    (UrdfParseError, 2),  # a ChainError, yet a format error
+    (ImageError, 2),
+    (FileNotFoundError, 2),
+    (PlanningError, 4),
+    (np.linalg.LinAlgError, 4),  # a ValueError, yet a numerical failure
+    (ConfigError, 3),
+    (MetricsError, 3),
+    (SysIdError, 3),
+]
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES, ids=[error.__name__ for error, _ in EXIT_CODES])
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_urdf_convert", fail)
+    assert main(["urdf", "convert", "--in", "robot.urdf", "--out", "-"]) == code
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_replay_cli_self_consistency(sysid_workspace, tmp_path):
