@@ -45,8 +45,10 @@ class ConfigError(ValueError):
 
 
 def _read_json(path: str):
-    text = Path(path).read_text()
-    return json.loads(text)
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise report.InputFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _write_text(out: str, text: str) -> None:
@@ -76,18 +78,23 @@ def _section(obj, allowed: set[str], where: str, required: tuple[str, ...] = ())
     return obj
 
 
-def _vec_field(obj, n: int, where: str) -> np.ndarray:
-    if any(isinstance(v, bool) for v in (obj if isinstance(obj, list) else [obj])):
-        raise ConfigError(f"{where}: expected numbers")
+def _floats(values, message: str) -> list[float]:
+    """JSON numbers as floats; a bool, a string or an integer past the float range is a ConfigError."""
     try:
-        a = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected numbers") from exc
-    if a.ndim == 0:
-        return np.full(n, float(a))
-    if a.shape != (n,):
+        if all(type(v) in (int, float) for v in values):
+            return [float(v) for v in values]
+    except OverflowError:
+        pass
+    raise ConfigError(message)
+
+
+def _vec_field(obj, n: int, where: str) -> np.ndarray:
+    values = _floats(obj if isinstance(obj, list) else [obj], f"{where}: expected numbers")
+    if not isinstance(obj, list):
+        return np.full(n, values[0])
+    if len(values) != n:
         raise ConfigError(f"{where}: expected a scalar or {n} values")
-    return a
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -110,21 +117,14 @@ def _check_task_names(tables) -> None:
 def cmd_metrics_report(args) -> int:
     tables = []
     for path in args.table:
-        try:
-            obj = _read_json(path)
-        except json.JSONDecodeError as exc:
-            raise report.InputFormatError(f"{path}: invalid JSON ({exc})") from exc
-        tables.extend(report.tables_from_obj(obj, source=path))
+        tables.extend(report.tables_from_obj(_read_json(path), source=path))
     if not tables:
         raise report.InputFormatError("no evaluation tables found in the inputs")
     stats = [report.compute_table_stats(t) for t in tables]
     csv_parts = [report.metrics_csv(t, s) for t, s in zip(tables, stats)]
-    if args.out == "-":
-        header, *_ = csv_parts[0].splitlines(keepends=True)
-        sys.stdout.write(header)
-        for part in csv_parts:
-            body = part.split("\n", 1)[1]
-            sys.stdout.write(body)
+    if args.out == "-":  # one header row, then every table's rows
+        sys.stdout.write(csv_parts[0].split("\n", 1)[0] + "\n")
+        sys.stdout.write("".join(part.split("\n", 1)[1] for part in csv_parts))
     else:
         _check_task_names(tables)
         outdir = Path(args.out)
@@ -136,11 +136,7 @@ def cmd_metrics_report(args) -> int:
 
 
 def cmd_metrics_shift(args) -> int:
-    try:
-        obj = _read_json(args.shifts)
-    except json.JSONDecodeError as exc:
-        raise report.InputFormatError(f"{args.shifts}: invalid JSON ({exc})") from exc
-    rows = report.shifts_from_obj(obj, source=args.shifts)
+    rows = report.shifts_from_obj(_read_json(args.shifts), source=args.shifts)
     _write_text(args.out, report.shift_csv(rows))
     return EXIT_OK
 
@@ -162,13 +158,8 @@ def _ctrl_config(kind: str, overrides: dict | None) -> controller.CtrlConfig:
     if overrides is None:
         return cfg
     _section(overrides, _CTRL_KEYS, "ctrl")
-    try:
-        if any(isinstance(v, bool) for v in overrides.values()):
-            raise TypeError
-        h_sim = float(overrides.get("h_sim", cfg.h_sim))
-        h_ctrl = float(overrides.get("h_ctrl", cfg.h_ctrl))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("ctrl: h_sim and h_ctrl must be numbers") from exc
+    h_sim, h_ctrl = _floats([overrides.get("h_sim", cfg.h_sim), overrides.get("h_ctrl", cfg.h_ctrl)],
+                            "ctrl: h_sim and h_ctrl must be numbers")
     return controller.CtrlConfig(h_sim=h_sim, h_ctrl=h_ctrl)
 
 

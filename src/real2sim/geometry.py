@@ -40,13 +40,6 @@ class GeometryError(ValueError):
     """Raised when a rotation, quaternion, or pose fails validation."""
 
 
-def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.shape != (3, 3):
-        raise GeometryError(f"expected a 3x3 matrix, got shape {a.shape}")
-    return a
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
@@ -60,7 +53,9 @@ class Rot3:
     m: np.ndarray
 
     def __post_init__(self):
-        a = _as_matrix(self.m)
+        a = np.asarray(self.m, dtype=float)
+        if a.shape != (3, 3):
+            raise GeometryError(f"expected a 3x3 matrix, got shape {a.shape}")
         err = np.abs(a.T @ a - np.eye(3)).max()
         if err > _VALID_TOL:
             raise GeometryError(f"matrix is not orthonormal, |R^T R - I|_max = {err:.3e}")
@@ -77,9 +72,6 @@ class Rot3:
 
     def transpose(self) -> "Rot3":
         return Rot3(self.m.T)
-
-    def apply(self, vec) -> np.ndarray:
-        return self.m @ np.asarray(vec, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,16 +99,6 @@ class Pose:
         t[:3, :3] = self.rot.m
         t[:3, 3] = self.pos
         return t
-
-    @staticmethod
-    def from_matrix(t) -> "Pose":
-        t = np.asarray(t, dtype=float)
-        if t.shape != (4, 4):
-            raise GeometryError(f"expected a 4x4 matrix, got shape {t.shape}")
-        return Pose(Rot3(t[:3, :3]), t[:3, 3])
-
-    def apply(self, point) -> np.ndarray:
-        return self.rot.m @ np.asarray(point, dtype=float) + self.pos
 
 
 def compose(a: Pose, b: Pose) -> Pose:

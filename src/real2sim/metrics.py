@@ -11,10 +11,9 @@ and a validation action-MSE baseline round out the set.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 __all__ = [
     "MetricsError",
@@ -65,9 +64,9 @@ class PolicyEval:
             trials = getattr(self, name)
             if trials is None:
                 continue
-            trials = tuple(int(t) for t in trials)
             if any(t not in (0, 1) for t in trials):
                 raise MetricsError(f"{self.policy_id}: {name} must be binary")
+            trials = tuple(int(t) for t in trials)
             rate = getattr(self, name.replace("_trials", "_rate"))
             if len(trials) == 0:
                 raise MetricsError(f"{self.policy_id}: {name} is empty")
@@ -90,12 +89,12 @@ class PairedEvalTable:
             raise MetricsError(f"task {self.task!r}: duplicate policy ids")
 
     @property
-    def real(self) -> np.ndarray:
-        return np.array([e.real_rate for e in self.evals])
+    def real(self) -> list[float]:
+        return [e.real_rate for e in self.evals]
 
     @property
-    def sim(self) -> np.ndarray:
-        return np.array([e.sim_rate for e in self.evals])
+    def sim(self) -> list[float]:
+        return [e.sim_rate for e in self.evals]
 
 
 @dataclass(frozen=True)
@@ -139,46 +138,81 @@ def mmrv(table: PairedEvalTable) -> float:
     return sum(max_rank_violation(table, i) for i in range(len(table.evals))) / len(table.evals)
 
 
-def _check_paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xa = np.asarray(x, dtype=float).reshape(-1)
-    ya = np.asarray(y, dtype=float).reshape(-1)
-    if xa.shape != ya.shape:
-        raise MetricsError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
-    if xa.shape[0] < 2:
-        raise MetricsError("need at least two observations")
-    return xa, ya
+def _flatten(a) -> tuple[tuple[int, ...], list[float]]:
+    """Shape and row-major finite values of a nested sequence, or of anything with ``tolist`` (an ndarray)."""
+    a = a.tolist() if hasattr(a, "tolist") else a
+    if not isinstance(a, (list, tuple)):
+        shape, values = (), [float(a)]
+    elif all(isinstance(v, (int, float)) for v in a):
+        shape, values = (len(a),), [float(v) for v in a]
+    else:
+        parts = [_flatten(v) for v in a]
+        shapes = {shape for shape, _ in parts}
+        if len(shapes) > 1:
+            raise MetricsError("nested sequences of unequal length")
+        shape, values = (len(a), *shapes.pop()), [x for _, part in parts for x in part]
+    if not all(map(math.isfinite, values)):
+        raise MetricsError("non-finite value")
+    return shape, values
+
+
+def _sum(xs: list[float]) -> float:
+    """Pairwise sum as ``numpy.sum`` forms it, bit for bit: halves above 128 values, 8 interleaved running
+    sums below that, a plain loop below 8. Its rounding error grows with log n, not n."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(xs[:half]) + _sum(xs[half:])
+    total, tail = 0.0, 0
+    if n >= 8:
+        tail = n - n % 8
+        r = xs[:8]
+        for i in range(8, tail):
+            r[i % 8] += xs[i]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[tail:]:
+        total += x
+    return total
+
+
+def _mean(xs: list[float]) -> float:
+    return _sum(xs) / len(xs)
 
 
 def pearson(x, y) -> float:
     """Sample Pearson correlation; raises UndefinedStatisticError on zero variance."""
-    xa, ya = _check_paired(x, y)
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sx = float(np.sqrt(np.sum(dx * dx)))
-    sy = float(np.sqrt(np.sum(dy * dy)))
-    if sx == 0.0 or sy == 0.0:
+    xs, ys = _flatten(x)[1], _flatten(y)[1]
+    if len(xs) != len(ys):
+        raise MetricsError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    if len(xs) < 2:
+        raise MetricsError("need at least two observations")
+    mx, my = _mean(xs), _mean(ys)
+    dx = [v - mx for v in xs]
+    dy = [v - my for v in ys]
+    scale = math.sqrt(_sum([v * v for v in dx])) * math.sqrt(_sum([v * v for v in dy]))
+    if scale == 0.0:
         raise UndefinedStatisticError("correlation undefined: an input has zero variance")
-    return float(np.sum(dx * dy) / (sx * sy))
+    return _sum([a * b for a, b in zip(dx, dy)]) / scale
 
 
-def _fractional_ranks(x: np.ndarray) -> np.ndarray:
+def _fractional_ranks(x: list[float]) -> list[float]:
     """Average-fractional ranks in [1, n]; ties share the mean rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.shape[0])
+    order = sorted(range(len(x)), key=x.__getitem__)
+    ranks = [0.0] * len(x)
     i = 0
-    while i < x.shape[0]:
+    while i < len(x):
         j = i
-        while j + 1 < x.shape[0] and x[order[j + 1]] == x[order[i]]:
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
             j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        for k in order[i : j + 1]:
+            ranks[k] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
 
 
 def spearman(x, y) -> float:
     """Rank correlation: Pearson over average-fractional ranks."""
-    xa, ya = _check_paired(x, y)
-    return pearson(_fractional_ranks(xa), _fractional_ranks(ya))
+    return pearson(_fractional_ranks(_flatten(x)[1]), _fractional_ranks(_flatten(y)[1]))
 
 
 class DeltaSuccess(NamedTuple):
@@ -188,8 +222,8 @@ class DeltaSuccess(NamedTuple):
 
 def delta_success(s: ShiftEval) -> DeltaSuccess:
     """Mean signed and mean absolute success change across shift variants."""
-    diffs = np.array(s.variant_rates) - s.base_rate
-    return DeltaSuccess(float(diffs.mean()), float(np.abs(diffs).mean()))
+    diffs = [v - s.base_rate for v in s.variant_rates]
+    return DeltaSuccess(_mean(diffs), _mean([abs(d) for d in diffs]))
 
 
 class KruskalResult(NamedTuple):
@@ -250,25 +284,21 @@ def kruskal_wallis(a, b) -> KruskalResult:
     Identical pooled observations return (0, 1) rather than dividing by a
     zero tie-correction factor.
     """
-    aa = np.asarray(a, dtype=float).reshape(-1)
-    bb = np.asarray(b, dtype=float).reshape(-1)
-    if aa.shape[0] == 0 or bb.shape[0] == 0:
+    aa = _flatten(a)[1]
+    bb = _flatten(b)[1]
+    if not aa or not bb:
         raise MetricsError("both groups must be non-empty")
-    pooled = np.concatenate([aa, bb])
-    n = pooled.shape[0]
-    ranks = _fractional_ranks(pooled)
-    r_a = ranks[: aa.shape[0]]
-    r_b = ranks[aa.shape[0] :]
+    n = len(aa) + len(bb)
+    ranks = _fractional_ranks(aa + bb)
     grand = 0.5 * (n + 1)
     h_unc = (12.0 / (n * (n + 1))) * (
-        aa.shape[0] * (r_a.mean() - grand) ** 2 + bb.shape[0] * (r_b.mean() - grand) ** 2
+        len(aa) * (_mean(ranks[: len(aa)]) - grand) ** 2 + len(bb) * (_mean(ranks[len(aa) :]) - grand) ** 2
     )
-    _, counts = np.unique(pooled, return_counts=True)
-    correction = 1.0 - float(np.sum(counts.astype(float) ** 3 - counts)) / (n**3 - n)
+    correction = 1.0 - sum(c**3 - c for c in Counter(aa + bb).values()) / (n**3 - n)
     if correction <= 0.0:
         return KruskalResult(0.0, 1.0)
     h = h_unc / correction
-    return KruskalResult(float(h), _chi2_sf_1df(float(h)))
+    return KruskalResult(h, _chi2_sf_1df(h))
 
 
 def aggregate_grouped(rates: Sequence[Sequence[float]]) -> list[float]:
@@ -277,19 +307,19 @@ def aggregate_grouped(rates: Sequence[Sequence[float]]) -> list[float]:
         raise MetricsError("no groups to aggregate")
     out = []
     for i, group in enumerate(rates):
-        g = np.asarray(group, dtype=float).reshape(-1)
-        if g.shape[0] == 0:
+        g = _flatten(group)[1]
+        if not g:
             raise MetricsError(f"group {i} is empty")
-        out.append(float(g.mean()))
+        out.append(_mean(g))
     return out
 
 
 def action_mse(pred, gt) -> float:
     """Mean squared error over all timesteps and action dimensions."""
-    pa = np.asarray(pred, dtype=float)
-    ga = np.asarray(gt, dtype=float)
-    if pa.shape != ga.shape:
-        raise MetricsError(f"shape mismatch: {pa.shape} vs {ga.shape}")
-    if pa.size == 0:
+    pa_shape, pa = _flatten(pred)
+    ga_shape, ga = _flatten(gt)
+    if pa_shape != ga_shape:
+        raise MetricsError(f"shape mismatch: {pa_shape} vs {ga_shape}")
+    if not pa:
         raise MetricsError("empty action arrays")
-    return float(np.mean((pa - ga) ** 2))
+    return _mean([(p - g) * (p - g) for p, g in zip(pa, ga)])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 from .metrics import (
@@ -43,22 +44,26 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _number(v, path: str) -> float:
+    """``v`` as a float if it is a finite JSON number: not a bool, a string or an integer past the float range."""
+    try:
+        if type(v) in (int, float) and math.isfinite(float(v)):
+            return float(v)
+    except OverflowError:
+        pass
+    raise InputFormatError(f"{path}: not a finite number")
+
+
 def _parse_policy(obj, path: str) -> PolicyEval:
     pid = _need(obj, "policy_id", path)
-    real = _need(obj, "real_rate", path)
-    sim = _need(obj, "sim_rate", path)
-    try:
-        real = float(real)
-        sim = float(sim)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{path}.real_rate/sim_rate: not a number") from exc
+    real = _number(_need(obj, "real_rate", path), f"{path}.real_rate")
+    sim = _number(_need(obj, "sim_rate", path), f"{path}.sim_rate")
     kwargs = {}
     for name in ("real_trials", "sim_trials"):
         if obj.get(name) is not None:
-            try:
-                kwargs[name] = tuple(int(v) for v in obj[name])
-            except (TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}.{name}: not a binary sequence") from exc
+            if not isinstance(obj[name], list):
+                raise InputFormatError(f"{path}.{name}: expected a list of 0/1 outcomes")
+            kwargs[name] = tuple(_number(v, f"{path}.{name}") for v in obj[name])  # PolicyEval checks 0/1
     try:
         return PolicyEval(str(pid), real, sim, **kwargs)
     except MetricsError as exc:
@@ -113,22 +118,15 @@ def shifts_from_obj(obj, source: str = "<input>") -> list[ShiftRow]:
         path = f"{source}.shifts[{i}]"
         policy = str(_need(entry, "policy", path))
         task = str(_need(entry, "task", path))
-        base = _need(entry, "base", path)
+        base = _number(_need(entry, "base", path), f"{path}.base")
         factors = _need(entry, "factors", path)
-        try:
-            base = float(base)
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"{path}.base: not a number") from exc
         if not isinstance(factors, dict) or not factors:
             raise InputFormatError(f"{path}.factors: expected a non-empty object")
         for name, rates in factors.items():
-            try:
-                shift = ShiftEval(base, tuple(float(r) for r in rates))
-            except MetricsError:
-                # semantic constraint (empty variants, out-of-range rate)
-                raise
-            except (TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}.factors.{name}: not a rate list") from exc
+            if not isinstance(rates, list):
+                raise InputFormatError(f"{path}.factors.{name}: not a rate list")
+            # an empty list or a rate outside [0, 1] is a semantic MetricsError
+            shift = ShiftEval(base, tuple(_number(r, f"{path}.factors.{name}") for r in rates))
             rows.append(ShiftRow(policy, task, name, base, shift))
     return rows
 
@@ -143,21 +141,18 @@ class TableStats:
     kruskal_p: dict[str, float]
 
 
+def _unless_undefined(stat, x, y) -> float | None:
+    try:
+        return stat(x, y)
+    except UndefinedStatisticError:
+        return None
+
+
 def compute_table_stats(table: PairedEvalTable) -> TableStats:
-    real = table.real
-    sim = table.sim
-    try:
-        r = pearson(real, sim)
-    except UndefinedStatisticError:
-        r = None
-    try:
-        rho = spearman(real, sim)
-    except UndefinedStatisticError:
-        rho = None
-    kp = {}
-    for e in table.evals:
-        if e.real_trials is not None and e.sim_trials is not None:
-            kp[e.policy_id] = kruskal_wallis(e.real_trials, e.sim_trials).p
+    r = _unless_undefined(pearson, table.real, table.sim)
+    rho = _unless_undefined(spearman, table.real, table.sim)
+    kp = {e.policy_id: kruskal_wallis(e.real_trials, e.sim_trials).p
+          for e in table.evals if e.real_trials is not None and e.sim_trials is not None}
     return TableStats(table.task, len(table.evals), mmrv(table), r, rho, kp)
 
 

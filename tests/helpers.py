@@ -1,5 +1,6 @@
 """Shared builders for test chains, rotations, and test-side oracles,
-including the slow one-at-a-time references of the batched planner and replay."""
+including the slow one-at-a-time references of the batched planner and replay
+and the numpy references of the plain-float statistics."""
 
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import numpy as np
 from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
 from real2sim.chain import ChainSpec, IkResult, IkSettings, JointSpec
 from real2sim.geometry import Pose, Rot3, UnitQuat, matrix_to_rotvec, quat_to_rot
+from real2sim.metrics import (DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError,
+                              _chi2_sf_1df)
 from real2sim.profile import LimitSet, PlanningError
 
 
@@ -129,6 +132,113 @@ def permutation_midp(a, b, h_obs, n_resamples=100_000, seed=7):
         elif hv >= h_obs - 1e-12:
             equal += int(c)
     return (above + 0.5 * equal) / n_resamples
+
+
+# ---------------------------------------------------------------------------
+# numpy references of the statistics in real2sim.metrics, which computes them
+# with plain floats. Ranks, Kruskal-Wallis and the shift deltas must match
+# them bit for bit, Pearson and Spearman within rel 1e-12.
+# ---------------------------------------------------------------------------
+
+
+def _ref_paired(x, y):
+    xa = np.asarray(x, dtype=float).reshape(-1)
+    ya = np.asarray(y, dtype=float).reshape(-1)
+    if xa.shape != ya.shape:
+        raise MetricsError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
+    if xa.shape[0] < 2:
+        raise MetricsError("need at least two observations")
+    return xa, ya
+
+
+def ref_pearson(x, y) -> float:
+    xa, ya = _ref_paired(x, y)
+    dx = xa - xa.mean()
+    dy = ya - ya.mean()
+    sx = float(np.sqrt(np.sum(dx * dx)))
+    sy = float(np.sqrt(np.sum(dy * dy)))
+    if sx == 0.0 or sy == 0.0:
+        raise UndefinedStatisticError("correlation undefined: an input has zero variance")
+    return float(np.sum(dx * dy) / (sx * sy))
+
+
+def ref_fractional_ranks(x: np.ndarray) -> np.ndarray:
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.shape[0])
+    i = 0
+    while i < x.shape[0]:
+        j = i
+        while j + 1 < x.shape[0] and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def ref_spearman(x, y) -> float:
+    xa, ya = _ref_paired(x, y)
+    return ref_pearson(ref_fractional_ranks(xa), ref_fractional_ranks(ya))
+
+
+def ref_delta_success(s: ShiftEval) -> DeltaSuccess:
+    diffs = np.array(s.variant_rates) - s.base_rate
+    return DeltaSuccess(float(diffs.mean()), float(np.abs(diffs).mean()))
+
+
+def ref_kruskal_wallis(a, b) -> KruskalResult:
+    aa = np.asarray(a, dtype=float).reshape(-1)
+    bb = np.asarray(b, dtype=float).reshape(-1)
+    if aa.shape[0] == 0 or bb.shape[0] == 0:
+        raise MetricsError("both groups must be non-empty")
+    pooled = np.concatenate([aa, bb])
+    n = pooled.shape[0]
+    ranks = ref_fractional_ranks(pooled)
+    r_a = ranks[: aa.shape[0]]
+    r_b = ranks[aa.shape[0] :]
+    grand = 0.5 * (n + 1)
+    h_unc = (12.0 / (n * (n + 1))) * (
+        aa.shape[0] * (r_a.mean() - grand) ** 2 + bb.shape[0] * (r_b.mean() - grand) ** 2
+    )
+    _, counts = np.unique(pooled, return_counts=True)
+    correction = 1.0 - float(np.sum(counts.astype(float) ** 3 - counts)) / (n**3 - n)
+    if correction <= 0.0:
+        return KruskalResult(0.0, 1.0)
+    h = h_unc / correction
+    return KruskalResult(float(h), _chi2_sf_1df(float(h)))
+
+
+def ref_aggregate_grouped(rates) -> list[float]:
+    if len(rates) == 0:
+        raise MetricsError("no groups to aggregate")
+    out = []
+    for i, group in enumerate(rates):
+        g = np.asarray(group, dtype=float).reshape(-1)
+        if g.shape[0] == 0:
+            raise MetricsError(f"group {i} is empty")
+        out.append(float(g.mean()))
+    return out
+
+
+def ref_action_mse(pred, gt) -> float:
+    pa = np.asarray(pred, dtype=float)
+    ga = np.asarray(gt, dtype=float)
+    if pa.shape != ga.shape:
+        raise MetricsError(f"shape mismatch: {pa.shape} vs {ga.shape}")
+    if pa.size == 0:
+        raise MetricsError("empty action arrays")
+    return float(np.mean((pa - ga) ** 2))
+
+
+def ref_mmrv(real, sim) -> float:
+    """Mean of each policy's worst violation, from a masked matrix of real-rate gaps."""
+    real = np.asarray(real, dtype=float)
+    sim = np.asarray(sim, dtype=float)
+    flipped = (sim[:, None] < sim[None, :]) != (real[:, None] < real[None, :])
+    worst = np.where(flipped, np.abs(real[:, None] - real[None, :]), 0.0).max(axis=1)
+    total = 0.0
+    for w in worst.tolist():  # in policy order, as the definition sums
+        total += w
+    return total / real.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,55 @@ def test_metrics_shift_empty_variants_exits_3(tmp_path):
     assert main(["metrics", "shift", "--shifts", str(bad), "--out", "-"]) == 3
 
 
+@pytest.mark.parametrize(
+    "policy, message",
+    [
+        ({"real_rate": "0.5"}, "evals[0].real_rate: not a finite number"),
+        ({"sim_rate": True}, "evals[0].sim_rate: not a finite number"),
+        ({"real_rate": 10**400}, "evals[0].real_rate: not a finite number"),
+        ({"sim_rate": float("nan")}, "evals[0].sim_rate: not a finite number"),
+        # int() would read these outcomes as [0, 0], which matches the stated rate
+        ({"real_rate": 0.0, "real_trials": [0.6, 0.9], "sim_trials": [0, 1]}, "real_trials must be binary"),
+        ({"real_trials": ["1", "0"]}, "evals[0].real_trials: not a finite number"),
+        ({"real_trials": "10"}, "evals[0].real_trials: expected a list of 0/1 outcomes"),
+    ],
+)
+def test_metrics_report_non_number_exits_2(tmp_path, capsys, policy, message):
+    table = two_policy_table("t")
+    table["evals"][0].update(policy)
+    bad = tmp_path / "table.json"
+    bad.write_text(json.dumps(table))
+    out = tmp_path / "report"
+    assert main(["metrics", "report", "--table", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [
+        ({"base": "0.5"}, "shifts[0].base: not a finite number"),
+        ({"base": 10**400}, "shifts[0].base: not a finite number"),
+        ({"base": False}, "shifts[0].base: not a finite number"),
+        ({"factors": {"lighting": [0.4, "0.5"]}}, "shifts[0].factors.lighting: not a finite number"),
+        ({"factors": {"lighting": [10**400]}}, "shifts[0].factors.lighting: not a finite number"),
+        ({"factors": {"lighting": [float("inf")]}}, "shifts[0].factors.lighting: not a finite number"),
+        ({"factors": {"lighting": "0.4"}}, "shifts[0].factors.lighting: not a rate list"),
+    ],
+)
+def test_metrics_shift_non_number_exits_2(tmp_path, capsys, shift, message):
+    entry = {"policy": "p", "task": "t", "base": 0.5, "factors": {"lighting": [0.4, 0.6]}}
+    entry.update(shift)
+    bad = tmp_path / "shift.json"
+    bad.write_text(json.dumps(entry))
+    out = tmp_path / "shift.csv"
+    assert main(["metrics", "shift", "--shifts", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_composite_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     sim = ImageRGB8.from_array(rng.integers(0, 256, (4, 6, 3), dtype=np.uint8))
@@ -369,6 +418,13 @@ def test_sysid_fit_unknown_key_exits_3(sysid_workspace, tmp_path):
          "record control frequency 5.0 Hz does not match the controller's 3.0 Hz (use ctrl.h_ctrl to override)"),
         ("dynamics", {"inertia": True}, "dynamics.inertia: expected numbers"),
         ("dynamics", {"damping": [0.3, False, 0.3]}, "dynamics.damping: expected numbers"),
+        # JSON strings are not numbers, and an integer past the float range is no float
+        ("init", {"p": "120", "d": 1.5}, "init.p: expected numbers"),
+        ("init", {"p": 10**400, "d": 1.5}, "init.p: expected numbers"),
+        ("range", {"p_low": [20.0, "20", 20.0], "p_high": 200.0, "d_low": 1.0, "d_high": 10.0},
+         "range.p_low: expected numbers"),
+        ("ctrl", {"h_ctrl": "5"}, "ctrl: h_sim and h_ctrl must be numbers"),
+        ("ctrl", {"h_sim": 10**400}, "ctrl: h_sim and h_ctrl must be numbers"),
     ],
 )
 def test_sysid_fit_bad_section_exits_3(sysid_workspace, tmp_path, capsys, section, value, message):
@@ -509,6 +565,23 @@ def test_replay_cli_non_finite_frequency_exits_3(sysid_workspace, tmp_path, caps
     assert rc == 3
     assert not out.exists()
     assert capsys.readouterr().err == f"error: {field} must be a positive finite frequency, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("p", ["60", 10**400, [60.0, "60", 60.0], [60.0, 10**400, 60.0]],
+                         ids=["string", "huge int", "string in list", "huge int in list"])
+def test_replay_cli_params_not_numbers_exits_3(sysid_workspace, tmp_path, capsys, p):
+    root = sysid_workspace
+    params = tmp_path / "pd.json"
+    params.write_text(json.dumps({"p": p, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    rc = main([
+        "replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+        "--chain", str(root / "chain.json"), "--params", str(params),
+        "--controller", "widowx", "--sim-hz", "200", "--out", str(out),
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: p: expected numbers\n"
+    assert not out.exists()
 
 
 def test_replay_cli_unstable_gains_exits_3(sysid_workspace, tmp_path, capsys):

@@ -12,6 +12,7 @@ from real2sim.metrics import (
     PolicyEval,
     ShiftEval,
     UndefinedStatisticError,
+    _fractional_ranks,
     _gammainc_upper,
     action_mse,
     aggregate_grouped,
@@ -161,7 +162,19 @@ def test_spearman_with_ties_matches_rank_oracle():
     assert spearman(x, y) == pytest.approx(pearson(rx, ry), abs=1e-12)
 
 
-from helpers import permutation_midp, reference_kruskal_h, reference_ranks
+from helpers import (
+    permutation_midp,
+    ref_action_mse,
+    ref_aggregate_grouped,
+    ref_delta_success,
+    ref_fractional_ranks,
+    ref_kruskal_wallis,
+    ref_mmrv,
+    ref_pearson,
+    ref_spearman,
+    reference_kruskal_h,
+    reference_ranks,
+)
 
 _ranks_reference = reference_ranks
 
@@ -312,3 +325,69 @@ def test_policy_eval_validation():
 def test_table_rejects_duplicate_ids():
     with pytest.raises(MetricsError):
         PairedEvalTable("t", (PolicyEval("a", 0.1, 0.1), PolicyEval("a", 0.2, 0.2)))
+
+
+# numpy references (tests/helpers.py) of the plain-float statistics, on inputs with ties, zero variance and
+# identical pooled observations, below 8 values (a plain sum), up to 128 (8 running sums) and above (halving)
+SIZES = {"n<8": (2, 8), "8<=n<=128": (8, 129), "n>128": (129, 400)}
+
+
+def _outcome(stat, *args):
+    try:
+        return stat(*args)
+    except UndefinedStatisticError:
+        return "undefined"
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_statistics_match_numpy_reference_bit_for_bit(size):
+    rng = np.random.default_rng(list(SIZES).index(size))
+    for _ in range(20):
+        n = int(rng.integers(*SIZES[size]))
+        samples = {
+            "ties": (rng.integers(0, 25, n) / 24, rng.integers(0, 25, n) / 24),
+            "continuous": (rng.random(n), rng.random(n)),
+            "zero variance": (np.full(n, 0.375), rng.random(n)),
+        }
+        for x, y in samples.values():
+            assert _fractional_ranks(x.tolist()) == ref_fractional_ranks(x).tolist()
+            assert _outcome(pearson, x, y) == _outcome(ref_pearson, x, y)
+            assert _outcome(spearman, x, y) == _outcome(ref_spearman, x, y)
+            assert mmrv(table(x, y)) == ref_mmrv(x, y)
+            assert kruskal_wallis(x, y) == ref_kruskal_wallis(x, y)
+            shift = ShiftEval(float(y[0]), tuple(x))
+            assert delta_success(shift) == ref_delta_success(shift)
+            assert aggregate_grouped([x, y[: n // 2 + 1]]) == ref_aggregate_grouped([x, y[: n // 2 + 1]])
+        a = rng.integers(0, 2, n)
+        b = rng.integers(0, 2, int(rng.integers(1, 2 * n)))
+        assert kruskal_wallis(a, b) == ref_kruskal_wallis(a, b)
+        assert kruskal_wallis(np.ones(n), np.ones(3)) == ref_kruskal_wallis(np.ones(n), np.ones(3)) == (0.0, 1.0)
+        pred = rng.normal(size=(n, int(rng.integers(1, 8))))
+        gt = rng.normal(size=pred.shape)
+        assert action_mse(pred, gt) == ref_action_mse(pred, gt)
+        assert action_mse(pred.tolist(), gt.tolist()) == ref_action_mse(pred, gt)
+
+
+def test_statistics_take_lists_and_arrays_alike():
+    real, sim = PICK_REAL, PICK_SIM
+    assert table(real, sim).real == real and table(real, sim).sim == sim
+    assert pearson(np.array(real), np.array(sim)) == pearson(real, sim)
+    assert kruskal_wallis(np.array([1, 0, 1]), (0, 0, 1)) == kruskal_wallis([1.0, 0.0, 1.0], [0, 0, 1])
+
+
+def test_statistics_reject_non_finite_and_ragged_inputs():
+    with pytest.raises(MetricsError, match="non-finite"):
+        pearson([0.1, float("nan"), 0.3], [0.1, 0.2, 0.3])
+    with pytest.raises(MetricsError, match="non-finite"):
+        kruskal_wallis([1, 0], [float("inf")])
+    with pytest.raises(MetricsError, match="unequal length"):
+        action_mse([[0.0, 1.0], [0.0]], [[0.0, 1.0], [0.0]])
+    with pytest.raises(MetricsError, match="shape mismatch"):
+        action_mse(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+def test_policy_trials_must_equal_0_or_1():
+    # int() would truncate these to (0, 0), which matches a rate of 0
+    with pytest.raises(MetricsError, match="must be binary"):
+        PolicyEval("a", 0.0, 0.0, real_trials=(0.6, 0.9))
+    assert PolicyEval("a", 0.5, 0.0, real_trials=(1.0, 0.0)).real_trials == (1, 0)

@@ -66,8 +66,16 @@ def test_metrics_shift_runs_no_fit_layer(tmp_path):
     out = tmp_path / "shift.csv"
     numpy_ran, layers = launch("metrics", "shift", "--shifts", str(fixture_path("rt1_pick_coke_shift.json")),
                                "--out", str(out))
-    assert numpy_ran and layers <= {"metrics", "report"}
+    assert not numpy_ran and layers <= {"metrics", "report"}
     assert out.is_file()
+
+
+def test_metrics_report_runs_no_fit_layer(tmp_path):
+    out = tmp_path / "report"
+    numpy_ran, layers = launch("metrics", "report", "--table", str(fixture_path("google_robot_vismatch.json")),
+                               "--out", str(out))
+    assert not numpy_ran and layers <= {"metrics", "report"}
+    assert (out / "aggregate.json").is_file()
 
 
 def test_import_cli_registers_every_layer():
