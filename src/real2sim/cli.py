@@ -47,7 +47,7 @@ class ConfigError(ValueError):
 def _read_json(path: str):
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also not UTF-8, or an integer past Python's 4300-digit limit
         raise report.InputFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -185,6 +185,18 @@ def test_metrics_report_non_number_exits_2(tmp_path, capsys, policy, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, obj", [
+    ("report", "--table", two_policy_table("t")),
+    ("shift", "--shifts", {"policy": "p", "task": "t", "base": 0.5, "factors": {"lighting": [0.4]}}),
+], ids=["report", "shift"])
+def test_metrics_integer_past_the_digit_limit_exits_2(tmp_path, capsys, command, flag, obj):
+    # json.loads raises a plain ValueError for an integer literal of more than 4300 digits
+    bad = tmp_path / "in.json"
+    bad.write_text(json.dumps(obj).replace("0.5", "1" + "0" * 5000, 1))
+    assert main(["metrics", command, flag, str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "shift, message",
     [

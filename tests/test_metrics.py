@@ -330,6 +330,7 @@ def test_table_rejects_duplicate_ids():
 # numpy references (tests/helpers.py) of the plain-float statistics, on inputs with ties, zero variance and
 # identical pooled observations, below 8 values (a plain sum), up to 128 (8 running sums) and above (halving)
 SIZES = {"n<8": (2, 8), "8<=n<=128": (8, 129), "n>128": (129, 400)}
+TRIALS = {"n<8": 40, "8<=n<=128": 20, "n>128": 4}  # mmrv is quadratic in pure Python
 
 
 def _outcome(stat, *args):
@@ -342,7 +343,7 @@ def _outcome(stat, *args):
 @pytest.mark.parametrize("size", SIZES)
 def test_statistics_match_numpy_reference_bit_for_bit(size):
     rng = np.random.default_rng(list(SIZES).index(size))
-    for _ in range(20):
+    for _ in range(TRIALS[size]):
         n = int(rng.integers(*SIZES[size]))
         samples = {
             "ties": (rng.integers(0, 25, n) / 24, rng.integers(0, 25, n) / 24),
