@@ -9,9 +9,31 @@ workflows.
 
 Public names are imported from their modules on first access, so importing
 the package loads neither numpy nor any layer module.
+
+``json_number`` is the one rule for what a number in an input file is; it
+lives here so that a parser can use it without running another module body.
 """
 
 import importlib
+
+
+def json_number(v, error: Exception) -> float:
+    """``v`` as a float if it is a JSON number: an int or a float (a numpy float too), not a
+    bool, a string or an integer past the float range. Anything else raises ``error``."""
+    try:
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            return float(v)
+    except OverflowError:
+        pass
+    raise error
+
+
+def json_vector(v, n: int | None, error: Exception) -> list[float]:
+    """``v`` as floats if it is a list of ``n`` (if None, any number of) JSON numbers; else raises ``error``."""
+    if not isinstance(v, list) or n not in (None, len(v)):
+        raise error
+    return [json_number(x, error) for x in v]
+
 
 _EXPORTS = {
     "geometry": "GeometryError Pose Rot3 UnitQuat compose inverse quat_to_rot rot_frobenius_loss rot_to_quat "

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import json_number, json_vector
 from .geometry import (
     GeometryError,
     Pose,
@@ -40,7 +41,6 @@ __all__ = [
     "chain_to_dict",
     "chain_from_dict",
     "chain_to_json",
-    "chain_from_json",
 ]
 
 logger = logging.getLogger(__name__)
@@ -74,12 +74,11 @@ class JointSpec:
             raise ChainError(f"joint {self.name!r}: unknown kind {self.kind!r}")
         a = np.asarray(self.axis, dtype=float).reshape(3)
         n = np.linalg.norm(a)
-        if abs(n - 1.0) > 1e-6:
-            if n < 1e-9:
-                raise ChainError(f"joint {self.name!r}: axis has zero norm")
-            a = a / n
-        else:
-            a = a / n
+        if not np.isfinite(n):
+            raise ChainError(f"joint {self.name!r}: axis values must be finite")
+        if n < 1e-9:
+            raise ChainError(f"joint {self.name!r}: axis has zero norm")
+        a = a / n
         a.setflags(write=False)
         object.__setattr__(self, "axis", a)
         if not self.lower <= self.upper:
@@ -307,8 +306,8 @@ def _parse_origin(elem: ET.Element | None, where: str) -> Pose:
         rpy = [float(v) for v in elem.get("rpy", "0 0 0").split()]
     except ValueError as exc:
         raise UrdfParseError(f"{where}: malformed origin attributes") from exc
-    if len(xyz) != 3 or len(rpy) != 3:
-        raise UrdfParseError(f"{where}: origin xyz/rpy need exactly 3 numbers")
+    if len(xyz) != 3 or len(rpy) != 3 or not all(map(math.isfinite, xyz + rpy)):
+        raise UrdfParseError(f"{where}: origin xyz/rpy need exactly 3 finite numbers")
     return Pose(Rot3(_rpy_matrix(*rpy)), np.array(xyz))
 
 
@@ -432,33 +431,27 @@ def chain_to_dict(chain: ChainSpec) -> dict:
     }
 
 
-def chain_from_dict(d: dict) -> ChainSpec:
-    try:
-        raw_joints = d["joints"]
-    except (KeyError, TypeError) as exc:
-        raise ChainError("chain object needs a 'joints' list") from exc
+def chain_from_dict(d: dict, source: str = "chain") -> ChainSpec:
+    """Parse a chain object; an error names the offending field under ``source``."""
+    if not isinstance(d, dict) or not isinstance(d.get("joints"), list):
+        raise ChainError(f"{source}: needs a 'joints' list")
     joints = []
-    for i, j in enumerate(raw_joints):
-        try:
-            joints.append(
-                JointSpec(
-                    name=str(j["name"]),
-                    kind=str(j["kind"]),
-                    origin=pose_from_dict(j["origin"]),
-                    axis=np.asarray(j["axis"], dtype=float),
-                    lower=-math.inf if j["limits"][0] is None else float(j["limits"][0]),
-                    upper=math.inf if j["limits"][1] is None else float(j["limits"][1]),
-                )
-            )
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ChainError(f"joints[{i}]: missing or malformed field ({exc})") from exc
-    ee = pose_from_dict(d["ee_offset"]) if "ee_offset" in d else Pose.identity()
+    for i, j in enumerate(d["joints"]):
+        where = f"{source}.joints[{i}]"
+        if not isinstance(j, dict) or any(k not in j for k in ("name", "kind", "origin", "axis", "limits")):
+            raise ChainError(f"{where}: needs 'name', 'kind', 'origin', 'axis' and 'limits'")
+        limits = j["limits"]
+        error = ChainError(f"{where}.limits: expected two numbers or nulls")
+        if not isinstance(limits, list) or len(limits) != 2:
+            raise error
+        lower = -math.inf if limits[0] is None else json_number(limits[0], error)
+        upper = math.inf if limits[1] is None else json_number(limits[1], error)
+        axis = json_vector(j["axis"], 3, ChainError(f"{where}.axis: expected 3 numbers"))
+        origin = pose_from_dict(j["origin"], f"{where}.origin")
+        joints.append(JointSpec(str(j["name"]), str(j["kind"]), origin, np.array(axis), lower, upper))
+    ee = pose_from_dict(d["ee_offset"], f"{source}.ee_offset") if "ee_offset" in d else Pose.identity()
     return ChainSpec(tuple(joints), ee_offset=ee)
 
 
 def chain_to_json(chain: ChainSpec) -> str:
     return json.dumps(chain_to_dict(chain), indent=2, sort_keys=True)
-
-
-def chain_from_json(text: str) -> ChainSpec:
-    return chain_from_dict(json.loads(text))

@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+from . import json_number, json_vector
+
 
 def _lazy(name: str):
     """Module ``name``, in ``sys.modules`` from now on; its body runs on first attribute access."""
@@ -44,7 +46,8 @@ class ConfigError(ValueError):
     """Unknown or invalid key in a run-configuration file."""
 
 
-def _read_json(path: str):
+def _read_json(path):
+    """The one reader of input JSON files: a fault of the file itself is an InputFormatError naming it."""
     try:
         return json.loads(Path(path).read_text())
     except ValueError as exc:  # also not UTF-8, or an integer past Python's 4300-digit limit
@@ -78,20 +81,11 @@ def _section(obj, allowed: set[str], where: str, required: tuple[str, ...] = ())
     return obj
 
 
-def _floats(values, message: str) -> list[float]:
-    """JSON numbers as floats; a bool, a string or an integer past the float range is a ConfigError."""
-    try:
-        if all(type(v) in (int, float) for v in values):
-            return [float(v) for v in values]
-    except OverflowError:
-        pass
-    raise ConfigError(message)
-
-
 def _vec_field(obj, n: int, where: str) -> np.ndarray:
-    values = _floats(obj if isinstance(obj, list) else [obj], f"{where}: expected numbers")
+    error = ConfigError(f"{where}: expected numbers")
     if not isinstance(obj, list):
-        return np.full(n, values[0])
+        return np.full(n, json_number(obj, error))
+    values = json_vector(obj, None, error)
     if len(values) != n:
         raise ConfigError(f"{where}: expected a scalar or {n} values")
     return np.array(values)
@@ -103,11 +97,11 @@ def _vec_field(obj, n: int, where: str) -> np.ndarray:
 
 
 def _check_task_names(tables) -> None:
-    """Each task names one CSV file inside the output directory."""
+    """Each task names one CSV file inside the output directory, in at most the 255 bytes most file systems take."""
     seen = set()
     for table in tables:
         name = table.task
-        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0") or len(f"{name}.csv".encode()) > 255:
             raise report.InputFormatError(f"task name {name!r} is not a plain file name")
         if name in seen:
             raise report.InputFormatError(f"task {name!r} appears in more than one table")
@@ -158,19 +152,16 @@ def _ctrl_config(kind: str, overrides: dict | None) -> controller.CtrlConfig:
     if overrides is None:
         return cfg
     _section(overrides, _CTRL_KEYS, "ctrl")
-    h_sim, h_ctrl = _floats([overrides.get("h_sim", cfg.h_sim), overrides.get("h_ctrl", cfg.h_ctrl)],
-                            "ctrl: h_sim and h_ctrl must be numbers")
+    error = ConfigError("ctrl: h_sim and h_ctrl must be numbers")
+    h_sim, h_ctrl = (json_number(overrides.get(k, getattr(cfg, k)), error) for k in ("h_sim", "h_ctrl"))
     return controller.CtrlConfig(h_sim=h_sim, h_ctrl=h_ctrl)
 
 
 def _dynamics(obj, robot: chain.ChainSpec, where: str) -> jointsim.JointDynamics:
     dyn_obj = _section(obj, _DYN_KEYS, where)
-    return jointsim.JointDynamics(
-        _vec_field(dyn_obj.get("inertia", 1.0), robot.n, "dynamics.inertia"),
-        _vec_field(dyn_obj.get("damping", 0.0), robot.n, "dynamics.damping"),
-        robot.lower,
-        robot.upper,
-    )
+    return jointsim.JointDynamics.from_chain(
+        robot, _vec_field(dyn_obj.get("inertia", 1.0), robot.n, "dynamics.inertia"),
+        _vec_field(dyn_obj.get("damping", 0.0), robot.n, "dynamics.damping"))
 
 
 def _check_ctrl_frequency(records, cfg: controller.CtrlConfig, override: str) -> None:
@@ -181,7 +172,7 @@ def _check_ctrl_frequency(records, cfg: controller.CtrlConfig, override: str) ->
 
 
 def cmd_sysid_fit(args) -> int:
-    robot = chain.chain_from_json(Path(args.chain).read_text())
+    robot = chain.chain_from_dict(_read_json(args.chain), args.chain)
     n = robot.n
     config = _section(_read_json(args.config), _SYSID_KEYS, args.config, required=("init", "range"))
     kind = config.get("controller", jointsim.WIDOWX)
@@ -212,7 +203,7 @@ def cmd_sysid_fit(args) -> int:
     paths = sorted(traj_dir.glob("*.json")) if traj_dir.is_dir() else [traj_dir]
     if not paths:
         raise sysid.SysIdError(f"no trajectory files found under {traj_dir}")
-    records = [jointsim.TrajectoryRecord.from_json(p.read_text()) for p in paths]
+    records = [jointsim.TrajectoryRecord.from_dict(_read_json(p), str(p)) for p in paths]
     _check_ctrl_frequency(records, ctrl_cfg, "ctrl.h_ctrl")
 
     result = sysid.anneal_fit(records, robot, dyn, kind, init, rng, anneal, ctrl_cfg)
@@ -258,8 +249,8 @@ def _load_pd(path: str, n: int) -> jointsim.PDParams:
 
 
 def cmd_replay(args) -> int:
-    robot = chain.chain_from_json(Path(args.chain).read_text())
-    rec = jointsim.TrajectoryRecord.from_json(Path(args.trajectory).read_text())
+    robot = chain.chain_from_dict(_read_json(args.chain), args.chain)
+    rec = jointsim.TrajectoryRecord.from_dict(_read_json(args.trajectory), args.trajectory)
     pd = _load_pd(args.params, robot.n)
     dyn = _dynamics(_read_json(args.dynamics) if args.dynamics else {}, robot, args.dynamics or "dynamics")
     overrides = {k: v for k, v in (("h_sim", args.sim_hz), ("h_ctrl", args.ctrl_hz)) if v is not None}
@@ -308,7 +299,10 @@ def cmd_composite(args) -> int:
 
 
 def cmd_urdf_convert(args) -> int:
-    text = Path(args.infile).read_text()
+    try:
+        text = Path(args.infile).read_text()
+    except UnicodeDecodeError as exc:
+        raise chain.UrdfParseError(f"{args.infile}: not UTF-8 text ({exc})") from exc
     robot = chain.parse_urdf_subset(text, tip=args.tip)
     _write_text(args.out, chain.chain_to_json(robot) + "\n")
     return EXIT_OK

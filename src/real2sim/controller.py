@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import json_number, json_vector
 from .chain import ChainSpec, IkSettings, _ik_rows, _tools
-from .geometry import Pose, Rot3, UnitQuat, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
+from .geometry import GeometryError, Pose, Rot3, UnitQuat, _freeze, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from .profile import LimitSet, plan_scurve_1d, synchronize
 
 __all__ = [
@@ -59,27 +60,25 @@ class Action:
     gripper: float
 
     def __post_init__(self):
-        p = np.asarray(self.delta_pos, dtype=float).reshape(3).copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "delta_pos", p)
+        object.__setattr__(self, "delta_pos", _freeze(self.delta_pos, 3))
 
     @staticmethod
-    def from_dict(d: dict) -> "Action":
-        try:
-            xyz = np.asarray(d["xyz"], dtype=float).reshape(3)
-            g = float(d["gripper"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ControllerError(f"action needs 'xyz' and 'gripper': {d!r}") from exc
-        if "quat_wxyz" in d:
-            rot_values = [float(v) for v in d["quat_wxyz"]]
-        elif "rot_axis_angle" in d:
-            rot_values = np.asarray(d["rot_axis_angle"], dtype=float).reshape(3)
-        else:
-            raise ControllerError("action needs 'rot_axis_angle' or 'quat_wxyz'")
-        if not np.all(np.isfinite(np.concatenate([xyz, [g], rot_values]))):
-            raise ControllerError(f"action values must be finite: {d!r}")
-        if "quat_wxyz" in d:
-            rot = quat_to_rot(UnitQuat(*rot_values))
+    def from_dict(d: dict, where: str = "action") -> "Action":
+        """Parse an action object; an error names the offending field under ``where``."""
+        if not isinstance(d, dict) or "xyz" not in d or "gripper" not in d or d.keys().isdisjoint(
+                ("quat_wxyz", "rot_axis_angle")):
+            raise ControllerError(f"{where}: needs 'xyz', 'gripper' and 'rot_axis_angle' or 'quat_wxyz'")
+        xyz = json_vector(d["xyz"], 3, ControllerError(f"{where}.xyz: expected 3 numbers"))
+        g = json_number(d["gripper"], ControllerError(f"{where}.gripper: expected a number"))
+        rot_key, n = ("quat_wxyz", 4) if "quat_wxyz" in d else ("rot_axis_angle", 3)
+        rot_values = json_vector(d[rot_key], n, ControllerError(f"{where}.{rot_key}: expected {n} numbers"))
+        if not all(map(math.isfinite, [*xyz, g, *rot_values])):
+            raise ControllerError(f"{where}: action values must be finite")
+        if n == 4:
+            try:
+                rot = quat_to_rot(UnitQuat(*rot_values))
+            except GeometryError as exc:
+                raise ControllerError(f"{where}.quat_wxyz: {exc}") from exc
         else:
             angle = float(np.linalg.norm(rot_values))
             rot = Rot3(np.eye(3)) if angle < 1e-12 else Rot3(axis_angle_to_matrix(rot_values, angle))

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import json_vector
+
 __all__ = [
     "GeometryError",
     "Rot3",
@@ -40,8 +42,11 @@ class GeometryError(ValueError):
     """Raised when a rotation, quaternion, or pose fails validation."""
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _freeze(a, shape=None) -> np.ndarray:
+    """A read-only C-ordered float copy of ``a`` (reshaped to ``shape`` if given); ``a`` stays writable."""
+    a = np.array(a, dtype=float, order="C")
+    if shape is not None:
+        a = a.reshape(shape)
     a.setflags(write=False)
     return a
 
@@ -53,7 +58,7 @@ class Rot3:
     m: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.m, dtype=float)
+        a = _freeze(self.m)
         if a.shape != (3, 3):
             raise GeometryError(f"expected a 3x3 matrix, got shape {a.shape}")
         err = np.abs(a.T @ a - np.eye(3)).max()
@@ -61,7 +66,7 @@ class Rot3:
             raise GeometryError(f"matrix is not orthonormal, |R^T R - I|_max = {err:.3e}")
         if abs(np.linalg.det(a) - 1.0) > _VALID_TOL:
             raise GeometryError("matrix determinant is not +1 (reflection or scaling)")
-        object.__setattr__(self, "m", _freeze(a))
+        object.__setattr__(self, "m", a)
 
     @staticmethod
     def identity() -> "Rot3":
@@ -69,9 +74,6 @@ class Rot3:
 
     def __matmul__(self, other: "Rot3") -> "Rot3":
         return Rot3(self.m @ other.m)
-
-    def transpose(self) -> "Rot3":
-        return Rot3(self.m.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +84,7 @@ class Pose:
     pos: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.pos, dtype=float).reshape(3)
-        object.__setattr__(self, "pos", _freeze(p))
+        object.__setattr__(self, "pos", _freeze(self.pos, 3))
 
     @staticmethod
     def identity() -> "Pose":
@@ -138,15 +139,12 @@ class UnitQuat:
 
     def __post_init__(self):
         n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if abs(n - 1.0) > _VALID_TOL:
+        if not abs(n - 1.0) <= _VALID_TOL:  # also a NaN norm
             raise GeometryError(f"quaternion norm {n:.9f} deviates from 1 beyond 1e-6")
         sign = -1.0 if self.w < 0.0 else 1.0
         scale = sign / n
         for name, v in (("w", self.w), ("x", self.x), ("y", self.y), ("z", self.z)):
             object.__setattr__(self, name, v * scale)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
 
 
 def quat_to_rot(q: UnitQuat) -> Rot3:
@@ -240,12 +238,15 @@ def pose_to_dict(p: Pose) -> dict:
     return {"xyz": [float(v) for v in p.pos], "quat_wxyz": [q.w, q.x, q.y, q.z]}
 
 
-def pose_from_dict(d: dict) -> Pose:
+def pose_from_dict(d: dict, where: str = "pose") -> Pose:
+    """Parse a pose object; an error names the offending field under ``where``."""
+    if not isinstance(d, dict) or "xyz" not in d or "quat_wxyz" not in d:
+        raise GeometryError(f"{where}: needs 'xyz' and 'quat_wxyz' fields")
+    xyz = json_vector(d["xyz"], 3, GeometryError(f"{where}.xyz: expected 3 numbers"))
+    quat = json_vector(d["quat_wxyz"], 4, GeometryError(f"{where}.quat_wxyz: expected 4 numbers"))
+    if not all(map(math.isfinite, xyz)):
+        raise GeometryError(f"{where}.xyz: values must be finite")
     try:
-        xyz = d["xyz"]
-        quat = d["quat_wxyz"]
-    except (KeyError, TypeError) as exc:
-        raise GeometryError(f"pose object needs 'xyz' and 'quat_wxyz' fields: {d!r}") from exc
-    if len(xyz) != 3 or len(quat) != 4:
-        raise GeometryError("pose 'xyz' must have 3 entries and 'quat_wxyz' 4")
-    return Pose(quat_to_rot(UnitQuat(*[float(v) for v in quat])), np.asarray(xyz, dtype=float))
+        return Pose(quat_to_rot(UnitQuat(*quat)), xyz)
+    except GeometryError as exc:
+        raise GeometryError(f"{where}.quat_wxyz: {exc}") from exc

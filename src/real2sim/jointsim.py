@@ -10,12 +10,13 @@ logs the end-effector pose at every control tick.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import json_number, json_vector
 from .chain import ChainSpec, IkSettings, _tools, ik_dls
 from .controller import (
     Action,
@@ -29,7 +30,7 @@ from .controller import (
     widowx_config,
     widowx_step,
 )
-from .geometry import Pose, Rot3, pose_from_dict, pose_to_dict
+from .geometry import Pose, Rot3, _freeze, pose_from_dict, pose_to_dict
 
 __all__ = [
     "JointSimError",
@@ -67,16 +68,12 @@ class PDParams:
     d: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).reshape(-1).copy()
-        d = np.asarray(self.d, dtype=float).reshape(-1).copy()
-        if p.shape != d.shape:
+        object.__setattr__(self, "p", _freeze(self.p, -1))
+        object.__setattr__(self, "d", _freeze(self.d, -1))
+        if self.p.shape != self.d.shape:
             raise JointSimError("p and d must have equal length")
-        if np.any(p < 0.0) or np.any(d < 0.0):
+        if np.any(self.p < 0.0) or np.any(self.d < 0.0):
             raise JointSimError("PD gains must be non-negative")
-        p.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "d", d)
 
     @property
     def n(self) -> int:
@@ -93,22 +90,14 @@ class JointDynamics:
     upper: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.inertia, dtype=float).reshape(-1).copy()
-        b = np.asarray(self.damping, dtype=float).reshape(-1).copy()
-        lo = np.asarray(self.lower, dtype=float).reshape(-1).copy()
-        hi = np.asarray(self.upper, dtype=float).reshape(-1).copy()
-        if not (m.shape == b.shape == lo.shape == hi.shape):
+        for name in ("inertia", "damping", "lower", "upper"):
+            object.__setattr__(self, name, _freeze(getattr(self, name), -1))
+        if not (self.inertia.shape == self.damping.shape == self.lower.shape == self.upper.shape):
             raise JointSimError("dynamics vectors must have equal length")
-        if np.any(m <= 0.0):
+        if np.any(self.inertia <= 0.0):
             raise JointSimError("joint inertia must be strictly positive")
-        if np.any(b < 0.0):
+        if np.any(self.damping < 0.0):
             raise JointSimError("passive damping must be non-negative")
-        for a in (m, b, lo, hi):
-            a.setflags(write=False)
-        object.__setattr__(self, "inertia", m)
-        object.__setattr__(self, "damping", b)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
 
     @staticmethod
     def from_chain(chain: ChainSpec, inertia=1.0, damping=0.0) -> "JointDynamics":
@@ -140,14 +129,14 @@ class TrajectoryRecord:
         na, np_ = len(self.actions), len(self.ee_poses)
         if np_ not in (na, na + 1) or na == 0:
             raise JointSimError(f"{np_} poses do not align with {na} actions (want T or T+1)")
-        if self.ctrl_frequency <= 0:
-            raise JointSimError("ctrl_frequency must be positive")
+        if not 0.0 < self.ctrl_frequency < math.inf:
+            raise JointSimError("ctrl_frequency must be positive and finite")
         if self.joint_positions is not None:
-            jp = np.asarray(self.joint_positions, dtype=float)
+            jp = _freeze(self.joint_positions)
             if jp.ndim != 2 or jp.shape[0] != np_:
                 raise JointSimError("joint_positions must align with ee_poses")
-            jp = jp.copy()
-            jp.setflags(write=False)
+            if not np.isfinite(jp).all():
+                raise JointSimError("joint_positions must be finite")
             object.__setattr__(self, "joint_positions", jp)
 
     def to_dict(self) -> dict:
@@ -161,22 +150,25 @@ class TrajectoryRecord:
         return out
 
     @staticmethod
-    def from_dict(d: dict) -> "TrajectoryRecord":
-        try:
-            actions = tuple(Action.from_dict(a) for a in d["actions"])
-            poses = tuple(pose_from_dict(p) for p in d["ee_poses"])
-            freq = float(d["ctrl_frequency"])
-        except (KeyError, TypeError) as exc:
-            raise JointSimError(f"trajectory record is missing a field: {exc}") from exc
+    def from_dict(d: dict, source: str = "record") -> "TrajectoryRecord":
+        """Parse a record object; an error names the offending field under ``source``."""
+        if not isinstance(d, dict) or "ctrl_frequency" not in d or not all(
+                isinstance(d.get(k), list) for k in ("actions", "ee_poses")):
+            raise JointSimError(f"{source}: needs 'actions' and 'ee_poses' lists and 'ctrl_frequency'")
+        actions = [Action.from_dict(a, f"{source}.actions[{i}]") for i, a in enumerate(d["actions"])]
+        poses = [pose_from_dict(p, f"{source}.ee_poses[{i}]") for i, p in enumerate(d["ee_poses"])]
+        freq = json_number(d["ctrl_frequency"], JointSimError(f"{source}.ctrl_frequency: expected a number"))
         jp = d.get("joint_positions")
-        return TrajectoryRecord(actions, poses, freq, None if jp is None else np.asarray(jp, dtype=float))
-
-    @staticmethod
-    def from_json(text: str) -> "TrajectoryRecord":
-        return TrajectoryRecord.from_dict(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        if jp is not None:
+            error = JointSimError(f"{source}.joint_positions: expected equal-length lists of numbers")
+            if not isinstance(jp, list):
+                raise error
+            width = len(jp[0]) if jp and isinstance(jp[0], list) else None
+            jp = [json_vector(row, width, error) for row in jp]
+        try:
+            return TrajectoryRecord(actions, poses, freq, jp)
+        except JointSimError as exc:
+            raise JointSimError(f"{source}: {exc}") from exc
 
 
 def _check_stable(pd: PDParams, dyn: JointDynamics, dt: float, error: type[ValueError] = JointSimError) -> None:
@@ -363,10 +355,7 @@ def replay_open_loop(
     SimStepTargets of every control step.
     """
     if q_init is None:
-        if rec.joint_positions is not None:
-            q_init = rec.joint_positions[0]
-        else:
-            q_init = initial_joint_positions(chain, rec.ee_poses[0])
+        q_init = _record_q_init(chain, rec)
     sink = None if plan_sink is None else (lambda _, step, targets: plan_sink(step, targets))
     return _simulate(chain, dyn, pd, controller_kind, [rec.actions], [q_init], cfg, ik_settings, sink)[0][0]
 
@@ -385,6 +374,13 @@ def synthesize_record(
     cfg = cfg or default_config(controller_kind)
     (poses,), (joints,) = _simulate(chain, dyn, pd, controller_kind, [actions], [q_init], cfg, ik_settings)
     return TrajectoryRecord(tuple(actions), tuple(poses), cfg.h_ctrl, np.stack(joints))
+
+
+def _record_q_init(chain: ChainSpec, rec: TrajectoryRecord) -> np.ndarray:
+    """A record's initial arm configuration: its first joint positions if it has them, else IK on its first pose."""
+    if rec.joint_positions is not None:
+        return rec.joint_positions[0]
+    return initial_joint_positions(chain, rec.ee_poses[0])
 
 
 def initial_joint_positions(

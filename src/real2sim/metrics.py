@@ -24,7 +24,7 @@ __all__ = [
     "DeltaSuccess",
     "KruskalResult",
     "rank_violation",
-    "max_rank_violation",
+    "max_rank_violations",
     "mmrv",
     "pearson",
     "spearman",
@@ -125,17 +125,17 @@ def rank_violation(i: PolicyEval, j: PolicyEval) -> float:
     return 0.0
 
 
-def max_rank_violation(table: PairedEvalTable, i: int) -> float:
-    """Worst violation committed against policy ``i`` across the table."""
-    e = table.evals[i]
-    return max(rank_violation(e, other) for other in table.evals)
+def max_rank_violations(table: PairedEvalTable) -> list[float]:
+    """Worst violation committed against each policy across the table; MMRV is their mean."""
+    if len(table.evals) < 2:
+        raise MetricsError("need at least two policies")
+    return [max(rank_violation(e, other) for other in table.evals) for e in table.evals]
 
 
 def mmrv(table: PairedEvalTable) -> float:
     """Mean over policies of the worst real-weighted rank violation."""
-    if len(table.evals) < 2:
-        raise MetricsError("need at least two policies")
-    return sum(max_rank_violation(table, i) for i in range(len(table.evals))) / len(table.evals)
+    worst = max_rank_violations(table)
+    return sum(worst) / len(worst)
 
 
 def _flatten(a) -> tuple[tuple[int, ...], list[float]]:

@@ -8,6 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from . import json_number
 from .metrics import (
     MetricsError,
     PairedEvalTable,
@@ -16,8 +17,7 @@ from .metrics import (
     UndefinedStatisticError,
     delta_success,
     kruskal_wallis,
-    max_rank_violation,
-    mmrv,
+    max_rank_violations,
     pearson,
     spearman,
 )
@@ -45,13 +45,12 @@ def _need(obj: dict, key: str, path: str):
 
 
 def _number(v, path: str) -> float:
-    """``v`` as a float if it is a finite JSON number: not a bool, a string or an integer past the float range."""
-    try:
-        if type(v) in (int, float) and math.isfinite(float(v)):
-            return float(v)
-    except OverflowError:
-        pass
-    raise InputFormatError(f"{path}: not a finite number")
+    """``v`` as a float if it is a finite JSON number."""
+    error = InputFormatError(f"{path}: not a finite number")
+    x = json_number(v, error)
+    if not math.isfinite(x):
+        raise error
+    return x
 
 
 def _parse_policy(obj, path: str) -> PolicyEval:
@@ -139,6 +138,7 @@ class TableStats:
     pearson: float | None
     spearman: float | None
     kruskal_p: dict[str, float]
+    max_violations: tuple[float, ...]  # per policy, in table order
 
 
 def _unless_undefined(stat, x, y) -> float | None:
@@ -153,7 +153,8 @@ def compute_table_stats(table: PairedEvalTable) -> TableStats:
     rho = _unless_undefined(spearman, table.real, table.sim)
     kp = {e.policy_id: kruskal_wallis(e.real_trials, e.sim_trials).p
           for e in table.evals if e.real_trials is not None and e.sim_trials is not None}
-    return TableStats(table.task, len(table.evals), mmrv(table), r, rho, kp)
+    worst = max_rank_violations(table)
+    return TableStats(table.task, len(table.evals), sum(worst) / len(worst), r, rho, kp, tuple(worst))
 
 
 def _fmt(x: float | None) -> str:
@@ -165,11 +166,8 @@ def metrics_csv(table: PairedEvalTable, stats: TableStats) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["task", "policy", "real", "sim", "max_rank_violation"])
-    for i, e in enumerate(table.evals):
-        w.writerow(
-            [table.task, e.policy_id, f"{e.real_rate:.6f}", f"{e.sim_rate:.6f}",
-             f"{max_rank_violation(table, i):.6f}"]
-        )
+    for e, worst in zip(table.evals, stats.max_violations):
+        w.writerow([table.task, e.policy_id, f"{e.real_rate:.6f}", f"{e.sim_rate:.6f}", f"{worst:.6f}"])
     w.writerow([table.task, "MMRV", "", "", _fmt(stats.mmrv)])
     w.writerow([table.task, "pearson", "", "", _fmt(stats.pearson)])
     w.writerow([table.task, "spearman", "", "", _fmt(stats.spearman)])

@@ -16,18 +16,19 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import json_number
 from .chain import ChainSpec, IkSettings
 from .controller import CtrlConfig
-from .geometry import Pose, rot_frobenius_loss
+from .geometry import Pose, _freeze, rot_frobenius_loss
 from .jointsim import (
     JointDynamics,
     JointSimError,
     PDParams,
     TrajectoryRecord,
     _check_stable,
+    _record_q_init,
     _simulate,
     default_config,
-    initial_joint_positions,
 )
 
 __all__ = [
@@ -78,19 +79,15 @@ class SysIdRange:
     d_high: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
         for name in ("p_low", "p_high", "d_low", "d_high"):
-            a = np.asarray(getattr(self, name), dtype=float).reshape(-1).copy()
-            a.setflags(write=False)
-            arrays[name] = a
-            object.__setattr__(self, name, a)
-        if not (arrays["p_low"].shape == arrays["p_high"].shape == arrays["d_low"].shape == arrays["d_high"].shape):
+            object.__setattr__(self, name, _freeze(getattr(self, name), -1))
+        if not (self.p_low.shape == self.p_high.shape == self.d_low.shape == self.d_high.shape):
             raise SysIdError("range vectors must have equal length")
-        if not all(np.all(np.isfinite(a)) for a in arrays.values()):
+        if not all(np.all(np.isfinite(a)) for a in (self.p_low, self.p_high, self.d_low, self.d_high)):
             raise SysIdError("range bounds must be finite")
-        if np.any(arrays["p_low"] < 0.0) or np.any(arrays["d_low"] < 0.0):
+        if np.any(self.p_low < 0.0) or np.any(self.d_low < 0.0):
             raise SysIdError("range bounds must be non-negative")
-        if np.any(arrays["p_low"] >= arrays["p_high"]) or np.any(arrays["d_low"] >= arrays["d_high"]):
+        if np.any(self.p_low >= self.p_high) or np.any(self.d_low >= self.d_high):
             raise SysIdError("lower bounds must be strictly below upper bounds")
 
     @property
@@ -136,8 +133,9 @@ class AnnealConfig:
             value = getattr(self, name)
             if value is None and name == "t0":
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise SysIdError(f"{name} must be a finite number, got {value!r}")
+            error = SysIdError(f"{name} must be a finite number, got {value!r}")
+            if not math.isfinite(json_number(value, error)):
+                raise error
         if self.rounds < 1 or self.iters_per_round < 1:
             raise SysIdError("rounds and iters_per_round must be at least 1")
         if not 0.0 < self.cooling < 1.0:
@@ -205,10 +203,7 @@ def anneal_fit(
     q_inits = []
     for i, rec in enumerate(dataset):
         try:
-            if rec.joint_positions is not None:
-                q_inits.append(np.asarray(rec.joint_positions[0], dtype=float))
-            else:
-                q_inits.append(initial_joint_positions(chain, rec.ee_poses[0]))
+            q_inits.append(_record_q_init(chain, rec))
         except JointSimError as exc:
             raise SysIdError(f"record {i}: {exc}") from exc
 

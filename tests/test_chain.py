@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from real2sim.chain import (
     JointSpec,
     UrdfParseError,
     _ik_rows,
-    chain_from_json,
+    chain_from_dict,
     chain_to_json,
     fk,
     ik_dls,
@@ -131,6 +132,13 @@ def test_parse_rejects_missing_axis():
         parse_urdf_subset(PLANAR_URDF.replace('<axis xyz="0 0 1"/>', "", 1))
 
 
+@pytest.mark.parametrize("origin", ['xyz="nan 0 0"', 'xyz="1e400 0 0"', 'rpy="0 inf 0"'])
+def test_parse_rejects_non_finite_origin(origin):
+    # float() reads these attribute texts, but a chain holding them would be written as NaN/Infinity
+    with pytest.raises(UrdfParseError, match="j2.*finite numbers"):
+        parse_urdf_subset(PLANAR_URDF.replace('<origin xyz="1 0 0"/>', f"<origin {origin}/>", 1))
+
+
 def test_parse_rejects_malformed_xml():
     with pytest.raises(UrdfParseError, match="XML"):
         parse_urdf_subset("<robot><link")
@@ -145,7 +153,7 @@ def test_parse_with_tip_stops_early():
 def test_parse_serialize_parse_identity():
     chain = parse_urdf_subset(PLANAR_URDF)
     text = chain_to_json(chain)
-    again = chain_to_json(chain_from_json(text))
+    again = chain_to_json(chain_from_dict(json.loads(text)))
     assert text == again
 
 

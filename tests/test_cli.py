@@ -7,7 +7,7 @@ import pytest
 
 from helpers import fk_path_actions, planar_3link
 from real2sim import cli
-from real2sim.chain import IkSettings, UrdfParseError, chain_from_json, chain_to_json
+from real2sim.chain import IkSettings, UrdfParseError, chain_from_dict, chain_to_json
 from real2sim.cli import ConfigError, main
 from real2sim.controller import CtrlConfig
 from real2sim.data import fixture_path
@@ -116,7 +116,8 @@ def files_under(root):
     return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
 
 
-@pytest.mark.parametrize("task", ["../escaped", "", ".", "..", "a/b", "a\\b", "a\0b"])
+# a file name of 252 bytes plus ".csv" is past the 255 bytes most file systems take
+@pytest.mark.parametrize("task", ["../escaped", "", ".", "..", "a/b", "a\\b", "a\0b", "x" * 252])
 def test_metrics_report_unsafe_task_name_exits_2(tmp_path, task):
     tables = tmp_path / "in" / "tables.json"
     tables.parent.mkdir()
@@ -282,7 +283,7 @@ def test_urdf_convert_continuous_joint_writes_null_limits(tmp_path):
 
     text = out.read_text()
     assert json.loads(text, parse_constant=reject)["joints"][0]["limits"] == [None, None]
-    joint = chain_from_json(text).joints[0]
+    joint = chain_from_dict(json.loads(text)).joints[0]
     assert (joint.kind, joint.lower, joint.upper) == ("revolute", -np.inf, np.inf)
 
 
@@ -311,7 +312,7 @@ def sysid_workspace(tmp_path_factory):
     for i in range(2):
         actions = fk_path_actions(chain, q0, 8, rng, amp=0.25, gripper=0.5)
         rec = synthesize_record(chain, dyn, truth, "widowx", actions, q0, cfg, IkSettings(max_iters=60))
-        (traj_dir / f"rec{i}.json").write_text(rec.to_json())
+        (traj_dir / f"rec{i}.json").write_text(json.dumps(rec.to_dict()))
     config = {
         "controller": "widowx",
         "dynamics": {"inertia": 1.0, "damping": 0.3},
@@ -508,7 +509,7 @@ def test_replay_cli_google_dump_plan(tmp_path):
     q0 = np.array([0.4, 0.9, -0.7])
     actions = fk_path_actions(chain, q0, 3, np.random.default_rng(4), amp=0.25, gripper=0.5)
     rec = synthesize_record(chain, dyn, truth, "google", actions, q0, ik_settings=IkSettings(max_iters=60))
-    (tmp_path / "rec.json").write_text(rec.to_json())
+    (tmp_path / "rec.json").write_text(json.dumps(rec.to_dict()))
     (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
     plan_csv = tmp_path / "plan.csv"
     rc = main([
@@ -629,6 +630,80 @@ def test_replay_cli_nan_action_exits_3(sysid_workspace, tmp_path, capsys, contro
     ])
     assert rc == 3
     assert "action values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+NUMBER_PROBES = [
+    # an integer past the float range
+    ("rec.json", ("actions", 0, "gripper"), str(10**400), 3, "actions[0].gripper: expected a number"),
+    ("rec.json", ("actions", 0, "xyz", 0), str(10**400), 3, "actions[0].xyz: expected 3 numbers"),
+    ("rec.json", ("ee_poses", 0, "quat_wxyz", 0), str(10**400), 3, "ee_poses[0].quat_wxyz: expected 4 numbers"),
+    ("rec.json", ("ctrl_frequency",), str(10**400), 3, "ctrl_frequency: expected a number"),
+    ("chain.json", ("joints", 0, "limits", 0), str(10**400), 3, "joints[0].limits: expected two numbers or nulls"),
+    # a JSON string is no number, even when it spells one
+    ("rec.json", ("actions", 0, "gripper"), '"0.5"', 3, "actions[0].gripper: expected a number"),
+    ("rec.json", ("actions", 0, "xyz", 0), '"0"', 3, "actions[0].xyz: expected 3 numbers"),
+    ("rec.json", ("ee_poses", 0, "xyz", 0), '"0"', 3, "ee_poses[0].xyz: expected 3 numbers"),
+    ("rec.json", ("ctrl_frequency",), '"5"', 3, "ctrl_frequency: expected a number"),
+    ("chain.json", ("joints", 0, "limits", 1), '"3"', 3, "joints[0].limits: expected two numbers or nulls"),
+    ("chain.json", ("joints", 0, "axis", 2), '"1"', 3, "joints[0].axis: expected 3 numbers"),
+    # past Python's 4300-digit limit the file itself does not parse
+    ("rec.json", ("ctrl_frequency",), "1" + "0" * 5000, 2, "invalid JSON"),
+]
+
+
+def _probe_id(probe) -> str:
+    kind = "string" if probe[2].startswith('"') else f"{len(probe[2])} digits"
+    return f"{probe[0]}:{'.'.join(map(str, probe[1]))}:{kind}"
+
+
+@pytest.mark.parametrize("name, path, text, code, message", NUMBER_PROBES, ids=map(_probe_id, NUMBER_PROBES))
+def test_replay_malformed_number_names_its_field(sysid_workspace, tmp_path, capsys, name, path, text, code, message):
+    root = sysid_workspace
+    objs = {"rec.json": json.loads((root / "trajectories" / "rec0.json").read_text()),
+            "chain.json": json.loads((root / "chain.json").read_text())}
+    obj = objs[name]
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = "<probe>"
+    for file, o in objs.items():
+        (tmp_path / file).write_text(json.dumps(o).replace('"<probe>"', text))
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out, plan_csv = tmp_path / "poses.json", tmp_path / "plan.csv"
+    rc = main([
+        "replay", "--trajectory", str(tmp_path / "rec.json"), "--chain", str(tmp_path / "chain.json"),
+        "--params", str(tmp_path / "pd.json"), "--controller", "widowx", "--sim-hz", "200",
+        "--out", str(out), "--dump-plan", str(plan_csv),
+    ])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}") and message in err and "Traceback" not in err
+    assert not out.exists() and not plan_csv.exists()
+
+
+def test_urdf_convert_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "r.urdf"
+    bad.write_bytes(URDF.encode().replace(b"mini", b"m\xffni"))
+    out = tmp_path / "chain.json"
+    assert main(["urdf", "convert", "--in", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text")
+    assert not out.exists()
+
+
+def test_sysid_fit_record_error_names_its_file(sysid_workspace, tmp_path, capsys):
+    root = sysid_workspace
+    traj = tmp_path / "trajectories"
+    traj.mkdir()
+    for i in range(2):
+        rec = json.loads((root / "trajectories" / f"rec{i}.json").read_text())
+        if i == 1:
+            del rec["actions"][0]["gripper"]
+        (traj / f"rec{i}.json").write_text(json.dumps(rec))
+    out = tmp_path / "fit.json"
+    rc = main(["sysid", "fit", "--trajectories", str(traj), "--chain", str(root / "chain.json"),
+               "--config", str(root / "sysid.json"), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {traj / 'rec1.json'}.actions[0]: needs 'xyz', 'gripper' and 'rot_axis_angle' or 'quat_wxyz'\n"
     assert not out.exists()
 
 

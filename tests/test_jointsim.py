@@ -8,7 +8,7 @@ from helpers import dyn_step, fk_path_actions, planar_3link, ref_hold_target, re
 from real2sim import controller
 from real2sim.chain import fk
 from real2sim.controller import Action, CtrlConfig
-from real2sim.geometry import Rot3
+from real2sim.geometry import Pose, Rot3
 from real2sim.jointsim import (
     JointDynamics,
     JointSimError,
@@ -23,7 +23,7 @@ from real2sim.jointsim import (
     replay_open_loop,
     synthesize_record,
 )
-from real2sim.sysid import trajectory_losses
+from real2sim.sysid import SysIdRange, trajectory_losses
 
 # light controller frequencies keep unit tests quick; the production-rate
 # constants are exercised in the acceptance suite
@@ -224,12 +224,35 @@ def test_record_alignment_validation():
     TrajectoryRecord((act,), (pose,), 5.0)
 
 
+FROZEN = {  # a type, the caller's array it is built from, and the field that keeps a frozen copy of it
+    "Rot3": (np.eye(3), lambda a: Rot3(a), "m"),
+    "Pose": (np.ones(3), lambda a: Pose(Rot3.identity(), a), "pos"),
+    "Action": (np.ones(3), lambda a: Action(a, Rot3.identity(), 0.0), "delta_pos"),
+    "PDParams": (np.ones(3), lambda a: PDParams(a, np.ones(3)), "p"),
+    "JointDynamics": (np.ones(3), lambda a: JointDynamics(a, np.zeros(3), -np.ones(3), np.ones(3)), "inertia"),
+    "SysIdRange": (np.ones(3), lambda a: SysIdRange(a, np.full(3, 2.0), np.zeros(3), np.ones(3)), "p_low"),
+    "TrajectoryRecord": (np.ones((2, 3)), lambda a: TrajectoryRecord(
+        (Action(np.zeros(3), Rot3.identity(), 0.0),), (Pose.identity(),) * 2, 5.0, a), "joint_positions"),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_field_is_a_copy_of_the_callers_array(name):
+    array, build, field = FROZEN[name]
+    array = array.copy()
+    obj = build(array)
+    kept = getattr(obj, field).copy()
+    assert array.flags.writeable and not getattr(obj, field).flags.writeable
+    array *= 0.5
+    np.testing.assert_array_equal(getattr(obj, field), kept)
+
+
 def test_record_json_roundtrip(replay_setup):
     chain, q0, dyn, pd = replay_setup
     rng = np.random.default_rng(6)
     actions = fk_path_actions(chain, q0, 4, rng, amp=0.15, gripper=0.3)
     rec = synthesize_record(chain, dyn, pd, "widowx", actions, q0, FAST_CFG)
-    back = TrajectoryRecord.from_json(rec.to_json())
+    back = TrajectoryRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
     assert back.ctrl_frequency == rec.ctrl_frequency
     assert len(back.actions) == len(rec.actions)
     np.testing.assert_allclose(back.joint_positions, rec.joint_positions, atol=1e-12)

@@ -18,7 +18,7 @@ from real2sim.metrics import (
     aggregate_grouped,
     delta_success,
     kruskal_wallis,
-    max_rank_violation,
+    max_rank_violations,
     mmrv,
     pearson,
     rank_violation,
@@ -110,8 +110,7 @@ def test_mmrv_invariant_under_monotone_sim_transform(seed):
 
 def test_max_rank_violation_per_policy():
     t = table([0.9, 0.5], [0.4, 0.8])
-    assert max_rank_violation(t, 0) == pytest.approx(0.4)
-    assert max_rank_violation(t, 1) == pytest.approx(0.4)
+    assert max_rank_violations(t) == pytest.approx([0.4, 0.4])
 
 
 def test_pearson_affine():
