@@ -18,8 +18,8 @@ import importlib
 
 
 def json_number(v, error: Exception) -> float:
-    """``v`` as a float if it is a JSON number: an int or a float (a numpy float too), not a
-    bool, a string or an integer past the float range. Anything else raises ``error``."""
+    """``v`` as a float if it is a JSON number: an int or a float (a numpy float64 too), not
+    a bool, a string or an integer past the float range. Anything else raises ``error``."""
     try:
         if isinstance(v, (int, float)) and not isinstance(v, bool):
             return float(v)
