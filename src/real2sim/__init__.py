@@ -10,8 +10,9 @@ workflows.
 Public names are imported from their modules on first access, so importing
 the package loads neither numpy nor any layer module.
 
-``json_number`` is the one rule for what a number in an input file is; it
-lives here so that a parser can use it without running another module body.
+``json_number`` and ``json_name`` are the rules for what a number and a name
+in an input file are; they live here so that a parser can use them without
+running another module body.
 """
 
 import importlib
@@ -25,6 +26,13 @@ def json_number(v, error: Exception) -> float:
             return float(v)
     except OverflowError:
         pass
+    raise error
+
+
+def json_name(v, error: Exception) -> str:
+    """``v`` if it is a JSON string; anything else raises ``error``."""
+    if isinstance(v, str):
+        return v
     raise error
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import json_number, json_vector
+from . import json_name, json_number, json_vector
 from .geometry import (
     GeometryError,
     Pose,
@@ -47,6 +47,8 @@ logger = logging.getLogger(__name__)
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
+# an IK row stops, unconverged, after this many iterations without a better residual
+IK_STALL_ITERS = 20
 
 
 class ChainError(ValueError):
@@ -225,14 +227,16 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
     """Damped-least-squares IK of B rows in lockstep, each toward its own target.
 
     ``target_rot`` is (B, 3, 3), ``target_pos`` (B, 3) and ``q_seed`` (B, n).
-    A finished row leaves the active set, so every row runs the iterates of a
-    solo run. Returns each row's best iterate, residuals, flag and iteration count.
+    A row finishes on convergence, at ``max_iters`` or after ``IK_STALL_ITERS``
+    iterations without a better residual, and leaves the active set, so every
+    row runs the iterates of a solo run. Returns each row's best iterate,
+    residuals, flag and iteration count.
     """
     lo, hi = chain.lower, chain.upper
     q = np.minimum(np.maximum(q_seed, lo), hi)
     damp = (s.damping**2) * np.eye(6)
     rows = list(range(q.shape[0]))  # the original index of each active row
-    best = [(row, math.inf, math.inf) for row in q]  # each active row's best iterate and residuals
+    best = [(row, math.inf, math.inf, 0) for row in q]  # each active row's best iterate, residuals and iteration
     out = [None] * q.shape[0]
     for it in range(s.max_iters + 1):
         frames = _frames(chain, q)
@@ -244,10 +248,10 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
         keep = []  # the bookkeeping of a few rows costs less in Python floats
         for j, (res_pos, res_rot) in enumerate(res.tolist()):
             if res_pos + res_rot < best[j][1] + best[j][2]:
-                best[j] = (q[j], res_pos, res_rot)
+                best[j] = (q[j], res_pos, res_rot, it)
             converged = res_pos <= s.tol_pos and res_rot <= s.tol_rot
-            if converged or it == s.max_iters:
-                out[rows[j]] = (*best[j], converged, it)
+            if converged or it == s.max_iters or it - best[j][3] == IK_STALL_ITERS:
+                out[rows[j]] = (*best[j][:3], converged, it)
             else:
                 keep.append(j)
         if not keep:
@@ -271,9 +275,11 @@ def ik_dls(chain: ChainSpec, target: Pose, q_seed, settings: IkSettings | None =
     """Damped-least-squares IK toward ``target``, seeded at ``q_seed``.
 
     Iterates dq = J^T (J J^T + damping^2 I)^-1 e with the step clamped to
-    ``max_step`` per joint and iterates clamped to joint limits. Never raises
-    on non-convergence: the best iterate found is always returned, with the
-    ``converged`` flag and residuals reporting the outcome.
+    ``max_step`` per joint and iterates clamped to joint limits, until it
+    converges, reaches ``max_iters`` or goes ``IK_STALL_ITERS`` iterations
+    without a better residual. Never raises on non-convergence: the best
+    iterate found is always returned, with the ``converged`` flag and
+    residuals reporting the outcome.
     """
     q, pos, rot, ok, its = _ik_rows(
         chain, target.rot.m[None], target.pos[None], _check_q(chain, q_seed)[None], settings or IkSettings()
@@ -335,7 +341,7 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
             raise UrdfParseError("<link> without a name")
         link_names.add(name)
 
-    children: dict[str, list[ET.Element]] = {}
+    children: dict[str, list[tuple[ET.Element, str, str, str]]] = {}  # joint, name, type, child link
     child_links = set()
     for joint in root.findall("joint"):
         jname = joint.get("name") or "<unnamed>"
@@ -350,7 +356,7 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
         clink = child.get("link")
         if plink not in link_names or clink not in link_names:
             raise UrdfParseError(f"joint {jname!r}: parent/child link not declared")
-        children.setdefault(plink, []).append(joint)
+        children.setdefault(plink, []).append((joint, jname, jtype, clink))
         child_links.add(clink)
 
     roots = sorted(link_names - child_links)
@@ -370,9 +376,7 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
             break
         if len(outgoing) > 1:
             raise UrdfParseError(f"unsupported: non-serial chain (link {current!r} has {len(outgoing)} child joints)")
-        joint = outgoing[0]
-        jname = joint.get("name") or "<unnamed>"
-        jtype = joint.get("type")
+        joint, jname, jtype, child = outgoing[0]
         origin = compose(pending, _parse_origin(joint.find("origin"), f"joint {jname!r}"))
         if jtype == "fixed":
             pending = origin
@@ -388,21 +392,19 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
                 raise UrdfParseError(f"joint {jname!r}: axis xyz needs exactly 3 numbers")
             # a continuous joint is a revolute joint without position limits
             limit = None if jtype == "continuous" else joint.find("limit")
-            lower = -math.inf
-            upper = math.inf
-            if limit is not None:
-                try:
-                    lower = float(limit.get("lower", "-inf"))
-                    upper = float(limit.get("upper", "inf"))
-                except ValueError as exc:
-                    raise UrdfParseError(f"joint {jname!r}: malformed limit bounds") from exc
+            bounds = {} if limit is None else limit.attrib
+            try:
+                lower = float(bounds.get("lower", "-inf"))
+                upper = float(bounds.get("upper", "inf"))
+            except ValueError as exc:
+                raise UrdfParseError(f"joint {jname!r}: malformed limit bounds") from exc
             try:
                 kind = REVOLUTE if jtype == "continuous" else jtype
                 joints.append(JointSpec(jname, kind, origin, np.array(axis), lower, upper))
             except (ChainError, GeometryError) as exc:
                 raise UrdfParseError(f"joint {jname!r}: {exc}") from exc
             pending = Pose.identity()
-        current = joint.find("child").get("link")
+        current = child
 
     if not joints:
         raise UrdfParseError("no revolute or prismatic joint on the root-to-tip path")
@@ -448,7 +450,8 @@ def chain_from_dict(d: dict, source: str = "chain") -> ChainSpec:
         upper = math.inf if limits[1] is None else json_number(limits[1], error)
         axis = json_vector(j["axis"], 3, ChainError(f"{where}.axis: expected 3 numbers"))
         origin = pose_from_dict(j["origin"], f"{where}.origin")
-        joints.append(JointSpec(str(j["name"]), str(j["kind"]), origin, np.array(axis), lower, upper))
+        name = json_name(j["name"], ChainError(f"{where}.name: expected a string"))
+        joints.append(JointSpec(name, str(j["kind"]), origin, np.array(axis), lower, upper))
     ee = pose_from_dict(d["ee_offset"], f"{source}.ee_offset") if "ee_offset" in d else Pose.identity()
     return ChainSpec(tuple(joints), ee_offset=ee)
 

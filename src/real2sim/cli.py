@@ -54,18 +54,14 @@ def _read_json(path):
         raise report.InputFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _write_text(out: str, text: str) -> None:
+def _write(out: str, data: str | bytes) -> None:
+    """Write text or bytes to the file ``out``, or to standard output if ``out`` is -."""
+    binary = isinstance(data, bytes)
     if out == "-":
-        sys.stdout.write(text)
+        (sys.stdout.buffer if binary else sys.stdout).write(data)
     else:
-        Path(out).write_text(text)
-
-
-def _write_bytes(out: str, data: bytes) -> None:
-    if out == "-":
-        sys.stdout.buffer.write(data)
-    else:
-        Path(out).write_bytes(data)
+        with open(out, "wb" if binary else "w") as f:
+            f.write(data)
 
 
 def _section(obj, allowed: set[str], where: str, required: tuple[str, ...] = ()) -> dict:
@@ -131,7 +127,7 @@ def cmd_metrics_report(args) -> int:
 
 def cmd_metrics_shift(args) -> int:
     rows = report.shifts_from_obj(_read_json(args.shifts), source=args.shifts)
-    _write_text(args.out, report.shift_csv(rows))
+    _write(args.out, report.shift_csv(rows))
     return EXIT_OK
 
 
@@ -164,11 +160,11 @@ def _dynamics(obj, robot: chain.ChainSpec, where: str) -> jointsim.JointDynamics
         _vec_field(dyn_obj.get("damping", 0.0), robot.n, "dynamics.damping"))
 
 
-def _check_ctrl_frequency(records, cfg: controller.CtrlConfig, override: str) -> None:
-    for rec in records:
+def _check_ctrl_frequency(records, paths, cfg: controller.CtrlConfig, override: str) -> None:
+    for rec, path in zip(records, paths):
         if abs(cfg.h_ctrl - rec.ctrl_frequency) > 1e-9:
-            raise jointsim.JointSimError(f"record control frequency {rec.ctrl_frequency} Hz does not match the "
-                                         f"controller's {cfg.h_ctrl} Hz (use {override} to override)")
+            raise jointsim.JointSimError(f"{path}: record control frequency {rec.ctrl_frequency} Hz does not match "
+                                         f"the controller's {cfg.h_ctrl} Hz (use {override} to override)")
 
 
 def cmd_sysid_fit(args) -> int:
@@ -204,7 +200,7 @@ def cmd_sysid_fit(args) -> int:
     if not paths:
         raise sysid.SysIdError(f"no trajectory files found under {traj_dir}")
     records = [jointsim.TrajectoryRecord.from_dict(_read_json(p), str(p)) for p in paths]
-    _check_ctrl_frequency(records, ctrl_cfg, "ctrl.h_ctrl")
+    _check_ctrl_frequency(records, paths, ctrl_cfg, "ctrl.h_ctrl")
 
     result = sysid.anneal_fit(records, robot, dyn, kind, init, rng, anneal, ctrl_cfg)
     out = {
@@ -230,7 +226,7 @@ def cmd_sysid_fit(args) -> int:
         "controller": kind,
         "rng_seed": anneal.rng_seed,
     }
-    _write_text(args.out, report.dumps_json(out))
+    _write(args.out, report.dumps_json(out))
     return EXIT_OK
 
 
@@ -255,7 +251,7 @@ def cmd_replay(args) -> int:
     dyn = _dynamics(_read_json(args.dynamics) if args.dynamics else {}, robot, args.dynamics or "dynamics")
     overrides = {k: v for k, v in (("h_sim", args.sim_hz), ("h_ctrl", args.ctrl_hz)) if v is not None}
     cfg = _ctrl_config(args.controller, overrides or None)
-    _check_ctrl_frequency([rec], cfg, "--ctrl-hz")
+    _check_ctrl_frequency([rec], [args.trajectory], cfg, "--ctrl-hz")
 
     plan_rows = []
 
@@ -271,7 +267,7 @@ def cmd_replay(args) -> int:
         "ee_poses": [geometry.pose_to_dict(p) for p in sim_poses],
         "losses": {"translation": losses.translation, "rotation": losses.rotation, "total": losses.total},
     }
-    _write_text(args.out, report.dumps_json(out))
+    _write(args.out, report.dumps_json(out))
     if args.out != "-":
         sys.stdout.write(
             f"loss_translation={losses.translation:.9f} loss_rotation={losses.rotation:.9f} "
@@ -280,7 +276,7 @@ def cmd_replay(args) -> int:
     if args.dump_plan:
         head = ["t"] + [f"{x}_d{i}" for x in "qva" for i in range(robot.n)] + ["grip_q", "grip_v", "grip_a"]
         lines = [",".join(head)] + [",".join(f"{v:.9f}" for v in row) for rows in plan_rows for row in rows]
-        _write_text(args.dump_plan, "\n".join(lines) + "\n")
+        _write(args.dump_plan, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -294,7 +290,7 @@ def cmd_composite(args) -> int:
     real = imaging.read_ppm(Path(args.real).read_bytes())
     mask = imaging.read_pgm(Path(args.mask).read_bytes())
     out = imaging.composite(sim, mask, real, mode=args.mode)
-    _write_bytes(args.out, imaging.write_ppm(out))
+    _write(args.out, imaging.write_ppm(out))
     return EXIT_OK
 
 
@@ -304,7 +300,7 @@ def cmd_urdf_convert(args) -> int:
     except UnicodeDecodeError as exc:
         raise chain.UrdfParseError(f"{args.infile}: not UTF-8 text ({exc})") from exc
     robot = chain.parse_urdf_subset(text, tip=args.tip)
-    _write_text(args.out, chain.chain_to_json(robot) + "\n")
+    _write(args.out, chain.chain_to_json(robot) + "\n")
     return EXIT_OK
 
 

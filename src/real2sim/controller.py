@@ -160,15 +160,6 @@ class SimStepTargets:
     grip_a: np.ndarray
 
 
-def _sanitize_velocity(v: np.ndarray, vmax: float) -> np.ndarray:
-    # the plant can transiently exceed the planner's velocity bound; the
-    # planner rejects such seeds, so clip like a deployed stack would
-    out = np.clip(v, -vmax, vmax)
-    if np.any(out != v):
-        logger.debug("sensed velocity clipped to planner bound %.3f", vmax)
-    return out
-
-
 def _rows(x, chain: ChainSpec, count: int, what: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.shape != (count, chain.n):
@@ -210,9 +201,10 @@ def google_step(
     q_arm = _rows(q_arm, chain, len(actions), "sensed arm positions")
     v_arm = _rows(v_arm, chain, len(actions), "sensed arm velocities")
     q_goal = _ik_goals("google_step", t, chain, actions, q_arm, q_arm, ik_settings, "planning toward best effort")
-    plan = synchronize(
-        q_arm, _sanitize_velocity(v_arm, GOOGLE_ARM_LIMITS.v_max), q_goal, np.zeros_like(q_arm), GOOGLE_ARM_LIMITS
-    )
+    # the plant can transiently exceed the planner's velocity bound, which the
+    # planner rejects as a seed: clip like a deployed stack would
+    v_max = GOOGLE_ARM_LIMITS.v_max
+    plan = synchronize(q_arm, np.clip(v_arm, -v_max, v_max), q_goal, np.zeros_like(q_arm), GOOGLE_ARM_LIMITS)
     return plan.sample(np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim)
 
 

@@ -84,7 +84,8 @@ class MaskGray8:
 _ASCII_VARIANTS = {b"P3": "P6", b"P2": "P5"}
 
 
-def _parse_header(data: bytes, magic: bytes):
+def _read_netpbm(data: bytes, magic: bytes, channels: int) -> tuple[int, int, bytes]:
+    """Width, height and the ``channels * width * height`` payload bytes of a binary netpbm file."""
     if len(data) < 2:
         raise ImageError("file too short to hold a netpbm header")
     got = data[:2]
@@ -116,16 +117,15 @@ def _parse_header(data: bytes, magic: bytes):
         raise ImageError(f"unsupported maxval {maxval}, only 255 is handled")
     if width <= 0 or height <= 0:
         raise ImageError("non-positive image dimensions")
-    return width, height, data[pos:]
+    need = channels * width * height
+    if len(data) - pos < need:
+        raise ImageError(f"truncated payload: {len(data) - pos} of {need} bytes")
+    return width, height, bytes(data[pos : pos + need])
 
 
 def read_ppm(data: bytes) -> ImageRGB8:
     """Decode a binary P6 image (maxval 255)."""
-    width, height, payload = _parse_header(data, b"P6")
-    need = 3 * width * height
-    if len(payload) < need:
-        raise ImageError(f"truncated payload: {len(payload)} of {need} bytes")
-    return ImageRGB8(width, height, bytes(payload[:need]))
+    return ImageRGB8(*_read_netpbm(data, b"P6", 3))
 
 
 def write_ppm(img: ImageRGB8) -> bytes:
@@ -134,11 +134,7 @@ def write_ppm(img: ImageRGB8) -> bytes:
 
 def read_pgm(data: bytes) -> MaskGray8:
     """Decode a binary P5 mask (maxval 255)."""
-    width, height, payload = _parse_header(data, b"P5")
-    need = width * height
-    if len(payload) < need:
-        raise ImageError(f"truncated payload: {len(payload)} of {need} bytes")
-    return MaskGray8(width, height, bytes(payload[:need]))
+    return MaskGray8(*_read_netpbm(data, b"P5", 1))
 
 
 def write_pgm(mask: MaskGray8) -> bytes:

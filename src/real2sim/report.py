@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from . import json_number
+from . import json_name, json_number
 from .metrics import (
     MetricsError,
     PairedEvalTable,
@@ -44,6 +44,10 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _name(obj: dict, key: str, path: str) -> str:
+    return json_name(_need(obj, key, path), InputFormatError(f"{path}.{key}: expected a string"))
+
+
 def _number(v, path: str) -> float:
     """``v`` as a float if it is a finite JSON number."""
     error = InputFormatError(f"{path}: not a finite number")
@@ -54,7 +58,7 @@ def _number(v, path: str) -> float:
 
 
 def _parse_policy(obj, path: str) -> PolicyEval:
-    pid = _need(obj, "policy_id", path)
+    pid = _name(obj, "policy_id", path)
     real = _number(_need(obj, "real_rate", path), f"{path}.real_rate")
     sim = _number(_need(obj, "sim_rate", path), f"{path}.sim_rate")
     kwargs = {}
@@ -64,19 +68,19 @@ def _parse_policy(obj, path: str) -> PolicyEval:
                 raise InputFormatError(f"{path}.{name}: expected a list of 0/1 outcomes")
             kwargs[name] = tuple(_number(v, f"{path}.{name}") for v in obj[name])  # PolicyEval checks 0/1
     try:
-        return PolicyEval(str(pid), real, sim, **kwargs)
+        return PolicyEval(pid, real, sim, **kwargs)
     except MetricsError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def _parse_table(obj, path: str) -> PairedEvalTable:
-    task = _need(obj, "task", path)
+    task = _name(obj, "task", path)
     evals = _need(obj, "evals", path)
     if not isinstance(evals, list):
         raise InputFormatError(f"{path}.evals: expected a list")
     parsed = [_parse_policy(e, f"{path}.evals[{i}]") for i, e in enumerate(evals)]
     try:
-        return PairedEvalTable(str(task), tuple(parsed))
+        return PairedEvalTable(task, tuple(parsed))
     except MetricsError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 
@@ -115,8 +119,8 @@ def shifts_from_obj(obj, source: str = "<input>") -> list[ShiftRow]:
     rows: list[ShiftRow] = []
     for i, entry in enumerate(obj):
         path = f"{source}.shifts[{i}]"
-        policy = str(_need(entry, "policy", path))
-        task = str(_need(entry, "task", path))
+        policy = _name(entry, "policy", path)
+        task = _name(entry, "task", path)
         base = _number(_need(entry, "base", path), f"{path}.base")
         factors = _need(entry, "factors", path)
         if not isinstance(factors, dict) or not factors:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
-from real2sim.chain import ChainSpec, IkResult, IkSettings, JointSpec
+from real2sim.chain import IK_STALL_ITERS, ChainSpec, IkResult, IkSettings, JointSpec
 from real2sim.geometry import Pose, Rot3, UnitQuat, matrix_to_rotvec, quat_to_rot
 from real2sim.metrics import (DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError,
                               _chi2_sf_1df)
@@ -500,11 +500,12 @@ def ref_jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool) -> np
 
 
 def ref_ik_dls(chain: ChainSpec, target: Pose, q_seed, s: IkSettings | None = None) -> IkResult:
-    """The scalar DLS loop: one configuration, Python-float bookkeeping."""
+    """The scalar DLS loop: one configuration, Python-float bookkeeping, and
+    the same stop once the best residual has not improved for IK_STALL_ITERS."""
     s = s or IkSettings()
     q = np.clip(np.asarray(q_seed, dtype=float), chain.lower, chain.upper)
     damp = (s.damping**2) * np.eye(6)
-    best_q, best_pos, best_rot = q.copy(), math.inf, math.inf
+    best_q, best_pos, best_rot, best_it = q.copy(), math.inf, math.inf, 0
     converged = False
     iterations = 0
     for it in range(s.max_iters + 1):
@@ -516,12 +517,12 @@ def ref_ik_dls(chain: ChainSpec, target: Pose, q_seed, s: IkSettings | None = No
         res_pos = math.sqrt(e_pos @ e_pos)
         res_rot = math.sqrt(e_rot @ e_rot)
         if res_pos + res_rot < best_pos + best_rot:
-            best_q, best_pos, best_rot = q.copy(), res_pos, res_rot
+            best_q, best_pos, best_rot, best_it = q.copy(), res_pos, res_rot, it
         iterations = it
         if res_pos <= s.tol_pos and res_rot <= s.tol_rot:
             converged = True
             break
-        if it == s.max_iters:
+        if it == s.max_iters or it - best_it == IK_STALL_ITERS:
             break
         jac = ref_jacobian_from_frames(chain, frames, p)
         dq = jac.T @ np.linalg.solve(jac @ jac.T + damp, np.concatenate([e_pos, e_rot]))

@@ -4,8 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import real2sim.chain as chain_module
 from helpers import random_serial_chain, ref_ik_dls
+from real2sim import controller
+from real2sim.bench import recovery_setup
 from real2sim.chain import (
+    IK_STALL_ITERS,
     ChainError,
     ChainSpec,
     IkSettings,
@@ -20,6 +24,7 @@ from real2sim.chain import (
     parse_urdf_subset,
 )
 from real2sim.geometry import Pose, compose, rot_z
+from real2sim.jointsim import _record_q_init, _simulate
 
 PLANAR_URDF = """<robot name="planar">
   <link name="base"/>
@@ -265,7 +270,63 @@ def test_ik_lockstep_rows_match_solo_reference():
                 ref.residual_pos, ref.residual_rot, ref.converged, ref.iterations
             )
     assert len(set(its[:5].tolist())) >= 3 and ok[:5].all()
-    assert not ok[5] and its[5] == 200
+    assert not ok[5] and its[5] < IkSettings().max_iters
+
+
+def test_ik_stops_a_row_once_it_stalls():
+    # out of reach: the best residual stops improving after a few iterations,
+    # and the row stops IK_STALL_ITERS later instead of running to max_iters
+    rng = np.random.default_rng(12)
+    chain = random_serial_chain(rng, 6)
+    seed = rng.uniform(-2.0, 2.0, 6)
+    near = fk(chain, seed)
+    target = Pose(near.rot, near.pos * 10.0)
+    res = ik_dls(chain, target, seed, IkSettings(max_iters=200))
+    assert not res.converged
+    # the best iterate is first returned when max_iters reaches the iteration that found it
+    best_it = next(m for m in range(1, res.iterations + 1)
+                   if ik_dls(chain, target, seed, IkSettings(max_iters=m)).residual_pos == res.residual_pos)
+    assert res.iterations == best_it + IK_STALL_ITERS < 200
+
+
+def test_ik_keeps_a_row_that_still_improves(monkeypatch):
+    # a short max_step makes a reachable target take many small improving steps
+    rng = np.random.default_rng(4)
+    chain = random_serial_chain(rng, 6)
+    q_true = rng.uniform(-1.5, 1.5, 6)
+    settings = IkSettings(max_step=0.02)
+    res = ik_dls(chain, fk(chain, q_true), q_true + 0.5, settings)
+    assert res.converged and res.iterations > 3 * IK_STALL_ITERS
+    monkeypatch.setattr(chain_module, "IK_STALL_ITERS", settings.max_iters + 1)
+    unstopped = ik_dls(chain, fk(chain, q_true), q_true + 0.5, settings)
+    assert np.array_equal(res.q, unstopped.q) and res.iterations == unstopped.iterations
+
+
+def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
+    # the criterion 7 problem at its initial gains: 150 IK rows, whose slow tail
+    # still improves at max_iters = 60; every count and flag is the one without the stop
+    chain, dyn, _, iks, records, init, _ = recovery_setup(n_records=5, n_actions=30)
+    q_inits = [_record_q_init(chain, rec) for rec in records]
+    batched_ik = controller._ik_rows
+
+    def rows_of_one_replay():
+        rows = []
+
+        def recording_ik(*args):
+            out = batched_ik(*args)
+            rows.extend(zip(out[4].tolist(), out[3].tolist()))
+            return out
+
+        monkeypatch.setattr(controller, "_ik_rows", recording_ik)
+        _simulate(chain, dyn, init, "widowx", [rec.actions for rec in records], q_inits, None, iks)
+        return rows
+
+    rows = rows_of_one_replay()
+    monkeypatch.setattr(chain_module, "IK_STALL_ITERS", iks.max_iters + 1)
+    assert rows == rows_of_one_replay()
+    its = [it for it, _ in rows]
+    assert len(rows) == 150 and sum(its) == 1806 and max(its) == 60  # mean 12.0
+    assert sum(not ok for _, ok in rows) == 7
 
 
 def test_iksettings_validation():

@@ -186,6 +186,30 @@ def test_metrics_report_non_number_exits_2(tmp_path, capsys, policy, message):
     assert not out.exists()
 
 
+NOT_STRINGS = [None, 0, [], {}]
+
+
+@pytest.mark.parametrize("value", NOT_STRINGS, ids=["null", "number", "list", "object"])
+@pytest.mark.parametrize("command, field", [
+    ("report", "task"), ("report", "policy_id"), ("shift", "policy"), ("shift", "task"),
+])
+def test_metrics_name_not_a_string_exits_2(tmp_path, capsys, command, field, value):
+    # str() would take null as the name "None" and write None.csv
+    if command == "report":
+        obj, flag = two_policy_table("t"), "--table"
+        where = "evals[0].policy_id" if field == "policy_id" else field
+        (obj["evals"][0] if field == "policy_id" else obj)[field] = value
+    else:
+        obj = {"policy": "p", "task": "t", "base": 0.5, "factors": {"lighting": [0.4]}}
+        obj[field], flag, where = value, "--shifts", f"shifts[0].{field}"
+    bad = tmp_path / "in.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert main(["metrics", command, flag, str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}.{where}: expected a string\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, flag, obj", [
     ("report", "--table", two_policy_table("t")),
     ("shift", "--shifts", {"policy": "p", "task": "t", "base": 0.5, "factors": {"lighting": [0.4]}}),
@@ -428,7 +452,8 @@ def test_sysid_fit_unknown_key_exits_3(sysid_workspace, tmp_path):
         # JSON true/false are not numbers, and the records were taken at 5 Hz
         ("ctrl", {"h_ctrl": True}, "ctrl: h_sim and h_ctrl must be numbers"),
         ("ctrl", {"h_ctrl": 3.0},
-         "record control frequency 5.0 Hz does not match the controller's 3.0 Hz (use ctrl.h_ctrl to override)"),
+         "{traj}/rec0.json: record control frequency 5.0 Hz does not match the controller's 3.0 Hz "
+         "(use ctrl.h_ctrl to override)"),
         ("dynamics", {"inertia": True}, "dynamics.inertia: expected numbers"),
         ("dynamics", {"damping": [0.3, False, 0.3]}, "dynamics.damping: expected numbers"),
         # JSON strings are not numbers, and an integer past the float range is no float
@@ -452,7 +477,7 @@ def test_sysid_fit_bad_section_exits_3(sysid_workspace, tmp_path, capsys, sectio
     ])
     assert rc == 3
     err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
+    assert err == f"error: {message.format(traj=root / 'trajectories')}\n"
 
 
 EXIT_CODES = [
@@ -536,7 +561,7 @@ def test_replay_cli_google_dump_plan(tmp_path):
     assert np.abs(col["grip_v"]).max() > 0.0
 
 
-def test_replay_cli_ctrl_mismatch_exits_3(sysid_workspace, tmp_path):
+def test_replay_cli_ctrl_mismatch_exits_3(sysid_workspace, tmp_path, capsys):
     root = sysid_workspace
     params = tmp_path / "pd.json"
     params.write_text(json.dumps({"p": 60.0, "d": 3.0}))
@@ -546,6 +571,7 @@ def test_replay_cli_ctrl_mismatch_exits_3(sysid_workspace, tmp_path):
         "--controller", "widowx", "--sim-hz", "200", "--ctrl-hz", "2", "--out", "-",
     ])
     assert rc == 3
+    assert capsys.readouterr().err.startswith(f"error: {root / 'trajectories' / 'rec0.json'}: record control")
 
 
 @pytest.mark.parametrize("flag", ["--sim-hz", "--ctrl-hz"])
@@ -647,13 +673,17 @@ NUMBER_PROBES = [
     ("rec.json", ("ctrl_frequency",), '"5"', 3, "ctrl_frequency: expected a number"),
     ("chain.json", ("joints", 0, "limits", 1), '"3"', 3, "joints[0].limits: expected two numbers or nulls"),
     ("chain.json", ("joints", 0, "axis", 2), '"1"', 3, "joints[0].axis: expected 3 numbers"),
+    # a name is a JSON string, never a null or a list taken through str()
+    ("chain.json", ("joints", 0, "name"), "null", 3, "joints[0].name: expected a string"),
+    ("chain.json", ("joints", 0, "name"), "[]", 3, "joints[0].name: expected a string"),
     # past Python's 4300-digit limit the file itself does not parse
     ("rec.json", ("ctrl_frequency",), "1" + "0" * 5000, 2, "invalid JSON"),
 ]
 
 
 def _probe_id(probe) -> str:
-    kind = "string" if probe[2].startswith('"') else f"{len(probe[2])} digits"
+    text = probe[2]
+    kind = "string" if text.startswith('"') else f"{len(text)} digits" if text.isdigit() else text
     return f"{probe[0]}:{'.'.join(map(str, probe[1]))}:{kind}"
 
 

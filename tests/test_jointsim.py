@@ -335,6 +335,6 @@ def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
         row = int(np.flatnonzero(order == b)[0])
         assert [ik_calls[t][row] for t in range(len(actions))] == ref_stats
     # the case covers what it claims: one unconverged IK, and an end stop in record 1 only
-    assert ik_calls[-1] == [(200, False)]
+    assert [ok for _, ok in ik_calls[-1]] == [False]
     hits = [np.any(np.stack(log)[:, 0] == dyn.upper[0]) for log in logs]
     assert hits == [False, True, False]
