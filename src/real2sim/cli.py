@@ -160,11 +160,13 @@ def _dynamics(obj, robot: chain.ChainSpec, where: str) -> jointsim.JointDynamics
         _vec_field(dyn_obj.get("damping", 0.0), robot.n, "dynamics.damping"))
 
 
-def _check_ctrl_frequency(records, paths, cfg: controller.CtrlConfig, override: str) -> None:
+def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlConfig, override: str) -> None:
     for rec, path in zip(records, paths):
         if abs(cfg.h_ctrl - rec.ctrl_frequency) > 1e-9:
             raise jointsim.JointSimError(f"{path}: record control frequency {rec.ctrl_frequency} Hz does not match "
                                          f"the controller's {cfg.h_ctrl} Hz (use {override} to override)")
+        if rec.joint_positions is not None:  # the width rule of the replay; a record without them needs no IK here
+            jointsim._record_q_init(robot, rec, f"{path}.joint_positions")
 
 
 def cmd_sysid_fit(args) -> int:
@@ -200,7 +202,7 @@ def cmd_sysid_fit(args) -> int:
     if not paths:
         raise sysid.SysIdError(f"no trajectory files found under {traj_dir}")
     records = [jointsim.TrajectoryRecord.from_dict(_read_json(p), str(p)) for p in paths]
-    _check_ctrl_frequency(records, paths, ctrl_cfg, "ctrl.h_ctrl")
+    _check_records(records, paths, robot, ctrl_cfg, "ctrl.h_ctrl")
 
     result = sysid.anneal_fit(records, robot, dyn, kind, init, rng, anneal, ctrl_cfg)
     out = {
@@ -251,7 +253,7 @@ def cmd_replay(args) -> int:
     dyn = _dynamics(_read_json(args.dynamics) if args.dynamics else {}, robot, args.dynamics or "dynamics")
     overrides = {k: v for k, v in (("h_sim", args.sim_hz), ("h_ctrl", args.ctrl_hz)) if v is not None}
     cfg = _ctrl_config(args.controller, overrides or None)
-    _check_ctrl_frequency([rec], [args.trajectory], cfg, "--ctrl-hz")
+    _check_records([rec], [args.trajectory], robot, cfg, "--ctrl-hz")
 
     plan_rows = []
 
@@ -262,7 +264,8 @@ def cmd_replay(args) -> int:
     sim_poses = jointsim.replay_open_loop(
         robot, dyn, pd, args.controller, rec, None, cfg, plan_sink=dump if args.dump_plan else None
     )
-    losses = sysid.trajectory_losses(rec.ee_poses, sim_poses[: len(rec.ee_poses)])
+    ref, sim = (np.stack([p.as_matrix() for p in poses]) for poses in (rec.ee_poses, sim_poses))
+    losses = sysid.trajectory_losses(ref, sim[: len(ref)])
     out = {
         "ee_poses": [geometry.pose_to_dict(p) for p in sim_poses],
         "losses": {"translation": losses.translation, "rotation": losses.rotation, "total": losses.total},

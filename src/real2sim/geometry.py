@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _VALID_TOL = 1e-6
-_TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 
 
 class GeometryError(ValueError):
@@ -118,14 +117,15 @@ def rotation_angle(a: Rot3, b: Rot3) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-def rot_frobenius_loss(a: Rot3, b: Rot3) -> float:
-    """arcsin(|a - b|_F / (2 sqrt 2)); equals rotation_angle(a, b) / 2.
+def rot_frobenius_loss(a, b) -> np.ndarray:
+    """arcsin(|a - b|_F / (2 sqrt 2)) of each pair of (..., 3, 3) rotations; equals rotation_angle(a, b) / 2.
 
     The argument is clamped to [0, 1] so antipodal rotations cannot raise a
-    domain error from floating-point noise.
+    domain error from floating-point noise. Each norm is a 1-D dot and each arcsin libm's.
     """
-    fro = np.linalg.norm(a.m - b.m)
-    return math.asin(min(1.0, fro / _TWO_SQRT2))
+    d = np.subtract(a, b)
+    fro = np.sqrt(d.reshape(-1, 1, 9) @ d.reshape(-1, 9, 1)).ravel() / (2.0 * math.sqrt(2.0))
+    return np.array([math.asin(min(1.0, x)) for x in fro.tolist()]).reshape(d.shape[:-2])
 
 
 @dataclass(frozen=True)

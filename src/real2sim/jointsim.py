@@ -282,14 +282,14 @@ def _simulate(
     q_inits,
     cfg: CtrlConfig | None,
     ik_settings: IkSettings | None,
-    plan_sink: Callable[[int, int, SimStepTargets], None] | None = None,
-) -> tuple[list[list[Pose]], list[list[np.ndarray]]]:
+    plan_sink: Callable[[int, SimStepTargets], None] | None = None,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Replay B action sequences in lockstep from the (B, n) ``q_inits``.
 
     Each control step is one batched controller tick and plant update of the
     records still running (a shorter record is frozen after its last action).
-    Returns each record's poses and joint positions, initial and after every
-    action. ``plan_sink(record, step, targets)`` gets every step's targets.
+    Returns each record's tool poses (T+1, 4, 4) and joint positions (T+1, n),
+    initial and after every action; ``plan_sink(step, targets)`` gets every step's targets.
     """
     if dyn.n != chain.n or pd.n != chain.n:
         raise JointSimError("dynamics/PD vectors must match the chain joint count")
@@ -306,11 +306,11 @@ def _simulate(
     q, v = q[order], np.zeros_like(q)
     powers = _plant_powers(pd, dyn, dt, ticks) if controller_kind == WIDOWX else None
     w_state, g_states = WidowXCtrlState(), [GoogleCtrlState()] * len(order)
-    poses, joints = [[] for _ in order], [[] for _ in order]
+    shape = (max(lengths) + 1, len(order))  # step-major: initial state, then one row per step
+    tools, joints = np.empty((*shape, 4, 4)), np.empty((*shape, chain.n))
     for step in range(-1, max(lengths)):  # step -1 only logs the initial state
-        live = [b for b in order if lengths[b] > step]
-        m = len(live)
-        actions = [action_lists[b][step] for b in live] if step >= 0 else ()
+        m = sum(n > step for n in lengths)  # the records still running: columns :m
+        actions = [action_lists[b][step] for b in order[:m]] if step >= 0 else ()
         if actions and controller_kind == GOOGLE:
             arm_q, arm_v, arm_a = google_step(step, actions, q[:m], v[:m], chain, cfg, ik_settings)
             q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm_q, pd, dyn, dt)
@@ -318,21 +318,20 @@ def _simulate(
             w_state = WidowXCtrlState(step, w_state.q_lastgoal[:m] if step else None)
             goal, w_state = widowx_step(w_state, actions, q[:m], chain, ik_settings)
             q[:m], v[:m] = _hold_target(q[:m], v[:m], goal, ticks, powers, dyn)
-        for j, b in enumerate(live if actions and plan_sink is not None else ()):
+        for j, action in enumerate(actions if plan_sink is not None else ()):
             if controller_kind == GOOGLE:
                 # the gripper never feeds back into the arm: sensed gripper
                 # state matters only at t=0, so a resting gripper is assumed
-                grip, g_states[b] = google_grip_step(g_states[b], actions[j], 0.0, cfg)
+                grip, g_states[j] = google_grip_step(g_states[j], action, 0.0, cfg)
                 arm = (arm_q[:, j], arm_v[:, j], arm_a[:, j])
             else:
                 zero = np.zeros(ticks)
-                grip = (np.full(ticks, actions[j].gripper), zero, zero)
+                grip = (np.full(ticks, action.gripper), zero, zero)
                 arm = (np.broadcast_to(goal[j], (ticks, chain.n)), *np.zeros((2, ticks, chain.n)))
-            plan_sink(b, step, SimStepTargets(*arm, *grip))
-        for b, tool, row in zip(live, _tools(chain, q[:m]), q):
-            poses[b].append(Pose(Rot3(tool[:3, :3]), tool[:3, 3]))
-            joints[b].append(row.copy())
-    return poses, joints
+            plan_sink(step, SimStepTargets(*arm, *grip))
+        tools[step + 1, :m], joints[step + 1, :m] = _tools(chain, q[:m]), q[:m]
+    slots = np.argsort(order)  # record b is column slots[b]
+    return tuple([a[: n + 1, i] for n, i in zip(lengths, slots)] for a in (tools, joints))
 
 
 def replay_open_loop(
@@ -356,8 +355,8 @@ def replay_open_loop(
     """
     if q_init is None:
         q_init = _record_q_init(chain, rec)
-    sink = None if plan_sink is None else (lambda _, step, targets: plan_sink(step, targets))
-    return _simulate(chain, dyn, pd, controller_kind, [rec.actions], [q_init], cfg, ik_settings, sink)[0][0]
+    (tools,), _ = _simulate(chain, dyn, pd, controller_kind, [rec.actions], [q_init], cfg, ik_settings, plan_sink)
+    return [Pose(Rot3(t[:3, :3]), t[:3, 3]) for t in tools]
 
 
 def synthesize_record(
@@ -372,15 +371,17 @@ def synthesize_record(
 ) -> TrajectoryRecord:
     """Run the simulator and package its own output as a reference record."""
     cfg = cfg or default_config(controller_kind)
-    (poses,), (joints,) = _simulate(chain, dyn, pd, controller_kind, [actions], [q_init], cfg, ik_settings)
-    return TrajectoryRecord(tuple(actions), tuple(poses), cfg.h_ctrl, np.stack(joints))
+    (tools,), (joints,) = _simulate(chain, dyn, pd, controller_kind, [actions], [q_init], cfg, ik_settings)
+    return TrajectoryRecord(tuple(actions), tuple(Pose(Rot3(t[:3, :3]), t[:3, 3]) for t in tools), cfg.h_ctrl, joints)
 
 
-def _record_q_init(chain: ChainSpec, rec: TrajectoryRecord) -> np.ndarray:
-    """A record's initial arm configuration: its first joint positions if it has them, else IK on its first pose."""
-    if rec.joint_positions is not None:
-        return rec.joint_positions[0]
-    return initial_joint_positions(chain, rec.ee_poses[0])
+def _record_q_init(chain: ChainSpec, rec: TrajectoryRecord, where: str = "joint_positions") -> np.ndarray:
+    """A record's initial arm configuration: its first joint positions if it has them, else IK on its first pose.
+    Joint positions need one value per chain joint in each row; an error names them as ``where``."""
+    jp = rec.joint_positions
+    if jp is not None and jp.shape[1] != chain.n:
+        raise JointSimError(f"{where}: rows of {jp.shape[1]} values for a {chain.n}-joint chain")
+    return initial_joint_positions(chain, rec.ee_poses[0]) if jp is None else jp[0]
 
 
 def initial_joint_positions(

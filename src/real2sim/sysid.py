@@ -19,7 +19,7 @@ import numpy as np
 from . import json_number
 from .chain import ChainSpec, IkSettings
 from .controller import CtrlConfig
-from .geometry import Pose, _freeze, rot_frobenius_loss
+from .geometry import _freeze, rot_frobenius_loss
 from .jointsim import (
     JointDynamics,
     JointSimError,
@@ -53,19 +53,16 @@ class TrajectoryLosses(NamedTuple):
     total: float
 
 
-def trajectory_losses(ref: Sequence[Pose], sim: Sequence[Pose]) -> TrajectoryLosses:
-    """Per-step mean translation and rotation losses between two pose paths."""
+def trajectory_losses(ref: np.ndarray, sim: np.ndarray) -> TrajectoryLosses:
+    """Per-step mean translation and rotation losses between two (T, 4, 4) tool-pose paths."""
     if len(ref) == 0:
         raise SysIdError("empty pose sequences")
     if len(ref) != len(sim):
         raise SysIdError(f"length mismatch: {len(ref)} reference vs {len(sim)} simulated poses")
-    l_t = 0.0
-    l_r = 0.0
-    for a, b in zip(ref, sim):
-        l_t += float(np.linalg.norm(a.pos - b.pos))
-        l_r += rot_frobenius_loss(a.rot, b.rot)
-    l_t /= len(ref)
-    l_r /= len(ref)
+    d = np.subtract(ref[:, None, :3, 3], sim[:, None, :3, 3])
+    # cumsum adds in step order, as a loop from 0 does; each norm is a 1-D dot
+    l_t = float(np.cumsum(np.sqrt(d @ d.transpose(0, 2, 1)))[-1]) / len(ref)
+    l_r = float(np.cumsum(rot_frobenius_loss(ref[:, :3, :3], sim[:, :3, :3]))[-1]) / len(ref)
     return TrajectoryLosses(l_t, l_r, l_t + l_r)
 
 
@@ -208,14 +205,12 @@ def anneal_fit(
             raise SysIdError(f"record {i}: {exc}") from exc
 
     actions = [rec.actions for rec in dataset]
+    refs = [np.stack([p.as_matrix() for p in rec.ee_poses]) for rec in dataset]
 
     def objective(pd: PDParams) -> TrajectoryLosses:
-        sims, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_settings)
-        sums = (0.0, 0.0, 0.0)
-        for rec, sim in zip(dataset, sims):
-            losses = trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
-            sums = tuple(a + b for a, b in zip(sums, losses))
-        return TrajectoryLosses(*(s / len(dataset) for s in sums))
+        tools, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_settings)
+        losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs, tools)]
+        return TrajectoryLosses(*(float(s) / len(dataset) for s in np.cumsum(losses, axis=0)[-1]))
 
     # u in [0, 1]^dim; each coordinate sets k consecutive entries of theta = (p, d)
     n = chain.n

@@ -1,6 +1,6 @@
 """Shared builders for test chains, rotations, and test-side oracles,
-including the slow one-at-a-time references of the batched planner and replay
-and the numpy references of the plain-float statistics."""
+including the slow one-at-a-time references of the batched planner, replay
+and replay loss, and the numpy references of the plain-float statistics."""
 
 from __future__ import annotations
 
@@ -11,16 +11,22 @@ import numpy as np
 
 from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
 from real2sim.chain import IK_STALL_ITERS, ChainSpec, IkResult, IkSettings, JointSpec
-from real2sim.geometry import Pose, Rot3, UnitQuat, matrix_to_rotvec, quat_to_rot
+from real2sim.geometry import Pose, Rot3, UnitQuat, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from real2sim.metrics import (DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError,
                               _chi2_sf_1df)
 from real2sim.profile import LimitSet, PlanningError
+from real2sim.sysid import SysIdError, TrajectoryLosses
 
 
 def random_rotation(rng: np.random.Generator) -> Rot3:
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
     return quat_to_rot(UnitQuat(*v))
+
+
+def half_turn(rng: np.random.Generator, r: Rot3) -> Rot3:
+    """``r`` followed by half a turn about a random axis: the antipode of ``r`` in the rotation loss."""
+    return Rot3(r.m @ axis_angle_to_matrix(rng.normal(size=3), math.pi))
 
 
 def planar_2link(l1: float = 1.0, l2: float = 1.0) -> ChainSpec:
@@ -484,6 +490,33 @@ def ref_frames(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
 def ref_fk(chain: ChainSpec, q) -> Pose:
     tool = ref_frames(chain, np.clip(q, chain.lower, chain.upper))[-1] @ chain._ee_matrix
     return Pose(Rot3(tool[:3, :3]), tool[:3, 3])
+
+
+def pose_stack(poses) -> np.ndarray:
+    """The (T, 4, 4) homogeneous matrices of a pose sequence, the format the replay loss takes."""
+    return np.stack([p.as_matrix() for p in poses])
+
+
+def ref_rot_frobenius_loss(a: Rot3, b: Rot3) -> float:
+    """One pair at a time: arcsin(|a - b|_F / (2 sqrt 2)), the argument clamped to [0, 1]."""
+    fro = np.linalg.norm(a.m - b.m)
+    return math.asin(min(1.0, fro / (2.0 * math.sqrt(2.0))))
+
+
+def ref_trajectory_losses(ref, sim) -> TrajectoryLosses:
+    """Pose by pose: mean translation and rotation losses between two Pose sequences."""
+    if len(ref) == 0:
+        raise SysIdError("empty pose sequences")
+    if len(ref) != len(sim):
+        raise SysIdError(f"length mismatch: {len(ref)} reference vs {len(sim)} simulated poses")
+    l_t = 0.0
+    l_r = 0.0
+    for a, b in zip(ref, sim):
+        l_t += float(np.linalg.norm(a.pos - b.pos))
+        l_r += ref_rot_frobenius_loss(a.rot, b.rot)
+    l_t /= len(ref)
+    l_r /= len(ref)
+    return TrajectoryLosses(l_t, l_r, l_t + l_r)
 
 
 _LEVI = np.zeros((3, 3, 3))

@@ -98,11 +98,9 @@ def test_criterion_03_delta_success_reproduction():
 def test_criterion_04_rotation_loss_identity():
     t0 = time.monotonic()
     rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(10_000):
-        a = random_rotation(rng)
-        b = random_rotation(rng)
-        worst = max(worst, abs(rot_frobenius_loss(a, b) - rotation_angle(a, b) / 2.0))
+    pairs = [(random_rotation(rng), random_rotation(rng)) for _ in range(10_000)]
+    losses = rot_frobenius_loss(np.stack([a.m for a, _ in pairs]), np.stack([b.m for _, b in pairs]))
+    worst = max(abs(loss - rotation_angle(a, b) / 2.0) for loss, (a, b) in zip(losses.tolist(), pairs))
     assert worst <= 1e-9
     elapsed = check_runtime(t0, 5.0, "criterion 4")
     announce(4, f"rotation-loss identity on 1e4 pairs (worst dev {worst:.2e})", elapsed)

@@ -737,6 +737,30 @@ def test_sysid_fit_record_error_names_its_file(sysid_workspace, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["replay", "sysid fit"])
+def test_joint_positions_narrower_than_the_chain_exit_3(sysid_workspace, tmp_path, capsys, command):
+    # the records and chain have 3 joints; record 1 keeps only 2 values per row
+    root = sysid_workspace
+    traj = tmp_path / "trajectories"
+    traj.mkdir()
+    for i in range(2):
+        rec = json.loads((root / "trajectories" / f"rec{i}.json").read_text())
+        if i == 1:
+            rec["joint_positions"] = [row[:2] for row in rec["joint_positions"]]
+        (traj / f"rec{i}.json").write_text(json.dumps(rec))
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out, plan_csv = tmp_path / "out.json", tmp_path / "plan.csv"
+    args = {
+        "replay": ["replay", "--trajectory", str(traj / "rec1.json"), "--params", str(tmp_path / "pd.json"),
+                   "--controller", "widowx", "--sim-hz", "200", "--dump-plan", str(plan_csv)],
+        "sysid fit": ["sysid", "fit", "--trajectories", str(traj), "--config", str(root / "sysid.json")],
+    }[command]
+    rc = main(args + ["--chain", str(root / "chain.json"), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {traj / 'rec1.json'}.joint_positions: rows of 2 values for a 3-joint chain\n"
+    assert not out.exists() and not plan_csv.exists()
+
+
 def test_sysid_fit_nan_range_exits_3(sysid_workspace, tmp_path, capsys):
     root = sysid_workspace
     config = json.loads((root / "sysid.json").read_text())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from helpers import random_rotation
+from helpers import half_turn, random_rotation, ref_rot_frobenius_loss
 from real2sim.geometry import (
     GeometryError,
     Pose,
@@ -85,10 +85,37 @@ def test_rotation_angle_cases():
 
 def test_rot_frobenius_loss_cases():
     eye = Rot3(np.eye(3))
-    assert rot_frobenius_loss(eye, eye) == pytest.approx(0.0, abs=1e-12)
+    assert rot_frobenius_loss(eye.m, eye.m) == pytest.approx(0.0, abs=1e-12)
     # half turn: |R - I|_F = 2 sqrt 2, so arcsin(1)
-    assert rot_frobenius_loss(eye, rot_z(math.pi)) == pytest.approx(math.pi / 2, abs=1e-9)
-    assert rot_frobenius_loss(eye, rot_z(math.pi / 2)) == pytest.approx(math.pi / 4, abs=1e-9)
+    assert rot_frobenius_loss(eye.m, rot_z(math.pi).m) == pytest.approx(math.pi / 2, abs=1e-9)
+    assert rot_frobenius_loss(eye.m, rot_z(math.pi / 2).m) == pytest.approx(math.pi / 4, abs=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["random", "identical", "antipodal"])
+def test_stacked_rot_frobenius_loss_matches_the_per_pair_reference(kind):
+    rng = np.random.default_rng(12)
+    firsts = [random_rotation(rng) for _ in range(64)]
+    if kind == "random":
+        seconds = [random_rotation(rng) for _ in firsts]
+    else:
+        seconds = firsts if kind == "identical" else [half_turn(rng, r) for r in firsts]
+    a, b = np.stack([r.m for r in firsts]), np.stack([r.m for r in seconds])
+    want = [ref_rot_frobenius_loss(x, y).hex() for x, y in zip(firsts, seconds)]
+    assert [x.hex() for x in rot_frobenius_loss(a, b).tolist()] == want
+    # any leading shape: (8, 8, 3, 3) pairs give (8, 8) losses in the same order
+    assert [x.hex() for x in rot_frobenius_loss(a.reshape(8, 8, 3, 3), b.reshape(8, 8, 3, 3)).ravel().tolist()] == want
+
+
+def test_rot_frobenius_loss_clamps_antipodal_pairs():
+    # about half of these pairs round |a - b|_F / (2 sqrt 2) above 1; the clamp reads them as arcsin(1)
+    rng = np.random.default_rng(0)
+    firsts = [random_rotation(rng) for _ in range(32)]
+    seconds = [half_turn(rng, r) for r in firsts]
+    over = [np.linalg.norm(a.m - b.m) / (2.0 * math.sqrt(2.0)) > 1.0 for a, b in zip(firsts, seconds)]
+    assert 0 < sum(over) < len(over)
+    losses = rot_frobenius_loss(np.stack([r.m for r in firsts]), np.stack([r.m for r in seconds]))
+    assert all(loss == math.pi / 2 for loss, o in zip(losses.tolist(), over) if o)
+    assert np.all(np.abs(losses - math.pi / 2) <= 1e-7)
 
 
 @given(seeds)
@@ -97,7 +124,7 @@ def test_loss_equals_half_angle(seed):
     rng = np.random.default_rng(seed)
     a = random_rotation(rng)
     b = random_rotation(rng)
-    assert rot_frobenius_loss(a, b) == pytest.approx(rotation_angle(a, b) / 2, abs=1e-9)
+    assert rot_frobenius_loss(a.m, b.m) == pytest.approx(rotation_angle(a, b) / 2, abs=1e-9)
 
 
 def test_quat_axis_cases():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import dyn_step, fk_path_actions, planar_3link, ref_hold_target, ref_integrate_targets, ref_simulate
+from helpers import (dyn_step, fk_path_actions, planar_3link, pose_stack, ref_hold_target, ref_integrate_targets,
+                     ref_simulate)
 from real2sim import controller
 from real2sim.chain import fk
 from real2sim.controller import Action, CtrlConfig
@@ -183,7 +184,7 @@ def test_replay_self_consistency(replay_setup):
     actions = fk_path_actions(chain, q0, 12, rng, amp=0.2)
     rec = synthesize_record(chain, dyn, pd, "widowx", actions, q0, FAST_CFG)
     sim = replay_open_loop(chain, dyn, pd, "widowx", rec, cfg=FAST_CFG)
-    losses = trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
+    losses = trajectory_losses(pose_stack(rec.ee_poses), pose_stack(sim)[: len(rec.ee_poses)])
     assert losses.total < 1e-9
 
 
@@ -209,7 +210,7 @@ def test_stiff_params_track_slow_actions(replay_setup):
     rec = synthesize_record(chain, dyn, stiff, "widowx", actions, q0, FAST_CFG)
     # commanded goals live on the fk sweep; stiff tracking stays within a mm
     sim = replay_open_loop(chain, dyn, stiff, "widowx", rec, cfg=FAST_CFG)
-    losses = trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
+    losses = trajectory_losses(pose_stack(rec.ee_poses), pose_stack(sim)[: len(rec.ee_poses)])
     assert losses.translation < 1e-3
 
 
@@ -329,12 +330,10 @@ def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
     for b, actions in enumerate(action_lists):
         ref_poses, ref_stats = ref_simulate(chain, dyn, pd, kind, actions, q_inits[b], FAST_CFG)
         assert len(sims[b]) == len(ref_poses) == len(actions) + 1
-        for got, want in zip(sims[b], ref_poses):
-            np.testing.assert_allclose(got.pos, want.pos, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got.rot.m, want.rot.m, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sims[b], pose_stack(ref_poses), rtol=0, atol=1e-12)
         row = int(np.flatnonzero(order == b)[0])
         assert [ik_calls[t][row] for t in range(len(actions))] == ref_stats
     # the case covers what it claims: one unconverged IK, and an end stop in record 1 only
     assert [ok for _, ok in ik_calls[-1]] == [False]
-    hits = [np.any(np.stack(log)[:, 0] == dyn.upper[0]) for log in logs]
+    hits = [np.any(log[:, 0] == dyn.upper[0]) for log in logs]
     assert hits == [False, True, False]

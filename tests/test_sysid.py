@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fk_path_actions, planar_3link
+from helpers import fk_path_actions, half_turn, planar_3link, pose_stack, random_rotation, ref_trajectory_losses
 from real2sim.chain import IkSettings, fk
 from real2sim.controller import CtrlConfig
 from real2sim.geometry import Pose, rot_z
-from real2sim.jointsim import JointDynamics, PDParams, replay_open_loop, synthesize_record
+from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, replay_open_loop, synthesize_record
 from real2sim.sysid import (
     AnnealConfig,
     SysIdError,
@@ -25,19 +25,19 @@ def pose(x=0.0, y=0.0, z=0.0, yaw=0.0):
 
 def test_losses_identical_sequences_zero():
     seq = [pose(0.1), pose(0.2), pose(0.3)]
-    out = trajectory_losses(seq, list(seq))
+    out = trajectory_losses(pose_stack(seq), pose_stack(seq))
     assert out == (0.0, 0.0, 0.0)
 
 
 def test_losses_translation_only():
-    out = trajectory_losses([pose(0.0)], [pose(0.3)])
+    out = trajectory_losses(pose_stack([pose(0.0)]), pose_stack([pose(0.3)]))
     assert out.translation == pytest.approx(0.3, abs=1e-12)
     assert out.rotation == 0.0
     assert out.total == pytest.approx(0.3, abs=1e-12)
 
 
 def test_losses_rotation_only():
-    out = trajectory_losses([pose()], [pose(yaw=math.pi / 2)])
+    out = trajectory_losses(pose_stack([pose()]), pose_stack([pose(yaw=math.pi / 2)]))
     assert out.translation == 0.0
     assert out.rotation == pytest.approx(math.pi / 4, abs=1e-9)
     assert out.total == pytest.approx(math.pi / 4, abs=1e-9)
@@ -46,14 +46,35 @@ def test_losses_rotation_only():
 def test_losses_mean_over_steps():
     ref = [pose(0.0), pose(0.0)]
     sim = [pose(0.4), pose(0.0)]
-    assert trajectory_losses(ref, sim).translation == pytest.approx(0.2, abs=1e-12)
+    assert trajectory_losses(pose_stack(ref), pose_stack(sim)).translation == pytest.approx(0.2, abs=1e-12)
 
 
 def test_losses_validation():
     with pytest.raises(SysIdError, match="mismatch"):
-        trajectory_losses([pose()], [pose(), pose()])
+        trajectory_losses(pose_stack([pose()]), pose_stack([pose(), pose()]))
     with pytest.raises(SysIdError, match="empty"):
-        trajectory_losses([], [])
+        trajectory_losses(np.empty((0, 4, 4)), np.empty((0, 4, 4)))
+
+
+def random_path(rng, n):
+    return [Pose(random_rotation(rng), rng.normal(scale=0.5, size=3)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind, steps", [("random", 1), ("random", 2), ("random", 37), ("identical", 9),
+                                         ("antipodal", 1), ("antipodal", 23)])
+def test_losses_match_the_per_pose_reference(kind, steps):
+    rng = np.random.default_rng(steps)
+    ref = random_path(rng, steps)
+    if kind == "random":
+        sim = random_path(rng, steps)
+    elif kind == "identical":
+        sim = list(ref)
+    else:  # half a turn away, where the rotation term's clamp must hold
+        sim = [Pose(half_turn(rng, p.rot), p.pos) for p in ref]
+    got = trajectory_losses(pose_stack(ref), pose_stack(sim))
+    assert [x.hex() for x in got] == [x.hex() for x in ref_trajectory_losses(ref, sim)]
+    if kind == "identical":
+        assert got == (0.0, 0.0, 0.0)
 
 
 def test_range_validation():
@@ -163,7 +184,7 @@ def test_anneal_losses_are_the_incumbents_replay(small_problem, tie):
     fresh = []
     for rec in records:
         sim = replay_open_loop(chain, dyn, result.best, "widowx", rec, None, FAST_CFG, iks)
-        fresh.append(trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)]))
+        fresh.append(trajectory_losses(pose_stack(rec.ee_poses), pose_stack(sim)[: len(rec.ee_poses)]))
     assert result.losses == tuple(sum(col) / len(records) for col in zip(*fresh))
     assert result.best_loss == result.losses.total
 
@@ -195,3 +216,11 @@ def test_anneal_rejects_empty_dataset(small_problem):
     chain, dyn, truth, _, _ = small_problem
     with pytest.raises(SysIdError, match="dataset"):
         anneal_fit([], chain, dyn, "widowx", truth, SysIdRange.around(truth, 2.0), AnnealConfig())
+
+
+def test_anneal_rejects_joint_positions_narrower_than_the_chain(small_problem):
+    chain, dyn, truth, records, iks = small_problem
+    rec = records[1]
+    narrow = TrajectoryRecord(rec.actions, rec.ee_poses, rec.ctrl_frequency, rec.joint_positions[:, :2])
+    with pytest.raises(SysIdError, match=r"^record 1: joint_positions: rows of 2 values for a 3-joint chain$"):
+        anneal_fit([records[0], narrow], chain, dyn, "widowx", truth, SysIdRange.around(truth, 2.0), AnnealConfig())
