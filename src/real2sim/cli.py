@@ -156,8 +156,8 @@ def _ctrl_config(kind: str, overrides: dict | None) -> controller.CtrlConfig:
 def _dynamics(obj, robot: chain.ChainSpec, where: str) -> jointsim.JointDynamics:
     dyn_obj = _section(obj, _DYN_KEYS, where)
     return jointsim.JointDynamics.from_chain(
-        robot, _vec_field(dyn_obj.get("inertia", 1.0), robot.n, "dynamics.inertia"),
-        _vec_field(dyn_obj.get("damping", 0.0), robot.n, "dynamics.damping"))
+        robot, _vec_field(dyn_obj.get("inertia", 1.0), robot.n, f"{where}.inertia"),
+        _vec_field(dyn_obj.get("damping", 0.0), robot.n, f"{where}.damping"))
 
 
 def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlConfig, override: str) -> None:
@@ -238,12 +238,12 @@ def cmd_sysid_fit(args) -> int:
 
 
 def _load_pd(path: str, n: int) -> jointsim.PDParams:
-    obj = _read_json(path)
+    obj, where = _read_json(path), path
     if isinstance(obj, dict) and "best" in obj:
-        obj = obj["best"]
+        obj, where = obj["best"], f"{path}.best"
     if not isinstance(obj, dict) or "p" not in obj or "d" not in obj:
-        raise report.InputFormatError(f"{path}: expected an object with 'p' and 'd'")
-    return jointsim.PDParams(_vec_field(obj["p"], n, "p"), _vec_field(obj["d"], n, "d"))
+        raise report.InputFormatError(f"{where}: expected an object with 'p' and 'd'")
+    return jointsim.PDParams(_vec_field(obj["p"], n, f"{where}.p"), _vec_field(obj["d"], n, f"{where}.d"))
 
 
 def cmd_replay(args) -> int:

@@ -1,12 +1,14 @@
 """Deterministic per-tick controllers for the two simulated robot stacks.
 
-Each control tick steps B records in lockstep and covers the
-floor(H_sim / H_ctrl) simulation steps of the control interval. The Google
-Robot controller plans jerk-limited arm trajectories and samples them at
-every simulation step; its gripper, which never feeds back into the arm, is a
-separate one-record controller. The WidowX controller holds a single
-joint-position target for the whole interval, chaining pose goals off the
-previously commanded goal rather than the sensed state.
+Each control tick is a function of (B, ...) arrays: it steps B records in
+lockstep, covers the floor(H_sim / H_ctrl) simulation steps of the control
+interval, and takes and returns whatever state the caller threads to the
+next tick. The Google Robot controller plans jerk-limited arm trajectories
+and samples them at every simulation step; its gripper, which never feeds
+back into the arm, is a separate tick on (B,) gripper states. The WidowX
+controller holds a single joint-position target for the whole interval,
+chaining pose goals off the previously commanded goal rather than the
+sensed state.
 """
 
 from __future__ import annotations
@@ -19,15 +21,13 @@ import numpy as np
 
 from . import json_number, json_vector
 from .chain import ChainSpec, IkSettings, _ik_rows, _tools
-from .geometry import GeometryError, Pose, Rot3, UnitQuat, _freeze, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
-from .profile import LimitSet, plan_scurve_1d, synchronize
+from .geometry import GeometryError, Rot3, UnitQuat, _freeze, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
+from .profile import LimitSet, synchronize
 
 __all__ = [
     "ControllerError",
     "Action",
     "CtrlConfig",
-    "GoogleCtrlState",
-    "WidowXCtrlState",
     "SimStepTargets",
     "GOOGLE_ARM_LIMITS",
     "GOOGLE_GRIP_LIMITS",
@@ -125,24 +125,6 @@ def widowx_config() -> CtrlConfig:
     return CtrlConfig(h_sim=500.0, h_ctrl=5.0)
 
 
-@dataclass(frozen=True)
-class GoogleCtrlState:
-    """Gripper state of one record threaded through google_grip_step calls."""
-
-    t: int = 0
-    q_lastgoal_grip: float = 0.0
-    q_lastplan_grip: float = 0.0
-    v_lastplan_grip: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class WidowXCtrlState:
-    """Episode state of B records threaded through widowx_step calls; ``q_lastgoal`` is (B, n)."""
-
-    t: int = 0
-    q_lastgoal: np.ndarray | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class SimStepTargets:
     """Targets of one record for every simulation step of one control interval.
@@ -171,8 +153,9 @@ def _ik_goals(tag: str, t: int, chain: ChainSpec, actions, base: np.ndarray, q_s
     """IK solutions of every row's goal: the action's delta pose applied to the
     tool pose at ``base`` (the delta rotation about the tool origin)."""
     tool = _tools(chain, base)
-    goal_rot = np.array([a.delta_rot.m for a in actions]) @ tool[:, :3, :3]
-    goal_pos = tool[:, :3, 3] + np.array([a.delta_pos for a in actions])
+    goal_rot, goal_pos = widowx_goal_pose(
+        tool[:, :3, 3], tool[:, :3, :3], np.array([a.delta_pos for a in actions]),
+        np.array([a.delta_rot.m for a in actions]))
     q, res_pos, res_rot, ok, _ = _ik_rows(chain, goal_rot, goal_pos, q_seed, ik_settings or IkSettings())
     for i in np.flatnonzero(~ok):
         logger.warning(
@@ -209,59 +192,52 @@ def google_step(
 
 
 def google_grip_step(
-    state: GoogleCtrlState, action: Action, q_grip: float, cfg: CtrlConfig | None = None
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], GoogleCtrlState]:
-    """One control tick of the Google Robot gripper of one record.
+    actions, goal: np.ndarray, q: np.ndarray, v: np.ndarray, cfg: CtrlConfig | None = None
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """One control tick of the Google Robot grippers of B records in lockstep.
 
-    Plans toward an accumulated position goal (small gripper actions are
-    filtered); returns the (ticks,) position, velocity and acceleration at
-    every simulation step, and the next state. ``q_grip`` is read at t = 0 only.
+    Each gripper is planned from its last planned (B,) position ``q`` and
+    velocity ``v`` toward an accumulated position ``goal``: an action below
+    GOOGLE_GRIP_FILTER in magnitude keeps the goal, any other sets it to the
+    planned position plus the action. Returns the (ticks, B) position,
+    velocity and acceleration at every simulation step, and the next
+    (goal, q, v).
     """
     cfg = cfg or google_config()
-    if state.t == 0:
-        state = GoogleCtrlState(t=0, q_lastgoal_grip=float(q_grip), q_lastplan_grip=float(q_grip))
-    # accumulate on the planned state, filtering small actions
-    if abs(action.gripper) < GOOGLE_GRIP_FILTER:
-        grip_goal = state.q_lastgoal_grip
-    else:
-        grip_goal = state.q_lastplan_grip + action.gripper
-    grip_plan = plan_scurve_1d(
-        state.q_lastplan_grip,
-        min(max(state.v_lastplan_grip, -GOOGLE_GRIP_LIMITS.v_max), GOOGLE_GRIP_LIMITS.v_max),
-        grip_goal,
-        0.0,
-        GOOGLE_GRIP_LIMITS,
-    )
-    q, v, a = grip_plan.sample(np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim)
-    new_state = GoogleCtrlState(
-        t=state.t + 1, q_lastgoal_grip=float(grip_goal), q_lastplan_grip=float(q[-1]), v_lastplan_grip=float(v[-1])
-    )
-    return (q, v, a), new_state
+    grip = np.array([a.gripper for a in actions])
+    goal = np.where(np.abs(grip) < GOOGLE_GRIP_FILTER, goal, q + grip)
+    v_max = GOOGLE_GRIP_LIMITS.v_max
+    plan = synchronize(q[:, None], np.clip(v, -v_max, v_max)[:, None], goal[:, None], np.zeros((len(grip), 1)),
+                       GOOGLE_GRIP_LIMITS)
+    q, v, a = (x[..., 0] for x in plan.sample(np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim))
+    return (q, v, a), (goal, q[-1], v[-1])
 
 
-def widowx_goal_pose(x: np.ndarray, r: Rot3, x_a: np.ndarray, r_a: Rot3) -> Pose:
-    """Delta rotation applied about the current end-effector origin.
+def widowx_goal_pose(x: np.ndarray, r: np.ndarray, x_a: np.ndarray, r_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Goal rotations and positions of the delta poses (``x_a``, ``r_a``) applied
+    about the current end-effector origins: (..., 3) positions, (..., 3, 3) rotations.
 
     The homogeneous product T(x, I) * T(x_a, R_a) * T(-x, I) * T(x, R)
-    reduces to (x + x_a, R_a R), which ``widowx_step`` applies to every row.
+    reduces to (R_a R, x + x_a), the goal of both controllers.
     """
-    return Pose(r_a @ r, x + x_a)
+    return r_a @ r, x + x_a
 
 
 def widowx_step(
-    state: WidowXCtrlState,
+    t: int,
     actions,
     q_arm: np.ndarray,
+    q_lastgoal: np.ndarray | None,
     chain: ChainSpec,
     ik_settings: IkSettings | None = None,
-) -> tuple[np.ndarray, WidowXCtrlState]:
-    """One control tick of the WidowX stack for B records in lockstep.
+) -> np.ndarray:
+    """Control tick ``t`` of the WidowX stack for B records in lockstep.
 
-    Each record's pose goal chains off its previously commanded joint goal
-    (the sensed (B, n) ``q_arm`` only seeds the IK). Returns the (B, n) joint
-    goals, held for the whole control interval, and the next state.
+    Each record's pose goal chains off its previously commanded (B, n) joint
+    goal ``q_lastgoal``, which at t = 0 is the sensed (B, n) ``q_arm`` (the
+    sensed state otherwise only seeds the IK). Returns the (B, n) joint
+    goals, held for the whole control interval.
     """
     q_arm = _rows(q_arm, chain, len(actions), "sensed arm positions")
-    q_lastgoal = q_arm if state.t == 0 else state.q_lastgoal
-    q_goal = _ik_goals("widowx_step", state.t, chain, actions, q_lastgoal, q_arm, ik_settings, "commanding best effort")
-    return q_goal, WidowXCtrlState(t=state.t + 1, q_lastgoal=q_goal)
+    base = q_arm if t == 0 else q_lastgoal
+    return _ik_goals("widowx_step", t, chain, actions, base, q_arm, ik_settings, "commanding best effort")

@@ -21,9 +21,7 @@ from .chain import ChainSpec, IkSettings, _tools, ik_dls
 from .controller import (
     Action,
     CtrlConfig,
-    GoogleCtrlState,
     SimStepTargets,
-    WidowXCtrlState,
     google_config,
     google_grip_step,
     google_step,
@@ -288,6 +286,9 @@ def _simulate(
 
     Each control step is one batched controller tick and plant update of the
     records still running (a shorter record is frozen after its last action).
+    The controller state lives here as arrays with one row per record: the
+    WidowX goals, and the Google gripper goals and planned states, which
+    never feed back into the arm and are planned only for ``plan_sink``.
     Returns each record's tool poses (T+1, 4, 4) and joint positions (T+1, n),
     initial and after every action; ``plan_sink(step, targets)`` gets every step's targets.
     """
@@ -305,30 +306,27 @@ def _simulate(
     order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
     q, v = q[order], np.zeros_like(q)
     powers = _plant_powers(pd, dyn, dt, ticks) if controller_kind == WIDOWX else None
-    w_state, g_states = WidowXCtrlState(), [GoogleCtrlState()] * len(order)
+    goal = None
+    grip = np.zeros((3, len(order)))  # gripper goal, position and velocity: a resting gripper at 0
     shape = (max(lengths) + 1, len(order))  # step-major: initial state, then one row per step
     tools, joints = np.empty((*shape, 4, 4)), np.empty((*shape, chain.n))
     for step in range(-1, max(lengths)):  # step -1 only logs the initial state
         m = sum(n > step for n in lengths)  # the records still running: columns :m
         actions = [action_lists[b][step] for b in order[:m]] if step >= 0 else ()
         if actions and controller_kind == GOOGLE:
-            arm_q, arm_v, arm_a = google_step(step, actions, q[:m], v[:m], chain, cfg, ik_settings)
-            q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm_q, pd, dyn, dt)
+            arm = google_step(step, actions, q[:m], v[:m], chain, cfg, ik_settings)
+            q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm[0], pd, dyn, dt)
         elif actions:
-            w_state = WidowXCtrlState(step, w_state.q_lastgoal[:m] if step else None)
-            goal, w_state = widowx_step(w_state, actions, q[:m], chain, ik_settings)
+            goal = widowx_step(step, actions, q[:m], goal[:m] if step else None, chain, ik_settings)
             q[:m], v[:m] = _hold_target(q[:m], v[:m], goal, ticks, powers, dyn)
-        for j, action in enumerate(actions if plan_sink is not None else ()):
+        if actions and plan_sink is not None:
             if controller_kind == GOOGLE:
-                # the gripper never feeds back into the arm: sensed gripper
-                # state matters only at t=0, so a resting gripper is assumed
-                grip, g_states[j] = google_grip_step(g_states[j], action, 0.0, cfg)
-                arm = (arm_q[:, j], arm_v[:, j], arm_a[:, j])
-            else:
-                zero = np.zeros(ticks)
-                grip = (np.full(ticks, action.gripper), zero, zero)
-                arm = (np.broadcast_to(goal[j], (ticks, chain.n)), *np.zeros((2, ticks, chain.n)))
-            plan_sink(step, SimStepTargets(*arm, *grip))
+                grip_plan, grip[:, :m] = google_grip_step(actions, *grip[:, :m], cfg)
+            else:  # the goal held for the whole interval, and the raw gripper command
+                arm = (np.broadcast_to(goal, (ticks, m, chain.n)), *np.zeros((2, ticks, m, chain.n)))
+                grip_plan = (np.broadcast_to([a.gripper for a in actions], (ticks, m)), *np.zeros((2, ticks, m)))
+            for j in range(m):
+                plan_sink(step, SimStepTargets(*(x[:, j] for x in (*arm, *grip_plan))))
         tools[step + 1, :m], joints[step + 1, :m] = _tools(chain, q[:m]), q[:m]
     slots = np.argsort(order)  # record b is column slots[b]
     return tuple([a[: n + 1, i] for n, i in zip(lengths, slots)] for a in (tools, joints))
@@ -345,13 +343,15 @@ def replay_open_loop(
     ik_settings: IkSettings | None = None,
     plan_sink=None,
 ) -> list[Pose]:
-    """Execute a recorded action sequence open loop; return simulated poses.
+    """Execute one recorded action sequence open loop; return simulated poses.
 
-    The returned sequence starts at the initial pose and appends the pose
-    after every action (length T+1); compare element-wise against
-    ``rec.ee_poses`` truncated to the shorter of the two. ``plan_sink``, if
-    given, is called as ``plan_sink(step_index, targets)`` with the
-    SimStepTargets of every control step.
+    This is the one-record case of the lockstep replay, which holds the
+    controller state from tick to tick. The returned sequence starts at the
+    initial pose and appends the pose after every action (length T+1);
+    compare element-wise against ``rec.ee_poses`` truncated to the shorter of
+    the two. ``plan_sink``, if given, is called as
+    ``plan_sink(step_index, targets)`` with the SimStepTargets of every
+    control step.
     """
     if q_init is None:
         q_init = _record_q_init(chain, rec)

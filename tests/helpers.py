@@ -1,6 +1,7 @@
 """Shared builders for test chains, rotations, and test-side oracles,
-including the slow one-at-a-time references of the batched planner, replay
-and replay loss, and the numpy references of the plain-float statistics."""
+including the slow one-at-a-time references of the batched planner, gripper
+tick, replay and replay loss, and the numpy references of the plain-float
+statistics."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from real2sim.chain import IK_STALL_ITERS, ChainSpec, IkResult, IkSettings, Join
 from real2sim.geometry import Pose, Rot3, UnitQuat, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from real2sim.metrics import (DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError,
                               _chi2_sf_1df)
-from real2sim.profile import LimitSet, PlanningError
+from real2sim.profile import LimitSet, PlanningError, plan_scurve_1d
 from real2sim.sysid import SysIdError, TrajectoryLosses
 
 
@@ -630,3 +631,40 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_settings=No
             q, v = ref_hold_target(q, v, ik.q, ticks, powers, dyn)
         poses.append(ref_fk(chain, q))
     return poses, stats
+
+
+@dataclass(frozen=True)
+class RefGripState:
+    """Gripper state of one record threaded through ref_google_grip_step calls."""
+
+    t: int = 0
+    q_lastgoal_grip: float = 0.0
+    q_lastplan_grip: float = 0.0
+    v_lastplan_grip: float = 0.0
+
+
+def ref_google_grip_step(state: RefGripState, action, q_grip: float, cfg):
+    """One Google Robot gripper tick of one record in Python floats: returns
+    the (ticks,) position, velocity and acceleration, and the next state.
+    ``q_grip`` is the sensed gripper, read at t = 0 only."""
+    from real2sim.controller import GOOGLE_GRIP_FILTER, GOOGLE_GRIP_LIMITS
+
+    if state.t == 0:
+        state = RefGripState(t=0, q_lastgoal_grip=float(q_grip), q_lastplan_grip=float(q_grip))
+    # accumulate on the planned state, filtering small actions
+    if abs(action.gripper) < GOOGLE_GRIP_FILTER:
+        grip_goal = state.q_lastgoal_grip
+    else:
+        grip_goal = state.q_lastplan_grip + action.gripper
+    grip_plan = plan_scurve_1d(
+        state.q_lastplan_grip,
+        min(max(state.v_lastplan_grip, -GOOGLE_GRIP_LIMITS.v_max), GOOGLE_GRIP_LIMITS.v_max),
+        grip_goal,
+        0.0,
+        GOOGLE_GRIP_LIMITS,
+    )
+    q, v, a = grip_plan.sample(np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim)
+    new_state = RefGripState(
+        t=state.t + 1, q_lastgoal_grip=float(grip_goal), q_lastplan_grip=float(q[-1]), v_lastplan_grip=float(v[-1])
+    )
+    return (q, v, a), new_state

@@ -619,7 +619,41 @@ def test_replay_cli_params_not_numbers_exits_3(sysid_workspace, tmp_path, capsys
         "--controller", "widowx", "--sim-hz", "200", "--out", str(out),
     ])
     assert rc == 3
-    assert capsys.readouterr().err == "error: p: expected numbers\n"
+    assert capsys.readouterr().err == f"error: {params}.p: expected numbers\n"
+    assert not out.exists()
+
+
+def test_replay_cli_fit_params_name_the_best_field(sysid_workspace, tmp_path, capsys):
+    # a fit.json keeps its gains under "best"
+    root = sysid_workspace
+    params = tmp_path / "fit.json"
+    params.write_text(json.dumps({"best": {"p": 60.0, "d": [3.0, "3", 3.0]}, "best_loss": 0.0}))
+    rc = main([
+        "replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+        "--chain", str(root / "chain.json"), "--params", str(params),
+        "--controller", "widowx", "--sim-hz", "200", "--out", str(tmp_path / "poses.json"),
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {params}.best.d: expected numbers\n"
+
+
+@pytest.mark.parametrize("field, value", [("inertia", "x"), ("inertia", True), ("damping", [0.3, "x", 0.3]),
+                                          ("damping", 10**400)],
+                         ids=["string", "bool", "string in list", "huge int"])
+def test_replay_cli_dynamics_not_numbers_exits_3(sysid_workspace, tmp_path, capsys, field, value):
+    root = sysid_workspace
+    params = tmp_path / "pd.json"
+    params.write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    dyn = tmp_path / "dyn.json"
+    dyn.write_text(json.dumps({"inertia": 1.0, "damping": 0.3, field: value}))
+    out = tmp_path / "poses.json"
+    rc = main([
+        "replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+        "--chain", str(root / "chain.json"), "--params", str(params), "--dynamics", str(dyn),
+        "--controller", "widowx", "--sim-hz", "200", "--out", str(out),
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {dyn}.{field}: expected numbers\n"
     assert not out.exists()
 
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_rotation
+from helpers import RefGripState, random_rotation, ref_google_grip_step
 from real2sim.controller import (
+    GOOGLE_GRIP_FILTER,
+    GOOGLE_GRIP_LIMITS,
     Action,
     ControllerError,
     CtrlConfig,
-    GoogleCtrlState,
-    WidowXCtrlState,
     google_config,
     google_grip_step,
     google_step,
@@ -23,6 +23,11 @@ from real2sim.geometry import Rot3, rot_z
 
 
 IDENTITY_ACTION = Action(np.zeros(3), Rot3(np.eye(3)), 0.0)
+
+
+def grip_state(goal, q, v):
+    """(goal, q, v) of one record as the (1,) arrays google_grip_step takes."""
+    return np.array([goal]), np.array([q]), np.array([v])
 
 
 def test_ctrl_config_rejects_non_positive_and_non_finite_frequencies():
@@ -41,10 +46,9 @@ def test_ticks_per_step_floor():
 def test_google_emits_167_targets(three_link):
     q = np.array([0.2, -0.3, 0.4])
     arm_q, _, _ = google_step(0, [IDENTITY_ACTION], q[None], np.zeros((1, 3)), three_link)
-    (grip_q, _, _), state = google_grip_step(GoogleCtrlState(), IDENTITY_ACTION, 0.1)
+    (grip_q, _, _), _ = google_grip_step([IDENTITY_ACTION], *grip_state(0.1, 0.1, 0.0))
     assert arm_q[:, 0].shape == (167, 3)
-    assert grip_q.shape == (167,)
-    assert state.t == 1
+    assert grip_q[:, 0].shape == (167,)
 
 
 def test_google_identity_action_holds_position(three_link):
@@ -55,39 +59,59 @@ def test_google_identity_action_holds_position(three_link):
 
 
 def test_google_small_gripper_action_filtered():
-    state = GoogleCtrlState(t=3, q_lastgoal_grip=0.9, q_lastplan_grip=0.4, v_lastplan_grip=0.0)
     action = Action(np.zeros(3), Rot3(np.eye(3)), 0.005)
-    _, new_state = google_grip_step(state, action, 0.0)
-    assert new_state.q_lastgoal_grip == 0.9
+    _, (goal, _, _) = google_grip_step([action], *grip_state(0.9, 0.4, 0.0))
+    assert goal[0] == 0.9
 
 
 def test_google_gripper_accumulates_on_planned_state():
-    state = GoogleCtrlState(t=2, q_lastgoal_grip=0.1, q_lastplan_grip=0.2, v_lastplan_grip=0.0)
     action = Action(np.zeros(3), Rot3(np.eye(3)), 0.5)
-    (grip_q, _, _), new_state = google_grip_step(state, action, 0.0)
-    assert new_state.q_lastgoal_grip == pytest.approx(0.7)
+    (grip_q, _, _), (goal, _, _) = google_grip_step([action], *grip_state(0.1, 0.2, 0.0))
+    assert goal[0] == pytest.approx(0.7)
     # the plan is seeded at the last planned state, not the sensed gripper
-    assert grip_q[0] == pytest.approx(0.2, abs=1e-3)
+    assert grip_q[0, 0] == pytest.approx(0.2, abs=1e-3)
 
 
 def test_google_gripper_goal_reaches_sum_when_plans_complete():
     # 1 Hz control interval lets every 0.1 move finish, so five actions
-    # accumulate to exactly 0.5 no matter what the sensed gripper does
+    # accumulate to exactly 0.5: no sensed gripper value enters the tick
     cfg = CtrlConfig(h_sim=501.0, h_ctrl=1.0)
-    state = GoogleCtrlState()
-    rng = np.random.default_rng(0)
-    for k in range(5):
+    state = grip_state(0.0, 0.0, 0.0)
+    for _ in range(5):
         action = Action(np.zeros(3), Rot3(np.eye(3)), 0.1)
-        sensed_grip = rng.uniform(-1, 1)  # garbage: only the t=0 value is read
-        _, state = google_grip_step(state, action, 0.0 if k == 0 else sensed_grip, cfg)
-    assert state.q_lastgoal_grip == pytest.approx(0.5, abs=1e-9)
-    assert state.q_lastplan_grip == pytest.approx(0.5, abs=1e-6)
+        _, state = google_grip_step([action], *state, cfg)
+    assert state[0][0] == pytest.approx(0.5, abs=1e-9)
+    assert state[1][0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_google_initializes_gripper_state_from_sensed():
-    (grip_q, _, _), state = google_grip_step(GoogleCtrlState(), IDENTITY_ACTION, 0.33)
-    assert state.q_lastgoal_grip == pytest.approx(0.33)
-    assert grip_q[0] == pytest.approx(0.33, abs=1e-6)
+    # the replay starts a gripper at rest, with its goal at its sensed position
+    (grip_q, _, _), (goal, _, _) = google_grip_step([IDENTITY_ACTION], *grip_state(0.33, 0.33, 0.0))
+    assert goal[0] == pytest.approx(0.33)
+    assert grip_q[0, 0] == pytest.approx(0.33, abs=1e-6)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 8])
+def test_google_grip_step_matches_the_one_record_reference(rows):
+    # a lockstep gripper tick equals the one-record float tick, bit for bit, over consecutive
+    # ticks; half the actions fall below the filter, and the seed velocities pass v_max
+    rng = np.random.default_rng(rows)
+    cfg = google_config()
+    goal, q = rng.uniform(-1, 1, size=(2, rows))
+    v = rng.choice([-1.0, 1.0], size=rows) * rng.uniform(1.1, 2.0, size=rows) * GOOGLE_GRIP_LIMITS.v_max
+    refs = [RefGripState(1, *state) for state in zip(goal, q, v)]
+    state = (goal, q, v)
+    for tick in range(6):
+        small = (np.arange(rows) + tick) % 2 == 0
+        grips = np.where(small, rng.uniform(-0.99, 0.99, rows) * GOOGLE_GRIP_FILTER, rng.uniform(-0.5, 0.5, rows))
+        actions = [Action(np.zeros(3), Rot3(np.eye(3)), float(g)) for g in grips]
+        plan, state = google_grip_step(actions, *state, cfg)
+        for b, action in enumerate(actions):
+            want, refs[b] = ref_google_grip_step(refs[b], action, 0.0, cfg)
+            for got, ref in zip(plan, want):
+                assert got.shape == (167, rows) and np.array_equal(got[:, b], ref)
+            ref_state = (refs[b].q_lastgoal_grip, refs[b].q_lastplan_grip, refs[b].v_lastplan_grip)
+            assert np.array_equal([x[b] for x in state], ref_state)
 
 
 def test_google_rejects_missized_sensed(three_link):
@@ -100,9 +124,9 @@ def test_google_deterministic(three_link):
     action = Action(np.array([0.01, 0.0, 0.0]), rot_z(0.02), 0.2)
     arm1 = google_step(0, [action], q[None], np.zeros((1, 3)), three_link)
     arm2 = google_step(0, [action], q[None], np.zeros((1, 3)), three_link)
-    grip1, s1 = google_grip_step(GoogleCtrlState(), action, 0.0)
-    grip2, s2 = google_grip_step(GoogleCtrlState(), action, 0.0)
-    assert s1 == s2
+    grip1, s1 = google_grip_step([action], *grip_state(0.0, 0.0, 0.0))
+    grip2, s2 = google_grip_step([action], *grip_state(0.0, 0.0, 0.0))
+    assert all(map(np.array_equal, s1, s2))
     assert np.array_equal(arm1[0], arm2[0])
     assert np.array_equal(grip1[0], grip2[0]) and np.array_equal(grip1[1], grip2[1])
 
@@ -121,9 +145,9 @@ def test_google_rows_step_independently(three_link):
 
 
 def test_widowx_goal_pose_example():
-    goal = widowx_goal_pose(np.array([1.0, 0, 0]), Rot3(np.eye(3)), np.array([0.1, 0, 0]), rot_z(math.pi / 2))
-    np.testing.assert_allclose(goal.pos, [1.1, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(goal.rot.m, rot_z(math.pi / 2).m, atol=1e-12)
+    rot, pos = widowx_goal_pose(np.array([1.0, 0, 0]), np.eye(3), np.array([0.1, 0, 0]), rot_z(math.pi / 2).m)
+    np.testing.assert_allclose(pos, [1.1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(rot, rot_z(math.pi / 2).m, atol=1e-12)
 
 
 def _hom(pos, rot):
@@ -143,25 +167,24 @@ def test_widowx_shortcut_equals_explicit_product():
         xa = rng.normal(size=3) * 0.1
         r = random_rotation(rng)
         ra = random_rotation(rng)
-        goal = widowx_goal_pose(x, r, xa, ra)
+        rot, pos = widowx_goal_pose(x, r.m, xa, ra.m)
         explicit = _hom(x, eye) @ _hom(xa, ra.m) @ _hom(-x, eye) @ _hom(x, r.m)
-        assert np.abs(goal.pos - explicit[:3, 3]).max() < 1e-12
-        assert np.abs(goal.rot.m - explicit[:3, :3]).max() < 1e-12
+        assert np.abs(pos - explicit[:3, 3]).max() < 1e-12
+        assert np.abs(rot - explicit[:3, :3]).max() < 1e-12
 
 
 def test_widowx_initializes_lastgoal_from_sensed(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    goal, state = widowx_step(WidowXCtrlState(), [IDENTITY_ACTION], q[None], three_link)
-    assert state.t == 1
+    goal = widowx_step(0, [IDENTITY_ACTION], q[None], None, three_link)
     assert goal.shape == (1, 3)
     np.testing.assert_allclose(goal[0], q, atol=1e-5)
 
 
 def test_widowx_identity_action_keeps_goal(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    _, state = widowx_step(WidowXCtrlState(), [IDENTITY_ACTION], q[None], three_link)
-    goal, state2 = widowx_step(state, [IDENTITY_ACTION], q[None], three_link)
-    np.testing.assert_allclose(goal, state.q_lastgoal, atol=1e-5)
+    first = widowx_step(0, [IDENTITY_ACTION], q[None], None, three_link)
+    goal = widowx_step(1, [IDENTITY_ACTION], q[None], first, three_link)
+    np.testing.assert_allclose(goal, first, atol=1e-5)
 
 
 def test_widowx_gripper_passthrough(three_link):
@@ -185,9 +208,9 @@ def test_widowx_chains_goals_not_sensed(three_link):
     # start keeps both chained targets inside the dexterous workspace
     q = np.array([0.4, 0.9, -0.7])
     act = Action(np.array([0.02, 0.0, 0.0]), Rot3(np.eye(3)), 0.0)
-    t1, state = widowx_step(WidowXCtrlState(), [act], q[None], three_link)
-    t2, state2 = widowx_step(state, [act], q[None], three_link)
-    ee2 = fk(three_link, state2.q_lastgoal[0])
+    t1 = widowx_step(0, [act], q[None], None, three_link)
+    t2 = widowx_step(1, [act], q[None], t1, three_link)
+    ee2 = fk(three_link, t2[0])
     ee0 = fk(three_link, q)
     # two chained IK solves, each within the 1e-4 position tolerance
     assert ee2.pos[0] == pytest.approx(ee0.pos[0] + 0.04, abs=5e-4)

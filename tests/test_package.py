@@ -90,6 +90,11 @@ def test_every_export_resolves():
         value = getattr(real2sim, name)
         assert value is getattr(importlib.import_module(value.__module__), name)
     assert real2sim.__version__ == "0.1.0"
+    for layer in LAYERS:
+        module = importlib.import_module(f"real2sim.{layer}")
+        assert hasattr(module, "__all__") or layer == "cli"  # the CLI exports nothing
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"real2sim.{layer}.__all__ lists {missing}"
 
 
 def test_dir_lists_the_exports():
