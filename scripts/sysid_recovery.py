@@ -34,7 +34,7 @@ def main() -> None:
 
     t0 = time.monotonic()
     result = anneal_fit(setup.records, setup.chain, setup.dyn, "widowx", setup.init, setup.bounds, cfg,
-                        ik_settings=setup.ik_settings)
+                        ik_iters=setup.ik_iters)
     elapsed = time.monotonic() - t0
 
     print(f"done in {elapsed:.1f} s, {result.evaluations} objective evaluations")

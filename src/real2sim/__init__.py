@@ -46,9 +46,9 @@ def json_vector(v, n: int | None, error: Exception) -> list[float]:
 _EXPORTS = {
     "geometry": "GeometryError Pose Rot3 UnitQuat compose inverse quat_to_rot rot_frobenius_loss rot_to_quat "
     "rotation_angle",
-    "chain": "ChainSpec IkSettings JointSpec fk ik_dls jacobian parse_urdf_subset",
+    "chain": "ChainSpec JointSpec fk ik_dls jacobian parse_urdf_subset",
     "profile": "LimitSet MotionPlan SegmentProfile plan_scurve_1d synchronize",
-    "controller": "Action CtrlConfig google_config google_step widowx_config widowx_step",
+    "controller": "Action CtrlConfig google_step widowx_step",
     "jointsim": "JointDynamics PDParams TrajectoryRecord replay_open_loop synthesize_record",
     "sysid": "AnnealConfig SysIdRange anneal_fit trajectory_losses",
     "metrics": "PairedEvalTable PolicyEval ShiftEval action_mse aggregate_grouped delta_success kruskal_wallis mmrv "

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, IkSettings, JointSpec, fk
+from .chain import ChainSpec, JointSpec, fk
 from .controller import Action
 from .geometry import Pose, Rot3, rot_x
 from .jointsim import JointDynamics, PDParams, TrajectoryRecord, synthesize_record
@@ -68,7 +68,7 @@ class RecoverySetup(NamedTuple):
     chain: ChainSpec
     dyn: JointDynamics
     truth: PDParams
-    ik_settings: IkSettings
+    ik_iters: int
     records: list[TrajectoryRecord]
     init: PDParams
     bounds: SysIdRange
@@ -85,11 +85,12 @@ def recovery_setup(n_records: int = 5, n_actions: int = 30, p_true: float = 80.0
     q0 = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
     dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
     truth = PDParams(np.full(chain.n, p_true), np.full(chain.n, d_true))
-    iks = IkSettings(max_iters=60)
+    ik_iters = 60
     rng = np.random.default_rng(11)
     records = [
-        synthesize_record(chain, dyn, truth, "widowx", fk_path_actions(chain, q0, n_actions, rng), q0, ik_settings=iks)
+        synthesize_record(
+            chain, dyn, truth, "widowx", fk_path_actions(chain, q0, n_actions, rng), q0, ik_iters=ik_iters)
         for _ in range(n_records)
     ]
     init = PDParams(truth.p * 2.5, truth.d * 0.6)
-    return RecoverySetup(chain, dyn, truth, iks, records, init, SysIdRange.around(truth, 10.0))
+    return RecoverySetup(chain, dyn, truth, ik_iters, records, init, SysIdRange.around(truth, 10.0))

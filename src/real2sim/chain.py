@@ -32,7 +32,6 @@ __all__ = [
     "UrdfParseError",
     "JointSpec",
     "ChainSpec",
-    "IkSettings",
     "IkResult",
     "parse_urdf_subset",
     "fk",
@@ -47,6 +46,11 @@ logger = logging.getLogger(__name__)
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
+# damped least squares: the damping, the tolerances a row converges at and the largest step of one joint
+IK_DAMPING = 0.05
+IK_TOL_POS = 1e-4
+IK_TOL_ROT = 1e-3
+IK_MAX_STEP = 0.2
 # an IK row stops, unconverged, after this many iterations without a better residual
 IK_STALL_ITERS = 20
 
@@ -132,22 +136,6 @@ class ChainSpec:
 
 
 @dataclass(frozen=True)
-class IkSettings:
-    """Damped-least-squares parameters; all strictly positive."""
-
-    damping: float = 0.05
-    max_iters: int = 200
-    tol_pos: float = 1e-4
-    tol_rot: float = 1e-3
-    max_step: float = 0.2
-
-    def __post_init__(self):
-        for name in ("damping", "max_iters", "tol_pos", "tol_rot", "max_step"):
-            if getattr(self, name) <= 0:
-                raise ChainError(f"IkSettings.{name} must be positive")
-
-
-@dataclass(frozen=True)
 class IkResult:
     q: np.ndarray
     residual_pos: float
@@ -223,7 +211,7 @@ def jacobian(chain: ChainSpec, q) -> np.ndarray:
     return _jacobian_from_frames(chain, frames, (frames[-1] @ chain._ee_matrix)[:, :3, 3])[0]
 
 
-def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q_seed: np.ndarray, s: IkSettings):
+def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q_seed: np.ndarray, max_iters: int):
     """Damped-least-squares IK of B rows in lockstep, each toward its own target.
 
     ``target_rot`` is (B, 3, 3), ``target_pos`` (B, 3) and ``q_seed`` (B, n).
@@ -232,13 +220,15 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
     row runs the iterates of a solo run. Returns each row's best iterate,
     residuals, flag and iteration count.
     """
+    if max_iters < 1:
+        raise ChainError(f"max_iters must be at least 1, got {max_iters}")
     lo, hi = chain.lower, chain.upper
     q = np.minimum(np.maximum(q_seed, lo), hi)
-    damp = (s.damping**2) * np.eye(6)
+    damp = (IK_DAMPING**2) * np.eye(6)
     rows = list(range(q.shape[0]))  # the original index of each active row
     best = [(row, math.inf, math.inf, 0) for row in q]  # each active row's best iterate, residuals and iteration
     out = [None] * q.shape[0]
-    for it in range(s.max_iters + 1):
+    for it in range(max_iters + 1):
         frames = _frames(chain, q)
         tool = frames[-1] @ chain._ee_matrix
         e_rot = matrix_to_rotvec(target_rot @ tool[:, :3, :3].transpose(0, 2, 1))
@@ -249,8 +239,8 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
         for j, (res_pos, res_rot) in enumerate(res.tolist()):
             if res_pos + res_rot < best[j][1] + best[j][2]:
                 best[j] = (q[j], res_pos, res_rot, it)
-            converged = res_pos <= s.tol_pos and res_rot <= s.tol_rot
-            if converged or it == s.max_iters or it - best[j][3] == IK_STALL_ITERS:
+            converged = res_pos <= IK_TOL_POS and res_rot <= IK_TOL_ROT
+            if converged or it == max_iters or it - best[j][3] == IK_STALL_ITERS:
                 out[rows[j]] = (*best[j][:3], converged, it)
             else:
                 keep.append(j)
@@ -264,26 +254,25 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
         dq = (jac_t @ np.linalg.solve(jac @ jac_t + damp, err[:, :, None]))[:, :, 0]
         for i, row in enumerate(dq.tolist()):
             biggest = max(map(abs, row))
-            if biggest > s.max_step:
-                dq[i] *= s.max_step / biggest
+            if biggest > IK_MAX_STEP:
+                dq[i] *= IK_MAX_STEP / biggest
         q = np.minimum(np.maximum(q + dq, lo), hi)
     q_best, res_pos, res_rot, converged, iterations = zip(*out)
     return np.array(q_best), np.array(res_pos), np.array(res_rot), np.array(converged), np.array(iterations)
 
 
-def ik_dls(chain: ChainSpec, target: Pose, q_seed, settings: IkSettings | None = None) -> IkResult:
+def ik_dls(chain: ChainSpec, target: Pose, q_seed, max_iters: int = 200) -> IkResult:
     """Damped-least-squares IK toward ``target``, seeded at ``q_seed``.
 
-    Iterates dq = J^T (J J^T + damping^2 I)^-1 e with the step clamped to
-    ``max_step`` per joint and iterates clamped to joint limits, until it
+    Iterates dq = J^T (J J^T + IK_DAMPING^2 I)^-1 e with the step clamped to
+    ``IK_MAX_STEP`` per joint and iterates clamped to joint limits, until it
     converges, reaches ``max_iters`` or goes ``IK_STALL_ITERS`` iterations
     without a better residual. Never raises on non-convergence: the best
     iterate found is always returned, with the ``converged`` flag and
     residuals reporting the outcome.
     """
-    q, pos, rot, ok, its = _ik_rows(
-        chain, target.rot.m[None], target.pos[None], _check_q(chain, q_seed)[None], settings or IkSettings()
-    )
+    q_seed = _check_q(chain, q_seed)[None]
+    q, pos, rot, ok, its = _ik_rows(chain, target.rot.m[None], target.pos[None], q_seed, max_iters)
     return IkResult(q[0], float(pos[0]), float(rot[0]), bool(ok[0]), int(its[0]))
 
 
@@ -342,7 +331,7 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
         link_names.add(name)
 
     children: dict[str, list[tuple[ET.Element, str, str, str]]] = {}  # joint, name, type, child link
-    child_links = set()
+    parent_joint = {}  # the joint that names each link as its child
     for joint in root.findall("joint"):
         jname = joint.get("name") or "<unnamed>"
         jtype = joint.get("type")
@@ -356,10 +345,12 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
         clink = child.get("link")
         if plink not in link_names or clink not in link_names:
             raise UrdfParseError(f"joint {jname!r}: parent/child link not declared")
+        if clink in parent_joint:  # a second parent: also every cycle the walk could enter has one
+            raise UrdfParseError(f"link {clink!r} is the child of joints {parent_joint[clink]!r} and {jname!r}")
         children.setdefault(plink, []).append((joint, jname, jtype, clink))
-        child_links.add(clink)
+        parent_joint[clink] = jname
 
-    roots = sorted(link_names - child_links)
+    roots = sorted(link_names - parent_joint.keys())
     if len(roots) != 1:
         raise UrdfParseError(f"expected exactly one root link, found {roots}")
     if tip is not None and tip not in link_names:
@@ -451,7 +442,9 @@ def chain_from_dict(d: dict, source: str = "chain") -> ChainSpec:
         axis = json_vector(j["axis"], 3, ChainError(f"{where}.axis: expected 3 numbers"))
         origin = pose_from_dict(j["origin"], f"{where}.origin")
         name = json_name(j["name"], ChainError(f"{where}.name: expected a string"))
-        joints.append(JointSpec(name, str(j["kind"]), origin, np.array(axis), lower, upper))
+        if j["kind"] not in (REVOLUTE, PRISMATIC):  # also every value that is not a string
+            raise ChainError(f"{where}.kind: expected {REVOLUTE!r} or {PRISMATIC!r}")
+        joints.append(JointSpec(name, j["kind"], origin, np.array(axis), lower, upper))
     ee = pose_from_dict(d["ee_offset"], f"{source}.ee_offset") if "ee_offset" in d else Pose.identity()
     return ChainSpec(tuple(joints), ee_offset=ee)
 

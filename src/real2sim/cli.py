@@ -257,9 +257,9 @@ def cmd_replay(args) -> int:
 
     plan_rows = []
 
-    def dump(step, tgt):
-        ts = step / cfg.h_ctrl + np.arange(1, tgt.arm_q.shape[0] + 1) * (1.0 / cfg.h_sim)
-        plan_rows.append(np.column_stack([ts, tgt.arm_q, tgt.arm_v, tgt.arm_a, tgt.grip_q, tgt.grip_v, tgt.grip_a]))
+    def dump(step, targets):
+        ts = step / cfg.h_ctrl + np.arange(1, targets.shape[0] + 1) * (1.0 / cfg.h_sim)
+        plan_rows.append(np.column_stack([ts, targets[:, 0]]))
 
     sim_poses = jointsim.replay_open_loop(
         robot, dyn, pd, args.controller, rec, None, cfg, plan_sink=dump if args.dump_plan else None
@@ -375,8 +375,7 @@ def main(argv=None) -> int:
     # Each handler's tuple is evaluated, loading the layers it names, only when a command fails.
     try:
         return args.func(args)
-    except (report.InputFormatError, chain.UrdfParseError, imaging.ImageError, json.JSONDecodeError,
-            FileNotFoundError, IsADirectoryError) as exc:
+    except (report.InputFormatError, chain.UrdfParseError, imaging.ImageError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except (profile.PlanningError, np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import json_number, json_vector
-from .chain import ChainSpec, IkSettings, _ik_rows, _tools
+from .chain import ChainSpec, _ik_rows, _tools
 from .geometry import GeometryError, Rot3, UnitQuat, _freeze, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from .profile import LimitSet, synchronize
 
@@ -28,12 +28,9 @@ __all__ = [
     "ControllerError",
     "Action",
     "CtrlConfig",
-    "SimStepTargets",
     "GOOGLE_ARM_LIMITS",
     "GOOGLE_GRIP_LIMITS",
     "GOOGLE_GRIP_FILTER",
-    "google_config",
-    "widowx_config",
     "google_step",
     "google_grip_step",
     "widowx_step",
@@ -117,31 +114,6 @@ class CtrlConfig:
         return int(self.h_sim // self.h_ctrl)
 
 
-def google_config() -> CtrlConfig:
-    return CtrlConfig(h_sim=501.0, h_ctrl=3.0)
-
-
-def widowx_config() -> CtrlConfig:
-    return CtrlConfig(h_sim=500.0, h_ctrl=5.0)
-
-
-@dataclass(frozen=True, eq=False)
-class SimStepTargets:
-    """Targets of one record for every simulation step of one control interval.
-
-    Row k holds the targets applied at simulation step k + 1 of the
-    interval: the arm fields are (ticks, n) arrays, the gripper fields
-    (ticks,) arrays. The plant tracks ``arm_q`` only.
-    """
-
-    arm_q: np.ndarray
-    arm_v: np.ndarray
-    arm_a: np.ndarray
-    grip_q: np.ndarray
-    grip_v: np.ndarray
-    grip_a: np.ndarray
-
-
 def _rows(x, chain: ChainSpec, count: int, what: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.shape != (count, chain.n):
@@ -149,14 +121,14 @@ def _rows(x, chain: ChainSpec, count: int, what: str) -> np.ndarray:
     return a
 
 
-def _ik_goals(tag: str, t: int, chain: ChainSpec, actions, base: np.ndarray, q_seed, ik_settings, fallback: str):
+def _ik_goals(tag: str, t: int, chain: ChainSpec, actions, base: np.ndarray, q_seed, ik_iters: int, fallback: str):
     """IK solutions of every row's goal: the action's delta pose applied to the
     tool pose at ``base`` (the delta rotation about the tool origin)."""
     tool = _tools(chain, base)
     goal_rot, goal_pos = widowx_goal_pose(
         tool[:, :3, 3], tool[:, :3, :3], np.array([a.delta_pos for a in actions]),
         np.array([a.delta_rot.m for a in actions]))
-    q, res_pos, res_rot, ok, _ = _ik_rows(chain, goal_rot, goal_pos, q_seed, ik_settings or IkSettings())
+    q, res_pos, res_rot, ok, _ = _ik_rows(chain, goal_rot, goal_pos, q_seed, ik_iters)
     for i in np.flatnonzero(~ok):
         logger.warning(
             "%s t=%d: IK did not converge (pos %.2e m, rot %.2e rad); %s", tag, t, res_pos[i], res_rot[i], fallback
@@ -170,8 +142,8 @@ def google_step(
     q_arm: np.ndarray,
     v_arm: np.ndarray,
     chain: ChainSpec,
-    cfg: CtrlConfig | None = None,
-    ik_settings: IkSettings | None = None,
+    cfg: CtrlConfig = CtrlConfig(),
+    ik_iters: int = 200,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Control tick ``t`` of the Google Robot arm for B records in lockstep.
 
@@ -180,10 +152,9 @@ def google_step(
     the plans' position, velocity and acceleration at every simulation step of
     the control interval as (ticks, B, n) arrays.
     """
-    cfg = cfg or google_config()
     q_arm = _rows(q_arm, chain, len(actions), "sensed arm positions")
     v_arm = _rows(v_arm, chain, len(actions), "sensed arm velocities")
-    q_goal = _ik_goals("google_step", t, chain, actions, q_arm, q_arm, ik_settings, "planning toward best effort")
+    q_goal = _ik_goals("google_step", t, chain, actions, q_arm, q_arm, ik_iters, "planning toward best effort")
     # the plant can transiently exceed the planner's velocity bound, which the
     # planner rejects as a seed: clip like a deployed stack would
     v_max = GOOGLE_ARM_LIMITS.v_max
@@ -192,7 +163,7 @@ def google_step(
 
 
 def google_grip_step(
-    actions, goal: np.ndarray, q: np.ndarray, v: np.ndarray, cfg: CtrlConfig | None = None
+    actions, goal: np.ndarray, q: np.ndarray, v: np.ndarray, cfg: CtrlConfig = CtrlConfig()
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One control tick of the Google Robot grippers of B records in lockstep.
 
@@ -203,7 +174,6 @@ def google_grip_step(
     velocity and acceleration at every simulation step, and the next
     (goal, q, v).
     """
-    cfg = cfg or google_config()
     grip = np.array([a.gripper for a in actions])
     goal = np.where(np.abs(grip) < GOOGLE_GRIP_FILTER, goal, q + grip)
     v_max = GOOGLE_GRIP_LIMITS.v_max
@@ -229,7 +199,7 @@ def widowx_step(
     q_arm: np.ndarray,
     q_lastgoal: np.ndarray | None,
     chain: ChainSpec,
-    ik_settings: IkSettings | None = None,
+    ik_iters: int = 200,
 ) -> np.ndarray:
     """Control tick ``t`` of the WidowX stack for B records in lockstep.
 
@@ -240,4 +210,4 @@ def widowx_step(
     """
     q_arm = _rows(q_arm, chain, len(actions), "sensed arm positions")
     base = q_arm if t == 0 else q_lastgoal
-    return _ik_goals("widowx_step", t, chain, actions, base, q_arm, ik_settings, "commanding best effort")
+    return _ik_goals("widowx_step", t, chain, actions, base, q_arm, ik_iters, "commanding best effort")

@@ -17,17 +17,8 @@ from typing import Callable
 import numpy as np
 
 from . import json_number, json_vector
-from .chain import ChainSpec, IkSettings, _tools, ik_dls
-from .controller import (
-    Action,
-    CtrlConfig,
-    SimStepTargets,
-    google_config,
-    google_grip_step,
-    google_step,
-    widowx_config,
-    widowx_step,
-)
+from .chain import ChainSpec, _tools, ik_dls
+from .controller import Action, CtrlConfig, google_grip_step, google_step, widowx_step
 from .geometry import Pose, Rot3, _freeze, pose_from_dict, pose_to_dict
 
 __all__ = [
@@ -265,9 +256,9 @@ def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, dyn: 
 
 def default_config(controller_kind: str) -> CtrlConfig:
     if controller_kind == GOOGLE:
-        return google_config()
+        return CtrlConfig()
     if controller_kind == WIDOWX:
-        return widowx_config()
+        return CtrlConfig(500.0, 5.0)
     raise JointSimError(f"unknown controller kind {controller_kind!r} (want 'google' or 'widowx')")
 
 
@@ -279,8 +270,8 @@ def _simulate(
     action_lists,
     q_inits,
     cfg: CtrlConfig | None,
-    ik_settings: IkSettings | None,
-    plan_sink: Callable[[int, SimStepTargets], None] | None = None,
+    ik_iters: int = 200,
+    plan_sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Replay B action sequences in lockstep from the (B, n) ``q_inits``.
 
@@ -290,7 +281,9 @@ def _simulate(
     WidowX goals, and the Google gripper goals and planned states, which
     never feed back into the arm and are planned only for ``plan_sink``.
     Returns each record's tool poses (T+1, 4, 4) and joint positions (T+1, n),
-    initial and after every action; ``plan_sink(step, targets)`` gets every step's targets.
+    initial and after every action. ``plan_sink(step, targets)`` gets every step's
+    (ticks, m, 3n + 3) targets of the m records still running, longest record
+    first: arm q, v and a, then gripper q, v and a.
     """
     if dyn.n != chain.n or pd.n != chain.n:
         raise JointSimError("dynamics/PD vectors must match the chain joint count")
@@ -314,10 +307,10 @@ def _simulate(
         m = sum(n > step for n in lengths)  # the records still running: columns :m
         actions = [action_lists[b][step] for b in order[:m]] if step >= 0 else ()
         if actions and controller_kind == GOOGLE:
-            arm = google_step(step, actions, q[:m], v[:m], chain, cfg, ik_settings)
+            arm = google_step(step, actions, q[:m], v[:m], chain, cfg, ik_iters)
             q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm[0], pd, dyn, dt)
         elif actions:
-            goal = widowx_step(step, actions, q[:m], goal[:m] if step else None, chain, ik_settings)
+            goal = widowx_step(step, actions, q[:m], goal[:m] if step else None, chain, ik_iters)
             q[:m], v[:m] = _hold_target(q[:m], v[:m], goal, ticks, powers, dyn)
         if actions and plan_sink is not None:
             if controller_kind == GOOGLE:
@@ -325,8 +318,7 @@ def _simulate(
             else:  # the goal held for the whole interval, and the raw gripper command
                 arm = (np.broadcast_to(goal, (ticks, m, chain.n)), *np.zeros((2, ticks, m, chain.n)))
                 grip_plan = (np.broadcast_to([a.gripper for a in actions], (ticks, m)), *np.zeros((2, ticks, m)))
-            for j in range(m):
-                plan_sink(step, SimStepTargets(*(x[:, j] for x in (*arm, *grip_plan))))
+            plan_sink(step, np.concatenate([*arm, *(x[..., None] for x in grip_plan)], axis=2))
         tools[step + 1, :m], joints[step + 1, :m] = _tools(chain, q[:m]), q[:m]
     slots = np.argsort(order)  # record b is column slots[b]
     return tuple([a[: n + 1, i] for n, i in zip(lengths, slots)] for a in (tools, joints))
@@ -340,7 +332,7 @@ def replay_open_loop(
     rec: TrajectoryRecord,
     q_init=None,
     cfg: CtrlConfig | None = None,
-    ik_settings: IkSettings | None = None,
+    ik_iters: int = 200,
     plan_sink=None,
 ) -> list[Pose]:
     """Execute one recorded action sequence open loop; return simulated poses.
@@ -350,12 +342,14 @@ def replay_open_loop(
     initial pose and appends the pose after every action (length T+1);
     compare element-wise against ``rec.ee_poses`` truncated to the shorter of
     the two. ``plan_sink``, if given, is called as
-    ``plan_sink(step_index, targets)`` with the SimStepTargets of every
-    control step.
+    ``plan_sink(step_index, targets)`` at every control step. ``targets`` is a
+    (ticks, 1, 3n + 3) array: row k holds the targets applied at simulation
+    step k + 1 of the interval, in the columns arm q, v and a (n each), then
+    gripper q, v and a. The plant tracks the arm q only.
     """
     if q_init is None:
         q_init = _record_q_init(chain, rec)
-    (tools,), _ = _simulate(chain, dyn, pd, controller_kind, [rec.actions], [q_init], cfg, ik_settings, plan_sink)
+    (tools,), _ = _simulate(chain, dyn, pd, controller_kind, [rec.actions], [q_init], cfg, ik_iters, plan_sink)
     return [Pose(Rot3(t[:3, :3]), t[:3, 3]) for t in tools]
 
 
@@ -367,11 +361,11 @@ def synthesize_record(
     actions,
     q_init,
     cfg: CtrlConfig | None = None,
-    ik_settings: IkSettings | None = None,
+    ik_iters: int = 200,
 ) -> TrajectoryRecord:
     """Run the simulator and package its own output as a reference record."""
     cfg = cfg or default_config(controller_kind)
-    (tools,), (joints,) = _simulate(chain, dyn, pd, controller_kind, [actions], [q_init], cfg, ik_settings)
+    (tools,), (joints,) = _simulate(chain, dyn, pd, controller_kind, [actions], [q_init], cfg, ik_iters)
     return TrajectoryRecord(tuple(actions), tuple(Pose(Rot3(t[:3, :3]), t[:3, 3]) for t in tools), cfg.h_ctrl, joints)
 
 
@@ -385,11 +379,11 @@ def _record_q_init(chain: ChainSpec, rec: TrajectoryRecord, where: str = "joint_
 
 
 def initial_joint_positions(
-    chain: ChainSpec, pose: Pose, q_seed=None, settings: IkSettings | None = None
+    chain: ChainSpec, pose: Pose, q_seed=None, ik_iters: int = 500
 ) -> np.ndarray:
     """Joint configuration matching a reference pose, found by IK."""
     seed = np.zeros(chain.n) if q_seed is None else np.asarray(q_seed, dtype=float)
-    result = ik_dls(chain, pose, seed, settings or IkSettings(max_iters=500))
+    result = ik_dls(chain, pose, seed, ik_iters)
     if not result.converged:
         raise JointSimError(
             f"could not match the initial pose by IK "

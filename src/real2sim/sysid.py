@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import json_number
-from .chain import ChainSpec, IkSettings
+from .chain import ChainSpec
 from .controller import CtrlConfig
 from .geometry import _freeze, rot_frobenius_loss
 from .jointsim import (
@@ -173,7 +173,7 @@ def anneal_fit(
     range0: SysIdRange,
     cfg: AnnealConfig | None = None,
     ctrl_cfg: CtrlConfig | None = None,
-    ik_settings: IkSettings | None = None,
+    ik_iters: int = 200,
 ) -> AnnealResult:
     """Fit PD gains by multi-round simulated annealing of the replay loss.
 
@@ -208,7 +208,7 @@ def anneal_fit(
     refs = [np.stack([p.as_matrix() for p in rec.ee_poses]) for rec in dataset]
 
     def objective(pd: PDParams) -> TrajectoryLosses:
-        tools, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_settings)
+        tools, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_iters)
         losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs, tools)]
         return TrajectoryLosses(*(float(s) / len(dataset) for s in np.cumsum(losses, axis=0)[-1]))
 

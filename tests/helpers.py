@@ -11,7 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
-from real2sim.chain import IK_STALL_ITERS, ChainSpec, IkResult, IkSettings, JointSpec
+from real2sim.chain import (IK_DAMPING, IK_MAX_STEP, IK_STALL_ITERS, IK_TOL_POS, IK_TOL_ROT, ChainSpec, IkResult,
+                            JointSpec)
 from real2sim.geometry import Pose, Rot3, UnitQuat, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from real2sim.metrics import (DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError,
                               _chi2_sf_1df)
@@ -533,16 +534,15 @@ def ref_jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool) -> np
     return np.concatenate([np.where(revolute, lin, axes_w), np.where(revolute, axes_w, 0.0)])
 
 
-def ref_ik_dls(chain: ChainSpec, target: Pose, q_seed, s: IkSettings | None = None) -> IkResult:
+def ref_ik_dls(chain: ChainSpec, target: Pose, q_seed, max_iters: int = 200) -> IkResult:
     """The scalar DLS loop: one configuration, Python-float bookkeeping, and
     the same stop once the best residual has not improved for IK_STALL_ITERS."""
-    s = s or IkSettings()
     q = np.clip(np.asarray(q_seed, dtype=float), chain.lower, chain.upper)
-    damp = (s.damping**2) * np.eye(6)
+    damp = (IK_DAMPING**2) * np.eye(6)
     best_q, best_pos, best_rot, best_it = q.copy(), math.inf, math.inf, 0
     converged = False
     iterations = 0
-    for it in range(s.max_iters + 1):
+    for it in range(max_iters + 1):
         frames = ref_frames(chain, q)
         tool = frames[-1] @ chain._ee_matrix
         p = tool[:3, 3]
@@ -553,16 +553,16 @@ def ref_ik_dls(chain: ChainSpec, target: Pose, q_seed, s: IkSettings | None = No
         if res_pos + res_rot < best_pos + best_rot:
             best_q, best_pos, best_rot, best_it = q.copy(), res_pos, res_rot, it
         iterations = it
-        if res_pos <= s.tol_pos and res_rot <= s.tol_rot:
+        if res_pos <= IK_TOL_POS and res_rot <= IK_TOL_ROT:
             converged = True
             break
-        if it == s.max_iters or it - best_it == IK_STALL_ITERS:
+        if it == max_iters or it - best_it == IK_STALL_ITERS:
             break
         jac = ref_jacobian_from_frames(chain, frames, p)
         dq = jac.T @ np.linalg.solve(jac @ jac.T + damp, np.concatenate([e_pos, e_rot]))
         biggest = np.abs(dq).max()
-        if biggest > s.max_step:
-            dq *= s.max_step / biggest
+        if biggest > IK_MAX_STEP:
+            dq *= IK_MAX_STEP / biggest
         q = np.minimum(np.maximum(q + dq, chain.lower), chain.upper)
     return IkResult(best_q, best_pos, best_rot, converged, iterations)
 
@@ -602,7 +602,7 @@ def ref_hold_target(q, v, target, ticks: int, powers: np.ndarray, dyn):
     return q, v
 
 
-def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_settings=None):
+def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
     """Replay one record tick by tick; returns its poses and the (iterations,
     converged) of every control step's IK."""
     from real2sim.controller import GOOGLE_ARM_LIMITS
@@ -619,7 +619,7 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_settings=No
     for t, action in enumerate(actions):
         base = ref_fk(chain, q if kind == "google" else last_goal)
         goal = Pose(action.delta_rot @ base.rot, base.pos + action.delta_pos)
-        ik = ref_ik_dls(chain, goal, q, ik_settings)
+        ik = ref_ik_dls(chain, goal, q, ik_iters)
         stats.append((ik.iterations, ik.converged))
         if kind == "google":
             vmax = GOOGLE_ARM_LIMITS.v_max

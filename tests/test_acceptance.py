@@ -17,15 +17,15 @@ from helpers import (
     random_rotation,
     random_serial_chain,
 )
-from real2sim.chain import IkSettings, fk, ik_dls, jacobian
+from real2sim.chain import fk, ik_dls, jacobian
 from real2sim.controller import (
     Action,
-    google_config,
     google_grip_step,
     google_step,
     widowx_goal_pose,
 )
 from real2sim.geometry import Rot3, rot_frobenius_loss, rotation_angle
+from real2sim.jointsim import default_config
 from real2sim.imaging import ImageRGB8, MaskGray8, composite, read_pgm, read_ppm, write_pgm, write_ppm
 from real2sim.metrics import delta_success, kruskal_wallis, mmrv, pearson
 from real2sim.sysid import AnnealConfig, anneal_fit
@@ -143,7 +143,7 @@ def test_criterion_05_trajectory_planner_properties():
 
 def test_criterion_06_controller_fidelity(six_dof):
     t0 = time.monotonic()
-    cfg = google_config()
+    cfg = default_config("google")
     assert cfg.h_sim == 501.0 and cfg.h_ctrl == 3.0
     q = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
     arm_q, _, _ = google_step(0, [Action(np.zeros(3), Rot3(np.eye(3)), 0.0)], q[None], np.zeros((1, 6)), six_dof, cfg)
@@ -175,14 +175,14 @@ def test_criterion_07_sysid_synthetic_recovery():
     t0 = time.monotonic()
     chain, dyn, truth, iks, records, init, bounds = recovery_setup(n_records=5, n_actions=30)
     cfg = AnnealConfig(rounds=3, iters_per_round=90, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
-    result = anneal_fit(records, chain, dyn, "widowx", init, bounds, cfg, ik_settings=iks)
+    result = anneal_fit(records, chain, dyn, "widowx", init, bounds, cfg, ik_iters=iks)
     assert result.best_loss < 1e-3
     assert result.best_loss < 0.05 * result.initial_loss
 
     # determinism on a reduced schedule of the identical pipeline
     small = AnnealConfig(rounds=3, iters_per_round=5, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
     def fit_bytes():
-        r = anneal_fit(records[:2], chain, dyn, "widowx", init, bounds, small, ik_settings=iks)
+        r = anneal_fit(records[:2], chain, dyn, "widowx", init, bounds, small, ik_iters=iks)
         payload = {
             "p": list(map(float, r.best.p)),
             "d": list(map(float, r.best.d)),
@@ -260,7 +260,6 @@ def test_criterion_10_kinematics_properties():
             assert np.abs(jac[:3, i] - lin).max() < 1e-5
 
     rng = np.random.default_rng(77)
-    settings = IkSettings(max_iters=400)
     ok = 0
     for _ in range(50):
         chain = random_serial_chain(rng, 6)
@@ -268,7 +267,7 @@ def test_criterion_10_kinematics_properties():
             q_true = rng.uniform(-2.0, 2.0, 6)
             target = fk(chain, q_true)
             seed = q_true + rng.normal(scale=0.1, size=6)
-            res = ik_dls(chain, target, seed, settings)
+            res = ik_dls(chain, target, seed, max_iters=400)
             ok += res.residual_pos <= 1e-4
     assert ok >= 495, f"IK reached 1e-4 position residual on only {ok}/500 targets"
     elapsed = check_runtime(t0, 30.0, "criterion 10")

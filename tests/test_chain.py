@@ -12,7 +12,6 @@ from real2sim.chain import (
     IK_STALL_ITERS,
     ChainError,
     ChainSpec,
-    IkSettings,
     JointSpec,
     UrdfParseError,
     _ik_rows,
@@ -112,6 +111,22 @@ def test_parse_rejects_branching():
     )
     with pytest.raises(UrdfParseError, match="non-serial chain"):
         parse_urdf_subset(bad)
+
+
+def test_parse_rejects_a_link_with_two_parents():
+    # j3 closes the cycle b -> c -> b, which the walk from the root would follow forever
+    cyclic = """<robot name="cyclic">
+      <link name="a"/><link name="b"/><link name="c"/>
+      <joint name="j1" type="revolute">
+        <parent link="a"/><child link="b"/><axis xyz="0 0 1"/>
+      </joint>
+      <joint name="j2" type="revolute">
+        <parent link="b"/><child link="c"/><axis xyz="0 0 1"/>
+      </joint>
+      <joint name="j3" type="fixed"><parent link="c"/><child link="b"/></joint>
+    </robot>"""
+    with pytest.raises(UrdfParseError, match="^link 'b' is the child of joints 'j1' and 'j3'$"):
+        parse_urdf_subset(cyclic)
 
 
 def test_parse_rejects_unknown_joint_type():
@@ -262,7 +277,7 @@ def test_ik_lockstep_rows_match_solo_reference():
     targets = [fk(chain, q) for q in q_true]
     targets[5] = Pose(targets[5].rot, targets[5].pos * 10.0)
     rots = np.array([t.rot.m for t in targets])
-    q, res_pos, res_rot, ok, its = _ik_rows(chain, rots, np.array([t.pos for t in targets]), seeds, IkSettings())
+    q, res_pos, res_rot, ok, its = _ik_rows(chain, rots, np.array([t.pos for t in targets]), seeds, 200)
     for b, target in enumerate(targets):
         for ref in (ref_ik_dls(chain, target, seeds[b]), ik_dls(chain, target, seeds[b])):
             assert np.array_equal(q[b], ref.q)
@@ -270,7 +285,7 @@ def test_ik_lockstep_rows_match_solo_reference():
                 ref.residual_pos, ref.residual_rot, ref.converged, ref.iterations
             )
     assert len(set(its[:5].tolist())) >= 3 and ok[:5].all()
-    assert not ok[5] and its[5] < IkSettings().max_iters
+    assert not ok[5] and its[5] < 200
 
 
 def test_ik_stops_a_row_once_it_stalls():
@@ -281,11 +296,11 @@ def test_ik_stops_a_row_once_it_stalls():
     seed = rng.uniform(-2.0, 2.0, 6)
     near = fk(chain, seed)
     target = Pose(near.rot, near.pos * 10.0)
-    res = ik_dls(chain, target, seed, IkSettings(max_iters=200))
+    res = ik_dls(chain, target, seed, max_iters=200)
     assert not res.converged
     # the best iterate is first returned when max_iters reaches the iteration that found it
     best_it = next(m for m in range(1, res.iterations + 1)
-                   if ik_dls(chain, target, seed, IkSettings(max_iters=m)).residual_pos == res.residual_pos)
+                   if ik_dls(chain, target, seed, max_iters=m).residual_pos == res.residual_pos)
     assert res.iterations == best_it + IK_STALL_ITERS < 200
 
 
@@ -294,11 +309,11 @@ def test_ik_keeps_a_row_that_still_improves(monkeypatch):
     rng = np.random.default_rng(4)
     chain = random_serial_chain(rng, 6)
     q_true = rng.uniform(-1.5, 1.5, 6)
-    settings = IkSettings(max_step=0.02)
-    res = ik_dls(chain, fk(chain, q_true), q_true + 0.5, settings)
+    monkeypatch.setattr(chain_module, "IK_MAX_STEP", 0.02)
+    res = ik_dls(chain, fk(chain, q_true), q_true + 0.5)
     assert res.converged and res.iterations > 3 * IK_STALL_ITERS
-    monkeypatch.setattr(chain_module, "IK_STALL_ITERS", settings.max_iters + 1)
-    unstopped = ik_dls(chain, fk(chain, q_true), q_true + 0.5, settings)
+    monkeypatch.setattr(chain_module, "IK_STALL_ITERS", 200 + 1)
+    unstopped = ik_dls(chain, fk(chain, q_true), q_true + 0.5)
     assert np.array_equal(res.q, unstopped.q) and res.iterations == unstopped.iterations
 
 
@@ -322,16 +337,16 @@ def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
         return rows
 
     rows = rows_of_one_replay()
-    monkeypatch.setattr(chain_module, "IK_STALL_ITERS", iks.max_iters + 1)
+    monkeypatch.setattr(chain_module, "IK_STALL_ITERS", iks + 1)
     assert rows == rows_of_one_replay()
     its = [it for it, _ in rows]
     assert len(rows) == 150 and sum(its) == 1806 and max(its) == 60  # mean 12.0
     assert sum(not ok for _, ok in rows) == 7
 
 
-def test_iksettings_validation():
-    with pytest.raises(ChainError):
-        IkSettings(damping=0.0)
+def test_ik_needs_at_least_one_iteration(two_link):
+    with pytest.raises(ChainError, match="max_iters must be at least 1"):
+        ik_dls(two_link, fk(two_link, np.zeros(2)), np.zeros(2), max_iters=0)
 
 
 def test_chainspec_needs_unique_names(two_link):

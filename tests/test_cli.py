@@ -7,7 +7,7 @@ import pytest
 
 from helpers import fk_path_actions, planar_3link
 from real2sim import cli
-from real2sim.chain import IkSettings, UrdfParseError, chain_from_dict, chain_to_json
+from real2sim.chain import UrdfParseError, chain_from_dict, chain_to_json
 from real2sim.cli import ConfigError, main
 from real2sim.controller import CtrlConfig
 from real2sim.data import fixture_path
@@ -321,6 +321,16 @@ def test_urdf_convert_branching_exits_2(tmp_path):
     assert main(["urdf", "convert", "--in", str(tmp_path / "r.urdf"), "--out", "-"]) == 2
 
 
+def test_urdf_convert_cyclic_chain_exits_2(tmp_path, capsys):
+    # jc closes the cycle a -> tool -> a, which the walk from the root would follow forever
+    bad = URDF.replace("</robot>", '<joint name="jc" type="fixed"><parent link="tool"/><child link="a"/></joint></robot>')
+    (tmp_path / "r.urdf").write_text(bad)
+    out = tmp_path / "chain.json"
+    assert main(["urdf", "convert", "--in", str(tmp_path / "r.urdf"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: link 'a' is the child of joints 'j1' and 'jc'\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def sysid_workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("sysid")
@@ -335,7 +345,7 @@ def sysid_workspace(tmp_path_factory):
     traj_dir.mkdir()
     for i in range(2):
         actions = fk_path_actions(chain, q0, 8, rng, amp=0.25, gripper=0.5)
-        rec = synthesize_record(chain, dyn, truth, "widowx", actions, q0, cfg, IkSettings(max_iters=60))
+        rec = synthesize_record(chain, dyn, truth, "widowx", actions, q0, cfg, 60)
         (traj_dir / f"rec{i}.json").write_text(json.dumps(rec.to_dict()))
     config = {
         "controller": "widowx",
@@ -485,6 +495,7 @@ EXIT_CODES = [
     (UrdfParseError, 2),  # a ChainError, yet a format error
     (ImageError, 2),
     (FileNotFoundError, 2),
+    (PermissionError, 2),  # any OSError of the file system
     (PlanningError, 4),
     (np.linalg.LinAlgError, 4),  # a ValueError, yet a numerical failure
     (ConfigError, 3),
@@ -533,7 +544,7 @@ def test_replay_cli_google_dump_plan(tmp_path):
     truth = PDParams(np.full(3, 60.0), np.full(3, 3.0))
     q0 = np.array([0.4, 0.9, -0.7])
     actions = fk_path_actions(chain, q0, 3, np.random.default_rng(4), amp=0.25, gripper=0.5)
-    rec = synthesize_record(chain, dyn, truth, "google", actions, q0, ik_settings=IkSettings(max_iters=60))
+    rec = synthesize_record(chain, dyn, truth, "google", actions, q0, ik_iters=60)
     (tmp_path / "rec.json").write_text(json.dumps(rec.to_dict()))
     (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
     plan_csv = tmp_path / "plan.csv"
@@ -710,6 +721,10 @@ NUMBER_PROBES = [
     # a name is a JSON string, never a null or a list taken through str()
     ("chain.json", ("joints", 0, "name"), "null", 3, "joints[0].name: expected a string"),
     ("chain.json", ("joints", 0, "name"), "[]", 3, "joints[0].name: expected a string"),
+    # a kind is one of two strings
+    ("chain.json", ("joints", 0, "kind"), "null", 3, "joints[0].kind: expected 'revolute' or 'prismatic'"),
+    ("chain.json", ("joints", 0, "kind"), "5", 3, "joints[0].kind: expected 'revolute' or 'prismatic'"),
+    ("chain.json", ("joints", 0, "kind"), '"slider"', 3, "joints[0].kind: expected 'revolute' or 'prismatic'"),
     # past Python's 4300-digit limit the file itself does not parse
     ("rec.json", ("ctrl_frequency",), "1" + "0" * 5000, 2, "invalid JSON"),
 ]
@@ -743,6 +758,28 @@ def test_replay_malformed_number_names_its_field(sysid_workspace, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"error: {tmp_path / name}") and message in err and "Traceback" not in err
     assert not out.exists() and not plan_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["report onto a file", "shift under a file", "dump-plan under a file"])
+def test_output_path_the_file_system_refuses_exits_2(sysid_workspace, tmp_path, capsys, command):
+    root = sysid_workspace
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    argv = {
+        "report onto a file": ["metrics", "report", "--table", str(fixture_path("bridge_stack.json")),
+                               "--out", str(blocker)],
+        "shift under a file": ["metrics", "shift", "--shifts", str(fixture_path("rt1_pick_coke_shift.json")),
+                               "--out", str(blocker / "shift.csv")],
+        "dump-plan under a file": ["replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+                                   "--chain", str(root / "chain.json"), "--params", str(tmp_path / "pd.json"),
+                                   "--controller", "widowx", "--sim-hz", "200", "--out", str(tmp_path / "poses.json"),
+                                   "--dump-plan", str(blocker / "plan.csv")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and str(blocker) in err and "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 def test_urdf_convert_not_utf8_exits_2(tmp_path, capsys):

@@ -10,15 +10,13 @@ from real2sim.controller import (
     Action,
     ControllerError,
     CtrlConfig,
-    google_config,
     google_grip_step,
     google_step,
-    widowx_config,
     widowx_goal_pose,
     widowx_step,
 )
 from real2sim.chain import fk
-from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, replay_open_loop
+from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, default_config, replay_open_loop
 from real2sim.geometry import Rot3, rot_z
 
 
@@ -38,8 +36,8 @@ def test_ctrl_config_rejects_non_positive_and_non_finite_frequencies():
 
 
 def test_ticks_per_step_floor():
-    assert google_config().ticks_per_step == 167
-    assert widowx_config().ticks_per_step == 100
+    assert default_config("google").ticks_per_step == 167
+    assert default_config("widowx").ticks_per_step == 100
     assert CtrlConfig(h_sim=100.0, h_ctrl=3.0).ticks_per_step == 33
 
 
@@ -96,7 +94,7 @@ def test_google_grip_step_matches_the_one_record_reference(rows):
     # a lockstep gripper tick equals the one-record float tick, bit for bit, over consecutive
     # ticks; half the actions fall below the filter, and the seed velocities pass v_max
     rng = np.random.default_rng(rows)
-    cfg = google_config()
+    cfg = CtrlConfig()
     goal, q = rng.uniform(-1, 1, size=(2, rows))
     v = rng.choice([-1.0, 1.0], size=rows) * rng.uniform(1.1, 2.0, size=rows) * GOOGLE_GRIP_LIMITS.v_max
     refs = [RefGripState(1, *state) for state in zip(goal, q, v)]
@@ -197,9 +195,9 @@ def test_widowx_gripper_passthrough(three_link):
     replay_open_loop(three_link, dyn, PDParams(np.full(3, 80.0), np.full(3, 6.0)), "widowx", rec,
                      plan_sink=lambda step, targets: seen.append(targets))
     (targets,) = seen
-    assert targets.arm_q.shape == (100, 3)
-    np.testing.assert_allclose(targets.arm_q[0], q, atol=1e-5)
-    assert np.all(targets.grip_q == 0.73)
+    assert targets.shape == (100, 1, 12)
+    np.testing.assert_allclose(targets[0, 0, :3], q, atol=1e-5)
+    assert np.all(targets[:, 0, 9] == 0.73)
 
 
 def test_widowx_chains_goals_not_sensed(three_link):

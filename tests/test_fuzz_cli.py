@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import fk_path_actions, planar_2link
-from real2sim.chain import IkSettings, chain_to_dict
+from real2sim.chain import chain_to_dict
 from real2sim.cli import main
 from real2sim.controller import CtrlConfig
 from real2sim.imaging import ImageRGB8, MaskGray8, write_pgm, write_ppm
@@ -54,7 +54,7 @@ def _record() -> dict:
     q0 = np.array([0.4, 0.9])
     actions = fk_path_actions(chain, q0, 1, np.random.default_rng(3), amp=0.2, gripper=0.5)
     rec = synthesize_record(chain, dyn, PDParams(np.full(2, 40.0), np.full(2, 2.0)), "widowx", actions, q0, cfg,
-                            IkSettings(max_iters=60))
+                            60)
     return rec.to_dict()
 
 

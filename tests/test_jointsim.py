@@ -324,7 +324,7 @@ def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
         return out
 
     monkeypatch.setattr(controller, "_ik_rows", counting_ik)
-    sims, logs = _simulate(chain, dyn, pd, kind, action_lists, q_inits, FAST_CFG, None)
+    sims, logs = _simulate(chain, dyn, pd, kind, action_lists, q_inits, FAST_CFG)
     # the records still running are a prefix of the longest-first order
     order = np.argsort([-len(a) for a in action_lists], kind="stable")
     for b, actions in enumerate(action_lists):

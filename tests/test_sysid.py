@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import fk_path_actions, half_turn, planar_3link, pose_stack, random_rotation, ref_trajectory_losses
-from real2sim.chain import IkSettings, fk
+from real2sim.chain import fk
 from real2sim.controller import CtrlConfig
 from real2sim.geometry import Pose, rot_z
 from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, replay_open_loop, synthesize_record
@@ -107,7 +107,7 @@ def small_problem():
     dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
     truth = PDParams(np.full(3, 60.0), np.full(3, 3.0))
     rng = np.random.default_rng(8)
-    iks = IkSettings(max_iters=60)
+    iks = 60
     records = [
         synthesize_record(chain, dyn, truth, "widowx", fk_path_actions(chain, q0, 10, rng, amp=0.25), q0, FAST_CFG, iks)
         for _ in range(2)
