@@ -47,7 +47,7 @@ _EXPORTS = {
     "geometry": "GeometryError Pose Rot3 UnitQuat compose inverse quat_to_rot rot_frobenius_loss rot_to_quat "
     "rotation_angle",
     "chain": "ChainSpec JointSpec fk ik_dls jacobian parse_urdf_subset",
-    "profile": "LimitSet MotionPlan SegmentProfile plan_scurve_1d synchronize",
+    "profile": "LimitSet MotionPlan synchronize",
     "controller": "Action CtrlConfig google_step widowx_step",
     "jointsim": "JointDynamics PDParams TrajectoryRecord replay_open_loop synthesize_record",
     "sysid": "AnnealConfig SysIdRange anneal_fit trajectory_losses",

@@ -8,7 +8,6 @@ collision elements are ignored.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import xml.etree.ElementTree as ET
@@ -39,7 +38,6 @@ __all__ = [
     "ik_dls",
     "chain_to_dict",
     "chain_from_dict",
-    "chain_to_json",
 ]
 
 logger = logging.getLogger(__name__)
@@ -353,6 +351,13 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
     roots = sorted(link_names - parent_joint.keys())
     if len(roots) != 1:
         raise UrdfParseError(f"expected exactly one root link, found {roots}")
+    reached, stack = set(roots), list(roots)
+    while stack:  # ends: the two-parent check rejects every cycle the root can reach
+        for *_, clink in children.get(stack.pop(), []):
+            reached.add(clink)
+            stack.append(clink)
+    if reached != link_names:  # a cycle away from the root: every link in it has a parent
+        raise UrdfParseError(f"links {sorted(link_names - reached)} are not reachable from root {roots[0]!r}")
     if tip is not None and tip not in link_names:
         raise UrdfParseError(f"tip link {tip!r} not declared")
 
@@ -447,7 +452,3 @@ def chain_from_dict(d: dict, source: str = "chain") -> ChainSpec:
         joints.append(JointSpec(name, j["kind"], origin, np.array(axis), lower, upper))
     ee = pose_from_dict(d["ee_offset"], f"{source}.ee_offset") if "ee_offset" in d else Pose.identity()
     return ChainSpec(tuple(joints), ee_offset=ee)
-
-
-def chain_to_json(chain: ChainSpec) -> str:
-    return json.dumps(chain_to_dict(chain), indent=2, sort_keys=True)

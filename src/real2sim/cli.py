@@ -64,6 +64,11 @@ def _write(out: str, data: str | bytes) -> None:
             f.write(data)
 
 
+def _write_json(out: str, obj) -> None:
+    """The one JSON writer: ``obj`` indented, keys sorted, a final newline."""
+    _write(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _section(obj, allowed: set[str], where: str, required: tuple[str, ...] = ()) -> dict:
     """``obj`` as a configuration object with only ``allowed`` and all ``required`` keys."""
     if not isinstance(obj, dict):
@@ -121,7 +126,7 @@ def cmd_metrics_report(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for table, part in zip(tables, csv_parts):
             (outdir / f"{table.task}.csv").write_text(part)
-        (outdir / "aggregate.json").write_text(report.dumps_json(report.aggregate_dict(stats)))
+        _write_json(str(outdir / "aggregate.json"), report.aggregate_dict(stats))
     return EXIT_OK
 
 
@@ -228,7 +233,7 @@ def cmd_sysid_fit(args) -> int:
         "controller": kind,
         "rng_seed": anneal.rng_seed,
     }
-    _write(args.out, report.dumps_json(out))
+    _write_json(args.out, out)
     return EXIT_OK
 
 
@@ -270,16 +275,16 @@ def cmd_replay(args) -> int:
         "ee_poses": [geometry.pose_to_dict(p) for p in sim_poses],
         "losses": {"translation": losses.translation, "rotation": losses.rotation, "total": losses.total},
     }
-    _write(args.out, report.dumps_json(out))
+    if args.dump_plan:  # first: a plan path the file system refuses leaves nothing written
+        head = ["t"] + [f"{x}_d{i}" for x in "qva" for i in range(robot.n)] + ["grip_q", "grip_v", "grip_a"]
+        lines = [",".join(head)] + [",".join(f"{v:.9f}" for v in row) for rows in plan_rows for row in rows]
+        _write(args.dump_plan, "\n".join(lines) + "\n")
+    _write_json(args.out, out)
     if args.out != "-":
         sys.stdout.write(
             f"loss_translation={losses.translation:.9f} loss_rotation={losses.rotation:.9f} "
             f"loss_total={losses.total:.9f}\n"
         )
-    if args.dump_plan:
-        head = ["t"] + [f"{x}_d{i}" for x in "qva" for i in range(robot.n)] + ["grip_q", "grip_v", "grip_a"]
-        lines = [",".join(head)] + [",".join(f"{v:.9f}" for v in row) for rows in plan_rows for row in rows]
-        _write(args.dump_plan, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -303,7 +308,7 @@ def cmd_urdf_convert(args) -> int:
     except UnicodeDecodeError as exc:
         raise chain.UrdfParseError(f"{args.infile}: not UTF-8 text ({exc})") from exc
     robot = chain.parse_urdf_subset(text, tip=args.tip)
-    _write(args.out, chain.chain_to_json(robot) + "\n")
+    _write_json(args.out, chain.chain_to_dict(robot))
     return EXIT_OK
 
 

@@ -9,10 +9,11 @@ by bisection otherwise.
 
 All DOFs, of one record or of B records, are planned in one vectorised
 pass (one bisection for every bracket of every row), stored as padded
-(..., n, segment) arrays and sampled without a per-DOF loop;
-``plan_scurve_1d`` is the n = 1 case. The DOFs of a record are synchronized
-by per-DOF linear time scaling, which only slows motion and therefore
-preserves all limits.
+(..., n, segment) arrays and sampled without a per-DOF loop.
+``synchronize`` is the one entry point (a single DOF is its n = 1 case) and
+``MotionPlan.sample`` the one sampling path. The DOFs of a record are
+synchronized by per-DOF linear time scaling, which only slows motion and
+therefore preserves all limits.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ import numpy as np
 __all__ = [
     "PlanningError",
     "LimitSet",
-    "SegmentProfile",
     "MotionPlan",
-    "plan_scurve_1d",
     "synchronize",
 ]
 
@@ -139,38 +138,6 @@ class MotionPlan:
                 np.where(done, 0.0, a) / (s * s))
 
 
-@dataclass(frozen=True, eq=False)
-class SegmentProfile:
-    """One DOF's piecewise-constant-jerk profile; sampleable at any t >= 0.
-
-    Sampling past the duration holds the terminal state (q_goal, v_goal, 0).
-    """
-
-    q0: float
-    v0: float
-    q_goal: float
-    v_goal: float
-    durations: np.ndarray
-    jerks: np.ndarray
-
-    def __post_init__(self):
-        plan = MotionPlan([self.q0], [self.v0], [self.q_goal], [self.v_goal], [self.durations], [self.jerks])
-        object.__setattr__(self, "durations", plan.durations[0])
-        object.__setattr__(self, "jerks", plan.jerks[0])
-        object.__setattr__(self, "_plan", plan)
-
-    @property
-    def duration(self) -> float:
-        return self._plan.duration
-
-    def sample(self, t):
-        """State (q, v, a) at time(s) ``t``; scalar in, scalar out."""
-        q, v, a = self._plan.sample(t)
-        if np.ndim(t) == 0:
-            return float(q[0]), float(v[0]), float(a[0])
-        return q[..., 0], v[..., 0], a[..., 0]
-
-
 def _cruiseless_distance(vp, ends, am: float, jm: float):
     """Displacement of the cruise-less profile with peak velocity vp (elementwise).
 
@@ -232,7 +199,8 @@ def _scan_roots(dq: np.ndarray, ends: np.ndarray, vm: float, am: float, jm: floa
 
 def _plan_rows(q0, v0, q_goal, v_goal, lim: LimitSet):
     """Fastest accelerate/cruise/decelerate profile of every row: the clipped
-    boundary velocities, padded (n, k) durations and jerks, and segment counts."""
+    boundary velocities and the (n, k) durations and jerks, padded to the
+    longest row's segment count."""
     vm, am, jm = lim.v_max, lim.a_max, lim.j_max
     vals = np.array([q0, v0, q_goal, v_goal])
     bad = np.concatenate([~np.isfinite(vals), np.abs(vals[1::2]) > vm * (1.0 + 1e-9)])
@@ -293,20 +261,8 @@ def _plan_rows(q0, v0, q_goal, v_goal, lim: LimitSet):
 
     seg_t, seg_j, seg_on = seg_t[:, best].T, seg_j[:, best].T, seg_on[:, best].T
     # present segments first, in order; the padding after them has zero time and jerk
-    counts = seg_on.sum(axis=1)
-    pick = (np.arange(n)[:, None], np.argsort(~seg_on, axis=1, kind="stable")[:, : counts.max()])
-    return v0, vg, seg_t[pick], np.where(seg_on, seg_j, 0.0)[pick], counts
-
-
-def plan_scurve_1d(q0: float, v0: float, q_goal: float, v_goal: float, lim: LimitSet) -> SegmentProfile:
-    """Time-optimal seven-segment profile from (q0, v0) to (q_goal, v_goal).
-
-    Initial acceleration is assumed zero. Boundary velocities must respect
-    the velocity bound. The returned profile is the fastest member of the
-    accelerate/cruise/decelerate family.
-    """
-    v0c, vgc, dur, jrk, counts = _plan_rows(*(np.array([x], dtype=float) for x in (q0, v0, q_goal, v_goal)), lim)
-    return SegmentProfile(q0, float(v0c[0]), q_goal, float(vgc[0]), dur[0, : counts[0]], jrk[0, : counts[0]])
+    pick = (np.arange(n)[:, None], np.argsort(~seg_on, axis=1, kind="stable")[:, : seg_on.sum(axis=1).max()])
+    return v0, vg, seg_t[pick], np.where(seg_on, seg_j, 0.0)[pick]
 
 
 def synchronize(q0, v0, q_goal, v_goal, lim: LimitSet) -> MotionPlan:
@@ -322,6 +278,6 @@ def synchronize(q0, v0, q_goal, v_goal, lim: LimitSet) -> MotionPlan:
         raise PlanningError("synchronize needs joint vectors of one shape")
     if q0.shape[-1] == 0:
         raise PlanningError("synchronize needs at least one DOF")
-    v0c, vgc, dur, jrk, _ = _plan_rows(q0.ravel(), v0.ravel(), qg.ravel(), vg.ravel(), lim)
+    v0c, vgc, dur, jrk = _plan_rows(q0.ravel(), v0.ravel(), qg.ravel(), vg.ravel(), lim)
     lead = q0.shape + (-1,)
     return MotionPlan(q0, v0c.reshape(q0.shape), qg, vgc.reshape(q0.shape), dur.reshape(lead), jrk.reshape(lead))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -207,7 +206,3 @@ def aggregate_dict(stats: list[TableStats]) -> dict:
             for s in stats
         ]
     }
-
-
-def dumps_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

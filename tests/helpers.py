@@ -16,7 +16,7 @@ from real2sim.chain import (IK_DAMPING, IK_MAX_STEP, IK_STALL_ITERS, IK_TOL_POS,
 from real2sim.geometry import Pose, Rot3, UnitQuat, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from real2sim.metrics import (DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError,
                               _chi2_sf_1df)
-from real2sim.profile import LimitSet, PlanningError, plan_scurve_1d
+from real2sim.profile import LimitSet, PlanningError
 from real2sim.sysid import SysIdError, TrajectoryLosses
 
 
@@ -66,11 +66,11 @@ def random_serial_chain(rng: np.random.Generator, n: int) -> ChainSpec:
     return ChainSpec(tuple(joints), ee_offset=Pose.from_translation(0.1, 0, 0))
 
 
-def integrate_profile(prof, dt=1e-4):
-    """Independent check of a planned profile: trapezoid cumulative
+def integrate_profile(plan, dt=1e-4):
+    """Independent check of a one-DOF plan: trapezoid cumulative
     integration of its jerk segments on a dense grid."""
-    q, v, a = prof.q0, prof.v0, 0.0
-    for seg_t, seg_j in zip(prof.durations, prof.jerks):
+    q, v, a = plan.q0[0], plan.v0[0], 0.0
+    for seg_t, seg_j in zip(plan.durations[0], plan.jerks[0]):
         m = max(2, int(np.ceil(seg_t / dt)) + 1)
         ts = np.linspace(0.0, seg_t, m)
         aa = a + seg_j * ts
@@ -656,7 +656,7 @@ def ref_google_grip_step(state: RefGripState, action, q_grip: float, cfg):
         grip_goal = state.q_lastgoal_grip
     else:
         grip_goal = state.q_lastplan_grip + action.gripper
-    grip_plan = plan_scurve_1d(
+    grip_plan = ref_plan_scurve_1d(
         state.q_lastplan_grip,
         min(max(state.v_lastplan_grip, -GOOGLE_GRIP_LIMITS.v_max), GOOGLE_GRIP_LIMITS.v_max),
         grip_goal,

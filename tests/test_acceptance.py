@@ -106,7 +106,7 @@ def test_criterion_04_rotation_loss_identity():
 
 
 def test_criterion_05_trajectory_planner_properties():
-    from real2sim.profile import LimitSet, plan_scurve_1d
+    from real2sim.profile import LimitSet, synchronize
 
     t0 = time.monotonic()
     lim = LimitSet(1.5, 2.0, 50.0)
@@ -117,9 +117,9 @@ def test_criterion_05_trajectory_planner_properties():
             v0 = vg = 0.0
         else:
             v0, vg = rng.uniform(-1.5, 1.5, 2)
-        prof = plan_scurve_1d(q0, v0, qg, vg, lim)
+        prof = synchronize([q0], [v0], [qg], [vg], lim)
         ts = np.arange(0.0, prof.duration + 1e-3, 1e-3)
-        q, v, a = prof.sample(ts)
+        q, v, a = (x[:, 0] for x in prof.sample(ts))
         assert np.abs(v).max() <= 1.5 * (1 + 1e-6)
         assert np.abs(a).max() <= 2.0 * (1 + 1e-6)
         if len(ts) > 2:
@@ -127,7 +127,7 @@ def test_criterion_05_trajectory_planner_properties():
             assert fd_jerk <= 50.0 * 1.01
         # exact piecewise integration of the stored segments
         qe, ve, ae = q0, v0, 0.0
-        for seg_t, seg_j in zip(prof.durations, prof.jerks):
+        for seg_t, seg_j in zip(prof.durations[0], prof.jerks[0]):
             qe += ve * seg_t + 0.5 * ae * seg_t**2 + seg_j * seg_t**3 / 6.0
             ve += ae * seg_t + 0.5 * seg_j * seg_t**2
             ae += seg_j * seg_t

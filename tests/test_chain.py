@@ -16,7 +16,7 @@ from real2sim.chain import (
     UrdfParseError,
     _ik_rows,
     chain_from_dict,
-    chain_to_json,
+    chain_to_dict,
     fk,
     ik_dls,
     jacobian,
@@ -129,6 +129,22 @@ def test_parse_rejects_a_link_with_two_parents():
         parse_urdf_subset(cyclic)
 
 
+def test_parse_rejects_a_cycle_the_root_cannot_reach():
+    # every link of the cycle c -> d -> c has one parent, so a is the one root; the walk never sees c or d
+    detached = """<robot name="detached">
+      <link name="a"/><link name="b"/><link name="c"/><link name="d"/>
+      <joint name="j1" type="revolute">
+        <parent link="a"/><child link="b"/><axis xyz="0 0 1"/>
+      </joint>
+      <joint name="j2" type="revolute">
+        <parent link="c"/><child link="d"/><axis xyz="0 0 1"/>
+      </joint>
+      <joint name="j3" type="fixed"><parent link="d"/><child link="c"/></joint>
+    </robot>"""
+    with pytest.raises(UrdfParseError, match=r"^links \['c', 'd'\] are not reachable from root 'a'$"):
+        parse_urdf_subset(detached)
+
+
 def test_parse_rejects_unknown_joint_type():
     with pytest.raises(UrdfParseError, match="floating"):
         parse_urdf_subset(PLANAR_URDF.replace('type="revolute"', 'type="floating"', 1))
@@ -172,8 +188,8 @@ def test_parse_with_tip_stops_early():
 
 def test_parse_serialize_parse_identity():
     chain = parse_urdf_subset(PLANAR_URDF)
-    text = chain_to_json(chain)
-    again = chain_to_json(chain_from_dict(json.loads(text)))
+    text = json.dumps(chain_to_dict(chain))
+    again = json.dumps(chain_to_dict(chain_from_dict(json.loads(text))))
     assert text == again
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import fk_path_actions, planar_3link
 from real2sim import cli
-from real2sim.chain import UrdfParseError, chain_from_dict, chain_to_json
+from real2sim.chain import UrdfParseError, chain_from_dict, chain_to_dict
 from real2sim.cli import ConfigError, main
 from real2sim.controller import CtrlConfig
 from real2sim.data import fixture_path
@@ -331,11 +331,23 @@ def test_urdf_convert_cyclic_chain_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_urdf_convert_detached_cycle_exits_2(tmp_path, capsys):
+    # the cycle x -> y -> x hangs off no link: one root, no link with two parents
+    bad = URDF.replace("</robot>", '<link name="x"/><link name="y"/>'
+                       '<joint name="jx" type="fixed"><parent link="x"/><child link="y"/></joint>'
+                       '<joint name="jy" type="fixed"><parent link="y"/><child link="x"/></joint></robot>')
+    (tmp_path / "r.urdf").write_text(bad)
+    out = tmp_path / "chain.json"
+    assert main(["urdf", "convert", "--in", str(tmp_path / "r.urdf"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: links ['x', 'y'] are not reachable from root 'base'\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def sysid_workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("sysid")
     chain = planar_3link()
-    (root / "chain.json").write_text(chain_to_json(chain))
+    (root / "chain.json").write_text(json.dumps(chain_to_dict(chain)))
     cfg = CtrlConfig(h_sim=200.0, h_ctrl=5.0)
     dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
     truth = PDParams(np.full(3, 60.0), np.full(3, 3.0))
@@ -539,7 +551,7 @@ def test_replay_cli_self_consistency(sysid_workspace, tmp_path):
 
 def test_replay_cli_google_dump_plan(tmp_path):
     chain = planar_3link()
-    (tmp_path / "chain.json").write_text(chain_to_json(chain))
+    (tmp_path / "chain.json").write_text(json.dumps(chain_to_dict(chain)))
     dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
     truth = PDParams(np.full(3, 60.0), np.full(3, 3.0))
     q0 = np.array([0.4, 0.9, -0.7])
@@ -777,9 +789,12 @@ def test_output_path_the_file_system_refuses_exits_2(sysid_workspace, tmp_path, 
                                    "--dump-plan", str(blocker / "plan.csv")],
     }[command]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: [Errno") and str(blocker) in err and "Traceback" not in err
     assert blocker.read_text() == ""
+    if command == "dump-plan under a file":  # the refused plan path leaves --out and stdout untouched
+        assert not (tmp_path / "poses.json").exists() and captured.out == ""
 
 
 def test_urdf_convert_not_utf8_exits_2(tmp_path, capsys):

@@ -11,7 +11,6 @@ from real2sim.profile import (
     PlanningError,
     _plan_rows,
     _scan_roots,
-    plan_scurve_1d,
     synchronize,
 )
 
@@ -19,19 +18,29 @@ ARM = LimitSet(1.5, 2.0, 50.0)
 GRIP = LimitSet(1.0, 7.0, 50.0)
 
 
+def plan_1d(q0, v0, q_goal, v_goal, lim):
+    """A one-DOF plan: ``synchronize`` on length-1 joint vectors."""
+    return synchronize([q0], [v0], [q_goal], [v_goal], lim)
+
+
+def sample_1d(plan, t):
+    """The one DOF's (q, v, a) at time(s) t: floats for a scalar t, else (len(t),) arrays."""
+    return tuple(x[..., 0] if np.ndim(t) else float(x[0]) for x in plan.sample(t))
+
+
 def test_zero_move_zero_duration():
-    prof = plan_scurve_1d(2.0, 0.0, 2.0, 0.0, ARM)
+    prof = plan_1d(2.0, 0.0, 2.0, 0.0, ARM)
     assert prof.duration == 0.0
-    assert prof.sample(0.0) == (2.0, 0.0, 0.0)
-    assert prof.sample(1.0) == (2.0, 0.0, 0.0)
+    assert sample_1d(prof, 0.0) == (2.0, 0.0, 0.0)
+    assert sample_1d(prof, 1.0) == (2.0, 0.0, 0.0)
 
 
 def test_long_move_cruises_at_vmax():
-    prof = plan_scurve_1d(0.0, 0.0, 10.0, 0.0, ARM)
+    prof = plan_1d(0.0, 0.0, 10.0, 0.0, ARM)
     # phase time 1.5/2 + 2/50, cruise covers the rest at 1.5
     assert prof.duration == pytest.approx(7.4566666666667, abs=1e-9)
     ts = np.linspace(0, prof.duration, 5001)
-    q, v, a = prof.sample(ts)
+    q, v, a = sample_1d(prof, ts)
     assert v.max() == pytest.approx(1.5, abs=1e-9)
     qe, ve, _ = integrate_profile(prof)
     assert qe == pytest.approx(10.0, abs=1e-4)
@@ -39,12 +48,12 @@ def test_long_move_cruises_at_vmax():
 
 
 def test_tiny_move_never_reaches_limits():
-    prof = plan_scurve_1d(0.0, 0.0, 0.001, 0.0, ARM)
+    prof = plan_1d(0.0, 0.0, 0.001, 0.0, ARM)
     ts = np.linspace(0, prof.duration, 2001)
-    q, v, a = prof.sample(ts)
+    q, v, a = sample_1d(prof, ts)
     assert v.max() < 1.5
     assert np.abs(a).max() < 2.0
-    final_q, final_v, _ = prof.sample(prof.duration)
+    final_q, final_v, _ = sample_1d(prof, prof.duration)
     assert final_q == pytest.approx(0.001, abs=1e-6)
     assert final_v == pytest.approx(0.0, abs=1e-6)
     qe, _, _ = integrate_profile(prof)
@@ -52,33 +61,33 @@ def test_tiny_move_never_reaches_limits():
 
 
 def test_sample_terminal_contract():
-    prof = plan_scurve_1d(0.0, 0.2, 3.0, -0.1, ARM)
-    assert prof.sample(prof.duration) == (3.0, -0.1, 0.0)
-    assert prof.sample(prof.duration + 5.0) == (3.0, -0.1, 0.0)
-    q0, v0, a0 = prof.sample(0.0)
+    prof = plan_1d(0.0, 0.2, 3.0, -0.1, ARM)
+    assert sample_1d(prof, prof.duration) == (3.0, -0.1, 0.0)
+    assert sample_1d(prof, prof.duration + 5.0) == (3.0, -0.1, 0.0)
+    q0, v0, a0 = sample_1d(prof, 0.0)
     assert (q0, v0, a0) == (0.0, 0.2, 0.0)
 
 
 def test_monotone_position_for_one_directional_move():
-    prof = plan_scurve_1d(0.0, 0.0, 4.0, 0.0, ARM)
+    prof = plan_1d(0.0, 0.0, 4.0, 0.0, ARM)
     ts = np.arange(0.0, prof.duration + 1e-3, 1e-3)
-    q, _, _ = prof.sample(ts)
+    q, _, _ = sample_1d(prof, ts)
     assert np.all(np.diff(q) >= -1e-12)
 
 
 def test_velocity_matches_position_derivative():
-    prof = plan_scurve_1d(0.0, 0.5, -2.0, 0.3, ARM)
+    prof = plan_1d(0.0, 0.5, -2.0, 0.3, ARM)
     ts = np.arange(0.0, prof.duration, 1e-3)
-    q, v, _ = prof.sample(ts)
+    q, v, _ = sample_1d(prof, ts)
     dq = np.gradient(q, ts)
     assert np.abs(dq[2:-2] - v[2:-2]).max() < 1e-4
 
 
 def test_rejects_velocity_over_limit():
     with pytest.raises(PlanningError, match="v_max"):
-        plan_scurve_1d(0.0, 2.0, 1.0, 0.0, ARM)
+        plan_1d(0.0, 2.0, 1.0, 0.0, ARM)
     with pytest.raises(PlanningError, match="v_max"):
-        plan_scurve_1d(0.0, 0.0, 1.0, -2.0, ARM)
+        plan_1d(0.0, 0.0, 1.0, -2.0, ARM)
 
 
 def test_limitset_validation():
@@ -95,9 +104,9 @@ def test_random_profiles_respect_limits_and_goals(seed):
         v0 = vg = 0.0
     else:
         v0, vg = rng.uniform(-1.5, 1.5, 2)
-    prof = plan_scurve_1d(q0, v0, qg, vg, ARM)
+    prof = plan_1d(q0, v0, qg, vg, ARM)
     ts = np.arange(0.0, prof.duration + 1e-3, 1e-3)
-    q, v, a = prof.sample(ts)
+    q, v, a = sample_1d(prof, ts)
     assert np.abs(v).max() <= 1.5 * (1 + 1e-6)
     assert np.abs(a).max() <= 2.0 * (1 + 1e-6)
     # lower bounds on the optimal duration
@@ -110,14 +119,14 @@ def test_random_profiles_respect_limits_and_goals(seed):
 
 
 def test_determinism_bit_identical():
-    a = plan_scurve_1d(0.1, -0.3, 2.7, 0.2, ARM)
-    b = plan_scurve_1d(0.1, -0.3, 2.7, 0.2, ARM)
+    a = plan_1d(0.1, -0.3, 2.7, 0.2, ARM)
+    b = plan_1d(0.1, -0.3, 2.7, 0.2, ARM)
     assert np.array_equal(a.durations, b.durations)
     assert np.array_equal(a.jerks, b.jerks)
 
 
 def test_synchronize_single_dof_matches_1d():
-    prof = plan_scurve_1d(0.0, 0.0, 1.2, 0.0, GRIP)
+    prof = ref_plan_scurve_1d(0.0, 0.0, 1.2, 0.0, GRIP)
     plan = synchronize([0.0], [0.0], [1.2], [0.0], GRIP)
     assert plan.duration == prof.duration
     q, v, a = plan.sample(0.3 * plan.duration)
@@ -128,13 +137,13 @@ def test_synchronize_single_dof_matches_1d():
 
 def test_synchronize_scales_fast_dof():
     plan = synchronize([0.0, 0.0], [0.0, 0.0], [10.0, 1.0], [0.0, 0.0], ARM)
-    solo_fast = plan_scurve_1d(0.0, 0.0, 1.0, 0.0, ARM)
-    solo_slow = plan_scurve_1d(0.0, 0.0, 10.0, 0.0, ARM)
+    solo_fast = plan_1d(0.0, 0.0, 1.0, 0.0, ARM)
+    solo_slow = plan_1d(0.0, 0.0, 10.0, 0.0, ARM)
     assert plan.duration == solo_slow.duration
     assert plan.scales[1] == pytest.approx(plan.duration / solo_fast.duration)
     ts = np.linspace(0, plan.duration, 3000)
     peak = max(plan.sample(t)[1][1] for t in ts)
-    solo_peak = max(solo_fast.sample(np.linspace(0, solo_fast.duration, 3000))[1])
+    solo_peak = max(sample_1d(solo_fast, np.linspace(0, solo_fast.duration, 3000))[1])
     assert peak == pytest.approx(solo_peak * solo_fast.duration / plan.duration, rel=1e-2)
 
 
@@ -182,10 +191,10 @@ def test_plan_sample_array_matches_scalar_profiles():
         assert np.array_equal(q[:, i], want[:, 0])
         assert np.array_equal(v[:, i], want[:, 1] / s)
         assert np.array_equal(a[:, i], want[:, 2] / (s * s))
-        one = plan_scurve_1d(q0[i], v0[i], qg[i], vg[i], ARM)
-        for got, exp in zip(one.sample(ts), prof.sample(ts)):
+        one = plan_1d(q0[i], v0[i], qg[i], vg[i], ARM)
+        for got, exp in zip(sample_1d(one, ts), prof.sample(ts)):
             assert np.array_equal(got, exp)
-        assert one.sample(ts[7]) == prof.sample(ts[7])
+        assert sample_1d(one, ts[7]) == prof.sample(ts[7])
     np.testing.assert_array_equal(q[-3:], np.broadcast_to([2.0, -1.0, -2.5, 0.5], (3, 4)))
 
 
@@ -197,7 +206,7 @@ def _assert_matches_reference(q0, v0, qg, vg, lim=ARM):
     """The batched planner reproduces the scalar reference bit for bit."""
     q0, v0, qg, vg = (np.asarray(x, dtype=float) for x in (q0, v0, qg, vg))
     refs = [ref_plan_scurve_1d(*row, lim) for row in zip(q0, v0, qg, vg)]
-    v0c, vgc, dur, jrk, counts = _plan_rows(q0, v0, qg, vg, lim)
+    v0c, vgc, dur, jrk = _plan_rows(q0, v0, qg, vg, lim)
     moving = np.flatnonzero((v0c != 0.0) | (vgc != 0.0))
     ends = np.array([v0c[moving], vgc[moving]])
     rows, roots = _scan_roots(qg[moving] - q0[moving], ends, lim.v_max, lim.a_max, lim.j_max)
@@ -206,13 +215,14 @@ def _assert_matches_reference(q0, v0, qg, vg, lim=ARM):
         assert _hexes(roots[rows == r]) == _hexes(want)
     plan = synchronize(q0, v0, qg, vg, lim)
     for i, ref in enumerate(refs):
-        one = plan_scurve_1d(q0[i], v0[i], qg[i], vg[i], lim)
-        assert counts[i] == ref.durations.shape[0]
-        for got in (one.durations, dur[i, : counts[i]], plan.durations[i, : counts[i]]):
+        one = plan_1d(q0[i], v0[i], qg[i], vg[i], lim)
+        k = ref.durations.shape[0]  # a one-DOF plan pads to its own segment count
+        assert one.durations.shape == one.jerks.shape == (1, k)
+        for got in (one.durations[0], dur[i, :k], plan.durations[i, :k]):
             assert _hexes(got) == _hexes(ref.durations)
-        for got in (one.jerks, jrk[i, : counts[i]], plan.jerks[i, : counts[i]]):
+        for got in (one.jerks[0], jrk[i, :k], plan.jerks[i, :k]):
             assert _hexes(got) == _hexes(ref.jerks)
-        assert not plan.durations[i, counts[i]:].any() and not plan.jerks[i, counts[i]:].any()
+        assert not plan.durations[i, k:].any() and not plan.jerks[i, k:].any()
         assert one.duration.hex() == ref.duration.hex()
     duration = max(p.duration for p in refs)
     scales = [duration / p.duration if p.duration > 0.0 else 1.0 for p in refs]
