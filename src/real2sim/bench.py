@@ -74,8 +74,9 @@ class RecoverySetup(NamedTuple):
     bounds: SysIdRange
 
 
-def recovery_setup(n_records: int = 5, n_actions: int = 30, p_true: float = 80.0, d_true: float = 3.0) -> RecoverySetup:
-    """Synthetic WidowX gain-recovery problem on ``arm_6dof``.
+def recovery_setup(n_records: int = 5, n_actions: int = 30, p_true: float = 80.0, d_true: float = 3.0,
+                   controller_kind: str = "widowx") -> RecoverySetup:
+    """Synthetic gain-recovery problem on ``arm_6dof`` under the WidowX (default) or Google controller.
 
     Records are replays under the true gains (rng seed 11). The initial
     guess is 2.5x the true stiffness and 0.6x the true damping, inside a
@@ -87,10 +88,7 @@ def recovery_setup(n_records: int = 5, n_actions: int = 30, p_true: float = 80.0
     truth = PDParams(np.full(chain.n, p_true), np.full(chain.n, d_true))
     ik_iters = 60
     rng = np.random.default_rng(11)
-    records = [
-        synthesize_record(
-            chain, dyn, truth, "widowx", fk_path_actions(chain, q0, n_actions, rng), q0, ik_iters=ik_iters)
-        for _ in range(n_records)
-    ]
+    records = [synthesize_record(chain, dyn, truth, controller_kind, fk_path_actions(chain, q0, n_actions, rng), q0,
+                                 ik_iters=ik_iters) for _ in range(n_records)]
     init = PDParams(truth.p * 2.5, truth.d * 0.6)
     return RecoverySetup(chain, dyn, truth, ik_iters, records, init, SysIdRange.around(truth, 10.0))

@@ -250,10 +250,7 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
         jac = _jacobian_from_frames(chain, frames, tool[:, :3, 3])
         jac_t = jac.transpose(0, 2, 1)
         dq = (jac_t @ np.linalg.solve(jac @ jac_t + damp, err[:, :, None]))[:, :, 0]
-        for i, row in enumerate(dq.tolist()):
-            biggest = max(map(abs, row))
-            if biggest > IK_MAX_STEP:
-                dq[i] *= IK_MAX_STEP / biggest
+        dq *= IK_MAX_STEP / np.maximum(np.abs(dq).max(axis=1, keepdims=True), IK_MAX_STEP)  # x 1.0 if within
         q = np.minimum(np.maximum(q + dq, lo), hi)
     q_best, res_pos, res_rot, converged, iterations = zip(*out)
     return np.array(q_best), np.array(res_pos), np.array(res_rot), np.array(converged), np.array(iterations)

@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 input-format error, 3 semantic/validation error,
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -54,19 +56,40 @@ def _read_json(path):
         raise report.InputFormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def _write(out: str, data: str | bytes) -> None:
-    """Write text or bytes to the file ``out``, or to standard output if ``out`` is -."""
-    binary = isinstance(data, bytes)
-    if out == "-":
-        (sys.stdout.buffer if binary else sys.stdout).write(data)
-    else:
-        with open(out, "wb" if binary else "w") as f:
-            f.write(data)
+def _write(*outputs: tuple[str, str | bytes]) -> None:
+    """The one writer: text or bytes to each path, all files or none. A regular file goes to a temporary
+    sibling, and all are renamed into place once every one is written; then - (standard output) and
+    any existing device or pipe are written directly."""
+    for out in (out for out, _ in outputs if out != "-" and os.path.isdir(out)):  # refused before anything is written
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    direct = [out == "-" or os.path.exists(out) and not os.path.isfile(out) for out, _ in outputs]
+    files = [(out, data, os.path.join(os.path.dirname(out), f".{os.urandom(6).hex()}.tmp"))
+             for (out, data), d in zip(outputs, direct) if not d]
+    made = [tmp for *_, tmp in files] + [out for out, *_ in files if not os.path.lexists(out)]
+    try:
+        for out, data, tmp in files:
+            try:
+                with open(tmp, "xb" if isinstance(data, bytes) else "x") as f:
+                    f.write(data)
+            except OSError as exc:  # name the output, not its temporary
+                raise OSError(exc.errno, exc.strerror, out) from None
+        for out, _, tmp in files:
+            os.replace(tmp, out)
+    except BaseException:
+        for path in filter(os.path.lexists, made):
+            os.remove(path)
+        raise
+    for (out, data), d in zip(outputs, direct):
+        if d and out == "-":
+            (sys.stdout.buffer if isinstance(data, bytes) else sys.stdout).write(data)
+        elif d:
+            with open(out, "wb" if isinstance(data, bytes) else "w") as f:
+                f.write(data)
 
 
-def _write_json(out: str, obj) -> None:
-    """The one JSON writer: ``obj`` indented, keys sorted, a final newline."""
-    _write(out, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json(obj) -> str:
+    """The one JSON format: ``obj`` indented, keys sorted, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _section(obj, allowed: set[str], where: str, required: tuple[str, ...] = ()) -> dict:
@@ -122,17 +145,15 @@ def cmd_metrics_report(args) -> int:
         sys.stdout.write("".join(part.split("\n", 1)[1] for part in csv_parts))
     else:
         _check_task_names(tables)
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for table, part in zip(tables, csv_parts):
-            (outdir / f"{table.task}.csv").write_text(part)
-        _write_json(str(outdir / "aggregate.json"), report.aggregate_dict(stats))
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        _write(*((os.path.join(args.out, f"{t.task}.csv"), part) for t, part in zip(tables, csv_parts)),
+               (os.path.join(args.out, "aggregate.json"), _json(report.aggregate_dict(stats))))
     return EXIT_OK
 
 
 def cmd_metrics_shift(args) -> int:
     rows = report.shifts_from_obj(_read_json(args.shifts), source=args.shifts)
-    _write(args.out, report.shift_csv(rows))
+    _write((args.out, report.shift_csv(rows)))
     return EXIT_OK
 
 
@@ -214,26 +235,14 @@ def cmd_sysid_fit(args) -> int:
         "best": {"p": list(map(float, result.best.p)), "d": list(map(float, result.best.d))},
         "best_loss": result.best_loss,
         "initial_loss": result.initial_loss,
-        "losses": {
-            "translation": result.losses.translation,
-            "rotation": result.losses.rotation,
-            "total": result.losses.total,
-        },
-        "rounds": [
-            {
-                "round": r.round_index,
-                "best_loss": r.best_loss,
-                "p": list(map(float, r.best_p)),
-                "d": list(map(float, r.best_d)),
-                "evaluations": r.evaluations,
-            }
-            for r in result.history
-        ],
+        "losses": result.losses._asdict(),
+        "rounds": [{"round": r.round_index, "best_loss": r.best_loss, "p": list(map(float, r.best_p)),
+                    "d": list(map(float, r.best_d)), "evaluations": r.evaluations} for r in result.history],
         "evaluations": result.evaluations,
         "controller": kind,
         "rng_seed": anneal.rng_seed,
     }
-    _write_json(args.out, out)
+    _write((args.out, _json(out)))
     return EXIT_OK
 
 
@@ -271,20 +280,16 @@ def cmd_replay(args) -> int:
     )
     ref, sim = (np.stack([p.as_matrix() for p in poses]) for poses in (rec.ee_poses, sim_poses))
     losses = sysid.trajectory_losses(ref, sim[: len(ref)])
-    out = {
-        "ee_poses": [geometry.pose_to_dict(p) for p in sim_poses],
-        "losses": {"translation": losses.translation, "rotation": losses.rotation, "total": losses.total},
-    }
-    if args.dump_plan:  # first: a plan path the file system refuses leaves nothing written
+    out = {"ee_poses": [geometry.pose_to_dict(p) for p in sim_poses], "losses": losses._asdict()}
+    outputs = [(args.out, _json(out))]
+    if args.dump_plan:  # first on standard output
         head = ["t"] + [f"{x}_d{i}" for x in "qva" for i in range(robot.n)] + ["grip_q", "grip_v", "grip_a"]
         lines = [",".join(head)] + [",".join(f"{v:.9f}" for v in row) for rows in plan_rows for row in rows]
-        _write(args.dump_plan, "\n".join(lines) + "\n")
-    _write_json(args.out, out)
+        outputs.insert(0, (args.dump_plan, "\n".join(lines) + "\n"))
+    _write(*outputs)
     if args.out != "-":
-        sys.stdout.write(
-            f"loss_translation={losses.translation:.9f} loss_rotation={losses.rotation:.9f} "
-            f"loss_total={losses.total:.9f}\n"
-        )
+        sys.stdout.write(f"loss_translation={losses.translation:.9f} loss_rotation={losses.rotation:.9f} "
+                         f"loss_total={losses.total:.9f}\n")
     return EXIT_OK
 
 
@@ -298,7 +303,7 @@ def cmd_composite(args) -> int:
     real = imaging.read_ppm(Path(args.real).read_bytes())
     mask = imaging.read_pgm(Path(args.mask).read_bytes())
     out = imaging.composite(sim, mask, real, mode=args.mode)
-    _write(args.out, imaging.write_ppm(out))
+    _write((args.out, imaging.write_ppm(out)))
     return EXIT_OK
 
 
@@ -308,7 +313,7 @@ def cmd_urdf_convert(args) -> int:
     except UnicodeDecodeError as exc:
         raise chain.UrdfParseError(f"{args.infile}: not UTF-8 text ({exc})") from exc
     robot = chain.parse_urdf_subset(text, tip=args.tip)
-    _write_json(args.out, chain.chain_to_dict(robot))
+    _write((args.out, _json(chain.chain_to_dict(robot))))
     return EXIT_OK
 
 

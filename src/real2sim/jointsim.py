@@ -51,14 +51,14 @@ def _vec(x, n: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PDParams:
-    """Per-joint stiffness and damping gains."""
+    """Per-joint stiffness and damping gains: one (n,) gain set, or a (K, n) stack of K sets."""
 
     p: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _freeze(self.p, -1))
-        object.__setattr__(self, "d", _freeze(self.d, -1))
+        object.__setattr__(self, "p", _freeze(self.p, None if np.ndim(self.p) == 2 else -1))
+        object.__setattr__(self, "d", _freeze(self.d, None if np.ndim(self.d) == 2 else -1))
         if self.p.shape != self.d.shape:
             raise JointSimError("p and d must have equal length")
         if np.any(self.p < 0.0) or np.any(self.d < 0.0):
@@ -66,7 +66,7 @@ class PDParams:
 
     @property
     def n(self) -> int:
-        return self.p.shape[0]
+        return self.p.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,16 +161,16 @@ class TrajectoryRecord:
 
 
 def _check_stable(pd: PDParams, dyn: JointDynamics, dt: float, error: type[ValueError] = JointSimError) -> None:
-    """Semi-implicit Euler is stable only for p dt^2/m < 4 - 2 (d + b) dt/m on every joint."""
+    """Semi-implicit Euler is stable only for p dt^2/m < 4 - 2 (d + b) dt/m on every joint of every gain set."""
     lhs, rhs = pd.p * dt * dt / dyn.inertia, 4.0 - 2.0 * (pd.d + dyn.damping) * dt / dyn.inertia
     for i in np.flatnonzero(~(lhs < rhs))[:1]:
-        raise error(f"PD gains are unstable at {1.0 / dt:g} Hz on joint {i}: "
-                    f"p dt^2/m = {lhs[i]:.3g} must stay below 4 - 2 (d + b) dt/m = {rhs[i]:.3g}")
+        raise error(f"PD gains are unstable at {1.0 / dt:g} Hz on joint {i % dyn.n}: "
+                    f"p dt^2/m = {lhs.flat[i]:.3g} must stay below 4 - 2 (d + b) dt/m = {rhs.flat[i]:.3g}")
 
 
 def _integrate_targets(q, v, targets: np.ndarray, pd: PDParams, dyn: JointDynamics, dt: float):
-    """Step the (B, n) plant states through (k, B, n) position targets, one
-    semi-implicit Euler step (target velocity 0) per tick. Positions are
+    """Step the (B, n) plant states, under one gain set or (B, n) gains (a row per state), through (k, B, n)
+    position targets, one semi-implicit Euler step (target velocity 0) per tick. Positions are
     clamped to the joint limits with velocity zeroed, as at a mechanical stop.
 
     The stops are found in one comparison pass over the whole interval; only
@@ -203,21 +203,21 @@ _MAX_RUN = 256
 
 
 def _plant_powers(pd: PDParams, dyn: JointDynamics, dt: float, ticks: int) -> np.ndarray:
-    """Per-joint M^0 .. M^k, k = min(ticks, _MAX_RUN), as a (k + 1, n, 2, 2) array.
+    """Per-joint M^0 .. M^k, k = min(ticks, _MAX_RUN), of K gain sets as a (k + 1, K, n, 2, 2) array.
 
     One plant step with target velocity 0 maps the offset e = (q - target, v)
     of a joint from its resting point (target, 0) to M e, with
     M = [[1 - dt g, dt c], [-g, c]], g = p dt / m and c = 1 - (d + b) dt / m.
     """
-    keep = 1.0 - (pd.d + dyn.damping) / dyn.inertia * dt
-    gain = pd.p / dyn.inertia * dt
+    keep = np.atleast_2d(1.0 - (pd.d + dyn.damping) / dyn.inertia * dt)
+    gain = np.atleast_2d(pd.p / dyn.inertia * dt)
     ticks = min(ticks, _MAX_RUN)
-    powers = np.empty((ticks + 1, gain.shape[0], 2, 2))
+    powers = np.empty((ticks + 1, *gain.shape, 2, 2))
     powers[0] = np.eye(2)
-    powers[1:2, :, 0, 0] = 1.0 - dt * gain
-    powers[1:2, :, 0, 1] = dt * keep
-    powers[1:2, :, 1, 0] = -gain
-    powers[1:2, :, 1, 1] = keep
+    powers[1, ..., 0, 0] = 1.0 - dt * gain
+    powers[1, ..., 0, 1] = dt * keep
+    powers[1, ..., 1, 0] = -gain
+    powers[1, ..., 1, 1] = keep
     k = 1
     while k < ticks:  # M^(k+1 .. k+j) from M^k and M^(1 .. j)
         j = min(k, ticks - k)
@@ -226,8 +226,8 @@ def _plant_powers(pd: PDParams, dyn: JointDynamics, dt: float, ticks: int) -> np
     return powers
 
 
-def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, dyn: JointDynamics):
-    """Advance the (B, n) plant states ``ticks`` steps toward held (B, n) targets.
+def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, sets: np.ndarray, dyn: JointDynamics):
+    """Advance the (B, n) plant states ``ticks`` steps toward held (B, n) targets, row b under gain set ``sets[b]``.
 
     Equivalent to ``ticks`` plant steps: a row's offset from (target, 0)
     evolves as M^k e until one of its joints leaves its limits; that step is
@@ -238,13 +238,14 @@ def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, dyn: 
     while rows.size:
         k = min(int(left[rows].max()), powers.shape[0] - 1)
         tq, vr, e_q = target[rows], v[rows], q[rows] - target[rows]
-        qs = tq + powers[1 : k + 1, None, :, 0, 0] * e_q + powers[1 : k + 1, None, :, 0, 1] * vr
+        m_q = powers[1 : k + 1, :, :, 0]  # the q row of each M^j, taken per row below
+        qs = tq + m_q[..., 0].take(sets[rows], axis=1) * e_q + m_q[..., 1].take(sets[rows], axis=1) * vr
         out = (qs < dyn.lower) | (qs > dyn.upper)
         hit = out.any(axis=2)
         # each row runs to its first end-stop tick, or to its last tick of this pass
         r = np.minimum(np.where(hit.any(axis=0), hit.argmax(axis=0), k), np.minimum(left[rows], k) - 1)
         cols = np.arange(rows.size)
-        v[rows] = powers[r + 1, :, 1, 0] * e_q + powers[r + 1, :, 1, 1] * vr
+        v[rows] = powers[r + 1, sets[rows], :, 1, 0] * e_q + powers[r + 1, sets[rows], :, 1, 1] * vr
         q[rows] = qs[r, cols]
         stopped = rows[hit[r, cols]]
         q[stopped] = np.minimum(np.maximum(q[stopped], dyn.lower), dyn.upper)
@@ -273,17 +274,16 @@ def _simulate(
     ik_iters: int = 200,
     plan_sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Replay B action sequences in lockstep from the (B, n) ``q_inits``.
+    """Replay R action sequences from the (R, n) ``q_inits`` under each of the K gain sets of ``pd``,
+    all K R rows in lockstep: row s R + r is record r under gain set s.
 
-    Each control step is one batched controller tick and plant update of the
-    records still running (a shorter record is frozen after its last action).
-    The controller state lives here as arrays with one row per record: the
-    WidowX goals, and the Google gripper goals and planned states, which
-    never feed back into the arm and are planned only for ``plan_sink``.
-    Returns each record's tool poses (T+1, 4, 4) and joint positions (T+1, n),
-    initial and after every action. ``plan_sink(step, targets)`` gets every step's
-    (ticks, m, 3n + 3) targets of the m records still running, longest record
-    first: arm q, v and a, then gripper q, v and a.
+    Each control step is one batched controller tick and plant update of the rows still running (a
+    shorter record is frozen after its last action). The controller state lives here as arrays with
+    one entry per row: the WidowX goals, and the Google gripper goals and planned states, which never
+    feed back into the arm and are planned only for ``plan_sink``. Returns each row's tool poses
+    (T+1, 4, 4) and joint positions (T+1, n), initial and after every action. ``plan_sink(step,
+    targets)`` gets every step's (ticks, m, 3n + 3) targets of the m rows still running, longest
+    record first: arm q, v and a, then gripper q, v and a.
     """
     if dyn.n != chain.n or pd.n != chain.n:
         raise JointSimError("dynamics/PD vectors must match the chain joint count")
@@ -294,10 +294,14 @@ def _simulate(
         raise JointSimError(f"q_init must have {chain.n} entries per record")
     dt, ticks = 1.0 / cfg.h_sim, cfg.ticks_per_step
     _check_stable(pd, dyn, dt)
+    n_sets = len(np.atleast_2d(pd.p))
+    # the records tiled proposal-major, and the gain set of each row
+    action_lists, q, sets = list(action_lists) * n_sets, np.tile(q, (n_sets, 1)), np.repeat(np.arange(n_sets), len(q))
     lengths = [len(actions) for actions in action_lists]
-    # longest record first, so the records still running are always a prefix
+    # longest record first, so the rows still running are always a prefix
     order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
-    q, v = q[order], np.zeros_like(q)
+    q, v, sets = q[order], np.zeros_like(q), sets[order]
+    p_rows, d_rows = (np.atleast_2d(x)[sets] for x in (pd.p, pd.d))
     powers = _plant_powers(pd, dyn, dt, ticks) if controller_kind == WIDOWX else None
     goal = None
     grip = np.zeros((3, len(order)))  # gripper goal, position and velocity: a resting gripper at 0
@@ -308,10 +312,10 @@ def _simulate(
         actions = [action_lists[b][step] for b in order[:m]] if step >= 0 else ()
         if actions and controller_kind == GOOGLE:
             arm = google_step(step, actions, q[:m], v[:m], chain, cfg, ik_iters)
-            q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm[0], pd, dyn, dt)
+            q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm[0], PDParams(p_rows[:m], d_rows[:m]), dyn, dt)
         elif actions:
             goal = widowx_step(step, actions, q[:m], goal[:m] if step else None, chain, ik_iters)
-            q[:m], v[:m] = _hold_target(q[:m], v[:m], goal, ticks, powers, dyn)
+            q[:m], v[:m] = _hold_target(q[:m], v[:m], goal, ticks, powers, sets[:m], dyn)
         if actions and plan_sink is not None:
             if controller_kind == GOOGLE:
                 grip_plan, grip[:, :m] = google_grip_step(actions, *grip[:, :m], cfg)
@@ -320,7 +324,7 @@ def _simulate(
                 grip_plan = (np.broadcast_to([a.gripper for a in actions], (ticks, m)), *np.zeros((2, ticks, m)))
             plan_sink(step, np.concatenate([*arm, *(x[..., None] for x in grip_plan)], axis=2))
         tools[step + 1, :m], joints[step + 1, :m] = _tools(chain, q[:m]), q[:m]
-    slots = np.argsort(order)  # record b is column slots[b]
+    slots = np.argsort(order)  # row b is column slots[b]
     return tuple([a[: n + 1, i] for n, i in zip(lengths, slots)] for a in (tools, joints))
 
 

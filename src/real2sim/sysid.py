@@ -4,7 +4,9 @@ The loss compares a reference end-effector trajectory against an open-loop
 replay: mean translation error norm plus mean arcsin(|dR|_F / (2 sqrt 2)).
 PD gains are optimized by simulated annealing in range-normalized [0, 1]
 coordinates; after each round the search range is recentered on the
-incumbent best and contracted, clipped to the original bounds.
+incumbent best and contracted, clipped to the original bounds. Each step replays
+k = min(ANNEAL_PROPOSALS, evaluations left in the round) proposals in one lockstep
+call, runs the Metropolis test on the first lowest and cools by cooling**k.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ __all__ = [
     "trajectory_losses",
     "anneal_fit",
 ]
+
+ANNEAL_PROPOSALS = 4  # proposals per annealing step, replayed in one lockstep call
 
 
 class SysIdError(ValueError):
@@ -207,28 +211,29 @@ def anneal_fit(
     actions = [rec.actions for rec in dataset]
     refs = [np.stack([p.as_matrix() for p in rec.ee_poses]) for rec in dataset]
 
-    def objective(pd: PDParams) -> TrajectoryLosses:
+    def objective(pd: PDParams) -> list[TrajectoryLosses]:
         tools, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_iters)
-        losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs, tools)]
-        return TrajectoryLosses(*(float(s) / len(dataset) for s in np.cumsum(losses, axis=0)[-1]))
+        losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs * len(tools), tools)]
+        sums = np.cumsum(np.reshape(losses, (-1, len(refs), 3)), axis=1)[:, -1]  # one row per gain set
+        return [TrajectoryLosses(*(float(s) / len(dataset) for s in row)) for row in sums]
 
-    # u in [0, 1]^dim; each coordinate sets k consecutive entries of theta = (p, d)
+    # u in [0, 1]^dim; each coordinate sets `width` consecutive entries of theta = (p, d)
     n = chain.n
     dim = 2 if cfg.tie_joints else 2 * n
-    k = 2 * n // dim
+    width = 2 * n // dim
 
     def to_pd(u: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> PDParams:
-        theta = lows + np.repeat(u, k) * (highs - lows)
-        return PDParams(theta[:n], theta[n:])
+        theta = lows + np.repeat(u, width, axis=-1) * (highs - lows)
+        return PDParams(theta[..., :n], theta[..., n:])
 
     def to_u(theta: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        return np.clip(((theta - lows) / (highs - lows)).reshape(dim, k).mean(axis=1), 0.0, 1.0)
+        return np.clip(((theta - lows) / (highs - lows)).reshape(dim, width).mean(axis=1), 0.0, 1.0)
 
     rng = np.random.default_rng(cfg.rng_seed)
     lows, highs = lows0, highs0
     best_u = to_u(theta_init, lows, highs)
     best_pd = to_pd(best_u, lows, highs)
-    best = objective(best_pd)
+    (best,) = objective(best_pd)
     initial_loss = best.total
 
     history: list[RoundStats] = []
@@ -236,17 +241,18 @@ def anneal_fit(
         temp = cfg.t0 if cfg.t0 is not None else max(0.1 * best.total, 1e-12)
         u = best_u
         current_loss = best.total
-        for _ in range(cfg.iters_per_round):
-            proposal = np.clip(u + rng.normal(0.0, cfg.sigma, size=dim), 0.0, 1.0)
-            cand_pd = to_pd(proposal, lows, highs)
-            cand = objective(cand_pd)
+        for done in range(0, cfg.iters_per_round, ANNEAL_PROPOSALS):
+            k = min(ANNEAL_PROPOSALS, cfg.iters_per_round - done)
+            proposals = np.clip(u + rng.normal(0.0, cfg.sigma, size=(k, dim)), 0.0, 1.0)
+            cands = objective(to_pd(proposals, lows, highs))
+            cand, proposal = min(zip(cands, proposals), key=lambda c: c[0].total)  # the first lowest
             delta = cand.total - current_loss
             if delta <= 0.0 or rng.random() < math.exp(-delta / temp):
                 u = proposal
                 current_loss = cand.total
             if cand.total < best.total:
-                best, best_pd, best_u = cand, cand_pd, proposal
-            temp *= cfg.cooling
+                best, best_pd, best_u = cand, to_pd(proposal, lows, highs), proposal
+            temp *= cfg.cooling**k
         history.append(
             RoundStats(round_index, best.total, best_pd.p, best_pd.d, cfg.iters_per_round, lows, highs)
         )

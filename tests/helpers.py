@@ -1,7 +1,7 @@
 """Shared builders for test chains, rotations, and test-side oracles,
 including the slow one-at-a-time references of the batched planner, gripper
-tick, replay and replay loss, and the numpy references of the plain-float
-statistics."""
+tick, replay, replay loss and annealer, and the numpy references of the
+plain-float statistics."""
 
 from __future__ import annotations
 
@@ -613,7 +613,7 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
     v = np.zeros_like(q)
     dt = 1.0 / cfg.h_sim
     ticks = cfg.ticks_per_step
-    powers = _plant_powers(pd, dyn, dt, ticks)
+    powers = _plant_powers(pd, dyn, dt, ticks)[:, 0]  # the one gain set's table
     poses, stats = [ref_fk(chain, q)], []
     last_goal = q
     for t, action in enumerate(actions):
@@ -631,6 +631,70 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
             q, v = ref_hold_target(q, v, ik.q, ticks, powers, dyn)
         poses.append(ref_fk(chain, q))
     return poses, stats
+
+
+def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=None, ik_iters: int = 200):
+    """The one-proposal annealer: every step replays one proposal on its own
+    and runs the Metropolis test on it. Valid inputs only."""
+    from real2sim.jointsim import PDParams, _record_q_init, _simulate
+    from real2sim.sysid import AnnealResult, RoundStats, trajectory_losses
+
+    q_inits = [_record_q_init(chain, rec) for rec in dataset]
+    refs = [pose_stack(rec.ee_poses) for rec in dataset]
+
+    def objective(pd):
+        tools, _ = _simulate(chain, dyn, pd, kind, [rec.actions for rec in dataset], q_inits, ctrl_cfg, ik_iters)
+        losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs, tools)]
+        return TrajectoryLosses(*(float(s) / len(dataset) for s in np.cumsum(losses, axis=0)[-1]))
+
+    n = chain.n
+    dim = 2 if cfg.tie_joints else 2 * n
+    k = 2 * n // dim
+
+    def to_pd(u, lows, highs):
+        theta = lows + np.repeat(u, k) * (highs - lows)
+        return PDParams(theta[:n], theta[n:])
+
+    def to_u(theta, lows, highs):
+        return np.clip(((theta - lows) / (highs - lows)).reshape(dim, k).mean(axis=1), 0.0, 1.0)
+
+    rng = np.random.default_rng(cfg.rng_seed)
+    lows0, highs0 = range0.lows(), range0.highs()
+    lows, highs = lows0, highs0
+    best_u = to_u(np.concatenate([init.p, init.d]), lows, highs)
+    best_pd = to_pd(best_u, lows, highs)
+    best = objective(best_pd)
+    initial_loss = best.total
+    history = []
+    for round_index in range(cfg.rounds):
+        temp = cfg.t0 if cfg.t0 is not None else max(0.1 * best.total, 1e-12)
+        u = best_u
+        current_loss = best.total
+        for _ in range(cfg.iters_per_round):
+            proposal = np.clip(u + rng.normal(0.0, cfg.sigma, size=dim), 0.0, 1.0)
+            cand_pd = to_pd(proposal, lows, highs)
+            cand = objective(cand_pd)
+            delta = cand.total - current_loss
+            if delta <= 0.0 or rng.random() < math.exp(-delta / temp):
+                u = proposal
+                current_loss = cand.total
+            if cand.total < best.total:
+                best, best_pd, best_u = cand, cand_pd, proposal
+            temp *= cfg.cooling
+        history.append(
+            RoundStats(round_index, best.total, best_pd.p, best_pd.d, cfg.iters_per_round, lows, highs)
+        )
+        if round_index + 1 < cfg.rounds:
+            center = np.concatenate([best_pd.p, best_pd.d])
+            half_width = 0.5 * cfg.shrink * (highs - lows)
+            lows = np.clip(center - half_width, lows0, highs0)
+            highs = np.clip(center + half_width, lows0, highs0)
+            too_narrow = highs - lows < 1e-12
+            highs = np.where(too_narrow, np.minimum(lows + 1e-12, highs0), highs)
+            lows = np.where(highs - lows < 1e-12, highs - 1e-12, lows)
+            best_u = to_u(center, lows, highs)
+    evaluations = 1 + cfg.rounds * cfg.iters_per_round
+    return AnnealResult(best_pd, best.total, initial_loss, best, tuple(history), evaluations)
 
 
 @dataclass(frozen=True)

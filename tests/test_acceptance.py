@@ -201,6 +201,24 @@ def test_criterion_07_sysid_synthetic_recovery():
     )
 
 
+def test_criterion_07_google_sysid_recovery():
+    # criterion 7's schedule and thresholds on records replayed through the Google controller's planner
+    t0 = time.monotonic()
+    chain, dyn, truth, iks, records, init, bounds = recovery_setup(n_records=3, n_actions=10, controller_kind="google")
+    cfg = AnnealConfig(rounds=3, iters_per_round=90, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
+    result = anneal_fit(records, chain, dyn, "google", init, bounds, cfg, ik_iters=iks)
+    assert result.evaluations == 271
+    assert result.best_loss < 1e-3
+    assert result.best_loss < 0.05 * result.initial_loss
+    elapsed = check_runtime(t0, 30.0, "criterion 7 (Google)")
+    announce(
+        7,
+        f"Google sysid recovery (loss {result.best_loss:.2e}, {result.best_loss / result.initial_loss:.1%} of init, "
+        f"p {result.best.p[0]:.1f}/{truth.p[0]:.0f}, d {result.best.d[0]:.2f}/{truth.d[0]:.0f})",
+        elapsed,
+    )
+
+
 def test_criterion_08_kruskal_wallis_oracle():
     t0 = time.monotonic()
     h0, p0 = kruskal_wallis([1, 1, 0, 0, 1], [1, 1, 0, 0, 1])

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -772,7 +775,8 @@ def test_replay_malformed_number_names_its_field(sysid_workspace, tmp_path, caps
     assert not out.exists() and not plan_csv.exists()
 
 
-@pytest.mark.parametrize("command", ["report onto a file", "shift under a file", "dump-plan under a file"])
+@pytest.mark.parametrize("command", ["report onto a file", "shift under a file", "dump-plan under a file",
+                                     "out under a file"])
 def test_output_path_the_file_system_refuses_exits_2(sysid_workspace, tmp_path, capsys, command):
     root = sysid_workspace
     blocker = tmp_path / "file"
@@ -787,14 +791,46 @@ def test_output_path_the_file_system_refuses_exits_2(sysid_workspace, tmp_path, 
                                    "--chain", str(root / "chain.json"), "--params", str(tmp_path / "pd.json"),
                                    "--controller", "widowx", "--sim-hz", "200", "--out", str(tmp_path / "poses.json"),
                                    "--dump-plan", str(blocker / "plan.csv")],
+        # the plan CSV comes first among the outputs; the refused --out takes it back
+        "out under a file": ["replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+                             "--chain", str(root / "chain.json"), "--params", str(tmp_path / "pd.json"),
+                             "--controller", "widowx", "--sim-hz", "200", "--out", str(blocker / "poses.json"),
+                             "--dump-plan", str(tmp_path / "plan.csv")],
     }[command]
     assert main(argv) == 2
     captured = capsys.readouterr()
     err = captured.err
     assert err.startswith("error: [Errno") and str(blocker) in err and "Traceback" not in err
     assert blocker.read_text() == ""
-    if command == "dump-plan under a file":  # the refused plan path leaves --out and stdout untouched
-        assert not (tmp_path / "poses.json").exists() and captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "pd.json"]  # no other output, no temporary
+    assert captured.out == ""
+
+
+def test_report_with_a_csv_path_that_is_a_directory_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "report"
+    taken = out / "open-close-drawer-avg.csv"
+    taken.mkdir(parents=True)
+    rc = main(["metrics", "report", "--table", str(fixture_path("google_robot_vismatch.json")), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{taken}'\n"
+    assert [p.name for p in out.iterdir()] == [taken.name]
+
+
+def test_outputs_replace_files_and_write_into_a_pipe(tmp_path):
+    # a file already there is replaced; a pipe is written into, never renamed over
+    shifts = str(fixture_path("rt1_pick_coke_shift.json"))
+    old = tmp_path / "old.csv"
+    old.write_text("stale\n")
+    assert main(["metrics", "shift", "--shifts", shifts, "--out", str(old)]) == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["metrics", "shift", "--shifts", shifts, "--out", str(fifo)]) == 0
+    reader.join(10)
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and got == [old.read_text()] != ["stale\n"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv", "pipe"]
 
 
 def test_urdf_convert_not_utf8_exits_2(tmp_path, capsys):

@@ -133,7 +133,7 @@ def test_hold_target_matches_dyn_step_sequence(ticks):
     q = rng.uniform(-0.4, 0.4, (20, 4))
     v = rng.normal(size=(20, 4)) * 2.0
     target = rng.normal(size=(20, 4)) * 0.6
-    qf, vf = _hold_target(q, v, target, ticks, powers, dyn)
+    qf, vf = _hold_target(q, v, target, ticks, powers, np.zeros(20, dtype=int), dyn)
     for b in range(20):
         qs, vs = q[b].copy(), v[b].copy()
         for _ in range(ticks):
@@ -141,7 +141,7 @@ def test_hold_target_matches_dyn_step_sequence(ticks):
         np.testing.assert_allclose(qf[b], qs, atol=1e-12)
         np.testing.assert_allclose(vf[b], vs, atol=1e-12)
         # the one-row closed form it replaces gives the same bits
-        qr, vr = ref_hold_target(q[b], v[b], target[b], ticks, powers, dyn)
+        qr, vr = ref_hold_target(q[b], v[b], target[b], ticks, powers[:, 0], dyn)
         assert np.array_equal(qf[b], qr) and np.array_equal(vf[b], vr)
 
 
@@ -337,3 +337,18 @@ def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
     assert [ok for _, ok in ik_calls[-1]] == [False]
     hits = [np.any(log[:, 0] == dyn.upper[0]) for log in logs]
     assert hits == [False, True, False]
+
+
+@pytest.mark.parametrize("kind", ["widowx", "google"])
+def test_gain_sets_replay_as_separate_calls(kind):
+    # K gain sets in one lockstep call give, row for row, the bits of K one-set calls
+    chain, dyn, pd, action_lists, q_inits = lockstep_case()
+    stack = PDParams(pd.p * np.array([[1.0], [0.6], [1.7]]), pd.d * np.array([[1.0], [1.4], [0.5]]))
+    tools, joints = _simulate(chain, dyn, stack, kind, action_lists, q_inits, FAST_CFG)
+    assert len(tools) == len(joints) == 3 * len(action_lists)
+    for s in range(3):
+        one = PDParams(stack.p[s], stack.d[s])
+        solo_tools, solo_joints = _simulate(chain, dyn, one, kind, action_lists, q_inits, FAST_CFG)
+        for r in range(len(action_lists)):
+            assert np.array_equal(tools[s * len(action_lists) + r], solo_tools[r])
+            assert np.array_equal(joints[s * len(action_lists) + r], solo_joints[r])

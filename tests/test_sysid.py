@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fk_path_actions, half_turn, planar_3link, pose_stack, random_rotation, ref_trajectory_losses
+from helpers import (fk_path_actions, half_turn, planar_3link, pose_stack, random_rotation, ref_anneal_fit,
+                     ref_trajectory_losses)
+from real2sim import sysid
 from real2sim.chain import fk
 from real2sim.controller import CtrlConfig
 from real2sim.geometry import Pose, rot_z
@@ -187,6 +189,45 @@ def test_anneal_losses_are_the_incumbents_replay(small_problem, tie):
         fresh.append(trajectory_losses(pose_stack(rec.ee_poses), pose_stack(sim)[: len(rec.ee_poses)]))
     assert result.losses == tuple(sum(col) / len(records) for col in zip(*fresh))
     assert result.best_loss == result.losses.total
+
+
+@pytest.mark.parametrize("tie", [True, False])
+def test_anneal_one_proposal_matches_the_sequential_reference(small_problem, tie, monkeypatch):
+    # at one proposal per step the batched annealer draws, replays and cools as the one-at-a-time loop
+    chain, dyn, truth, records, iks = small_problem
+    monkeypatch.setattr(sysid, "ANNEAL_PROPOSALS", 1)
+    init = PDParams(truth.p * 2.0, truth.d * 0.5)
+    rng0 = SysIdRange.around(truth, 10.0)
+    cfg = AnnealConfig(rounds=3, iters_per_round=6, sigma=0.12, shrink=0.3, rng_seed=1, tie_joints=tie)
+    got = anneal_fit(records, chain, dyn, "widowx", init, rng0, cfg, FAST_CFG, iks)
+    want = ref_anneal_fit(records, chain, dyn, "widowx", init, rng0, cfg, FAST_CFG, iks)
+    assert np.array_equal(got.best.p, want.best.p) and np.array_equal(got.best.d, want.best.d)
+    assert (got.best_loss, got.initial_loss, got.losses, got.evaluations) == (
+        want.best_loss, want.initial_loss, want.losses, want.evaluations)
+    assert len(got.history) == len(want.history) == 3
+    for a, b in zip(got.history, want.history):
+        assert (a.round_index, a.best_loss, a.evaluations) == (b.round_index, b.best_loss, b.evaluations)
+        for field in ("best_p", "best_d", "lows", "highs"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+def test_anneal_last_step_of_a_round_draws_the_remainder(small_problem, monkeypatch):
+    chain, dyn, truth, records, iks = small_problem
+    monkeypatch.setattr(sysid, "ANNEAL_PROPOSALS", 4)
+    batched = sysid._simulate
+    sets = []
+
+    def counting_simulate(chain, dyn, pd, *args):
+        sets.append(1 if pd.p.ndim == 1 else pd.p.shape[0])
+        return batched(chain, dyn, pd, *args)
+
+    monkeypatch.setattr(sysid, "_simulate", counting_simulate)
+    init = PDParams(truth.p * 2.0, truth.d * 0.5)
+    cfg = AnnealConfig(rounds=3, iters_per_round=5, sigma=0.12, shrink=0.3, rng_seed=1, tie_joints=True)
+    result = anneal_fit(records, chain, dyn, "widowx", init, SysIdRange.around(truth, 10.0), cfg, FAST_CFG, iks)
+    assert sets == [1, 4, 1, 4, 1, 4, 1]  # the initial point, then steps of 4 + 1 in each round
+    assert result.evaluations == sum(sets) == 16
+    assert [r.evaluations for r in result.history] == [5, 5, 5]
 
 
 def test_anneal_per_joint_mode_runs(small_problem):
