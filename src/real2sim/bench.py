@@ -12,8 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainSpec, JointSpec, fk
-from .controller import Action
-from .geometry import Pose, Rot3, rot_x
+from .geometry import Pose, rot_x
 from .jointsim import JointDynamics, PDParams, TrajectoryRecord, synthesize_record
 from .sysid import SysIdRange
 
@@ -46,8 +45,9 @@ def fk_path_actions(
     amp: float = 0.35,
     dphase: float = 0.5,
     gripper: float = 0.0,
-) -> list[Action]:
-    """Pose-delta actions along a smooth joint-space sweep.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pose-delta actions along a smooth joint-space sweep, as (n_actions, 3) delta positions,
+    (n_actions, 3, 3) delta rotations and (n_actions,) gripper commands.
 
     A controller replaying these actions chains its commanded goals along
     the swept fk path, so every IK target is reachable by construction,
@@ -58,10 +58,9 @@ def fk_path_actions(
     phases = rng.uniform(0, 2 * np.pi, chain.n)
     qs = [q0 + amps * (np.sin(freqs * k * dphase + phases) - np.sin(phases)) for k in range(n_actions + 1)]
     poses = [fk(chain, q) for q in qs]
-    return [
-        Action(b.pos - a.pos, Rot3(b.rot.m @ a.rot.m.T), gripper)
-        for a, b in zip(poses[:-1], poses[1:])
-    ]
+    steps = list(zip(poses[:-1], poses[1:]))
+    return (np.array([b.pos - a.pos for a, b in steps]), np.array([b.rot.m @ a.rot.m.T for a, b in steps]),
+            np.full(n_actions, gripper))
 
 
 class RecoverySetup(NamedTuple):

@@ -416,13 +416,13 @@ def chain_to_dict(chain: ChainSpec) -> dict:
             {
                 "name": j.name,
                 "kind": j.kind,
-                "origin": pose_to_dict(j.origin),
+                "origin": pose_to_dict(j.origin.as_matrix()),
                 "axis": [float(v) for v in j.axis],
                 "limits": [v if math.isfinite(v) else None for v in (j.lower, j.upper)],
             }
             for j in chain.joints
         ],
-        "ee_offset": pose_to_dict(chain.ee_offset),
+        "ee_offset": pose_to_dict(chain.ee_offset.as_matrix()),
     }
 
 

@@ -186,13 +186,13 @@ def _dynamics(obj, robot: chain.ChainSpec, where: str) -> jointsim.JointDynamics
         _vec_field(dyn_obj.get("damping", 0.0), robot.n, f"{where}.damping"))
 
 
-def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlConfig, override: str) -> None:
+def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlConfig, override: str) -> list:
+    """Each record's initial arm configuration, once every control frequency matches; an error names the file."""
     for rec, path in zip(records, paths):
         if abs(cfg.h_ctrl - rec.ctrl_frequency) > 1e-9:
             raise jointsim.JointSimError(f"{path}: record control frequency {rec.ctrl_frequency} Hz does not match "
                                          f"the controller's {cfg.h_ctrl} Hz (use {override} to override)")
-        if rec.joint_positions is not None:  # the width rule of the replay; a record without them needs no IK here
-            jointsim._record_q_init(robot, rec, f"{path}.joint_positions")
+    return [jointsim._record_q_init(robot, rec, f"{path}.") for rec, path in zip(records, paths)]
 
 
 def cmd_sysid_fit(args) -> int:
@@ -267,7 +267,7 @@ def cmd_replay(args) -> int:
     dyn = _dynamics(_read_json(args.dynamics) if args.dynamics else {}, robot, args.dynamics or "dynamics")
     overrides = {k: v for k, v in (("h_sim", args.sim_hz), ("h_ctrl", args.ctrl_hz)) if v is not None}
     cfg = _ctrl_config(args.controller, overrides or None)
-    _check_records([rec], [args.trajectory], robot, cfg, "--ctrl-hz")
+    (q_init,) = _check_records([rec], [args.trajectory], robot, cfg, "--ctrl-hz")
 
     plan_rows = []
 
@@ -275,12 +275,11 @@ def cmd_replay(args) -> int:
         ts = step / cfg.h_ctrl + np.arange(1, targets.shape[0] + 1) * (1.0 / cfg.h_sim)
         plan_rows.append(np.column_stack([ts, targets[:, 0]]))
 
-    sim_poses = jointsim.replay_open_loop(
-        robot, dyn, pd, args.controller, rec, None, cfg, plan_sink=dump if args.dump_plan else None
+    sim = jointsim.replay_open_loop(
+        robot, dyn, pd, args.controller, rec, q_init, cfg, plan_sink=dump if args.dump_plan else None
     )
-    ref, sim = (np.stack([p.as_matrix() for p in poses]) for poses in (rec.ee_poses, sim_poses))
-    losses = sysid.trajectory_losses(ref, sim[: len(ref)])
-    out = {"ee_poses": [geometry.pose_to_dict(p) for p in sim_poses], "losses": losses._asdict()}
+    losses = sysid.trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
+    out = {"ee_poses": [geometry.pose_to_dict(t) for t in sim], "losses": losses._asdict()}
     outputs = [(args.out, _json(out))]
     if args.dump_plan:  # first on standard output
         head = ["t"] + [f"{x}_d{i}" for x in "qva" for i in range(robot.n)] + ["grip_q", "grip_v", "grip_a"]
@@ -388,7 +387,7 @@ def main(argv=None) -> int:
     except (report.InputFormatError, chain.UrdfParseError, imaging.ImageError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except (profile.PlanningError, np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError) as exc:
+    except (profile.PlanningError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:  # ConfigError and every layer's semantic error class

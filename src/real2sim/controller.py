@@ -1,14 +1,15 @@
 """Deterministic per-tick controllers for the two simulated robot stacks.
 
 Each control tick is a function of (B, ...) arrays: it steps B records in
-lockstep, covers the floor(H_sim / H_ctrl) simulation steps of the control
-interval, and takes and returns whatever state the caller threads to the
-next tick. The Google Robot controller plans jerk-limited arm trajectories
-and samples them at every simulation step; its gripper, which never feeds
-back into the arm, is a separate tick on (B,) gripper states. The WidowX
-controller holds a single joint-position target for the whole interval,
-chaining pose goals off the previously commanded goal rather than the
-sensed state.
+lockstep, one action row each (a (B, 3) end-effector delta position and a
+(B, 3, 3) delta rotation for the arm, a (B,) command for the gripper),
+covers the floor(H_sim / H_ctrl) simulation steps of the control interval,
+and takes and returns whatever state the caller threads to the next tick.
+The Google Robot controller plans jerk-limited arm trajectories and samples
+them at every simulation step; its gripper, which never feeds back into the
+arm, is a separate tick on (B,) gripper states. The WidowX controller holds
+a single joint-position target for the whole interval, chaining pose goals
+off the previously commanded goal rather than the sensed state.
 """
 
 from __future__ import annotations
@@ -19,14 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import json_number, json_vector
 from .chain import ChainSpec, _ik_rows, _tools
-from .geometry import GeometryError, Rot3, UnitQuat, _freeze, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from .profile import LimitSet, synchronize
 
 __all__ = [
     "ControllerError",
-    "Action",
     "CtrlConfig",
     "GOOGLE_ARM_LIMITS",
     "GOOGLE_GRIP_LIMITS",
@@ -46,48 +44,6 @@ GOOGLE_GRIP_FILTER = 0.01  # gripper actions below this magnitude leave the goal
 
 class ControllerError(ValueError):
     """Raised for malformed controller inputs."""
-
-
-@dataclass(frozen=True, eq=False)
-class Action:
-    """One policy action: end-effector delta pose plus a gripper command."""
-
-    delta_pos: np.ndarray
-    delta_rot: Rot3
-    gripper: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta_pos", _freeze(self.delta_pos, 3))
-
-    @staticmethod
-    def from_dict(d: dict, where: str = "action") -> "Action":
-        """Parse an action object; an error names the offending field under ``where``."""
-        if not isinstance(d, dict) or "xyz" not in d or "gripper" not in d or d.keys().isdisjoint(
-                ("quat_wxyz", "rot_axis_angle")):
-            raise ControllerError(f"{where}: needs 'xyz', 'gripper' and 'rot_axis_angle' or 'quat_wxyz'")
-        xyz = json_vector(d["xyz"], 3, ControllerError(f"{where}.xyz: expected 3 numbers"))
-        g = json_number(d["gripper"], ControllerError(f"{where}.gripper: expected a number"))
-        rot_key, n = ("quat_wxyz", 4) if "quat_wxyz" in d else ("rot_axis_angle", 3)
-        rot_values = json_vector(d[rot_key], n, ControllerError(f"{where}.{rot_key}: expected {n} numbers"))
-        if not all(map(math.isfinite, [*xyz, g, *rot_values])):
-            raise ControllerError(f"{where}: action values must be finite")
-        if n == 4:
-            try:
-                rot = quat_to_rot(UnitQuat(*rot_values))
-            except GeometryError as exc:
-                raise ControllerError(f"{where}.quat_wxyz: {exc}") from exc
-        else:
-            angle = float(np.linalg.norm(rot_values))
-            rot = Rot3(np.eye(3)) if angle < 1e-12 else Rot3(axis_angle_to_matrix(rot_values, angle))
-        return Action(xyz, rot, g)
-
-    def to_dict(self) -> dict:
-        rv = matrix_to_rotvec(self.delta_rot.m)
-        return {
-            "xyz": [float(v) for v in self.delta_pos],
-            "rot_axis_angle": [float(v) for v in rv],
-            "gripper": self.gripper,
-        }
 
 
 @dataclass(frozen=True)
@@ -121,13 +77,12 @@ def _rows(x, chain: ChainSpec, count: int, what: str) -> np.ndarray:
     return a
 
 
-def _ik_goals(tag: str, t: int, chain: ChainSpec, actions, base: np.ndarray, q_seed, ik_iters: int, fallback: str):
-    """IK solutions of every row's goal: the action's delta pose applied to the
+def _ik_goals(tag: str, t: int, chain: ChainSpec, delta_pos: np.ndarray, delta_rot: np.ndarray, base: np.ndarray,
+              q_seed, ik_iters: int, fallback: str):
+    """IK solutions of every row's goal: the row's delta pose applied to the
     tool pose at ``base`` (the delta rotation about the tool origin)."""
     tool = _tools(chain, base)
-    goal_rot, goal_pos = widowx_goal_pose(
-        tool[:, :3, 3], tool[:, :3, :3], np.array([a.delta_pos for a in actions]),
-        np.array([a.delta_rot.m for a in actions]))
+    goal_rot, goal_pos = widowx_goal_pose(tool[:, :3, 3], tool[:, :3, :3], delta_pos, delta_rot)
     q, res_pos, res_rot, ok, _ = _ik_rows(chain, goal_rot, goal_pos, q_seed, ik_iters)
     for i in np.flatnonzero(~ok):
         logger.warning(
@@ -138,7 +93,8 @@ def _ik_goals(tag: str, t: int, chain: ChainSpec, actions, base: np.ndarray, q_s
 
 def google_step(
     t: int,
-    actions,
+    delta_pos: np.ndarray,
+    delta_rot: np.ndarray,
     q_arm: np.ndarray,
     v_arm: np.ndarray,
     chain: ChainSpec,
@@ -147,14 +103,16 @@ def google_step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Control tick ``t`` of the Google Robot arm for B records in lockstep.
 
-    With one action and sensed (B, n) ``q_arm``/``v_arm`` rows per record,
-    each arm is planned toward the IK solution of its delta-pose goal; returns
-    the plans' position, velocity and acceleration at every simulation step of
-    the control interval as (ticks, B, n) arrays.
+    With one (B, 3) ``delta_pos`` and (B, 3, 3) ``delta_rot`` action row and
+    sensed (B, n) ``q_arm``/``v_arm`` rows per record, each arm is planned
+    toward the IK solution of its delta-pose goal; returns the plans'
+    position, velocity and acceleration at every simulation step of the
+    control interval as (ticks, B, n) arrays.
     """
-    q_arm = _rows(q_arm, chain, len(actions), "sensed arm positions")
-    v_arm = _rows(v_arm, chain, len(actions), "sensed arm velocities")
-    q_goal = _ik_goals("google_step", t, chain, actions, q_arm, q_arm, ik_iters, "planning toward best effort")
+    q_arm = _rows(q_arm, chain, len(delta_pos), "sensed arm positions")
+    v_arm = _rows(v_arm, chain, len(delta_pos), "sensed arm velocities")
+    q_goal = _ik_goals("google_step", t, chain, delta_pos, delta_rot, q_arm, q_arm, ik_iters,
+                       "planning toward best effort")
     # the plant can transiently exceed the planner's velocity bound, which the
     # planner rejects as a seed: clip like a deployed stack would
     v_max = GOOGLE_ARM_LIMITS.v_max
@@ -163,21 +121,20 @@ def google_step(
 
 
 def google_grip_step(
-    actions, goal: np.ndarray, q: np.ndarray, v: np.ndarray, cfg: CtrlConfig = CtrlConfig()
+    gripper: np.ndarray, goal: np.ndarray, q: np.ndarray, v: np.ndarray, cfg: CtrlConfig = CtrlConfig()
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """One control tick of the Google Robot grippers of B records in lockstep.
 
     Each gripper is planned from its last planned (B,) position ``q`` and
-    velocity ``v`` toward an accumulated position ``goal``: an action below
-    GOOGLE_GRIP_FILTER in magnitude keeps the goal, any other sets it to the
-    planned position plus the action. Returns the (ticks, B) position,
-    velocity and acceleration at every simulation step, and the next
-    (goal, q, v).
+    velocity ``v`` toward an accumulated position ``goal``: a (B,) ``gripper``
+    command below GOOGLE_GRIP_FILTER in magnitude keeps the goal, any other
+    sets it to the planned position plus the command. Returns the (ticks, B)
+    position, velocity and acceleration at every simulation step, and the
+    next (goal, q, v).
     """
-    grip = np.array([a.gripper for a in actions])
-    goal = np.where(np.abs(grip) < GOOGLE_GRIP_FILTER, goal, q + grip)
+    goal = np.where(np.abs(gripper) < GOOGLE_GRIP_FILTER, goal, q + gripper)
     v_max = GOOGLE_GRIP_LIMITS.v_max
-    plan = synchronize(q[:, None], np.clip(v, -v_max, v_max)[:, None], goal[:, None], np.zeros((len(grip), 1)),
+    plan = synchronize(q[:, None], np.clip(v, -v_max, v_max)[:, None], goal[:, None], np.zeros((len(gripper), 1)),
                        GOOGLE_GRIP_LIMITS)
     q, v, a = (x[..., 0] for x in plan.sample(np.arange(1, cfg.ticks_per_step + 1) / cfg.h_sim))
     return (q, v, a), (goal, q[-1], v[-1])
@@ -195,7 +152,8 @@ def widowx_goal_pose(x: np.ndarray, r: np.ndarray, x_a: np.ndarray, r_a: np.ndar
 
 def widowx_step(
     t: int,
-    actions,
+    delta_pos: np.ndarray,
+    delta_rot: np.ndarray,
     q_arm: np.ndarray,
     q_lastgoal: np.ndarray | None,
     chain: ChainSpec,
@@ -203,11 +161,12 @@ def widowx_step(
 ) -> np.ndarray:
     """Control tick ``t`` of the WidowX stack for B records in lockstep.
 
-    Each record's pose goal chains off its previously commanded (B, n) joint
+    Each record's pose goal, its (B, 3) ``delta_pos`` and (B, 3, 3)
+    ``delta_rot`` row applied, chains off its previously commanded (B, n) joint
     goal ``q_lastgoal``, which at t = 0 is the sensed (B, n) ``q_arm`` (the
     sensed state otherwise only seeds the IK). Returns the (B, n) joint
     goals, held for the whole control interval.
     """
-    q_arm = _rows(q_arm, chain, len(actions), "sensed arm positions")
+    q_arm = _rows(q_arm, chain, len(delta_pos), "sensed arm positions")
     base = q_arm if t == 0 else q_lastgoal
-    return _ik_goals("widowx_step", t, chain, actions, base, q_arm, ik_iters, "commanding best effort")
+    return _ik_goals("widowx_step", t, chain, delta_pos, delta_rot, base, q_arm, ik_iters, "commanding best effort")

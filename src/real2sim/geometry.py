@@ -233,9 +233,10 @@ def rot_z(angle: float) -> Rot3:
     return Rot3(axis_angle_to_matrix([0.0, 0.0, 1.0], angle))
 
 
-def pose_to_dict(p: Pose) -> dict:
-    q = rot_to_quat(p.rot)
-    return {"xyz": [float(v) for v in p.pos], "quat_wxyz": [q.w, q.x, q.y, q.z]}
+def pose_to_dict(t) -> dict:
+    """The pose object of a 4x4 homogeneous transform."""
+    q = rot_to_quat(Rot3(t[:3, :3]))
+    return {"xyz": [float(v) for v in t[:3, 3]], "quat_wxyz": [q.w, q.x, q.y, q.z]}
 
 
 def pose_from_dict(d: dict, where: str = "pose") -> Pose:

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import json_number, json_vector
 from .chain import ChainSpec, _tools, ik_dls
-from .controller import Action, CtrlConfig, google_grip_step, google_step, widowx_step
-from .geometry import Pose, Rot3, _freeze, pose_from_dict, pose_to_dict
+from .controller import ControllerError, CtrlConfig, google_grip_step, google_step, widowx_step
+from .geometry import (GeometryError, Pose, Rot3, UnitQuat, _freeze, axis_angle_to_matrix, matrix_to_rotvec,
+                       pose_from_dict, pose_to_dict, quat_to_rot)
 
 __all__ = [
     "JointSimError",
@@ -98,24 +99,53 @@ class JointDynamics:
         return self.inertia.shape[0]
 
 
+def _action_row(d, where: str) -> list[float]:
+    """An action object as one row: delta position (3), delta rotation matrix (9, row-major) and gripper
+    command; an error names the offending field under ``where``."""
+    if not isinstance(d, dict) or "xyz" not in d or "gripper" not in d or d.keys().isdisjoint(
+            ("quat_wxyz", "rot_axis_angle")):
+        raise ControllerError(f"{where}: needs 'xyz', 'gripper' and 'rot_axis_angle' or 'quat_wxyz'")
+    xyz = json_vector(d["xyz"], 3, ControllerError(f"{where}.xyz: expected 3 numbers"))
+    g = json_number(d["gripper"], ControllerError(f"{where}.gripper: expected a number"))
+    rot_key, n = ("quat_wxyz", 4) if "quat_wxyz" in d else ("rot_axis_angle", 3)
+    rot_values = json_vector(d[rot_key], n, ControllerError(f"{where}.{rot_key}: expected {n} numbers"))
+    if not all(map(math.isfinite, [*xyz, g, *rot_values])):
+        raise ControllerError(f"{where}: action values must be finite")
+    if n == 4:
+        try:
+            return [*xyz, *quat_to_rot(UnitQuat(*rot_values)).m.flat, g]
+        except GeometryError as exc:
+            raise ControllerError(f"{where}.quat_wxyz: {exc}") from exc
+    angle = float(np.linalg.norm(rot_values))
+    return [*xyz, *(np.eye(3) if angle < 1e-12 else axis_angle_to_matrix(rot_values, angle)).flat, g]
+
+
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Recorded action sequence plus the reference end-effector poses.
+    """Recorded actions, as (T, 3) ``delta_pos``, (T, 3, 3) ``delta_rot`` and (T,) ``gripper`` arrays,
+    plus the reference end-effector poses as 4x4 homogeneous matrices.
 
-    ``ee_poses[i]`` is the pose before action ``i``; the list may carry one
+    ``ee_poses[i]`` is the pose before action ``i``; the stack may carry one
     trailing pose (after the last action). ``joint_positions``, when present,
     holds the arm configuration at the same instants.
     """
 
-    actions: tuple[Action, ...]
-    ee_poses: tuple[Pose, ...]
+    delta_pos: np.ndarray
+    delta_rot: np.ndarray
+    gripper: np.ndarray
+    ee_poses: np.ndarray
     ctrl_frequency: float
     joint_positions: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "ee_poses", tuple(self.ee_poses))
-        na, np_ = len(self.actions), len(self.ee_poses)
+        for name in ("delta_pos", "delta_rot", "gripper", "ee_poses"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        na = len(self.gripper) if self.gripper.ndim == 1 else -1
+        if self.delta_pos.shape != (na, 3) or self.delta_rot.shape != (na, 3, 3) or self.ee_poses.shape[1:] != (4, 4):
+            raise JointSimError(f"delta_pos, delta_rot, gripper and ee_poses of shapes {self.delta_pos.shape}, "
+                                f"{self.delta_rot.shape}, {self.gripper.shape} and {self.ee_poses.shape} are not "
+                                f"(T, 3), (T, 3, 3), (T,) and (T or T+1, 4, 4)")
+        np_ = len(self.ee_poses)
         if np_ not in (na, na + 1) or na == 0:
             raise JointSimError(f"{np_} poses do not align with {na} actions (want T or T+1)")
         if not 0.0 < self.ctrl_frequency < math.inf:
@@ -131,8 +161,9 @@ class TrajectoryRecord:
     def to_dict(self) -> dict:
         out = {
             "ctrl_frequency": self.ctrl_frequency,
-            "actions": [a.to_dict() for a in self.actions],
-            "ee_poses": [pose_to_dict(p) for p in self.ee_poses],
+            "actions": [{"xyz": [float(v) for v in xyz], "rot_axis_angle": [float(v) for v in rv], "gripper": g}
+                        for xyz, rv, g in zip(self.delta_pos, matrix_to_rotvec(self.delta_rot), self.gripper.tolist())],
+            "ee_poses": [pose_to_dict(t) for t in self.ee_poses],
         }
         if self.joint_positions is not None:
             out["joint_positions"] = [[float(v) for v in row] for row in self.joint_positions]
@@ -144,8 +175,8 @@ class TrajectoryRecord:
         if not isinstance(d, dict) or "ctrl_frequency" not in d or not all(
                 isinstance(d.get(k), list) for k in ("actions", "ee_poses")):
             raise JointSimError(f"{source}: needs 'actions' and 'ee_poses' lists and 'ctrl_frequency'")
-        actions = [Action.from_dict(a, f"{source}.actions[{i}]") for i, a in enumerate(d["actions"])]
-        poses = [pose_from_dict(p, f"{source}.ee_poses[{i}]") for i, p in enumerate(d["ee_poses"])]
+        rows = np.reshape([_action_row(a, f"{source}.actions[{i}]") for i, a in enumerate(d["actions"])], (-1, 13))
+        poses = [pose_from_dict(p, f"{source}.ee_poses[{i}]").as_matrix() for i, p in enumerate(d["ee_poses"])]
         freq = json_number(d["ctrl_frequency"], JointSimError(f"{source}.ctrl_frequency: expected a number"))
         jp = d.get("joint_positions")
         if jp is not None:
@@ -155,7 +186,8 @@ class TrajectoryRecord:
             width = len(jp[0]) if jp and isinstance(jp[0], list) else None
             jp = [json_vector(row, width, error) for row in jp]
         try:
-            return TrajectoryRecord(actions, poses, freq, jp)
+            return TrajectoryRecord(rows[:, :3], rows[:, 3:12].reshape(-1, 3, 3), rows[:, 12],
+                                    np.reshape(poses, (-1, 4, 4)), freq, jp)
         except JointSimError as exc:
             raise JointSimError(f"{source}: {exc}") from exc
 
@@ -268,14 +300,15 @@ def _simulate(
     dyn: JointDynamics,
     pd: PDParams,
     controller_kind: str,
-    action_lists,
+    actions,
     q_inits,
     cfg: CtrlConfig | None,
     ik_iters: int = 200,
     plan_sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Replay R action sequences from the (R, n) ``q_inits`` under each of the K gain sets of ``pd``,
-    all K R rows in lockstep: row s R + r is record r under gain set s.
+    all K R rows in lockstep: row s R + r is record r under gain set s. ``actions`` holds one
+    (delta_pos, delta_rot, gripper) triple of (T, 3), (T, 3, 3) and (T,) arrays per record.
 
     Each control step is one batched controller tick and plant update of the rows still running (a
     shorter record is frozen after its last action). The controller state lives here as arrays with
@@ -290,16 +323,20 @@ def _simulate(
     default = default_config(controller_kind)  # rejects an unknown kind
     cfg = cfg or default
     q = np.array(q_inits, dtype=float, ndmin=2)
-    if q.shape != (len(action_lists), chain.n):
+    if q.shape != (len(actions), chain.n):
         raise JointSimError(f"q_init must have {chain.n} entries per record")
     dt, ticks = 1.0 / cfg.h_sim, cfg.ticks_per_step
     _check_stable(pd, dyn, dt)
     n_sets = len(np.atleast_2d(pd.p))
     # the records tiled proposal-major, and the gain set of each row
-    action_lists, q, sets = list(action_lists) * n_sets, np.tile(q, (n_sets, 1)), np.repeat(np.arange(n_sets), len(q))
-    lengths = [len(actions) for actions in action_lists]
+    actions, q, sets = list(actions) * n_sets, np.tile(q, (n_sets, 1)), np.repeat(np.arange(n_sets), len(q))
+    lengths = [len(g) for *_, g in actions]
     # longest record first, so the rows still running are always a prefix
     order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
+    # every row's actions, step-major in that order; a finished row's slots are never read
+    delta_pos, delta_rot, gripper = (np.zeros((max(lengths), len(order), *shape)) for shape in ((3,), (3, 3), ()))
+    for col, b in enumerate(order):
+        delta_pos[: lengths[b], col], delta_rot[: lengths[b], col], gripper[: lengths[b], col] = actions[b]
     q, v, sets = q[order], np.zeros_like(q), sets[order]
     p_rows, d_rows = (np.atleast_2d(x)[sets] for x in (pd.p, pd.d))
     powers = _plant_powers(pd, dyn, dt, ticks) if controller_kind == WIDOWX else None
@@ -309,19 +346,19 @@ def _simulate(
     tools, joints = np.empty((*shape, 4, 4)), np.empty((*shape, chain.n))
     for step in range(-1, max(lengths)):  # step -1 only logs the initial state
         m = sum(n > step for n in lengths)  # the records still running: columns :m
-        actions = [action_lists[b][step] for b in order[:m]] if step >= 0 else ()
-        if actions and controller_kind == GOOGLE:
-            arm = google_step(step, actions, q[:m], v[:m], chain, cfg, ik_iters)
+        if step >= 0 and controller_kind == GOOGLE:
+            arm = google_step(step, delta_pos[step, :m], delta_rot[step, :m], q[:m], v[:m], chain, cfg, ik_iters)
             q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm[0], PDParams(p_rows[:m], d_rows[:m]), dyn, dt)
-        elif actions:
-            goal = widowx_step(step, actions, q[:m], goal[:m] if step else None, chain, ik_iters)
+        elif step >= 0:
+            goal = widowx_step(step, delta_pos[step, :m], delta_rot[step, :m], q[:m], goal[:m] if step else None,
+                               chain, ik_iters)
             q[:m], v[:m] = _hold_target(q[:m], v[:m], goal, ticks, powers, sets[:m], dyn)
-        if actions and plan_sink is not None:
+        if step >= 0 and plan_sink is not None:
             if controller_kind == GOOGLE:
-                grip_plan, grip[:, :m] = google_grip_step(actions, *grip[:, :m], cfg)
+                grip_plan, grip[:, :m] = google_grip_step(gripper[step, :m], *grip[:, :m], cfg)
             else:  # the goal held for the whole interval, and the raw gripper command
                 arm = (np.broadcast_to(goal, (ticks, m, chain.n)), *np.zeros((2, ticks, m, chain.n)))
-                grip_plan = (np.broadcast_to([a.gripper for a in actions], (ticks, m)), *np.zeros((2, ticks, m)))
+                grip_plan = (np.broadcast_to(gripper[step, :m], (ticks, m)), *np.zeros((2, ticks, m)))
             plan_sink(step, np.concatenate([*arm, *(x[..., None] for x in grip_plan)], axis=2))
         tools[step + 1, :m], joints[step + 1, :m] = _tools(chain, q[:m]), q[:m]
     slots = np.argsort(order)  # row b is column slots[b]
@@ -338,14 +375,13 @@ def replay_open_loop(
     cfg: CtrlConfig | None = None,
     ik_iters: int = 200,
     plan_sink=None,
-) -> list[Pose]:
-    """Execute one recorded action sequence open loop; return simulated poses.
+) -> np.ndarray:
+    """Execute one recorded action sequence open loop; return the simulated tool poses.
 
     This is the one-record case of the lockstep replay, which holds the
-    controller state from tick to tick. The returned sequence starts at the
-    initial pose and appends the pose after every action (length T+1);
-    compare element-wise against ``rec.ee_poses`` truncated to the shorter of
-    the two. ``plan_sink``, if given, is called as
+    controller state from tick to tick. The returned (T+1, 4, 4) stack starts
+    at the initial pose and appends the pose after every action; compare it
+    against ``rec.ee_poses`` truncated to the shorter of the two. ``plan_sink``, if given, is called as
     ``plan_sink(step_index, targets)`` at every control step. ``targets`` is a
     (ticks, 1, 3n + 3) array: row k holds the targets applied at simulation
     step k + 1 of the interval, in the columns arm q, v and a (n each), then
@@ -353,8 +389,8 @@ def replay_open_loop(
     """
     if q_init is None:
         q_init = _record_q_init(chain, rec)
-    (tools,), _ = _simulate(chain, dyn, pd, controller_kind, [rec.actions], [q_init], cfg, ik_iters, plan_sink)
-    return [Pose(Rot3(t[:3, :3]), t[:3, 3]) for t in tools]
+    actions = [(rec.delta_pos, rec.delta_rot, rec.gripper)]
+    return _simulate(chain, dyn, pd, controller_kind, actions, [q_init], cfg, ik_iters, plan_sink)[0][0]
 
 
 def synthesize_record(
@@ -367,19 +403,22 @@ def synthesize_record(
     cfg: CtrlConfig | None = None,
     ik_iters: int = 200,
 ) -> TrajectoryRecord:
-    """Run the simulator and package its own output as a reference record."""
+    """Run the simulator on a (delta_pos, delta_rot, gripper) action triple and package its output as a record."""
     cfg = cfg or default_config(controller_kind)
     (tools,), (joints,) = _simulate(chain, dyn, pd, controller_kind, [actions], [q_init], cfg, ik_iters)
-    return TrajectoryRecord(tuple(actions), tuple(Pose(Rot3(t[:3, :3]), t[:3, 3]) for t in tools), cfg.h_ctrl, joints)
+    return TrajectoryRecord(*actions, tools, cfg.h_ctrl, joints)
 
 
-def _record_q_init(chain: ChainSpec, rec: TrajectoryRecord, where: str = "joint_positions") -> np.ndarray:
+def _record_q_init(chain: ChainSpec, rec: TrajectoryRecord, where: str = "") -> np.ndarray:
     """A record's initial arm configuration: its first joint positions if it has them, else IK on its first pose.
-    Joint positions need one value per chain joint in each row; an error names them as ``where``."""
-    jp = rec.joint_positions
+    Joint positions need one value per chain joint in each row; an error names the field after ``where``."""
+    jp, first = rec.joint_positions, rec.ee_poses[0]
     if jp is not None and jp.shape[1] != chain.n:
-        raise JointSimError(f"{where}: rows of {jp.shape[1]} values for a {chain.n}-joint chain")
-    return initial_joint_positions(chain, rec.ee_poses[0]) if jp is None else jp[0]
+        raise JointSimError(f"{where}joint_positions: rows of {jp.shape[1]} values for a {chain.n}-joint chain")
+    try:
+        return initial_joint_positions(chain, Pose(Rot3(first[:3, :3]), first[:3, 3])) if jp is None else jp[0]
+    except JointSimError as exc:
+        raise JointSimError(f"{where}ee_poses[0]: {exc}") from exc
 
 
 def initial_joint_positions(

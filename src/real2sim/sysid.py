@@ -208,8 +208,8 @@ def anneal_fit(
         except JointSimError as exc:
             raise SysIdError(f"record {i}: {exc}") from exc
 
-    actions = [rec.actions for rec in dataset]
-    refs = [np.stack([p.as_matrix() for p in rec.ee_poses]) for rec in dataset]
+    actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]
+    refs = [rec.ee_poses for rec in dataset]
 
     def objective(pd: PDParams) -> list[TrajectoryLosses]:
         tools, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_iters)

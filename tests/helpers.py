@@ -603,8 +603,8 @@ def ref_hold_target(q, v, target, ticks: int, powers: np.ndarray, dyn):
 
 
 def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
-    """Replay one record tick by tick; returns its poses and the (iterations,
-    converged) of every control step's IK."""
+    """Replay one record's (delta_pos, delta_rot, gripper) actions tick by tick; returns its
+    poses and the (iterations, converged) of every control step's IK."""
     from real2sim.controller import GOOGLE_ARM_LIMITS
     from real2sim.jointsim import _plant_powers
     from real2sim.profile import synchronize
@@ -616,9 +616,9 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
     powers = _plant_powers(pd, dyn, dt, ticks)[:, 0]  # the one gain set's table
     poses, stats = [ref_fk(chain, q)], []
     last_goal = q
-    for t, action in enumerate(actions):
+    for delta_pos, delta_rot in zip(*actions[:2]):
         base = ref_fk(chain, q if kind == "google" else last_goal)
-        goal = Pose(action.delta_rot @ base.rot, base.pos + action.delta_pos)
+        goal = Pose(Rot3(delta_rot) @ base.rot, base.pos + delta_pos)
         ik = ref_ik_dls(chain, goal, q, ik_iters)
         stats.append((ik.iterations, ik.converged))
         if kind == "google":
@@ -640,10 +640,11 @@ def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=N
     from real2sim.sysid import AnnealResult, RoundStats, trajectory_losses
 
     q_inits = [_record_q_init(chain, rec) for rec in dataset]
-    refs = [pose_stack(rec.ee_poses) for rec in dataset]
+    refs = [rec.ee_poses for rec in dataset]
+    actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]
 
     def objective(pd):
-        tools, _ = _simulate(chain, dyn, pd, kind, [rec.actions for rec in dataset], q_inits, ctrl_cfg, ik_iters)
+        tools, _ = _simulate(chain, dyn, pd, kind, actions, q_inits, ctrl_cfg, ik_iters)
         losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs, tools)]
         return TrajectoryLosses(*(float(s) / len(dataset) for s in np.cumsum(losses, axis=0)[-1]))
 
@@ -707,7 +708,7 @@ class RefGripState:
     v_lastplan_grip: float = 0.0
 
 
-def ref_google_grip_step(state: RefGripState, action, q_grip: float, cfg):
+def ref_google_grip_step(state: RefGripState, gripper: float, q_grip: float, cfg):
     """One Google Robot gripper tick of one record in Python floats: returns
     the (ticks,) position, velocity and acceleration, and the next state.
     ``q_grip`` is the sensed gripper, read at t = 0 only."""
@@ -716,10 +717,10 @@ def ref_google_grip_step(state: RefGripState, action, q_grip: float, cfg):
     if state.t == 0:
         state = RefGripState(t=0, q_lastgoal_grip=float(q_grip), q_lastplan_grip=float(q_grip))
     # accumulate on the planned state, filtering small actions
-    if abs(action.gripper) < GOOGLE_GRIP_FILTER:
+    if abs(gripper) < GOOGLE_GRIP_FILTER:
         grip_goal = state.q_lastgoal_grip
     else:
-        grip_goal = state.q_lastplan_grip + action.gripper
+        grip_goal = state.q_lastplan_grip + gripper
     grip_plan = ref_plan_scurve_1d(
         state.q_lastplan_grip,
         min(max(state.v_lastplan_grip, -GOOGLE_GRIP_LIMITS.v_max), GOOGLE_GRIP_LIMITS.v_max),

@@ -19,12 +19,11 @@ from helpers import (
 )
 from real2sim.chain import fk, ik_dls, jacobian
 from real2sim.controller import (
-    Action,
     google_grip_step,
     google_step,
     widowx_goal_pose,
 )
-from real2sim.geometry import Rot3, rot_frobenius_loss, rotation_angle
+from real2sim.geometry import rot_frobenius_loss, rotation_angle
 from real2sim.jointsim import default_config
 from real2sim.imaging import ImageRGB8, MaskGray8, composite, read_pgm, read_ppm, write_pgm, write_ppm
 from real2sim.metrics import delta_success, kruskal_wallis, mmrv, pearson
@@ -146,7 +145,7 @@ def test_criterion_06_controller_fidelity(six_dof):
     cfg = default_config("google")
     assert cfg.h_sim == 501.0 and cfg.h_ctrl == 3.0
     q = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
-    arm_q, _, _ = google_step(0, [Action(np.zeros(3), Rot3(np.eye(3)), 0.0)], q[None], np.zeros((1, 6)), six_dof, cfg)
+    arm_q, _, _ = google_step(0, np.zeros((1, 3)), np.eye(3)[None], q[None], np.zeros((1, 6)), six_dof, cfg)
     assert arm_q[:, 0].shape == (167, 6)
 
     # sub-threshold gripper actions never move the goal, from any state
@@ -155,7 +154,7 @@ def test_criterion_06_controller_fidelity(six_dof):
     for _ in range(20):
         g = rng.uniform(-0.0099, 0.0099)
         rng.uniform(-1, 1)  # unused draw, kept so that the composition samples below stay the same
-        _, state = google_grip_step([Action(np.zeros(3), Rot3(np.eye(3)), g)], *state, cfg)
+        _, state = google_grip_step(np.array([g]), *state, cfg)
         assert state[0][0] == 0.4
 
     worst = 0.0

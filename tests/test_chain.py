@@ -349,7 +349,8 @@ def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
             return out
 
         monkeypatch.setattr(controller, "_ik_rows", recording_ik)
-        _simulate(chain, dyn, init, "widowx", [rec.actions for rec in records], q_inits, None, iks)
+        actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in records]
+        _simulate(chain, dyn, init, "widowx", actions, q_inits, None, iks)
         return rows
 
     rows = rows_of_one_replay()

@@ -883,6 +883,48 @@ def test_joint_positions_narrower_than_the_chain_exit_3(sysid_workspace, tmp_pat
     assert not out.exists() and not plan_csv.exists()
 
 
+def test_replay_cli_gripper_overflow_exits_4(sysid_workspace, tmp_path, capsys):
+    # the gripper planner's cube of a 1e150 move overflows a float: a numerical failure, not a traceback
+    root = sysid_workspace
+    rec = json.loads((root / "trajectories" / "rec0.json").read_text())
+    rec["actions"][0]["gripper"] = 1e150
+    (tmp_path / "rec.json").write_text(json.dumps(rec))
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out, plan_csv = tmp_path / "poses.json", tmp_path / "plan.csv"
+    rc = main(["replay", "--trajectory", str(tmp_path / "rec.json"), "--chain", str(root / "chain.json"),
+               "--params", str(tmp_path / "pd.json"), "--controller", "google", "--sim-hz", "200", "--ctrl-hz", "5",
+               "--out", str(out), "--dump-plan", str(plan_csv)])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() and not plan_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["replay", "sysid fit"])
+def test_unreachable_first_pose_names_its_file(sysid_workspace, tmp_path, capsys, command):
+    # record 1 carries no joint positions, and its first pose lies out of the 3-link arm's reach
+    root = sysid_workspace
+    traj = tmp_path / "trajectories"
+    traj.mkdir()
+    for i in range(2):
+        rec = json.loads((root / "trajectories" / f"rec{i}.json").read_text())
+        if i == 1:
+            del rec["joint_positions"]
+            rec["ee_poses"][0]["xyz"] = [10.0, 0.0, 0.0]
+        (traj / f"rec{i}.json").write_text(json.dumps(rec))
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "out.json"
+    args = {
+        "replay": ["replay", "--trajectory", str(traj / "rec1.json"), "--params", str(tmp_path / "pd.json"),
+                   "--controller", "widowx", "--sim-hz", "200"],
+        "sysid fit": ["sysid", "fit", "--trajectories", str(traj), "--config", str(root / "sysid.json")],
+    }[command]
+    rc = main(args + ["--chain", str(root / "chain.json"), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traj / 'rec1.json'}.ee_poses[0]: could not match the initial pose by IK (pos ")
+    assert not out.exists()
+
+
 def test_sysid_fit_nan_range_exits_3(sysid_workspace, tmp_path, capsys):
     root = sysid_workspace
     config = json.loads((root / "sysid.json").read_text())

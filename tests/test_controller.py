@@ -7,7 +7,6 @@ from helpers import RefGripState, random_rotation, ref_google_grip_step
 from real2sim.controller import (
     GOOGLE_GRIP_FILTER,
     GOOGLE_GRIP_LIMITS,
-    Action,
     ControllerError,
     CtrlConfig,
     google_grip_step,
@@ -17,10 +16,10 @@ from real2sim.controller import (
 )
 from real2sim.chain import fk
 from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, default_config, replay_open_loop
-from real2sim.geometry import Rot3, rot_z
+from real2sim.geometry import rot_z
 
 
-IDENTITY_ACTION = Action(np.zeros(3), Rot3(np.eye(3)), 0.0)
+IDENTITY_ARM = (np.zeros((1, 3)), np.eye(3)[None])  # one record's delta_pos and delta_rot rows of a zero move
 
 
 def grip_state(goal, q, v):
@@ -43,28 +42,26 @@ def test_ticks_per_step_floor():
 
 def test_google_emits_167_targets(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    arm_q, _, _ = google_step(0, [IDENTITY_ACTION], q[None], np.zeros((1, 3)), three_link)
-    (grip_q, _, _), _ = google_grip_step([IDENTITY_ACTION], *grip_state(0.1, 0.1, 0.0))
+    arm_q, _, _ = google_step(0, *IDENTITY_ARM, q[None], np.zeros((1, 3)), three_link)
+    (grip_q, _, _), _ = google_grip_step(np.zeros(1), *grip_state(0.1, 0.1, 0.0))
     assert arm_q[:, 0].shape == (167, 3)
     assert grip_q[:, 0].shape == (167,)
 
 
 def test_google_identity_action_holds_position(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    arm_q, _, _ = google_step(0, [IDENTITY_ACTION], q[None], np.zeros((1, 3)), three_link)
+    arm_q, _, _ = google_step(0, *IDENTITY_ARM, q[None], np.zeros((1, 3)), three_link)
     worst = np.abs(arm_q[:, 0] - q).max()
     assert worst < 1e-6
 
 
 def test_google_small_gripper_action_filtered():
-    action = Action(np.zeros(3), Rot3(np.eye(3)), 0.005)
-    _, (goal, _, _) = google_grip_step([action], *grip_state(0.9, 0.4, 0.0))
+    _, (goal, _, _) = google_grip_step(np.array([0.005]), *grip_state(0.9, 0.4, 0.0))
     assert goal[0] == 0.9
 
 
 def test_google_gripper_accumulates_on_planned_state():
-    action = Action(np.zeros(3), Rot3(np.eye(3)), 0.5)
-    (grip_q, _, _), (goal, _, _) = google_grip_step([action], *grip_state(0.1, 0.2, 0.0))
+    (grip_q, _, _), (goal, _, _) = google_grip_step(np.array([0.5]), *grip_state(0.1, 0.2, 0.0))
     assert goal[0] == pytest.approx(0.7)
     # the plan is seeded at the last planned state, not the sensed gripper
     assert grip_q[0, 0] == pytest.approx(0.2, abs=1e-3)
@@ -76,15 +73,14 @@ def test_google_gripper_goal_reaches_sum_when_plans_complete():
     cfg = CtrlConfig(h_sim=501.0, h_ctrl=1.0)
     state = grip_state(0.0, 0.0, 0.0)
     for _ in range(5):
-        action = Action(np.zeros(3), Rot3(np.eye(3)), 0.1)
-        _, state = google_grip_step([action], *state, cfg)
+        _, state = google_grip_step(np.array([0.1]), *state, cfg)
     assert state[0][0] == pytest.approx(0.5, abs=1e-9)
     assert state[1][0] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_google_initializes_gripper_state_from_sensed():
     # the replay starts a gripper at rest, with its goal at its sensed position
-    (grip_q, _, _), (goal, _, _) = google_grip_step([IDENTITY_ACTION], *grip_state(0.33, 0.33, 0.0))
+    (grip_q, _, _), (goal, _, _) = google_grip_step(np.zeros(1), *grip_state(0.33, 0.33, 0.0))
     assert goal[0] == pytest.approx(0.33)
     assert grip_q[0, 0] == pytest.approx(0.33, abs=1e-6)
 
@@ -102,10 +98,9 @@ def test_google_grip_step_matches_the_one_record_reference(rows):
     for tick in range(6):
         small = (np.arange(rows) + tick) % 2 == 0
         grips = np.where(small, rng.uniform(-0.99, 0.99, rows) * GOOGLE_GRIP_FILTER, rng.uniform(-0.5, 0.5, rows))
-        actions = [Action(np.zeros(3), Rot3(np.eye(3)), float(g)) for g in grips]
-        plan, state = google_grip_step(actions, *state, cfg)
-        for b, action in enumerate(actions):
-            want, refs[b] = ref_google_grip_step(refs[b], action, 0.0, cfg)
+        plan, state = google_grip_step(grips, *state, cfg)
+        for b, g in enumerate(grips.tolist()):
+            want, refs[b] = ref_google_grip_step(refs[b], g, 0.0, cfg)
             for got, ref in zip(plan, want):
                 assert got.shape == (167, rows) and np.array_equal(got[:, b], ref)
             ref_state = (refs[b].q_lastgoal_grip, refs[b].q_lastplan_grip, refs[b].v_lastplan_grip)
@@ -114,16 +109,16 @@ def test_google_grip_step_matches_the_one_record_reference(rows):
 
 def test_google_rejects_missized_sensed(three_link):
     with pytest.raises(ControllerError):
-        google_step(0, [IDENTITY_ACTION], np.zeros((1, 2)), np.zeros((1, 2)), three_link)
+        google_step(0, *IDENTITY_ARM, np.zeros((1, 2)), np.zeros((1, 2)), three_link)
 
 
 def test_google_deterministic(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    action = Action(np.array([0.01, 0.0, 0.0]), rot_z(0.02), 0.2)
-    arm1 = google_step(0, [action], q[None], np.zeros((1, 3)), three_link)
-    arm2 = google_step(0, [action], q[None], np.zeros((1, 3)), three_link)
-    grip1, s1 = google_grip_step([action], *grip_state(0.0, 0.0, 0.0))
-    grip2, s2 = google_grip_step([action], *grip_state(0.0, 0.0, 0.0))
+    arm = (np.array([[0.01, 0.0, 0.0]]), rot_z(0.02).m[None])
+    arm1 = google_step(0, *arm, q[None], np.zeros((1, 3)), three_link)
+    arm2 = google_step(0, *arm, q[None], np.zeros((1, 3)), three_link)
+    grip1, s1 = google_grip_step(np.array([0.2]), *grip_state(0.0, 0.0, 0.0))
+    grip2, s2 = google_grip_step(np.array([0.2]), *grip_state(0.0, 0.0, 0.0))
     assert all(map(np.array_equal, s1, s2))
     assert np.array_equal(arm1[0], arm2[0])
     assert np.array_equal(grip1[0], grip2[0]) and np.array_equal(grip1[1], grip2[1])
@@ -134,10 +129,11 @@ def test_google_rows_step_independently(three_link):
     rng = np.random.default_rng(9)
     q = np.array([0.2, -0.3, 0.4]) + rng.normal(scale=0.1, size=(3, 3))
     v = rng.normal(scale=0.3, size=(3, 3))
-    actions = [Action(rng.normal(scale=0.01, size=3), rot_z(rng.normal(scale=0.05)), 0.0) for _ in range(3)]
-    batched = google_step(4, actions, q, v, three_link)
+    moves = [(rng.normal(scale=0.01, size=3), rot_z(rng.normal(scale=0.05)).m) for _ in range(3)]
+    delta_pos, delta_rot = (np.array(x) for x in zip(*moves))
+    batched = google_step(4, delta_pos, delta_rot, q, v, three_link)
     for b in range(3):
-        solo = google_step(4, actions[b : b + 1], q[b : b + 1], v[b : b + 1], three_link)
+        solo = google_step(4, delta_pos[b : b + 1], delta_rot[b : b + 1], q[b : b + 1], v[b : b + 1], three_link)
         for got, want in zip(batched, solo):
             assert np.array_equal(got[:, b], want[:, 0])
 
@@ -173,23 +169,22 @@ def test_widowx_shortcut_equals_explicit_product():
 
 def test_widowx_initializes_lastgoal_from_sensed(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    goal = widowx_step(0, [IDENTITY_ACTION], q[None], None, three_link)
+    goal = widowx_step(0, *IDENTITY_ARM, q[None], None, three_link)
     assert goal.shape == (1, 3)
     np.testing.assert_allclose(goal[0], q, atol=1e-5)
 
 
 def test_widowx_identity_action_keeps_goal(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    first = widowx_step(0, [IDENTITY_ACTION], q[None], None, three_link)
-    goal = widowx_step(1, [IDENTITY_ACTION], q[None], first, three_link)
+    first = widowx_step(0, *IDENTITY_ARM, q[None], None, three_link)
+    goal = widowx_step(1, *IDENTITY_ARM, q[None], first, three_link)
     np.testing.assert_allclose(goal, first, atol=1e-5)
 
 
 def test_widowx_gripper_passthrough(three_link):
     # the per-tick targets a plan sink sees: the goal held for 100 ticks, the raw gripper value
     q = np.array([0.2, -0.3, 0.4])
-    action = Action(np.zeros(3), Rot3(np.eye(3)), 0.73)
-    rec = TrajectoryRecord((action,), (fk(three_link, q),), 5.0, np.array([q]))
+    rec = TrajectoryRecord(*IDENTITY_ARM, [0.73], fk(three_link, q).as_matrix()[None], 5.0, np.array([q]))
     dyn = JointDynamics.from_chain(three_link)
     seen = []
     replay_open_loop(three_link, dyn, PDParams(np.full(3, 80.0), np.full(3, 6.0)), "widowx", rec,
@@ -205,9 +200,9 @@ def test_widowx_chains_goals_not_sensed(three_link):
     # goal still chains from the previously commanded goal; the elbow-bent
     # start keeps both chained targets inside the dexterous workspace
     q = np.array([0.4, 0.9, -0.7])
-    act = Action(np.array([0.02, 0.0, 0.0]), Rot3(np.eye(3)), 0.0)
-    t1 = widowx_step(0, [act], q[None], None, three_link)
-    t2 = widowx_step(1, [act], q[None], t1, three_link)
+    arm = (np.array([[0.02, 0.0, 0.0]]), np.eye(3)[None])
+    t1 = widowx_step(0, *arm, q[None], None, three_link)
+    t2 = widowx_step(1, *arm, q[None], t1, three_link)
     ee2 = fk(three_link, t2[0])
     ee0 = fk(three_link, q)
     # two chained IK solves, each within the 1e-4 position tolerance
@@ -225,4 +220,4 @@ def test_widowx_chains_goals_not_sensed(three_link):
 )
 def test_action_rejects_non_finite_values(action):
     with pytest.raises(ControllerError, match="action values must be finite"):
-        Action.from_dict(action)
+        TrajectoryRecord.from_dict({"ctrl_frequency": 5.0, "actions": [action], "ee_poses": []})

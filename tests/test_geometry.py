@@ -178,7 +178,7 @@ def test_orthonormalized_projects():
 def test_pose_json_roundtrip():
     rng = np.random.default_rng(7)
     p = Pose(random_rotation(rng), rng.normal(size=3))
-    d = pose_to_dict(p)
+    d = pose_to_dict(p.as_matrix())
     assert set(d) == {"xyz", "quat_wxyz"}
     back = pose_from_dict(d)
     np.testing.assert_allclose(back.pos, p.pos, atol=1e-12)

@@ -8,7 +8,7 @@ from helpers import (dyn_step, fk_path_actions, planar_3link, pose_stack, ref_ho
                      ref_simulate)
 from real2sim import controller
 from real2sim.chain import fk
-from real2sim.controller import Action, CtrlConfig
+from real2sim.controller import CtrlConfig
 from real2sim.geometry import Pose, Rot3
 from real2sim.jointsim import (
     JointDynamics,
@@ -168,14 +168,19 @@ def replay_setup(three_link):
     return three_link, q0, dyn, pd
 
 
+def zero_actions(t: int):
+    """The (delta_pos, delta_rot, gripper) arrays of ``t`` actions that move nothing."""
+    return np.zeros((t, 3)), np.tile(np.eye(3), (t, 1, 1)), np.zeros(t)
+
+
 def test_zero_action_replay_holds_pose(replay_setup):
     chain, q0, dyn, pd = replay_setup
-    actions = [Action(np.zeros(3), Rot3(np.eye(3)), 0.0)] * 5
+    actions = zero_actions(5)
     rec = synthesize_record(chain, dyn, pd, "widowx", actions, q0, FAST_CFG)
     start = rec.ee_poses[0]
     for pose in rec.ee_poses:
-        assert np.abs(pose.pos - start.pos).max() < 1e-6
-        assert np.abs(pose.rot.m - start.rot.m).max() < 1e-6
+        assert np.abs(pose[:3, 3] - start[:3, 3]).max() < 1e-6
+        assert np.abs(pose[:3, :3] - start[:3, :3]).max() < 1e-6
 
 
 def test_replay_self_consistency(replay_setup):
@@ -184,7 +189,7 @@ def test_replay_self_consistency(replay_setup):
     actions = fk_path_actions(chain, q0, 12, rng, amp=0.2)
     rec = synthesize_record(chain, dyn, pd, "widowx", actions, q0, FAST_CFG)
     sim = replay_open_loop(chain, dyn, pd, "widowx", rec, cfg=FAST_CFG)
-    losses = trajectory_losses(pose_stack(rec.ee_poses), pose_stack(sim)[: len(rec.ee_poses)])
+    losses = trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
     assert losses.total < 1e-9
 
 
@@ -196,8 +201,8 @@ def test_replay_deterministic(replay_setup):
     a = replay_open_loop(chain, dyn, pd, "google", rec, cfg=FAST_CFG)
     b = replay_open_loop(chain, dyn, pd, "google", rec, cfg=FAST_CFG)
     for pa, pb in zip(a, b):
-        assert np.array_equal(pa.pos, pb.pos)
-        assert np.array_equal(pa.rot.m, pb.rot.m)
+        assert np.array_equal(pa[:3, 3], pb[:3, 3])
+        assert np.array_equal(pa[:3, :3], pb[:3, :3])
 
 
 def test_stiff_params_track_slow_actions(replay_setup):
@@ -210,30 +215,48 @@ def test_stiff_params_track_slow_actions(replay_setup):
     rec = synthesize_record(chain, dyn, stiff, "widowx", actions, q0, FAST_CFG)
     # commanded goals live on the fk sweep; stiff tracking stays within a mm
     sim = replay_open_loop(chain, dyn, stiff, "widowx", rec, cfg=FAST_CFG)
-    losses = trajectory_losses(pose_stack(rec.ee_poses), pose_stack(sim)[: len(rec.ee_poses)])
+    losses = trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
     assert losses.translation < 1e-3
 
 
 def test_record_alignment_validation():
-    pose = fk(planar_3link(), [0.1, 0.2, 0.3])
-    act = Action(np.zeros(3), Rot3(np.eye(3)), 0.0)
+    pose = fk(planar_3link(), [0.1, 0.2, 0.3]).as_matrix()
+    delta_pos, delta_rot, gripper = zero_actions(2)
     with pytest.raises(JointSimError):
-        TrajectoryRecord((act, act), (pose,), 5.0)
+        TrajectoryRecord(*zero_actions(2), [pose], 5.0)
     with pytest.raises(JointSimError):
-        TrajectoryRecord((), (pose,), 5.0)
-    TrajectoryRecord((act,), (pose, pose), 5.0)
-    TrajectoryRecord((act,), (pose,), 5.0)
+        TrajectoryRecord(*zero_actions(0), [pose], 5.0)
+    with pytest.raises(JointSimError, match="are not"):  # a rotation stack of the wrong length
+        TrajectoryRecord(delta_pos, delta_rot[:1], gripper, [pose] * 2, 5.0)
+    with pytest.raises(JointSimError, match="are not"):  # a gripper of the wrong length
+        TrajectoryRecord(delta_pos, delta_rot, gripper[:1], [pose] * 2, 5.0)
+    for poses in (pose, [pose[:3]] * 2, [pose[:, :3]] * 2):  # pose stacks that are not (., 4, 4)
+        with pytest.raises(JointSimError, match="are not"):
+            TrajectoryRecord(*zero_actions(1), poses, 5.0)
+    TrajectoryRecord(*zero_actions(1), [pose, pose], 5.0)
+    TrajectoryRecord(*zero_actions(1), [pose], 5.0)
+
+
+RECORD = dict(zip(("delta_pos", "delta_rot", "gripper"), zero_actions(1)), ee_poses=np.tile(np.eye(4), (2, 1, 1)),
+              ctrl_frequency=5.0, joint_positions=np.zeros((2, 3)))  # a one-action record's fields
+
+
+def record_with(field: str):
+    """A builder of the one-action record that takes ``field`` from its argument."""
+    return lambda a: TrajectoryRecord(**{**RECORD, field: a})
 
 
 FROZEN = {  # a type, the caller's array it is built from, and the field that keeps a frozen copy of it
     "Rot3": (np.eye(3), lambda a: Rot3(a), "m"),
     "Pose": (np.ones(3), lambda a: Pose(Rot3.identity(), a), "pos"),
-    "Action": (np.ones(3), lambda a: Action(a, Rot3.identity(), 0.0), "delta_pos"),
     "PDParams": (np.ones(3), lambda a: PDParams(a, np.ones(3)), "p"),
     "JointDynamics": (np.ones(3), lambda a: JointDynamics(a, np.zeros(3), -np.ones(3), np.ones(3)), "inertia"),
     "SysIdRange": (np.ones(3), lambda a: SysIdRange(a, np.full(3, 2.0), np.zeros(3), np.ones(3)), "p_low"),
-    "TrajectoryRecord": (np.ones((2, 3)), lambda a: TrajectoryRecord(
-        (Action(np.zeros(3), Rot3.identity(), 0.0),), (Pose.identity(),) * 2, 5.0, a), "joint_positions"),
+    "TrajectoryRecord": (np.ones((2, 3)), record_with("joint_positions"), "joint_positions"),
+    "TrajectoryRecord.delta_pos": (np.ones((1, 3)), record_with("delta_pos"), "delta_pos"),
+    "TrajectoryRecord.delta_rot": (np.eye(3)[None], record_with("delta_rot"), "delta_rot"),
+    "TrajectoryRecord.gripper": (np.ones(1), record_with("gripper"), "gripper"),
+    "TrajectoryRecord.ee_poses": (np.tile(np.eye(4), (2, 1, 1)), record_with("ee_poses"), "ee_poses"),
 }
 
 
@@ -255,14 +278,12 @@ def test_record_json_roundtrip(replay_setup):
     rec = synthesize_record(chain, dyn, pd, "widowx", actions, q0, FAST_CFG)
     back = TrajectoryRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
     assert back.ctrl_frequency == rec.ctrl_frequency
-    assert len(back.actions) == len(rec.actions)
+    assert len(back.gripper) == len(rec.gripper)
     np.testing.assert_allclose(back.joint_positions, rec.joint_positions, atol=1e-12)
     for a, b in zip(back.ee_poses, rec.ee_poses):
-        np.testing.assert_allclose(a.pos, b.pos, atol=1e-12)
-        np.testing.assert_allclose(a.rot.m, b.rot.m, atol=1e-9)
-    np.testing.assert_allclose(
-        [a.gripper for a in back.actions], [a.gripper for a in rec.actions], atol=1e-12
-    )
+        np.testing.assert_allclose(a[:3, 3], b[:3, 3], atol=1e-12)
+        np.testing.assert_allclose(a[:3, :3], b[:3, :3], atol=1e-9)
+    np.testing.assert_allclose(back.gripper, rec.gripper, atol=1e-12)
 
 
 def test_initial_joint_positions_by_ik(replay_setup):
@@ -274,8 +295,7 @@ def test_initial_joint_positions_by_ik(replay_setup):
 
 def test_unknown_controller_kind_rejected(replay_setup):
     chain, q0, dyn, pd = replay_setup
-    act = Action(np.zeros(3), Rot3(np.eye(3)), 0.0)
-    rec = synthesize_record(chain, dyn, pd, "widowx", [act], q0, FAST_CFG)
+    rec = synthesize_record(chain, dyn, pd, "widowx", zero_actions(1), q0, FAST_CFG)
     with pytest.raises(JointSimError, match="controller kind"):
         replay_open_loop(chain, dyn, pd, "servo", rec, q0, FAST_CFG)
 
@@ -284,13 +304,12 @@ def test_unstable_gains_rejected(replay_setup):
     # semi-implicit Euler needs p dt^2/m < 4 - 2 (d + b) dt/m on every joint:
     # too stiff, or damped too hard for the step
     chain, q0, dyn, _ = replay_setup
-    act = Action(np.zeros(3), Rot3(np.eye(3)), 0.0)
     cfg = CtrlConfig(h_sim=500.0, h_ctrl=5.0)
     too_stiff = PDParams(np.full(3, 1e9), np.full(3, 6.0))
     too_damped = PDParams(np.full(3, 1e5), np.full(3, 632.0))
     for pd, at in ((too_stiff, cfg), (too_damped, FAST_CFG)):
         with pytest.raises(JointSimError, match="unstable"):
-            synthesize_record(chain, dyn, pd, "widowx", [act], q0, at)
+            synthesize_record(chain, dyn, pd, "widowx", zero_actions(1), q0, at)
 
 
 def lockstep_case():
@@ -308,7 +327,9 @@ def lockstep_case():
     pd = PDParams(np.full(6, 80.0), np.full(6, 3.0))
     rng = np.random.default_rng(21)
     action_lists = [fk_path_actions(chain, q, t, rng, amp=0.3) for q, t in zip(q_inits, (5, 3, 4))]
-    action_lists[0].append(Action(np.array([3.0, 3.0, 3.0]), Rot3(np.eye(3)), 0.0))
+    delta_pos, delta_rot, gripper = action_lists[0]
+    action_lists[0] = (np.append(delta_pos, [[3.0, 3.0, 3.0]], axis=0), np.append(delta_rot, [np.eye(3)], axis=0),
+                       np.append(gripper, 0.0))
     return chain, dyn, pd, action_lists, q_inits
 
 
@@ -326,13 +347,13 @@ def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
     monkeypatch.setattr(controller, "_ik_rows", counting_ik)
     sims, logs = _simulate(chain, dyn, pd, kind, action_lists, q_inits, FAST_CFG)
     # the records still running are a prefix of the longest-first order
-    order = np.argsort([-len(a) for a in action_lists], kind="stable")
+    order = np.argsort([-len(gripper) for *_, gripper in action_lists], kind="stable")
     for b, actions in enumerate(action_lists):
         ref_poses, ref_stats = ref_simulate(chain, dyn, pd, kind, actions, q_inits[b], FAST_CFG)
-        assert len(sims[b]) == len(ref_poses) == len(actions) + 1
+        assert len(sims[b]) == len(ref_poses) == len(actions[2]) + 1
         np.testing.assert_allclose(sims[b], pose_stack(ref_poses), rtol=0, atol=1e-12)
         row = int(np.flatnonzero(order == b)[0])
-        assert [ik_calls[t][row] for t in range(len(actions))] == ref_stats
+        assert [ik_calls[t][row] for t in range(len(actions[2]))] == ref_stats
     # the case covers what it claims: one unconverged IK, and an end stop in record 1 only
     assert [ok for _, ok in ik_calls[-1]] == [False]
     hits = [np.any(log[:, 0] == dyn.upper[0]) for log in logs]

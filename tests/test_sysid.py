@@ -186,7 +186,7 @@ def test_anneal_losses_are_the_incumbents_replay(small_problem, tie):
     fresh = []
     for rec in records:
         sim = replay_open_loop(chain, dyn, result.best, "widowx", rec, None, FAST_CFG, iks)
-        fresh.append(trajectory_losses(pose_stack(rec.ee_poses), pose_stack(sim)[: len(rec.ee_poses)]))
+        fresh.append(trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)]))
     assert result.losses == tuple(sum(col) / len(records) for col in zip(*fresh))
     assert result.best_loss == result.losses.total
 
@@ -262,6 +262,7 @@ def test_anneal_rejects_empty_dataset(small_problem):
 def test_anneal_rejects_joint_positions_narrower_than_the_chain(small_problem):
     chain, dyn, truth, records, iks = small_problem
     rec = records[1]
-    narrow = TrajectoryRecord(rec.actions, rec.ee_poses, rec.ctrl_frequency, rec.joint_positions[:, :2])
+    narrow = TrajectoryRecord(rec.delta_pos, rec.delta_rot, rec.gripper, rec.ee_poses, rec.ctrl_frequency,
+                              rec.joint_positions[:, :2])
     with pytest.raises(SysIdError, match=r"^record 1: joint_positions: rows of 2 values for a 3-joint chain$"):
         anneal_fit([records[0], narrow], chain, dyn, "widowx", truth, SysIdRange.around(truth, 2.0), AnnealConfig())
