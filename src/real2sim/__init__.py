@@ -1,11 +1,11 @@
 """Real-to-sim evaluation toolkit.
 
-Library surface: rigid-transform algebra, a serial-chain robot model,
-jerk-limited trajectory planning, the Google Robot / WidowX control loops,
-a decoupled PD joint plant with open-loop replay, annealing-based PD system
-identification, evaluation-correlation statistics, and green-screen
-compositing. The ``real2sim`` console entry point exposes the batch
-workflows.
+Library surface: rotation and 4x4 rigid-transform helpers, a serial-chain
+robot model, jerk-limited trajectory planning, the Google Robot / WidowX
+control loops, a decoupled PD joint plant with open-loop replay,
+annealing-based PD system identification, evaluation-correlation
+statistics, and green-screen compositing. The ``real2sim`` console entry
+point exposes the batch workflows.
 
 Public names are imported from their modules on first access, so importing
 the package loads neither numpy nor any layer module.
@@ -44,8 +44,7 @@ def json_vector(v, n: int | None, error: Exception) -> list[float]:
 
 
 _EXPORTS = {
-    "geometry": "GeometryError Pose Rot3 UnitQuat compose inverse quat_to_rot rot_frobenius_loss rot_to_quat "
-    "rotation_angle",
+    "geometry": "GeometryError quat_to_rot rot_frobenius_loss rot_to_quat rotation_angle",
     "chain": "ChainSpec JointSpec fk ik_dls jacobian parse_urdf_subset",
     "profile": "LimitSet MotionPlan synchronize",
     "controller": "CtrlConfig google_step widowx_step",

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainSpec, JointSpec, fk
-from .geometry import Pose, rot_x
+from .geometry import axis_angle_to_matrix
 from .jointsim import JointDynamics, PDParams, TrajectoryRecord, synthesize_record
 from .sysid import SysIdRange
 
@@ -32,9 +32,13 @@ def arm_6dof(seed: int = 3) -> ChainSpec:
     ]
     joints = []
     for i, ax in enumerate(axes):
-        origin = Pose(rot_x(rng.uniform(-0.1, 0.1)), np.array([0.25, 0.0, 0.1]) if i else np.zeros(3))
+        origin = np.eye(4)
+        origin[:3, :3] = axis_angle_to_matrix([1.0, 0.0, 0.0], rng.uniform(-0.1, 0.1))
+        origin[:3, 3] = [0.25, 0.0, 0.1] if i else 0.0
         joints.append(JointSpec(f"j{i}", "revolute", origin, ax, -2.9, 2.9))
-    return ChainSpec(tuple(joints), ee_offset=Pose.from_translation(0.1, 0, 0))
+    tool = np.eye(4)
+    tool[0, 3] = 0.1
+    return ChainSpec(tuple(joints), ee_offset=tool)
 
 
 def fk_path_actions(
@@ -59,7 +63,7 @@ def fk_path_actions(
     qs = [q0 + amps * (np.sin(freqs * k * dphase + phases) - np.sin(phases)) for k in range(n_actions + 1)]
     poses = [fk(chain, q) for q in qs]
     steps = list(zip(poses[:-1], poses[1:]))
-    return (np.array([b.pos - a.pos for a, b in steps]), np.array([b.rot.m @ a.rot.m.T for a, b in steps]),
+    return (np.array([b[:3, 3] - a[:3, 3] for a, b in steps]), np.array([b[:3, :3] @ a[:3, :3].T for a, b in steps]),
             np.full(n_actions, gripper))
 
 

@@ -1,9 +1,10 @@
 """Serial-chain robot model: URDF-subset parsing, FK, Jacobian, and DLS IK.
 
-The chain is a strictly serial sequence of revolute/prismatic joints.
-Fixed joints found while parsing are folded into the next joint's origin
-(trailing fixed joints fold into the tool offset). Inertial, visual, and
-collision elements are ignored.
+The chain is a strictly serial sequence of revolute/prismatic joints. Joint
+origins, the tool offset, ``fk``'s result and ``ik_dls``'s target are 4x4
+homogeneous arrays. Fixed joints found while parsing are folded into the
+next joint's origin (trailing fixed joints fold into the tool offset).
+Inertial, visual, and collision elements are ignored.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import json_name, json_number, json_vector
-from .geometry import (
-    GeometryError,
-    Pose,
-    Rot3,
-    compose,
-    matrix_to_rotvec,
-    pose_from_dict,
-    pose_to_dict,
-)
+from .geometry import GeometryError, _freeze, _transform, matrix_to_rotvec, pose_from_dict, pose_to_dict
 
 __all__ = [
     "ChainError",
@@ -63,12 +56,12 @@ class UrdfParseError(ChainError):
 
 @dataclass(frozen=True, eq=False)
 class JointSpec:
-    """One revolute or prismatic joint: transform from the parent joint frame,
-    motion axis in the local frame, and position limits."""
+    """One revolute or prismatic joint: 4x4 transform from the parent joint
+    frame, motion axis in the local frame, and position limits."""
 
     name: str
     kind: str
-    origin: Pose
+    origin: np.ndarray
     axis: np.ndarray
     lower: float = -math.inf
     upper: float = math.inf
@@ -76,6 +69,7 @@ class JointSpec:
     def __post_init__(self):
         if self.kind not in (REVOLUTE, PRISMATIC):
             raise ChainError(f"joint {self.name!r}: unknown kind {self.kind!r}")
+        object.__setattr__(self, "origin", _transform(self.origin, f"joint {self.name!r}: origin"))
         a = np.asarray(self.axis, dtype=float).reshape(3)
         n = np.linalg.norm(a)
         if not np.isfinite(n):
@@ -91,13 +85,14 @@ class JointSpec:
 
 @dataclass(frozen=True, eq=False)
 class ChainSpec:
-    """Ordered serial chain plus a flange-to-tool offset."""
+    """Ordered serial chain plus a 4x4 flange-to-tool offset."""
 
     joints: tuple[JointSpec, ...]
-    ee_offset: Pose = field(default_factory=Pose.identity)
+    ee_offset: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self):
         object.__setattr__(self, "joints", tuple(self.joints))
+        object.__setattr__(self, "ee_offset", _transform(self.ee_offset, "ee_offset"))
         if len(self.joints) < 1:
             raise ChainError("a chain needs at least one joint")
         names = [j.name for j in self.joints]
@@ -110,10 +105,8 @@ class ChainSpec:
         revolute = np.array([j.kind == REVOLUTE for j in self.joints])
         basis = np.zeros((4, self.n, 4, 4))
         for i, j in enumerate(self.joints):
-            r_org = j.origin.rot.m
-            basis[0, i, :3, :3] = r_org
-            basis[0, i, :3, 3] = j.origin.pos
-            basis[0, i, 3, 3] = 1.0
+            r_org = j.origin[:3, :3]
+            basis[0, i] = j.origin
             if revolute[i]:
                 ax, ay, az = j.axis
                 skew = np.array([[0.0, -az, ay], [az, 0.0, -ax], [-ay, ax, 0.0]])
@@ -124,7 +117,6 @@ class ChainSpec:
         object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_axes", np.stack([j.axis for j in self.joints]))
         object.__setattr__(self, "_prismatic", np.flatnonzero(~revolute))
-        object.__setattr__(self, "_ee_matrix", self.ee_offset.as_matrix())
         object.__setattr__(self, "lower", np.array([j.lower for j in self.joints]))
         object.__setattr__(self, "upper", np.array([j.upper for j in self.joints]))
 
@@ -173,17 +165,16 @@ def _tools(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
     qc = np.minimum(np.maximum(q, chain.lower), chain.upper)
     if not np.array_equal(q, qc):
         logger.warning("fk: joint values clamped to limits (max excess %.3e)", np.abs(q - qc).max())
-    return _frames(chain, qc)[-1] @ chain._ee_matrix
+    return _frames(chain, qc)[-1] @ chain.ee_offset
 
 
-def fk(chain: ChainSpec, q) -> Pose:
-    """End-effector pose for joint values ``q``.
+def fk(chain: ChainSpec, q) -> np.ndarray:
+    """End-effector pose, a frozen 4x4 transform, for joint values ``q``.
 
     Out-of-limit values are clamped and logged; pass in-limit values to get
     the exact configuration.
     """
-    tool = _tools(chain, _check_q(chain, q)[None])[0]
-    return Pose(Rot3(tool[:3, :3]), tool[:3, 3])
+    return _freeze(_tools(chain, _check_q(chain, q)[None])[0])
 
 
 _LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -206,7 +197,7 @@ def _jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool: np.ndarr
 def jacobian(chain: ChainSpec, q) -> np.ndarray:
     """Geometric Jacobian in the base frame: rows 0..2 linear (m), 3..5 angular (rad)."""
     frames = _frames(chain, _check_q(chain, q)[None])
-    return _jacobian_from_frames(chain, frames, (frames[-1] @ chain._ee_matrix)[:, :3, 3])[0]
+    return _jacobian_from_frames(chain, frames, (frames[-1] @ chain.ee_offset)[:, :3, 3])[0]
 
 
 def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q_seed: np.ndarray, max_iters: int):
@@ -228,7 +219,7 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
     out = [None] * q.shape[0]
     for it in range(max_iters + 1):
         frames = _frames(chain, q)
-        tool = frames[-1] @ chain._ee_matrix
+        tool = frames[-1] @ chain.ee_offset
         e_rot = matrix_to_rotvec(target_rot @ tool[:, :3, :3].transpose(0, 2, 1))
         err = np.concatenate([target_pos - tool[:, :3, 3], e_rot], axis=1)
         # position and rotation residuals, each summed as a 1-D e @ e would be
@@ -256,8 +247,8 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
     return np.array(q_best), np.array(res_pos), np.array(res_rot), np.array(converged), np.array(iterations)
 
 
-def ik_dls(chain: ChainSpec, target: Pose, q_seed, max_iters: int = 200) -> IkResult:
-    """Damped-least-squares IK toward ``target``, seeded at ``q_seed``.
+def ik_dls(chain: ChainSpec, target, q_seed, max_iters: int = 200) -> IkResult:
+    """Damped-least-squares IK toward the 4x4 transform ``target``, seeded at ``q_seed``.
 
     Iterates dq = J^T (J J^T + IK_DAMPING^2 I)^-1 e with the step clamped to
     ``IK_MAX_STEP`` per joint and iterates clamped to joint limits, until it
@@ -267,7 +258,8 @@ def ik_dls(chain: ChainSpec, target: Pose, q_seed, max_iters: int = 200) -> IkRe
     residuals reporting the outcome.
     """
     q_seed = _check_q(chain, q_seed)[None]
-    q, pos, rot, ok, its = _ik_rows(chain, target.rot.m[None], target.pos[None], q_seed, max_iters)
+    target = _transform(target, "target")
+    q, pos, rot, ok, its = _ik_rows(chain, target[None, :3, :3], target[None, :3, 3], q_seed, max_iters)
     return IkResult(q[0], float(pos[0]), float(rot[0]), bool(ok[0]), int(its[0]))
 
 
@@ -288,9 +280,10 @@ def _rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def _parse_origin(elem: ET.Element | None, where: str) -> Pose:
+def _parse_origin(elem: ET.Element | None, where: str) -> np.ndarray:
+    t = np.eye(4)
     if elem is None:
-        return Pose.identity()
+        return t
     try:
         xyz = [float(v) for v in elem.get("xyz", "0 0 0").split()]
         rpy = [float(v) for v in elem.get("rpy", "0 0 0").split()]
@@ -298,7 +291,17 @@ def _parse_origin(elem: ET.Element | None, where: str) -> Pose:
         raise UrdfParseError(f"{where}: malformed origin attributes") from exc
     if len(xyz) != 3 or len(rpy) != 3 or not all(map(math.isfinite, xyz + rpy)):
         raise UrdfParseError(f"{where}: origin xyz/rpy need exactly 3 finite numbers")
-    return Pose(Rot3(_rpy_matrix(*rpy)), np.array(xyz))
+    t[:3, :3] = _rpy_matrix(*rpy)
+    t[:3, 3] = xyz
+    return t
+
+
+def _fold(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a`` then ``b`` as (R_a R_b, R_a p_b + p_a): a 4x4 product would round the translation differently."""
+    t = np.eye(4)
+    t[:3, :3] = a[:3, :3] @ b[:3, :3]
+    t[:3, 3] = a[:3, :3] @ b[:3, 3] + a[:3, 3]
+    return t
 
 
 def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
@@ -359,7 +362,7 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
         raise UrdfParseError(f"tip link {tip!r} not declared")
 
     joints: list[JointSpec] = []
-    pending = Pose.identity()  # accumulated fixed-joint transform
+    pending = np.eye(4)  # accumulated fixed-joint transform
     current = roots[0]
     while current != tip:
         outgoing = children.get(current, [])
@@ -370,7 +373,7 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
         if len(outgoing) > 1:
             raise UrdfParseError(f"unsupported: non-serial chain (link {current!r} has {len(outgoing)} child joints)")
         joint, jname, jtype, child = outgoing[0]
-        origin = compose(pending, _parse_origin(joint.find("origin"), f"joint {jname!r}"))
+        origin = _fold(pending, _parse_origin(joint.find("origin"), f"joint {jname!r}"))
         if jtype == "fixed":
             pending = origin
         else:
@@ -394,14 +397,17 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
             try:
                 kind = REVOLUTE if jtype == "continuous" else jtype
                 joints.append(JointSpec(jname, kind, origin, np.array(axis), lower, upper))
-            except (ChainError, GeometryError) as exc:
-                raise UrdfParseError(f"joint {jname!r}: {exc}") from exc
-            pending = Pose.identity()
+            except (ChainError, GeometryError) as exc:  # each names the joint
+                raise UrdfParseError(str(exc)) from exc
+            pending = np.eye(4)
         current = child
 
     if not joints:
         raise UrdfParseError("no revolute or prismatic joint on the root-to-tip path")
-    return ChainSpec(tuple(joints), ee_offset=pending)
+    try:
+        return ChainSpec(tuple(joints), ee_offset=pending)
+    except GeometryError as exc:
+        raise UrdfParseError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +422,13 @@ def chain_to_dict(chain: ChainSpec) -> dict:
             {
                 "name": j.name,
                 "kind": j.kind,
-                "origin": pose_to_dict(j.origin.as_matrix()),
+                "origin": pose_to_dict(j.origin),
                 "axis": [float(v) for v in j.axis],
                 "limits": [v if math.isfinite(v) else None for v in (j.lower, j.upper)],
             }
             for j in chain.joints
         ],
-        "ee_offset": pose_to_dict(chain.ee_offset.as_matrix()),
+        "ee_offset": pose_to_dict(chain.ee_offset),
     }
 
 
@@ -447,5 +453,5 @@ def chain_from_dict(d: dict, source: str = "chain") -> ChainSpec:
         if j["kind"] not in (REVOLUTE, PRISMATIC):  # also every value that is not a string
             raise ChainError(f"{where}.kind: expected {REVOLUTE!r} or {PRISMATIC!r}")
         joints.append(JointSpec(name, j["kind"], origin, np.array(axis), lower, upper))
-    ee = pose_from_dict(d["ee_offset"], f"{source}.ee_offset") if "ee_offset" in d else Pose.identity()
+    ee = pose_from_dict(d["ee_offset"], f"{source}.ee_offset") if "ee_offset" in d else np.eye(4)
     return ChainSpec(tuple(joints), ee_offset=ee)

@@ -1,15 +1,14 @@
-"""Rotation and rigid-transform algebra.
+"""Rotation and rigid-transform helpers on plain arrays.
 
-Rotations are stored as orthonormal 3x3 matrices, rigid transforms as a
-(rotation, translation) pair, and unit quaternions (wxyz, w >= 0) are the
-file interchange format. All values are immutable after construction and
-every operation is pure.
+Rotations are orthonormal 3x3 arrays and rigid transforms 4x4 homogeneous
+arrays; unit quaternions (w, x, y, z with w >= 0) are the file interchange
+format. ``_transform`` validates a transform where a caller hands one in,
+and every other function is pure.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,17 +16,10 @@ from . import json_vector
 
 __all__ = [
     "GeometryError",
-    "Rot3",
-    "Pose",
-    "UnitQuat",
-    "compose",
-    "inverse",
     "rotation_angle",
     "rot_frobenius_loss",
     "quat_to_rot",
     "rot_to_quat",
-    "rot_x",
-    "rot_z",
     "axis_angle_to_matrix",
     "matrix_to_rotvec",
     "pose_to_dict",
@@ -50,70 +42,26 @@ def _freeze(a, shape=None) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class Rot3:
-    """Orthonormal rotation matrix, validated at construction (tol 1e-6)."""
-
-    m: np.ndarray
-
-    def __post_init__(self):
-        a = _freeze(self.m)
-        if a.shape != (3, 3):
-            raise GeometryError(f"expected a 3x3 matrix, got shape {a.shape}")
-        err = np.abs(a.T @ a - np.eye(3)).max()
-        if err > _VALID_TOL:
-            raise GeometryError(f"matrix is not orthonormal, |R^T R - I|_max = {err:.3e}")
-        if abs(np.linalg.det(a) - 1.0) > _VALID_TOL:
-            raise GeometryError("matrix determinant is not +1 (reflection or scaling)")
-        object.__setattr__(self, "m", a)
-
-    @staticmethod
-    def identity() -> "Rot3":
-        return Rot3(np.eye(3))
-
-    def __matmul__(self, other: "Rot3") -> "Rot3":
-        return Rot3(self.m @ other.m)
+def _transform(t, what: str) -> np.ndarray:
+    """``t`` as a frozen 4x4 rigid transform. Raises GeometryError naming ``what`` unless its rotation block
+    is orthonormal with determinant +1 (tol 1e-6), its translation finite and its last row (0, 0, 0, 1)."""
+    a = _freeze(t)
+    if a.shape != (4, 4):
+        raise GeometryError(f"{what}: expected a 4x4 transform, got shape {a.shape}")
+    r = a[:3, :3]
+    err = np.abs(r.T @ r - np.eye(3)).max()
+    if not err <= _VALID_TOL:  # also a NaN
+        raise GeometryError(f"{what}: rotation is not orthonormal, |R^T R - I|_max = {err:.3e}")
+    if not abs(np.linalg.det(r) - 1.0) <= _VALID_TOL:
+        raise GeometryError(f"{what}: rotation determinant is not +1 (reflection or scaling)")
+    if not np.isfinite(a[:3, 3]).all() or not np.array_equal(a[3], [0.0, 0.0, 0.0, 1.0]):
+        raise GeometryError(f"{what}: translation must be finite and the last row (0, 0, 0, 1)")
+    return a
 
 
-@dataclass(frozen=True, eq=False)
-class Pose:
-    """Rigid transform: rotation followed by translation (meters)."""
-
-    rot: Rot3
-    pos: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pos", _freeze(self.pos, 3))
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(Rot3.identity(), np.zeros(3))
-
-    @staticmethod
-    def from_translation(x: float, y: float, z: float) -> "Pose":
-        return Pose(Rot3.identity(), np.array([x, y, z]))
-
-    def as_matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 embedding of the transform."""
-        t = np.eye(4)
-        t[:3, :3] = self.rot.m
-        t[:3, 3] = self.pos
-        return t
-
-
-def compose(a: Pose, b: Pose) -> Pose:
-    """Apply ``a`` then ``b`` in standard homogeneous-matrix order (a @ b)."""
-    return Pose(a.rot @ b.rot, a.rot.m @ b.pos + a.pos)
-
-
-def inverse(p: Pose) -> Pose:
-    rt = p.rot.m.T
-    return Pose(Rot3(rt), -(rt @ p.pos))
-
-
-def rotation_angle(a: Rot3, b: Rot3) -> float:
-    """Geodesic angle between two rotations, in [0, pi]."""
-    c = 0.5 * (np.trace(a.m.T @ b.m) - 1.0)
+def rotation_angle(a, b) -> float:
+    """Geodesic angle between two 3x3 rotations, in [0, pi]."""
+    c = 0.5 * (np.trace(np.transpose(a) @ b) - 1.0)
     return math.acos(min(1.0, max(-1.0, c)))
 
 
@@ -128,41 +76,25 @@ def rot_frobenius_loss(a, b) -> np.ndarray:
     return np.array([math.asin(min(1.0, x)) for x in fro.tolist()]).reshape(d.shape[:-2])
 
 
-@dataclass(frozen=True)
-class UnitQuat:
-    """Unit quaternion (w, x, y, z), canonicalized to w >= 0."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if not abs(n - 1.0) <= _VALID_TOL:  # also a NaN norm
-            raise GeometryError(f"quaternion norm {n:.9f} deviates from 1 beyond 1e-6")
-        sign = -1.0 if self.w < 0.0 else 1.0
-        scale = sign / n
-        for name, v in (("w", self.w), ("x", self.x), ("y", self.y), ("z", self.z)):
-            object.__setattr__(self, name, v * scale)
-
-
-def quat_to_rot(q: UnitQuat) -> Rot3:
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return Rot3(
-        np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
+def quat_to_rot(wxyz) -> np.ndarray:
+    """The 3x3 rotation of a quaternion (w, x, y, z), normalized; its norm must be 1 within 1e-6."""
+    w, x, y, z = wxyz
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if not abs(n - 1.0) <= _VALID_TOL:  # also a NaN norm
+        raise GeometryError(f"quaternion norm {n:.9f} deviates from 1 beyond 1e-6")
+    scale = (-1.0 if w < 0.0 else 1.0) / n
+    w, x, y, z = w * scale, x * scale, y * scale, z * scale
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
     )
 
 
-def rot_to_quat(r: Rot3) -> UnitQuat:
-    """Convert a rotation matrix to a unit quaternion (Shepperd's method)."""
-    m = r.m
+def rot_to_quat(m) -> list[float]:
+    """The unit quaternion (w, x, y, z), w >= 0, of a 3x3 rotation (Shepperd's method)."""
     tr = np.trace(m)
     if tr > 0.0:
         s = math.sqrt(tr + 1.0) * 2.0
@@ -188,7 +120,8 @@ def rot_to_quat(r: Rot3) -> UnitQuat:
         x = (m[0, 2] + m[2, 0]) / s
         y = (m[1, 2] + m[2, 1]) / s
         z = 0.25 * s
-    return UnitQuat(w, x, y, z)
+    scale = (-1.0 if w < 0.0 else 1.0) / math.sqrt(w**2 + x**2 + y**2 + z**2)
+    return [float(w * scale), float(x * scale), float(y * scale), float(z * scale)]
 
 
 def axis_angle_to_matrix(axis, angle: float) -> np.ndarray:
@@ -225,29 +158,24 @@ def matrix_to_rotvec(m) -> np.ndarray:
     return np.array(out).reshape(m.shape[:-1])
 
 
-def rot_x(angle: float) -> Rot3:
-    return Rot3(axis_angle_to_matrix([1.0, 0.0, 0.0], angle))
-
-
-def rot_z(angle: float) -> Rot3:
-    return Rot3(axis_angle_to_matrix([0.0, 0.0, 1.0], angle))
-
-
 def pose_to_dict(t) -> dict:
     """The pose object of a 4x4 homogeneous transform."""
-    q = rot_to_quat(Rot3(t[:3, :3]))
-    return {"xyz": [float(v) for v in t[:3, 3]], "quat_wxyz": [q.w, q.x, q.y, q.z]}
+    t = _transform(t, "pose")
+    return {"xyz": [float(v) for v in t[:3, 3]], "quat_wxyz": rot_to_quat(t[:3, :3])}
 
 
-def pose_from_dict(d: dict, where: str = "pose") -> Pose:
-    """Parse a pose object; an error names the offending field under ``where``."""
+def pose_from_dict(d: dict, where: str = "pose") -> np.ndarray:
+    """Parse a pose object into a frozen 4x4 transform; an error names the offending field under ``where``."""
     if not isinstance(d, dict) or "xyz" not in d or "quat_wxyz" not in d:
         raise GeometryError(f"{where}: needs 'xyz' and 'quat_wxyz' fields")
     xyz = json_vector(d["xyz"], 3, GeometryError(f"{where}.xyz: expected 3 numbers"))
     quat = json_vector(d["quat_wxyz"], 4, GeometryError(f"{where}.quat_wxyz: expected 4 numbers"))
     if not all(map(math.isfinite, xyz)):
         raise GeometryError(f"{where}.xyz: values must be finite")
+    t = np.eye(4)
     try:
-        return Pose(quat_to_rot(UnitQuat(*quat)), xyz)
+        t[:3, :3] = quat_to_rot(quat)
     except GeometryError as exc:
         raise GeometryError(f"{where}.quat_wxyz: {exc}") from exc
+    t[:3, 3] = xyz
+    return _freeze(t)

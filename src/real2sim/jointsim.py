@@ -19,8 +19,8 @@ import numpy as np
 from . import json_number, json_vector
 from .chain import ChainSpec, _tools, ik_dls
 from .controller import ControllerError, CtrlConfig, google_grip_step, google_step, widowx_step
-from .geometry import (GeometryError, Pose, Rot3, UnitQuat, _freeze, axis_angle_to_matrix, matrix_to_rotvec,
-                       pose_from_dict, pose_to_dict, quat_to_rot)
+from .geometry import (GeometryError, _freeze, axis_angle_to_matrix, matrix_to_rotvec, pose_from_dict, pose_to_dict,
+                       quat_to_rot)
 
 __all__ = [
     "JointSimError",
@@ -113,7 +113,7 @@ def _action_row(d, where: str) -> list[float]:
         raise ControllerError(f"{where}: action values must be finite")
     if n == 4:
         try:
-            return [*xyz, *quat_to_rot(UnitQuat(*rot_values)).m.flat, g]
+            return [*xyz, *quat_to_rot(rot_values).flat, g]
         except GeometryError as exc:
             raise ControllerError(f"{where}.quat_wxyz: {exc}") from exc
     angle = float(np.linalg.norm(rot_values))
@@ -176,7 +176,7 @@ class TrajectoryRecord:
                 isinstance(d.get(k), list) for k in ("actions", "ee_poses")):
             raise JointSimError(f"{source}: needs 'actions' and 'ee_poses' lists and 'ctrl_frequency'")
         rows = np.reshape([_action_row(a, f"{source}.actions[{i}]") for i, a in enumerate(d["actions"])], (-1, 13))
-        poses = [pose_from_dict(p, f"{source}.ee_poses[{i}]").as_matrix() for i, p in enumerate(d["ee_poses"])]
+        poses = [pose_from_dict(p, f"{source}.ee_poses[{i}]") for i, p in enumerate(d["ee_poses"])]
         freq = json_number(d["ctrl_frequency"], JointSimError(f"{source}.ctrl_frequency: expected a number"))
         jp = d.get("joint_positions")
         if jp is not None:
@@ -416,15 +416,13 @@ def _record_q_init(chain: ChainSpec, rec: TrajectoryRecord, where: str = "") -> 
     if jp is not None and jp.shape[1] != chain.n:
         raise JointSimError(f"{where}joint_positions: rows of {jp.shape[1]} values for a {chain.n}-joint chain")
     try:
-        return initial_joint_positions(chain, Pose(Rot3(first[:3, :3]), first[:3, 3])) if jp is None else jp[0]
+        return initial_joint_positions(chain, first) if jp is None else jp[0]
     except JointSimError as exc:
         raise JointSimError(f"{where}ee_poses[0]: {exc}") from exc
 
 
-def initial_joint_positions(
-    chain: ChainSpec, pose: Pose, q_seed=None, ik_iters: int = 500
-) -> np.ndarray:
-    """Joint configuration matching a reference pose, found by IK."""
+def initial_joint_positions(chain: ChainSpec, pose, q_seed=None, ik_iters: int = 500) -> np.ndarray:
+    """Joint configuration matching a reference pose (a 4x4 transform), found by IK."""
     seed = np.zeros(chain.n) if q_seed is None else np.asarray(q_seed, dtype=float)
     result = ik_dls(chain, pose, seed, ik_iters)
     if not result.converged:

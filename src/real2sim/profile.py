@@ -92,7 +92,12 @@ class MotionPlan:
         d, j = dur.reshape(q0.size, -1), jrk.reshape(q0.size, -1)  # a row per DOF of every record
         zero = np.zeros(q0.size)
         # scalar pow: numpy's vectorised pow can differ from libm's in the last bit
-        cubes = np.array([[t**3 for t in row] for row in d.tolist()]).reshape(d.shape)
+        try:
+            cubes = np.array([[t**3 for t in row] for row in d.tolist()]).reshape(d.shape)
+        except OverflowError:  # if any cube overflows, the longest segment's does: name its DOF
+            row, seg = np.unravel_index(np.argmax(d), d.shape)
+            raise PlanningError(f"DOF {row % q0.shape[-1]}: a segment of {d[row, seg]:.3g} s overflows the "
+                                f"float range of t**3") from None
         knots = _accumulate(zero, d)
         ak = _accumulate(zero, j * d)
         vk = _accumulate(v0.ravel(), ak[:, :-1] * d, 0.5 * j * d * d)

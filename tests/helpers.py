@@ -13,43 +13,53 @@ import numpy as np
 from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
 from real2sim.chain import (IK_DAMPING, IK_MAX_STEP, IK_STALL_ITERS, IK_TOL_POS, IK_TOL_ROT, ChainSpec, IkResult,
                             JointSpec)
-from real2sim.geometry import Pose, Rot3, UnitQuat, axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
+from real2sim.geometry import axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from real2sim.metrics import (DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError,
                               _chi2_sf_1df)
 from real2sim.profile import LimitSet, PlanningError
 from real2sim.sysid import SysIdError, TrajectoryLosses
 
 
-def random_rotation(rng: np.random.Generator) -> Rot3:
+def transform(pos=(0.0, 0.0, 0.0), rot=np.eye(3)) -> np.ndarray:
+    """The 4x4 homogeneous transform of a translation and a 3x3 rotation (default: none)."""
+    t = np.eye(4)
+    t[:3, :3] = rot
+    t[:3, 3] = pos
+    return t
+
+
+def rot_z(angle: float) -> np.ndarray:
+    return axis_angle_to_matrix([0.0, 0.0, 1.0], angle)
+
+
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
-    return quat_to_rot(UnitQuat(*v))
+    return quat_to_rot(v)
 
 
-def half_turn(rng: np.random.Generator, r: Rot3) -> Rot3:
+def half_turn(rng: np.random.Generator, r: np.ndarray) -> np.ndarray:
     """``r`` followed by half a turn about a random axis: the antipode of ``r`` in the rotation loss."""
-    return Rot3(r.m @ axis_angle_to_matrix(rng.normal(size=3), math.pi))
+    return r @ axis_angle_to_matrix(rng.normal(size=3), math.pi)
 
 
 def planar_2link(l1: float = 1.0, l2: float = 1.0) -> ChainSpec:
     z = np.array([0.0, 0.0, 1.0])
     return ChainSpec(
         (
-            JointSpec("j1", "revolute", Pose.identity(), z, -2 * np.pi, 2 * np.pi),
-            JointSpec("j2", "revolute", Pose.from_translation(l1, 0, 0), z, -2 * np.pi, 2 * np.pi),
+            JointSpec("j1", "revolute", np.eye(4), z, -2 * np.pi, 2 * np.pi),
+            JointSpec("j2", "revolute", transform((l1, 0, 0)), z, -2 * np.pi, 2 * np.pi),
         ),
-        ee_offset=Pose.from_translation(l2, 0, 0),
+        ee_offset=transform((l2, 0, 0)),
     )
 
 
 def planar_3link() -> ChainSpec:
     z = np.array([0.0, 0.0, 1.0])
-    joints = [JointSpec("j1", "revolute", Pose.identity(), z, -np.pi, np.pi)]
+    joints = [JointSpec("j1", "revolute", np.eye(4), z, -np.pi, np.pi)]
     for i in (2, 3):
-        joints.append(
-            JointSpec(f"j{i}", "revolute", Pose.from_translation(0.5, 0, 0), z, -np.pi, np.pi)
-        )
-    return ChainSpec(tuple(joints), ee_offset=Pose.from_translation(0.4, 0, 0))
+        joints.append(JointSpec(f"j{i}", "revolute", transform((0.5, 0, 0)), z, -np.pi, np.pi))
+    return ChainSpec(tuple(joints), ee_offset=transform((0.4, 0, 0)))
 
 
 def random_serial_chain(rng: np.random.Generator, n: int) -> ChainSpec:
@@ -58,12 +68,10 @@ def random_serial_chain(rng: np.random.Generator, n: int) -> ChainSpec:
     for i in range(n):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        origin = Pose(
-            random_rotation(rng) if i else Rot3(np.eye(3)),
-            np.array([rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)]),
-        )
+        rot = random_rotation(rng) if i else np.eye(3)
+        origin = transform([rng.uniform(0.2, 0.5), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)], rot)
         joints.append(JointSpec(f"j{i}", "revolute", origin, axis, -np.pi, np.pi))
-    return ChainSpec(tuple(joints), ee_offset=Pose.from_translation(0.1, 0, 0))
+    return ChainSpec(tuple(joints), ee_offset=transform((0.1, 0, 0)))
 
 
 def integrate_profile(plan, dt=1e-4):
@@ -489,24 +497,18 @@ def ref_frames(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
     return local
 
 
-def ref_fk(chain: ChainSpec, q) -> Pose:
-    tool = ref_frames(chain, np.clip(q, chain.lower, chain.upper))[-1] @ chain._ee_matrix
-    return Pose(Rot3(tool[:3, :3]), tool[:3, 3])
+def ref_fk(chain: ChainSpec, q) -> np.ndarray:
+    return ref_frames(chain, np.clip(q, chain.lower, chain.upper))[-1] @ chain.ee_offset
 
 
-def pose_stack(poses) -> np.ndarray:
-    """The (T, 4, 4) homogeneous matrices of a pose sequence, the format the replay loss takes."""
-    return np.stack([p.as_matrix() for p in poses])
-
-
-def ref_rot_frobenius_loss(a: Rot3, b: Rot3) -> float:
+def ref_rot_frobenius_loss(a: np.ndarray, b: np.ndarray) -> float:
     """One pair at a time: arcsin(|a - b|_F / (2 sqrt 2)), the argument clamped to [0, 1]."""
-    fro = np.linalg.norm(a.m - b.m)
+    fro = np.linalg.norm(a - b)
     return math.asin(min(1.0, fro / (2.0 * math.sqrt(2.0))))
 
 
 def ref_trajectory_losses(ref, sim) -> TrajectoryLosses:
-    """Pose by pose: mean translation and rotation losses between two Pose sequences."""
+    """Pose by pose: mean translation and rotation losses between two sequences of 4x4 transforms."""
     if len(ref) == 0:
         raise SysIdError("empty pose sequences")
     if len(ref) != len(sim):
@@ -514,8 +516,8 @@ def ref_trajectory_losses(ref, sim) -> TrajectoryLosses:
     l_t = 0.0
     l_r = 0.0
     for a, b in zip(ref, sim):
-        l_t += float(np.linalg.norm(a.pos - b.pos))
-        l_r += ref_rot_frobenius_loss(a.rot, b.rot)
+        l_t += float(np.linalg.norm(a[:3, 3] - b[:3, 3]))
+        l_r += ref_rot_frobenius_loss(a[:3, :3], b[:3, :3])
     l_t /= len(ref)
     l_r /= len(ref)
     return TrajectoryLosses(l_t, l_r, l_t + l_r)
@@ -534,7 +536,7 @@ def ref_jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool) -> np
     return np.concatenate([np.where(revolute, lin, axes_w), np.where(revolute, axes_w, 0.0)])
 
 
-def ref_ik_dls(chain: ChainSpec, target: Pose, q_seed, max_iters: int = 200) -> IkResult:
+def ref_ik_dls(chain: ChainSpec, target: np.ndarray, q_seed, max_iters: int = 200) -> IkResult:
     """The scalar DLS loop: one configuration, Python-float bookkeeping, and
     the same stop once the best residual has not improved for IK_STALL_ITERS."""
     q = np.clip(np.asarray(q_seed, dtype=float), chain.lower, chain.upper)
@@ -544,10 +546,10 @@ def ref_ik_dls(chain: ChainSpec, target: Pose, q_seed, max_iters: int = 200) -> 
     iterations = 0
     for it in range(max_iters + 1):
         frames = ref_frames(chain, q)
-        tool = frames[-1] @ chain._ee_matrix
+        tool = frames[-1] @ chain.ee_offset
         p = tool[:3, 3]
-        e_pos = target.pos - p
-        e_rot = matrix_to_rotvec(target.rot.m @ tool[:3, :3].T)
+        e_pos = target[:3, 3] - p
+        e_rot = matrix_to_rotvec(target[:3, :3] @ tool[:3, :3].T)
         res_pos = math.sqrt(e_pos @ e_pos)
         res_rot = math.sqrt(e_rot @ e_rot)
         if res_pos + res_rot < best_pos + best_rot:
@@ -618,7 +620,7 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
     last_goal = q
     for delta_pos, delta_rot in zip(*actions[:2]):
         base = ref_fk(chain, q if kind == "google" else last_goal)
-        goal = Pose(Rot3(delta_rot) @ base.rot, base.pos + delta_pos)
+        goal = transform(base[:3, 3] + delta_pos, delta_rot @ base[:3, :3])
         ik = ref_ik_dls(chain, goal, q, ik_iters)
         stats.append((ik.iterations, ik.converged))
         if kind == "google":

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import real2sim.chain as chain_module
-from helpers import random_serial_chain, ref_ik_dls
+from helpers import random_serial_chain, ref_ik_dls, rot_z, transform
 from real2sim import controller
 from real2sim.bench import recovery_setup
 from real2sim.chain import (
@@ -22,7 +22,6 @@ from real2sim.chain import (
     jacobian,
     parse_urdf_subset,
 )
-from real2sim.geometry import Pose, compose, rot_z
 from real2sim.jointsim import _record_q_init, _simulate
 
 PLANAR_URDF = """<robot name="planar">
@@ -49,15 +48,15 @@ PLANAR_URDF = """<robot name="planar">
 
 
 def test_fk_straight(two_link):
-    np.testing.assert_allclose(fk(two_link, [0.0, 0.0]).pos, [2, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(fk(two_link, [0.0, 0.0])[:3, 3], [2, 0, 0], atol=1e-12)
 
 
 def test_fk_rigid_rotation(two_link):
-    np.testing.assert_allclose(fk(two_link, [math.pi / 2, 0.0]).pos, [0, 2, 0], atol=1e-12)
+    np.testing.assert_allclose(fk(two_link, [math.pi / 2, 0.0])[:3, 3], [0, 2, 0], atol=1e-12)
 
 
 def test_fk_elbow(two_link):
-    np.testing.assert_allclose(fk(two_link, [math.pi / 2, -math.pi / 2]).pos, [1, 1, 0], atol=1e-12)
+    np.testing.assert_allclose(fk(two_link, [math.pi / 2, -math.pi / 2])[:3, 3], [1, 1, 0], atol=1e-12)
 
 
 def test_fk_dimension_mismatch(two_link):
@@ -70,8 +69,8 @@ def test_parse_planar_urdf():
     assert chain.n == 2
     assert all(j.kind == "revolute" for j in chain.joints)
     np.testing.assert_allclose(np.stack([j.axis for j in chain.joints]), [[0, 0, 1], [0, 0, 1]])
-    np.testing.assert_allclose(chain.ee_offset.pos, [1, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(fk(chain, [0, 0]).pos, [2, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(chain.ee_offset[:3, 3], [1, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(fk(chain, [0, 0])[:3, 3], [2, 0, 0], atol=1e-12)
 
 
 def test_parse_folds_mid_chain_fixed_joint():
@@ -95,9 +94,29 @@ def test_parse_folds_mid_chain_fixed_joint():
     assert chain.n == 2
     assert [j.kind for j in chain.joints] == ["revolute", "prismatic"]
     # the fixed origin composes into j2's origin
-    expected = compose(Pose(rot_z(1.0), np.array([0.5, 0, 0])), Pose.from_translation(0.25, 0, 0))
-    np.testing.assert_allclose(chain.joints[1].origin.pos, expected.pos, atol=1e-12)
-    np.testing.assert_allclose(chain.joints[1].origin.rot.m, expected.rot.m, atol=1e-12)
+    expected = transform((0.5, 0, 0), rot_z(1.0)) @ transform((0.25, 0, 0))
+    np.testing.assert_allclose(chain.joints[1].origin, expected, atol=1e-12)
+
+
+def test_parse_folds_a_fixed_mount_bit_for_bit():
+    # the fold is (R_m R_1, R_m p_1 + p_m); for these values a 4x4 product rounds the translation differently
+    mount, first = ((0.71, -0.93, 0.46), (-0.65, 0.73, 0.08)), ((-0.4, -0.15, -0.94), (-0.75, 0.34, 0.29))
+    urdf = """<robot name="mounted">
+      <link name="world"/><link name="base"/><link name="l1"/>
+      <joint name="mount" type="fixed">
+        <origin rpy="0.71 -0.93 0.46" xyz="-0.65 0.73 0.08"/>
+        <parent link="world"/><child link="base"/>
+      </joint>
+      <joint name="j1" type="revolute">
+        <origin rpy="-0.4 -0.15 -0.94" xyz="-0.75 0.34 0.29"/>
+        <parent link="base"/><child link="l1"/>
+        <axis xyz="0 0 1"/>
+      </joint>
+    </robot>"""
+    (r_m, p_m), (r_1, p_1) = [(chain_module._rpy_matrix(*rpy), np.array(xyz)) for rpy, xyz in (mount, first)]
+    want = transform(r_m @ p_1 + p_m, r_m @ r_1)
+    assert not np.array_equal((transform(p_m, r_m) @ transform(p_1, r_1))[:3, 3], want[:3, 3])
+    assert np.array_equal(parse_urdf_subset(urdf).joints[0].origin, want)
 
 
 def test_parse_rejects_branching():
@@ -160,7 +179,7 @@ def test_continuous_joint_is_an_unlimited_revolute_joint():
     for _ in range(20):
         q = [rng.uniform(-8.0, 8.0), rng.uniform(-3.0, 3.0)]
         a, b = fk(continuous, q), fk(unlimited, q)
-        assert np.array_equal(a.pos, b.pos) and np.array_equal(a.rot.m, b.rot.m)
+        assert np.array_equal(a, b)
 
 
 def test_parse_rejects_missing_axis():
@@ -168,11 +187,26 @@ def test_parse_rejects_missing_axis():
         parse_urdf_subset(PLANAR_URDF.replace('<axis xyz="0 0 1"/>', "", 1))
 
 
+def test_parse_names_a_bad_joint_once():
+    with pytest.raises(UrdfParseError, match="^joint 'j1': axis has zero norm$"):
+        parse_urdf_subset(PLANAR_URDF.replace('<axis xyz="0 0 1"/>', '<axis xyz="0 0 0"/>', 1))
+
+
 @pytest.mark.parametrize("origin", ['xyz="nan 0 0"', 'xyz="1e400 0 0"', 'rpy="0 inf 0"'])
 def test_parse_rejects_non_finite_origin(origin):
     # float() reads these attribute texts, but a chain holding them would be written as NaN/Infinity
     with pytest.raises(UrdfParseError, match="j2.*finite numbers"):
         parse_urdf_subset(PLANAR_URDF.replace('<origin xyz="1 0 0"/>', f"<origin {origin}/>", 1))
+
+
+def test_parse_rejects_a_fold_past_the_float_range():
+    # two finite fixed offsets whose sum overflows: the tool offset would be written as Infinity
+    tail = """<link name="tip"/><joint name="jt2" type="fixed">
+      <origin xyz="1e308 0 0"/><parent link="tool"/><child link="tip"/></joint></robot>"""
+    jt = '<origin xyz="1 0 0"/>\n    <parent link="l2"/>'
+    urdf = PLANAR_URDF.replace(jt, jt.replace("1 0 0", "1e308 0 0"))
+    with np.errstate(over="ignore"), pytest.raises(UrdfParseError, match="^ee_offset: translation must be finite"):
+        parse_urdf_subset(urdf.replace("</robot>", tail))
 
 
 def test_parse_rejects_malformed_xml():
@@ -183,7 +217,7 @@ def test_parse_rejects_malformed_xml():
 def test_parse_with_tip_stops_early():
     chain = parse_urdf_subset(PLANAR_URDF, tip="l2")
     assert chain.n == 2
-    np.testing.assert_allclose(chain.ee_offset.pos, [0, 0, 0], atol=1e-12)
+    np.testing.assert_allclose(chain.ee_offset[:3, 3], [0, 0, 0], atol=1e-12)
 
 
 def test_parse_serialize_parse_identity():
@@ -196,8 +230,8 @@ def test_parse_serialize_parse_identity():
 def test_jacobian_single_revolute():
     z = np.array([0.0, 0.0, 1.0])
     chain = ChainSpec(
-        (JointSpec("j", "revolute", Pose.identity(), z, -3.0, 3.0),),
-        ee_offset=Pose.from_translation(1, 0, 0),
+        (JointSpec("j", "revolute", np.eye(4), z, -3.0, 3.0),),
+        ee_offset=transform((1, 0, 0)),
     )
     jac = jacobian(chain, [0.0])
     np.testing.assert_allclose(jac[:, 0], [0, 1, 0, 0, 0, 1], atol=1e-12)
@@ -205,7 +239,7 @@ def test_jacobian_single_revolute():
 
 def test_jacobian_prismatic():
     z = np.array([0.0, 0.0, 1.0])
-    chain = ChainSpec((JointSpec("j", "prismatic", Pose.identity(), z, -1.0, 1.0),))
+    chain = ChainSpec((JointSpec("j", "prismatic", np.eye(4), z, -1.0, 1.0),))
     jac = jacobian(chain, [0.3])
     np.testing.assert_allclose(jac[:, 0], [0, 0, 1, 0, 0, 0], atol=1e-12)
 
@@ -222,9 +256,9 @@ def test_jacobian_matches_finite_differences():
             qp[i] += eps
             qm[i] -= eps
             pp, pm = fk(chain, qp), fk(chain, qm)
-            lin = (pp.pos - pm.pos) / (2 * eps)
+            lin = (pp[:3, 3] - pm[:3, 3]) / (2 * eps)
             np.testing.assert_allclose(jac[:3, i], lin, atol=1e-5)
-            dr = pp.rot.m @ pm.rot.m.T
+            dr = pp[:3, :3] @ pm[:3, :3].T
             ang = np.array([dr[2, 1] - dr[1, 2], dr[0, 2] - dr[2, 0], dr[1, 0] - dr[0, 1]]) / (4 * eps)
             np.testing.assert_allclose(jac[3:, i], ang, atol=1e-5)
 
@@ -243,11 +277,11 @@ def test_ik_two_link_position(two_link):
     res = ik_dls(two_link, target, np.array([0.1, 0.1]))
     assert res.converged
     assert res.residual_pos < 1e-4
-    np.testing.assert_allclose(fk(two_link, res.q).pos, target.pos, atol=2e-4)
+    np.testing.assert_allclose(fk(two_link, res.q)[:3, 3], target[:3, 3], atol=2e-4)
 
 
 def test_ik_unreachable_reports_best_effort(two_link):
-    res = ik_dls(two_link, Pose.from_translation(10, 0, 0), np.array([0.1, 0.1]))
+    res = ik_dls(two_link, transform((10, 0, 0)), np.array([0.1, 0.1]))
     assert not res.converged
     assert res.residual_pos > 1.0
     assert np.all(np.isfinite(res.q))
@@ -257,12 +291,12 @@ def test_ik_respects_joint_limits():
     z = np.array([0.0, 0.0, 1.0])
     chain = ChainSpec(
         (
-            JointSpec("j1", "revolute", Pose.identity(), z, -0.5, 0.5),
-            JointSpec("j2", "revolute", Pose.from_translation(1, 0, 0), z, -0.5, 0.5),
+            JointSpec("j1", "revolute", np.eye(4), z, -0.5, 0.5),
+            JointSpec("j2", "revolute", transform((1, 0, 0)), z, -0.5, 0.5),
         ),
-        ee_offset=Pose.from_translation(1, 0, 0),
+        ee_offset=transform((1, 0, 0)),
     )
-    res = ik_dls(chain, Pose.from_translation(-2, 0, 0), np.zeros(2))
+    res = ik_dls(chain, transform((-2, 0, 0)), np.zeros(2))
     assert np.all(res.q >= chain.lower - 1e-12)
     assert np.all(res.q <= chain.upper + 1e-12)
 
@@ -291,9 +325,9 @@ def test_ik_lockstep_rows_match_solo_reference():
     q_true = rng.uniform(-2.0, 2.0, (6, 6))
     seeds = q_true + rng.normal(size=(6, 6)) * np.array([0.0, 0.02, 0.05, 0.1, 0.3, 0.1])[:, None]
     targets = [fk(chain, q) for q in q_true]
-    targets[5] = Pose(targets[5].rot, targets[5].pos * 10.0)
-    rots = np.array([t.rot.m for t in targets])
-    q, res_pos, res_rot, ok, its = _ik_rows(chain, rots, np.array([t.pos for t in targets]), seeds, 200)
+    targets[5] = transform(targets[5][:3, 3] * 10.0, targets[5][:3, :3])
+    stack = np.array(targets)
+    q, res_pos, res_rot, ok, its = _ik_rows(chain, stack[:, :3, :3], stack[:, :3, 3], seeds, 200)
     for b, target in enumerate(targets):
         for ref in (ref_ik_dls(chain, target, seeds[b]), ik_dls(chain, target, seeds[b])):
             assert np.array_equal(q[b], ref.q)
@@ -311,7 +345,7 @@ def test_ik_stops_a_row_once_it_stalls():
     chain = random_serial_chain(rng, 6)
     seed = rng.uniform(-2.0, 2.0, 6)
     near = fk(chain, seed)
-    target = Pose(near.rot, near.pos * 10.0)
+    target = transform(near[:3, 3] * 10.0, near[:3, :3])
     res = ik_dls(chain, target, seed, max_iters=200)
     assert not res.converged
     # the best iterate is first returned when max_iters reaches the iteration that found it

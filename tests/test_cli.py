@@ -884,7 +884,7 @@ def test_joint_positions_narrower_than_the_chain_exit_3(sysid_workspace, tmp_pat
 
 
 def test_replay_cli_gripper_overflow_exits_4(sysid_workspace, tmp_path, capsys):
-    # the gripper planner's cube of a 1e150 move overflows a float: a numerical failure, not a traceback
+    # the gripper planner's cube of a 1e150 move overflows a float: a planning error naming the DOF, not a traceback
     root = sysid_workspace
     rec = json.loads((root / "trajectories" / "rec0.json").read_text())
     rec["actions"][0]["gripper"] = 1e150
@@ -895,7 +895,8 @@ def test_replay_cli_gripper_overflow_exits_4(sysid_workspace, tmp_path, capsys):
                "--params", str(tmp_path / "pd.json"), "--controller", "google", "--sim-hz", "200", "--ctrl-hz", "5",
                "--out", str(out), "--dump-plan", str(plan_csv)])
     assert rc == 4
-    assert capsys.readouterr().err.startswith("error: ")
+    # the gripper is the plan's one DOF; the move's cruise segment lasts 1e150 s
+    assert capsys.readouterr().err == "error: DOF 0: a segment of 1e+150 s overflows the float range of t**3\n"
     assert not out.exists() and not plan_csv.exists()
 
 

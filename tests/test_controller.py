@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import RefGripState, random_rotation, ref_google_grip_step
+from helpers import RefGripState, random_rotation, ref_google_grip_step, rot_z, transform
 from real2sim.controller import (
     GOOGLE_GRIP_FILTER,
     GOOGLE_GRIP_LIMITS,
@@ -16,7 +16,6 @@ from real2sim.controller import (
 )
 from real2sim.chain import fk
 from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, default_config, replay_open_loop
-from real2sim.geometry import rot_z
 
 
 IDENTITY_ARM = (np.zeros((1, 3)), np.eye(3)[None])  # one record's delta_pos and delta_rot rows of a zero move
@@ -114,7 +113,7 @@ def test_google_rejects_missized_sensed(three_link):
 
 def test_google_deterministic(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    arm = (np.array([[0.01, 0.0, 0.0]]), rot_z(0.02).m[None])
+    arm = (np.array([[0.01, 0.0, 0.0]]), rot_z(0.02)[None])
     arm1 = google_step(0, *arm, q[None], np.zeros((1, 3)), three_link)
     arm2 = google_step(0, *arm, q[None], np.zeros((1, 3)), three_link)
     grip1, s1 = google_grip_step(np.array([0.2]), *grip_state(0.0, 0.0, 0.0))
@@ -129,7 +128,7 @@ def test_google_rows_step_independently(three_link):
     rng = np.random.default_rng(9)
     q = np.array([0.2, -0.3, 0.4]) + rng.normal(scale=0.1, size=(3, 3))
     v = rng.normal(scale=0.3, size=(3, 3))
-    moves = [(rng.normal(scale=0.01, size=3), rot_z(rng.normal(scale=0.05)).m) for _ in range(3)]
+    moves = [(rng.normal(scale=0.01, size=3), rot_z(rng.normal(scale=0.05))) for _ in range(3)]
     delta_pos, delta_rot = (np.array(x) for x in zip(*moves))
     batched = google_step(4, delta_pos, delta_rot, q, v, three_link)
     for b in range(3):
@@ -139,16 +138,9 @@ def test_google_rows_step_independently(three_link):
 
 
 def test_widowx_goal_pose_example():
-    rot, pos = widowx_goal_pose(np.array([1.0, 0, 0]), np.eye(3), np.array([0.1, 0, 0]), rot_z(math.pi / 2).m)
+    rot, pos = widowx_goal_pose(np.array([1.0, 0, 0]), np.eye(3), np.array([0.1, 0, 0]), rot_z(math.pi / 2))
     np.testing.assert_allclose(pos, [1.1, 0, 0], atol=1e-12)
-    np.testing.assert_allclose(rot, rot_z(math.pi / 2).m, atol=1e-12)
-
-
-def _hom(pos, rot):
-    t = np.eye(4)
-    t[:3, :3] = rot
-    t[:3, 3] = pos
-    return t
+    np.testing.assert_allclose(rot, rot_z(math.pi / 2), atol=1e-12)
 
 
 def test_widowx_shortcut_equals_explicit_product():
@@ -161,8 +153,8 @@ def test_widowx_shortcut_equals_explicit_product():
         xa = rng.normal(size=3) * 0.1
         r = random_rotation(rng)
         ra = random_rotation(rng)
-        rot, pos = widowx_goal_pose(x, r.m, xa, ra.m)
-        explicit = _hom(x, eye) @ _hom(xa, ra.m) @ _hom(-x, eye) @ _hom(x, r.m)
+        rot, pos = widowx_goal_pose(x, r, xa, ra)
+        explicit = transform(x, eye) @ transform(xa, ra) @ transform(-x, eye) @ transform(x, r)
         assert np.abs(pos - explicit[:3, 3]).max() < 1e-12
         assert np.abs(rot - explicit[:3, :3]).max() < 1e-12
 
@@ -184,7 +176,7 @@ def test_widowx_identity_action_keeps_goal(three_link):
 def test_widowx_gripper_passthrough(three_link):
     # the per-tick targets a plan sink sees: the goal held for 100 ticks, the raw gripper value
     q = np.array([0.2, -0.3, 0.4])
-    rec = TrajectoryRecord(*IDENTITY_ARM, [0.73], fk(three_link, q).as_matrix()[None], 5.0, np.array([q]))
+    rec = TrajectoryRecord(*IDENTITY_ARM, [0.73], fk(three_link, q)[None], 5.0, np.array([q]))
     dyn = JointDynamics.from_chain(three_link)
     seen = []
     replay_open_loop(three_link, dyn, PDParams(np.full(3, 80.0), np.full(3, 6.0)), "widowx", rec,
@@ -206,7 +198,7 @@ def test_widowx_chains_goals_not_sensed(three_link):
     ee2 = fk(three_link, t2[0])
     ee0 = fk(three_link, q)
     # two chained IK solves, each within the 1e-4 position tolerance
-    assert ee2.pos[0] == pytest.approx(ee0.pos[0] + 0.04, abs=5e-4)
+    assert ee2[0, 3] == pytest.approx(ee0[0, 3] + 0.04, abs=5e-4)
 
 
 @pytest.mark.parametrize(

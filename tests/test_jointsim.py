@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (dyn_step, fk_path_actions, planar_3link, pose_stack, ref_hold_target, ref_integrate_targets,
-                     ref_simulate)
+from helpers import (dyn_step, fk_path_actions, planar_3link, ref_hold_target, ref_integrate_targets, ref_simulate,
+                     transform)
 from real2sim import controller
-from real2sim.chain import fk
+from real2sim.chain import ChainSpec, JointSpec, fk
 from real2sim.controller import CtrlConfig
-from real2sim.geometry import Pose, Rot3
 from real2sim.jointsim import (
     JointDynamics,
     JointSimError,
@@ -220,7 +219,7 @@ def test_stiff_params_track_slow_actions(replay_setup):
 
 
 def test_record_alignment_validation():
-    pose = fk(planar_3link(), [0.1, 0.2, 0.3]).as_matrix()
+    pose = fk(planar_3link(), [0.1, 0.2, 0.3])
     delta_pos, delta_rot, gripper = zero_actions(2)
     with pytest.raises(JointSimError):
         TrajectoryRecord(*zero_actions(2), [pose], 5.0)
@@ -247,8 +246,8 @@ def record_with(field: str):
 
 
 FROZEN = {  # a type, the caller's array it is built from, and the field that keeps a frozen copy of it
-    "Rot3": (np.eye(3), lambda a: Rot3(a), "m"),
-    "Pose": (np.ones(3), lambda a: Pose(Rot3.identity(), a), "pos"),
+    "JointSpec.origin": (transform((0.5, 0, 0)), lambda a: JointSpec("j", "revolute", a, [0, 0, 1]), "origin"),
+    "ChainSpec.ee_offset": (transform((0.5, 0, 0)), lambda a: ChainSpec(planar_3link().joints, a), "ee_offset"),
     "PDParams": (np.ones(3), lambda a: PDParams(a, np.ones(3)), "p"),
     "JointDynamics": (np.ones(3), lambda a: JointDynamics(a, np.zeros(3), -np.ones(3), np.ones(3)), "inertia"),
     "SysIdRange": (np.ones(3), lambda a: SysIdRange(a, np.full(3, 2.0), np.zeros(3), np.ones(3)), "p_low"),
@@ -290,7 +289,7 @@ def test_initial_joint_positions_by_ik(replay_setup):
     chain, q0, dyn, pd = replay_setup
     pose = fk(chain, q0)
     q = initial_joint_positions(chain, pose, q_seed=q0 + 0.05)
-    np.testing.assert_allclose(fk(chain, q).pos, pose.pos, atol=2e-4)
+    np.testing.assert_allclose(fk(chain, q)[:3, 3], pose[:3, 3], atol=2e-4)
 
 
 def test_unknown_controller_kind_rejected(replay_setup):
@@ -351,7 +350,7 @@ def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
     for b, actions in enumerate(action_lists):
         ref_poses, ref_stats = ref_simulate(chain, dyn, pd, kind, actions, q_inits[b], FAST_CFG)
         assert len(sims[b]) == len(ref_poses) == len(actions[2]) + 1
-        np.testing.assert_allclose(sims[b], pose_stack(ref_poses), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sims[b], np.stack(ref_poses), rtol=0, atol=1e-12)
         row = int(np.flatnonzero(order == b)[0])
         assert [ik_calls[t][row] for t in range(len(actions[2]))] == ref_stats
     # the case covers what it claims: one unconverged IK, and an end stop in record 1 only

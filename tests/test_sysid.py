@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (fk_path_actions, half_turn, planar_3link, pose_stack, random_rotation, ref_anneal_fit,
-                     ref_trajectory_losses)
+from helpers import (fk_path_actions, half_turn, planar_3link, random_rotation, ref_anneal_fit, ref_trajectory_losses,
+                     rot_z, transform)
 from real2sim import sysid
 from real2sim.chain import fk
 from real2sim.controller import CtrlConfig
-from real2sim.geometry import Pose, rot_z
 from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, replay_open_loop, synthesize_record
 from real2sim.sysid import (
     AnnealConfig,
@@ -22,24 +21,24 @@ FAST_CFG = CtrlConfig(h_sim=200.0, h_ctrl=5.0)
 
 
 def pose(x=0.0, y=0.0, z=0.0, yaw=0.0):
-    return Pose(rot_z(yaw), np.array([x, y, z]))
+    return transform((x, y, z), rot_z(yaw))
 
 
 def test_losses_identical_sequences_zero():
     seq = [pose(0.1), pose(0.2), pose(0.3)]
-    out = trajectory_losses(pose_stack(seq), pose_stack(seq))
+    out = trajectory_losses(np.stack(seq), np.stack(seq))
     assert out == (0.0, 0.0, 0.0)
 
 
 def test_losses_translation_only():
-    out = trajectory_losses(pose_stack([pose(0.0)]), pose_stack([pose(0.3)]))
+    out = trajectory_losses(np.stack([pose(0.0)]), np.stack([pose(0.3)]))
     assert out.translation == pytest.approx(0.3, abs=1e-12)
     assert out.rotation == 0.0
     assert out.total == pytest.approx(0.3, abs=1e-12)
 
 
 def test_losses_rotation_only():
-    out = trajectory_losses(pose_stack([pose()]), pose_stack([pose(yaw=math.pi / 2)]))
+    out = trajectory_losses(np.stack([pose()]), np.stack([pose(yaw=math.pi / 2)]))
     assert out.translation == 0.0
     assert out.rotation == pytest.approx(math.pi / 4, abs=1e-9)
     assert out.total == pytest.approx(math.pi / 4, abs=1e-9)
@@ -48,18 +47,18 @@ def test_losses_rotation_only():
 def test_losses_mean_over_steps():
     ref = [pose(0.0), pose(0.0)]
     sim = [pose(0.4), pose(0.0)]
-    assert trajectory_losses(pose_stack(ref), pose_stack(sim)).translation == pytest.approx(0.2, abs=1e-12)
+    assert trajectory_losses(np.stack(ref), np.stack(sim)).translation == pytest.approx(0.2, abs=1e-12)
 
 
 def test_losses_validation():
     with pytest.raises(SysIdError, match="mismatch"):
-        trajectory_losses(pose_stack([pose()]), pose_stack([pose(), pose()]))
+        trajectory_losses(np.stack([pose()]), np.stack([pose(), pose()]))
     with pytest.raises(SysIdError, match="empty"):
         trajectory_losses(np.empty((0, 4, 4)), np.empty((0, 4, 4)))
 
 
 def random_path(rng, n):
-    return [Pose(random_rotation(rng), rng.normal(scale=0.5, size=3)) for _ in range(n)]
+    return [transform(rot=random_rotation(rng), pos=rng.normal(scale=0.5, size=3)) for _ in range(n)]
 
 
 @pytest.mark.parametrize("kind, steps", [("random", 1), ("random", 2), ("random", 37), ("identical", 9),
@@ -72,8 +71,8 @@ def test_losses_match_the_per_pose_reference(kind, steps):
     elif kind == "identical":
         sim = list(ref)
     else:  # half a turn away, where the rotation term's clamp must hold
-        sim = [Pose(half_turn(rng, p.rot), p.pos) for p in ref]
-    got = trajectory_losses(pose_stack(ref), pose_stack(sim))
+        sim = [transform(p[:3, 3], half_turn(rng, p[:3, :3])) for p in ref]
+    got = trajectory_losses(np.stack(ref), np.stack(sim))
     assert [x.hex() for x in got] == [x.hex() for x in ref_trajectory_losses(ref, sim)]
     if kind == "identical":
         assert got == (0.0, 0.0, 0.0)
