@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input-format error, 3 semantic/validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import importlib.util
 import json
@@ -195,6 +196,15 @@ def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlC
     return [jointsim._record_q_init(robot, rec, f"{path}.") for rec, path in zip(records, paths)]
 
 
+@contextlib.contextmanager
+def _record_files(paths):
+    """A replay's planning failure at ``actions[<step>]`` of record i, re-raised naming the file ``paths[i]``."""
+    try:
+        yield
+    except profile.PlanningError as exc:
+        raise profile.PlanningError(f"{paths[exc.record]}.{exc}") from exc
+
+
 def cmd_sysid_fit(args) -> int:
     robot = chain.chain_from_dict(_read_json(args.chain), args.chain)
     n = robot.n
@@ -228,9 +238,10 @@ def cmd_sysid_fit(args) -> int:
     if not paths:
         raise sysid.SysIdError(f"no trajectory files found under {traj_dir}")
     records = [jointsim.TrajectoryRecord.from_dict(_read_json(p), str(p)) for p in paths]
-    _check_records(records, paths, robot, ctrl_cfg, "ctrl.h_ctrl")
+    q_inits = _check_records(records, paths, robot, ctrl_cfg, "ctrl.h_ctrl")
 
-    result = sysid.anneal_fit(records, robot, dyn, kind, init, rng, anneal, ctrl_cfg)
+    with _record_files(paths):
+        result = sysid.anneal_fit(records, robot, dyn, kind, init, rng, anneal, ctrl_cfg, q_inits=q_inits)
     out = {
         "best": {"p": list(map(float, result.best.p)), "d": list(map(float, result.best.d))},
         "best_loss": result.best_loss,
@@ -275,9 +286,10 @@ def cmd_replay(args) -> int:
         ts = step / cfg.h_ctrl + np.arange(1, targets.shape[0] + 1) * (1.0 / cfg.h_sim)
         plan_rows.append(np.column_stack([ts, targets[:, 0]]))
 
-    sim = jointsim.replay_open_loop(
-        robot, dyn, pd, args.controller, rec, q_init, cfg, plan_sink=dump if args.dump_plan else None
-    )
+    with _record_files([args.trajectory]):
+        sim = jointsim.replay_open_loop(
+            robot, dyn, pd, args.controller, rec, q_init, cfg, plan_sink=dump if args.dump_plan else None
+        )
     losses = sysid.trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
     out = {"ee_poses": [geometry.pose_to_dict(t) for t in sim], "losses": losses._asdict()}
     outputs = [(args.out, _json(out))]

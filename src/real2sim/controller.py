@@ -9,7 +9,8 @@ The Google Robot controller plans jerk-limited arm trajectories and samples
 them at every simulation step; its gripper, which never feeds back into the
 arm, is a separate tick on (B,) gripper states. The WidowX controller holds
 a single joint-position target for the whole interval, chaining pose goals
-off the previously commanded goal rather than the sensed state.
+off the previously commanded goal, and seeding their IK there, rather than
+the sensed state.
 """
 
 from __future__ import annotations
@@ -78,12 +79,12 @@ def _rows(x, chain: ChainSpec, count: int, what: str) -> np.ndarray:
 
 
 def _ik_goals(tag: str, t: int, chain: ChainSpec, delta_pos: np.ndarray, delta_rot: np.ndarray, base: np.ndarray,
-              q_seed, ik_iters: int, fallback: str):
-    """IK solutions of every row's goal: the row's delta pose applied to the
-    tool pose at ``base`` (the delta rotation about the tool origin)."""
+              ik_iters: int, fallback: str):
+    """IK solutions of every row's goal, seeded at ``base``: the row's delta pose
+    applied to the tool pose at ``base`` (the delta rotation about the tool origin)."""
     tool = _tools(chain, base)
     goal_rot, goal_pos = widowx_goal_pose(tool[:, :3, 3], tool[:, :3, :3], delta_pos, delta_rot)
-    q, res_pos, res_rot, ok, _ = _ik_rows(chain, goal_rot, goal_pos, q_seed, ik_iters)
+    q, res_pos, res_rot, ok, _ = _ik_rows(chain, goal_rot, goal_pos, base, ik_iters)
     for i in np.flatnonzero(~ok):
         logger.warning(
             "%s t=%d: IK did not converge (pos %.2e m, rot %.2e rad); %s", tag, t, res_pos[i], res_rot[i], fallback
@@ -111,8 +112,7 @@ def google_step(
     """
     q_arm = _rows(q_arm, chain, len(delta_pos), "sensed arm positions")
     v_arm = _rows(v_arm, chain, len(delta_pos), "sensed arm velocities")
-    q_goal = _ik_goals("google_step", t, chain, delta_pos, delta_rot, q_arm, q_arm, ik_iters,
-                       "planning toward best effort")
+    q_goal = _ik_goals("google_step", t, chain, delta_pos, delta_rot, q_arm, ik_iters, "planning toward best effort")
     # the plant can transiently exceed the planner's velocity bound, which the
     # planner rejects as a seed: clip like a deployed stack would
     v_max = GOOGLE_ARM_LIMITS.v_max
@@ -154,8 +154,7 @@ def widowx_step(
     t: int,
     delta_pos: np.ndarray,
     delta_rot: np.ndarray,
-    q_arm: np.ndarray,
-    q_lastgoal: np.ndarray | None,
+    q_lastgoal: np.ndarray,
     chain: ChainSpec,
     ik_iters: int = 200,
 ) -> np.ndarray:
@@ -163,10 +162,9 @@ def widowx_step(
 
     Each record's pose goal, its (B, 3) ``delta_pos`` and (B, 3, 3)
     ``delta_rot`` row applied, chains off its previously commanded (B, n) joint
-    goal ``q_lastgoal``, which at t = 0 is the sensed (B, n) ``q_arm`` (the
-    sensed state otherwise only seeds the IK). Returns the (B, n) joint
+    goal ``q_lastgoal`` (the initial configuration at t = 0), which also seeds
+    the IK: the goals never read the sensed state. Returns the (B, n) joint
     goals, held for the whole control interval.
     """
-    q_arm = _rows(q_arm, chain, len(delta_pos), "sensed arm positions")
-    base = q_arm if t == 0 else q_lastgoal
-    return _ik_goals("widowx_step", t, chain, delta_pos, delta_rot, base, q_arm, ik_iters, "commanding best effort")
+    base = _rows(q_lastgoal, chain, len(delta_pos), "previous joint goals")
+    return _ik_goals("widowx_step", t, chain, delta_pos, delta_rot, base, ik_iters, "commanding best effort")

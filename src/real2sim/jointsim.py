@@ -21,6 +21,7 @@ from .chain import ChainSpec, _tools, ik_dls
 from .controller import ControllerError, CtrlConfig, google_grip_step, google_step, widowx_step
 from .geometry import (GeometryError, _freeze, axis_angle_to_matrix, matrix_to_rotvec, pose_from_dict, pose_to_dict,
                        quat_to_rot)
+from .profile import PlanningError
 
 __all__ = [
     "JointSimError",
@@ -295,6 +296,50 @@ def default_config(controller_kind: str) -> CtrlConfig:
     raise JointSimError(f"unknown controller kind {controller_kind!r} (want 'google' or 'widowx')")
 
 
+def _step_major(actions) -> tuple[list[int], list[int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The records longest first, so that the ones still running are always a prefix; their lengths; and
+    their (delta_pos, delta_rot, gripper) actions as step-major (T, B, ...) arrays in that order (a finished
+    record's slots are never read)."""
+    lengths = [len(g) for *_, g in actions]
+    order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
+    arrays = tuple(np.zeros((max(lengths), len(order), *shape)) for shape in ((3,), (3, 3), ()))
+    for col, b in enumerate(order):
+        for array, x in zip(arrays, actions[b]):
+            array[: lengths[b], col] = x
+    return order, lengths, arrays
+
+
+def _widowx_goals(chain: ChainSpec, actions, q_inits, ik_iters: int = 200) -> np.ndarray:
+    """The WidowX joint goals of R records as a (T, R, n) table in record order: row t holds the goals
+    commanded at step t (a finished record's rows are never read). Each step is one widowx_step of the
+    records still running, longest first. The goals chain off the (R, n) ``q_inits`` and never read the
+    plant, so one table serves every gain set."""
+    order, lengths, (delta_pos, delta_rot, _) = _step_major(actions)
+    goals = np.zeros((max(lengths), len(order), chain.n))
+    goal = np.asarray(q_inits, dtype=float)[order]
+    for step, row in enumerate(goals):
+        m = sum(n > step for n in lengths)
+        goal = row[:m] = widowx_step(step, delta_pos[step, :m], delta_rot[step, :m], goal[:m], chain, ik_iters)
+    return goals[:, np.argsort(order)]
+
+
+def _tick(tick: Callable, step: int, records: list[int]):
+    """``tick(slice(m))`` on the m = len(records) columns still running. A PlanningError is re-raised
+    naming the step, as ``actions[<step>]: ...``, with the record index of the first column whose tick
+    alone fails as its ``record``."""
+    try:
+        return tick(slice(len(records)))
+    except PlanningError as exc:
+        for col, record in enumerate(records):
+            try:
+                tick(slice(col, col + 1))
+            except PlanningError:
+                break
+        error = PlanningError(f"actions[{step}]: {exc}")
+        error.record = record
+        raise error from exc
+
+
 def _simulate(
     chain: ChainSpec,
     dyn: JointDynamics,
@@ -305,18 +350,21 @@ def _simulate(
     cfg: CtrlConfig | None,
     ik_iters: int = 200,
     plan_sink: Callable[[int, np.ndarray], None] | None = None,
+    goals: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Replay R action sequences from the (R, n) ``q_inits`` under each of the K gain sets of ``pd``,
     all K R rows in lockstep: row s R + r is record r under gain set s. ``actions`` holds one
     (delta_pos, delta_rot, gripper) triple of (T, 3), (T, 3, 3) and (T,) arrays per record.
 
     Each control step is one batched controller tick and plant update of the rows still running (a
-    shorter record is frozen after its last action). The controller state lives here as arrays with
-    one entry per row: the WidowX goals, and the Google gripper goals and planned states, which never
-    feed back into the arm and are planned only for ``plan_sink``. Returns each row's tool poses
-    (T+1, 4, 4) and joint positions (T+1, n), initial and after every action. ``plan_sink(step,
+    shorter record is frozen after its last action). The WidowX goals are the (T, R, n) table of
+    ``_widowx_goals``, solved here unless ``goals`` holds it, and tiled over the gain sets. The Google
+    controller state lives here as arrays with one entry per row: the gripper goals and planned states,
+    which never feed back into the arm and are planned only for ``plan_sink``. Returns each row's tool
+    poses (T+1, 4, 4) and joint positions (T+1, n), initial and after every action. ``plan_sink(step,
     targets)`` gets every step's (ticks, m, 3n + 3) targets of the m rows still running, longest
-    record first: arm q, v and a, then gripper q, v and a.
+    record first: arm q, v and a, then gripper q, v and a. A tick's PlanningError is re-raised by
+    ``_tick``, naming the step and the record.
     """
     if dyn.n != chain.n or pd.n != chain.n:
         raise JointSimError("dynamics/PD vectors must match the chain joint count")
@@ -327,37 +375,34 @@ def _simulate(
         raise JointSimError(f"q_init must have {chain.n} entries per record")
     dt, ticks = 1.0 / cfg.h_sim, cfg.ticks_per_step
     _check_stable(pd, dyn, dt)
-    n_sets = len(np.atleast_2d(pd.p))
+    if controller_kind == WIDOWX and goals is None:
+        goals = _widowx_goals(chain, actions, q, ik_iters)
+    n_records, n_sets = len(q), len(np.atleast_2d(pd.p))
     # the records tiled proposal-major, and the gain set of each row
     actions, q, sets = list(actions) * n_sets, np.tile(q, (n_sets, 1)), np.repeat(np.arange(n_sets), len(q))
-    lengths = [len(g) for *_, g in actions]
-    # longest record first, so the rows still running are always a prefix
-    order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
-    # every row's actions, step-major in that order; a finished row's slots are never read
-    delta_pos, delta_rot, gripper = (np.zeros((max(lengths), len(order), *shape)) for shape in ((3,), (3, 3), ()))
-    for col, b in enumerate(order):
-        delta_pos[: lengths[b], col], delta_rot[: lengths[b], col], gripper[: lengths[b], col] = actions[b]
+    order, lengths, (delta_pos, delta_rot, gripper) = _step_major(actions)
+    records = [b % n_records for b in order]
     q, v, sets = q[order], np.zeros_like(q), sets[order]
     p_rows, d_rows = (np.atleast_2d(x)[sets] for x in (pd.p, pd.d))
-    powers = _plant_powers(pd, dyn, dt, ticks) if controller_kind == WIDOWX else None
-    goal = None
+    if controller_kind == WIDOWX:
+        powers, goals = _plant_powers(pd, dyn, dt, ticks), np.tile(goals, (1, n_sets, 1))[:, order]
     grip = np.zeros((3, len(order)))  # gripper goal, position and velocity: a resting gripper at 0
     shape = (max(lengths) + 1, len(order))  # step-major: initial state, then one row per step
     tools, joints = np.empty((*shape, 4, 4)), np.empty((*shape, chain.n))
     for step in range(-1, max(lengths)):  # step -1 only logs the initial state
         m = sum(n > step for n in lengths)  # the records still running: columns :m
         if step >= 0 and controller_kind == GOOGLE:
-            arm = google_step(step, delta_pos[step, :m], delta_rot[step, :m], q[:m], v[:m], chain, cfg, ik_iters)
+            arm = _tick(lambda s: google_step(step, delta_pos[step, s], delta_rot[step, s], q[s], v[s], chain, cfg,
+                                              ik_iters), step, records[:m])
             q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm[0], PDParams(p_rows[:m], d_rows[:m]), dyn, dt)
         elif step >= 0:
-            goal = widowx_step(step, delta_pos[step, :m], delta_rot[step, :m], q[:m], goal[:m] if step else None,
-                               chain, ik_iters)
-            q[:m], v[:m] = _hold_target(q[:m], v[:m], goal, ticks, powers, sets[:m], dyn)
+            q[:m], v[:m] = _hold_target(q[:m], v[:m], goals[step, :m], ticks, powers, sets[:m], dyn)
         if step >= 0 and plan_sink is not None:
             if controller_kind == GOOGLE:
-                grip_plan, grip[:, :m] = google_grip_step(gripper[step, :m], *grip[:, :m], cfg)
+                grip_plan, grip[:, :m] = _tick(lambda s: google_grip_step(gripper[step, s], *grip[:, s], cfg), step,
+                                               records[:m])
             else:  # the goal held for the whole interval, and the raw gripper command
-                arm = (np.broadcast_to(goal, (ticks, m, chain.n)), *np.zeros((2, ticks, m, chain.n)))
+                arm = (np.broadcast_to(goals[step, :m], (ticks, m, chain.n)), *np.zeros((2, ticks, m, chain.n)))
                 grip_plan = (np.broadcast_to(gripper[step, :m], (ticks, m)), *np.zeros((2, ticks, m)))
             plan_sink(step, np.concatenate([*arm, *(x[..., None] for x in grip_plan)], axis=2))
         tools[step + 1, :m], joints[step + 1, :m] = _tools(chain, q[:m]), q[:m]

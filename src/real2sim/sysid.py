@@ -23,6 +23,7 @@ from .chain import ChainSpec
 from .controller import CtrlConfig
 from .geometry import _freeze, rot_frobenius_loss
 from .jointsim import (
+    WIDOWX,
     JointDynamics,
     JointSimError,
     PDParams,
@@ -30,6 +31,7 @@ from .jointsim import (
     _check_stable,
     _record_q_init,
     _simulate,
+    _widowx_goals,
     default_config,
 )
 
@@ -178,12 +180,15 @@ def anneal_fit(
     cfg: AnnealConfig | None = None,
     ctrl_cfg: CtrlConfig | None = None,
     ik_iters: int = 200,
+    q_inits=None,
 ) -> AnnealResult:
     """Fit PD gains by multi-round simulated annealing of the replay loss.
 
     The objective is the unweighted mean of the trajectory losses over the
     dataset. With ``tie_joints`` the search runs over two shared scalars
     mapped to each joint's bounds; otherwise every joint's gains are free.
+    ``q_inits`` holds the records' initial configurations when the caller
+    has them; the WidowX goals are solved once, for every evaluation.
     """
     cfg = cfg or AnnealConfig()
     if len(dataset) == 0:
@@ -201,18 +206,20 @@ def anneal_fit(
     _check_stable(PDParams(range0.p_high, range0.d_high), dyn, dt, SysIdError)
 
     # fix per-record initial configurations once; replay failures abort here
-    q_inits = []
-    for i, rec in enumerate(dataset):
-        try:
-            q_inits.append(_record_q_init(chain, rec))
-        except JointSimError as exc:
-            raise SysIdError(f"record {i}: {exc}") from exc
+    if q_inits is None:
+        q_inits = []
+        for i, rec in enumerate(dataset):
+            try:
+                q_inits.append(_record_q_init(chain, rec))
+            except JointSimError as exc:
+                raise SysIdError(f"record {i}: {exc}") from exc
 
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]
     refs = [rec.ee_poses for rec in dataset]
+    goals = _widowx_goals(chain, actions, q_inits, ik_iters) if controller_kind == WIDOWX else None
 
     def objective(pd: PDParams) -> list[TrajectoryLosses]:
-        tools, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_iters)
+        tools, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_iters, goals=goals)
         losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs * len(tools), tools)]
         sums = np.cumsum(np.reshape(losses, (-1, len(refs), 3)), axis=1)[:, -1]  # one row per gain set
         return [TrajectoryLosses(*(float(s) / len(dataset) for s in row)) for row in sums]

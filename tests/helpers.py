@@ -619,9 +619,10 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
     poses, stats = [ref_fk(chain, q)], []
     last_goal = q
     for delta_pos, delta_rot in zip(*actions[:2]):
-        base = ref_fk(chain, q if kind == "google" else last_goal)
+        seed = q if kind == "google" else last_goal  # the WidowX goals never read the sensed state
+        base = ref_fk(chain, seed)
         goal = transform(base[:3, 3] + delta_pos, delta_rot @ base[:3, :3])
-        ik = ref_ik_dls(chain, goal, q, ik_iters)
+        ik = ref_ik_dls(chain, goal, seed, ik_iters)
         stats.append((ik.iterations, ik.converged))
         if kind == "google":
             vmax = GOOGLE_ARM_LIMITS.v_max
@@ -635,9 +636,12 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
     return poses, stats
 
 
-def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=None, ik_iters: int = 200):
-    """The one-proposal annealer: every step replays one proposal on its own
-    and runs the Metropolis test on it. Valid inputs only."""
+def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=None, ik_iters: int = 200,
+                   proposals: int = 1):
+    """The annealer without a shared goal table: every step draws k = min(proposals, evaluations left in the
+    round) proposals and replays them in one call that solves its own WidowX goals, then runs the Metropolis
+    test on the first lowest and cools by cooling**k. At one proposal, every step replays one proposal on
+    its own. Valid inputs only."""
     from real2sim.jointsim import PDParams, _record_q_init, _simulate
     from real2sim.sysid import AnnealResult, RoundStats, trajectory_losses
 
@@ -645,18 +649,19 @@ def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=N
     refs = [rec.ee_poses for rec in dataset]
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]
 
-    def objective(pd):
+    def objective(pd):  # one loss per gain set of pd
         tools, _ = _simulate(chain, dyn, pd, kind, actions, q_inits, ctrl_cfg, ik_iters)
-        losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs, tools)]
-        return TrajectoryLosses(*(float(s) / len(dataset) for s in np.cumsum(losses, axis=0)[-1]))
+        losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs * len(tools), tools)]
+        return [TrajectoryLosses(*(float(s) / len(dataset) for s in np.cumsum(losses[i : i + len(refs)], axis=0)[-1]))
+                for i in range(0, len(losses), len(refs))]
 
     n = chain.n
     dim = 2 if cfg.tie_joints else 2 * n
     k = 2 * n // dim
 
     def to_pd(u, lows, highs):
-        theta = lows + np.repeat(u, k) * (highs - lows)
-        return PDParams(theta[:n], theta[n:])
+        theta = lows + np.repeat(u, k, axis=-1) * (highs - lows)
+        return PDParams(theta[..., :n], theta[..., n:])
 
     def to_u(theta, lows, highs):
         return np.clip(((theta - lows) / (highs - lows)).reshape(dim, k).mean(axis=1), 0.0, 1.0)
@@ -666,24 +671,27 @@ def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=N
     lows, highs = lows0, highs0
     best_u = to_u(np.concatenate([init.p, init.d]), lows, highs)
     best_pd = to_pd(best_u, lows, highs)
-    best = objective(best_pd)
+    (best,) = objective(best_pd)
     initial_loss = best.total
     history = []
     for round_index in range(cfg.rounds):
         temp = cfg.t0 if cfg.t0 is not None else max(0.1 * best.total, 1e-12)
         u = best_u
         current_loss = best.total
-        for _ in range(cfg.iters_per_round):
-            proposal = np.clip(u + rng.normal(0.0, cfg.sigma, size=dim), 0.0, 1.0)
+        for done in range(0, cfg.iters_per_round, proposals):
+            step = min(proposals, cfg.iters_per_round - done)
+            draws = np.clip(u + rng.normal(0.0, cfg.sigma, size=(step, dim)), 0.0, 1.0)
+            losses = objective(to_pd(draws, lows, highs))
+            first = min(range(step), key=lambda i: losses[i].total)
+            cand, proposal = losses[first], draws[first]
             cand_pd = to_pd(proposal, lows, highs)
-            cand = objective(cand_pd)
             delta = cand.total - current_loss
             if delta <= 0.0 or rng.random() < math.exp(-delta / temp):
                 u = proposal
                 current_loss = cand.total
             if cand.total < best.total:
                 best, best_pd, best_u = cand, cand_pd, proposal
-            temp *= cfg.cooling
+            temp *= cfg.cooling**step
         history.append(
             RoundStats(round_index, best.total, best_pd.p, best_pd.d, cfg.iters_per_round, lows, highs)
         )

@@ -368,8 +368,8 @@ def test_ik_keeps_a_row_that_still_improves(monkeypatch):
 
 
 def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
-    # the criterion 7 problem at its initial gains: 150 IK rows, whose slow tail
-    # still improves at max_iters = 60; every count and flag is the one without the stop
+    # the criterion 7 problem's goal pass (the same at every gain set): 150 IK rows, whose
+    # slow tail still improves at max_iters = 60; every count and flag is the one without the stop
     chain, dyn, _, iks, records, init, _ = recovery_setup(n_records=5, n_actions=30)
     q_inits = [_record_q_init(chain, rec) for rec in records]
     batched_ik = controller._ik_rows
@@ -391,8 +391,8 @@ def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
     monkeypatch.setattr(chain_module, "IK_STALL_ITERS", iks + 1)
     assert rows == rows_of_one_replay()
     its = [it for it, _ in rows]
-    assert len(rows) == 150 and sum(its) == 1806 and max(its) == 60  # mean 12.0
-    assert sum(not ok for _, ok in rows) == 7
+    assert len(rows) == 150 and sum(its) == 1515 and max(its) == 60  # mean 10.1
+    assert sum(not ok for _, ok in rows) == 1
 
 
 def test_ik_needs_at_least_one_iteration(two_link):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import fk_path_actions, planar_3link
-from real2sim import cli
+from real2sim import cli, jointsim
 from real2sim.chain import UrdfParseError, chain_from_dict, chain_to_dict
 from real2sim.cli import ConfigError, main
 from real2sim.controller import CtrlConfig
@@ -884,20 +884,67 @@ def test_joint_positions_narrower_than_the_chain_exit_3(sysid_workspace, tmp_pat
 
 
 def test_replay_cli_gripper_overflow_exits_4(sysid_workspace, tmp_path, capsys):
-    # the gripper planner's cube of a 1e150 move overflows a float: a planning error naming the DOF, not a traceback
+    # the gripper planner's cube of a 1e150 move overflows a float: a planning error naming the file, the
+    # action and the DOF, not a traceback
     root = sysid_workspace
     rec = json.loads((root / "trajectories" / "rec0.json").read_text())
     rec["actions"][0]["gripper"] = 1e150
-    (tmp_path / "rec.json").write_text(json.dumps(rec))
+    (tmp_path / "traj.json").write_text(json.dumps(rec))
     (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
     out, plan_csv = tmp_path / "poses.json", tmp_path / "plan.csv"
-    rc = main(["replay", "--trajectory", str(tmp_path / "rec.json"), "--chain", str(root / "chain.json"),
+    rc = main(["replay", "--trajectory", str(tmp_path / "traj.json"), "--chain", str(root / "chain.json"),
                "--params", str(tmp_path / "pd.json"), "--controller", "google", "--sim-hz", "200", "--ctrl-hz", "5",
                "--out", str(out), "--dump-plan", str(plan_csv)])
     assert rc == 4
     # the gripper is the plan's one DOF; the move's cruise segment lasts 1e150 s
-    assert capsys.readouterr().err == "error: DOF 0: a segment of 1e+150 s overflows the float range of t**3\n"
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'traj.json'}.actions[0]: DOF 0: a segment of 1e+150 s "
+                                       f"overflows the float range of t**3\n")
     assert not out.exists() and not plan_csv.exists()
+
+
+def test_sysid_fit_planning_failure_names_its_file(sysid_workspace, tmp_path, capsys, monkeypatch):
+    # the Google tick of action 3 of rec1.json fails to plan, in the rows of every gain set that replay it
+    root = sysid_workspace
+    bad_row = np.array(json.loads((root / "trajectories" / "rec1.json").read_text())["actions"][3]["xyz"])
+    tick = jointsim.google_step
+
+    def failing(t, delta_pos, *args):
+        if t == 3 and (delta_pos == bad_row).all(axis=1).any():
+            raise PlanningError("no profile")
+        return tick(t, delta_pos, *args)
+
+    monkeypatch.setattr(jointsim, "google_step", failing)
+    config = dict(json.loads((root / "sysid.json").read_text()), controller="google")
+    (tmp_path / "sysid.json").write_text(json.dumps(config))
+    out = tmp_path / "fit.json"
+    rc = main(["sysid", "fit", "--trajectories", str(root / "trajectories"), "--chain", str(root / "chain.json"),
+               "--config", str(tmp_path / "sysid.json"), "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err == f"error: {root / 'trajectories' / 'rec1.json'}.actions[3]: no profile\n"
+    assert not out.exists()
+
+
+def test_sysid_fit_solves_each_first_pose_once(sysid_workspace, tmp_path, monkeypatch):
+    # records without joint positions: their first poses are solved by IK once, in the record check
+    root = sysid_workspace
+    traj = tmp_path / "trajectories"
+    traj.mkdir()
+    for i in range(2):
+        rec = json.loads((root / "trajectories" / f"rec{i}.json").read_text())
+        del rec["joint_positions"]
+        (traj / f"rec{i}.json").write_text(json.dumps(rec))
+    solve = jointsim.initial_joint_positions
+    calls = []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(jointsim, "initial_joint_positions", counting_solve)
+    rc = main(["sysid", "fit", "--trajectories", str(traj), "--chain", str(root / "chain.json"),
+               "--config", str(root / "sysid.json"), "--out", str(tmp_path / "fit.json")])
+    assert rc == 0
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("command", ["replay", "sysid fit"])

@@ -160,16 +160,17 @@ def test_widowx_shortcut_equals_explicit_product():
 
 
 def test_widowx_initializes_lastgoal_from_sensed(three_link):
+    # at t = 0 the caller hands in the sensed initial configuration as the last goal
     q = np.array([0.2, -0.3, 0.4])
-    goal = widowx_step(0, *IDENTITY_ARM, q[None], None, three_link)
+    goal = widowx_step(0, *IDENTITY_ARM, q[None], three_link)
     assert goal.shape == (1, 3)
     np.testing.assert_allclose(goal[0], q, atol=1e-5)
 
 
 def test_widowx_identity_action_keeps_goal(three_link):
     q = np.array([0.2, -0.3, 0.4])
-    first = widowx_step(0, *IDENTITY_ARM, q[None], None, three_link)
-    goal = widowx_step(1, *IDENTITY_ARM, q[None], first, three_link)
+    first = widowx_step(0, *IDENTITY_ARM, q[None], three_link)
+    goal = widowx_step(1, *IDENTITY_ARM, first, three_link)
     np.testing.assert_allclose(goal, first, atol=1e-5)
 
 
@@ -188,13 +189,13 @@ def test_widowx_gripper_passthrough(three_link):
 
 
 def test_widowx_chains_goals_not_sensed(three_link):
-    # command a move, pretend the plant did not track it at all: the next
-    # goal still chains from the previously commanded goal; the elbow-bent
-    # start keeps both chained targets inside the dexterous workspace
+    # command a move; the tick takes no sensed state, so the next goal chains
+    # from the previously commanded goal however the plant tracked it; the
+    # elbow-bent start keeps both chained targets inside the dexterous workspace
     q = np.array([0.4, 0.9, -0.7])
     arm = (np.array([[0.02, 0.0, 0.0]]), np.eye(3)[None])
-    t1 = widowx_step(0, *arm, q[None], None, three_link)
-    t2 = widowx_step(1, *arm, q[None], t1, three_link)
+    t1 = widowx_step(0, *arm, q[None], three_link)
+    t2 = widowx_step(1, *arm, t1, three_link)
     ee2 = fk(three_link, t2[0])
     ee0 = fk(three_link, q)
     # two chained IK solves, each within the 1e-4 position tolerance

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import (dyn_step, fk_path_actions, planar_3link, ref_hold_target, ref_integrate_targets, ref_simulate,
                      transform)
-from real2sim import controller
+from real2sim import controller, jointsim
 from real2sim.chain import ChainSpec, JointSpec, fk
 from real2sim.controller import CtrlConfig
 from real2sim.jointsim import (
@@ -19,10 +19,12 @@ from real2sim.jointsim import (
     _integrate_targets,
     _plant_powers,
     _simulate,
+    _widowx_goals,
     initial_joint_positions,
     replay_open_loop,
     synthesize_record,
 )
+from real2sim.profile import PlanningError
 from real2sim.sysid import SysIdRange, trajectory_losses
 
 # light controller frequencies keep unit tests quick; the production-rate
@@ -372,3 +374,44 @@ def test_gain_sets_replay_as_separate_calls(kind):
         for r in range(len(action_lists)):
             assert np.array_equal(tools[s * len(action_lists) + r], solo_tools[r])
             assert np.array_equal(joints[s * len(action_lists) + r], solo_joints[r])
+
+
+def test_widowx_goals_do_not_depend_on_the_gains():
+    # the goals chain off the commanded goals and seed their IK there, never at the
+    # sensed state: two gain sets that track differently command the same bits
+    chain, dyn, pd, action_lists, q_inits = lockstep_case()
+
+    def commanded(gains):
+        seen = []
+        tools, _ = _simulate(chain, dyn, gains, "widowx", action_lists, q_inits, FAST_CFG,
+                             plan_sink=lambda step, targets: seen.append(targets[0, :, : chain.n]))
+        return tools, seen
+
+    (stiff_tools, stiff), (soft_tools, soft) = commanded(pd), commanded(PDParams(pd.p * 0.3, pd.d * 2.0))
+    assert not np.array_equal(stiff_tools[1][1:], soft_tools[1][1:])
+    assert len(stiff) == len(soft) == 6
+    for a, b in zip(stiff, soft):
+        assert np.abs(a - b).max() == 0.0
+    # and they are the rows of the goal table, longest record first
+    goals = _widowx_goals(chain, action_lists, q_inits)
+    order = np.argsort([-len(gripper) for *_, gripper in action_lists], kind="stable")
+    for t, targets in enumerate(stiff):
+        assert np.array_equal(targets, goals[t, order[: len(targets)]])
+
+
+def test_a_tick_planning_failure_names_the_step_and_the_record(monkeypatch):
+    # two gain sets tile the records; the step-2 tick of record 2 fails, and only that row's tick alone
+    chain, dyn, pd, action_lists, q_inits = lockstep_case()
+    tick = jointsim.google_step
+    bad_row = action_lists[2][0][2]
+
+    def failing(t, delta_pos, *args):
+        if t == 2 and (delta_pos == bad_row).all(axis=1).any():
+            raise PlanningError("no profile")
+        return tick(t, delta_pos, *args)
+
+    monkeypatch.setattr(jointsim, "google_step", failing)
+    stack = PDParams(pd.p * np.array([[1.0], [0.6]]), pd.d * np.array([[1.0], [1.4]]))
+    with pytest.raises(PlanningError, match=r"^actions\[2\]: no profile$") as info:
+        _simulate(chain, dyn, stack, "google", action_lists, q_inits, FAST_CFG)
+    assert info.value.record == 2

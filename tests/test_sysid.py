@@ -5,7 +5,8 @@ import pytest
 
 from helpers import (fk_path_actions, half_turn, planar_3link, random_rotation, ref_anneal_fit, ref_trajectory_losses,
                      rot_z, transform)
-from real2sim import sysid
+from real2sim import jointsim, sysid
+from real2sim.bench import recovery_setup
 from real2sim.chain import fk
 from real2sim.controller import CtrlConfig
 from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, replay_open_loop, synthesize_record
@@ -216,9 +217,9 @@ def test_anneal_last_step_of_a_round_draws_the_remainder(small_problem, monkeypa
     batched = sysid._simulate
     sets = []
 
-    def counting_simulate(chain, dyn, pd, *args):
+    def counting_simulate(chain, dyn, pd, *args, **kwargs):
         sets.append(1 if pd.p.ndim == 1 else pd.p.shape[0])
-        return batched(chain, dyn, pd, *args)
+        return batched(chain, dyn, pd, *args, **kwargs)
 
     monkeypatch.setattr(sysid, "_simulate", counting_simulate)
     init = PDParams(truth.p * 2.0, truth.d * 0.5)
@@ -227,6 +228,39 @@ def test_anneal_last_step_of_a_round_draws_the_remainder(small_problem, monkeypa
     assert sets == [1, 4, 1, 4, 1, 4, 1]  # the initial point, then steps of 4 + 1 in each round
     assert result.evaluations == sum(sets) == 16
     assert [r.evaluations for r in result.history] == [5, 5, 5]
+
+
+def test_a_fit_solves_the_widowx_goals_once(small_problem, monkeypatch):
+    # 25 evaluations in 7 replays, and one goal tick per step of the longest record
+    chain, dyn, truth, records, iks = small_problem
+    ticks = []
+    tick = jointsim.widowx_step
+
+    def counting_tick(t, *args):
+        ticks.append(t)
+        return tick(t, *args)
+
+    monkeypatch.setattr(jointsim, "widowx_step", counting_tick)
+    result = run_anneal(small_problem, iters=8)
+    assert result.evaluations == 25
+    assert ticks == list(range(max(len(rec.gripper) for rec in records)))
+
+
+@pytest.mark.parametrize("records, actions, iters", [(5, 30, 90), (6, 16, 4)], ids=["criterion-7", "widowx-fit-size"])
+def test_anneal_fit_matches_a_goal_pass_per_replay(records, actions, iters):
+    # the goal table solved once per fit gives the bits of a reference that solves the goals in every replay
+    chain, dyn, _, iks, recs, init, bounds = recovery_setup(records, actions)
+    cfg = AnnealConfig(rounds=3, iters_per_round=iters, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
+    got = anneal_fit(recs, chain, dyn, "widowx", init, bounds, cfg, ik_iters=iks)
+    want = ref_anneal_fit(recs, chain, dyn, "widowx", init, bounds, cfg, ik_iters=iks,
+                          proposals=sysid.ANNEAL_PROPOSALS)
+
+    def hexes(r):
+        values = [r.best_loss, r.initial_loss, *r.losses, *r.best.p, *r.best.d, *(h.best_loss for h in r.history)]
+        return [float(x).hex() for x in values]
+
+    assert hexes(got) == hexes(want)
+    assert got.evaluations == want.evaluations == 1 + 3 * iters
 
 
 def test_anneal_per_joint_mode_runs(small_problem):
