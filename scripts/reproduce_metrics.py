@@ -25,7 +25,7 @@ def main() -> None:
     print(f"{'policy':14s} {'factor':15s} {'base':>6s} {'signed':>8s} {'abs':>7s}")
     for row in rep.shifts_from_obj(json.loads(load_fixture("rt1_pick_coke_shift.json"))):
         d = delta_success(row.shift)
-        print(f"{row.policy:14s} {row.factor:15s} {row.base:6.3f} {d.signed:+8.3f} {d.absolute:7.3f}")
+        print(f"{row.policy:14s} {row.factor:15s} {row.shift.base_rate:6.3f} {d.signed:+8.3f} {d.absolute:7.3f}")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ _EXPORTS = {
     "sysid": "AnnealConfig SysIdRange anneal_fit trajectory_losses",
     "metrics": "PairedEvalTable PolicyEval ShiftEval action_mse aggregate_grouped delta_success kruskal_wallis mmrv "
     "pearson rank_violation spearman",
-    "imaging": "ImageRGB8 MaskGray8 composite read_pgm read_ppm write_pgm write_ppm",
+    "imaging": "composite read_pgm read_ppm write_pgm write_ppm",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -1,91 +1,29 @@
 """Green-screen compositing with bit-exact binary PPM/PGM input and output.
 
-Only the 8-bit binary variants (P6 / P5, maxval 255) are supported; writing
+An image is an (h, w, 3) uint8 array and a mask an (h, w) uint8 array; there
+is no wrapper type. Only the 8-bit binary variants (P6 / P5, maxval 255) are
+supported. The readers return read-only arrays, and the writers and
+`composite` take arrays and check each one's shape and dtype. Writing
 produces the canonical header form so read/write round-trips are
 byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "ImageError",
-    "ImageRGB8",
-    "MaskGray8",
-    "read_ppm",
-    "write_ppm",
-    "read_pgm",
-    "write_pgm",
-    "composite",
-]
+__all__ = ["ImageError", "read_ppm", "write_ppm", "read_pgm", "write_pgm", "composite"]
 
 
 class ImageError(ValueError):
     """Raised for unsupported or malformed image data."""
 
 
-@dataclass(frozen=True)
-class ImageRGB8:
-    """8-bit RGB image, row-major interleaved bytes."""
-
-    width: int
-    height: int
-    pixels: bytes
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ImageError("image dimensions must be positive")
-        if len(self.pixels) != 3 * self.width * self.height:
-            raise ImageError(
-                f"pixel payload has {len(self.pixels)} bytes, expected {3 * self.width * self.height}"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.frombuffer(self.pixels, dtype=np.uint8).reshape(self.height, self.width, 3)
-
-    @staticmethod
-    def from_array(a: np.ndarray) -> "ImageRGB8":
-        a = np.asarray(a)
-        if a.ndim != 3 or a.shape[2] != 3 or a.dtype != np.uint8:
-            raise ImageError("expected a (h, w, 3) uint8 array")
-        return ImageRGB8(a.shape[1], a.shape[0], a.tobytes())
-
-
-@dataclass(frozen=True)
-class MaskGray8:
-    """8-bit grayscale mask, row-major bytes."""
-
-    width: int
-    height: int
-    values: bytes
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ImageError("mask dimensions must be positive")
-        if len(self.values) != self.width * self.height:
-            raise ImageError(
-                f"mask payload has {len(self.values)} bytes, expected {self.width * self.height}"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.frombuffer(self.values, dtype=np.uint8).reshape(self.height, self.width)
-
-    @staticmethod
-    def from_array(a: np.ndarray) -> "MaskGray8":
-        a = np.asarray(a)
-        if a.ndim != 2 or a.dtype != np.uint8:
-            raise ImageError("expected a (h, w) uint8 array")
-        return MaskGray8(a.shape[1], a.shape[0], a.tobytes())
-
-
 _ASCII_VARIANTS = {b"P3": "P6", b"P2": "P5"}
 
 
-def _read_netpbm(data: bytes, magic: bytes, channels: int) -> tuple[int, int, bytes]:
-    """Width, height and the ``channels * width * height`` payload bytes of a binary netpbm file."""
+def _read_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
+    """The read-only (h, w, 3) (``channels`` 3) or (h, w) (``channels`` 1) uint8 payload of a binary netpbm file."""
     if len(data) < 2:
         raise ImageError("file too short to hold a netpbm header")
     got = data[:2]
@@ -106,8 +44,10 @@ def _read_netpbm(data: bytes, magic: bytes, channels: int) -> tuple[int, int, by
         if not token:
             raise ImageError("truncated header")
         try:
+            if not token.isdigit():  # int() alone also takes a sign and underscores
+                raise ValueError(token)
             fields.append(int(token))
-        except ValueError as exc:
+        except ValueError as exc:  # or past int()'s digit limit
             raise ImageError(f"malformed header token {token!r}") from exc
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise ImageError("missing whitespace after maxval")
@@ -120,44 +60,56 @@ def _read_netpbm(data: bytes, magic: bytes, channels: int) -> tuple[int, int, by
     need = channels * width * height
     if len(data) - pos < need:
         raise ImageError(f"truncated payload: {len(data) - pos} of {need} bytes")
-    return width, height, bytes(data[pos : pos + need])
+    # bytes(data) is data itself for bytes, and a copy of a mutable buffer the caller could change later
+    pixels = np.frombuffer(bytes(data), np.uint8, need, pos)
+    return pixels.reshape((height, width, 3) if channels == 3 else (height, width))
 
 
-def read_ppm(data: bytes) -> ImageRGB8:
-    """Decode a binary P6 image (maxval 255)."""
-    return ImageRGB8(*_read_netpbm(data, b"P6", 3))
+def _pixels(a, role: str, ndim: int) -> np.ndarray:
+    """``a`` as a non-empty uint8 array of shape (h, w, 3) (``ndim`` 3) or (h, w) (``ndim`` 2)."""
+    a = np.asarray(a)
+    if a.dtype != np.uint8 or a.ndim != ndim or a.shape[2:] not in ((), (3,)) or a.size == 0:
+        want = "(h, w, 3)" if ndim == 3 else "(h, w)"
+        raise ImageError(f"{role}: expected a non-empty {want} uint8 array, got {a.dtype} of shape {a.shape}")
+    return a
 
 
-def write_ppm(img: ImageRGB8) -> bytes:
-    return b"P6\n%d %d\n255\n" % (img.width, img.height) + img.pixels
+def read_ppm(data: bytes) -> np.ndarray:
+    """Decode a binary P6 image (maxval 255) into a read-only (h, w, 3) uint8 array."""
+    return _read_netpbm(data, b"P6", 3)
 
 
-def read_pgm(data: bytes) -> MaskGray8:
-    """Decode a binary P5 mask (maxval 255)."""
-    return MaskGray8(*_read_netpbm(data, b"P5", 1))
+def write_ppm(img: np.ndarray) -> bytes:
+    """Encode an (h, w, 3) uint8 image as binary P6."""
+    img = _pixels(img, "image", 3)
+    return b"P6\n%d %d\n255\n" % (img.shape[1], img.shape[0]) + img.tobytes()
 
 
-def write_pgm(mask: MaskGray8) -> bytes:
-    return b"P5\n%d %d\n255\n" % (mask.width, mask.height) + mask.values
+def read_pgm(data: bytes) -> np.ndarray:
+    """Decode a binary P5 mask (maxval 255) into a read-only (h, w) uint8 array."""
+    return _read_netpbm(data, b"P5", 1)
 
 
-def composite(sim: ImageRGB8, mask: MaskGray8, real: ImageRGB8, mode: str = "hard") -> ImageRGB8:
-    """Overlay the masked simulated foreground onto the real background.
+def write_pgm(mask: np.ndarray) -> bytes:
+    """Encode an (h, w) uint8 mask as binary P5."""
+    mask = _pixels(mask, "mask", 2)
+    return b"P5\n%d %d\n255\n" % (mask.shape[1], mask.shape[0]) + mask.tobytes()
+
+
+def composite(sim: np.ndarray, mask: np.ndarray, real: np.ndarray, mode: str = "hard") -> np.ndarray:
+    """Overlay the masked simulated foreground onto the real background, as a new (h, w, 3) uint8 array.
 
     Hard mode treats the mask as binary at threshold 128. Soft mode blends
     per channel with integer rounding half away from zero, for antialiased
     masks.
     """
-    if not (sim.width == real.width == mask.width and sim.height == real.height == mask.height):
+    s, m, r = _pixels(sim, "sim", 3), _pixels(mask, "mask", 2), _pixels(real, "real", 3)
+    if not s.shape == r.shape == m.shape + (3,):
         raise ImageError("simulated, real, and mask dimensions must all match")
-    s = sim.as_array()
-    r = real.as_array()
-    m = mask.as_array()[:, :, np.newaxis]
+    m = m[:, :, np.newaxis]
     if mode == "hard":
-        out = np.where(m >= 128, s, r)
-    elif mode == "soft":
+        return np.where(m >= 128, s, r)
+    if mode == "soft":
         num = m.astype(np.uint32) * s + (255 - m.astype(np.uint32)) * r
-        out = ((2 * num + 255) // 510).astype(np.uint8)
-    else:
-        raise ImageError(f"unknown composite mode {mode!r} (want 'hard' or 'soft')")
-    return ImageRGB8.from_array(out.astype(np.uint8))
+        return ((2 * num + 255) // 510).astype(np.uint8)
+    raise ImageError(f"unknown composite mode {mode!r} (want 'hard' or 'soft')")

@@ -100,7 +100,6 @@ class ShiftRow:
     policy: str
     task: str
     factor: str
-    base: float
     shift: ShiftEval
 
 
@@ -129,7 +128,7 @@ def shifts_from_obj(obj, source: str = "<input>") -> list[ShiftRow]:
                 raise InputFormatError(f"{path}.factors.{name}: not a rate list")
             # an empty list or a rate outside [0, 1] is a semantic MetricsError
             shift = ShiftEval(base, tuple(_number(r, f"{path}.factors.{name}") for r in rates))
-            rows.append(ShiftRow(policy, task, name, base, shift))
+            rows.append(ShiftRow(policy, task, name, shift))
     return rows
 
 
@@ -186,7 +185,7 @@ def shift_csv(rows: list[ShiftRow]) -> str:
     for row in rows:
         d = delta_success(row.shift)
         w.writerow(
-            [row.policy, row.task, row.factor, f"{row.base:.6f}", len(row.shift.variant_rates),
+            [row.policy, row.task, row.factor, f"{row.shift.base_rate:.6f}", len(row.shift.variant_rates),
              f"{d.signed:.6f}", f"{d.absolute:.6f}"]
         )
     return buf.getvalue()

@@ -14,7 +14,7 @@ from real2sim.chain import UrdfParseError, chain_from_dict, chain_to_dict
 from real2sim.cli import ConfigError, main
 from real2sim.controller import CtrlConfig
 from real2sim.data import fixture_path
-from real2sim.imaging import ImageError, ImageRGB8, MaskGray8, write_pgm, write_ppm
+from real2sim.imaging import ImageError, read_ppm, write_pgm, write_ppm
 from real2sim.jointsim import JointDynamics, PDParams, synthesize_record
 from real2sim import report as rep
 from real2sim.metrics import MetricsError, PairedEvalTable, PolicyEval
@@ -251,9 +251,9 @@ def test_metrics_shift_non_number_exits_2(tmp_path, capsys, shift, message):
 
 def test_composite_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    sim = ImageRGB8.from_array(rng.integers(0, 256, (4, 6, 3), dtype=np.uint8))
-    real = ImageRGB8.from_array(rng.integers(0, 256, (4, 6, 3), dtype=np.uint8))
-    mask = MaskGray8.from_array(np.full((4, 6), 255, dtype=np.uint8))
+    sim = rng.integers(0, 256, (4, 6, 3), dtype=np.uint8)
+    real = rng.integers(0, 256, (4, 6, 3), dtype=np.uint8)
+    mask = np.full((4, 6), 255, dtype=np.uint8)
     (tmp_path / "sim.ppm").write_bytes(write_ppm(sim))
     (tmp_path / "real.ppm").write_bytes(write_ppm(real))
     (tmp_path / "mask.pgm").write_bytes(write_pgm(mask))
@@ -275,6 +275,24 @@ def test_composite_bad_image_exits_2(tmp_path):
         "--real", str(tmp_path / "real.ppm"), "--out", str(tmp_path / "o.ppm"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize("header, width", [(b"P6\n1_0 1\n255\n", 10), (b"P6\n+2 1\n255\n", 2)])
+def test_composite_non_decimal_header_token_exits_2(tmp_path, capsys, header, width):
+    # int() alone reads 1_0 as 10 and +2 as 2, which the other inputs' width matches
+    (tmp_path / "sim.ppm").write_bytes(header + bytes(3 * width))
+    (tmp_path / "real.ppm").write_bytes(write_ppm(np.zeros((1, width, 3), np.uint8)))
+    (tmp_path / "mask.pgm").write_bytes(write_pgm(np.zeros((1, width), np.uint8)))
+    with pytest.raises(ImageError, match="malformed header token"):
+        read_ppm(header + bytes(3 * width))
+    out = tmp_path / "o.ppm"
+    rc = main([
+        "composite", "--sim", str(tmp_path / "sim.ppm"), "--mask", str(tmp_path / "mask.pgm"),
+        "--real", str(tmp_path / "real.ppm"), "--out", str(out),
+    ])
+    assert rc == 2
+    assert "malformed header token" in capsys.readouterr().err
+    assert not out.exists()
 
 
 URDF = """<robot name="mini">

@@ -1,10 +1,10 @@
 """Mutation fuzzing of the command-line boundary.
 
 Every example runs one command in-process on small valid inputs with one
-JSON leaf or container, or one flag value, replaced by a value from a fixed
-set. Whatever the replacement, the command must end with a documented exit
-code, raise nothing, write nothing but its own outputs, and write only
-standard JSON.
+JSON leaf or container, one flag value, or one image header token, replaced
+by a value from a fixed set. Whatever the replacement, the command must end
+with a documented exit code, raise nothing, write nothing but its own
+outputs, and write only standard JSON.
 """
 
 import copy
@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from helpers import fk_path_actions, planar_2link
 from real2sim.chain import chain_to_dict
 from real2sim.cli import main
 from real2sim.controller import CtrlConfig
-from real2sim.imaging import ImageRGB8, MaskGray8, write_pgm, write_ppm
+from real2sim.imaging import write_pgm, write_ppm
 from real2sim.jointsim import JointDynamics, PDParams, synthesize_record
 
 HUGE = str(10**400)  # a valid JSON integer, but past the float range
@@ -33,6 +34,8 @@ FLAG_VALUES = ["1", "true", "null", "[]", "{}", "NaN", "Infinity", HUGE, LONG]
 # A huge valid count is a long run, not a malformed input: the count fields get no huge integer.
 COUNT_FIELDS = {("anneal", "rounds"), ("anneal", "iters_per_round")}
 SENTINEL = "<replaced>"
+# the replacements of a PPM/PGM header token: netpbm tokens are ASCII decimal digits, and maxval must be 255
+HEADER_VALUES = ["1_0", "+2", "0", "-1", "65535", "9" * 400, "#", ""]
 
 URDF = """<robot name="mini">
   <link name="base"/><link name="a"/><link name="tool"/>
@@ -79,9 +82,9 @@ JSON_INPUTS = {
     },
 }
 OTHER_INPUTS = {
-    "sim.ppm": write_ppm(ImageRGB8.from_array(np.zeros((2, 3, 3), np.uint8))),
-    "real.ppm": write_ppm(ImageRGB8.from_array(np.full((2, 3, 3), 9, np.uint8))),
-    "mask.pgm": write_pgm(MaskGray8.from_array(np.full((2, 3), 200, np.uint8))),
+    "sim.ppm": write_ppm(np.zeros((2, 3, 3), np.uint8)),
+    "real.ppm": write_ppm(np.full((2, 3, 3), 9, np.uint8)),
+    "mask.pgm": write_pgm(np.full((2, 3), 200, np.uint8)),
     "robot.urdf": URDF.encode(),
 }
 
@@ -136,11 +139,19 @@ def _replaced(obj, path, text: str) -> str:
     return json.dumps(obj).replace(json.dumps(SENTINEL), text)
 
 
+def _header_replaced(data: bytes, index: int, token: str) -> bytes:
+    """A canonical PPM/PGM file with its header token ``index`` (0 width, 1 height, 2 maxval) replaced."""
+    head, payload = data.split(b"\n255\n", 1)
+    tokens = [*head.split()[1:], b"255"]
+    tokens[index] = token.encode()
+    return b"%s\n%s %s\n%s\n" % (head[:2], *tokens) + payload
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def _run(command: str, target: str, path, value: str) -> None:
+def _run(command: str, target: str, path, value: str) -> int:
     template, _, _ = COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -149,7 +160,7 @@ def _run(command: str, target: str, path, value: str) -> None:
         for name, obj in JSON_INPUTS.items():
             (root / name).write_text(_replaced(obj, path, value) if name == target else json.dumps(obj))
         for name, data in OTHER_INPUTS.items():
-            (root / name).write_bytes(data)
+            (root / name).write_bytes(_header_replaced(data, path, value) if name == target else data)
         inputs = {p for p in root.rglob("*") if p.is_file()}
         argv = []
         for arg in template:
@@ -170,6 +181,7 @@ def _run(command: str, target: str, path, value: str) -> None:
         for p in written:
             if p.suffix == ".json":
                 json.loads(p.read_text(), parse_constant=_reject_constant)
+        return code
 
 
 @settings(max_examples=700, derandomize=True, database=None, deadline=None)
@@ -177,3 +189,10 @@ def _run(command: str, target: str, path, value: str) -> None:
 @example(("replay", "traj/record.json", ("actions", 0, "gripper"), HUGE))
 def test_cli_survives_one_malformed_value(mutation):
     _run(*mutation)
+
+
+@pytest.mark.parametrize("value", HEADER_VALUES)
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["width", "height", "maxval"])
+@pytest.mark.parametrize("name", ["sim.ppm", "mask.pgm"])
+def test_composite_rejects_one_malformed_header_token(name, index, value):
+    assert _run("composite", name, index, value) == 2

@@ -3,8 +3,6 @@ import pytest
 
 from real2sim.imaging import (
     ImageError,
-    ImageRGB8,
-    MaskGray8,
     composite,
     read_pgm,
     read_ppm,
@@ -14,17 +12,27 @@ from real2sim.imaging import (
 
 
 def rand_image(rng, w, h):
-    return ImageRGB8.from_array(rng.integers(0, 256, (h, w, 3), dtype=np.uint8))
+    return rng.integers(0, 256, (h, w, 3), dtype=np.uint8)
 
 
 def rand_mask(rng, w, h):
-    return MaskGray8.from_array(rng.integers(0, 256, (h, w), dtype=np.uint8))
+    return rng.integers(0, 256, (h, w), dtype=np.uint8)
 
 
 def test_read_one_white_pixel():
     img = read_ppm(b"P6\n1 1\n255\n\xff\xff\xff")
-    assert (img.width, img.height) == (1, 1)
-    assert img.pixels == b"\xff\xff\xff"
+    assert img.shape == (1, 1, 3) and img.dtype == np.uint8
+    assert img.tobytes() == b"\xff\xff\xff"
+    assert img.flags.writeable is False
+
+
+def test_read_does_not_alias_a_mutable_buffer():
+    data = bytearray(b"P6\n1 1\n255\n\x01\x02\x03")
+    img = read_ppm(data)
+    mask = read_pgm(bytearray(b"P5\n1 1\n255\n\x07"))
+    data[-3:] = b"\xff\xff\xff"
+    assert img.tobytes() == b"\x01\x02\x03"
+    assert mask.shape == (1, 1) and mask.flags.writeable is False
 
 
 def test_roundtrip_byte_identical():
@@ -40,7 +48,7 @@ def test_roundtrip_byte_identical():
 
 def test_reader_accepts_general_whitespace_header():
     img = read_ppm(b"P6 2\t1\n255 " + bytes(6))
-    assert (img.width, img.height) == (2, 1)
+    assert img.shape == (1, 2, 3)
 
 
 def test_ascii_variant_rejected():
@@ -67,54 +75,85 @@ def test_truncated_payload_rejected():
         read_ppm(b"P6\n2 2\n255\n\x00\x00\x00")
 
 
+@pytest.mark.parametrize("header", [b"P6\n1_0 1\n255\n", b"P6\n+2 1\n255\n", b"P6\n1 1\n25_5\n"])
+def test_header_tokens_are_decimal_digits(header):
+    # int() alone reads 1_0 as 10 and +2 as 2
+    with pytest.raises(ImageError, match="malformed header token"):
+        read_ppm(header + bytes(30))
+    with pytest.raises(ImageError, match="malformed header token"):
+        read_pgm(b"P5" + header[2:] + bytes(10))
+
+
 def test_dimension_validation():
-    with pytest.raises(ImageError):
-        ImageRGB8(2, 2, b"\x00" * 5)
-    with pytest.raises(ImageError):
-        MaskGray8(0, 1, b"")
+    good, mask = np.zeros((2, 2, 3), np.uint8), np.zeros((2, 2), np.uint8)
+    # a float array, a 2-D image, a 4-channel image and an empty one
+    for bad in (np.zeros((2, 2, 3)), mask, np.zeros((2, 2, 4), np.uint8), np.zeros((0, 2, 3), np.uint8)):
+        with pytest.raises(ImageError, match="image: expected"):
+            write_ppm(bad)
+        with pytest.raises(ImageError, match="sim: expected"):
+            composite(bad, mask, good)
+        with pytest.raises(ImageError, match="real: expected"):
+            composite(good, mask, bad)
+    # a float mask, a 3-D one and an empty one
+    for bad in (np.zeros((2, 2)), good, np.zeros((0, 2), np.uint8)):
+        with pytest.raises(ImageError, match="mask: expected"):
+            write_pgm(bad)
+        with pytest.raises(ImageError, match="mask: expected"):
+            composite(good, bad, good)
+
+
+def test_composite_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(8)
+    sim, real, mask = rand_image(rng, 5, 4), rand_image(rng, 5, 4), rand_mask(rng, 5, 4)
+    before = [a.copy() for a in (sim, mask, real)]
+    for mode in ("hard", "soft"):
+        out = composite(sim, mask, real, mode=mode)
+        assert not any(np.shares_memory(out, a) for a in (sim, mask, real))
+        out[...] = 0
+    assert all(np.array_equal(a, b) for a, b in zip((sim, mask, real), before))
 
 
 def test_composite_full_mask_returns_sim():
     rng = np.random.default_rng(1)
     sim = rand_image(rng, 6, 4)
     real = rand_image(rng, 6, 4)
-    mask = MaskGray8.from_array(np.full((4, 6), 255, dtype=np.uint8))
-    assert composite(sim, mask, real).pixels == sim.pixels
-    assert composite(sim, mask, real, mode="soft").pixels == sim.pixels
+    mask = np.full((4, 6), 255, dtype=np.uint8)
+    assert np.array_equal(composite(sim, mask, real), sim)
+    assert np.array_equal(composite(sim, mask, real, mode="soft"), sim)
 
 
 def test_composite_empty_mask_returns_real():
     rng = np.random.default_rng(2)
     sim = rand_image(rng, 6, 4)
     real = rand_image(rng, 6, 4)
-    mask = MaskGray8.from_array(np.zeros((4, 6), dtype=np.uint8))
-    assert composite(sim, mask, real).pixels == real.pixels
-    assert composite(sim, mask, real, mode="soft").pixels == real.pixels
+    mask = np.zeros((4, 6), dtype=np.uint8)
+    assert np.array_equal(composite(sim, mask, real), real)
+    assert np.array_equal(composite(sim, mask, real, mode="soft"), real)
 
 
 def test_composite_hard_threshold_128():
-    sim = ImageRGB8(2, 1, bytes([10, 10, 10, 10, 10, 10]))
-    real = ImageRGB8(2, 1, bytes([200, 200, 200, 200, 200, 200]))
-    mask = MaskGray8(2, 1, bytes([127, 128]))
+    sim = np.full((1, 2, 3), 10, np.uint8)
+    real = np.full((1, 2, 3), 200, np.uint8)
+    mask = np.array([[127, 128]], np.uint8)
     out = composite(sim, mask, real)
-    assert out.pixels == bytes([200, 200, 200, 10, 10, 10])
+    assert out.tobytes() == bytes([200, 200, 200, 10, 10, 10])
 
 
 def test_composite_soft_midpoint_rounding():
     # (128*255 + 127*0) / 255 rounds half away from zero to 128
-    sim = ImageRGB8(1, 1, bytes([255, 255, 255]))
-    real = ImageRGB8(1, 1, bytes([0, 0, 0]))
-    mask = MaskGray8(1, 1, bytes([128]))
+    sim = np.full((1, 1, 3), 255, np.uint8)
+    real = np.zeros((1, 1, 3), np.uint8)
+    mask = np.array([[128]], np.uint8)
     out = composite(sim, mask, real, mode="soft")
-    assert out.pixels == bytes([128, 128, 128])
+    assert out.tobytes() == bytes([128, 128, 128])
 
 
 def test_composite_identical_layers_unchanged():
     rng = np.random.default_rng(3)
     img = rand_image(rng, 5, 5)
     mask = rand_mask(rng, 5, 5)
-    assert composite(img, mask, img).pixels == img.pixels
-    assert composite(img, mask, img, mode="soft").pixels == img.pixels
+    assert np.array_equal(composite(img, mask, img), img)
+    assert np.array_equal(composite(img, mask, img, mode="soft"), img)
 
 
 def test_composite_hard_idempotent():
@@ -124,7 +163,7 @@ def test_composite_hard_idempotent():
     mask = rand_mask(rng, 5, 5)
     once = composite(sim, mask, real)
     twice = composite(once, mask, real)
-    assert twice.pixels == once.pixels
+    assert np.array_equal(twice, once)
 
 
 def test_composite_soft_bounded_by_inputs():
@@ -132,9 +171,9 @@ def test_composite_soft_bounded_by_inputs():
     sim = rand_image(rng, 8, 8)
     real = rand_image(rng, 8, 8)
     mask = rand_mask(rng, 8, 8)
-    out = composite(sim, mask, real, mode="soft").as_array().astype(int)
-    lo = np.minimum(sim.as_array(), real.as_array()).astype(int)
-    hi = np.maximum(sim.as_array(), real.as_array()).astype(int)
+    out = composite(sim, mask, real, mode="soft").astype(int)
+    lo = np.minimum(sim, real).astype(int)
+    hi = np.maximum(sim, real).astype(int)
     assert np.all(out >= lo)
     assert np.all(out <= hi)
 

@@ -13,7 +13,7 @@ import pytest
 
 import real2sim
 from real2sim.data import fixture_path
-from real2sim.imaging import ImageRGB8, MaskGray8, write_pgm, write_ppm
+from real2sim.imaging import write_pgm, write_ppm
 
 SRC = Path(real2sim.__file__).resolve().parents[1]
 README = SRC.parent / "README.md"
@@ -50,9 +50,9 @@ def test_help_runs_neither_numpy_nor_any_layer():
 
 def test_composite_runs_only_imaging(tmp_path):
     files = {
-        "sim.ppm": write_ppm(ImageRGB8.from_array(np.zeros((4, 5, 3), np.uint8))),
-        "real.ppm": write_ppm(ImageRGB8.from_array(np.full((4, 5, 3), 9, np.uint8))),
-        "mask.pgm": write_pgm(MaskGray8.from_array(np.full((4, 5), 200, np.uint8))),
+        "sim.ppm": write_ppm(np.zeros((4, 5, 3), np.uint8)),
+        "real.ppm": write_ppm(np.full((4, 5, 3), 9, np.uint8)),
+        "mask.pgm": write_pgm(np.full((4, 5), 200, np.uint8)),
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
