@@ -60,12 +60,16 @@ def _read_json(path):
 def _write(*outputs: tuple[str, str | bytes]) -> None:
     """The one writer: text or bytes to each path, all files or none. A regular file goes to a temporary
     sibling, and all are renamed into place once every one is written; then - (standard output) and
-    any existing device or pipe are written directly."""
+    any existing device or pipe are written directly. Two outputs on one file are refused at the start."""
     for out in (out for out, _ in outputs if out != "-" and os.path.isdir(out)):  # refused before anything is written
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
     direct = [out == "-" or os.path.exists(out) and not os.path.isfile(out) for out, _ in outputs]
     files = [(out, data, os.path.join(os.path.dirname(out), f".{os.urandom(6).hex()}.tmp"))
              for (out, data), d in zip(outputs, direct) if not d]
+    reals = [os.path.realpath(out) for out, *_ in files]
+    for i, (out, *_) in enumerate(files):
+        if reals[i] in reals[:i]:
+            raise report.InputFormatError(f"{out}: the same file is given for more than one output")
     made = [tmp for *_, tmp in files] + [out for out, *_ in files if not os.path.lexists(out)]
     try:
         for out, data, tmp in files:

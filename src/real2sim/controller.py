@@ -27,6 +27,7 @@ from .profile import LimitSet, synchronize
 __all__ = [
     "ControllerError",
     "CtrlConfig",
+    "MAX_TICKS_PER_STEP",
     "GOOGLE_ARM_LIMITS",
     "GOOGLE_GRIP_LIMITS",
     "GOOGLE_GRIP_FILTER",
@@ -41,6 +42,7 @@ logger = logging.getLogger(__name__)
 GOOGLE_ARM_LIMITS = LimitSet(v_max=1.5, a_max=2.0, j_max=50.0)
 GOOGLE_GRIP_LIMITS = LimitSet(v_max=1.0, a_max=7.0, j_max=50.0)
 GOOGLE_GRIP_FILTER = 0.01  # gripper actions below this magnitude leave the goal unchanged
+MAX_TICKS_PER_STEP = 10_000  # 60x the Google default of 167
 
 
 class ControllerError(ValueError):
@@ -51,8 +53,8 @@ class ControllerError(ValueError):
 class CtrlConfig:
     """Simulation and control frequencies.
 
-    ``ticks_per_step`` is floor(h_sim / h_ctrl); the frequencies need not
-    divide evenly.
+    ``ticks_per_step`` is floor(h_sim / h_ctrl), at most ``MAX_TICKS_PER_STEP``;
+    the frequencies need not divide evenly.
     """
 
     h_sim: float = 501.0
@@ -65,6 +67,9 @@ class CtrlConfig:
                 raise ControllerError(f"{name} must be a positive finite frequency, got {value}")
         if self.h_sim < self.h_ctrl:
             raise ControllerError("h_sim must be at least h_ctrl")
+        if self.h_sim / self.h_ctrl > MAX_TICKS_PER_STEP:  # per-step arrays grow with ticks x rows
+            raise ControllerError(f"h_sim {self.h_sim} Hz over h_ctrl {self.h_ctrl} Hz is more than "
+                                  f"{MAX_TICKS_PER_STEP} simulation steps per control step")
 
     @property
     def ticks_per_step(self) -> int:

@@ -22,6 +22,11 @@ class ImageError(ValueError):
 _ASCII_VARIANTS = {b"P3": "P6", b"P2": "P5"}
 
 
+def _clip(token: bytes) -> bytes:
+    """A header token as an error message shows it: its first 16 bytes, then ``...`` if there are more."""
+    return token[:16] + b"..." if len(token) > 16 else token
+
+
 def _read_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
     """The read-only (h, w, 3) (``channels`` 3) or (h, w) (``channels`` 1) uint8 payload of a binary netpbm file."""
     if len(data) < 2:
@@ -48,13 +53,13 @@ def _read_netpbm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
                 raise ValueError(token)
             fields.append(int(token))
         except ValueError as exc:  # or past int()'s digit limit
-            raise ImageError(f"malformed header token {token!r}") from exc
+            raise ImageError(f"malformed header token {_clip(token)!r}") from exc
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise ImageError("missing whitespace after maxval")
     pos += 1
     width, height, maxval = fields
     if maxval != 255:
-        raise ImageError(f"unsupported maxval {maxval}, only 255 is handled")
+        raise ImageError(f"unsupported maxval {_clip(token).decode()}, only 255 is handled")
     if width <= 0 or height <= 0:
         raise ImageError("non-positive image dimensions")
     need = channels * width * height

@@ -14,8 +14,7 @@ from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
 from real2sim.chain import (IK_DAMPING, IK_MAX_STEP, IK_STALL_ITERS, IK_TOL_POS, IK_TOL_ROT, ChainSpec, IkResult,
                             JointSpec)
 from real2sim.geometry import axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
-from real2sim.metrics import (DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError,
-                              _chi2_sf_1df)
+from real2sim.metrics import DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError
 from real2sim.profile import LimitSet, PlanningError
 from real2sim.sysid import SysIdError, TrajectoryLosses
 
@@ -220,7 +219,7 @@ def ref_kruskal_wallis(a, b) -> KruskalResult:
     if correction <= 0.0:
         return KruskalResult(0.0, 1.0)
     h = h_unc / correction
-    return KruskalResult(float(h), _chi2_sf_1df(float(h)))
+    return KruskalResult(float(h), math.erfc(math.sqrt(float(h) / 2.0)))  # the chi-square (1 dof) tail
 
 
 def ref_aggregate_grouped(rates) -> list[float]:

@@ -295,6 +295,24 @@ def test_composite_non_decimal_header_token_exits_2(tmp_path, capsys, header, wi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header", [b"P6\n" + b"7" * 10**6 + b" 1\n255\n", b"P6\n1 1\n" + b"9" * 400 + b"\n",
+                                    b"P6\n" + b"x" * 10**6 + b" 1\n255\n"], ids=["width", "maxval", "non-digit"])
+def test_composite_long_header_token_error_is_short(tmp_path, capsys, header):
+    # the message shows the token's first 16 bytes, not the whole token
+    (tmp_path / "sim.ppm").write_bytes(header + bytes(3))
+    (tmp_path / "real.ppm").write_bytes(write_ppm(np.zeros((1, 1, 3), np.uint8)))
+    (tmp_path / "mask.pgm").write_bytes(write_pgm(np.zeros((1, 1), np.uint8)))
+    out = tmp_path / "o.ppm"
+    rc = main([
+        "composite", "--sim", str(tmp_path / "sim.ppm"), "--mask", str(tmp_path / "mask.pgm"),
+        "--real", str(tmp_path / "real.ppm"), "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err) < 100 and "..." in err
+    assert not out.exists()
+
+
 URDF = """<robot name="mini">
   <link name="base"/><link name="a"/><link name="tool"/>
   <joint name="j1" type="revolute">
@@ -616,6 +634,76 @@ def test_replay_cli_ctrl_mismatch_exits_3(sysid_workspace, tmp_path, capsys):
     ])
     assert rc == 3
     assert capsys.readouterr().err.startswith(f"error: {root / 'trajectories' / 'rec0.json'}: record control")
+
+
+@pytest.mark.parametrize("controller, flags", [("google", ["--sim-hz", "1e12"]),
+                                              ("widowx", ["--ctrl-hz", "5", "--sim-hz", "1e12"])],
+                         ids=["google", "widowx"])
+def test_replay_cli_too_many_ticks_per_step_exits_3(sysid_workspace, tmp_path, capsys, controller, flags):
+    # 1e12 Hz over a few Hz would plan and simulate billions of steps per action
+    root = sysid_workspace
+    params = tmp_path / "pd.json"
+    params.write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    rc = main([
+        "replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+        "--chain", str(root / "chain.json"), "--params", str(params),
+        "--controller", controller, *flags, "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    h_ctrl = 3.0 if controller == "google" else 5.0
+    assert rc == 3
+    assert err.startswith(f"error: h_sim 1000000000000.0 Hz over h_ctrl {h_ctrl} Hz is more than 10000 ")
+    assert not out.exists()
+
+
+def test_sysid_fit_too_many_ticks_per_step_exits_3(sysid_workspace, tmp_path, capsys):
+    root = sysid_workspace
+    config = json.loads((root / "sysid.json").read_text())
+    config["ctrl"] = {"h_sim": 50_005.0, "h_ctrl": 5.0}
+    (tmp_path / "sysid.json").write_text(json.dumps(config))
+    out = tmp_path / "params.json"
+    rc = main([
+        "sysid", "fit", "--trajectories", str(root / "trajectories"),
+        "--chain", str(root / "chain.json"), "--config", str(tmp_path / "sysid.json"), "--out", str(out),
+    ])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: h_sim 50005.0 Hz over h_ctrl 5.0 Hz is more than 10000 ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("same", ["same name", "dot segment", "symlink"])
+def test_replay_cli_out_and_dump_plan_on_one_file_exits_2(sysid_workspace, tmp_path, capsys, same):
+    root = sysid_workspace
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    target = tmp_path / "both.csv"
+    target.write_text("keep\n")
+    plan = {"same name": target, "dot segment": tmp_path / "." / "both.csv", "symlink": tmp_path / "link.csv"}[same]
+    if same == "symlink":
+        plan.symlink_to(target)
+    rc = main([
+        "replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+        "--chain", str(root / "chain.json"), "--params", str(tmp_path / "pd.json"),
+        "--controller", "widowx", "--sim-hz", "200", "--out", str(target), "--dump-plan", str(plan),
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == f"error: {target}: the same file is given for more than one output\n"
+    assert captured.out == ""
+    assert target.read_text() == "keep\n"
+    assert {p.name for p in tmp_path.iterdir()} - {"link.csv"} == {"both.csv", "pd.json"}  # no temporary left
+
+
+def test_replay_cli_out_and_dump_plan_on_one_device(sysid_workspace, tmp_path):
+    # a device is written directly, so two outputs may share it
+    root = sysid_workspace
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    rc = main([
+        "replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+        "--chain", str(root / "chain.json"), "--params", str(tmp_path / "pd.json"),
+        "--controller", "widowx", "--sim-hz", "200", "--out", os.devnull, "--dump-plan", os.devnull,
+    ])
+    assert rc == 0
 
 
 @pytest.mark.parametrize("flag", ["--sim-hz", "--ctrl-hz"])

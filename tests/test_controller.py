@@ -7,6 +7,7 @@ from helpers import RefGripState, random_rotation, ref_google_grip_step, rot_z, 
 from real2sim.controller import (
     GOOGLE_GRIP_FILTER,
     GOOGLE_GRIP_LIMITS,
+    MAX_TICKS_PER_STEP,
     ControllerError,
     CtrlConfig,
     google_grip_step,
@@ -31,6 +32,14 @@ def test_ctrl_config_rejects_non_positive_and_non_finite_frequencies():
         for bad in (0.0, -5.0, math.nan, math.inf):
             with pytest.raises(ControllerError, match=f"^{field} must be a positive finite frequency"):
                 CtrlConfig(**{field: bad})
+
+
+def test_ctrl_config_rejects_more_than_max_ticks_per_step():
+    assert CtrlConfig(h_sim=3.0 * MAX_TICKS_PER_STEP, h_ctrl=3.0).ticks_per_step == MAX_TICKS_PER_STEP
+    with pytest.raises(ControllerError, match=r"^h_sim 30003.0 Hz over h_ctrl 3.0 Hz is more than 10000 "):
+        CtrlConfig(h_sim=3.0 * MAX_TICKS_PER_STEP + 3.0, h_ctrl=3.0)
+    with pytest.raises(ControllerError, match="is more than 10000"):
+        CtrlConfig(h_sim=1e300, h_ctrl=1e-300)
 
 
 def test_ticks_per_step_floor():

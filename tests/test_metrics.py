@@ -13,7 +13,6 @@ from real2sim.metrics import (
     ShiftEval,
     UndefinedStatisticError,
     _fractional_ranks,
-    _gammainc_upper,
     action_mse,
     aggregate_grouped,
     delta_success,
@@ -274,10 +273,17 @@ def test_kruskal_empty_group_rejected():
         kruskal_wallis([], [1, 0])
 
 
-def test_gammainc_upper_against_erfc():
-    # chi-square sf with 1 dof equals erfc(sqrt(x / 2))
-    for h in (0.01, 0.5, 1.0, 3.84, 6.63, 15.0, 40.0):
-        assert _gammainc_upper(0.5, h / 2) == pytest.approx(math.erfc(math.sqrt(h / 2)), rel=1e-9)
+def test_kruskal_p_is_the_erfc_tail():
+    # the chi-square (1 dof) survival function is erfc(sqrt(h / 2)), bit for bit, over h from 0.01 to 40
+    hs = []
+    for ones in range(201):
+        h, p = kruskal_wallis([1] * ones + [0] * (200 - ones), [1] * 100 + [0] * 100)
+        assert p == math.erfc(math.sqrt(h / 2))
+        hs.append(h)
+    assert min(h for h in hs if h > 0) <= 0.01 and max(hs) >= 40
+    # perfectly separated groups of 1000: h = 1999 and erfc(31.6) underflows to zero
+    h, p = kruskal_wallis([1] * 1000, [0] * 1000)
+    assert h == pytest.approx(1999.0) and p == 0.0
 
 
 def test_aggregate_grouped():
