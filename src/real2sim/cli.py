@@ -60,9 +60,11 @@ def _read_json(path):
 def _write(*outputs: tuple[str, str | bytes]) -> None:
     """The one writer: text or bytes to each path, all files or none. A regular file goes to a temporary
     sibling, and all are renamed into place once every one is written; then - (standard output) and
-    any existing device or pipe are written directly. Two outputs on one file are refused at the start."""
+    any existing device or pipe are written directly. Two outputs on one file or on - are refused at the start."""
     for out in (out for out, _ in outputs if out != "-" and os.path.isdir(out)):  # refused before anything is written
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+    if [out for out, _ in outputs].count("-") > 1:
+        raise report.InputFormatError("-: standard output is given for more than one output")
     direct = [out == "-" or os.path.exists(out) and not os.path.isfile(out) for out, _ in outputs]
     files = [(out, data, os.path.join(os.path.dirname(out), f".{os.urandom(6).hex()}.tmp"))
              for (out, data), d in zip(outputs, direct) if not d]
@@ -302,7 +304,7 @@ def cmd_replay(args) -> int:
         lines = [",".join(head)] + [",".join(f"{v:.9f}" for v in row) for rows in plan_rows for row in rows]
         outputs.insert(0, (args.dump_plan, "\n".join(lines) + "\n"))
     _write(*outputs)
-    if args.out != "-":
+    if "-" not in (args.out, args.dump_plan):
         sys.stdout.write(f"loss_translation={losses.translation:.9f} loss_rotation={losses.rotation:.9f} "
                          f"loss_total={losses.total:.9f}\n")
     return EXIT_OK

@@ -63,6 +63,9 @@ class PDParams:
         object.__setattr__(self, "d", _freeze(self.d, None if np.ndim(self.d) == 2 else -1))
         if self.p.shape != self.d.shape:
             raise JointSimError("p and d must have equal length")
+        for name in ("p", "d"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise JointSimError(f"PD gain {name} must be finite")
         if np.any(self.p < 0.0) or np.any(self.d < 0.0):
             raise JointSimError("PD gains must be non-negative")
 
@@ -85,6 +88,9 @@ class JointDynamics:
             object.__setattr__(self, name, _freeze(getattr(self, name), -1))
         if not (self.inertia.shape == self.damping.shape == self.lower.shape == self.upper.shape):
             raise JointSimError("dynamics vectors must have equal length")
+        for name in ("inertia", "damping"):  # the limits may be infinite, as for a continuous joint
+            if not np.isfinite(getattr(self, name)).all():
+                raise JointSimError(f"joint {name} must be finite")
         if np.any(self.inertia <= 0.0):
             raise JointSimError("joint inertia must be strictly positive")
         if np.any(self.damping < 0.0):

@@ -6,6 +6,9 @@ weighted by the real success-rate gap, and the per-policy worst case is
 averaged. Pearson/Spearman correlations, success-rate deltas under
 distribution shifts, a two-group Kruskal-Wallis test, grouped averaging,
 and a validation action-MSE baseline round out the set.
+
+Every sum is ``math.fsum``, exactly rounded, so no statistic depends on the
+order in which its inputs (a table's policies, say) are listed.
 """
 
 from __future__ import annotations
@@ -134,8 +137,7 @@ def max_rank_violations(table: PairedEvalTable) -> list[float]:
 
 def mmrv(table: PairedEvalTable) -> float:
     """Mean over policies of the worst real-weighted rank violation."""
-    worst = max_rank_violations(table)
-    return sum(worst) / len(worst)
+    return _mean(max_rank_violations(table))
 
 
 def _flatten(a) -> tuple[tuple[int, ...], list[float]]:
@@ -156,27 +158,9 @@ def _flatten(a) -> tuple[tuple[int, ...], list[float]]:
     return shape, values
 
 
-def _sum(xs: list[float]) -> float:
-    """Pairwise sum as ``numpy.sum`` forms it, bit for bit: halves above 128 values, 8 interleaved running
-    sums below that, a plain loop below 8. Its rounding error grows with log n, not n."""
-    n = len(xs)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(xs[:half]) + _sum(xs[half:])
-    total, tail = 0.0, 0
-    if n >= 8:
-        tail = n - n % 8
-        r = xs[:8]
-        for i in range(8, tail):
-            r[i % 8] += xs[i]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in xs[tail:]:
-        total += x
-    return total
-
-
 def _mean(xs: list[float]) -> float:
-    return _sum(xs) / len(xs)
+    """Exactly rounded mean: ``math.fsum`` rounds the sum once, so it does not depend on the order of ``xs``."""
+    return math.fsum(xs) / len(xs)
 
 
 def pearson(x, y) -> float:
@@ -189,10 +173,10 @@ def pearson(x, y) -> float:
     mx, my = _mean(xs), _mean(ys)
     dx = [v - mx for v in xs]
     dy = [v - my for v in ys]
-    scale = math.sqrt(_sum([v * v for v in dx])) * math.sqrt(_sum([v * v for v in dy]))
+    scale = math.sqrt(math.fsum(v * v for v in dx)) * math.sqrt(math.fsum(v * v for v in dy))
     if scale == 0.0:
         raise UndefinedStatisticError("correlation undefined: an input has zero variance")
-    return _sum([a * b for a, b in zip(dx, dy)]) / scale
+    return math.fsum(a * b for a, b in zip(dx, dy)) / scale
 
 
 def _fractional_ranks(x: list[float]) -> list[float]:

@@ -14,6 +14,7 @@ from .metrics import (
     PolicyEval,
     ShiftEval,
     UndefinedStatisticError,
+    _mean,
     delta_success,
     kruskal_wallis,
     max_rank_violations,
@@ -156,7 +157,7 @@ def compute_table_stats(table: PairedEvalTable) -> TableStats:
     kp = {e.policy_id: kruskal_wallis(e.real_trials, e.sim_trials).p
           for e in table.evals if e.real_trials is not None and e.sim_trials is not None}
     worst = max_rank_violations(table)
-    return TableStats(table.task, len(table.evals), sum(worst) / len(worst), r, rho, kp, tuple(worst))
+    return TableStats(table.task, len(table.evals), _mean(worst), r, rho, kp, tuple(worst))
 
 
 def _fmt(x: float | None) -> str:

@@ -254,7 +254,7 @@ def anneal_fit(
             cands = objective(to_pd(proposals, lows, highs))
             cand, proposal = min(zip(cands, proposals), key=lambda c: c[0].total)  # the first lowest
             delta = cand.total - current_loss
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temp):
+            if delta <= 0.0 or rng.random() < (math.exp(-delta / temp) if temp > 0.0 else 0.0):
                 u = proposal
                 current_loss = cand.total
             if cand.total < best.total:

@@ -151,9 +151,13 @@ def permutation_midp(a, b, h_obs, n_resamples=100_000, seed=7):
 
 # ---------------------------------------------------------------------------
 # numpy references of the statistics in real2sim.metrics, which computes them
-# with plain floats. Ranks, Kruskal-Wallis and the shift deltas must match
-# them bit for bit, Pearson and Spearman within rel 1e-12.
+# with plain floats. Both take every sum with math.fsum, exactly rounded, so
+# each statistic must match its reference bit for bit.
 # ---------------------------------------------------------------------------
+
+
+def _ref_mean(a: np.ndarray) -> float:
+    return math.fsum(a) / a.shape[0]
 
 
 def _ref_paired(x, y):
@@ -168,13 +172,13 @@ def _ref_paired(x, y):
 
 def ref_pearson(x, y) -> float:
     xa, ya = _ref_paired(x, y)
-    dx = xa - xa.mean()
-    dy = ya - ya.mean()
-    sx = float(np.sqrt(np.sum(dx * dx)))
-    sy = float(np.sqrt(np.sum(dy * dy)))
+    dx = xa - _ref_mean(xa)
+    dy = ya - _ref_mean(ya)
+    sx = math.sqrt(math.fsum(dx * dx))
+    sy = math.sqrt(math.fsum(dy * dy))
     if sx == 0.0 or sy == 0.0:
         raise UndefinedStatisticError("correlation undefined: an input has zero variance")
-    return float(np.sum(dx * dy) / (sx * sy))
+    return math.fsum(dx * dy) / (sx * sy)
 
 
 def ref_fractional_ranks(x: np.ndarray) -> np.ndarray:
@@ -197,7 +201,7 @@ def ref_spearman(x, y) -> float:
 
 def ref_delta_success(s: ShiftEval) -> DeltaSuccess:
     diffs = np.array(s.variant_rates) - s.base_rate
-    return DeltaSuccess(float(diffs.mean()), float(np.abs(diffs).mean()))
+    return DeltaSuccess(_ref_mean(diffs), _ref_mean(np.abs(diffs)))
 
 
 def ref_kruskal_wallis(a, b) -> KruskalResult:
@@ -212,7 +216,7 @@ def ref_kruskal_wallis(a, b) -> KruskalResult:
     r_b = ranks[aa.shape[0] :]
     grand = 0.5 * (n + 1)
     h_unc = (12.0 / (n * (n + 1))) * (
-        aa.shape[0] * (r_a.mean() - grand) ** 2 + bb.shape[0] * (r_b.mean() - grand) ** 2
+        aa.shape[0] * (_ref_mean(r_a) - grand) ** 2 + bb.shape[0] * (_ref_mean(r_b) - grand) ** 2
     )
     _, counts = np.unique(pooled, return_counts=True)
     correction = 1.0 - float(np.sum(counts.astype(float) ** 3 - counts)) / (n**3 - n)
@@ -230,7 +234,7 @@ def ref_aggregate_grouped(rates) -> list[float]:
         g = np.asarray(group, dtype=float).reshape(-1)
         if g.shape[0] == 0:
             raise MetricsError(f"group {i} is empty")
-        out.append(float(g.mean()))
+        out.append(_ref_mean(g))
     return out
 
 
@@ -241,7 +245,7 @@ def ref_action_mse(pred, gt) -> float:
         raise MetricsError(f"shape mismatch: {pa.shape} vs {ga.shape}")
     if pa.size == 0:
         raise MetricsError("empty action arrays")
-    return float(np.mean((pa - ga) ** 2))
+    return _ref_mean(((pa - ga) ** 2).reshape(-1))
 
 
 def ref_mmrv(real, sim) -> float:
@@ -250,10 +254,7 @@ def ref_mmrv(real, sim) -> float:
     sim = np.asarray(sim, dtype=float)
     flipped = (sim[:, None] < sim[None, :]) != (real[:, None] < real[None, :])
     worst = np.where(flipped, np.abs(real[:, None] - real[None, :]), 0.0).max(axis=1)
-    total = 0.0
-    for w in worst.tolist():  # in policy order, as the definition sums
-        total += w
-    return total / real.shape[0]
+    return _ref_mean(worst)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +686,7 @@ def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=N
             cand, proposal = losses[first], draws[first]
             cand_pd = to_pd(proposal, lows, highs)
             delta = cand.total - current_loss
-            if delta <= 0.0 or rng.random() < math.exp(-delta / temp):
+            if delta <= 0.0 or rng.random() < (math.exp(-delta / temp) if temp > 0.0 else 0.0):
                 u = proposal
                 current_loss = cand.total
             if cand.total < best.total:

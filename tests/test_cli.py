@@ -706,6 +706,68 @@ def test_replay_cli_out_and_dump_plan_on_one_device(sysid_workspace, tmp_path):
     assert rc == 0
 
 
+def _replay_args(root, params, *outputs):
+    return ["replay", "--trajectory", str(root / "trajectories" / "rec0.json"), "--chain", str(root / "chain.json"),
+            "--params", str(params), "--controller", "widowx", "--sim-hz", "200", *outputs]
+
+
+def test_replay_cli_dump_plan_on_stdout_is_the_csv_alone(sysid_workspace, tmp_path, capsys):
+    # the loss line would end the CSV with a foreign row
+    params, plan = tmp_path / "pd.json", tmp_path / "plan.csv"
+    params.write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    assert main(_replay_args(sysid_workspace, params, "--out", str(tmp_path / "a.json"), "--dump-plan", "-")) == 0
+    out = capsys.readouterr().out
+    assert main(_replay_args(sysid_workspace, params, "--out", str(tmp_path / "b.json"), "--dump-plan", str(plan))) == 0
+    assert out == plan.read_text()
+    assert capsys.readouterr().out.startswith("loss_translation=")
+    assert (tmp_path / "a.json").read_text() == (tmp_path / "b.json").read_text()
+
+
+def test_replay_cli_out_and_dump_plan_both_on_stdout_exits_2(sysid_workspace, tmp_path, capsys):
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    rc = main(_replay_args(sysid_workspace, tmp_path / "pd.json", "--out", "-", "--dump-plan", "-"))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == "error: -: standard output is given for more than one output\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("params", {"p": float("nan"), "d": 3.0}, "PD gain p must be finite"),
+    ("params", {"p": 60.0, "d": float("inf")}, "PD gain d must be finite"),
+    ("dynamics", {"inertia": float("inf"), "damping": 0.3}, "joint inertia must be finite"),
+    ("dynamics", {"inertia": 1.0, "damping": [0.3, float("nan"), 0.3]}, "joint damping must be finite"),
+])
+def test_replay_cli_non_finite_gains_or_dynamics_exit_3(sysid_workspace, tmp_path, capsys, field, value, message):
+    # JSON's NaN and Infinity parse; an infinite inertia would hold the arm still and exit 0
+    files = {"params": {"p": 60.0, "d": 3.0}, "dynamics": {"inertia": 1.0, "damping": 0.3}, field: value}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    out = tmp_path / "poses.json"
+    rc = main(_replay_args(sysid_workspace, tmp_path / "params.json", "--dynamics", str(tmp_path / "dynamics.json"),
+                           "--out", str(out)))
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("init", {"p": float("nan"), "d": 1.5}, "PD gain p must be finite"),
+    ("dynamics", {"inertia": 1.0, "damping": float("inf")}, "joint damping must be finite"),
+])
+def test_sysid_fit_non_finite_init_or_dynamics_exit_3(sysid_workspace, tmp_path, capsys, section, value, message):
+    root = sysid_workspace
+    config = json.loads((root / "sysid.json").read_text())
+    config[section] = value
+    (tmp_path / "sysid.json").write_text(json.dumps(config))
+    out = tmp_path / "params.json"
+    rc = main(["sysid", "fit", "--trajectories", str(root / "trajectories"), "--chain", str(root / "chain.json"),
+               "--config", str(tmp_path / "sysid.json"), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--sim-hz", "--ctrl-hz"])
 def test_replay_cli_zero_frequency_exits_3(sysid_workspace, tmp_path, flag):
     root = sysid_workspace

@@ -23,6 +23,7 @@ from real2sim.metrics import (
     rank_violation,
     spearman,
 )
+from real2sim.report import compute_table_stats
 
 
 def table(real, sim, task="t"):
@@ -333,7 +334,7 @@ def test_table_rejects_duplicate_ids():
 
 
 # numpy references (tests/helpers.py) of the plain-float statistics, on inputs with ties, zero variance and
-# identical pooled observations, below 8 values (a plain sum), up to 128 (8 running sums) and above (halving)
+# identical pooled observations, from 2 to 399 values; both sides sum with math.fsum, so they agree at any size
 SIZES = {"n<8": (2, 8), "8<=n<=128": (8, 129), "n>128": (129, 400)}
 TRIALS = {"n<8": 40, "8<=n<=128": 20, "n>128": 4}  # mmrv is quadratic in pure Python
 
@@ -346,7 +347,7 @@ def _outcome(stat, *args):
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_statistics_match_numpy_reference_bit_for_bit(size):
+def test_statistics_match_reference_bit_for_bit(size):
     rng = np.random.default_rng(list(SIZES).index(size))
     for _ in range(TRIALS[size]):
         n = int(rng.integers(*SIZES[size]))
@@ -372,6 +373,35 @@ def test_statistics_match_numpy_reference_bit_for_bit(size):
         gt = rng.normal(size=pred.shape)
         assert action_mse(pred, gt) == ref_action_mse(pred, gt)
         assert action_mse(pred.tolist(), gt.tolist()) == ref_action_mse(pred, gt)
+
+
+def _trials(rng, rate_k, n=50):
+    return tuple(rng.permutation([1] * rate_k + [0] * (n - rate_k)).tolist())
+
+
+def test_statistics_do_not_depend_on_policy_order():
+    # success rates k/50 as from 50 trials; a listing order must not leak into any statistic's bits
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        n = int(rng.integers(5, 60))
+        real_k, sim_k = rng.integers(0, 51, n), rng.integers(0, 51, n)
+        evals = [PolicyEval(f"p{i}", r / 50, s / 50, _trials(rng, r), _trials(rng, s))
+                 for i, (r, s) in enumerate(zip(real_k.tolist(), sim_k.tolist()))]
+        base = PairedEvalTable("t", tuple(evals))
+        stats = compute_table_stats(base)
+        for order in (np.arange(n)[::-1], rng.permutation(n)):
+            moved = PairedEvalTable("t", tuple(evals[i] for i in order))
+            assert mmrv(moved) == mmrv(base)
+            assert _outcome(pearson, moved.real, moved.sim) == _outcome(pearson, base.real, base.sim)
+            assert _outcome(spearman, moved.real, moved.sim) == _outcome(spearman, base.real, base.sim)
+            moved_stats = compute_table_stats(moved)
+            assert (moved_stats.mmrv, moved_stats.pearson, moved_stats.spearman, moved_stats.kruskal_p) == (
+                stats.mmrv, stats.pearson, stats.spearman, stats.kruskal_p)
+            assert moved_stats.max_violations == tuple(stats.max_violations[i] for i in order)
+        rates, base_rate = (rng.integers(0, 51, n) / 50).tolist(), float(rng.integers(0, 51)) / 50
+        deltas = delta_success(ShiftEval(base_rate, tuple(rates)))
+        assert delta_success(ShiftEval(base_rate, tuple(rates[::-1]))) == deltas
+        assert delta_success(ShiftEval(base_rate, tuple(rng.permutation(rates).tolist()))) == deltas
 
 
 def test_statistics_take_lists_and_arrays_alike():

@@ -211,6 +211,21 @@ def test_anneal_one_proposal_matches_the_sequential_reference(small_problem, tie
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
+def test_anneal_temperature_cooled_to_zero_takes_the_zero_limit(small_problem, monkeypatch):
+    # two steps at cooling 1e-200 take the temperature below the smallest float; the Metropolis test then
+    # takes its T -> 0 limit, acceptance 0, where exp(-delta / T) would divide by zero
+    chain, dyn, truth, records, iks = small_problem
+    monkeypatch.setattr(sysid, "ANNEAL_PROPOSALS", 1)
+    init = PDParams(truth.p * 2.0, truth.d * 0.5)
+    rng0 = SysIdRange.around(truth, 10.0)
+    cfg = AnnealConfig(rounds=2, iters_per_round=6, cooling=1e-200, sigma=0.12, shrink=0.3, rng_seed=1)
+    got = anneal_fit(records, chain, dyn, "widowx", init, rng0, cfg, FAST_CFG, iks)
+    want = ref_anneal_fit(records, chain, dyn, "widowx", init, rng0, cfg, FAST_CFG, iks)
+    assert np.array_equal(got.best.p, want.best.p) and np.array_equal(got.best.d, want.best.d)
+    assert (got.best_loss, got.losses) == (want.best_loss, want.losses)
+    assert got.best_loss <= got.initial_loss
+
+
 def test_anneal_last_step_of_a_round_draws_the_remainder(small_problem, monkeypatch):
     chain, dyn, truth, records, iks = small_problem
     monkeypatch.setattr(sysid, "ANNEAL_PROPOSALS", 4)
