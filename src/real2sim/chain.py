@@ -81,6 +81,8 @@ class JointSpec:
         object.__setattr__(self, "axis", a)
         if not self.lower <= self.upper:
             raise ChainError(f"joint {self.name!r}: lower limit exceeds upper limit")
+        if self.lower == math.inf or self.upper == -math.inf:
+            raise ChainError(f"joint {self.name!r}: a lower limit of +inf or an upper limit of -inf pins the joint")
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,8 +95,8 @@ def _write(*outputs: tuple[str, str | bytes]) -> None:
 
 
 def _json(obj) -> str:
-    """The one JSON format: ``obj`` indented, keys sorted, a final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The one JSON format: ``obj`` indented, keys sorted, a final newline; a NaN or infinity is refused."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _section(obj, allowed: set[str], where: str, required: tuple[str, ...] = ()) -> dict:
@@ -216,8 +216,7 @@ def cmd_sysid_fit(args) -> int:
     n = robot.n
     config = _section(_read_json(args.config), _SYSID_KEYS, args.config, required=("init", "range"))
     kind = config.get("controller", jointsim.WIDOWX)
-    if kind not in (jointsim.GOOGLE, jointsim.WIDOWX):
-        raise ConfigError(f"controller must be '{jointsim.GOOGLE}' or '{jointsim.WIDOWX}', got {kind!r}")
+    jointsim.default_config(kind)  # rejects an unknown kind
 
     dyn = _dynamics(config.get("dynamics", {}), robot, "dynamics")
 

@@ -207,16 +207,16 @@ def _check_stable(pd: PDParams, dyn: JointDynamics, dt: float, error: type[Value
                     f"p dt^2/m = {lhs.flat[i]:.3g} must stay below 4 - 2 (d + b) dt/m = {rhs.flat[i]:.3g}")
 
 
-def _integrate_targets(q, v, targets: np.ndarray, pd: PDParams, dyn: JointDynamics, dt: float):
-    """Step the (B, n) plant states, under one gain set or (B, n) gains (a row per state), through (k, B, n)
-    position targets, one semi-implicit Euler step (target velocity 0) per tick. Positions are
+def _integrate_targets(q, v, targets: np.ndarray, pd: PDParams, sets: np.ndarray, dyn: JointDynamics, dt: float):
+    """Step the (B, n) plant states, row b under gain set ``sets[b]`` of ``pd``, through (k, B, n) position
+    targets, one semi-implicit Euler step (target velocity 0) per tick. Positions are
     clamped to the joint limits with velocity zeroed, as at a mechanical stop.
 
     The stops are found in one comparison pass over the whole interval; only
     an interval that reaches one is stepped again with a clamp every tick.
     """
-    keep = 1.0 - (pd.d + dyn.damping) / dyn.inertia * dt
-    gain = pd.p / dyn.inertia * dt
+    keep = 1.0 - (np.atleast_2d(pd.d)[sets] + dyn.damping) / dyn.inertia * dt
+    gain = np.atleast_2d(pd.p)[sets] / dyn.inertia * dt
     lo = dyn.lower
     hi = dyn.upper
     qs = np.empty(targets.shape)
@@ -302,47 +302,44 @@ def default_config(controller_kind: str) -> CtrlConfig:
     raise JointSimError(f"unknown controller kind {controller_kind!r} (want 'google' or 'widowx')")
 
 
-def _step_major(actions) -> tuple[list[int], list[int], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The records longest first, so that the ones still running are always a prefix; their lengths; and
-    their (delta_pos, delta_rot, gripper) actions as step-major (T, B, ...) arrays in that order (a finished
-    record's slots are never read)."""
-    lengths = [len(g) for *_, g in actions]
-    order = sorted(range(len(lengths)), key=lambda b: -lengths[b])
-    arrays = tuple(np.zeros((max(lengths), len(order), *shape)) for shape in ((3,), (3, 3), ()))
-    for col, b in enumerate(order):
-        for array, x in zip(arrays, actions[b]):
-            array[: lengths[b], col] = x
-    return order, lengths, arrays
+def _step_major(actions) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The records' lengths, and their (delta_pos, delta_rot, gripper) actions as step-major (T, B, ...)
+    arrays in record order (a finished record's slots are never read)."""
+    lengths = np.array([len(g) for *_, g in actions])
+    arrays = tuple(np.zeros((max(lengths), len(lengths), *shape)) for shape in ((3,), (3, 3), ()))
+    for b, (n, action) in enumerate(zip(lengths, actions)):
+        for array, x in zip(arrays, action):
+            array[:n, b] = x
+    return lengths, arrays
 
 
 def _widowx_goals(chain: ChainSpec, actions, q_inits, ik_iters: int = 200) -> np.ndarray:
-    """The WidowX joint goals of R records as a (T, R, n) table in record order: row t holds the goals
-    commanded at step t (a finished record's rows are never read). Each step is one widowx_step of the
-    records still running, longest first. The goals chain off the (R, n) ``q_inits`` and never read the
-    plant, so one table serves every gain set."""
-    order, lengths, (delta_pos, delta_rot, _) = _step_major(actions)
-    goals = np.zeros((max(lengths), len(order), chain.n))
-    goal = np.asarray(q_inits, dtype=float)[order]
+    """The WidowX joint goals of R records as a (T, R, n) table: row t holds the goals commanded at step t
+    (a finished record's rows are never read). Each step is one widowx_step of the records still running.
+    The goals chain off the (R, n) ``q_inits`` and never read the plant, so one table serves every gain set."""
+    lengths, (delta_pos, delta_rot, _) = _step_major(actions)
+    goals = np.zeros((max(lengths), len(lengths), chain.n))
+    goal = np.array(q_inits, dtype=float)
     for step, row in enumerate(goals):
-        m = sum(n > step for n in lengths)
-        goal = row[:m] = widowx_step(step, delta_pos[step, :m], delta_rot[step, :m], goal[:m], chain, ik_iters)
-    return goals[:, np.argsort(order)]
+        run = np.flatnonzero(lengths > step)
+        goal[run] = row[run] = widowx_step(step, delta_pos[step, run], delta_rot[step, run], goal[run], chain, ik_iters)
+    return goals
 
 
-def _tick(tick: Callable, step: int, records: list[int]):
-    """``tick(slice(m))`` on the m = len(records) columns still running. A PlanningError is re-raised
-    naming the step, as ``actions[<step>]: ...``, with the record index of the first column whose tick
-    alone fails as its ``record``."""
+def _tick(tick: Callable, step: int, run: np.ndarray, n_records: int):
+    """``tick(run)`` on the running rows ``run``. A PlanningError is re-raised naming the step, as
+    ``actions[<step>]: ...``, with the record (row % ``n_records``) of the first row whose tick alone
+    fails as its ``record``."""
     try:
-        return tick(slice(len(records)))
+        return tick(run)
     except PlanningError as exc:
-        for col, record in enumerate(records):
+        for row in run.tolist():
             try:
-                tick(slice(col, col + 1))
+                tick([row])
             except PlanningError:
                 break
         error = PlanningError(f"actions[{step}]: {exc}")
-        error.record = record
+        error.record = row % n_records
         raise error from exc
 
 
@@ -364,13 +361,13 @@ def _simulate(
 
     Each control step is one batched controller tick and plant update of the rows still running (a
     shorter record is frozen after its last action). The WidowX goals are the (T, R, n) table of
-    ``_widowx_goals``, solved here unless ``goals`` holds it, and tiled over the gain sets. The Google
+    ``_widowx_goals``, solved here unless ``goals`` holds it, and read by record. The Google
     controller state lives here as arrays with one entry per row: the gripper goals and planned states,
     which never feed back into the arm and are planned only for ``plan_sink``. Returns each row's tool
     poses (T+1, 4, 4) and joint positions (T+1, n), initial and after every action. ``plan_sink(step,
-    targets)`` gets every step's (ticks, m, 3n + 3) targets of the m rows still running, longest
-    record first: arm q, v and a, then gripper q, v and a. A tick's PlanningError is re-raised by
-    ``_tick``, naming the step and the record.
+    targets)`` gets every step's (ticks, m, 3n + 3) targets of the m rows still running, in row order:
+    arm q, v and a, then gripper q, v and a. A tick's PlanningError is re-raised by ``_tick``, naming
+    the step and the record.
     """
     if dyn.n != chain.n or pd.n != chain.n:
         raise JointSimError("dynamics/PD vectors must match the chain joint count")
@@ -385,35 +382,34 @@ def _simulate(
         goals = _widowx_goals(chain, actions, q, ik_iters)
     n_records, n_sets = len(q), len(np.atleast_2d(pd.p))
     # the records tiled proposal-major, and the gain set of each row
-    actions, q, sets = list(actions) * n_sets, np.tile(q, (n_sets, 1)), np.repeat(np.arange(n_sets), len(q))
-    order, lengths, (delta_pos, delta_rot, gripper) = _step_major(actions)
-    records = [b % n_records for b in order]
-    q, v, sets = q[order], np.zeros_like(q), sets[order]
-    p_rows, d_rows = (np.atleast_2d(x)[sets] for x in (pd.p, pd.d))
-    if controller_kind == WIDOWX:
-        powers, goals = _plant_powers(pd, dyn, dt, ticks), np.tile(goals, (1, n_sets, 1))[:, order]
-    grip = np.zeros((3, len(order)))  # gripper goal, position and velocity: a resting gripper at 0
-    shape = (max(lengths) + 1, len(order))  # step-major: initial state, then one row per step
+    lengths, (delta_pos, delta_rot, gripper) = _step_major(list(actions) * n_sets)
+    q, sets = np.tile(q, (n_sets, 1)), np.repeat(np.arange(n_sets), n_records)
+    v = np.zeros_like(q)
+    powers = _plant_powers(pd, dyn, dt, ticks) if controller_kind == WIDOWX else None
+    grip = np.zeros((3, len(q)))  # gripper goal, position and velocity: a resting gripper at 0
+    shape = (max(lengths) + 1, len(q))  # step-major: initial state, then one row per step
     tools, joints = np.empty((*shape, 4, 4)), np.empty((*shape, chain.n))
-    for step in range(-1, max(lengths)):  # step -1 only logs the initial state
-        m = sum(n > step for n in lengths)  # the records still running: columns :m
-        if step >= 0 and controller_kind == GOOGLE:
+    tools[0], joints[0] = _tools(chain, q), q
+    for step in range(max(lengths)):
+        run = np.flatnonzero(lengths > step)  # the rows still running
+        if controller_kind == GOOGLE:
             arm = _tick(lambda s: google_step(step, delta_pos[step, s], delta_rot[step, s], q[s], v[s], chain, cfg,
-                                              ik_iters), step, records[:m])
-            q[:m], v[:m] = _integrate_targets(q[:m], v[:m], arm[0], PDParams(p_rows[:m], d_rows[:m]), dyn, dt)
-        elif step >= 0:
-            q[:m], v[:m] = _hold_target(q[:m], v[:m], goals[step, :m], ticks, powers, sets[:m], dyn)
-        if step >= 0 and plan_sink is not None:
+                                              ik_iters), step, run, n_records)
+            q[run], v[run] = _integrate_targets(q[run], v[run], arm[0], pd, sets[run], dyn, dt)
+        else:
+            q[run], v[run] = _hold_target(q[run], v[run], goals[step, run % n_records], ticks, powers, sets[run], dyn)
+        if plan_sink is not None:
+            m = len(run)
             if controller_kind == GOOGLE:
-                grip_plan, grip[:, :m] = _tick(lambda s: google_grip_step(gripper[step, s], *grip[:, s], cfg), step,
-                                               records[:m])
+                grip_plan, grip[:, run] = _tick(lambda s: google_grip_step(gripper[step, s], *grip[:, s], cfg), step,
+                                                run, n_records)
             else:  # the goal held for the whole interval, and the raw gripper command
-                arm = (np.broadcast_to(goals[step, :m], (ticks, m, chain.n)), *np.zeros((2, ticks, m, chain.n)))
-                grip_plan = (np.broadcast_to(gripper[step, :m], (ticks, m)), *np.zeros((2, ticks, m)))
+                arm = (np.broadcast_to(goals[step, run % n_records], (ticks, m, chain.n)),
+                       *np.zeros((2, ticks, m, chain.n)))
+                grip_plan = (np.broadcast_to(gripper[step, run], (ticks, m)), *np.zeros((2, ticks, m)))
             plan_sink(step, np.concatenate([*arm, *(x[..., None] for x in grip_plan)], axis=2))
-        tools[step + 1, :m], joints[step + 1, :m] = _tools(chain, q[:m]), q[:m]
-    slots = np.argsort(order)  # row b is column slots[b]
-    return tuple([a[: n + 1, i] for n, i in zip(lengths, slots)] for a in (tools, joints))
+        tools[step + 1, run], joints[step + 1, run] = _tools(chain, q[run]), q[run]
+    return tuple([a[: n + 1, b] for b, n in enumerate(lengths)] for a in (tools, joints))
 
 
 def replay_open_loop(

@@ -242,6 +242,8 @@ def anneal_fit(
     best_pd = to_pd(best_u, lows, highs)
     (best,) = objective(best_pd)
     initial_loss = best.total
+    if not math.isfinite(initial_loss):  # no proposal could ever beat it
+        raise SysIdError(f"the loss at the initial gains is {initial_loss}, not a finite number")
 
     history: list[RoundStats] = []
     for round_index in range(cfg.rounds):

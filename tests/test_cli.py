@@ -382,6 +382,18 @@ def test_urdf_convert_detached_cycle_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+PINNED = "a lower limit of +inf or an upper limit of -inf pins the joint"
+
+
+def test_urdf_convert_limit_pinned_at_infinity_exits_2(tmp_path, capsys):
+    # lower = upper = +inf passes lower <= upper, yet no joint value reaches it; its nulls would reload unlimited
+    (tmp_path / "r.urdf").write_text(URDF.replace('lower="-1" upper="1"', 'lower="inf" upper="inf"'))
+    out = tmp_path / "chain.json"
+    assert main(["urdf", "convert", "--in", str(tmp_path / "r.urdf"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: joint 'j1': {PINNED}\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def sysid_workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("sysid")
@@ -413,6 +425,23 @@ def sysid_workspace(tmp_path_factory):
     full["anneal"] = {"rounds": 3, "iters_per_round": 80, "rng_seed": 5, "tie_joints": True}
     (root / "sysid_full.json").write_text(json.dumps(full))
     return root
+
+
+@pytest.mark.parametrize("limits", ["[1e400, null]", "[null, -1e400]"])
+def test_chain_limit_pinned_at_infinity_exits_3(sysid_workspace, tmp_path, capsys, limits):
+    # 1e400 parses as +inf; the replay used to fail only later, on a goal that is not finite
+    root = sysid_workspace
+    obj = json.loads((root / "chain.json").read_text())
+    obj["joints"][1]["limits"] = "LIMITS"
+    (tmp_path / "chain.json").write_text(json.dumps(obj).replace('"LIMITS"', limits))
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    rc = main(["replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+               "--chain", str(tmp_path / "chain.json"), "--params", str(tmp_path / "pd.json"),
+               "--controller", "google", "--sim-hz", "200", "--ctrl-hz", "5", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: joint 'j2': {PINNED}\n"
+    assert not out.exists()
 
 
 def test_sysid_fit_cli(sysid_workspace):
@@ -524,6 +553,7 @@ def test_sysid_fit_unknown_key_exits_3(sysid_workspace, tmp_path):
          "range.p_low: expected numbers"),
         ("ctrl", {"h_ctrl": "5"}, "ctrl: h_sim and h_ctrl must be numbers"),
         ("ctrl", {"h_sim": 10**400}, "ctrl: h_sim and h_ctrl must be numbers"),
+        ("controller", "franka", "unknown controller kind 'franka' (want 'google' or 'widowx')"),
     ],
 )
 def test_sysid_fit_bad_section_exits_3(sysid_workspace, tmp_path, capsys, section, value, message):
@@ -1155,6 +1185,28 @@ def test_sysid_fit_nan_range_exits_3(sysid_workspace, tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err == "error: range bounds must be finite\n"
     assert not out.exists()
+
+
+def test_sysid_fit_non_finite_initial_loss_exits_3(sysid_workspace, tmp_path, capsys):
+    # each origin is finite, yet FK overflows: a NaN loss that no proposal can beat, written as non-standard JSON
+    root = sysid_workspace
+    obj = json.loads((root / "chain.json").read_text())
+    for joint in obj["joints"]:
+        joint["origin"]["xyz"] = [1e308, 0.0, 0.0]
+    (tmp_path / "chain.json").write_text(json.dumps(obj))
+    out = tmp_path / "fit.json"
+    with np.errstate(all="ignore"):
+        rc = main(["sysid", "fit", "--trajectories", str(root / "trajectories"),
+                   "--chain", str(tmp_path / "chain.json"), "--config", str(root / "sysid.json"), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.endswith("error: the loss at the initial gains is nan, not a finite number\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_output_refuses_nan_and_infinity(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._json({"best_loss": value})
 
 
 def test_report_csv_includes_kruskal_footer():

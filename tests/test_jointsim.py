@@ -38,7 +38,7 @@ def free_dynamics(n, inertia=1.0, damping=0.0):
 
 def step(q, v, target, pd, dyn, dt):
     """One plant step of one row through the batched integrator."""
-    qs, vs = _integrate_targets(q[None], v[None], target[None, None], pd, dyn, dt)
+    qs, vs = _integrate_targets(q[None], v[None], target[None, None], pd, np.zeros(1, int), dyn, dt)
     return qs[0], vs[0]
 
 
@@ -105,7 +105,7 @@ def test_integrate_targets_matches_dyn_step_sequence():
     q = rng.normal(size=(3, 4)) * 0.1
     v = rng.normal(size=(3, 4)) * 2.0
     targets = rng.normal(size=(300, 3, 4)) * np.array([0.1, 0.6, 3.0])[:, None]
-    qf, vf = _integrate_targets(q, v, targets, pd, dyn, 1 / 500)
+    qf, vf = _integrate_targets(q, v, targets, pd, np.zeros(3, int), dyn, 1 / 500)
     stops = []
     for b in range(3):
         qs, vs = q[b].copy(), v[b].copy()
@@ -118,7 +118,8 @@ def test_integrate_targets_matches_dyn_step_sequence():
         # the one-row loop it replaces gives the same bits
         qr, vr = ref_integrate_targets(q[b], v[b], targets[:, b], pd, dyn, 1 / 500)
         assert np.array_equal(qf[b], qr) and np.array_equal(vf[b], vr)
-        qb, vb = _integrate_targets(q[b : b + 1], v[b : b + 1], targets[:, b : b + 1], pd, dyn, 1 / 500)
+        qb, vb = _integrate_targets(q[b : b + 1], v[b : b + 1], targets[:, b : b + 1], pd, np.zeros(1, int), dyn,
+                                    1 / 500)
         assert np.array_equal(qb[0], qr) and np.array_equal(vb[0], vr)
     assert stops == [0, 0, 19]
 
@@ -156,7 +157,8 @@ def test_stability_guard_overdamped():
     rng = np.random.default_rng(0)
     q = rng.uniform(-1, 1, n)
     target = rng.uniform(-1, 1, n)
-    q, v = _integrate_targets(q[None], np.zeros((1, n)), np.broadcast_to(target, (10_000, 1, n)), pd, dyn, 1 / 500)
+    q, v = _integrate_targets(q[None], np.zeros((1, n)), np.broadcast_to(target, (10_000, 1, n)), pd, np.zeros(1, int),
+                              dyn, 1 / 500)
     assert np.all(np.abs(q) <= 3.0)
     assert np.all(np.isfinite(v))
 
@@ -347,14 +349,13 @@ def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
 
     monkeypatch.setattr(controller, "_ik_rows", counting_ik)
     sims, logs = _simulate(chain, dyn, pd, kind, action_lists, q_inits, FAST_CFG)
-    # the records still running are a prefix of the longest-first order
-    order = np.argsort([-len(gripper) for *_, gripper in action_lists], kind="stable")
+    # a step's IK call lists the records still running, in record order
+    lengths = np.array([len(gripper) for *_, gripper in action_lists])
     for b, actions in enumerate(action_lists):
         ref_poses, ref_stats = ref_simulate(chain, dyn, pd, kind, actions, q_inits[b], FAST_CFG)
         assert len(sims[b]) == len(ref_poses) == len(actions[2]) + 1
         np.testing.assert_allclose(sims[b], np.stack(ref_poses), rtol=0, atol=1e-12)
-        row = int(np.flatnonzero(order == b)[0])
-        assert [ik_calls[t][row] for t in range(len(actions[2]))] == ref_stats
+        assert [ik_calls[t][np.sum(lengths[:b] > t)] for t in range(len(actions[2]))] == ref_stats
     # the case covers what it claims: one unconverged IK, and an end stop in record 1 only
     assert [ok for _, ok in ik_calls[-1]] == [False]
     hits = [np.any(log[:, 0] == dyn.upper[0]) for log in logs]
@@ -392,11 +393,11 @@ def test_widowx_goals_do_not_depend_on_the_gains():
     assert len(stiff) == len(soft) == 6
     for a, b in zip(stiff, soft):
         assert np.abs(a - b).max() == 0.0
-    # and they are the rows of the goal table, longest record first
+    # and they are the goal table's rows of the records still running, in record order
     goals = _widowx_goals(chain, action_lists, q_inits)
-    order = np.argsort([-len(gripper) for *_, gripper in action_lists], kind="stable")
+    lengths = np.array([len(gripper) for *_, gripper in action_lists])
     for t, targets in enumerate(stiff):
-        assert np.array_equal(targets, goals[t, order[: len(targets)]])
+        assert np.array_equal(targets, goals[t, lengths > t])
 
 
 def test_a_tick_planning_failure_names_the_step_and_the_record(monkeypatch):
