@@ -28,21 +28,20 @@ def main() -> None:
     logging.getLogger("real2sim").setLevel(logging.ERROR)
     print(f"generating {args.records} trajectories of {args.actions} actions each ...")
     setup = recovery_setup(args.records, args.actions, args.p_true, args.d_true)
-    truth = setup.truth
     cfg = AnnealConfig(rounds=3, iters_per_round=args.iters, sigma=0.12, shrink=0.28,
                        rng_seed=args.seed, tie_joints=True)
 
     t0 = time.monotonic()
-    result = anneal_fit(setup.records, setup.chain, setup.dyn, "widowx", setup.init, setup.bounds, cfg,
-                        ik_iters=setup.ik_iters)
+    result = anneal_fit(setup.records, setup.chain, setup.inertia, setup.damping, "widowx", setup.init_p,
+                        setup.init_d, setup.bounds, cfg, ik_iters=setup.ik_iters)
     elapsed = time.monotonic() - t0
 
     print(f"done in {elapsed:.1f} s, {result.evaluations} objective evaluations")
     print(f"initial loss : {result.initial_loss:.6f}")
     print(f"final loss   : {result.best_loss:.6f} ({result.best_loss / result.initial_loss:.2%} of initial)")
     print(f"  translation {result.losses.translation:.6f}  rotation {result.losses.rotation:.6f}")
-    print(f"true gains     p = {truth.p[0]:.1f}  d = {truth.d[0]:.2f}")
-    print(f"recovered      p = {result.best.p[0]:.1f}  d = {result.best.d[0]:.2f}")
+    print(f"true gains     p = {setup.p_true[0]:.1f}  d = {setup.d_true[0]:.2f}")
+    print(f"recovered      p = {result.best_p[0]:.1f}  d = {result.best_d[0]:.2f}")
     for h in result.history:
         print(f"  round {h.round_index}: best loss {h.best_loss:.6f} after {h.evaluations} evaluations")
 

@@ -48,7 +48,7 @@ _EXPORTS = {
     "chain": "ChainSpec JointSpec fk ik_dls jacobian parse_urdf_subset",
     "profile": "LimitSet MotionPlan synchronize",
     "controller": "CtrlConfig google_step widowx_step",
-    "jointsim": "JointDynamics PDParams TrajectoryRecord replay_open_loop synthesize_record",
+    "jointsim": "TrajectoryRecord replay_open_loop synthesize_record",
     "sysid": "AnnealConfig SysIdRange anneal_fit trajectory_losses",
     "metrics": "PairedEvalTable PolicyEval ShiftEval action_mse aggregate_grouped delta_success kruskal_wallis mmrv "
     "pearson rank_violation spearman",

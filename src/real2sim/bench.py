@@ -13,7 +13,7 @@ import numpy as np
 
 from .chain import ChainSpec, JointSpec, fk
 from .geometry import axis_angle_to_matrix
-from .jointsim import JointDynamics, PDParams, TrajectoryRecord, synthesize_record
+from .jointsim import TrajectoryRecord, synthesize_record
 from .sysid import SysIdRange
 
 __all__ = ["arm_6dof", "fk_path_actions", "RecoverySetup", "recovery_setup"]
@@ -69,11 +69,14 @@ def fk_path_actions(
 
 class RecoverySetup(NamedTuple):
     chain: ChainSpec
-    dyn: JointDynamics
-    truth: PDParams
+    inertia: np.ndarray
+    damping: np.ndarray
+    p_true: np.ndarray
+    d_true: np.ndarray
     ik_iters: int
     records: list[TrajectoryRecord]
-    init: PDParams
+    init_p: np.ndarray
+    init_d: np.ndarray
     bounds: SysIdRange
 
 
@@ -87,11 +90,11 @@ def recovery_setup(n_records: int = 5, n_actions: int = 30, p_true: float = 80.0
     """
     chain = arm_6dof()
     q0 = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
-    dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
-    truth = PDParams(np.full(chain.n, p_true), np.full(chain.n, d_true))
+    inertia, damping, p, d = (np.full(chain.n, x) for x in (1.0, 0.3, p_true, d_true))
     ik_iters = 60
     rng = np.random.default_rng(11)
-    records = [synthesize_record(chain, dyn, truth, controller_kind, fk_path_actions(chain, q0, n_actions, rng), q0,
-                                 ik_iters=ik_iters) for _ in range(n_records)]
-    init = PDParams(truth.p * 2.5, truth.d * 0.6)
-    return RecoverySetup(chain, dyn, truth, ik_iters, records, init, SysIdRange.around(truth, 10.0))
+    actions = [fk_path_actions(chain, q0, n_actions, rng) for _ in range(n_records)]
+    records = [synthesize_record(chain, inertia, damping, p, d, controller_kind, a, q0, ik_iters=ik_iters)
+               for a in actions]
+    return RecoverySetup(chain, inertia, damping, p, d, ik_iters, records, p * 2.5, d * 0.6,
+                         SysIdRange.around(p, d, 10.0))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -282,7 +281,7 @@ def _rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def _parse_origin(elem: ET.Element | None, where: str) -> np.ndarray:
+def _parse_origin(elem, where: str) -> np.ndarray:
     t = np.eye(4)
     if elem is None:
         return t
@@ -316,6 +315,7 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
     tool offset. ``tip`` stops the walk at the named link (default: the
     chain's leaf).
     """
+    import xml.etree.ElementTree as ET  # only here: no other command loads the XML parser
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

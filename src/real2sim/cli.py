@@ -122,6 +122,11 @@ def _vec_field(obj, n: int, where: str) -> np.ndarray:
     return np.array(values)
 
 
+def _plant_field(obj, n: int, where: str) -> np.ndarray:
+    """A gain, inertia or damping field as an (n,) array, checked by ``jointsim._plant_input``."""
+    return jointsim._plant_input(_vec_field(obj, n, where), where)
+
+
 # ---------------------------------------------------------------------------
 # metrics report / shift
 # ---------------------------------------------------------------------------
@@ -186,11 +191,11 @@ def _ctrl_config(kind: str, overrides: dict | None) -> controller.CtrlConfig:
     return controller.CtrlConfig(h_sim=h_sim, h_ctrl=h_ctrl)
 
 
-def _dynamics(obj, robot: chain.ChainSpec, where: str) -> jointsim.JointDynamics:
+def _dynamics(obj, n: int, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (n,) inertia (default 1) and passive damping (default 0) of a dynamics object."""
     dyn_obj = _section(obj, _DYN_KEYS, where)
-    return jointsim.JointDynamics.from_chain(
-        robot, _vec_field(dyn_obj.get("inertia", 1.0), robot.n, f"{where}.inertia"),
-        _vec_field(dyn_obj.get("damping", 0.0), robot.n, f"{where}.damping"))
+    return (_plant_field(dyn_obj.get("inertia", 1.0), n, f"{where}.inertia"),
+            _plant_field(dyn_obj.get("damping", 0.0), n, f"{where}.damping"))
 
 
 def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlConfig, override: str) -> list:
@@ -218,10 +223,9 @@ def cmd_sysid_fit(args) -> int:
     kind = config.get("controller", jointsim.WIDOWX)
     jointsim.default_config(kind)  # rejects an unknown kind
 
-    dyn = _dynamics(config.get("dynamics", {}), robot, "dynamics")
-
+    inertia, damping = _dynamics(config.get("dynamics", {}), n, "dynamics")
     init_obj = _section(config["init"], _INIT_KEYS, "init", required=("p", "d"))
-    init = jointsim.PDParams(_vec_field(init_obj["p"], n, "init.p"), _vec_field(init_obj["d"], n, "init.d"))
+    init_p, init_d = _plant_field(init_obj["p"], n, "init.p"), _plant_field(init_obj["d"], n, "init.d")
 
     range_obj = _section(config["range"], _RANGE_KEYS, "range", required=("p_low", "p_high", "d_low", "d_high"))
     rng = sysid.SysIdRange(
@@ -246,9 +250,10 @@ def cmd_sysid_fit(args) -> int:
     q_inits = _check_records(records, paths, robot, ctrl_cfg, "ctrl.h_ctrl")
 
     with _record_files(paths):
-        result = sysid.anneal_fit(records, robot, dyn, kind, init, rng, anneal, ctrl_cfg, q_inits=q_inits)
+        result = sysid.anneal_fit(records, robot, inertia, damping, kind, init_p, init_d, rng, anneal, ctrl_cfg,
+                                  q_inits=q_inits)
     out = {
-        "best": {"p": list(map(float, result.best.p)), "d": list(map(float, result.best.d))},
+        "best": {"p": list(map(float, result.best_p)), "d": list(map(float, result.best_d))},
         "best_loss": result.best_loss,
         "initial_loss": result.initial_loss,
         "losses": result.losses._asdict(),
@@ -267,20 +272,22 @@ def cmd_sysid_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_pd(path: str, n: int) -> jointsim.PDParams:
+def _load_pd(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n,) gains p and d of a params file: a plain {p, d} object, or a sysid fit's output."""
     obj, where = _read_json(path), path
     if isinstance(obj, dict) and "best" in obj:
         obj, where = obj["best"], f"{path}.best"
     if not isinstance(obj, dict) or "p" not in obj or "d" not in obj:
         raise report.InputFormatError(f"{where}: expected an object with 'p' and 'd'")
-    return jointsim.PDParams(_vec_field(obj["p"], n, f"{where}.p"), _vec_field(obj["d"], n, f"{where}.d"))
+    return _plant_field(obj["p"], n, f"{where}.p"), _plant_field(obj["d"], n, f"{where}.d")
 
 
 def cmd_replay(args) -> int:
     robot = chain.chain_from_dict(_read_json(args.chain), args.chain)
     rec = jointsim.TrajectoryRecord.from_dict(_read_json(args.trajectory), args.trajectory)
-    pd = _load_pd(args.params, robot.n)
-    dyn = _dynamics(_read_json(args.dynamics) if args.dynamics else {}, robot, args.dynamics or "dynamics")
+    p, d = _load_pd(args.params, robot.n)
+    dyn_obj = _read_json(args.dynamics) if args.dynamics else {}
+    inertia, damping = _dynamics(dyn_obj, robot.n, args.dynamics or "dynamics")
     overrides = {k: v for k, v in (("h_sim", args.sim_hz), ("h_ctrl", args.ctrl_hz)) if v is not None}
     cfg = _ctrl_config(args.controller, overrides or None)
     (q_init,) = _check_records([rec], [args.trajectory], robot, cfg, "--ctrl-hz")
@@ -293,7 +300,7 @@ def cmd_replay(args) -> int:
 
     with _record_files([args.trajectory]):
         sim = jointsim.replay_open_loop(
-            robot, dyn, pd, args.controller, rec, q_init, cfg, plan_sink=dump if args.dump_plan else None
+            robot, inertia, damping, p, d, args.controller, rec, q_init, cfg, plan_sink=dump if args.dump_plan else None
         )
     losses = sysid.trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
     out = {"ee_poses": [geometry.pose_to_dict(t) for t in sim], "losses": losses._asdict()}

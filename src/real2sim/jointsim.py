@@ -25,8 +25,6 @@ from .profile import PlanningError
 
 __all__ = [
     "JointSimError",
-    "PDParams",
-    "JointDynamics",
     "TrajectoryRecord",
     "replay_open_loop",
     "synthesize_record",
@@ -40,70 +38,6 @@ WIDOWX = "widowx"
 
 class JointSimError(ValueError):
     """Raised for malformed plant or trajectory inputs."""
-
-
-def _vec(x, n: int, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = np.full(n, float(a))
-    if a.shape != (n,):
-        raise JointSimError(f"{name} must be a scalar or length-{n} vector")
-    return a
-
-
-@dataclass(frozen=True, eq=False)
-class PDParams:
-    """Per-joint stiffness and damping gains: one (n,) gain set, or a (K, n) stack of K sets."""
-
-    p: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", _freeze(self.p, None if np.ndim(self.p) == 2 else -1))
-        object.__setattr__(self, "d", _freeze(self.d, None if np.ndim(self.d) == 2 else -1))
-        if self.p.shape != self.d.shape:
-            raise JointSimError("p and d must have equal length")
-        for name in ("p", "d"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise JointSimError(f"PD gain {name} must be finite")
-        if np.any(self.p < 0.0) or np.any(self.d < 0.0):
-            raise JointSimError("PD gains must be non-negative")
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
-class JointDynamics:
-    """Per-joint inertia and passive damping, plus position limits."""
-
-    inertia: np.ndarray
-    damping: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        for name in ("inertia", "damping", "lower", "upper"):
-            object.__setattr__(self, name, _freeze(getattr(self, name), -1))
-        if not (self.inertia.shape == self.damping.shape == self.lower.shape == self.upper.shape):
-            raise JointSimError("dynamics vectors must have equal length")
-        for name in ("inertia", "damping"):  # the limits may be infinite, as for a continuous joint
-            if not np.isfinite(getattr(self, name)).all():
-                raise JointSimError(f"joint {name} must be finite")
-        if np.any(self.inertia <= 0.0):
-            raise JointSimError("joint inertia must be strictly positive")
-        if np.any(self.damping < 0.0):
-            raise JointSimError("passive damping must be non-negative")
-
-    @staticmethod
-    def from_chain(chain: ChainSpec, inertia=1.0, damping=0.0) -> "JointDynamics":
-        n = chain.n
-        return JointDynamics(_vec(inertia, n, "inertia"), _vec(damping, n, "damping"), chain.lower, chain.upper)
-
-    @property
-    def n(self) -> int:
-        return self.inertia.shape[0]
 
 
 def _action_row(d, where: str) -> list[float]:
@@ -199,26 +133,45 @@ class TrajectoryRecord:
             raise JointSimError(f"{source}: {exc}") from exc
 
 
-def _check_stable(pd: PDParams, dyn: JointDynamics, dt: float, error: type[ValueError] = JointSimError) -> None:
-    """Semi-implicit Euler is stable only for p dt^2/m < 4 - 2 (d + b) dt/m on every joint of every gain set."""
-    lhs, rhs = pd.p * dt * dt / dyn.inertia, 4.0 - 2.0 * (pd.d + dyn.damping) * dt / dyn.inertia
+def _plant_input(x, where: str, error: type[ValueError] = JointSimError) -> np.ndarray:
+    """``x`` as a float array of the plant input that ``where`` ends in: the gains ``p`` and ``d`` and the passive
+    ``damping`` must be finite and non-negative, the ``inertia`` finite and positive. An error names ``where``."""
+    a, name = np.asarray(x, dtype=float), where.rpartition(".")[2]
+    gains = name in ("p", "d")
+    if not np.isfinite(a).all():
+        raise error(f"{where}: {'PD gain' if gains else 'joint'} {name} must be finite")
+    if name == "inertia" and not (a > 0.0).all():
+        raise error(f"{where}: joint inertia must be strictly positive")
+    if not (a >= 0.0).all():
+        raise error(f"{where}: {'PD gains' if gains else 'passive damping'} must be non-negative")
+    return a
+
+
+def _check_plant(n: int, inertia, damping, p, d, dt: float, error: type[ValueError] = JointSimError):
+    """Each gain set's plant coefficients gain = p dt / m and keep = 1 - (d + b) dt / m as (K, n) arrays, from
+    (n,) ``inertia`` and ``damping`` and (n,) or (K, n) gains ``p`` and ``d``, each checked by ``_plant_input``.
+    Raises ``error`` unless the plant is also stable at the step ``dt``: semi-implicit Euler is stable only for
+    p dt^2/m < 4 - 2 (d + b) dt/m on every joint of every gain set."""
+    inertia, damping, p, d = (_plant_input(x, name, error) for x, name in
+                              zip((inertia, damping, p, d), ("inertia", "damping", "p", "d")))
+    if not (inertia.shape == damping.shape == (n,) and p.shape == d.shape and p.shape[-1:] == (n,) and p.ndim <= 2):
+        raise error(f"inertia and damping must be ({n},) arrays and p and d ({n},) or (K, {n}) arrays of one shape, "
+                    f"not {inertia.shape}, {damping.shape}, {p.shape} and {d.shape}")
+    lhs, rhs = p * dt * dt / inertia, 4.0 - 2.0 * (d + damping) * dt / inertia
     for i in np.flatnonzero(~(lhs < rhs))[:1]:
-        raise error(f"PD gains are unstable at {1.0 / dt:g} Hz on joint {i % dyn.n}: "
+        raise error(f"PD gains are unstable at {1.0 / dt:g} Hz on joint {i % n}: "
                     f"p dt^2/m = {lhs.flat[i]:.3g} must stay below 4 - 2 (d + b) dt/m = {rhs.flat[i]:.3g}")
+    return np.atleast_2d(p / inertia * dt), np.atleast_2d(1.0 - (d + damping) / inertia * dt)
 
 
-def _integrate_targets(q, v, targets: np.ndarray, pd: PDParams, sets: np.ndarray, dyn: JointDynamics, dt: float):
-    """Step the (B, n) plant states, row b under gain set ``sets[b]`` of ``pd``, through (k, B, n) position
-    targets, one semi-implicit Euler step (target velocity 0) per tick. Positions are
-    clamped to the joint limits with velocity zeroed, as at a mechanical stop.
+def _integrate_targets(q, v, targets: np.ndarray, gain, keep, lower, upper, dt: float):
+    """Step the (B, n) plant states, each row with its own coefficients (``_check_plant``) in the (B, n) ``gain`` and
+    ``keep``, through (k, B, n) position targets, one semi-implicit Euler step (target velocity 0) per tick. Positions
+    are clamped to ``lower`` and ``upper`` with velocity zeroed, as at a mechanical stop.
 
     The stops are found in one comparison pass over the whole interval; only
     an interval that reaches one is stepped again with a clamp every tick.
     """
-    keep = 1.0 - (np.atleast_2d(pd.d)[sets] + dyn.damping) / dyn.inertia * dt
-    gain = np.atleast_2d(pd.p)[sets] / dyn.inertia * dt
-    lo = dyn.lower
-    hi = dyn.upper
     qs = np.empty(targets.shape)
     for clamp in (False, True):
         q_t, v_t, tmp = q, v.copy(), np.empty_like(v)
@@ -230,10 +183,10 @@ def _integrate_targets(q, v, targets: np.ndarray, pd: PDParams, sets: np.ndarray
             np.multiply(v_t, dt, out=tmp)
             q_t = np.add(q_t, tmp, out=q_next)
             if clamp:
-                stop = (q_t < lo) | (q_t > hi)
+                stop = (q_t < lower) | (q_t > upper)
                 v_t[stop] = 0.0
-                np.minimum(np.maximum(q_t, lo, out=q_t), hi, out=q_t)
-        if clamp or not ((qs < lo).any() or (qs > hi).any()):
+                np.minimum(np.maximum(q_t, lower, out=q_t), upper, out=q_t)
+        if clamp or not ((qs < lower).any() or (qs > upper).any()):
             return q_t.copy(), v_t
 
 
@@ -241,15 +194,13 @@ def _integrate_targets(q, v, targets: np.ndarray, pd: PDParams, sets: np.ndarray
 _MAX_RUN = 256
 
 
-def _plant_powers(pd: PDParams, dyn: JointDynamics, dt: float, ticks: int) -> np.ndarray:
+def _plant_powers(gain: np.ndarray, keep: np.ndarray, dt: float, ticks: int) -> np.ndarray:
     """Per-joint M^0 .. M^k, k = min(ticks, _MAX_RUN), of K gain sets as a (k + 1, K, n, 2, 2) array.
 
     One plant step with target velocity 0 maps the offset e = (q - target, v)
     of a joint from its resting point (target, 0) to M e, with
-    M = [[1 - dt g, dt c], [-g, c]], g = p dt / m and c = 1 - (d + b) dt / m.
+    M = [[1 - dt g, dt c], [-g, c]], with g and c the (K, n) ``gain`` and ``keep`` of ``_check_plant``.
     """
-    keep = np.atleast_2d(1.0 - (pd.d + dyn.damping) / dyn.inertia * dt)
-    gain = np.atleast_2d(pd.p / dyn.inertia * dt)
     ticks = min(ticks, _MAX_RUN)
     powers = np.empty((ticks + 1, *gain.shape, 2, 2))
     powers[0] = np.eye(2)
@@ -265,12 +216,12 @@ def _plant_powers(pd: PDParams, dyn: JointDynamics, dt: float, ticks: int) -> np
     return powers
 
 
-def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, sets: np.ndarray, dyn: JointDynamics):
+def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, sets: np.ndarray, lower, upper):
     """Advance the (B, n) plant states ``ticks`` steps toward held (B, n) targets, row b under gain set ``sets[b]``.
 
     Equivalent to ``ticks`` plant steps: a row's offset from (target, 0)
-    evolves as M^k e until one of its joints leaves its limits; that step is
-    clamped and the row's closed form restarts from the clamped state.
+    evolves as M^k e until one of its joints leaves ``lower`` and ``upper``; that
+    step is clamped and the row's closed form restarts from the clamped state.
     """
     rows, left = np.arange(q.shape[0]), np.full(q.shape[0], ticks)
     q, v = q.copy(), v.copy()
@@ -279,7 +230,7 @@ def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, sets:
         tq, vr, e_q = target[rows], v[rows], q[rows] - target[rows]
         m_q = powers[1 : k + 1, :, :, 0]  # the q row of each M^j, taken per row below
         qs = tq + m_q[..., 0].take(sets[rows], axis=1) * e_q + m_q[..., 1].take(sets[rows], axis=1) * vr
-        out = (qs < dyn.lower) | (qs > dyn.upper)
+        out = (qs < lower) | (qs > upper)
         hit = out.any(axis=2)
         # each row runs to its first end-stop tick, or to its last tick of this pass
         r = np.minimum(np.where(hit.any(axis=0), hit.argmax(axis=0), k), np.minimum(left[rows], k) - 1)
@@ -287,7 +238,7 @@ def _hold_target(q, v, target: np.ndarray, ticks: int, powers: np.ndarray, sets:
         v[rows] = powers[r + 1, sets[rows], :, 1, 0] * e_q + powers[r + 1, sets[rows], :, 1, 1] * vr
         q[rows] = qs[r, cols]
         stopped = rows[hit[r, cols]]
-        q[stopped] = np.minimum(np.maximum(q[stopped], dyn.lower), dyn.upper)
+        q[stopped] = np.minimum(np.maximum(q[stopped], lower), upper)
         v[stopped] = np.where(out[r, cols][hit[r, cols]], 0.0, v[stopped])
         left[rows] -= r + 1
         rows = rows[left[rows] > 0]
@@ -345,8 +296,10 @@ def _tick(tick: Callable, step: int, run: np.ndarray, n_records: int):
 
 def _simulate(
     chain: ChainSpec,
-    dyn: JointDynamics,
-    pd: PDParams,
+    inertia,
+    damping,
+    p,
+    d,
     controller_kind: str,
     actions,
     q_inits,
@@ -355,9 +308,10 @@ def _simulate(
     plan_sink: Callable[[int, np.ndarray], None] | None = None,
     goals: np.ndarray | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Replay R action sequences from the (R, n) ``q_inits`` under each of the K gain sets of ``pd``,
-    all K R rows in lockstep: row s R + r is record r under gain set s. ``actions`` holds one
-    (delta_pos, delta_rot, gripper) triple of (T, 3), (T, 3, 3) and (T,) arrays per record.
+    """Replay R action sequences from the (R, n) ``q_inits`` under each of the K gain sets of the (n,) or (K, n)
+    gains ``p`` and ``d``, all K R rows in lockstep: row s R + r is record r under gain set s. The plant of joint j
+    has the inertia ``inertia[j]`` and passive damping ``damping[j]``, and stops at the chain's limits.
+    ``actions`` holds one (delta_pos, delta_rot, gripper) triple of (T, 3), (T, 3, 3) and (T,) arrays per record.
 
     Each control step is one batched controller tick and plant update of the rows still running (a
     shorter record is frozen after its last action). The WidowX goals are the (T, R, n) table of
@@ -369,23 +323,21 @@ def _simulate(
     arm q, v and a, then gripper q, v and a. A tick's PlanningError is re-raised by ``_tick``, naming
     the step and the record.
     """
-    if dyn.n != chain.n or pd.n != chain.n:
-        raise JointSimError("dynamics/PD vectors must match the chain joint count")
     default = default_config(controller_kind)  # rejects an unknown kind
     cfg = cfg or default
     q = np.array(q_inits, dtype=float, ndmin=2)
     if q.shape != (len(actions), chain.n):
         raise JointSimError(f"q_init must have {chain.n} entries per record")
     dt, ticks = 1.0 / cfg.h_sim, cfg.ticks_per_step
-    _check_stable(pd, dyn, dt)
+    gain, keep = _check_plant(chain.n, inertia, damping, p, d, dt)  # one row per gain set
     if controller_kind == WIDOWX and goals is None:
         goals = _widowx_goals(chain, actions, q, ik_iters)
-    n_records, n_sets = len(q), len(np.atleast_2d(pd.p))
+    n_records, n_sets = len(q), len(gain)
     # the records tiled proposal-major, and the gain set of each row
     lengths, (delta_pos, delta_rot, gripper) = _step_major(list(actions) * n_sets)
     q, sets = np.tile(q, (n_sets, 1)), np.repeat(np.arange(n_sets), n_records)
     v = np.zeros_like(q)
-    powers = _plant_powers(pd, dyn, dt, ticks) if controller_kind == WIDOWX else None
+    powers = _plant_powers(gain, keep, dt, ticks) if controller_kind == WIDOWX else None
     grip = np.zeros((3, len(q)))  # gripper goal, position and velocity: a resting gripper at 0
     shape = (max(lengths) + 1, len(q))  # step-major: initial state, then one row per step
     tools, joints = np.empty((*shape, 4, 4)), np.empty((*shape, chain.n))
@@ -395,9 +347,11 @@ def _simulate(
         if controller_kind == GOOGLE:
             arm = _tick(lambda s: google_step(step, delta_pos[step, s], delta_rot[step, s], q[s], v[s], chain, cfg,
                                               ik_iters), step, run, n_records)
-            q[run], v[run] = _integrate_targets(q[run], v[run], arm[0], pd, sets[run], dyn, dt)
+            q[run], v[run] = _integrate_targets(q[run], v[run], arm[0], gain[sets[run]], keep[sets[run]], chain.lower,
+                                                chain.upper, dt)
         else:
-            q[run], v[run] = _hold_target(q[run], v[run], goals[step, run % n_records], ticks, powers, sets[run], dyn)
+            q[run], v[run] = _hold_target(q[run], v[run], goals[step, run % n_records], ticks, powers, sets[run],
+                                          chain.lower, chain.upper)
         if plan_sink is not None:
             m = len(run)
             if controller_kind == GOOGLE:
@@ -414,8 +368,10 @@ def _simulate(
 
 def replay_open_loop(
     chain: ChainSpec,
-    dyn: JointDynamics,
-    pd: PDParams,
+    inertia,
+    damping,
+    p,
+    d,
     controller_kind: str,
     rec: TrajectoryRecord,
     q_init=None,
@@ -423,7 +379,8 @@ def replay_open_loop(
     ik_iters: int = 200,
     plan_sink=None,
 ) -> np.ndarray:
-    """Execute one recorded action sequence open loop; return the simulated tool poses.
+    """Execute one recorded action sequence open loop under the (n,) gains ``p`` and ``d`` on joints of (n,)
+    ``inertia`` and passive ``damping``; return the simulated tool poses.
 
     This is the one-record case of the lockstep replay, which holds the
     controller state from tick to tick. The returned (T+1, 4, 4) stack starts
@@ -437,13 +394,16 @@ def replay_open_loop(
     if q_init is None:
         q_init = _record_q_init(chain, rec)
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper)]
-    return _simulate(chain, dyn, pd, controller_kind, actions, [q_init], cfg, ik_iters, plan_sink)[0][0]
+    return _simulate(chain, inertia, damping, p, d, controller_kind, actions, [q_init], cfg, ik_iters,
+                     plan_sink)[0][0]
 
 
 def synthesize_record(
     chain: ChainSpec,
-    dyn: JointDynamics,
-    pd: PDParams,
+    inertia,
+    damping,
+    p,
+    d,
     controller_kind: str,
     actions,
     q_init,
@@ -452,7 +412,7 @@ def synthesize_record(
 ) -> TrajectoryRecord:
     """Run the simulator on a (delta_pos, delta_rot, gripper) action triple and package its output as a record."""
     cfg = cfg or default_config(controller_kind)
-    (tools,), (joints,) = _simulate(chain, dyn, pd, controller_kind, [actions], [q_init], cfg, ik_iters)
+    (tools,), (joints,) = _simulate(chain, inertia, damping, p, d, controller_kind, [actions], [q_init], cfg, ik_iters)
     return TrajectoryRecord(*actions, tools, cfg.h_ctrl, joints)
 
 

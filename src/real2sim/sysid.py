@@ -24,11 +24,9 @@ from .controller import CtrlConfig
 from .geometry import _freeze, rot_frobenius_loss
 from .jointsim import (
     WIDOWX,
-    JointDynamics,
     JointSimError,
-    PDParams,
     TrajectoryRecord,
-    _check_stable,
+    _check_plant,
     _record_q_init,
     _simulate,
     _widowx_goals,
@@ -104,12 +102,12 @@ class SysIdRange:
         return np.concatenate([self.p_high, self.d_high])
 
     @staticmethod
-    def around(pd: PDParams, factor: float) -> "SysIdRange":
-        """Multiplicative bracket [x / sqrt(factor), x * sqrt(factor)]."""
+    def around(p, d, factor: float) -> "SysIdRange":
+        """Multiplicative bracket [x / sqrt(factor), x * sqrt(factor)] around the (n,) gains ``p`` and ``d``."""
         if factor <= 1.0:
             raise SysIdError("factor must exceed 1")
         s = math.sqrt(factor)
-        return SysIdRange(pd.p / s, pd.p * s, pd.d / s, pd.d * s)
+        return SysIdRange(np.divide(p, s), np.multiply(p, s), np.divide(d, s), np.multiply(d, s))
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,8 @@ class RoundStats:
 
 @dataclass(frozen=True)
 class AnnealResult:
-    best: PDParams
+    best_p: np.ndarray
+    best_d: np.ndarray
     best_loss: float
     initial_loss: float
     losses: TrajectoryLosses
@@ -173,16 +172,19 @@ class AnnealResult:
 def anneal_fit(
     dataset: Sequence[TrajectoryRecord],
     chain: ChainSpec,
-    dyn: JointDynamics,
+    inertia,
+    damping,
     controller_kind: str,
-    init: PDParams,
+    init_p,
+    init_d,
     range0: SysIdRange,
     cfg: AnnealConfig | None = None,
     ctrl_cfg: CtrlConfig | None = None,
     ik_iters: int = 200,
     q_inits=None,
 ) -> AnnealResult:
-    """Fit PD gains by multi-round simulated annealing of the replay loss.
+    """Fit PD gains by multi-round simulated annealing of the replay loss, from the (n,) gains ``init_p`` and
+    ``init_d``, on joints of (n,) ``inertia`` and passive ``damping``.
 
     The objective is the unweighted mean of the trajectory losses over the
     dataset. With ``tie_joints`` the search runs over two shared scalars
@@ -193,17 +195,18 @@ def anneal_fit(
     cfg = cfg or AnnealConfig()
     if len(dataset) == 0:
         raise SysIdError("dataset must contain at least one trajectory record")
-    if range0.n != chain.n or init.n != chain.n:
+    n = chain.n
+    if range0.n != n or np.shape(init_p) != (n,) or np.shape(init_d) != (n,):
         raise SysIdError("init/range joint counts must match the chain")
 
     lows0 = range0.lows()
     highs0 = range0.highs()
-    theta_init = np.concatenate([init.p, init.d])
-    if np.any(theta_init < lows0 - 1e-12) or np.any(theta_init > highs0 + 1e-12):
+    theta_init = np.concatenate([init_p, init_d])
+    if not np.all((theta_init >= lows0 - 1e-12) & (theta_init <= highs0 + 1e-12)):  # also a NaN
         raise SysIdError("initial parameters fall outside the search range")
     # the stability bound tightens as p and d grow: check the range's top corner
     dt = 1.0 / (ctrl_cfg or default_config(controller_kind)).h_sim
-    _check_stable(PDParams(range0.p_high, range0.d_high), dyn, dt, SysIdError)
+    _check_plant(n, inertia, damping, range0.p_high, range0.d_high, dt, SysIdError)
 
     # fix per-record initial configurations once; replay failures abort here
     if q_inits is None:
@@ -218,20 +221,19 @@ def anneal_fit(
     refs = [rec.ee_poses for rec in dataset]
     goals = _widowx_goals(chain, actions, q_inits, ik_iters) if controller_kind == WIDOWX else None
 
-    def objective(pd: PDParams) -> list[TrajectoryLosses]:
-        tools, _ = _simulate(chain, dyn, pd, controller_kind, actions, q_inits, ctrl_cfg, ik_iters, goals=goals)
+    def objective(theta: np.ndarray) -> list[TrajectoryLosses]:  # theta = (p, d), one row per gain set
+        tools, _ = _simulate(chain, inertia, damping, theta[..., :n], theta[..., n:], controller_kind, actions, q_inits,
+                             ctrl_cfg, ik_iters, goals=goals)
         losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs * len(tools), tools)]
         sums = np.cumsum(np.reshape(losses, (-1, len(refs), 3)), axis=1)[:, -1]  # one row per gain set
         return [TrajectoryLosses(*(float(s) / len(dataset) for s in row)) for row in sums]
 
     # u in [0, 1]^dim; each coordinate sets `width` consecutive entries of theta = (p, d)
-    n = chain.n
     dim = 2 if cfg.tie_joints else 2 * n
     width = 2 * n // dim
 
-    def to_pd(u: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> PDParams:
-        theta = lows + np.repeat(u, width, axis=-1) * (highs - lows)
-        return PDParams(theta[..., :n], theta[..., n:])
+    def to_theta(u: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        return lows + np.repeat(u, width, axis=-1) * (highs - lows)
 
     def to_u(theta: np.ndarray, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         return np.clip(((theta - lows) / (highs - lows)).reshape(dim, width).mean(axis=1), 0.0, 1.0)
@@ -239,8 +241,8 @@ def anneal_fit(
     rng = np.random.default_rng(cfg.rng_seed)
     lows, highs = lows0, highs0
     best_u = to_u(theta_init, lows, highs)
-    best_pd = to_pd(best_u, lows, highs)
-    (best,) = objective(best_pd)
+    best_theta = to_theta(best_u, lows, highs)
+    (best,) = objective(best_theta)
     initial_loss = best.total
     if not math.isfinite(initial_loss):  # no proposal could ever beat it
         raise SysIdError(f"the loss at the initial gains is {initial_loss}, not a finite number")
@@ -253,28 +255,26 @@ def anneal_fit(
         for done in range(0, cfg.iters_per_round, ANNEAL_PROPOSALS):
             k = min(ANNEAL_PROPOSALS, cfg.iters_per_round - done)
             proposals = np.clip(u + rng.normal(0.0, cfg.sigma, size=(k, dim)), 0.0, 1.0)
-            cands = objective(to_pd(proposals, lows, highs))
+            cands = objective(to_theta(proposals, lows, highs))
             cand, proposal = min(zip(cands, proposals), key=lambda c: c[0].total)  # the first lowest
             delta = cand.total - current_loss
             if delta <= 0.0 or rng.random() < (math.exp(-delta / temp) if temp > 0.0 else 0.0):
                 u = proposal
                 current_loss = cand.total
             if cand.total < best.total:
-                best, best_pd, best_u = cand, to_pd(proposal, lows, highs), proposal
+                best, best_theta, best_u = cand, to_theta(proposal, lows, highs), proposal
             temp *= cfg.cooling**k
-        history.append(
-            RoundStats(round_index, best.total, best_pd.p, best_pd.d, cfg.iters_per_round, lows, highs)
-        )
+        history.append(RoundStats(round_index, best.total, *np.split(best_theta.copy(), 2), cfg.iters_per_round, lows,
+                                  highs))
         if round_index + 1 < cfg.rounds:
             # recenter on the incumbent, contract, clip to the original range
-            center = np.concatenate([best_pd.p, best_pd.d])
             half_width = 0.5 * cfg.shrink * (highs - lows)
-            lows = np.clip(center - half_width, lows0, highs0)
-            highs = np.clip(center + half_width, lows0, highs0)
+            lows = np.clip(best_theta - half_width, lows0, highs0)
+            highs = np.clip(best_theta + half_width, lows0, highs0)
             too_narrow = highs - lows < 1e-12
             highs = np.where(too_narrow, np.minimum(lows + 1e-12, highs0), highs)
             lows = np.where(highs - lows < 1e-12, highs - 1e-12, lows)
-            best_u = to_u(center, lows, highs)
+            best_u = to_u(best_theta, lows, highs)
 
     evaluations = 1 + cfg.rounds * cfg.iters_per_round
-    return AnnealResult(best_pd, best.total, initial_loss, best, tuple(history), evaluations)
+    return AnnealResult(*np.split(best_theta.copy(), 2), best.total, initial_loss, best, tuple(history), evaluations)

@@ -474,16 +474,16 @@ def ref_plan_scurve_1d(q0, v0, q_goal, v_goal, lim: LimitSet) -> RefProfile:
 # ---------------------------------------------------------------------------
 
 
-def dyn_step(q, v, target_q, target_v, pd, dyn, dt: float):
+def dyn_step(q, v, target_q, target_v, p, d, inertia, damping, lower, upper, dt: float):
     """Advance the decoupled PD plant one step of semi-implicit Euler.
 
     Positions are clamped to the joint limits with velocity zeroed at the
     stop, mirroring a hard mechanical end stop.
     """
-    accel = (pd.p * (target_q - q) + pd.d * (target_v - v) - dyn.damping * v) / dyn.inertia
+    accel = (p * (target_q - q) + d * (target_v - v) - damping * v) / inertia
     v_new = v + accel * dt
     q_new = q + v_new * dt
-    clamped = np.clip(q_new, dyn.lower, dyn.upper)
+    clamped = np.clip(q_new, lower, upper)
     v_new = np.where(clamped != q_new, 0.0, v_new)
     return clamped, v_new
 
@@ -569,42 +569,42 @@ def ref_ik_dls(chain: ChainSpec, target: np.ndarray, q_seed, max_iters: int = 20
     return IkResult(best_q, best_pos, best_rot, converged, iterations)
 
 
-def ref_integrate_targets(q, v, targets, pd, dyn, dt: float):
+def ref_integrate_targets(q, v, targets, p, d, inertia, damping, lower, upper, dt: float):
     """Step one (n,) plant state through (k, n) targets, one tick at a time,
     with the end stop found by a clamp and an array comparison."""
-    keep = 1.0 - (pd.d + dyn.damping) / dyn.inertia * dt
-    gain = pd.p / dyn.inertia * dt
+    keep = 1.0 - (d + damping) / inertia * dt
+    gain = p / inertia * dt
     q = q.copy()
     v = v.copy()
     for target in targets:
         v = v * keep + (target - q) * gain
         q = q + v * dt
-        qc = np.clip(q, dyn.lower, dyn.upper)
+        qc = np.clip(q, lower, upper)
         if not np.array_equal(qc, q):
             v[qc != q] = 0.0
             q = qc
     return q, v
 
 
-def ref_hold_target(q, v, target, ticks: int, powers: np.ndarray, dyn):
+def ref_hold_target(q, v, target, ticks: int, powers: np.ndarray, lower, upper):
     """The one-row held-target closed form: restart at each end-stop tick."""
     while ticks:
         k = min(ticks, powers.shape[0] - 1)
         e_q = q - target
         qs = target + powers[1 : k + 1, :, 0, 0] * e_q + powers[1 : k + 1, :, 0, 1] * v
-        out = (qs < dyn.lower) | (qs > dyn.upper)
+        out = (qs < lower) | (qs > upper)
         hit = out.any(axis=1)
         r = int(np.argmax(hit)) if hit.any() else k - 1
         v = powers[r + 1, :, 1, 0] * e_q + powers[r + 1, :, 1, 1] * v
         q = qs[r]
         if hit[r]:
-            q = np.clip(q, dyn.lower, dyn.upper)
+            q = np.clip(q, lower, upper)
             v = np.where(out[r], 0.0, v)
         ticks -= r + 1
     return q, v
 
 
-def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
+def ref_simulate(chain, inertia, damping, p, d, kind: str, actions, q_init, cfg, ik_iters=200):
     """Replay one record's (delta_pos, delta_rot, gripper) actions tick by tick; returns its
     poses and the (iterations, converged) of every control step's IK."""
     from real2sim.controller import GOOGLE_ARM_LIMITS
@@ -615,7 +615,8 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
     v = np.zeros_like(q)
     dt = 1.0 / cfg.h_sim
     ticks = cfg.ticks_per_step
-    powers = _plant_powers(pd, dyn, dt, ticks)[:, 0]  # the one gain set's table
+    gain, keep = p / inertia * dt, 1.0 - (d + damping) / inertia * dt
+    powers = _plant_powers(gain[None], keep[None], dt, ticks)[:, 0]  # the one gain set's table
     poses, stats = [ref_fk(chain, q)], []
     last_goal = q
     for delta_pos, delta_rot in zip(*actions[:2]):
@@ -628,29 +629,29 @@ def ref_simulate(chain, dyn, pd, kind: str, actions, q_init, cfg, ik_iters=200):
             vmax = GOOGLE_ARM_LIMITS.v_max
             plan = synchronize(q, np.clip(v, -vmax, vmax), ik.q, np.zeros_like(q), GOOGLE_ARM_LIMITS)
             arm_q = plan.sample(np.arange(1, ticks + 1) / cfg.h_sim)[0]
-            q, v = ref_integrate_targets(q, v, arm_q, pd, dyn, dt)
+            q, v = ref_integrate_targets(q, v, arm_q, p, d, inertia, damping, chain.lower, chain.upper, dt)
         else:
             last_goal = ik.q
-            q, v = ref_hold_target(q, v, ik.q, ticks, powers, dyn)
+            q, v = ref_hold_target(q, v, ik.q, ticks, powers, chain.lower, chain.upper)
         poses.append(ref_fk(chain, q))
     return poses, stats
 
 
-def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=None, ik_iters: int = 200,
-                   proposals: int = 1):
+def ref_anneal_fit(dataset, chain, inertia, damping, kind: str, init_p, init_d, range0, cfg, ctrl_cfg=None,
+                   ik_iters: int = 200, proposals: int = 1):
     """The annealer without a shared goal table: every step draws k = min(proposals, evaluations left in the
     round) proposals and replays them in one call that solves its own WidowX goals, then runs the Metropolis
     test on the first lowest and cools by cooling**k. At one proposal, every step replays one proposal on
     its own. Valid inputs only."""
-    from real2sim.jointsim import PDParams, _record_q_init, _simulate
+    from real2sim.jointsim import _record_q_init, _simulate
     from real2sim.sysid import AnnealResult, RoundStats, trajectory_losses
 
     q_inits = [_record_q_init(chain, rec) for rec in dataset]
     refs = [rec.ee_poses for rec in dataset]
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]
 
-    def objective(pd):  # one loss per gain set of pd
-        tools, _ = _simulate(chain, dyn, pd, kind, actions, q_inits, ctrl_cfg, ik_iters)
+    def objective(pd):  # one loss per gain set of the (p, d) pair pd
+        tools, _ = _simulate(chain, inertia, damping, *pd, kind, actions, q_inits, ctrl_cfg, ik_iters)
         losses = [trajectory_losses(ref, tool[: len(ref)]) for ref, tool in zip(refs * len(tools), tools)]
         return [TrajectoryLosses(*(float(s) / len(dataset) for s in np.cumsum(losses[i : i + len(refs)], axis=0)[-1]))
                 for i in range(0, len(losses), len(refs))]
@@ -661,7 +662,7 @@ def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=N
 
     def to_pd(u, lows, highs):
         theta = lows + np.repeat(u, k, axis=-1) * (highs - lows)
-        return PDParams(theta[..., :n], theta[..., n:])
+        return theta[..., :n], theta[..., n:]
 
     def to_u(theta, lows, highs):
         return np.clip(((theta - lows) / (highs - lows)).reshape(dim, k).mean(axis=1), 0.0, 1.0)
@@ -669,7 +670,7 @@ def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=N
     rng = np.random.default_rng(cfg.rng_seed)
     lows0, highs0 = range0.lows(), range0.highs()
     lows, highs = lows0, highs0
-    best_u = to_u(np.concatenate([init.p, init.d]), lows, highs)
+    best_u = to_u(np.concatenate([init_p, init_d]), lows, highs)
     best_pd = to_pd(best_u, lows, highs)
     (best,) = objective(best_pd)
     initial_loss = best.total
@@ -693,10 +694,10 @@ def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=N
                 best, best_pd, best_u = cand, cand_pd, proposal
             temp *= cfg.cooling**step
         history.append(
-            RoundStats(round_index, best.total, best_pd.p, best_pd.d, cfg.iters_per_round, lows, highs)
+            RoundStats(round_index, best.total, *best_pd, cfg.iters_per_round, lows, highs)
         )
         if round_index + 1 < cfg.rounds:
-            center = np.concatenate([best_pd.p, best_pd.d])
+            center = np.concatenate(best_pd)
             half_width = 0.5 * cfg.shrink * (highs - lows)
             lows = np.clip(center - half_width, lows0, highs0)
             highs = np.clip(center + half_width, lows0, highs0)
@@ -705,7 +706,7 @@ def ref_anneal_fit(dataset, chain, dyn, kind: str, init, range0, cfg, ctrl_cfg=N
             lows = np.where(highs - lows < 1e-12, highs - 1e-12, lows)
             best_u = to_u(center, lows, highs)
     evaluations = 1 + cfg.rounds * cfg.iters_per_round
-    return AnnealResult(best_pd, best.total, initial_loss, best, tuple(history), evaluations)
+    return AnnealResult(*best_pd, best.total, initial_loss, best, tuple(history), evaluations)
 
 
 @dataclass(frozen=True)

@@ -172,19 +172,21 @@ def test_criterion_06_controller_fidelity(six_dof):
 
 def test_criterion_07_sysid_synthetic_recovery():
     t0 = time.monotonic()
-    chain, dyn, truth, iks, records, init, bounds = recovery_setup(n_records=5, n_actions=30)
+    s = recovery_setup(n_records=5, n_actions=30)
     cfg = AnnealConfig(rounds=3, iters_per_round=90, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
-    result = anneal_fit(records, chain, dyn, "widowx", init, bounds, cfg, ik_iters=iks)
+    result = anneal_fit(s.records, s.chain, s.inertia, s.damping, "widowx", s.init_p, s.init_d, s.bounds, cfg,
+                        ik_iters=s.ik_iters)
     assert result.best_loss < 1e-3
     assert result.best_loss < 0.05 * result.initial_loss
 
     # determinism on a reduced schedule of the identical pipeline
     small = AnnealConfig(rounds=3, iters_per_round=5, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
     def fit_bytes():
-        r = anneal_fit(records[:2], chain, dyn, "widowx", init, bounds, small, ik_iters=iks)
+        r = anneal_fit(s.records[:2], s.chain, s.inertia, s.damping, "widowx", s.init_p, s.init_d, s.bounds, small,
+                       ik_iters=s.ik_iters)
         payload = {
-            "p": list(map(float, r.best.p)),
-            "d": list(map(float, r.best.d)),
+            "p": list(map(float, r.best_p)),
+            "d": list(map(float, r.best_d)),
             "loss": r.best_loss,
             "rounds": [(h.round_index, h.best_loss) for h in r.history],
         }
@@ -195,7 +197,7 @@ def test_criterion_07_sysid_synthetic_recovery():
     announce(
         7,
         f"sysid recovery (loss {result.best_loss:.2e}, {result.best_loss / result.initial_loss:.1%} of init, "
-        f"p {result.best.p[0]:.1f}/{truth.p[0]:.0f}, d {result.best.d[0]:.2f}/{truth.d[0]:.0f})",
+        f"p {result.best_p[0]:.1f}/{s.p_true[0]:.0f}, d {result.best_d[0]:.2f}/{s.d_true[0]:.0f})",
         elapsed,
     )
 
@@ -203,9 +205,10 @@ def test_criterion_07_sysid_synthetic_recovery():
 def test_criterion_07_google_sysid_recovery():
     # criterion 7's schedule and thresholds on records replayed through the Google controller's planner
     t0 = time.monotonic()
-    chain, dyn, truth, iks, records, init, bounds = recovery_setup(n_records=3, n_actions=10, controller_kind="google")
+    s = recovery_setup(n_records=3, n_actions=10, controller_kind="google")
     cfg = AnnealConfig(rounds=3, iters_per_round=90, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
-    result = anneal_fit(records, chain, dyn, "google", init, bounds, cfg, ik_iters=iks)
+    result = anneal_fit(s.records, s.chain, s.inertia, s.damping, "google", s.init_p, s.init_d, s.bounds, cfg,
+                        ik_iters=s.ik_iters)
     assert result.evaluations == 271
     assert result.best_loss < 1e-3
     assert result.best_loss < 0.05 * result.initial_loss
@@ -213,7 +216,7 @@ def test_criterion_07_google_sysid_recovery():
     announce(
         7,
         f"Google sysid recovery (loss {result.best_loss:.2e}, {result.best_loss / result.initial_loss:.1%} of init, "
-        f"p {result.best.p[0]:.1f}/{truth.p[0]:.0f}, d {result.best.d[0]:.2f}/{truth.d[0]:.0f})",
+        f"p {result.best_p[0]:.1f}/{s.p_true[0]:.0f}, d {result.best_d[0]:.2f}/{s.d_true[0]:.0f})",
         elapsed,
     )
 

@@ -370,7 +370,8 @@ def test_ik_keeps_a_row_that_still_improves(monkeypatch):
 def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
     # the criterion 7 problem's goal pass (the same at every gain set): 150 IK rows, whose
     # slow tail still improves at max_iters = 60; every count and flag is the one without the stop
-    chain, dyn, _, iks, records, init, _ = recovery_setup(n_records=5, n_actions=30)
+    s = recovery_setup(n_records=5, n_actions=30)
+    chain, iks, records = s.chain, s.ik_iters, s.records
     q_inits = [_record_q_init(chain, rec) for rec in records]
     batched_ik = controller._ik_rows
 
@@ -384,7 +385,7 @@ def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
 
         monkeypatch.setattr(controller, "_ik_rows", recording_ik)
         actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in records]
-        _simulate(chain, dyn, init, "widowx", actions, q_inits, None, iks)
+        _simulate(chain, s.inertia, s.damping, s.init_p, s.init_d, "widowx", actions, q_inits, None, iks)
         return rows
 
     rows = rows_of_one_replay()

@@ -15,7 +15,7 @@ from real2sim.cli import ConfigError, main
 from real2sim.controller import CtrlConfig
 from real2sim.data import fixture_path
 from real2sim.imaging import ImageError, read_ppm, write_pgm, write_ppm
-from real2sim.jointsim import JointDynamics, PDParams, synthesize_record
+from real2sim.jointsim import synthesize_record
 from real2sim import report as rep
 from real2sim.metrics import MetricsError, PairedEvalTable, PolicyEval
 from real2sim.profile import PlanningError
@@ -400,15 +400,15 @@ def sysid_workspace(tmp_path_factory):
     chain = planar_3link()
     (root / "chain.json").write_text(json.dumps(chain_to_dict(chain)))
     cfg = CtrlConfig(h_sim=200.0, h_ctrl=5.0)
-    dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
-    truth = PDParams(np.full(3, 60.0), np.full(3, 3.0))
+    dyn = (np.ones(3), np.full(3, 0.3))  # inertia and passive damping
+    truth = (np.full(3, 60.0), np.full(3, 3.0))
     rng = np.random.default_rng(9)
     q0 = np.array([0.4, 0.9, -0.7])
     traj_dir = root / "trajectories"
     traj_dir.mkdir()
     for i in range(2):
         actions = fk_path_actions(chain, q0, 8, rng, amp=0.25, gripper=0.5)
-        rec = synthesize_record(chain, dyn, truth, "widowx", actions, q0, cfg, 60)
+        rec = synthesize_record(chain, *dyn, *truth, "widowx", actions, q0, cfg, 60)
         (traj_dir / f"rec{i}.json").write_text(json.dumps(rec.to_dict()))
     config = {
         "controller": "widowx",
@@ -621,11 +621,11 @@ def test_replay_cli_self_consistency(sysid_workspace, tmp_path):
 def test_replay_cli_google_dump_plan(tmp_path):
     chain = planar_3link()
     (tmp_path / "chain.json").write_text(json.dumps(chain_to_dict(chain)))
-    dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
-    truth = PDParams(np.full(3, 60.0), np.full(3, 3.0))
+    dyn = (np.ones(3), np.full(3, 0.3))  # inertia and passive damping
+    truth = (np.full(3, 60.0), np.full(3, 3.0))
     q0 = np.array([0.4, 0.9, -0.7])
     actions = fk_path_actions(chain, q0, 3, np.random.default_rng(4), amp=0.25, gripper=0.5)
-    rec = synthesize_record(chain, dyn, truth, "google", actions, q0, ik_iters=60)
+    rec = synthesize_record(chain, *dyn, *truth, "google", actions, q0, ik_iters=60)
     (tmp_path / "rec.json").write_text(json.dumps(rec.to_dict()))
     (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
     plan_csv = tmp_path / "plan.csv"
@@ -762,14 +762,26 @@ def test_replay_cli_out_and_dump_plan_both_on_stdout_exits_2(sysid_workspace, tm
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("params", {"p": float("nan"), "d": 3.0}, "PD gain p must be finite"),
-    ("params", {"p": 60.0, "d": float("inf")}, "PD gain d must be finite"),
-    ("dynamics", {"inertia": float("inf"), "damping": 0.3}, "joint inertia must be finite"),
-    ("dynamics", {"inertia": 1.0, "damping": [0.3, float("nan"), 0.3]}, "joint damping must be finite"),
-])
+def value_error_rows(*rows):
+    """Parameter rows (field, value, message), each with the id ``<field>-value<i>-<message tail>``, the
+    tail being the message after its field prefix."""
+    return [pytest.param(*row, id=f"{row[0]}-value{i}-{row[2].split(': ')[-1]}") for i, row in enumerate(rows)]
+
+
+@pytest.mark.parametrize("field, value, message", value_error_rows(
+    ("params", {"p": float("nan"), "d": 3.0}, "{file}.p: PD gain p must be finite"),
+    ("params", {"p": 60.0, "d": float("inf")}, "{file}.d: PD gain d must be finite"),
+    ("dynamics", {"inertia": float("inf"), "damping": 0.3}, "{file}.inertia: joint inertia must be finite"),
+    ("dynamics", {"inertia": 1.0, "damping": [0.3, float("nan"), 0.3]}, "{file}.damping: joint damping must be finite"),
+    ("params", {"p": -60.0, "d": 3.0}, "{file}.p: PD gains must be non-negative"),
+    ("params", {"best": {"p": 60.0, "d": [3.0, -3.0, 3.0]}}, "{file}.best.d: PD gains must be non-negative"),
+    ("dynamics", {"inertia": [1.0, 0.0, 1.0], "damping": 0.3},
+     "{file}.inertia: joint inertia must be strictly positive"),
+    ("dynamics", {"inertia": 1.0, "damping": -0.3}, "{file}.damping: passive damping must be non-negative"),
+))
 def test_replay_cli_non_finite_gains_or_dynamics_exit_3(sysid_workspace, tmp_path, capsys, field, value, message):
-    # JSON's NaN and Infinity parse; an infinite inertia would hold the arm still and exit 0
+    # JSON's NaN and Infinity parse; an infinite inertia would hold the arm still and exit 0. A value error
+    # names its file and field, as a shape error does
     files = {"params": {"p": 60.0, "d": 3.0}, "dynamics": {"inertia": 1.0, "damping": 0.3}, field: value}
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
@@ -777,14 +789,17 @@ def test_replay_cli_non_finite_gains_or_dynamics_exit_3(sysid_workspace, tmp_pat
     rc = main(_replay_args(sysid_workspace, tmp_path / "params.json", "--dynamics", str(tmp_path / "dynamics.json"),
                            "--out", str(out)))
     assert rc == 3
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(file=tmp_path / f'{field}.json')}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("section, value, message", [
-    ("init", {"p": float("nan"), "d": 1.5}, "PD gain p must be finite"),
-    ("dynamics", {"inertia": 1.0, "damping": float("inf")}, "joint damping must be finite"),
-])
+@pytest.mark.parametrize("section, value, message", value_error_rows(
+    ("init", {"p": float("nan"), "d": 1.5}, "init.p: PD gain p must be finite"),
+    ("dynamics", {"inertia": 1.0, "damping": float("inf")}, "dynamics.damping: joint damping must be finite"),
+    ("init", {"p": 120.0, "d": -1.5}, "init.d: PD gains must be non-negative"),
+    ("dynamics", {"inertia": 0.0, "damping": 0.3}, "dynamics.inertia: joint inertia must be strictly positive"),
+    ("dynamics", {"inertia": 1.0, "damping": -0.3}, "dynamics.damping: passive damping must be non-negative"),
+))
 def test_sysid_fit_non_finite_init_or_dynamics_exit_3(sysid_workspace, tmp_path, capsys, section, value, message):
     root = sysid_workspace
     config = json.loads((root / "sysid.json").read_text())

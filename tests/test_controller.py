@@ -16,7 +16,7 @@ from real2sim.controller import (
     widowx_step,
 )
 from real2sim.chain import fk
-from real2sim.jointsim import JointDynamics, PDParams, TrajectoryRecord, default_config, replay_open_loop
+from real2sim.jointsim import TrajectoryRecord, default_config, replay_open_loop
 
 
 IDENTITY_ARM = (np.zeros((1, 3)), np.eye(3)[None])  # one record's delta_pos and delta_rot rows of a zero move
@@ -187,9 +187,8 @@ def test_widowx_gripper_passthrough(three_link):
     # the per-tick targets a plan sink sees: the goal held for 100 ticks, the raw gripper value
     q = np.array([0.2, -0.3, 0.4])
     rec = TrajectoryRecord(*IDENTITY_ARM, [0.73], fk(three_link, q)[None], 5.0, np.array([q]))
-    dyn = JointDynamics.from_chain(three_link)
     seen = []
-    replay_open_loop(three_link, dyn, PDParams(np.full(3, 80.0), np.full(3, 6.0)), "widowx", rec,
+    replay_open_loop(three_link, np.ones(3), np.zeros(3), np.full(3, 80.0), np.full(3, 6.0), "widowx", rec,
                      plan_sink=lambda step, targets: seen.append(targets))
     (targets,) = seen
     assert targets.shape == (100, 1, 12)

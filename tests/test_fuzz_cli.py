@@ -24,7 +24,7 @@ from real2sim.chain import chain_to_dict
 from real2sim.cli import main
 from real2sim.controller import CtrlConfig
 from real2sim.imaging import write_pgm, write_ppm
-from real2sim.jointsim import JointDynamics, PDParams, synthesize_record
+from real2sim.jointsim import synthesize_record
 
 HUGE = str(10**400)  # a valid JSON integer, but past the float range
 LONG = "1" + "0" * 5000  # past Python's 4300-digit limit for integer literals
@@ -53,11 +53,10 @@ URDF = """<robot name="mini">
 def _record() -> dict:
     chain = planar_2link()
     cfg = CtrlConfig(h_sim=100.0, h_ctrl=5.0)
-    dyn = JointDynamics.from_chain(chain, inertia=1.0, damping=0.3)
     q0 = np.array([0.4, 0.9])
     actions = fk_path_actions(chain, q0, 1, np.random.default_rng(3), amp=0.2, gripper=0.5)
-    rec = synthesize_record(chain, dyn, PDParams(np.full(2, 40.0), np.full(2, 2.0)), "widowx", actions, q0, cfg,
-                            60)
+    rec = synthesize_record(chain, np.ones(2), np.full(2, 0.3), np.full(2, 40.0), np.full(2, 2.0), "widowx", actions,
+                            q0, cfg, 60)
     return rec.to_dict()
 
 

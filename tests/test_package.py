@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 import real2sim
+from helpers import planar_3link
+from real2sim.chain import chain_to_dict, fk
 from real2sim.data import fixture_path
+from real2sim.geometry import pose_to_dict
 from real2sim.imaging import write_pgm, write_ppm
 
 SRC = Path(real2sim.__file__).resolve().parents[1]
@@ -22,8 +25,9 @@ ENV = dict(os.environ, PYTHONPATH=str(SRC))
 # the layer modules benchmark/tracer.py reads from sys.modules after `import real2sim.cli`
 LAYERS = ("geometry", "chain", "profile", "controller", "jointsim", "sysid", "metrics", "report", "imaging", "cli")
 
-# Runs `python -m real2sim.cli ARGS` in this process, then prints the modules whose bodies ran. A module the
-# CLI registered lazily keeps its lazy type until its first attribute access.
+# Runs `python -m real2sim.cli ARGS` in this process, asserts that only `urdf convert` loaded the XML parser,
+# then prints the modules whose bodies ran. A module the CLI registered lazily keeps its lazy type until its
+# first attribute access.
 LAUNCH = """
 import contextlib, io, json, runpy, sys, types
 sys.argv = ["real2sim", *sys.argv[1:]]
@@ -32,6 +36,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_module("real2sim.cli", run_name="__main__")
     except SystemExit as exc:
         assert exc.code == 0, exc.code
+assert sys.argv[1] == "urdf" or "xml.etree.ElementTree" not in sys.modules, "the XML parser ran"
 ran = [n for n, m in sys.modules.items() if n.startswith(("numpy", "real2sim.")) and type(m) is types.ModuleType]
 print(json.dumps(ran))
 """
@@ -39,7 +44,8 @@ print(json.dumps(ran))
 
 def launch(*args: str) -> tuple[bool, set[str]]:
     """Whether numpy ran, and which real2sim layers ran, in one fresh CLI launch."""
-    out = subprocess.run([sys.executable, "-c", LAUNCH, *args], env=ENV, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", LAUNCH, *args], env=ENV, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     ran = json.loads(out.stdout)
     return "numpy" in ran, {n.split(".")[1] for n in ran if n.startswith("real2sim.")}
 
@@ -76,6 +82,24 @@ def test_metrics_report_runs_no_fit_layer(tmp_path):
                                "--out", str(out))
     assert not numpy_ran and layers <= {"metrics", "report"}
     assert (out / "aggregate.json").is_file()
+
+
+def test_replay_runs_no_xml_parser(tmp_path):
+    # the chain comes from JSON: only `urdf convert` needs the XML parser
+    chain, q0 = planar_3link(), [0.4, 0.9, -0.7]
+    action = {"xyz": [0.0, 0.0, 0.0], "rot_axis_angle": [0.0, 0.0, 0.0], "gripper": 0.0}
+    files = {
+        "chain": chain_to_dict(chain),
+        "trajectory": {"ctrl_frequency": 5.0, "actions": [action], "ee_poses": [pose_to_dict(fk(chain, q0))],
+                       "joint_positions": [q0]},
+        "params": {"p": 60.0, "d": 3.0},
+    }
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    args = [f"--{name}={tmp_path / name}.json" for name in files]
+    numpy_ran, layers = launch("replay", *args, "--controller=widowx", f"--out={tmp_path / 'poses.json'}")
+    assert numpy_ran and {"chain", "jointsim"} <= layers
+    assert (tmp_path / "poses.json").is_file()
 
 
 def test_import_cli_registers_every_layer():
