@@ -122,9 +122,9 @@ def _vec_field(obj, n: int, where: str) -> np.ndarray:
     return np.array(values)
 
 
-def _plant_field(obj, n: int, where: str) -> np.ndarray:
-    """A gain, inertia or damping field as an (n,) array, checked by ``jointsim._plant_input``."""
-    return jointsim._plant_input(_vec_field(obj, n, where), where)
+def _plant_field(obj, n: int, where: str, name: str) -> np.ndarray:
+    """The plant field ``name`` of the object at ``where`` as an (n,) array, checked by ``jointsim._plant_input``."""
+    return jointsim._plant_input(_vec_field(obj, n, f"{where}.{name}"), name, f"{where}.")
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +194,8 @@ def _ctrl_config(kind: str, overrides: dict | None) -> controller.CtrlConfig:
 def _dynamics(obj, n: int, where: str) -> tuple[np.ndarray, np.ndarray]:
     """The (n,) inertia (default 1) and passive damping (default 0) of a dynamics object."""
     dyn_obj = _section(obj, _DYN_KEYS, where)
-    return (_plant_field(dyn_obj.get("inertia", 1.0), n, f"{where}.inertia"),
-            _plant_field(dyn_obj.get("damping", 0.0), n, f"{where}.damping"))
+    return (_plant_field(dyn_obj.get("inertia", 1.0), n, where, "inertia"),
+            _plant_field(dyn_obj.get("damping", 0.0), n, where, "damping"))
 
 
 def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlConfig, override: str) -> list:
@@ -225,7 +225,7 @@ def cmd_sysid_fit(args) -> int:
 
     inertia, damping = _dynamics(config.get("dynamics", {}), n, "dynamics")
     init_obj = _section(config["init"], _INIT_KEYS, "init", required=("p", "d"))
-    init_p, init_d = _plant_field(init_obj["p"], n, "init.p"), _plant_field(init_obj["d"], n, "init.d")
+    init_p, init_d = _plant_field(init_obj["p"], n, "init", "p"), _plant_field(init_obj["d"], n, "init", "d")
 
     range_obj = _section(config["range"], _RANGE_KEYS, "range", required=("p_low", "p_high", "d_low", "d_high"))
     rng = sysid.SysIdRange(
@@ -279,7 +279,7 @@ def _load_pd(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         obj, where = obj["best"], f"{path}.best"
     if not isinstance(obj, dict) or "p" not in obj or "d" not in obj:
         raise report.InputFormatError(f"{where}: expected an object with 'p' and 'd'")
-    return _plant_field(obj["p"], n, f"{where}.p"), _plant_field(obj["d"], n, f"{where}.d")
+    return _plant_field(obj["p"], n, where, "p"), _plant_field(obj["d"], n, where, "d")
 
 
 def cmd_replay(args) -> int:

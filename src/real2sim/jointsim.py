@@ -133,17 +133,16 @@ class TrajectoryRecord:
             raise JointSimError(f"{source}: {exc}") from exc
 
 
-def _plant_input(x, where: str, error: type[ValueError] = JointSimError) -> np.ndarray:
-    """``x`` as a float array of the plant input that ``where`` ends in: the gains ``p`` and ``d`` and the passive
-    ``damping`` must be finite and non-negative, the ``inertia`` finite and positive. An error names ``where``."""
-    a, name = np.asarray(x, dtype=float), where.rpartition(".")[2]
-    gains = name in ("p", "d")
+def _plant_input(x, name: str, where: str = "", error: type[ValueError] = JointSimError) -> np.ndarray:
+    """``x`` as a float array of the plant input ``name``: the gains ``p`` and ``d`` and the passive ``damping``
+    must be finite and non-negative, the ``inertia`` finite and positive. An error names ``where + name``."""
+    a, gains = np.asarray(x, dtype=float), name in ("p", "d")
     if not np.isfinite(a).all():
-        raise error(f"{where}: {'PD gain' if gains else 'joint'} {name} must be finite")
+        raise error(f"{where}{name}: {'PD gain' if gains else 'joint'} {name} must be finite")
     if name == "inertia" and not (a > 0.0).all():
-        raise error(f"{where}: joint inertia must be strictly positive")
+        raise error(f"{where}{name}: joint inertia must be strictly positive")
     if not (a >= 0.0).all():
-        raise error(f"{where}: {'PD gains' if gains else 'passive damping'} must be non-negative")
+        raise error(f"{where}{name}: {'PD gains' if gains else 'passive damping'} must be non-negative")
     return a
 
 
@@ -152,7 +151,7 @@ def _check_plant(n: int, inertia, damping, p, d, dt: float, error: type[ValueErr
     (n,) ``inertia`` and ``damping`` and (n,) or (K, n) gains ``p`` and ``d``, each checked by ``_plant_input``.
     Raises ``error`` unless the plant is also stable at the step ``dt``: semi-implicit Euler is stable only for
     p dt^2/m < 4 - 2 (d + b) dt/m on every joint of every gain set."""
-    inertia, damping, p, d = (_plant_input(x, name, error) for x, name in
+    inertia, damping, p, d = (_plant_input(x, name, error=error) for x, name in
                               zip((inertia, damping, p, d), ("inertia", "damping", "p", "d")))
     if not (inertia.shape == damping.shape == (n,) and p.shape == d.shape and p.shape[-1:] == (n,) and p.ndim <= 2):
         raise error(f"inertia and damping must be ({n},) arrays and p and d ({n},) or (K, {n}) arrays of one shape, "

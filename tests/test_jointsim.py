@@ -146,8 +146,8 @@ def test_stability_guard_overdamped():
     q = rng.uniform(-1, 1, n)
     target = rng.uniform(-1, 1, n)
     q, v = _integrate_targets(q[None], np.zeros((1, n)), np.broadcast_to(target, (10_000, 1, n)),
-                              *_check_plant(n, np.ones(n), np.zeros(n), p, d, 1 / 500), np.full(n, -3.0), np.full(n, 3.0),
-                              1 / 500)
+                              *_check_plant(n, np.ones(n), np.zeros(n), p, d, 1 / 500), np.full(n, -3.0),
+                              np.full(n, 3.0), 1 / 500)
     assert np.all(np.abs(q) <= 3.0)
     assert np.all(np.isfinite(v))
 
@@ -340,8 +340,8 @@ def test_replay_checks_each_plant_input(replay_setup, field, value, message):
 
 def lockstep_case():
     """Three records of unequal length on the 6-DOF arm: record 0 ends with an action out of reach, and
-    record 1's actions, made on the arm's own limits, lead joint 0 past the upper limit of the returned chain,
-    0.02 above record 1's start."""
+    record 1's actions, made on the arm's own limits, turn joint 0 by 0.03 a step toward the upper limit of
+    the returned chain, 0.02 above record 1's start."""
     from helpers import arm_6dof
 
     arm = arm_6dof()
@@ -351,7 +351,11 @@ def lockstep_case():
     dyn = (np.ones(6), np.full(6, 0.3))  # inertia and passive damping
     pd = (np.full(6, 80.0), np.full(6, 3.0))
     rng = np.random.default_rng(21)
-    action_lists = [fk_path_actions(arm, q, t, rng, amp=0.3) for q, t in zip(q_inits, (5, 3, 4))]
+    action_lists = [fk_path_actions(arm, q, t, rng, amp=0.3) for q, t in zip(q_inits[[0, 2]], (5, 4))]
+    # joint 0 leads record 1's sweep, so the Google planner moves it fast enough to overshoot the stop too
+    poses = [fk(arm, q) for q in q_inits[1] + np.outer(np.arange(4), [0.03, 0.01, -0.01, 0.01, 0.0, 0.0])]
+    action_lists.insert(1, (np.array([b[:3, 3] - a[:3, 3] for a, b in zip(poses, poses[1:])]),
+                            np.array([b[:3, :3] @ a[:3, :3].T for a, b in zip(poses, poses[1:])]), np.zeros(3)))
     chain = ChainSpec((dataclasses.replace(arm.joints[0], upper=q_inits[1, 0] + 0.02), *arm.joints[1:]),
                       arm.ee_offset)
     delta_pos, delta_rot, gripper = action_lists[0]
@@ -381,12 +385,10 @@ def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
         np.testing.assert_allclose(sims[b], np.stack(ref_poses), rtol=0, atol=1e-12)
         assert [ik_calls[t][np.sum(lengths[:b] > t)] for t in range(len(actions[2]))] == ref_stats
     # the case covers what it claims: one unconverged IK, and an end stop in record 1 only. The IK keeps
-    # every goal inside the limits, so only the plant's overshoot reaches the stop: the WidowX rows, which
-    # hold each goal for a whole step, do; the Google planner moves joint 0 by a few milliradians per
-    # step and leaves it short of the stop.
+    # every goal inside the limits, so only the plant's overshoot reaches the stop.
     assert [ok for _, ok in ik_calls[-1]] == [False]
     hits = [np.any(log[:, 0] == chain.upper[0]) for log in logs]
-    assert hits == [False, kind == "widowx", False]
+    assert hits == [False, True, False]
 
 
 @pytest.mark.parametrize("kind", ["widowx", "google"])
