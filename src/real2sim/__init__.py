@@ -45,7 +45,7 @@ def json_vector(v, n: int | None, error: Exception) -> list[float]:
 
 _EXPORTS = {
     "geometry": "GeometryError quat_to_rot rot_frobenius_loss rot_to_quat rotation_angle",
-    "chain": "ChainSpec JointSpec fk ik_dls jacobian parse_urdf_subset",
+    "chain": "ChainSpec JointSpec fk ik jacobian parse_urdf_subset",
     "profile": "LimitSet MotionPlan synchronize",
     "controller": "CtrlConfig google_step widowx_step",
     "jointsim": "TrajectoryRecord replay_open_loop synthesize_record",

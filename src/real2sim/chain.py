@@ -1,10 +1,11 @@
 """Serial-chain robot model: URDF-subset parsing, FK, Jacobian, and DLS IK.
 
 The chain is a strictly serial sequence of revolute/prismatic joints. Joint
-origins, the tool offset, ``fk``'s result and ``ik_dls``'s target are 4x4
-homogeneous arrays. Fixed joints found while parsing are folded into the
-next joint's origin (trailing fixed joints fold into the tool offset).
-Inertial, visual, and collision elements are ignored.
+origins, the tool offset and ``fk``'s result are 4x4 homogeneous arrays;
+``ik`` takes its B targets as (B, 3, 3) rotations and (B, 3) positions.
+Fixed joints found while parsing are folded into the next joint's origin
+(trailing fixed joints fold into the tool offset). Inertial, visual, and
+collision elements are ignored.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ __all__ = [
     "UrdfParseError",
     "JointSpec",
     "ChainSpec",
-    "IkResult",
     "parse_urdf_subset",
     "fk",
     "jacobian",
-    "ik_dls",
+    "ik",
     "chain_to_dict",
     "chain_from_dict",
 ]
@@ -126,15 +126,6 @@ class ChainSpec:
         return len(self.joints)
 
 
-@dataclass(frozen=True)
-class IkResult:
-    q: np.ndarray
-    residual_pos: float
-    residual_rot: float
-    converged: bool
-    iterations: int
-
-
 def _check_q(chain: ChainSpec, q) -> np.ndarray:
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != chain.n:
@@ -201,15 +192,21 @@ def jacobian(chain: ChainSpec, q) -> np.ndarray:
     return _jacobian_from_frames(chain, frames, (frames[-1] @ chain.ee_offset)[:, :3, 3])[0]
 
 
-def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q_seed: np.ndarray, max_iters: int):
+def ik(chain: ChainSpec, target_rot, target_pos, q_seed, max_iters: int = 200):
     """Damped-least-squares IK of B rows in lockstep, each toward its own target.
 
-    ``target_rot`` is (B, 3, 3), ``target_pos`` (B, 3) and ``q_seed`` (B, n).
-    A row finishes on convergence, at ``max_iters`` or after ``IK_STALL_ITERS``
-    iterations without a better residual, and leaves the active set, so every
-    row runs the iterates of a solo run. Returns each row's best iterate,
-    residuals, flag and iteration count.
+    ``target_rot`` is (B, 3, 3), ``target_pos`` (B, 3) and ``q_seed`` (B, n). Each row iterates
+    dq = J^T (J J^T + IK_DAMPING^2 I)^-1 e with the step clamped to ``IK_MAX_STEP`` per joint and iterates
+    clamped to joint limits. A row finishes on convergence, at ``max_iters`` or after ``IK_STALL_ITERS``
+    iterations without a better residual, and leaves the active set, so every row runs the iterates of a
+    solo run. Never raises on non-convergence: returns each row's best iterate (B, n), its position and
+    rotation residuals (B,), its converged flag (B,) and its iteration count (B,).
     """
+    target_rot, target_pos, q_seed = (np.asarray(a, dtype=float) for a in (target_rot, target_pos, q_seed))
+    b = len(target_pos) if target_pos.ndim else 0
+    if not b or target_rot.shape != (b, 3, 3) or target_pos.shape != (b, 3) or q_seed.shape != (b, chain.n):
+        raise ChainError(f"targets of shapes {target_rot.shape} and {target_pos.shape} and a seed of shape "
+                         f"{q_seed.shape} are not (B, 3, 3), (B, 3) and (B, {chain.n}) with B >= 1")
     if max_iters < 1:
         raise ChainError(f"max_iters must be at least 1, got {max_iters}")
     lo, hi = chain.lower, chain.upper
@@ -246,22 +243,6 @@ def _ik_rows(chain: ChainSpec, target_rot: np.ndarray, target_pos: np.ndarray, q
         q = np.minimum(np.maximum(q + dq, lo), hi)
     q_best, res_pos, res_rot, converged, iterations = zip(*out)
     return np.array(q_best), np.array(res_pos), np.array(res_rot), np.array(converged), np.array(iterations)
-
-
-def ik_dls(chain: ChainSpec, target, q_seed, max_iters: int = 200) -> IkResult:
-    """Damped-least-squares IK toward the 4x4 transform ``target``, seeded at ``q_seed``.
-
-    Iterates dq = J^T (J J^T + IK_DAMPING^2 I)^-1 e with the step clamped to
-    ``IK_MAX_STEP`` per joint and iterates clamped to joint limits, until it
-    converges, reaches ``max_iters`` or goes ``IK_STALL_ITERS`` iterations
-    without a better residual. Never raises on non-convergence: the best
-    iterate found is always returned, with the ``converged`` flag and
-    residuals reporting the outcome.
-    """
-    q_seed = _check_q(chain, q_seed)[None]
-    target = _transform(target, "target")
-    q, pos, rot, ok, its = _ik_rows(chain, target[None, :3, :3], target[None, :3, 3], q_seed, max_iters)
-    return IkResult(q[0], float(pos[0]), float(rot[0]), bool(ok[0]), int(its[0]))
 
 
 # ---------------------------------------------------------------------------

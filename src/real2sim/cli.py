@@ -198,13 +198,13 @@ def _dynamics(obj, n: int, where: str) -> tuple[np.ndarray, np.ndarray]:
             _plant_field(dyn_obj.get("damping", 0.0), n, where, "damping"))
 
 
-def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlConfig, override: str) -> list:
+def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlConfig, override: str) -> np.ndarray:
     """Each record's initial arm configuration, once every control frequency matches; an error names the file."""
     for rec, path in zip(records, paths):
         if abs(cfg.h_ctrl - rec.ctrl_frequency) > 1e-9:
             raise jointsim.JointSimError(f"{path}: record control frequency {rec.ctrl_frequency} Hz does not match "
                                          f"the controller's {cfg.h_ctrl} Hz (use {override} to override)")
-    return [jointsim._record_q_init(robot, rec, f"{path}.") for rec, path in zip(records, paths)]
+    return jointsim._record_q_inits(robot, records, [f"{path}." for path in paths])
 
 
 @contextlib.contextmanager
@@ -307,7 +307,8 @@ def cmd_replay(args) -> int:
     outputs = [(args.out, _json(out))]
     if args.dump_plan:  # first on standard output
         head = ["t"] + [f"{x}_d{i}" for x in "qva" for i in range(robot.n)] + ["grip_q", "grip_v", "grip_a"]
-        lines = [",".join(head)] + [",".join(f"{v:.9f}" for v in row) for rows in plan_rows for row in rows]
+        row_format = ",".join(["%.9f"] * len(head))
+        lines = [",".join(head)] + [row_format % tuple(values) for rows in plan_rows for values in rows.tolist()]
         outputs.insert(0, (args.dump_plan, "\n".join(lines) + "\n"))
     _write(*outputs)
     if "-" not in (args.out, args.dump_plan):

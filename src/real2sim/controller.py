@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _ik_rows, _tools
+from .chain import ChainSpec, _tools, ik
 from .profile import LimitSet, synchronize
 
 __all__ = [
@@ -89,7 +89,7 @@ def _ik_goals(tag: str, t: int, chain: ChainSpec, delta_pos: np.ndarray, delta_r
     applied to the tool pose at ``base`` (the delta rotation about the tool origin)."""
     tool = _tools(chain, base)
     goal_rot, goal_pos = widowx_goal_pose(tool[:, :3, 3], tool[:, :3, :3], delta_pos, delta_rot)
-    q, res_pos, res_rot, ok, _ = _ik_rows(chain, goal_rot, goal_pos, base, ik_iters)
+    q, res_pos, res_rot, ok, _ = ik(chain, goal_rot, goal_pos, base, ik_iters)
     for i in np.flatnonzero(~ok):
         logger.warning(
             "%s t=%d: IK did not converge (pos %.2e m, rot %.2e rad); %s", tag, t, res_pos[i], res_rot[i], fallback

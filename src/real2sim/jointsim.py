@@ -17,10 +17,10 @@ from typing import Callable
 import numpy as np
 
 from . import json_number, json_vector
-from .chain import ChainSpec, _tools, ik_dls
+from .chain import ChainSpec, _tools, ik
 from .controller import ControllerError, CtrlConfig, google_grip_step, google_step, widowx_step
-from .geometry import (GeometryError, _freeze, axis_angle_to_matrix, matrix_to_rotvec, pose_from_dict, pose_to_dict,
-                       quat_to_rot)
+from .geometry import (GeometryError, _freeze, _transform, axis_angle_to_matrix, matrix_to_rotvec, pose_from_dict,
+                       pose_to_dict, quat_to_rot)
 from .profile import PlanningError
 
 __all__ = [
@@ -57,7 +57,10 @@ def _action_row(d, where: str) -> list[float]:
             return [*xyz, *quat_to_rot(rot_values).flat, g]
         except GeometryError as exc:
             raise ControllerError(f"{where}.quat_wxyz: {exc}") from exc
-    angle = float(np.linalg.norm(rot_values))
+    with np.errstate(over="ignore"):  # a norm past the float range is refused below
+        angle = float(np.linalg.norm(rot_values))
+    if angle == math.inf:
+        raise ControllerError(f"{where}.rot_axis_angle: the rotation angle overflows a float")
     return [*xyz, *(np.eye(3) if angle < 1e-12 else axis_angle_to_matrix(rot_values, angle)).flat, g]
 
 
@@ -391,7 +394,7 @@ def replay_open_loop(
     gripper q, v and a. The plant tracks the arm q only.
     """
     if q_init is None:
-        q_init = _record_q_init(chain, rec)
+        (q_init,) = _record_q_inits(chain, [rec])
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper)]
     return _simulate(chain, inertia, damping, p, d, controller_kind, actions, [q_init], cfg, ik_iters,
                      plan_sink)[0][0]
@@ -415,25 +418,36 @@ def synthesize_record(
     return TrajectoryRecord(*actions, tools, cfg.h_ctrl, joints)
 
 
-def _record_q_init(chain: ChainSpec, rec: TrajectoryRecord, where: str = "") -> np.ndarray:
-    """A record's initial arm configuration: its first joint positions if it has them, else IK on its first pose.
-    Joint positions need one value per chain joint in each row; an error names the field after ``where``."""
-    jp, first = rec.joint_positions, rec.ee_poses[0]
-    if jp is not None and jp.shape[1] != chain.n:
-        raise JointSimError(f"{where}joint_positions: rows of {jp.shape[1]} values for a {chain.n}-joint chain")
-    try:
-        return initial_joint_positions(chain, first) if jp is None else jp[0]
-    except JointSimError as exc:
-        raise JointSimError(f"{where}ee_poses[0]: {exc}") from exc
+def _record_q_inits(chain: ChainSpec, records, wheres=None) -> np.ndarray:
+    """The records' initial arm configurations as an (R, n) array: a record's first joint positions if it has
+    them, else the IK of its first pose, every such pose solved in one ``initial_joint_positions`` call. Joint
+    positions need one value per chain joint in each row; an error names the field after the record's entry of
+    ``wheres`` (default: none)."""
+    wheres = [""] * len(records) if wheres is None else wheres
+    q, solve = np.zeros((len(records), chain.n)), []
+    for r, (rec, where) in enumerate(zip(records, wheres)):
+        jp = rec.joint_positions
+        if jp is None:
+            solve.append(r)
+        elif jp.shape[1] != chain.n:
+            raise JointSimError(f"{where}joint_positions: rows of {jp.shape[1]} values for a {chain.n}-joint chain")
+        else:
+            q[r] = jp[0]
+    if solve:
+        q[solve] = initial_joint_positions(chain, [records[r].ee_poses[0] for r in solve],
+                                           names=[f"{wheres[r]}ee_poses[0]" for r in solve])
+    return q
 
 
-def initial_joint_positions(chain: ChainSpec, pose, q_seed=None, ik_iters: int = 500) -> np.ndarray:
-    """Joint configuration matching a reference pose (a 4x4 transform), found by IK."""
-    seed = np.zeros(chain.n) if q_seed is None else np.asarray(q_seed, dtype=float)
-    result = ik_dls(chain, pose, seed, ik_iters)
-    if not result.converged:
-        raise JointSimError(
-            f"could not match the initial pose by IK "
-            f"(pos residual {result.residual_pos:.2e} m, rot residual {result.residual_rot:.2e} rad)"
-        )
-    return result.q
+def initial_joint_positions(chain: ChainSpec, poses, q_seeds=None, ik_iters: int = 500, names=None) -> np.ndarray:
+    """Joint configurations (R, n) matching R reference poses (4x4 transforms), found by IK in one call from the
+    (R, n) ``q_seeds`` (default: zeros). Each pose must be a rigid transform. An error names the first pose
+    that fails by its entry of ``names`` (default: ``poses[<r>]``)."""
+    names = [f"poses[{r}]" for r in range(len(poses))] if names is None else names
+    poses = np.array([_transform(t, name) for t, name in zip(poses, names)]).reshape(-1, 4, 4)
+    seeds = np.zeros((len(poses), chain.n)) if q_seeds is None else q_seeds
+    q, res_pos, res_rot, ok, _ = ik(chain, poses[:, :3, :3], poses[:, :3, 3], seeds, ik_iters)
+    for r in np.flatnonzero(~ok)[:1]:
+        raise JointSimError(f"{names[r]}: could not match the initial pose by IK "
+                            f"(pos residual {res_pos[r]:.2e} m, rot residual {res_rot[r]:.2e} rad)")
+    return q

@@ -27,7 +27,7 @@ from .jointsim import (
     JointSimError,
     TrajectoryRecord,
     _check_plant,
-    _record_q_init,
+    _record_q_inits,
     _simulate,
     _widowx_goals,
     default_config,
@@ -210,12 +210,10 @@ def anneal_fit(
 
     # fix per-record initial configurations once; replay failures abort here
     if q_inits is None:
-        q_inits = []
-        for i, rec in enumerate(dataset):
-            try:
-                q_inits.append(_record_q_init(chain, rec))
-            except JointSimError as exc:
-                raise SysIdError(f"record {i}: {exc}") from exc
+        try:
+            q_inits = _record_q_inits(chain, dataset, [f"record {i}: " for i in range(len(dataset))])
+        except JointSimError as exc:
+            raise SysIdError(str(exc)) from exc
 
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]
     refs = [rec.ee_poses for rec in dataset]

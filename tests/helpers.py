@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
-from real2sim.chain import (IK_DAMPING, IK_MAX_STEP, IK_STALL_ITERS, IK_TOL_POS, IK_TOL_ROT, ChainSpec, IkResult,
-                            JointSpec)
+from real2sim.chain import IK_DAMPING, IK_MAX_STEP, IK_STALL_ITERS, IK_TOL_POS, IK_TOL_ROT, ChainSpec, JointSpec, ik
 from real2sim.geometry import axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
 from real2sim.metrics import DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError
 from real2sim.profile import LimitSet, PlanningError
@@ -536,9 +535,18 @@ def ref_jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool) -> np
     return np.concatenate([np.where(revolute, lin, axes_w), np.where(revolute, axes_w, 0.0)])
 
 
-def ref_ik_dls(chain: ChainSpec, target: np.ndarray, q_seed, max_iters: int = 200) -> IkResult:
+def ik_row(chain: ChainSpec, target: np.ndarray, q_seed, max_iters: int = 200):
+    """``ik`` on the one-row stack of a 4x4 ``target`` and an (n,) seed: that row's best iterate, residuals,
+    converged flag and iteration count."""
+    q, res_pos, res_rot, ok, its = ik(chain, target[None, :3, :3], target[None, :3, 3], np.array(q_seed, float)[None],
+                                      max_iters)
+    return q[0], res_pos[0], res_rot[0], ok[0], its[0]
+
+
+def ref_ik_dls(chain: ChainSpec, target: np.ndarray, q_seed, max_iters: int = 200):
     """The scalar DLS loop: one configuration, Python-float bookkeeping, and
-    the same stop once the best residual has not improved for IK_STALL_ITERS."""
+    the same stop once the best residual has not improved for IK_STALL_ITERS.
+    Returns one row of ``ik``: the best iterate, residuals, converged flag and iteration count."""
     q = np.clip(np.asarray(q_seed, dtype=float), chain.lower, chain.upper)
     damp = (IK_DAMPING**2) * np.eye(6)
     best_q, best_pos, best_rot, best_it = q.copy(), math.inf, math.inf, 0
@@ -566,7 +574,7 @@ def ref_ik_dls(chain: ChainSpec, target: np.ndarray, q_seed, max_iters: int = 20
         if biggest > IK_MAX_STEP:
             dq *= IK_MAX_STEP / biggest
         q = np.minimum(np.maximum(q + dq, chain.lower), chain.upper)
-    return IkResult(best_q, best_pos, best_rot, converged, iterations)
+    return best_q, best_pos, best_rot, converged, iterations
 
 
 def ref_integrate_targets(q, v, targets, p, d, inertia, damping, lower, upper, dt: float):
@@ -623,16 +631,16 @@ def ref_simulate(chain, inertia, damping, p, d, kind: str, actions, q_init, cfg,
         seed = q if kind == "google" else last_goal  # the WidowX goals never read the sensed state
         base = ref_fk(chain, seed)
         goal = transform(base[:3, 3] + delta_pos, delta_rot @ base[:3, :3])
-        ik = ref_ik_dls(chain, goal, seed, ik_iters)
-        stats.append((ik.iterations, ik.converged))
+        q_goal, _, _, converged, iterations = ref_ik_dls(chain, goal, seed, ik_iters)
+        stats.append((iterations, converged))
         if kind == "google":
             vmax = GOOGLE_ARM_LIMITS.v_max
-            plan = synchronize(q, np.clip(v, -vmax, vmax), ik.q, np.zeros_like(q), GOOGLE_ARM_LIMITS)
+            plan = synchronize(q, np.clip(v, -vmax, vmax), q_goal, np.zeros_like(q), GOOGLE_ARM_LIMITS)
             arm_q = plan.sample(np.arange(1, ticks + 1) / cfg.h_sim)[0]
             q, v = ref_integrate_targets(q, v, arm_q, p, d, inertia, damping, chain.lower, chain.upper, dt)
         else:
-            last_goal = ik.q
-            q, v = ref_hold_target(q, v, ik.q, ticks, powers, chain.lower, chain.upper)
+            last_goal = q_goal
+            q, v = ref_hold_target(q, v, q_goal, ticks, powers, chain.lower, chain.upper)
         poses.append(ref_fk(chain, q))
     return poses, stats
 
@@ -643,10 +651,10 @@ def ref_anneal_fit(dataset, chain, inertia, damping, kind: str, init_p, init_d, 
     round) proposals and replays them in one call that solves its own WidowX goals, then runs the Metropolis
     test on the first lowest and cools by cooling**k. At one proposal, every step replays one proposal on
     its own. Valid inputs only."""
-    from real2sim.jointsim import _record_q_init, _simulate
+    from real2sim.jointsim import _record_q_inits, _simulate
     from real2sim.sysid import AnnealResult, RoundStats, trajectory_losses
 
-    q_inits = [_record_q_init(chain, rec) for rec in dataset]
+    q_inits = _record_q_inits(chain, dataset)
     refs = [rec.ee_poses for rec in dataset]
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]
 

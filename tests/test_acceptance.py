@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    ik_row,
     integrate_profile,
     permutation_midp,
     random_rotation,
     random_serial_chain,
 )
-from real2sim.chain import fk, ik_dls, jacobian
+from real2sim.chain import fk, jacobian
 from real2sim.controller import (
     google_grip_step,
     google_step,
@@ -287,8 +288,7 @@ def test_criterion_10_kinematics_properties():
             q_true = rng.uniform(-2.0, 2.0, 6)
             target = fk(chain, q_true)
             seed = q_true + rng.normal(scale=0.1, size=6)
-            res = ik_dls(chain, target, seed, max_iters=400)
-            ok += res.residual_pos <= 1e-4
+            ok += ik_row(chain, target, seed, max_iters=400)[1] <= 1e-4
     assert ok >= 495, f"IK reached 1e-4 position residual on only {ok}/500 targets"
     elapsed = check_runtime(t0, 30.0, "criterion 10")
     announce(10, f"Jacobian FD agreement and IK convergence ({ok}/500)", elapsed)

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 import real2sim.chain as chain_module
-from helpers import random_serial_chain, ref_ik_dls, rot_z, transform
+from helpers import ik_row, random_serial_chain, ref_ik_dls, rot_z, transform
 from real2sim import controller
 from real2sim.bench import recovery_setup
 from real2sim.chain import (
@@ -14,15 +15,14 @@ from real2sim.chain import (
     ChainSpec,
     JointSpec,
     UrdfParseError,
-    _ik_rows,
     chain_from_dict,
     chain_to_dict,
     fk,
-    ik_dls,
+    ik,
     jacobian,
     parse_urdf_subset,
 )
-from real2sim.jointsim import _record_q_init, _simulate
+from real2sim.jointsim import _record_q_inits, _simulate
 
 PLANAR_URDF = """<robot name="planar">
   <link name="base"/>
@@ -265,26 +265,26 @@ def test_jacobian_matches_finite_differences():
 
 def test_ik_fixed_point(two_link):
     q = np.array([0.3, 0.2])
-    res = ik_dls(two_link, fk(two_link, q), q)
-    assert res.converged
-    assert res.iterations == 0
-    assert res.residual_pos == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(res.q, q)
+    q_ik, res_pos, _, ok, its = ik_row(two_link, fk(two_link, q), q)
+    assert ok
+    assert its == 0
+    assert res_pos == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(q_ik, q)
 
 
 def test_ik_two_link_position(two_link):
     target = fk(two_link, [0.9, -1.1])
-    res = ik_dls(two_link, target, np.array([0.1, 0.1]))
-    assert res.converged
-    assert res.residual_pos < 1e-4
-    np.testing.assert_allclose(fk(two_link, res.q)[:3, 3], target[:3, 3], atol=2e-4)
+    q, res_pos, _, ok, _ = ik_row(two_link, target, np.array([0.1, 0.1]))
+    assert ok
+    assert res_pos < 1e-4
+    np.testing.assert_allclose(fk(two_link, q)[:3, 3], target[:3, 3], atol=2e-4)
 
 
 def test_ik_unreachable_reports_best_effort(two_link):
-    res = ik_dls(two_link, transform((10, 0, 0)), np.array([0.1, 0.1]))
-    assert not res.converged
-    assert res.residual_pos > 1.0
-    assert np.all(np.isfinite(res.q))
+    q, res_pos, _, ok, _ = ik_row(two_link, transform((10, 0, 0)), np.array([0.1, 0.1]))
+    assert not ok
+    assert res_pos > 1.0
+    assert np.all(np.isfinite(q))
 
 
 def test_ik_respects_joint_limits():
@@ -296,9 +296,9 @@ def test_ik_respects_joint_limits():
         ),
         ee_offset=transform((1, 0, 0)),
     )
-    res = ik_dls(chain, transform((-2, 0, 0)), np.zeros(2))
-    assert np.all(res.q >= chain.lower - 1e-12)
-    assert np.all(res.q <= chain.upper + 1e-12)
+    q = ik_row(chain, transform((-2, 0, 0)), np.zeros(2))[0]
+    assert np.all(q >= chain.lower - 1e-12)
+    assert np.all(q <= chain.upper + 1e-12)
 
 
 def test_ik_roundtrip_random_chains():
@@ -310,8 +310,8 @@ def test_ik_roundtrip_random_chains():
         q_true = rng.uniform(-2.0, 2.0, 6)
         target = fk(chain, q_true)
         seed = q_true + rng.normal(scale=0.1, size=6)
-        res = ik_dls(chain, target, seed)
-        if res.converged and res.residual_pos <= 1e-4:
+        _, res_pos, _, converged, _ = ik_row(chain, target, seed)
+        if converged and res_pos <= 1e-4:
             ok += 1
     assert ok >= int(0.98 * total)
 
@@ -319,7 +319,7 @@ def test_ik_roundtrip_random_chains():
 def test_ik_lockstep_rows_match_solo_reference():
     # six rows solved in lockstep: rows converge after different numbers of
     # iterations and the last is out of reach; each row's iterate, residuals,
-    # flag and count equal the scalar reference loop's and ik_dls's, bit for bit
+    # flag and count equal the scalar reference loop's and a one-row ik's, bit for bit
     rng = np.random.default_rng(12)
     chain = random_serial_chain(rng, 6)
     q_true = rng.uniform(-2.0, 2.0, (6, 6))
@@ -327,13 +327,11 @@ def test_ik_lockstep_rows_match_solo_reference():
     targets = [fk(chain, q) for q in q_true]
     targets[5] = transform(targets[5][:3, 3] * 10.0, targets[5][:3, :3])
     stack = np.array(targets)
-    q, res_pos, res_rot, ok, its = _ik_rows(chain, stack[:, :3, :3], stack[:, :3, 3], seeds, 200)
+    q, res_pos, res_rot, ok, its = ik(chain, stack[:, :3, :3], stack[:, :3, 3], seeds, 200)
     for b, target in enumerate(targets):
-        for ref in (ref_ik_dls(chain, target, seeds[b]), ik_dls(chain, target, seeds[b])):
-            assert np.array_equal(q[b], ref.q)
-            assert (res_pos[b], res_rot[b], ok[b], its[b]) == (
-                ref.residual_pos, ref.residual_rot, ref.converged, ref.iterations
-            )
+        for ref in (ref_ik_dls(chain, target, seeds[b]), ik_row(chain, target, seeds[b])):
+            assert np.array_equal(q[b], ref[0])
+            assert (res_pos[b], res_rot[b], ok[b], its[b]) == ref[1:]
     assert len(set(its[:5].tolist())) >= 3 and ok[:5].all()
     assert not ok[5] and its[5] < 200
 
@@ -346,12 +344,11 @@ def test_ik_stops_a_row_once_it_stalls():
     seed = rng.uniform(-2.0, 2.0, 6)
     near = fk(chain, seed)
     target = transform(near[:3, 3] * 10.0, near[:3, :3])
-    res = ik_dls(chain, target, seed, max_iters=200)
-    assert not res.converged
+    _, res_pos, _, ok, its = ik_row(chain, target, seed, max_iters=200)
+    assert not ok
     # the best iterate is first returned when max_iters reaches the iteration that found it
-    best_it = next(m for m in range(1, res.iterations + 1)
-                   if ik_dls(chain, target, seed, max_iters=m).residual_pos == res.residual_pos)
-    assert res.iterations == best_it + IK_STALL_ITERS < 200
+    best_it = next(m for m in range(1, its + 1) if ik_row(chain, target, seed, max_iters=m)[1] == res_pos)
+    assert its == best_it + IK_STALL_ITERS < 200
 
 
 def test_ik_keeps_a_row_that_still_improves(monkeypatch):
@@ -360,11 +357,11 @@ def test_ik_keeps_a_row_that_still_improves(monkeypatch):
     chain = random_serial_chain(rng, 6)
     q_true = rng.uniform(-1.5, 1.5, 6)
     monkeypatch.setattr(chain_module, "IK_MAX_STEP", 0.02)
-    res = ik_dls(chain, fk(chain, q_true), q_true + 0.5)
-    assert res.converged and res.iterations > 3 * IK_STALL_ITERS
+    q, _, _, ok, its = ik_row(chain, fk(chain, q_true), q_true + 0.5)
+    assert ok and its > 3 * IK_STALL_ITERS
     monkeypatch.setattr(chain_module, "IK_STALL_ITERS", 200 + 1)
-    unstopped = ik_dls(chain, fk(chain, q_true), q_true + 0.5)
-    assert np.array_equal(res.q, unstopped.q) and res.iterations == unstopped.iterations
+    q_unstopped, _, _, _, its_unstopped = ik_row(chain, fk(chain, q_true), q_true + 0.5)
+    assert np.array_equal(q, q_unstopped) and its == its_unstopped
 
 
 def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
@@ -372,8 +369,8 @@ def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
     # slow tail still improves at max_iters = 60; every count and flag is the one without the stop
     s = recovery_setup(n_records=5, n_actions=30)
     chain, iks, records = s.chain, s.ik_iters, s.records
-    q_inits = [_record_q_init(chain, rec) for rec in records]
-    batched_ik = controller._ik_rows
+    q_inits = _record_q_inits(chain, records)
+    batched_ik = controller.ik
 
     def rows_of_one_replay():
         rows = []
@@ -383,7 +380,7 @@ def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
             rows.extend(zip(out[4].tolist(), out[3].tolist()))
             return out
 
-        monkeypatch.setattr(controller, "_ik_rows", recording_ik)
+        monkeypatch.setattr(controller, "ik", recording_ik)
         actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in records]
         _simulate(chain, s.inertia, s.damping, s.init_p, s.init_d, "widowx", actions, q_inits, None, iks)
         return rows
@@ -398,7 +395,16 @@ def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
 
 def test_ik_needs_at_least_one_iteration(two_link):
     with pytest.raises(ChainError, match="max_iters must be at least 1"):
-        ik_dls(two_link, fk(two_link, np.zeros(2)), np.zeros(2), max_iters=0)
+        ik_row(two_link, fk(two_link, np.zeros(2)), np.zeros(2), max_iters=0)
+
+
+@pytest.mark.parametrize("seed_shape", [(2, 2), (1, 3), (2,)])
+def test_ik_refuses_a_seed_that_does_not_match_the_targets(two_link, seed_shape):
+    # one target, and a seed of two rows, of three joints or of no row axis
+    target = fk(two_link, np.zeros(2))
+    message = f"targets of shapes (1, 3, 3) and (1, 3) and a seed of shape {seed_shape} are not (B, 3, 3), (B, 3)"
+    with pytest.raises(ChainError, match=f"^{re.escape(message)} and \\(B, 2\\) with B >= 1$"):
+        ik(two_link, target[None, :3, :3], target[None, :3, 3], np.zeros(seed_shape))
 
 
 def test_chainspec_needs_unique_names(two_link):

@@ -932,6 +932,24 @@ def test_replay_cli_nan_action_exits_3(sysid_workspace, tmp_path, capsys, contro
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e200])
+def test_replay_overflowing_rotation_angle_names_its_field(sysid_workspace, tmp_path, capsys, value):
+    # each entry is finite, but the squared norm overflows: refused by name, without a numpy warning
+    root = sysid_workspace
+    rec = json.loads((root / "trajectories" / "rec0.json").read_text())
+    rec["actions"][2]["rot_axis_angle"] = [0.0, value, 0.0]
+    (tmp_path / "rec.json").write_text(json.dumps(rec))
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    rc = main(["replay", "--trajectory", str(tmp_path / "rec.json"), "--chain", str(root / "chain.json"),
+               "--params", str(tmp_path / "pd.json"), "--controller", "widowx", "--sim-hz", "200", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'rec.json'}.actions[2].rot_axis_angle: "
+                                       "the rotation angle overflows a float\n")
+    assert not out.exists()
+
+
 NUMBER_PROBES = [
     # an integer past the float range
     ("rec.json", ("actions", 0, "gripper"), str(10**400), 3, "actions[0].gripper: expected a number"),
@@ -1138,7 +1156,7 @@ def test_sysid_fit_planning_failure_names_its_file(sysid_workspace, tmp_path, ca
 
 
 def test_sysid_fit_solves_each_first_pose_once(sysid_workspace, tmp_path, monkeypatch):
-    # records without joint positions: their first poses are solved by IK once, in the record check
+    # records without joint positions: their first poses are solved by IK once, together, in the record check
     root = sysid_workspace
     traj = tmp_path / "trajectories"
     traj.mkdir()
@@ -1149,15 +1167,15 @@ def test_sysid_fit_solves_each_first_pose_once(sysid_workspace, tmp_path, monkey
     solve = jointsim.initial_joint_positions
     calls = []
 
-    def counting_solve(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counting_solve(chain, poses, *args, **kwargs):
+        calls.append(len(poses))
+        return solve(chain, poses, *args, **kwargs)
 
     monkeypatch.setattr(jointsim, "initial_joint_positions", counting_solve)
     rc = main(["sysid", "fit", "--trajectories", str(traj), "--chain", str(root / "chain.json"),
                "--config", str(root / "sysid.json"), "--out", str(tmp_path / "fit.json")])
     assert rc == 0
-    assert len(calls) == 2
+    assert calls == [2]  # one call solves both records' first poses
 
 
 @pytest.mark.parametrize("command", ["replay", "sysid fit"])
@@ -1184,6 +1202,48 @@ def test_unreachable_first_pose_names_its_file(sysid_workspace, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: {traj / 'rec1.json'}.ee_poses[0]: could not match the initial pose by IK (pos ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["replay", "sysid fit"])
+def test_one_ik_call_solves_every_first_pose(sysid_workspace, tmp_path, capsys, monkeypatch, command):
+    # neither record carries joint positions, and only record 1's first pose lies out of reach: the one IK call
+    # fails on record 1 and names its file, and record 0's row is its solo solve, bit for bit
+    root = sysid_workspace
+    traj = tmp_path / "trajectories"
+    traj.mkdir()
+    for i in range(2):
+        rec = json.loads((root / "trajectories" / f"rec{i}.json").read_text())
+        del rec["joint_positions"]
+        if i == 1:
+            rec["ee_poses"][0]["xyz"] = [10.0, 0.0, 0.0]
+        (traj / f"rec{i}.json").write_text(json.dumps(rec))
+    batched_ik, solves = jointsim.ik, []
+
+    def recording_ik(*args):
+        solves.append(batched_ik(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(jointsim, "ik", recording_ik)
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "out.json"
+    args = {
+        "replay": ["replay", "--trajectory", str(traj / "rec1.json"), "--params", str(tmp_path / "pd.json"),
+                   "--controller", "widowx", "--sim-hz", "200"],
+        "sysid fit": ["sysid", "fit", "--trajectories", str(traj), "--config", str(root / "sysid.json")],
+    }[command]
+    rc = main(args + ["--chain", str(root / "chain.json"), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {traj / 'rec1.json'}.ee_poses[0]: could not match the initial pose by IK (pos ")
+    assert not out.exists()
+    ((q, res_pos, res_rot, ok, its),) = solves
+    assert ok.tolist() == {"replay": [False], "sysid fit": [True, False]}[command]
+    if command == "sysid fit":
+        robot = chain_from_dict(json.loads((root / "chain.json").read_text()))
+        first = jointsim.TrajectoryRecord.from_dict(json.loads((traj / "rec0.json").read_text())).ee_poses[0]
+        solo = batched_ik(robot, first[None, :3, :3], first[None, :3, 3], np.zeros((1, robot.n)), 500)
+        assert np.array_equal(q[0], solo[0][0])
+        assert (res_pos[0], res_rot[0], ok[0], its[0]) == tuple(x[0] for x in solo[1:])
 
 
 def test_sysid_fit_nan_range_exits_3(sysid_workspace, tmp_path, capsys):

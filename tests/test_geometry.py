@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from helpers import half_turn, planar_2link, random_rotation, ref_rot_frobenius_loss, rot_z, transform
-from real2sim.chain import ChainSpec, JointSpec, _fold, ik_dls
+from real2sim.chain import ChainSpec, JointSpec, _fold
 from real2sim.geometry import (
     GeometryError,
     axis_angle_to_matrix,
@@ -17,6 +17,7 @@ from real2sim.geometry import (
     rot_to_quat,
     rotation_angle,
 )
+from real2sim.jointsim import initial_joint_positions
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -124,7 +125,7 @@ def test_quat_rejects_non_unit():
 TRANSFORM_INPUTS = {  # every place a caller hands in a transform
     "JointSpec": lambda t: JointSpec("j", "revolute", t, [0.0, 0.0, 1.0]),
     "ChainSpec.ee_offset": lambda t: ChainSpec(planar_2link().joints, ee_offset=t),
-    "ik_dls": lambda t: ik_dls(planar_2link(), t, np.zeros(2)),
+    "initial_joint_positions": lambda t: initial_joint_positions(planar_2link(), [t]),
     "pose_to_dict": pose_to_dict,
 }
 NON_RIGID = {  # a defect and the error it gives

@@ -301,7 +301,7 @@ def test_record_json_roundtrip(replay_setup):
 def test_initial_joint_positions_by_ik(replay_setup):
     chain, q0, dyn, pd = replay_setup
     pose = fk(chain, q0)
-    q = initial_joint_positions(chain, pose, q_seed=q0 + 0.05)
+    (q,) = initial_joint_positions(chain, [pose], q_seeds=[q0 + 0.05])
     np.testing.assert_allclose(fk(chain, q)[:3, 3], pose[:3, 3], atol=2e-4)
 
 
@@ -368,14 +368,14 @@ def lockstep_case():
 def test_lockstep_replay_matches_per_record_reference(kind, monkeypatch):
     chain, dyn, pd, action_lists, q_inits = lockstep_case()
     ik_calls = []
-    batched_ik = controller._ik_rows
+    batched_ik = controller.ik
 
     def counting_ik(*args):
         out = batched_ik(*args)
         ik_calls.append(list(zip(out[4].tolist(), out[3].tolist())))
         return out
 
-    monkeypatch.setattr(controller, "_ik_rows", counting_ik)
+    monkeypatch.setattr(controller, "ik", counting_ik)
     sims, logs = _simulate(chain, *dyn, *pd, kind, action_lists, q_inits, FAST_CFG)
     # a step's IK call lists the records still running, in record order
     lengths = np.array([len(gripper) for *_, gripper in action_lists])
