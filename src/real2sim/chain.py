@@ -70,9 +70,12 @@ class JointSpec:
             raise ChainError(f"joint {self.name!r}: unknown kind {self.kind!r}")
         object.__setattr__(self, "origin", _transform(self.origin, f"joint {self.name!r}: origin"))
         a = np.asarray(self.axis, dtype=float).reshape(3)
-        n = np.linalg.norm(a)
-        if not np.isfinite(n):
+        if not np.isfinite(a).all():
             raise ChainError(f"joint {self.name!r}: axis values must be finite")
+        with np.errstate(over="ignore"):  # a norm past the float range is refused below
+            n = np.linalg.norm(a)
+        if n == math.inf:
+            raise ChainError(f"joint {self.name!r}: the axis norm overflows a float")
         if n < 1e-9:
             raise ChainError(f"joint {self.name!r}: axis has zero norm")
         a = a / n

@@ -198,22 +198,24 @@ def _dynamics(obj, n: int, where: str) -> tuple[np.ndarray, np.ndarray]:
             _plant_field(dyn_obj.get("damping", 0.0), n, where, "damping"))
 
 
-def _check_records(records, paths, robot: chain.ChainSpec, cfg: controller.CtrlConfig, override: str) -> np.ndarray:
-    """Each record's initial arm configuration, once every control frequency matches; an error names the file."""
+def _check_records(records, paths, cfg: controller.CtrlConfig, override: str) -> None:
+    """Every record's control frequency must match the controller's; an error names the file."""
     for rec, path in zip(records, paths):
         if abs(cfg.h_ctrl - rec.ctrl_frequency) > 1e-9:
             raise jointsim.JointSimError(f"{path}: record control frequency {rec.ctrl_frequency} Hz does not match "
                                          f"the controller's {cfg.h_ctrl} Hz (use {override} to override)")
-    return jointsim._record_q_inits(robot, records, [f"{path}." for path in paths])
 
 
 @contextlib.contextmanager
 def _record_files(paths):
-    """A replay's planning failure at ``actions[<step>]`` of record i, re-raised naming the file ``paths[i]``."""
+    """A fault of record i, raised with ``record`` i and naming a field of the record, re-raised naming the file
+    ``paths[i]`` before the field."""
     try:
         yield
-    except profile.PlanningError as exc:
-        raise profile.PlanningError(f"{paths[exc.record]}.{exc}") from exc
+    except ValueError as exc:
+        if getattr(exc, "record", None) is None:
+            raise
+        raise type(exc)(f"{paths[exc.record]}.{exc}") from exc
 
 
 def cmd_sysid_fit(args) -> int:
@@ -221,7 +223,7 @@ def cmd_sysid_fit(args) -> int:
     n = robot.n
     config = _section(_read_json(args.config), _SYSID_KEYS, args.config, required=("init", "range"))
     kind = config.get("controller", jointsim.WIDOWX)
-    jointsim.default_config(kind)  # rejects an unknown kind
+    ctrl_cfg = _ctrl_config(kind, config.get("ctrl"))  # rejects an unknown kind
 
     inertia, damping = _dynamics(config.get("dynamics", {}), n, "dynamics")
     init_obj = _section(config["init"], _INIT_KEYS, "init", required=("p", "d"))
@@ -240,18 +242,15 @@ def cmd_sysid_fit(args) -> int:
         anneal_obj["rng_seed"] = args.seed
     anneal = sysid.AnnealConfig(**anneal_obj)
 
-    ctrl_cfg = _ctrl_config(kind, config.get("ctrl"))
-
     traj_dir = Path(args.trajectories)
     paths = sorted(traj_dir.glob("*.json")) if traj_dir.is_dir() else [traj_dir]
     if not paths:
         raise sysid.SysIdError(f"no trajectory files found under {traj_dir}")
     records = [jointsim.TrajectoryRecord.from_dict(_read_json(p), str(p)) for p in paths]
-    q_inits = _check_records(records, paths, robot, ctrl_cfg, "ctrl.h_ctrl")
+    _check_records(records, paths, ctrl_cfg, "ctrl.h_ctrl")
 
     with _record_files(paths):
-        result = sysid.anneal_fit(records, robot, inertia, damping, kind, init_p, init_d, rng, anneal, ctrl_cfg,
-                                  q_inits=q_inits)
+        result = sysid.anneal_fit(records, robot, inertia, damping, kind, init_p, init_d, rng, anneal, ctrl_cfg)
     out = {
         "best": {"p": list(map(float, result.best_p)), "d": list(map(float, result.best_d))},
         "best_loss": result.best_loss,
@@ -290,7 +289,7 @@ def cmd_replay(args) -> int:
     inertia, damping = _dynamics(dyn_obj, robot.n, args.dynamics or "dynamics")
     overrides = {k: v for k, v in (("h_sim", args.sim_hz), ("h_ctrl", args.ctrl_hz)) if v is not None}
     cfg = _ctrl_config(args.controller, overrides or None)
-    (q_init,) = _check_records([rec], [args.trajectory], robot, cfg, "--ctrl-hz")
+    _check_records([rec], [args.trajectory], cfg, "--ctrl-hz")
 
     plan_rows = []
 
@@ -300,7 +299,7 @@ def cmd_replay(args) -> int:
 
     with _record_files([args.trajectory]):
         sim = jointsim.replay_open_loop(
-            robot, inertia, damping, p, d, args.controller, rec, q_init, cfg, plan_sink=dump if args.dump_plan else None
+            robot, inertia, damping, p, d, args.controller, rec, cfg, plan_sink=dump if args.dump_plan else None
         )
     losses = sysid.trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
     out = {"ee_poses": [geometry.pose_to_dict(t) for t in sim], "losses": losses._asdict()}

@@ -79,7 +79,10 @@ def rot_frobenius_loss(a, b) -> np.ndarray:
 def quat_to_rot(wxyz) -> np.ndarray:
     """The 3x3 rotation of a quaternion (w, x, y, z), normalized; its norm must be 1 within 1e-6."""
     w, x, y, z = wxyz
-    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    try:
+        n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    except OverflowError:  # a float's ** raises past the float range; the norm is refused below
+        n = math.inf
     if not abs(n - 1.0) <= _VALID_TOL:  # also a NaN norm
         raise GeometryError(f"quaternion norm {n:.9f} deviates from 1 beyond 1e-6")
     scale = (-1.0 if w < 0.0 else 1.0) / n

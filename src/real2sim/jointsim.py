@@ -136,33 +136,33 @@ class TrajectoryRecord:
             raise JointSimError(f"{source}: {exc}") from exc
 
 
-def _plant_input(x, name: str, where: str = "", error: type[ValueError] = JointSimError) -> np.ndarray:
+def _plant_input(x, name: str, where: str = "") -> np.ndarray:
     """``x`` as a float array of the plant input ``name``: the gains ``p`` and ``d`` and the passive ``damping``
     must be finite and non-negative, the ``inertia`` finite and positive. An error names ``where + name``."""
     a, gains = np.asarray(x, dtype=float), name in ("p", "d")
     if not np.isfinite(a).all():
-        raise error(f"{where}{name}: {'PD gain' if gains else 'joint'} {name} must be finite")
+        raise JointSimError(f"{where}{name}: {'PD gain' if gains else 'joint'} {name} must be finite")
     if name == "inertia" and not (a > 0.0).all():
-        raise error(f"{where}{name}: joint inertia must be strictly positive")
+        raise JointSimError(f"{where}{name}: joint inertia must be strictly positive")
     if not (a >= 0.0).all():
-        raise error(f"{where}{name}: {'PD gains' if gains else 'passive damping'} must be non-negative")
+        raise JointSimError(f"{where}{name}: {'PD gains' if gains else 'passive damping'} must be non-negative")
     return a
 
 
-def _check_plant(n: int, inertia, damping, p, d, dt: float, error: type[ValueError] = JointSimError):
+def _check_plant(n: int, inertia, damping, p, d, dt: float):
     """Each gain set's plant coefficients gain = p dt / m and keep = 1 - (d + b) dt / m as (K, n) arrays, from
     (n,) ``inertia`` and ``damping`` and (n,) or (K, n) gains ``p`` and ``d``, each checked by ``_plant_input``.
-    Raises ``error`` unless the plant is also stable at the step ``dt``: semi-implicit Euler is stable only for
+    Raises JointSimError unless the plant is also stable at the step ``dt``: semi-implicit Euler is stable only for
     p dt^2/m < 4 - 2 (d + b) dt/m on every joint of every gain set."""
-    inertia, damping, p, d = (_plant_input(x, name, error=error) for x, name in
+    inertia, damping, p, d = (_plant_input(x, name) for x, name in
                               zip((inertia, damping, p, d), ("inertia", "damping", "p", "d")))
     if not (inertia.shape == damping.shape == (n,) and p.shape == d.shape and p.shape[-1:] == (n,) and p.ndim <= 2):
-        raise error(f"inertia and damping must be ({n},) arrays and p and d ({n},) or (K, {n}) arrays of one shape, "
-                    f"not {inertia.shape}, {damping.shape}, {p.shape} and {d.shape}")
+        raise JointSimError(f"inertia and damping must be ({n},) arrays and p and d ({n},) or (K, {n}) arrays of one "
+                            f"shape, not {inertia.shape}, {damping.shape}, {p.shape} and {d.shape}")
     lhs, rhs = p * dt * dt / inertia, 4.0 - 2.0 * (d + damping) * dt / inertia
     for i in np.flatnonzero(~(lhs < rhs))[:1]:
-        raise error(f"PD gains are unstable at {1.0 / dt:g} Hz on joint {i % n}: "
-                    f"p dt^2/m = {lhs.flat[i]:.3g} must stay below 4 - 2 (d + b) dt/m = {rhs.flat[i]:.3g}")
+        raise JointSimError(f"PD gains are unstable at {1.0 / dt:g} Hz on joint {i % n}: "
+                            f"p dt^2/m = {lhs.flat[i]:.3g} must stay below 4 - 2 (d + b) dt/m = {rhs.flat[i]:.3g}")
     return np.atleast_2d(p / inertia * dt), np.atleast_2d(1.0 - (d + damping) / inertia * dt)
 
 
@@ -286,13 +286,13 @@ def _tick(tick: Callable, step: int, run: np.ndarray, n_records: int):
     try:
         return tick(run)
     except PlanningError as exc:
-        for row in run.tolist():
+        for row in run.reshape(-1, 1):  # one-element index arrays
             try:
-                tick([row])
+                tick(row)
             except PlanningError:
                 break
         error = PlanningError(f"actions[{step}]: {exc}")
-        error.record = row % n_records
+        error.record = int(row[0]) % n_records
         raise error from exc
 
 
@@ -316,14 +316,14 @@ def _simulate(
     ``actions`` holds one (delta_pos, delta_rot, gripper) triple of (T, 3), (T, 3, 3) and (T,) arrays per record.
 
     Each control step is one batched controller tick and plant update of the rows still running (a
-    shorter record is frozen after its last action). The WidowX goals are the (T, R, n) table of
-    ``_widowx_goals``, solved here unless ``goals`` holds it, and read by record. The Google
-    controller state lives here as arrays with one entry per row: the gripper goals and planned states,
-    which never feed back into the arm and are planned only for ``plan_sink``. Returns each row's tool
-    poses (T+1, 4, 4) and joint positions (T+1, n), initial and after every action. ``plan_sink(step,
-    targets)`` gets every step's (ticks, m, 3n + 3) targets of the m rows still running, in row order:
-    arm q, v and a, then gripper q, v and a. A tick's PlanningError is re-raised by ``_tick``, naming
-    the step and the record.
+    shorter record is frozen after its last action). Row s R + r reads record r, at row % R, in the
+    step-major actions and in the WidowX goals, the (T, R, n) table of ``_widowx_goals``, solved here
+    unless ``goals`` holds it. The Google controller state lives here as arrays with one entry per row:
+    the gripper goals and planned states, which never feed back into the arm and are planned only for
+    ``plan_sink``. Returns each row's tool poses (T+1, 4, 4) and joint positions (T+1, n), initial and
+    after every action. ``plan_sink(step, targets)`` gets every step's (ticks, m, 3n + 3) targets of the
+    m rows still running, in row order: arm q, v and a, then gripper q, v and a. A tick's PlanningError
+    is re-raised by ``_tick``, naming the step and the record.
     """
     default = default_config(controller_kind)  # rejects an unknown kind
     cfg = cfg or default
@@ -335,9 +335,9 @@ def _simulate(
     if controller_kind == WIDOWX and goals is None:
         goals = _widowx_goals(chain, actions, q, ik_iters)
     n_records, n_sets = len(q), len(gain)
-    # the records tiled proposal-major, and the gain set of each row
-    lengths, (delta_pos, delta_rot, gripper) = _step_major(list(actions) * n_sets)
-    q, sets = np.tile(q, (n_sets, 1)), np.repeat(np.arange(n_sets), n_records)
+    lengths, (delta_pos, delta_rot, gripper) = _step_major(actions)
+    # the rows' lengths and initial states, and the gain set of each row
+    lengths, q, sets = np.tile(lengths, n_sets), np.tile(q, (n_sets, 1)), np.repeat(np.arange(n_sets), n_records)
     v = np.zeros_like(q)
     powers = _plant_powers(gain, keep, dt, ticks) if controller_kind == WIDOWX else None
     grip = np.zeros((3, len(q)))  # gripper goal, position and velocity: a resting gripper at 0
@@ -347,8 +347,8 @@ def _simulate(
     for step in range(max(lengths)):
         run = np.flatnonzero(lengths > step)  # the rows still running
         if controller_kind == GOOGLE:
-            arm = _tick(lambda s: google_step(step, delta_pos[step, s], delta_rot[step, s], q[s], v[s], chain, cfg,
-                                              ik_iters), step, run, n_records)
+            arm = _tick(lambda s: google_step(step, delta_pos[step, s % n_records], delta_rot[step, s % n_records],
+                                              q[s], v[s], chain, cfg, ik_iters), step, run, n_records)
             q[run], v[run] = _integrate_targets(q[run], v[run], arm[0], gain[sets[run]], keep[sets[run]], chain.lower,
                                                 chain.upper, dt)
         else:
@@ -357,12 +357,12 @@ def _simulate(
         if plan_sink is not None:
             m = len(run)
             if controller_kind == GOOGLE:
-                grip_plan, grip[:, run] = _tick(lambda s: google_grip_step(gripper[step, s], *grip[:, s], cfg), step,
-                                                run, n_records)
+                grip_plan, grip[:, run] = _tick(lambda s: google_grip_step(gripper[step, s % n_records], *grip[:, s],
+                                                                           cfg), step, run, n_records)
             else:  # the goal held for the whole interval, and the raw gripper command
                 arm = (np.broadcast_to(goals[step, run % n_records], (ticks, m, chain.n)),
                        *np.zeros((2, ticks, m, chain.n)))
-                grip_plan = (np.broadcast_to(gripper[step, run], (ticks, m)), *np.zeros((2, ticks, m)))
+                grip_plan = (np.broadcast_to(gripper[step, run % n_records], (ticks, m)), *np.zeros((2, ticks, m)))
             plan_sink(step, np.concatenate([*arm, *(x[..., None] for x in grip_plan)], axis=2))
         tools[step + 1, run], joints[step + 1, run] = _tools(chain, q[run]), q[run]
     return tuple([a[: n + 1, b] for b, n in enumerate(lengths)] for a in (tools, joints))
@@ -376,7 +376,6 @@ def replay_open_loop(
     d,
     controller_kind: str,
     rec: TrajectoryRecord,
-    q_init=None,
     cfg: CtrlConfig | None = None,
     ik_iters: int = 200,
     plan_sink=None,
@@ -385,7 +384,8 @@ def replay_open_loop(
     ``inertia`` and passive ``damping``; return the simulated tool poses.
 
     This is the one-record case of the lockstep replay, which holds the
-    controller state from tick to tick. The returned (T+1, 4, 4) stack starts
+    controller state from tick to tick. It starts at ``initial_joint_positions`` of the record, and a fault of
+    the record is raised with ``record`` 0. The returned (T+1, 4, 4) stack starts
     at the initial pose and appends the pose after every action; compare it
     against ``rec.ee_poses`` truncated to the shorter of the two. ``plan_sink``, if given, is called as
     ``plan_sink(step_index, targets)`` at every control step. ``targets`` is a
@@ -393,11 +393,9 @@ def replay_open_loop(
     step k + 1 of the interval, in the columns arm q, v and a (n each), then
     gripper q, v and a. The plant tracks the arm q only.
     """
-    if q_init is None:
-        (q_init,) = _record_q_inits(chain, [rec])
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper)]
-    return _simulate(chain, inertia, damping, p, d, controller_kind, actions, [q_init], cfg, ik_iters,
-                     plan_sink)[0][0]
+    return _simulate(chain, inertia, damping, p, d, controller_kind, actions, initial_joint_positions(chain, [rec]),
+                     cfg, ik_iters, plan_sink)[0][0]
 
 
 def synthesize_record(
@@ -418,36 +416,30 @@ def synthesize_record(
     return TrajectoryRecord(*actions, tools, cfg.h_ctrl, joints)
 
 
-def _record_q_inits(chain: ChainSpec, records, wheres=None) -> np.ndarray:
+def initial_joint_positions(chain: ChainSpec, records) -> np.ndarray:
     """The records' initial arm configurations as an (R, n) array: a record's first joint positions if it has
-    them, else the IK of its first pose, every such pose solved in one ``initial_joint_positions`` call. Joint
-    positions need one value per chain joint in each row; an error names the field after the record's entry of
-    ``wheres`` (default: none)."""
-    wheres = [""] * len(records) if wheres is None else wheres
-    q, solve = np.zeros((len(records), chain.n)), []
-    for r, (rec, where) in enumerate(zip(records, wheres)):
+    them, which need one value per chain joint in each row, else the IK of its first pose, which must be a rigid
+    transform. One ``ik`` call, from zeros and capped at 500 iterations, solves every such pose. An error names
+    the field in the record, and its ``record`` is the record's index."""
+    q, poses = np.zeros((len(records), chain.n)), {}
+    for r, rec in enumerate(records):
         jp = rec.joint_positions
-        if jp is None:
-            solve.append(r)
-        elif jp.shape[1] != chain.n:
-            raise JointSimError(f"{where}joint_positions: rows of {jp.shape[1]} values for a {chain.n}-joint chain")
-        else:
-            q[r] = jp[0]
-    if solve:
-        q[solve] = initial_joint_positions(chain, [records[r].ee_poses[0] for r in solve],
-                                           names=[f"{wheres[r]}ee_poses[0]" for r in solve])
-    return q
-
-
-def initial_joint_positions(chain: ChainSpec, poses, q_seeds=None, ik_iters: int = 500, names=None) -> np.ndarray:
-    """Joint configurations (R, n) matching R reference poses (4x4 transforms), found by IK in one call from the
-    (R, n) ``q_seeds`` (default: zeros). Each pose must be a rigid transform. An error names the first pose
-    that fails by its entry of ``names`` (default: ``poses[<r>]``)."""
-    names = [f"poses[{r}]" for r in range(len(poses))] if names is None else names
-    poses = np.array([_transform(t, name) for t, name in zip(poses, names)]).reshape(-1, 4, 4)
-    seeds = np.zeros((len(poses), chain.n)) if q_seeds is None else q_seeds
-    q, res_pos, res_rot, ok, _ = ik(chain, poses[:, :3, :3], poses[:, :3, 3], seeds, ik_iters)
-    for r in np.flatnonzero(~ok)[:1]:
-        raise JointSimError(f"{names[r]}: could not match the initial pose by IK "
-                            f"(pos residual {res_pos[r]:.2e} m, rot residual {res_rot[r]:.2e} rad)")
+        try:
+            if jp is None:
+                poses[r] = _transform(rec.ee_poses[0], "ee_poses[0]")
+            elif jp.shape[1] != chain.n:
+                raise JointSimError(f"joint_positions: rows of {jp.shape[1]} values for a {chain.n}-joint chain")
+            else:
+                q[r] = jp[0]
+        except (GeometryError, JointSimError) as exc:
+            exc.record = r
+            raise
+    if poses:
+        rows, t = list(poses), np.array(list(poses.values()))
+        q[rows], res_pos, res_rot, ok, _ = ik(chain, t[:, :3, :3], t[:, :3, 3], np.zeros((len(t), chain.n)), 500)
+        for i in np.flatnonzero(~ok)[:1]:
+            error = JointSimError(f"ee_poses[0]: could not match the initial pose by IK "
+                                  f"(pos residual {res_pos[i]:.2e} m, rot residual {res_rot[i]:.2e} rad)")
+            error.record = rows[i]
+            raise error
     return q

@@ -24,13 +24,12 @@ from .controller import CtrlConfig
 from .geometry import _freeze, rot_frobenius_loss
 from .jointsim import (
     WIDOWX,
-    JointSimError,
     TrajectoryRecord,
     _check_plant,
-    _record_q_inits,
     _simulate,
     _widowx_goals,
     default_config,
+    initial_joint_positions,
 )
 
 __all__ = [
@@ -181,7 +180,6 @@ def anneal_fit(
     cfg: AnnealConfig | None = None,
     ctrl_cfg: CtrlConfig | None = None,
     ik_iters: int = 200,
-    q_inits=None,
 ) -> AnnealResult:
     """Fit PD gains by multi-round simulated annealing of the replay loss, from the (n,) gains ``init_p`` and
     ``init_d``, on joints of (n,) ``inertia`` and passive ``damping``.
@@ -189,8 +187,10 @@ def anneal_fit(
     The objective is the unweighted mean of the trajectory losses over the
     dataset. With ``tie_joints`` the search runs over two shared scalars
     mapped to each joint's bounds; otherwise every joint's gains are free.
-    ``q_inits`` holds the records' initial configurations when the caller
-    has them; the WidowX goals are solved once, for every evaluation.
+    The replays start at ``initial_joint_positions`` of the dataset, solved
+    once, after the range and its stability are checked; a fault of record i
+    is raised with ``record`` i, and a range whose top corner is unstable as
+    a JointSimError. The WidowX goals are solved once, for every evaluation.
     """
     cfg = cfg or AnnealConfig()
     if len(dataset) == 0:
@@ -206,14 +206,8 @@ def anneal_fit(
         raise SysIdError("initial parameters fall outside the search range")
     # the stability bound tightens as p and d grow: check the range's top corner
     dt = 1.0 / (ctrl_cfg or default_config(controller_kind)).h_sim
-    _check_plant(n, inertia, damping, range0.p_high, range0.d_high, dt, SysIdError)
-
-    # fix per-record initial configurations once; replay failures abort here
-    if q_inits is None:
-        try:
-            q_inits = _record_q_inits(chain, dataset, [f"record {i}: " for i in range(len(dataset))])
-        except JointSimError as exc:
-            raise SysIdError(str(exc)) from exc
+    _check_plant(n, inertia, damping, range0.p_high, range0.d_high, dt)
+    q_inits = initial_joint_positions(chain, dataset)
 
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]
     refs = [rec.ee_poses for rec in dataset]

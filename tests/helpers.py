@@ -651,10 +651,10 @@ def ref_anneal_fit(dataset, chain, inertia, damping, kind: str, init_p, init_d, 
     round) proposals and replays them in one call that solves its own WidowX goals, then runs the Metropolis
     test on the first lowest and cools by cooling**k. At one proposal, every step replays one proposal on
     its own. Valid inputs only."""
-    from real2sim.jointsim import _record_q_inits, _simulate
+    from real2sim.jointsim import _simulate, initial_joint_positions
     from real2sim.sysid import AnnealResult, RoundStats, trajectory_losses
 
-    q_inits = _record_q_inits(chain, dataset)
+    q_inits = initial_joint_positions(chain, dataset)
     refs = [rec.ee_poses for rec in dataset]
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]
 

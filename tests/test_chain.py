@@ -22,7 +22,7 @@ from real2sim.chain import (
     jacobian,
     parse_urdf_subset,
 )
-from real2sim.jointsim import _record_q_inits, _simulate
+from real2sim.jointsim import _simulate, initial_joint_positions
 
 PLANAR_URDF = """<robot name="planar">
   <link name="base"/>
@@ -369,7 +369,7 @@ def test_ik_stall_stop_leaves_the_recovery_rows_alone(monkeypatch):
     # slow tail still improves at max_iters = 60; every count and flag is the one without the stop
     s = recovery_setup(n_records=5, n_actions=30)
     chain, iks, records = s.chain, s.ik_iters, s.records
-    q_inits = _record_q_inits(chain, records)
+    q_inits = initial_joint_positions(chain, records)
     batched_ik = controller.ik
 
     def rows_of_one_replay():

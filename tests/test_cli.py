@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import fk_path_actions, planar_3link
-from real2sim import cli, jointsim
+from real2sim import cli, jointsim, sysid
 from real2sim.chain import UrdfParseError, chain_from_dict, chain_to_dict
 from real2sim.cli import ConfigError, main
 from real2sim.controller import CtrlConfig
@@ -950,6 +950,45 @@ def test_replay_overflowing_rotation_angle_names_its_field(sysid_workspace, tmp_
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e200])
+@pytest.mark.parametrize("field", ["actions", "ee_poses"])
+def test_replay_overflowing_quaternion_names_its_field(sysid_workspace, tmp_path, capsys, field, value):
+    # each entry is finite, but a float's square overflows: refused by the norm check, naming the field
+    root = sysid_workspace
+    rec = json.loads((root / "trajectories" / "rec0.json").read_text())
+    entry = rec[field][2]
+    entry.pop("rot_axis_angle", None)
+    entry["quat_wxyz"] = [value, 0.0, 0.0, 0.0]
+    (tmp_path / "rec.json").write_text(json.dumps(rec))
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    rc = main(["replay", "--trajectory", str(tmp_path / "rec.json"), "--chain", str(root / "chain.json"),
+               "--params", str(tmp_path / "pd.json"), "--controller", "widowx", "--sim-hz", "200", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'rec.json'}.{field}[2].quat_wxyz: "
+                                       "quaternion norm inf deviates from 1 beyond 1e-6\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e300, -1e300, 1e200])
+def test_chain_overflowing_axis_norm_exits_3(sysid_workspace, tmp_path, capsys, value):
+    # each axis value is finite, but the norm overflows: refused as such, without a numpy warning
+    root = sysid_workspace
+    obj = json.loads((root / "chain.json").read_text())
+    obj["joints"][0]["axis"] = [value, 0.0, 0.0]
+    (tmp_path / "chain.json").write_text(json.dumps(obj))
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    rc = main(["replay", "--trajectory", str(root / "trajectories" / "rec0.json"),
+               "--chain", str(tmp_path / "chain.json"), "--params", str(tmp_path / "pd.json"),
+               "--controller", "widowx", "--sim-hz", "200", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == "error: joint 'j1': the axis norm overflows a float\n"
+    assert not out.exists()
+
+
 NUMBER_PROBES = [
     # an integer past the float range
     ("rec.json", ("actions", 0, "gripper"), str(10**400), 3, "actions[0].gripper: expected a number"),
@@ -1114,6 +1153,28 @@ def test_joint_positions_narrower_than_the_chain_exit_3(sysid_workspace, tmp_pat
     assert not out.exists() and not plan_csv.exists()
 
 
+def test_sysid_fit_reports_a_range_fault_before_a_record_fault(sysid_workspace, tmp_path, capsys):
+    # record 1's joint positions are too narrow and the range is unstable at its top corner: the fit checks
+    # the range before it reads the records' first configurations
+    root = sysid_workspace
+    traj = tmp_path / "trajectories"
+    traj.mkdir()
+    for i in range(2):
+        rec = json.loads((root / "trajectories" / f"rec{i}.json").read_text())
+        if i == 1:
+            rec["joint_positions"] = [row[:2] for row in rec["joint_positions"]]
+        (traj / f"rec{i}.json").write_text(json.dumps(rec))
+    config = dict(json.loads((root / "sysid.json").read_text()),
+                  range={"p_low": 20.0, "p_high": 1e9, "d_low": 1.0, "d_high": 10.0})
+    (tmp_path / "sysid.json").write_text(json.dumps(config))
+    out = tmp_path / "fit.json"
+    rc = main(["sysid", "fit", "--trajectories", str(traj), "--chain", str(root / "chain.json"),
+               "--config", str(tmp_path / "sysid.json"), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: PD gains are unstable at 200 Hz on joint 0: ")
+    assert not out.exists()
+
+
 def test_replay_cli_gripper_overflow_exits_4(sysid_workspace, tmp_path, capsys):
     # the gripper planner's cube of a 1e150 move overflows a float: a planning error naming the file, the
     # action and the DOF, not a traceback
@@ -1156,7 +1217,7 @@ def test_sysid_fit_planning_failure_names_its_file(sysid_workspace, tmp_path, ca
 
 
 def test_sysid_fit_solves_each_first_pose_once(sysid_workspace, tmp_path, monkeypatch):
-    # records without joint positions: their first poses are solved by IK once, together, in the record check
+    # records without joint positions: the fit solves their first poses by IK once, together
     root = sysid_workspace
     traj = tmp_path / "trajectories"
     traj.mkdir()
@@ -1164,14 +1225,14 @@ def test_sysid_fit_solves_each_first_pose_once(sysid_workspace, tmp_path, monkey
         rec = json.loads((root / "trajectories" / f"rec{i}.json").read_text())
         del rec["joint_positions"]
         (traj / f"rec{i}.json").write_text(json.dumps(rec))
-    solve = jointsim.initial_joint_positions
+    solve = sysid.initial_joint_positions
     calls = []
 
-    def counting_solve(chain, poses, *args, **kwargs):
-        calls.append(len(poses))
-        return solve(chain, poses, *args, **kwargs)
+    def counting_solve(chain, records):
+        calls.append(len(records))
+        return solve(chain, records)
 
-    monkeypatch.setattr(jointsim, "initial_joint_positions", counting_solve)
+    monkeypatch.setattr(sysid, "initial_joint_positions", counting_solve)
     rc = main(["sysid", "fit", "--trajectories", str(traj), "--chain", str(root / "chain.json"),
                "--config", str(root / "sysid.json"), "--out", str(tmp_path / "fit.json")])
     assert rc == 0

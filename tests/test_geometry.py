@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -125,7 +126,9 @@ def test_quat_rejects_non_unit():
 TRANSFORM_INPUTS = {  # every place a caller hands in a transform
     "JointSpec": lambda t: JointSpec("j", "revolute", t, [0.0, 0.0, 1.0]),
     "ChainSpec.ee_offset": lambda t: ChainSpec(planar_2link().joints, ee_offset=t),
-    "initial_joint_positions": lambda t: initial_joint_positions(planar_2link(), [t]),
+    # a stand-in record: a TrajectoryRecord refuses a pose stack that is not (., 4, 4) before this check
+    "initial_joint_positions": lambda t: initial_joint_positions(planar_2link(),
+                                                                 [SimpleNamespace(joint_positions=None, ee_poses=[t])]),
     "pose_to_dict": pose_to_dict,
 }
 NON_RIGID = {  # a defect and the error it gives

@@ -267,7 +267,7 @@ def test_callers_plant_arrays_are_never_written(replay_setup):
     chain, q0, dyn, pd = replay_setup
     arrays = [a.copy() for a in (*dyn, *pd)]  # inertia, damping, p and d
     rec = synthesize_record(chain, *arrays, "widowx", zero_actions(2), q0, FAST_CFG)
-    replay_open_loop(chain, *arrays, "google", rec, q0, FAST_CFG)
+    replay_open_loop(chain, *arrays, "google", rec, FAST_CFG)
     cfg = AnnealConfig(rounds=1, iters_per_round=2)
 
     def fit():
@@ -299,17 +299,33 @@ def test_record_json_roundtrip(replay_setup):
 
 
 def test_initial_joint_positions_by_ik(replay_setup):
+    # a record without joint positions starts at the IK solution of its first pose, solved from zeros
     chain, q0, dyn, pd = replay_setup
     pose = fk(chain, q0)
-    (q,) = initial_joint_positions(chain, [pose], q_seeds=[q0 + 0.05])
-    np.testing.assert_allclose(fk(chain, q)[:3, 3], pose[:3, 3], atol=2e-4)
+    rec = TrajectoryRecord(*zero_actions(1), [pose], 5.0)
+    (q,) = initial_joint_positions(chain, [rec])
+    np.testing.assert_allclose(fk(chain, q)[:3, 3], pose[:3, 3], atol=1e-4)
+
+
+def test_an_unreachable_first_pose_names_its_record(replay_setup):
+    # the replay and the fit raise the fault once, naming the field in the record and the record by its index
+    chain, q0, dyn, pd = replay_setup
+    reachable = synthesize_record(chain, *dyn, *pd, "widowx", zero_actions(2), q0, FAST_CFG)
+    far = TrajectoryRecord(*zero_actions(2), [transform((10.0, 0.0, 0.0))] * 3, 5.0)
+    message = r"^ee_poses\[0\]: could not match the initial pose by IK \(pos residual"
+    with pytest.raises(JointSimError, match=message) as info:
+        replay_open_loop(chain, *dyn, *pd, "widowx", far, FAST_CFG)
+    assert info.value.record == 0
+    with pytest.raises(JointSimError, match=message) as info:
+        anneal_fit([reachable, far], chain, *dyn, "widowx", *pd, SysIdRange.around(*pd, 2.0), AnnealConfig(), FAST_CFG)
+    assert info.value.record == 1
 
 
 def test_unknown_controller_kind_rejected(replay_setup):
     chain, q0, dyn, pd = replay_setup
     rec = synthesize_record(chain, *dyn, *pd, "widowx", zero_actions(1), q0, FAST_CFG)
     with pytest.raises(JointSimError, match="controller kind"):
-        replay_open_loop(chain, *dyn, *pd, "servo", rec, q0, FAST_CFG)
+        replay_open_loop(chain, *dyn, *pd, "servo", rec, FAST_CFG)
 
 
 def test_unstable_gains_rejected(replay_setup):

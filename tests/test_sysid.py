@@ -9,7 +9,7 @@ from real2sim import jointsim, sysid
 from real2sim.bench import recovery_setup
 from real2sim.chain import fk
 from real2sim.controller import CtrlConfig
-from real2sim.jointsim import TrajectoryRecord, replay_open_loop, synthesize_record
+from real2sim.jointsim import JointSimError, TrajectoryRecord, replay_open_loop, synthesize_record
 from real2sim.sysid import (
     AnnealConfig,
     SysIdError,
@@ -186,7 +186,7 @@ def test_anneal_losses_are_the_incumbents_replay(small_problem, tie):
     result = run_anneal(small_problem, iters=6, tie=tie)
     fresh = []
     for rec in records:
-        sim = replay_open_loop(chain, *dyn, result.best_p, result.best_d, "widowx", rec, None, FAST_CFG, iks)
+        sim = replay_open_loop(chain, *dyn, result.best_p, result.best_d, "widowx", rec, FAST_CFG, iks)
         fresh.append(trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)]))
     assert result.losses == tuple(sum(col) / len(records) for col in zip(*fresh))
     assert result.best_loss == result.losses.total
@@ -313,6 +313,7 @@ def test_anneal_rejects_joint_positions_narrower_than_the_chain(small_problem):
     rec = records[1]
     narrow = TrajectoryRecord(rec.delta_pos, rec.delta_rot, rec.gripper, rec.ee_poses, rec.ctrl_frequency,
                               rec.joint_positions[:, :2])
-    with pytest.raises(SysIdError, match=r"^record 1: joint_positions: rows of 2 values for a 3-joint chain$"):
+    with pytest.raises(JointSimError, match=r"^joint_positions: rows of 2 values for a 3-joint chain$") as info:
         anneal_fit([records[0], narrow], chain, *dyn, "widowx", *truth, SysIdRange.around(*truth, 2.0),
                    AnnealConfig())
+    assert info.value.record == 1
