@@ -33,7 +33,7 @@ def main() -> None:
 
     t0 = time.monotonic()
     result = anneal_fit(setup.records, setup.chain, setup.inertia, setup.damping, "widowx", setup.init_p,
-                        setup.init_d, setup.bounds, cfg, ik_iters=setup.ik_iters)
+                        setup.init_d, setup.p_range, setup.d_range, cfg, ik_iters=setup.ik_iters)
     elapsed = time.monotonic() - t0
 
     print(f"done in {elapsed:.1f} s, {result.evaluations} objective evaluations")

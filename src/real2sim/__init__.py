@@ -49,7 +49,7 @@ _EXPORTS = {
     "profile": "LimitSet MotionPlan synchronize",
     "controller": "CtrlConfig google_step widowx_step",
     "jointsim": "TrajectoryRecord replay_open_loop synthesize_record",
-    "sysid": "AnnealConfig SysIdRange anneal_fit trajectory_losses",
+    "sysid": "AnnealConfig anneal_fit trajectory_losses",
     "metrics": "PairedEvalTable PolicyEval ShiftEval action_mse aggregate_grouped delta_success kruskal_wallis mmrv "
     "pearson rank_violation spearman",
     "imaging": "composite read_pgm read_ppm write_pgm write_ppm",

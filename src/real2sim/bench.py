@@ -14,7 +14,6 @@ import numpy as np
 from .chain import ChainSpec, JointSpec, fk
 from .geometry import axis_angle_to_matrix
 from .jointsim import TrajectoryRecord, synthesize_record
-from .sysid import SysIdRange
 
 __all__ = ["arm_6dof", "fk_path_actions", "RecoverySetup", "recovery_setup"]
 
@@ -68,6 +67,8 @@ def fk_path_actions(
 
 
 class RecoverySetup(NamedTuple):
+    """A gain-recovery problem: ``p_range`` and ``d_range`` are (2, n) search ranges, lower bounds in row 0."""
+
     chain: ChainSpec
     inertia: np.ndarray
     damping: np.ndarray
@@ -77,7 +78,8 @@ class RecoverySetup(NamedTuple):
     records: list[TrajectoryRecord]
     init_p: np.ndarray
     init_d: np.ndarray
-    bounds: SysIdRange
+    p_range: np.ndarray
+    d_range: np.ndarray
 
 
 def recovery_setup(n_records: int = 5, n_actions: int = 30, p_true: float = 80.0, d_true: float = 3.0,
@@ -85,8 +87,9 @@ def recovery_setup(n_records: int = 5, n_actions: int = 30, p_true: float = 80.0
     """Synthetic gain-recovery problem on ``arm_6dof`` under the WidowX (default) or Google controller.
 
     Records are replays under the true gains (rng seed 11). The initial
-    guess is 2.5x the true stiffness and 0.6x the true damping, inside a
-    range that spans a factor of 10 around the truth.
+    guess is 2.5x the true stiffness and 0.6x the true damping, inside the
+    (2, n) ranges ``p_range`` and ``d_range`` that span a factor of 10 around
+    the truth, [x / sqrt(10), x sqrt(10)].
     """
     chain = arm_6dof()
     q0 = np.array([0.3, -0.5, 0.4, 0.1, 0.5, -0.2])
@@ -96,5 +99,6 @@ def recovery_setup(n_records: int = 5, n_actions: int = 30, p_true: float = 80.0
     actions = [fk_path_actions(chain, q0, n_actions, rng) for _ in range(n_records)]
     records = [synthesize_record(chain, inertia, damping, p, d, controller_kind, a, q0, ik_iters=ik_iters)
                for a in actions]
+    s = np.sqrt(10.0)
     return RecoverySetup(chain, inertia, damping, p, d, ik_iters, records, p * 2.5, d * 0.6,
-                         SysIdRange.around(p, d, 10.0))
+                         *(np.stack([x / s, x * s]) for x in (p, d)))

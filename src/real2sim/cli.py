@@ -230,12 +230,8 @@ def cmd_sysid_fit(args) -> int:
     init_p, init_d = _plant_field(init_obj["p"], n, "init", "p"), _plant_field(init_obj["d"], n, "init", "d")
 
     range_obj = _section(config["range"], _RANGE_KEYS, "range", required=("p_low", "p_high", "d_low", "d_high"))
-    rng = sysid.SysIdRange(
-        _vec_field(range_obj["p_low"], n, "range.p_low"),
-        _vec_field(range_obj["p_high"], n, "range.p_high"),
-        _vec_field(range_obj["d_low"], n, "range.d_low"),
-        _vec_field(range_obj["d_high"], n, "range.d_high"),
-    )
+    p_range, d_range = ([_vec_field(range_obj[f"{x}_{end}"], n, f"range.{x}_{end}") for end in ("low", "high")]
+                        for x in "pd")  # checked by anneal_fit
 
     anneal_obj = dict(_section(config.get("anneal", {}), _ANNEAL_KEYS, "anneal"))
     if args.seed is not None:
@@ -250,7 +246,8 @@ def cmd_sysid_fit(args) -> int:
     _check_records(records, paths, ctrl_cfg, "ctrl.h_ctrl")
 
     with _record_files(paths):
-        result = sysid.anneal_fit(records, robot, inertia, damping, kind, init_p, init_d, rng, anneal, ctrl_cfg)
+        result = sysid.anneal_fit(records, robot, inertia, damping, kind, init_p, init_d, p_range, d_range, anneal,
+                                  ctrl_cfg)
     out = {
         "best": {"p": list(map(float, result.best_p)), "d": list(map(float, result.best_d))},
         "best_loss": result.best_loss,
@@ -301,6 +298,8 @@ def cmd_replay(args) -> int:
         sim = jointsim.replay_open_loop(
             robot, inertia, damping, p, d, args.controller, rec, cfg, plan_sink=dump if args.dump_plan else None
         )
+    if not np.isfinite(sim).all():  # every input is finite, so the chain's forward kinematics overflowed
+        raise jointsim.JointSimError(f"{args.chain}: the replayed tool poses are not finite (its FK overflows a float)")
     losses = sysid.trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
     out = {"ee_poses": [geometry.pose_to_dict(t) for t in sim], "losses": losses._asdict()}
     outputs = [(args.out, _json(out))]

@@ -149,11 +149,11 @@ def _plant_input(x, name: str, where: str = "") -> np.ndarray:
     return a
 
 
-def _check_plant(n: int, inertia, damping, p, d, dt: float):
+def _check_plant(n: int, inertia, damping, p, d, dt: float, where: str = ""):
     """Each gain set's plant coefficients gain = p dt / m and keep = 1 - (d + b) dt / m as (K, n) arrays, from
     (n,) ``inertia`` and ``damping`` and (n,) or (K, n) gains ``p`` and ``d``, each checked by ``_plant_input``.
-    Raises JointSimError unless the plant is also stable at the step ``dt``: semi-implicit Euler is stable only for
-    p dt^2/m < 4 - 2 (d + b) dt/m on every joint of every gain set."""
+    Raises JointSimError unless the plant is also stable at the step ``dt``, naming the unstable gains by ``where``:
+    semi-implicit Euler is stable only for p dt^2/m < 4 - 2 (d + b) dt/m on every joint of every gain set."""
     inertia, damping, p, d = (_plant_input(x, name) for x, name in
                               zip((inertia, damping, p, d), ("inertia", "damping", "p", "d")))
     if not (inertia.shape == damping.shape == (n,) and p.shape == d.shape and p.shape[-1:] == (n,) and p.ndim <= 2):
@@ -161,7 +161,7 @@ def _check_plant(n: int, inertia, damping, p, d, dt: float):
                             f"shape, not {inertia.shape}, {damping.shape}, {p.shape} and {d.shape}")
     lhs, rhs = p * dt * dt / inertia, 4.0 - 2.0 * (d + damping) * dt / inertia
     for i in np.flatnonzero(~(lhs < rhs))[:1]:
-        raise JointSimError(f"PD gains are unstable at {1.0 / dt:g} Hz on joint {i % n}: "
+        raise JointSimError(f"{where}PD gains are unstable at {1.0 / dt:g} Hz on joint {i % n}: "
                             f"p dt^2/m = {lhs.flat[i]:.3g} must stay below 4 - 2 (d + b) dt/m = {rhs.flat[i]:.3g}")
     return np.atleast_2d(p / inertia * dt), np.atleast_2d(1.0 - (d + damping) / inertia * dt)
 

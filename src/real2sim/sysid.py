@@ -21,7 +21,7 @@ import numpy as np
 from . import json_number
 from .chain import ChainSpec
 from .controller import CtrlConfig
-from .geometry import _freeze, rot_frobenius_loss
+from .geometry import rot_frobenius_loss
 from .jointsim import (
     WIDOWX,
     TrajectoryRecord,
@@ -34,7 +34,6 @@ from .jointsim import (
 
 __all__ = [
     "SysIdError",
-    "SysIdRange",
     "AnnealConfig",
     "TrajectoryLosses",
     "RoundStats",
@@ -67,46 +66,6 @@ def trajectory_losses(ref: np.ndarray, sim: np.ndarray) -> TrajectoryLosses:
     l_t = float(np.cumsum(np.sqrt(d @ d.transpose(0, 2, 1)))[-1]) / len(ref)
     l_r = float(np.cumsum(rot_frobenius_loss(ref[:, :3, :3], sim[:, :3, :3]))[-1]) / len(ref)
     return TrajectoryLosses(l_t, l_r, l_t + l_r)
-
-
-@dataclass(frozen=True, eq=False)
-class SysIdRange:
-    """Per-joint search bounds for stiffness and damping."""
-
-    p_low: np.ndarray
-    p_high: np.ndarray
-    d_low: np.ndarray
-    d_high: np.ndarray
-
-    def __post_init__(self):
-        for name in ("p_low", "p_high", "d_low", "d_high"):
-            object.__setattr__(self, name, _freeze(getattr(self, name), -1))
-        if not (self.p_low.shape == self.p_high.shape == self.d_low.shape == self.d_high.shape):
-            raise SysIdError("range vectors must have equal length")
-        if not all(np.all(np.isfinite(a)) for a in (self.p_low, self.p_high, self.d_low, self.d_high)):
-            raise SysIdError("range bounds must be finite")
-        if np.any(self.p_low < 0.0) or np.any(self.d_low < 0.0):
-            raise SysIdError("range bounds must be non-negative")
-        if np.any(self.p_low >= self.p_high) or np.any(self.d_low >= self.d_high):
-            raise SysIdError("lower bounds must be strictly below upper bounds")
-
-    @property
-    def n(self) -> int:
-        return self.p_low.shape[0]
-
-    def lows(self) -> np.ndarray:
-        return np.concatenate([self.p_low, self.d_low])
-
-    def highs(self) -> np.ndarray:
-        return np.concatenate([self.p_high, self.d_high])
-
-    @staticmethod
-    def around(p, d, factor: float) -> "SysIdRange":
-        """Multiplicative bracket [x / sqrt(factor), x * sqrt(factor)] around the (n,) gains ``p`` and ``d``."""
-        if factor <= 1.0:
-            raise SysIdError("factor must exceed 1")
-        s = math.sqrt(factor)
-        return SysIdRange(np.divide(p, s), np.multiply(p, s), np.divide(d, s), np.multiply(d, s))
 
 
 @dataclass(frozen=True)
@@ -176,37 +135,53 @@ def anneal_fit(
     controller_kind: str,
     init_p,
     init_d,
-    range0: SysIdRange,
+    p_range,
+    d_range,
     cfg: AnnealConfig | None = None,
     ctrl_cfg: CtrlConfig | None = None,
     ik_iters: int = 200,
 ) -> AnnealResult:
     """Fit PD gains by multi-round simulated annealing of the replay loss, from the (n,) gains ``init_p`` and
-    ``init_d``, on joints of (n,) ``inertia`` and passive ``damping``.
+    ``init_d``, on joints of (n,) ``inertia`` and passive ``damping``, inside the (2, n) ranges ``p_range`` and
+    ``d_range`` (row 0 the lower bounds, row 1 the upper), which the fit copies.
 
     The objective is the unweighted mean of the trajectory losses over the
     dataset. With ``tie_joints`` the search runs over two shared scalars
     mapped to each joint's bounds; otherwise every joint's gains are free.
-    The replays start at ``initial_joint_positions`` of the dataset, solved
-    once, after the range and its stability are checked; a fault of record i
-    is raised with ``record`` i, and a range whose top corner is unstable as
-    a JointSimError. The WidowX goals are solved once, for every evaluation.
+    The search space is checked once, here: a fault names its field
+    (``range.p_low`` .. ``range.d_high``, ``init.p``, ``init.d``) and joint;
+    an unstable top corner of the range is a JointSimError. The replays then
+    start at ``initial_joint_positions`` of the dataset, solved once; a fault
+    of record i is raised with ``record`` i. The WidowX goals are solved once.
     """
     cfg = cfg or AnnealConfig()
     if len(dataset) == 0:
         raise SysIdError("dataset must contain at least one trajectory record")
     n = chain.n
-    if range0.n != n or np.shape(init_p) != (n,) or np.shape(init_d) != (n,):
-        raise SysIdError("init/range joint counts must match the chain")
-
-    lows0 = range0.lows()
-    highs0 = range0.highs()
+    p_range, d_range = np.asarray(p_range, dtype=float), np.asarray(d_range, dtype=float)
+    if p_range.shape != (2, n) or d_range.shape != (2, n) or np.shape(init_p) != (n,) or np.shape(init_d) != (n,):
+        raise SysIdError(f"p_range and d_range must be (2, {n}) arrays and init_p and init_d ({n},) arrays, not "
+                         f"{p_range.shape}, {d_range.shape}, {np.shape(init_p)} and {np.shape(init_d)}")
+    space = np.concatenate([p_range, d_range], axis=1)  # a new (2, 2n) array: lower and upper bounds of theta = (p, d)
+    lows0, highs0 = space
     theta_init = np.concatenate([init_p, init_d])
-    if not np.all((theta_init >= lows0 - 1e-12) & (theta_init <= highs0 + 1e-12)):  # also a NaN
-        raise SysIdError("initial parameters fall outside the search range")
+
+    def field(row: int, col: int) -> str:
+        return f"range.{'pd'[col // n]}_{('low', 'high')[row]}"
+
+    for rule, bad in (("finite", ~np.isfinite(space)), ("non-negative", space < 0.0)):
+        for row, col in np.argwhere(bad)[:1]:
+            raise SysIdError(f"{field(row, col)}: the bound on joint {col % n} must be {rule}, "
+                             f"got {float(space[row, col])!r}")
+    for col in np.flatnonzero(~(lows0 < highs0))[:1]:
+        raise SysIdError(f"{field(0, col)}, {field(1, col)}: on joint {col % n} the lower bound {float(lows0[col])!r} "
+                         f"must lie strictly below the upper bound {float(highs0[col])!r}")
+    for col in np.flatnonzero(~((theta_init >= lows0 - 1e-12) & (theta_init <= highs0 + 1e-12)))[:1]:  # also a NaN
+        raise SysIdError(f"init.{'pd'[col // n]}: the gain on joint {col % n} is {float(theta_init[col])!r}, outside "
+                         f"the range [{float(lows0[col])!r}, {float(highs0[col])!r}]")
     # the stability bound tightens as p and d grow: check the range's top corner
     dt = 1.0 / (ctrl_cfg or default_config(controller_kind)).h_sim
-    _check_plant(n, inertia, damping, range0.p_high, range0.d_high, dt)
+    _check_plant(n, inertia, damping, highs0[:n], highs0[n:], dt, where="range.p_high, range.d_high: ")
     q_inits = initial_joint_positions(chain, dataset)
 
     actions = [(rec.delta_pos, rec.delta_rot, rec.gripper) for rec in dataset]

@@ -645,7 +645,13 @@ def ref_simulate(chain, inertia, damping, p, d, kind: str, actions, q_init, cfg,
     return poses, stats
 
 
-def ref_anneal_fit(dataset, chain, inertia, damping, kind: str, init_p, init_d, range0, cfg, ctrl_cfg=None,
+def around(p, d, factor: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, n) search ranges [x / sqrt(factor), x * sqrt(factor)] around the (n,) gains ``p`` and ``d``."""
+    s = math.sqrt(factor)
+    return np.stack([np.divide(p, s), np.multiply(p, s)]), np.stack([np.divide(d, s), np.multiply(d, s)])
+
+
+def ref_anneal_fit(dataset, chain, inertia, damping, kind: str, init_p, init_d, p_range, d_range, cfg, ctrl_cfg=None,
                    ik_iters: int = 200, proposals: int = 1):
     """The annealer without a shared goal table: every step draws k = min(proposals, evaluations left in the
     round) proposals and replays them in one call that solves its own WidowX goals, then runs the Metropolis
@@ -676,7 +682,7 @@ def ref_anneal_fit(dataset, chain, inertia, damping, kind: str, init_p, init_d, 
         return np.clip(((theta - lows) / (highs - lows)).reshape(dim, k).mean(axis=1), 0.0, 1.0)
 
     rng = np.random.default_rng(cfg.rng_seed)
-    lows0, highs0 = range0.lows(), range0.highs()
+    lows0, highs0 = np.concatenate([p_range, d_range], axis=1)
     lows, highs = lows0, highs0
     best_u = to_u(np.concatenate([init_p, init_d]), lows, highs)
     best_pd = to_pd(best_u, lows, highs)

@@ -175,16 +175,16 @@ def test_criterion_07_sysid_synthetic_recovery():
     t0 = time.monotonic()
     s = recovery_setup(n_records=5, n_actions=30)
     cfg = AnnealConfig(rounds=3, iters_per_round=90, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
-    result = anneal_fit(s.records, s.chain, s.inertia, s.damping, "widowx", s.init_p, s.init_d, s.bounds, cfg,
-                        ik_iters=s.ik_iters)
+    result = anneal_fit(s.records, s.chain, s.inertia, s.damping, "widowx", s.init_p, s.init_d, s.p_range, s.d_range,
+                        cfg, ik_iters=s.ik_iters)
     assert result.best_loss < 1e-3
     assert result.best_loss < 0.05 * result.initial_loss
 
     # determinism on a reduced schedule of the identical pipeline
     small = AnnealConfig(rounds=3, iters_per_round=5, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
     def fit_bytes():
-        r = anneal_fit(s.records[:2], s.chain, s.inertia, s.damping, "widowx", s.init_p, s.init_d, s.bounds, small,
-                       ik_iters=s.ik_iters)
+        r = anneal_fit(s.records[:2], s.chain, s.inertia, s.damping, "widowx", s.init_p, s.init_d, s.p_range,
+                       s.d_range, small, ik_iters=s.ik_iters)
         payload = {
             "p": list(map(float, r.best_p)),
             "d": list(map(float, r.best_d)),
@@ -208,8 +208,8 @@ def test_criterion_07_google_sysid_recovery():
     t0 = time.monotonic()
     s = recovery_setup(n_records=3, n_actions=10, controller_kind="google")
     cfg = AnnealConfig(rounds=3, iters_per_round=90, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
-    result = anneal_fit(s.records, s.chain, s.inertia, s.damping, "google", s.init_p, s.init_d, s.bounds, cfg,
-                        ik_iters=s.ik_iters)
+    result = anneal_fit(s.records, s.chain, s.inertia, s.damping, "google", s.init_p, s.init_d, s.p_range, s.d_range,
+                        cfg, ik_iters=s.ik_iters)
     assert result.evaluations == 271
     assert result.best_loss < 1e-3
     assert result.best_loss < 0.05 * result.initial_loss

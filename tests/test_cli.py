@@ -536,9 +536,11 @@ def test_sysid_fit_unknown_key_exits_3(sysid_workspace, tmp_path):
         ("ctrl", {"h_sim": float("nan")}, "h_sim must be a positive finite frequency, got nan"),
         # semi-implicit Euler at 200 Hz: too stiff at the top of p, or damped too hard at the top of d
         ("range", {"p_low": 20.0, "p_high": 1e9, "d_low": 1.0, "d_high": 10.0},
-         "PD gains are unstable at 200 Hz on joint 0: p dt^2/m = 2.5e+04 must stay below 4 - 2 (d + b) dt/m = 3.9"),
+         "range.p_high, range.d_high: PD gains are unstable at 200 Hz on joint 0: p dt^2/m = 2.5e+04 must stay below "
+         "4 - 2 (d + b) dt/m = 3.9"),
         ("range", {"p_low": 20.0, "p_high": 200.0, "d_low": 1.0, "d_high": 400.0},
-         "PD gains are unstable at 200 Hz on joint 0: p dt^2/m = 0.005 must stay below 4 - 2 (d + b) dt/m = -0.003"),
+         "range.p_high, range.d_high: PD gains are unstable at 200 Hz on joint 0: p dt^2/m = 0.005 must stay below "
+         "4 - 2 (d + b) dt/m = -0.003"),
         # JSON true/false are not numbers, and the records were taken at 5 Hz
         ("ctrl", {"h_ctrl": True}, "ctrl: h_sim and h_ctrl must be numbers"),
         ("ctrl", {"h_ctrl": 3.0},
@@ -1171,7 +1173,8 @@ def test_sysid_fit_reports_a_range_fault_before_a_record_fault(sysid_workspace, 
     rc = main(["sysid", "fit", "--trajectories", str(traj), "--chain", str(root / "chain.json"),
                "--config", str(tmp_path / "sysid.json"), "--out", str(out)])
     assert rc == 3
-    assert capsys.readouterr().err.startswith("error: PD gains are unstable at 200 Hz on joint 0: ")
+    assert capsys.readouterr().err.startswith("error: range.p_high, range.d_high: PD gains are unstable at 200 Hz on "
+                                              "joint 0: ")
     assert not out.exists()
 
 
@@ -1319,7 +1322,38 @@ def test_sysid_fit_nan_range_exits_3(sysid_workspace, tmp_path, capsys):
         "--chain", str(root / "chain.json"), "--config", str(bad), "--out", str(out),
     ])
     assert rc == 3
-    assert capsys.readouterr().err == "error: range bounds must be finite\n"
+    assert capsys.readouterr().err == "error: range.p_high: the bound on joint 0 must be finite, got nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, joint, token, message", [
+    *((("range", key, joint, token, f"range.{key}: the bound on joint {joint} must be {rule}, got {got}")
+       for key, joint in (("p_low", 1), ("p_high", 1), ("d_low", 2), ("d_high", 2))
+       for token, rule, got in (("NaN", "finite", "nan"), ("1e400", "finite", "inf"), ("-1", "non-negative", "-1.0")))),
+    # crossed bounds: the other bound of the pair is 20, 200, 1 or 10
+    *((("range", key, joint, token, f"range.{x}_low, range.{x}_high: on joint {joint} the lower bound {low} must lie "
+                                    f"strictly below the upper bound {high}")
+       for key, x, joint, token, low, high in (("p_low", "p", 1, "300", "300.0", "200.0"),
+                                               ("p_high", "p", 1, "10", "20.0", "10.0"),
+                                               ("d_low", "d", 2, "20", "20.0", "10.0"),
+                                               ("d_high", "d", 2, "0.5", "1.0", "0.5")))),
+    ("init", "p", None, "500", "init.p: the gain on joint 0 is 500.0, outside the range [20.0, 200.0]"),
+    ("init", "p", 2, "10", "init.p: the gain on joint 2 is 10.0, outside the range [20.0, 200.0]"),
+    ("init", "d", 1, "12", "init.d: the gain on joint 1 is 12.0, outside the range [1.0, 10.0]"),
+])
+def test_sysid_fit_range_fault_names_its_field_and_joint(sysid_workspace, tmp_path, capsys, section, key, joint, token,
+                                                         message):
+    # a value given for every joint (joint None) or for one joint of a list; 1e400 parses as +inf
+    root = sysid_workspace
+    config = json.loads((root / "sysid.json").read_text())
+    value = config[section][key]
+    config[section][key] = "BAD" if joint is None else [value if j != joint else "BAD" for j in range(3)]
+    (tmp_path / "sysid.json").write_text(json.dumps(config).replace('"BAD"', token))
+    out = tmp_path / "fit.json"
+    rc = main(["sysid", "fit", "--trajectories", str(root / "trajectories"), "--chain", str(root / "chain.json"),
+               "--config", str(tmp_path / "sysid.json"), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -1336,6 +1370,25 @@ def test_sysid_fit_non_finite_initial_loss_exits_3(sysid_workspace, tmp_path, ca
                    "--chain", str(tmp_path / "chain.json"), "--config", str(root / "sysid.json"), "--out", str(out)])
     assert rc == 3
     assert capsys.readouterr().err.endswith("error: the loss at the initial gains is nan, not a finite number\n")
+    assert not out.exists()
+
+
+def test_replay_on_a_chain_whose_fk_overflows_names_the_chain(sysid_workspace, tmp_path, capsys):
+    # each origin is finite, yet FK overflows: the replay names the chain file, not the pose writer's check
+    root = sysid_workspace
+    obj = json.loads((root / "chain.json").read_text())
+    for joint in obj["joints"]:
+        joint["origin"]["xyz"] = [1e308, 0.0, 0.0]
+    (tmp_path / "chain.json").write_text(json.dumps(obj))
+    (tmp_path / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0}))
+    out = tmp_path / "poses.json"
+    with np.errstate(all="ignore"):
+        rc = main(["replay", "--trajectory", str(root / "trajectories" / "rec0.json"), "--chain",
+                   str(tmp_path / "chain.json"), "--params", str(tmp_path / "pd.json"), "--controller", "widowx",
+                   "--sim-hz", "200", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'chain.json'}: the replayed tool poses are not finite "
+                                       f"(its FK overflows a float)\n")
     assert not out.exists()
 
 

@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (dyn_step, fk_path_actions, planar_3link, ref_hold_target, ref_integrate_targets, ref_simulate,
-                     transform)
+from helpers import (around, dyn_step, fk_path_actions, planar_3link, ref_hold_target, ref_integrate_targets,
+                     ref_simulate, transform)
 from real2sim import controller, jointsim
 from real2sim.chain import ChainSpec, JointSpec, fk
 from real2sim.controller import CtrlConfig
@@ -26,7 +26,7 @@ from real2sim.jointsim import (
     synthesize_record,
 )
 from real2sim.profile import PlanningError
-from real2sim.sysid import AnnealConfig, SysIdRange, anneal_fit, trajectory_losses
+from real2sim.sysid import AnnealConfig, anneal_fit, trajectory_losses
 
 # light controller frequencies keep unit tests quick; the production-rate
 # constants are exercised in the acceptance suite
@@ -241,7 +241,6 @@ def record_with(field: str):
 FROZEN = {  # a type, the caller's array it is built from, and the field that keeps a frozen copy of it
     "JointSpec.origin": (transform((0.5, 0, 0)), lambda a: JointSpec("j", "revolute", a, [0, 0, 1]), "origin"),
     "ChainSpec.ee_offset": (transform((0.5, 0, 0)), lambda a: ChainSpec(planar_3link().joints, a), "ee_offset"),
-    "SysIdRange": (np.ones(3), lambda a: SysIdRange(a, np.full(3, 2.0), np.zeros(3), np.ones(3)), "p_low"),
     "TrajectoryRecord": (np.ones((2, 3)), record_with("joint_positions"), "joint_positions"),
     "TrajectoryRecord.delta_pos": (np.ones((1, 3)), record_with("delta_pos"), "delta_pos"),
     "TrajectoryRecord.delta_rot": (np.eye(3)[None], record_with("delta_rot"), "delta_rot"),
@@ -262,24 +261,23 @@ def test_frozen_field_is_a_copy_of_the_callers_array(name):
 
 
 def test_callers_plant_arrays_are_never_written(replay_setup):
-    # the replay, the record synthesis and the fit only read the caller's gains and dynamics, and a fit's
-    # result shares no array with its inputs or with another fit
+    # the replay, the record synthesis and the fit only read the caller's gains, dynamics and search ranges, and a
+    # fit's result shares no array with its inputs or with another fit
     chain, q0, dyn, pd = replay_setup
-    arrays = [a.copy() for a in (*dyn, *pd)]  # inertia, damping, p and d
-    rec = synthesize_record(chain, *arrays, "widowx", zero_actions(2), q0, FAST_CFG)
-    replay_open_loop(chain, *arrays, "google", rec, FAST_CFG)
+    arrays = [a.copy() for a in (*dyn, *pd, *around(*pd, 2.0))]  # inertia, damping, p, d, p_range and d_range
+    rec = synthesize_record(chain, *arrays[:4], "widowx", zero_actions(2), q0, FAST_CFG)
+    replay_open_loop(chain, *arrays[:4], "google", rec, FAST_CFG)
     cfg = AnnealConfig(rounds=1, iters_per_round=2)
 
     def fit():
-        return anneal_fit([rec], chain, *arrays[:2], "widowx", *arrays[2:], SysIdRange.around(*arrays[2:], 2.0), cfg,
-                          FAST_CFG)
+        return anneal_fit([rec], chain, *arrays[:2], "widowx", *arrays[2:], cfg, FAST_CFG)
 
     first = fit()
     kept = first.best_p.copy(), first.best_d.copy()
-    first.best_p[:] = first.best_d[:] = 0.0
+    first.best_p[:] = first.best_d[:] = first.history[0].lows[:] = 0.0
     second = fit()
     assert np.array_equal(second.best_p, kept[0]) and np.array_equal(second.best_d, kept[1])
-    for array, want in zip(arrays, (*dyn, *pd)):
+    for array, want in zip(arrays, (*dyn, *pd, *around(*pd, 2.0))):
         assert array.flags.writeable and np.array_equal(array, want)
 
 
@@ -317,7 +315,7 @@ def test_an_unreachable_first_pose_names_its_record(replay_setup):
         replay_open_loop(chain, *dyn, *pd, "widowx", far, FAST_CFG)
     assert info.value.record == 0
     with pytest.raises(JointSimError, match=message) as info:
-        anneal_fit([reachable, far], chain, *dyn, "widowx", *pd, SysIdRange.around(*pd, 2.0), AnnealConfig(), FAST_CFG)
+        anneal_fit([reachable, far], chain, *dyn, "widowx", *pd, *around(*pd, 2.0), AnnealConfig(), FAST_CFG)
     assert info.value.record == 1
 
 

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from helpers import (fk_path_actions, half_turn, planar_3link, random_rotation, ref_anneal_fit, ref_trajectory_losses,
-                     rot_z, transform)
+from helpers import (around, fk_path_actions, half_turn, planar_3link, random_rotation, ref_anneal_fit,
+                     ref_trajectory_losses, rot_z, transform)
 from real2sim import jointsim, sysid
 from real2sim.bench import recovery_setup
 from real2sim.chain import fk
@@ -13,7 +14,6 @@ from real2sim.jointsim import JointSimError, TrajectoryRecord, replay_open_loop,
 from real2sim.sysid import (
     AnnealConfig,
     SysIdError,
-    SysIdRange,
     anneal_fit,
     trajectory_losses,
 )
@@ -79,20 +79,6 @@ def test_losses_match_the_per_pose_reference(kind, steps):
         assert got == (0.0, 0.0, 0.0)
 
 
-def test_range_validation():
-    with pytest.raises(SysIdError):
-        SysIdRange([1.0], [0.5], [0.1], [1.0])
-    with pytest.raises(SysIdError):
-        SysIdRange([-1.0], [0.5], [0.1], [1.0])
-
-
-def test_range_around_factor():
-    r = SysIdRange.around([100.0], [10.0], 10.0)
-    assert r.p_high[0] / r.p_low[0] == pytest.approx(10.0)
-    assert r.d_high[0] / r.d_low[0] == pytest.approx(10.0)
-    assert r.p_low[0] * r.p_high[0] == pytest.approx(100.0**2)
-
-
 def test_anneal_config_validation():
     with pytest.raises(SysIdError):
         AnnealConfig(cooling=1.5)
@@ -121,9 +107,51 @@ def small_problem():
 def run_anneal(small_problem, seed=1, iters=40, tie=True):
     chain, dyn, truth, records, iks = small_problem
     init = (truth[0] * 2.0, truth[1] * 0.5)
-    rng0 = SysIdRange.around(*truth, 10.0)
+    ranges = around(*truth, 10.0)
     cfg = AnnealConfig(rounds=3, iters_per_round=iters, sigma=0.12, shrink=0.3, rng_seed=seed, tie_joints=tie)
-    return anneal_fit(records, chain, *dyn, "widowx", *init, rng0, cfg, FAST_CFG, iks)
+    return anneal_fit(records, chain, *dyn, "widowx", *init, *ranges, cfg, FAST_CFG, iks)
+
+
+RANGE_FAULTS = [  # the input, the entry set, its value and the fault's message
+    ("p_range", (1, 1), np.nan, "range.p_high: the bound on joint 1 must be finite, got nan"),
+    ("p_range", (1, 1), np.inf, "range.p_high: the bound on joint 1 must be finite, got inf"),
+    ("d_range", (0, 2), -1.0, "range.d_low: the bound on joint 2 must be non-negative, got -1.0"),
+    ("p_range", (0, 0), 300.0,
+     "range.p_low, range.p_high: on joint 0 the lower bound 300.0 must lie strictly below the upper bound 200.0"),
+    ("d_range", (1, 1), 1.0,
+     "range.d_low, range.d_high: on joint 1 the lower bound 1.0 must lie strictly below the upper bound 1.0"),
+    ("init_p", 1, 500.0, "init.p: the gain on joint 1 is 500.0, outside the range [20.0, 200.0]"),
+    ("init_d", 2, np.nan, "init.d: the gain on joint 2 is nan, outside the range [1.0, 10.0]"),
+    ("p_range", (slice(None), 0), np.nan, "range.p_low: the bound on joint 0 must be finite, got nan"),
+]
+
+
+def test_range_validation(small_problem):
+    # the fit checks its search space once, before any replay, and names the field and the joint of the first fault
+    chain, dyn, truth, records, iks = small_problem
+    for name, index, value, message in RANGE_FAULTS:
+        args = dict(init_p=truth[0].copy(), init_d=truth[1].copy(), p_range=np.array([[20.0] * 3, [200.0] * 3]),
+                    d_range=np.array([[1.0] * 3, [10.0] * 3]))
+        args[name][index] = value
+        with pytest.raises(SysIdError, match=f"^{re.escape(message)}$"):
+            anneal_fit(records, chain, *dyn, "widowx", **args, cfg=AnnealConfig(), ctrl_cfg=FAST_CFG)
+    with pytest.raises(SysIdError, match=r"^p_range and d_range must be \(2, 3\) arrays and init_p and init_d \(3,\) "
+                                         r"arrays, not \(3,\), \(2, 3\), \(3,\) and \(3,\)$"):
+        anneal_fit(records, chain, *dyn, "widowx", *truth, np.full(3, 20.0), around(*truth, 2.0)[1])
+    # the stability bound tightens as p and d grow: the range's top corner is the one to check
+    unstable = r"^range\.p_high, range\.d_high: PD gains are unstable at 200 Hz on joint 0: "
+    with pytest.raises(JointSimError, match=unstable):
+        anneal_fit(records, chain, *dyn, "widowx", *truth, np.array([[20.0] * 3, [1e9] * 3]), around(*truth, 2.0)[1],
+                   ctrl_cfg=FAST_CFG)
+
+
+def test_range_around_factor():
+    # recovery_setup's ranges span a factor of 10 around the truth, as the test suite's bracket does, bit for bit
+    s = recovery_setup(1, 1)
+    for x, got, want in zip((s.p_true, s.d_true), (s.p_range, s.d_range), around(s.p_true, s.d_true, 10.0)):
+        assert got.shape == (2, 6) and np.array_equal(got, want)
+        np.testing.assert_allclose(got[1] / got[0], 10.0)
+        np.testing.assert_allclose(got[0] * got[1], x * x)
 
 
 def test_anneal_improves_substantially(small_problem):
@@ -145,18 +173,18 @@ def test_anneal_history_monotone(small_problem):
 def test_anneal_best_within_original_range(small_problem):
     chain, dyn, truth, records, iks = small_problem
     result = run_anneal(small_problem)
-    rng0 = SysIdRange.around(*truth, 10.0)
-    assert np.all(result.best_p >= rng0.p_low - 1e-9)
-    assert np.all(result.best_p <= rng0.p_high + 1e-9)
-    assert np.all(result.best_d >= rng0.d_low - 1e-9)
-    assert np.all(result.best_d <= rng0.d_high + 1e-9)
+    p_range, d_range = around(*truth, 10.0)
+    assert np.all(result.best_p >= p_range[0] - 1e-9)
+    assert np.all(result.best_p <= p_range[1] + 1e-9)
+    assert np.all(result.best_d >= d_range[0] - 1e-9)
+    assert np.all(result.best_d <= d_range[1] + 1e-9)
 
 
 def test_anneal_later_rounds_are_subranges(small_problem):
     chain, dyn, truth, records, iks = small_problem
     result = run_anneal(small_problem, iters=8)
     first = result.history[0]
-    np.testing.assert_allclose(first.lows, SysIdRange.around(*truth, 10.0).lows())
+    np.testing.assert_allclose(first.lows, np.concatenate(around(*truth, 10.0), axis=1)[0])
     for later in result.history[1:]:
         assert np.all(later.lows >= first.lows - 1e-12)
         assert np.all(later.highs <= first.highs + 1e-12)
@@ -198,10 +226,10 @@ def test_anneal_one_proposal_matches_the_sequential_reference(small_problem, tie
     chain, dyn, truth, records, iks = small_problem
     monkeypatch.setattr(sysid, "ANNEAL_PROPOSALS", 1)
     init = (truth[0] * 2.0, truth[1] * 0.5)
-    rng0 = SysIdRange.around(*truth, 10.0)
+    ranges = around(*truth, 10.0)
     cfg = AnnealConfig(rounds=3, iters_per_round=6, sigma=0.12, shrink=0.3, rng_seed=1, tie_joints=tie)
-    got = anneal_fit(records, chain, *dyn, "widowx", *init, rng0, cfg, FAST_CFG, iks)
-    want = ref_anneal_fit(records, chain, *dyn, "widowx", *init, rng0, cfg, FAST_CFG, iks)
+    got = anneal_fit(records, chain, *dyn, "widowx", *init, *ranges, cfg, FAST_CFG, iks)
+    want = ref_anneal_fit(records, chain, *dyn, "widowx", *init, *ranges, cfg, FAST_CFG, iks)
     assert np.array_equal(got.best_p, want.best_p) and np.array_equal(got.best_d, want.best_d)
     assert (got.best_loss, got.initial_loss, got.losses, got.evaluations) == (
         want.best_loss, want.initial_loss, want.losses, want.evaluations)
@@ -218,10 +246,10 @@ def test_anneal_temperature_cooled_to_zero_takes_the_zero_limit(small_problem, m
     chain, dyn, truth, records, iks = small_problem
     monkeypatch.setattr(sysid, "ANNEAL_PROPOSALS", 1)
     init = (truth[0] * 2.0, truth[1] * 0.5)
-    rng0 = SysIdRange.around(*truth, 10.0)
+    ranges = around(*truth, 10.0)
     cfg = AnnealConfig(rounds=2, iters_per_round=6, cooling=1e-200, sigma=0.12, shrink=0.3, rng_seed=1)
-    got = anneal_fit(records, chain, *dyn, "widowx", *init, rng0, cfg, FAST_CFG, iks)
-    want = ref_anneal_fit(records, chain, *dyn, "widowx", *init, rng0, cfg, FAST_CFG, iks)
+    got = anneal_fit(records, chain, *dyn, "widowx", *init, *ranges, cfg, FAST_CFG, iks)
+    want = ref_anneal_fit(records, chain, *dyn, "widowx", *init, *ranges, cfg, FAST_CFG, iks)
     assert np.array_equal(got.best_p, want.best_p) and np.array_equal(got.best_d, want.best_d)
     assert (got.best_loss, got.losses) == (want.best_loss, want.losses)
     assert got.best_loss <= got.initial_loss
@@ -240,7 +268,7 @@ def test_anneal_last_step_of_a_round_draws_the_remainder(small_problem, monkeypa
     monkeypatch.setattr(sysid, "_simulate", counting_simulate)
     init = (truth[0] * 2.0, truth[1] * 0.5)
     cfg = AnnealConfig(rounds=3, iters_per_round=5, sigma=0.12, shrink=0.3, rng_seed=1, tie_joints=True)
-    result = anneal_fit(records, chain, *dyn, "widowx", *init, SysIdRange.around(*truth, 10.0), cfg, FAST_CFG, iks)
+    result = anneal_fit(records, chain, *dyn, "widowx", *init, *around(*truth, 10.0), cfg, FAST_CFG, iks)
     assert sets == [1, 4, 1, 4, 1, 4, 1]  # the initial point, then steps of 4 + 1 in each round
     assert result.evaluations == sum(sets) == 16
     assert [r.evaluations for r in result.history] == [5, 5, 5]
@@ -267,7 +295,7 @@ def test_anneal_fit_matches_a_goal_pass_per_replay(records, actions, iters):
     # the goal table solved once per fit gives the bits of a reference that solves the goals in every replay
     s = recovery_setup(records, actions)
     cfg = AnnealConfig(rounds=3, iters_per_round=iters, sigma=0.12, shrink=0.28, rng_seed=123, tie_joints=True)
-    args = (s.records, s.chain, s.inertia, s.damping, "widowx", s.init_p, s.init_d, s.bounds, cfg)
+    args = (s.records, s.chain, s.inertia, s.damping, "widowx", s.init_p, s.init_d, s.p_range, s.d_range, cfg)
     got = anneal_fit(*args, ik_iters=s.ik_iters)
     want = ref_anneal_fit(*args, ik_iters=s.ik_iters, proposals=sysid.ANNEAL_PROPOSALS)
 
@@ -287,25 +315,25 @@ def test_anneal_per_joint_mode_runs(small_problem):
 
 def test_anneal_init_at_truth_stays_optimal(small_problem):
     chain, dyn, truth, records, iks = small_problem
-    rng0 = SysIdRange.around(*truth, 4.0)
+    ranges = around(*truth, 4.0)
     cfg = AnnealConfig(rounds=3, iters_per_round=8, rng_seed=0, tie_joints=True)
-    result = anneal_fit(records, chain, *dyn, "widowx", *truth, rng0, cfg, FAST_CFG, iks)
+    result = anneal_fit(records, chain, *dyn, "widowx", *truth, *ranges, cfg, FAST_CFG, iks)
     assert result.initial_loss == pytest.approx(0.0, abs=1e-12)
     assert result.best_loss <= result.initial_loss + 1e-15
 
 
 def test_anneal_rejects_init_outside_range(small_problem):
     chain, dyn, truth, records, iks = small_problem
-    rng0 = SysIdRange.around(*truth, 2.0)
+    ranges = around(*truth, 2.0)
     for bad_init in ((truth[0] * 10.0, truth[1]), (truth[0], np.full(3, np.nan))):
         with pytest.raises(SysIdError, match="outside"):
-            anneal_fit(records, chain, *dyn, "widowx", *bad_init, rng0, AnnealConfig(), FAST_CFG)
+            anneal_fit(records, chain, *dyn, "widowx", *bad_init, *ranges, AnnealConfig(), FAST_CFG)
 
 
 def test_anneal_rejects_empty_dataset(small_problem):
     chain, dyn, truth, _, _ = small_problem
     with pytest.raises(SysIdError, match="dataset"):
-        anneal_fit([], chain, *dyn, "widowx", *truth, SysIdRange.around(*truth, 2.0), AnnealConfig())
+        anneal_fit([], chain, *dyn, "widowx", *truth, *around(*truth, 2.0), AnnealConfig())
 
 
 def test_anneal_rejects_joint_positions_narrower_than_the_chain(small_problem):
@@ -314,6 +342,6 @@ def test_anneal_rejects_joint_positions_narrower_than_the_chain(small_problem):
     narrow = TrajectoryRecord(rec.delta_pos, rec.delta_rot, rec.gripper, rec.ee_poses, rec.ctrl_frequency,
                               rec.joint_positions[:, :2])
     with pytest.raises(JointSimError, match=r"^joint_positions: rows of 2 values for a 3-joint chain$") as info:
-        anneal_fit([records[0], narrow], chain, *dyn, "widowx", *truth, SysIdRange.around(*truth, 2.0),
+        anneal_fit([records[0], narrow], chain, *dyn, "widowx", *truth, *around(*truth, 2.0),
                    AnnealConfig())
     assert info.value.record == 1
