@@ -60,7 +60,7 @@ def fk_path_actions(
     freqs = rng.uniform(0.4, 2.0, chain.n)
     phases = rng.uniform(0, 2 * np.pi, chain.n)
     qs = [q0 + amps * (np.sin(freqs * k * dphase + phases) - np.sin(phases)) for k in range(n_actions + 1)]
-    poses = [fk(chain, q) for q in qs]
+    poses = fk(chain, qs)
     steps = list(zip(poses[:-1], poses[1:]))
     return (np.array([b[:3, 3] - a[:3, 3] for a, b in steps]), np.array([b[:3, :3] @ a[:3, :3].T for a, b in steps]),
             np.full(n_actions, gripper))

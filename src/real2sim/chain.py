@@ -1,8 +1,11 @@
 """Serial-chain robot model: URDF-subset parsing, FK, Jacobian, and DLS IK.
 
 The chain is a strictly serial sequence of revolute/prismatic joints. Joint
-origins, the tool offset and ``fk``'s result are 4x4 homogeneous arrays;
-``ik`` takes its B targets as (B, 3, 3) rotations and (B, 3) positions.
+origins and the tool offset are 4x4 homogeneous arrays. ``fk`` and
+``jacobian`` take joint values of any shape (..., n) and return (..., 4, 4)
+tool poses and (..., 6, n) Jacobians; ``ik`` takes its B targets as
+(B, 3, 3) rotations and (B, 3) positions. Joint limits bound ``ik``'s
+iterates only: forward kinematics is plain geometry of the joint values.
 Fixed joints found while parsing are folded into the next joint's origin
 (trailing fixed joints fold into the tool offset). Inertial, visual, and
 collision elements are ignored.
@@ -10,14 +13,13 @@ collision elements are ignored.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import json_name, json_number, json_vector
-from .geometry import GeometryError, _freeze, _transform, matrix_to_rotvec, pose_from_dict, pose_to_dict
+from .geometry import GeometryError, _transform, matrix_to_rotvec, pose_from_dict, pose_to_dict
 
 __all__ = [
     "ChainError",
@@ -31,8 +33,6 @@ __all__ = [
     "chain_to_dict",
     "chain_from_dict",
 ]
-
-logger = logging.getLogger(__name__)
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -129,47 +129,32 @@ class ChainSpec:
         return len(self.joints)
 
 
-def _check_q(chain: ChainSpec, q) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != chain.n:
-        raise ChainError(f"expected {chain.n} joint values, got {q.shape[0]}")
-    return q
-
-
-def _frames(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
-    """World transforms (n, B, 4, 4) of every joint frame after its own motion, for the B rows of ``q``.
+def _frames(chain: ChainSpec, q) -> np.ndarray:
+    """World transforms (n, ..., 4, 4) of every joint frame after its own motion, for joint values ``q`` (..., n).
 
     A joint's motion keeps its origin (revolute) or its orientation
     (prismatic), and a revolute joint's rotation keeps its axis, so these
     frames also give each joint's world axis and, for revolute joints, its
     world origin. The last one is the flange.
     """
-    coef = np.empty((4,) + q.shape)
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1:] != (chain.n,):
+        raise ChainError(f"expected joint values of shape (..., {chain.n}), got shape {q.shape}")
+    rows = q.reshape(-1, chain.n)
+    coef = np.empty((4,) + rows.shape)
     coef[0] = 1.0
-    np.sin(q, out=coef[1])
-    np.subtract(1.0, np.cos(q), out=coef[2])
-    coef[3] = q
+    np.sin(rows, out=coef[1])
+    np.subtract(1.0, np.cos(rows), out=coef[2])
+    coef[3] = rows
     frames = [*np.einsum("kbn,knij->nbij", coef, chain._basis)]
     for i in range(1, chain.n):
         frames[i] = frames[i - 1] @ frames[i]
-    return np.array(frames)
-
-
-def _tools(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
-    """Tool transforms (B, 4, 4) of the rows of ``q``, clamped to the limits as ``fk`` documents."""
-    qc = np.minimum(np.maximum(q, chain.lower), chain.upper)
-    if not np.array_equal(q, qc):
-        logger.warning("fk: joint values clamped to limits (max excess %.3e)", np.abs(q - qc).max())
-    return _frames(chain, qc)[-1] @ chain.ee_offset
+    return np.array(frames).reshape(chain.n, *q.shape[:-1], 4, 4)
 
 
 def fk(chain: ChainSpec, q) -> np.ndarray:
-    """End-effector pose, a frozen 4x4 transform, for joint values ``q``.
-
-    Out-of-limit values are clamped and logged; pass in-limit values to get
-    the exact configuration.
-    """
-    return _freeze(_tools(chain, _check_q(chain, q)[None])[0])
+    """Tool poses (..., 4, 4), a new array, of joint values ``q`` (..., n)."""
+    return _frames(chain, q)[-1] @ chain.ee_offset
 
 
 _LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -190,9 +175,12 @@ def _jacobian_from_frames(chain: ChainSpec, frames: np.ndarray, p_tool: np.ndarr
 
 
 def jacobian(chain: ChainSpec, q) -> np.ndarray:
-    """Geometric Jacobian in the base frame: rows 0..2 linear (m), 3..5 angular (rad)."""
-    frames = _frames(chain, _check_q(chain, q)[None])
-    return _jacobian_from_frames(chain, frames, (frames[-1] @ chain.ee_offset)[:, :3, 3])[0]
+    """Geometric Jacobians (..., 6, n) in the base frame of joint values ``q`` (..., n): rows 0..2 linear (m),
+    3..5 angular (rad)."""
+    frames = _frames(chain, q)
+    batch = frames.shape[1:-2]
+    rows = frames.reshape(chain.n, math.prod(batch), 4, 4)
+    return _jacobian_from_frames(chain, rows, (rows[-1] @ chain.ee_offset)[:, :3, 3]).reshape(*batch, 6, chain.n)
 
 
 def ik(chain: ChainSpec, target_rot, target_pos, q_seed, max_iters: int = 200):
@@ -352,9 +340,7 @@ def parse_urdf_subset(text: str, tip: str | None = None) -> ChainSpec:
     current = roots[0]
     while current != tip:
         outgoing = children.get(current, [])
-        if not outgoing:
-            if tip is not None:
-                raise UrdfParseError(f"tip link {tip!r} is not reachable from root {roots[0]!r}")
+        if not outgoing:  # a leaf: a declared tip off this path would have met a branch on the way
             break
         if len(outgoing) > 1:
             raise UrdfParseError(f"unsupported: non-serial chain (link {current!r} has {len(outgoing)} child joints)")

@@ -207,11 +207,13 @@ def _check_records(records, paths, cfg: controller.CtrlConfig, override: str) ->
 
 
 @contextlib.contextmanager
-def _record_files(paths):
-    """A fault of record i, raised with ``record`` i and naming a field of the record, re-raised naming the file
-    ``paths[i]`` before the field."""
+def _input_files(chain_path, paths):
+    """A fault of the chain, a ChainError, re-raised naming the file ``chain_path``; a fault of record i, raised
+    with ``record`` i and naming a field of the record, re-raised naming the file ``paths[i]`` before the field."""
     try:
         yield
+    except chain.ChainError as exc:
+        raise chain.ChainError(f"{chain_path}: {exc}") from exc
     except ValueError as exc:
         if getattr(exc, "record", None) is None:
             raise
@@ -245,7 +247,7 @@ def cmd_sysid_fit(args) -> int:
     records = [jointsim.TrajectoryRecord.from_dict(_read_json(p), str(p)) for p in paths]
     _check_records(records, paths, ctrl_cfg, "ctrl.h_ctrl")
 
-    with _record_files(paths):
+    with _input_files(args.chain, paths):
         result = sysid.anneal_fit(records, robot, inertia, damping, kind, init_p, init_d, p_range, d_range, anneal,
                                   ctrl_cfg)
     out = {
@@ -294,12 +296,10 @@ def cmd_replay(args) -> int:
         ts = step / cfg.h_ctrl + np.arange(1, targets.shape[0] + 1) * (1.0 / cfg.h_sim)
         plan_rows.append(np.column_stack([ts, targets[:, 0]]))
 
-    with _record_files([args.trajectory]):
+    with _input_files(args.chain, [args.trajectory]):
         sim = jointsim.replay_open_loop(
             robot, inertia, damping, p, d, args.controller, rec, cfg, plan_sink=dump if args.dump_plan else None
         )
-    if not np.isfinite(sim).all():  # every input is finite, so the chain's forward kinematics overflowed
-        raise jointsim.JointSimError(f"{args.chain}: the replayed tool poses are not finite (its FK overflows a float)")
     losses = sysid.trajectory_losses(rec.ee_poses, sim[: len(rec.ee_poses)])
     out = {"ee_poses": [geometry.pose_to_dict(t) for t in sim], "losses": losses._asdict()}
     outputs = [(args.out, _json(out))]

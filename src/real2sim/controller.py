@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, _tools, ik
+from .chain import ChainSpec, fk, ik
 from .profile import LimitSet, synchronize
 
 __all__ = [
@@ -87,7 +87,7 @@ def _ik_goals(tag: str, t: int, chain: ChainSpec, delta_pos: np.ndarray, delta_r
               ik_iters: int, fallback: str):
     """IK solutions of every row's goal, seeded at ``base``: the row's delta pose
     applied to the tool pose at ``base`` (the delta rotation about the tool origin)."""
-    tool = _tools(chain, base)
+    tool = fk(chain, base)
     goal_rot, goal_pos = widowx_goal_pose(tool[:, :3, 3], tool[:, :3, :3], delta_pos, delta_rot)
     q, res_pos, res_rot, ok, _ = ik(chain, goal_rot, goal_pos, base, ik_iters)
     for i in np.flatnonzero(~ok):

@@ -33,11 +33,9 @@ class GeometryError(ValueError):
     """Raised when a rotation, quaternion, or pose fails validation."""
 
 
-def _freeze(a, shape=None) -> np.ndarray:
-    """A read-only C-ordered float copy of ``a`` (reshaped to ``shape`` if given); ``a`` stays writable."""
+def _freeze(a) -> np.ndarray:
+    """A read-only C-ordered float copy of ``a``; ``a`` stays writable."""
     a = np.array(a, dtype=float, order="C")
-    if shape is not None:
-        a = a.reshape(shape)
     a.setflags(write=False)
     return a
 

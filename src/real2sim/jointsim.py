@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import json_number, json_vector
-from .chain import ChainSpec, _tools, ik
+from .chain import ChainError, ChainSpec, fk, ik
 from .controller import ControllerError, CtrlConfig, google_grip_step, google_step, widowx_step
 from .geometry import (GeometryError, _freeze, _transform, axis_angle_to_matrix, matrix_to_rotvec, pose_from_dict,
                        pose_to_dict, quat_to_rot)
@@ -321,9 +321,9 @@ def _simulate(
     unless ``goals`` holds it. The Google controller state lives here as arrays with one entry per row:
     the gripper goals and planned states, which never feed back into the arm and are planned only for
     ``plan_sink``. Returns each row's tool poses (T+1, 4, 4) and joint positions (T+1, n), initial and
-    after every action. ``plan_sink(step, targets)`` gets every step's (ticks, m, 3n + 3) targets of the
-    m rows still running, in row order: arm q, v and a, then gripper q, v and a. A tick's PlanningError
-    is re-raised by ``_tick``, naming the step and the record.
+    after every action, and raises ChainError if a tool pose is not finite. ``plan_sink(step, targets)`` gets
+    every step's (ticks, m, 3n + 3) targets of the m rows still running, in row order: arm q, v and a, then
+    gripper q, v and a. A tick's PlanningError is re-raised by ``_tick``, naming the step and the record.
     """
     default = default_config(controller_kind)  # rejects an unknown kind
     cfg = cfg or default
@@ -342,8 +342,8 @@ def _simulate(
     powers = _plant_powers(gain, keep, dt, ticks) if controller_kind == WIDOWX else None
     grip = np.zeros((3, len(q)))  # gripper goal, position and velocity: a resting gripper at 0
     shape = (max(lengths) + 1, len(q))  # step-major: initial state, then one row per step
-    tools, joints = np.empty((*shape, 4, 4)), np.empty((*shape, chain.n))
-    tools[0], joints[0] = _tools(chain, q), q
+    tools, joints = np.zeros((*shape, 4, 4)), np.empty((*shape, chain.n))  # a finished row's poses stay finite
+    tools[0], joints[0] = fk(chain, q), q
     for step in range(max(lengths)):
         run = np.flatnonzero(lengths > step)  # the rows still running
         if controller_kind == GOOGLE:
@@ -364,7 +364,9 @@ def _simulate(
                        *np.zeros((2, ticks, m, chain.n)))
                 grip_plan = (np.broadcast_to(gripper[step, run % n_records], (ticks, m)), *np.zeros((2, ticks, m)))
             plan_sink(step, np.concatenate([*arm, *(x[..., None] for x in grip_plan)], axis=2))
-        tools[step + 1, run], joints[step + 1, run] = _tools(chain, q[run]), q[run]
+        tools[step + 1, run], joints[step + 1, run] = fk(chain, q[run]), q[run]
+    if not np.isfinite(tools).all():  # finite joint values: the chain's FK overflowed
+        raise ChainError("the replayed tool poses are not finite (its FK overflows a float)")
     return tuple([a[: n + 1, b] for b, n in enumerate(lengths)] for a in (tools, joints))
 
 

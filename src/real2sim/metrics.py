@@ -109,11 +109,11 @@ class ShiftEval:
 
     def __post_init__(self):
         object.__setattr__(self, "variant_rates", tuple(float(v) for v in self.variant_rates))
-        if len(self.variant_rates) == 0:
-            raise MetricsError("at least one variant rate is required")
         for r in (self.base_rate, *self.variant_rates):
             if not 0.0 <= r <= 1.0:
                 raise MetricsError(f"rate {r} outside [0, 1]")
+        if len(self.variant_rates) == 0:
+            raise MetricsError("at least one variant rate is required")
 
 
 def rank_violation(i: PolicyEval, j: PolicyEval) -> float:

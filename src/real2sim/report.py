@@ -125,10 +125,14 @@ def shifts_from_obj(obj, source: str = "<input>") -> list[ShiftRow]:
         if not isinstance(factors, dict) or not factors:
             raise InputFormatError(f"{path}.factors: expected a non-empty object")
         for name, rates in factors.items():
+            where = f"{path}.factors.{name}"
             if not isinstance(rates, list):
-                raise InputFormatError(f"{path}.factors.{name}: not a rate list")
-            # an empty list or a rate outside [0, 1] is a semantic MetricsError
-            shift = ShiftEval(base, tuple(_number(r, f"{path}.factors.{name}") for r in rates))
+                raise InputFormatError(f"{where}: not a rate list")
+            variants = tuple(_number(r, where) for r in rates)
+            try:  # a rate outside [0, 1], the base's first, or an empty list is a semantic MetricsError
+                shift = ShiftEval(base, variants)
+            except MetricsError as exc:
+                raise MetricsError(f"{where if 0.0 <= base <= 1.0 else path + '.base'}: {exc}") from exc
             rows.append(ShiftRow(policy, task, name, shift))
     return rows
 

@@ -10,7 +10,6 @@ from helpers import arm_6dof, planar_2link, planar_3link
 def _quiet_ik_warnings(caplog):
     # best-effort IK fallbacks are by-design behavior; keep test output readable
     logging.getLogger("real2sim.controller").setLevel(logging.ERROR)
-    logging.getLogger("real2sim.chain").setLevel(logging.ERROR)
     yield
 
 

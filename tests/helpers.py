@@ -497,7 +497,8 @@ def ref_frames(chain: ChainSpec, q: np.ndarray) -> np.ndarray:
 
 
 def ref_fk(chain: ChainSpec, q) -> np.ndarray:
-    return ref_frames(chain, np.clip(q, chain.lower, chain.upper))[-1] @ chain.ee_offset
+    """The tool pose of one configuration, limits or not."""
+    return ref_frames(chain, np.asarray(q, dtype=float))[-1] @ chain.ee_offset
 
 
 def ref_rot_frobenius_loss(a: np.ndarray, b: np.ndarray) -> float:

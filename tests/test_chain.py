@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import real2sim.chain as chain_module
-from helpers import ik_row, random_serial_chain, ref_ik_dls, rot_z, transform
+from helpers import (ik_row, random_serial_chain, ref_fk, ref_frames, ref_ik_dls, ref_jacobian_from_frames, rot_z,
+                     transform)
 from real2sim import controller
 from real2sim.bench import recovery_setup
 from real2sim.chain import (
@@ -60,8 +61,45 @@ def test_fk_elbow(two_link):
 
 
 def test_fk_dimension_mismatch(two_link):
-    with pytest.raises(ChainError):
-        fk(two_link, [0.0, 0.0, 0.0])
+    for shape in [(3,), (4, 1), (2, 3, 3), ()]:
+        message = re.escape(f"expected joint values of shape (..., 2), got shape {shape}")
+        for f in (fk, jacobian):
+            with pytest.raises(ChainError, match=message):
+                f(two_link, np.zeros(shape))
+
+
+def slider_arm() -> ChainSpec:
+    """A revolute joint, then a prismatic one along the rotated x axis, limited to [-0.5, 0.5]."""
+    z = np.array([0.0, 0.0, 1.0])
+    return ChainSpec((JointSpec("r", "revolute", np.eye(4), z, -1.0, 1.0),
+                      JointSpec("s", "prismatic", transform((0.3, 0, 0), rot_z(0.4)), [1.0, 0.0, 0.0], -0.5, 0.5)),
+                     ee_offset=transform((0.1, 0.0, 0.0)))
+
+
+def test_fk_and_jacobian_of_a_stack_are_the_calls_of_its_rows():
+    rng = np.random.default_rng(8)
+    for chain in (random_serial_chain(rng, 5), slider_arm()):
+        q = rng.uniform(-1.0, 1.0, (4, 3, chain.n))
+        poses, jacs = fk(chain, q), jacobian(chain, q)
+        assert poses.shape == (4, 3, 4, 4) and jacs.shape == (4, 3, 6, chain.n)
+        assert np.array_equal(fk(chain, q[1]), poses[1]) and np.array_equal(jacobian(chain, q[1]), jacs[1])
+        for row in np.ndindex(4, 3):
+            assert np.array_equal(fk(chain, q[row]), poses[row])
+            assert np.array_equal(jacobian(chain, q[row]), jacs[row])
+            want = ref_fk(chain, q[row])
+            np.testing.assert_allclose(poses[row], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(jacs[row], ref_jacobian_from_frames(chain, ref_frames(chain, q[row]),
+                                                                           want[:3, 3]), rtol=0, atol=1e-12)
+        assert poses.flags.writeable and fk(chain, q[0, 0]).flags.writeable
+
+
+def test_fk_beyond_a_limit_is_the_pose_of_the_values_given(three_link):
+    # the limits bound ik's iterates and the plant's end stops, not the geometry
+    for chain, q in ((three_link, [[4.0, -3.5, 0.2], [0.1, 0.2, 5.0]]), (slider_arm(), [[1.5, 0.2], [0.3, -0.9]])):
+        for row in np.array(q):
+            clamped = np.clip(row, chain.lower, chain.upper)
+            np.testing.assert_allclose(fk(chain, row), ref_fk(chain, row), rtol=0, atol=1e-12)
+            assert not np.allclose(fk(chain, row), ref_fk(chain, clamped))
 
 
 def test_parse_planar_urdf():

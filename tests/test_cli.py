@@ -158,10 +158,27 @@ def test_metrics_shift_reproduces_published_deltas(tmp_path):
     assert float(vals[("rt-1-no-aug", "background")][idx_abs]) == pytest.approx(0.013, abs=1e-3)
 
 
-def test_metrics_shift_empty_variants_exits_3(tmp_path):
+def test_metrics_shift_empty_variants_exits_3(tmp_path, capsys):
     bad = tmp_path / "shift.json"
     bad.write_text(json.dumps({"policy": "p", "task": "t", "base": 0.5, "factors": {"lighting": []}}))
     assert main(["metrics", "shift", "--shifts", str(bad), "--out", "-"]) == 3
+    assert capsys.readouterr() == ("", f"error: {bad}.shifts[0].factors.lighting: at least one variant rate is required\n")
+
+
+@pytest.mark.parametrize("entries, where, rate", [
+    ([{"base": 1.5}], "shifts[0].base", 1.5),
+    ([{"factors": {"lighting": [0.4, 1.5]}}], "shifts[0].factors.lighting", 1.5),
+    ([{"base": 1.5, "factors": {"lighting": []}}], "shifts[0].base", 1.5),  # the base is checked first
+    ([{}, {"factors": {"lighting": [0.4], "camera": [-0.1]}}], "shifts[1].factors.camera", -0.1),
+], ids=["base", "variant", "base-before-empty", "second-entry"])
+def test_metrics_shift_rate_outside_the_unit_interval_names_its_field(tmp_path, capsys, entries, where, rate):
+    shifts = [{"policy": "p", "task": "t", "base": 0.5, "factors": {"lighting": [0.4]}, **e} for e in entries]
+    bad = tmp_path / "shift.json"
+    bad.write_text(json.dumps({"shifts": shifts}))
+    out = tmp_path / "shift.csv"
+    assert main(["metrics", "shift", "--shifts", str(bad), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {bad}.{where}: rate {rate} outside [0, 1]\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1358,7 +1375,7 @@ def test_sysid_fit_range_fault_names_its_field_and_joint(sysid_workspace, tmp_pa
 
 
 def test_sysid_fit_non_finite_initial_loss_exits_3(sysid_workspace, tmp_path, capsys):
-    # each origin is finite, yet FK overflows: a NaN loss that no proposal can beat, written as non-standard JSON
+    # each origin is finite, yet FK overflows: the replay names the chain file before a NaN initial loss
     root = sysid_workspace
     obj = json.loads((root / "chain.json").read_text())
     for joint in obj["joints"]:
@@ -1369,12 +1386,13 @@ def test_sysid_fit_non_finite_initial_loss_exits_3(sysid_workspace, tmp_path, ca
         rc = main(["sysid", "fit", "--trajectories", str(root / "trajectories"),
                    "--chain", str(tmp_path / "chain.json"), "--config", str(root / "sysid.json"), "--out", str(out)])
     assert rc == 3
-    assert capsys.readouterr().err.endswith("error: the loss at the initial gains is nan, not a finite number\n")
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'chain.json'}: the replayed tool poses are not finite "
+                                       f"(its FK overflows a float)\n")
     assert not out.exists()
 
 
 def test_replay_on_a_chain_whose_fk_overflows_names_the_chain(sysid_workspace, tmp_path, capsys):
-    # each origin is finite, yet FK overflows: the replay names the chain file, not the pose writer's check
+    # each origin is finite, yet FK overflows: the replay names the chain file
     root = sysid_workspace
     obj = json.loads((root / "chain.json").read_text())
     for joint in obj["joints"]:
@@ -1418,3 +1436,94 @@ def test_report_undefined_pearson_is_na():
     stats = rep.compute_table_stats(table)
     assert stats.pearson is None
     assert ",n/a" in rep.metrics_csv(table, stats)
+
+
+def _urdf_input(old, new):
+    """``urdf convert`` of ``URDF`` with ``old`` replaced by ``new``."""
+    def argv(root, tmp):
+        (tmp / "r.urdf").write_text(URDF.replace(old, new))
+        return ["urdf", "convert", "--in", str(tmp / "r.urdf")]
+    return argv
+
+
+def _composite_input(sim):
+    """``composite`` of the bytes ``sim`` over a black 1x1 image."""
+    def argv(root, tmp):
+        (tmp / "sim.ppm").write_bytes(sim)
+        (tmp / "real.ppm").write_bytes(write_ppm(np.zeros((1, 1, 3), np.uint8)))
+        (tmp / "mask.pgm").write_bytes(write_pgm(np.zeros((1, 1), np.uint8)))
+        return ["composite", "--sim", str(tmp / "sim.ppm"), "--mask", str(tmp / "mask.pgm"),
+                "--real", str(tmp / "real.ppm")]
+    return argv
+
+
+def _replay_input(params=None, record=None, flags=("--sim-hz", "200")):
+    """``replay`` of rec0 with its fields updated by ``record``, under the gains ``params``."""
+    def argv(root, tmp):
+        rec = json.loads((root / "trajectories" / "rec0.json").read_text())
+        rec.update(record or {})
+        (tmp / "rec.json").write_text(json.dumps(rec))
+        (tmp / "pd.json").write_text(json.dumps({"p": 60.0, "d": 3.0} if params is None else params))
+        return ["replay", "--trajectory", str(tmp / "rec.json"), "--chain", str(root / "chain.json"),
+                "--params", str(tmp / "pd.json"), "--controller", "widowx", *flags]
+    return argv
+
+
+def _fit_input(anneal=None, trajectories=None):
+    """``sysid fit`` with the annealing fields updated by ``anneal``, on the directory ``trajectories`` if given."""
+    def argv(root, tmp):
+        config = json.loads((root / "sysid.json").read_text())
+        config["anneal"].update(anneal or {})
+        (tmp / "sysid.json").write_text(json.dumps(config))
+        if trajectories is not None:
+            (tmp / trajectories).mkdir()
+        return ["sysid", "fit", "--trajectories", str(tmp / trajectories if trajectories else root / "trajectories"),
+                "--chain", str(root / "chain.json"), "--config", str(tmp / "sysid.json")]
+    return argv
+
+
+def _duplicate_policy_ids(root, tmp):
+    table = two_policy_table("t")
+    table["evals"][1]["policy_id"] = "a"
+    (tmp / "t.json").write_text(json.dumps(table))
+    return ["metrics", "report", "--table", str(tmp / "t.json")]
+
+
+# every fault: its exit code, its error line ({tmp} the test's directory) and the command's arguments but --out
+INPUT_FAULTS = {
+    "urdf-origin": (2, "joint 'jt': malformed origin attributes", _urdf_input('xyz="0.2 0 0"', 'xyz="0.2 0 x"')),
+    "urdf-root": (2, "root element is <model>, expected <robot>", _urdf_input("robot", "model")),
+    "urdf-link-name": (2, "<link> without a name", _urdf_input('<link name="base"/>', '<link name="base"/><link/>')),
+    "urdf-child": (2, "joint 'j1': missing <parent> or <child>", _urdf_input('<child link="a"/>', "")),
+    "urdf-undeclared-link": (2, "joint 'j1': parent/child link not declared",
+                             _urdf_input('<child link="a"/>', '<child link="z"/>')),
+    "urdf-two-roots": (2, "expected exactly one root link, found ['base', 'z']",
+                       _urdf_input('<link name="base"/>', '<link name="base"/><link name="z"/>')),
+    "urdf-axis-text": (2, "joint 'j1': malformed axis xyz", _urdf_input('<axis xyz="0 0 1"/>', '<axis xyz="0 0 z"/>')),
+    "urdf-axis-length": (2, "joint 'j1': axis xyz needs exactly 3 numbers",
+                         _urdf_input('<axis xyz="0 0 1"/>', '<axis xyz="0 1"/>')),
+    "urdf-limit": (2, "joint 'j1': malformed limit bounds", _urdf_input('lower="-1"', 'lower="low"')),
+    "urdf-no-moving-joint": (2, "no revolute or prismatic joint on the root-to-tip path",
+                             _urdf_input('type="revolute"', 'type="fixed"')),
+    "ppm-too-short": (2, "file too short to hold a netpbm header", _composite_input(b"P")),
+    "ppm-truncated-header": (2, "truncated header", _composite_input(b"P6\n1 1\n")),
+    "ppm-no-whitespace-after-maxval": (2, "missing whitespace after maxval", _composite_input(b"P6\n1 1\n255")),
+    "params-without-gains": (2, "{tmp}/pd.json: expected an object with 'p' and 'd'", _replay_input(params={})),
+    "duplicate-policy-ids": (2, "{tmp}/t.json: task 't': duplicate policy ids", _duplicate_policy_ids),
+    "ctrl-frequency-zero": (3, "{tmp}/rec.json: ctrl_frequency must be positive and finite",
+                            _replay_input(record={"ctrl_frequency": 0.0})),
+    "joint-positions-misaligned": (3, "{tmp}/rec.json: joint_positions must align with ee_poses",
+                                   _replay_input(record={"joint_positions": [[0.4, 0.9, -0.7]]})),
+    "sim-below-ctrl": (3, "h_sim must be at least h_ctrl", _replay_input(flags=("--sim-hz", "2", "--ctrl-hz", "5"))),
+    "sigma-zero": (3, "sigma and t0 must be positive", _fit_input(anneal={"sigma": 0.0})),
+    "no-trajectories": (3, "no trajectory files found under {tmp}/none", _fit_input(trajectories="none")),
+}
+
+
+@pytest.mark.parametrize("code, message, argv", INPUT_FAULTS.values(), ids=INPUT_FAULTS.keys())
+def test_an_input_fault_exits_with_its_error_line(sysid_workspace, tmp_path, capsys, code, message, argv):
+    args = argv(sysid_workspace, tmp_path)
+    inputs = files_under(tmp_path)
+    assert main([*args, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path)}\n"
+    assert files_under(tmp_path) == inputs

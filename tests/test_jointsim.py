@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import (around, dyn_step, fk_path_actions, planar_3link, ref_hold_target, ref_integrate_targets,
+from helpers import (around, dyn_step, fk_path_actions, planar_3link, ref_fk, ref_hold_target, ref_integrate_targets,
                      ref_simulate, transform)
 from real2sim import controller, jointsim
 from real2sim.chain import ChainSpec, JointSpec, fk
@@ -173,6 +173,17 @@ def test_zero_action_replay_holds_pose(replay_setup):
     for pose in rec.ee_poses:
         assert np.abs(pose[:3, 3] - start[:3, 3]).max() < 1e-6
         assert np.abs(pose[:3, :3] - start[:3, :3]).max() < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["widowx", "google"])
+def test_a_replay_from_beyond_a_limit_logs_the_pose_of_its_first_joint_positions(replay_setup, kind):
+    # pose 0 is the geometry of the recorded q0; the plant's end stop clamps q at the first tick
+    chain, _, dyn, pd = replay_setup
+    q0 = np.array([3.5, 0.9, -0.7])  # joint 0 past its upper limit, pi
+    rec = TrajectoryRecord(*zero_actions(2), [fk(chain, q0)] * 3, 5.0, [q0] * 3)
+    poses = replay_open_loop(chain, *dyn, *pd, kind, rec, cfg=FAST_CFG)
+    np.testing.assert_allclose(poses[0], ref_fk(chain, q0), rtol=0, atol=1e-12)
+    assert np.array_equal(poses[0], fk(chain, q0))
 
 
 def test_replay_self_consistency(replay_setup):
