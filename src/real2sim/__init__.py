@@ -50,8 +50,7 @@ _EXPORTS = {
     "controller": "CtrlConfig google_step widowx_step",
     "jointsim": "TrajectoryRecord replay_open_loop synthesize_record",
     "sysid": "AnnealConfig anneal_fit trajectory_losses",
-    "metrics": "PairedEvalTable PolicyEval ShiftEval action_mse aggregate_grouped delta_success kruskal_wallis mmrv "
-    "pearson rank_violation spearman",
+    "metrics": "action_mse delta_success kruskal_wallis mmrv pearson rank_violation spearman",
     "imaging": "composite read_pgm read_ppm write_pgm write_ppm",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -4,8 +4,13 @@ The central metric is the mean maximum rank violation: for every ordered
 policy pair whose real and simulated orderings disagree, the violation is
 weighted by the real success-rate gap, and the per-policy worst case is
 averaged. Pearson/Spearman correlations, success-rate deltas under
-distribution shifts, a two-group Kruskal-Wallis test, grouped averaging,
-and a validation action-MSE baseline round out the set.
+distribution shifts, a two-group Kruskal-Wallis test and a validation
+action-MSE baseline round out the set.
+
+The statistics take plain sequences (lists, tuples or arrays) of any finite
+numbers. That a success rate lies in [0, 1], that a trial is 0 or 1 and that
+a table lists each policy once are rules of the input files, checked where
+``report`` parses them.
 
 Every sum is ``math.fsum``, exactly rounded, so no statistic depends on the
 order in which its inputs (a table's policies, say) are listed.
@@ -15,15 +20,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 __all__ = [
     "MetricsError",
     "UndefinedStatisticError",
-    "PolicyEval",
-    "PairedEvalTable",
-    "ShiftEval",
     "DeltaSuccess",
     "KruskalResult",
     "rank_violation",
@@ -33,7 +34,6 @@ __all__ = [
     "spearman",
     "delta_success",
     "kruskal_wallis",
-    "aggregate_grouped",
     "action_mse",
 ]
 
@@ -47,97 +47,27 @@ class UndefinedStatisticError(MetricsError):
     caller can surface an explicit n/a instead of a silent number."""
 
 
-@dataclass(frozen=True)
-class PolicyEval:
-    """One policy's paired real/simulated success rates, with optional
-    per-trial binary outcomes."""
-
-    policy_id: str
-    real_rate: float
-    sim_rate: float
-    real_trials: tuple[int, ...] | None = None
-    sim_trials: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        for name in ("real_rate", "sim_rate"):
-            r = getattr(self, name)
-            if not 0.0 <= r <= 1.0:
-                raise MetricsError(f"{self.policy_id}: {name} {r} outside [0, 1]")
-        for name in ("real_trials", "sim_trials"):
-            trials = getattr(self, name)
-            if trials is None:
-                continue
-            if any(t not in (0, 1) for t in trials):
-                raise MetricsError(f"{self.policy_id}: {name} must be binary")
-            trials = tuple(int(t) for t in trials)
-            rate = getattr(self, name.replace("_trials", "_rate"))
-            if len(trials) == 0:
-                raise MetricsError(f"{self.policy_id}: {name} is empty")
-            if abs(sum(trials) / len(trials) - rate) > 1e-9:
-                raise MetricsError(f"{self.policy_id}: {name} mean does not equal the stated rate")
-            object.__setattr__(self, name, trials)
-
-
-@dataclass(frozen=True)
-class PairedEvalTable:
-    """All policies evaluated on one task."""
-
-    task: str
-    evals: tuple[PolicyEval, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "evals", tuple(self.evals))
-        ids = [e.policy_id for e in self.evals]
-        if len(set(ids)) != len(ids):
-            raise MetricsError(f"task {self.task!r}: duplicate policy ids")
-
-    @property
-    def real(self) -> list[float]:
-        return [e.real_rate for e in self.evals]
-
-    @property
-    def sim(self) -> list[float]:
-        return [e.sim_rate for e in self.evals]
-
-
-@dataclass(frozen=True)
-class ShiftEval:
-    """Success under a base condition and under variants of one shift axis."""
-
-    base_rate: float
-    variant_rates: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "variant_rates", tuple(float(v) for v in self.variant_rates))
-        for r in (self.base_rate, *self.variant_rates):
-            if not 0.0 <= r <= 1.0:
-                raise MetricsError(f"rate {r} outside [0, 1]")
-        if len(self.variant_rates) == 0:
-            raise MetricsError("at least one variant rate is required")
-
-
-def rank_violation(i: PolicyEval, j: PolicyEval) -> float:
-    """Real-rate gap if the simulated ordering of the pair disagrees.
+def rank_violation(real_i: float, sim_i: float, real_j: float, sim_j: float) -> float:
+    """Real-rate gap of policies i and j if their simulated ordering disagrees with the real one.
 
     Strict comparisons, taken literally: equal real rates always yield 0;
     equal sim rates with unequal real rates violate in exactly one ordered
     direction.
     """
-    if (i.sim_rate < j.sim_rate) != (i.real_rate < j.real_rate):
-        return abs(i.real_rate - j.real_rate)
+    if (sim_i < sim_j) != (real_i < real_j):
+        return abs(real_i - real_j)
     return 0.0
 
 
-def max_rank_violations(table: PairedEvalTable) -> list[float]:
-    """Worst violation committed against each policy across the table; MMRV is their mean."""
-    if len(table.evals) < 2:
-        raise MetricsError("need at least two policies")
-    return [max(rank_violation(e, other) for other in table.evals) for e in table.evals]
+def max_rank_violations(real, sim) -> list[float]:
+    """Worst violation committed against each policy, in input order; MMRV is their mean."""
+    pairs = list(zip(*_paired(real, sim)))
+    return [max(rank_violation(ri, si, rj, sj) for rj, sj in pairs) for ri, si in pairs]
 
 
-def mmrv(table: PairedEvalTable) -> float:
+def mmrv(real, sim) -> float:
     """Mean over policies of the worst real-weighted rank violation."""
-    return _mean(max_rank_violations(table))
+    return _mean(max_rank_violations(real, sim))
 
 
 def _flatten(a) -> tuple[tuple[int, ...], list[float]]:
@@ -163,13 +93,19 @@ def _mean(xs: list[float]) -> float:
     return math.fsum(xs) / len(xs)
 
 
-def pearson(x, y) -> float:
-    """Sample Pearson correlation; raises UndefinedStatisticError on zero variance."""
+def _paired(x, y) -> tuple[list[float], list[float]]:
+    """The finite values of ``x`` and ``y``, which must be paired: equal in number, and at least two."""
     xs, ys = _flatten(x)[1], _flatten(y)[1]
     if len(xs) != len(ys):
         raise MetricsError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise MetricsError("need at least two observations")
+    return xs, ys
+
+
+def pearson(x, y) -> float:
+    """Sample Pearson correlation; raises UndefinedStatisticError on zero variance."""
+    xs, ys = _paired(x, y)
     mx, my = _mean(xs), _mean(ys)
     dx = [v - mx for v in xs]
     dy = [v - my for v in ys]
@@ -196,7 +132,8 @@ def _fractional_ranks(x: list[float]) -> list[float]:
 
 def spearman(x, y) -> float:
     """Rank correlation: Pearson over average-fractional ranks."""
-    return pearson(_fractional_ranks(_flatten(x)[1]), _fractional_ranks(_flatten(y)[1]))
+    xs, ys = _paired(x, y)
+    return pearson(_fractional_ranks(xs), _fractional_ranks(ys))
 
 
 class DeltaSuccess(NamedTuple):
@@ -204,9 +141,13 @@ class DeltaSuccess(NamedTuple):
     absolute: float
 
 
-def delta_success(s: ShiftEval) -> DeltaSuccess:
-    """Mean signed and mean absolute success change across shift variants."""
-    diffs = [v - s.base_rate for v in s.variant_rates]
+def delta_success(base: float, variants) -> DeltaSuccess:
+    """Mean signed and mean absolute change from the base success rate across the variant rates."""
+    if not math.isfinite(base):
+        raise MetricsError("non-finite value")
+    diffs = [v - base for v in _flatten(variants)[1]]
+    if not diffs:
+        raise MetricsError("at least one variant rate is required")
     return DeltaSuccess(_mean(diffs), _mean([abs(d) for d in diffs]))
 
 
@@ -236,19 +177,6 @@ def kruskal_wallis(a, b) -> KruskalResult:
         return KruskalResult(0.0, 1.0)
     h = h_unc / correction
     return KruskalResult(h, math.erfc(math.sqrt(0.5 * h)))
-
-
-def aggregate_grouped(rates: Sequence[Sequence[float]]) -> list[float]:
-    """Unweighted arithmetic mean of each group of rates."""
-    if len(rates) == 0:
-        raise MetricsError("no groups to aggregate")
-    out = []
-    for i, group in enumerate(rates):
-        g = _flatten(group)[1]
-        if not g:
-            raise MetricsError(f"group {i} is empty")
-        out.append(_mean(g))
-    return out
 
 
 def action_mse(pred, gt) -> float:

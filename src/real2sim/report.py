@@ -1,4 +1,11 @@
-"""Parsing of evaluation-table/shift JSON files and CSV report assembly."""
+"""Parsing of evaluation-table/shift JSON files and CSV report assembly.
+
+The parser is the one place that checks what these files must hold. A
+missing value, one not of its JSON type or an empty shift list raises
+``InputFormatError`` (exit 2). A rate outside [0, 1], a trial list that does
+not match its rate, a repeated policy id or a table of fewer than two
+policies raises ``MetricsError`` (exit 3). Each names the file and the field.
+"""
 
 from __future__ import annotations
 
@@ -10,9 +17,6 @@ from dataclasses import dataclass
 from . import json_name, json_number
 from .metrics import (
     MetricsError,
-    PairedEvalTable,
-    PolicyEval,
-    ShiftEval,
     UndefinedStatisticError,
     _mean,
     delta_success,
@@ -24,6 +28,7 @@ from .metrics import (
 
 __all__ = [
     "InputFormatError",
+    "Table",
     "tables_from_obj",
     "shifts_from_obj",
     "TableStats",
@@ -57,35 +62,69 @@ def _number(v, path: str) -> float:
     return x
 
 
-def _parse_policy(obj, path: str) -> PolicyEval:
-    pid = _name(obj, "policy_id", path)
-    real = _number(_need(obj, "real_rate", path), f"{path}.real_rate")
-    sim = _number(_need(obj, "sim_rate", path), f"{path}.sim_rate")
-    kwargs = {}
-    for name in ("real_trials", "sim_trials"):
-        if obj.get(name) is not None:
-            if not isinstance(obj[name], list):
-                raise InputFormatError(f"{path}.{name}: expected a list of 0/1 outcomes")
-            kwargs[name] = tuple(_number(v, f"{path}.{name}") for v in obj[name])  # PolicyEval checks 0/1
-    try:
-        return PolicyEval(pid, real, sim, **kwargs)
-    except MetricsError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
+def _rate(v, path: str) -> float:
+    """``v`` as a float if it is a success rate: not a finite JSON number exits 2, one outside [0, 1] exits 3."""
+    r = _number(v, path)
+    if not 0.0 <= r <= 1.0:
+        raise MetricsError(f"{path}: rate {r} outside [0, 1]")
+    return r
 
 
-def _parse_table(obj, path: str) -> PairedEvalTable:
+def _trials(obj: dict, name: str, rate: float, path: str) -> tuple[int, ...] | None:
+    """The 0/1 outcomes under ``obj[name]`` (None if absent or null), whose mean must be ``rate``."""
+    if obj.get(name) is None:
+        return None
+    where = f"{path}.{name}"
+    if not isinstance(obj[name], list):
+        raise InputFormatError(f"{where}: expected a list of 0/1 outcomes")
+    outcomes = [_number(v, where) for v in obj[name]]
+    if not outcomes:
+        raise MetricsError(f"{where}: no outcomes")
+    for t in outcomes:
+        if t not in (0.0, 1.0):  # int() would truncate 0.6 to 0
+            raise MetricsError(f"{where}: outcome {t} is not 0 or 1")
+    mean = math.fsum(outcomes) / len(outcomes)
+    if abs(mean - rate) > 1e-9:
+        raise MetricsError(f"{where}: mean {mean} does not equal the rate {rate}")
+    return tuple(int(t) for t in outcomes)
+
+
+@dataclass(frozen=True)
+class Table:
+    """One task's policies, in file order, with their real and simulated success rates; ``trials`` maps
+    each policy that lists both outcome lists to its (real, sim) trials."""
+
+    task: str
+    policy_ids: tuple[str, ...]
+    real: tuple[float, ...]
+    sim: tuple[float, ...]
+    trials: dict[str, tuple[tuple[int, ...], tuple[int, ...]]]
+
+
+def _parse_table(obj, path: str) -> Table:
     task = _name(obj, "task", path)
     evals = _need(obj, "evals", path)
     if not isinstance(evals, list):
         raise InputFormatError(f"{path}.evals: expected a list")
-    parsed = [_parse_policy(e, f"{path}.evals[{i}]") for i, e in enumerate(evals)]
-    try:
-        return PairedEvalTable(task, tuple(parsed))
-    except MetricsError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
+    index_of: dict[str, int] = {}
+    real, sim, trials = [], [], {}
+    for i, e in enumerate(evals):
+        where = f"{path}.evals[{i}]"
+        pid = _name(e, "policy_id", where)
+        if pid in index_of:
+            raise MetricsError(f"{where}.policy_id: {pid!r} repeats evals[{index_of[pid]}]")
+        index_of[pid] = i
+        real.append(_rate(_need(e, "real_rate", where), f"{where}.real_rate"))
+        sim.append(_rate(_need(e, "sim_rate", where), f"{where}.sim_rate"))
+        outcomes = (_trials(e, "real_trials", real[-1], where), _trials(e, "sim_trials", sim[-1], where))
+        if None not in outcomes:
+            trials[pid] = outcomes
+    if len(index_of) < 2:
+        raise MetricsError(f"{path}.evals: need at least two policies")
+    return Table(task, tuple(index_of), tuple(real), tuple(sim), trials)
 
 
-def tables_from_obj(obj, source: str = "<input>") -> list[PairedEvalTable]:
+def tables_from_obj(obj, source: str = "<input>") -> list[Table]:
     """Accepts one table object, a list of tables, or {"tables": [...]}."""
     if isinstance(obj, dict) and "tables" in obj:
         obj = obj["tables"]
@@ -101,11 +140,12 @@ class ShiftRow:
     policy: str
     task: str
     factor: str
-    shift: ShiftEval
+    base: float
+    variants: tuple[float, ...]
 
 
 def shifts_from_obj(obj, source: str = "<input>") -> list[ShiftRow]:
-    """Accepts one shift object, a list, or {"shifts": [...]}.
+    """Accepts one shift object, or a non-empty list of them, bare or under {"shifts": [...]}.
 
     Shift object: {"policy", "task", "base", "factors": {name: [rates...]}}.
     """
@@ -115,12 +155,14 @@ def shifts_from_obj(obj, source: str = "<input>") -> list[ShiftRow]:
         obj = [obj]
     if not isinstance(obj, list):
         raise InputFormatError(f"{source}: expected a shift object or list")
+    if not obj:
+        raise InputFormatError(f"{source}: no shifts found")
     rows: list[ShiftRow] = []
     for i, entry in enumerate(obj):
         path = f"{source}.shifts[{i}]"
         policy = _name(entry, "policy", path)
         task = _name(entry, "task", path)
-        base = _number(_need(entry, "base", path), f"{path}.base")
+        base = _rate(_need(entry, "base", path), f"{path}.base")
         factors = _need(entry, "factors", path)
         if not isinstance(factors, dict) or not factors:
             raise InputFormatError(f"{path}.factors: expected a non-empty object")
@@ -128,12 +170,9 @@ def shifts_from_obj(obj, source: str = "<input>") -> list[ShiftRow]:
             where = f"{path}.factors.{name}"
             if not isinstance(rates, list):
                 raise InputFormatError(f"{where}: not a rate list")
-            variants = tuple(_number(r, where) for r in rates)
-            try:  # a rate outside [0, 1], the base's first, or an empty list is a semantic MetricsError
-                shift = ShiftEval(base, variants)
-            except MetricsError as exc:
-                raise MetricsError(f"{where if 0.0 <= base <= 1.0 else path + '.base'}: {exc}") from exc
-            rows.append(ShiftRow(policy, task, name, shift))
+            if not rates:
+                raise MetricsError(f"{where}: at least one variant rate is required")
+            rows.append(ShiftRow(policy, task, name, base, tuple(_rate(r, where) for r in rates)))
     return rows
 
 
@@ -155,26 +194,25 @@ def _unless_undefined(stat, x, y) -> float | None:
         return None
 
 
-def compute_table_stats(table: PairedEvalTable) -> TableStats:
+def compute_table_stats(table: Table) -> TableStats:
     r = _unless_undefined(pearson, table.real, table.sim)
     rho = _unless_undefined(spearman, table.real, table.sim)
-    kp = {e.policy_id: kruskal_wallis(e.real_trials, e.sim_trials).p
-          for e in table.evals if e.real_trials is not None and e.sim_trials is not None}
-    worst = max_rank_violations(table)
-    return TableStats(table.task, len(table.evals), _mean(worst), r, rho, kp, tuple(worst))
+    kp = {pid: kruskal_wallis(real, sim).p for pid, (real, sim) in table.trials.items()}
+    worst = max_rank_violations(table.real, table.sim)
+    return TableStats(table.task, len(table.policy_ids), _mean(worst), r, rho, kp, tuple(worst))
 
 
 def _fmt(x: float | None) -> str:
     return "n/a" if x is None else f"{x:.6f}"
 
 
-def metrics_csv(table: PairedEvalTable, stats: TableStats) -> str:
+def metrics_csv(table: Table, stats: TableStats) -> str:
     """Per-policy rows, then footer rows for the table-level statistics."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["task", "policy", "real", "sim", "max_rank_violation"])
-    for e, worst in zip(table.evals, stats.max_violations):
-        w.writerow([table.task, e.policy_id, f"{e.real_rate:.6f}", f"{e.sim_rate:.6f}", f"{worst:.6f}"])
+    for pid, real, sim, worst in zip(table.policy_ids, table.real, table.sim, stats.max_violations):
+        w.writerow([table.task, pid, f"{real:.6f}", f"{sim:.6f}", f"{worst:.6f}"])
     w.writerow([table.task, "MMRV", "", "", _fmt(stats.mmrv)])
     w.writerow([table.task, "pearson", "", "", _fmt(stats.pearson)])
     w.writerow([table.task, "spearman", "", "", _fmt(stats.spearman)])
@@ -188,11 +226,9 @@ def shift_csv(rows: list[ShiftRow]) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["policy", "task", "factor", "base", "n_variants", "delta_signed", "delta_abs"])
     for row in rows:
-        d = delta_success(row.shift)
-        w.writerow(
-            [row.policy, row.task, row.factor, f"{row.shift.base_rate:.6f}", len(row.shift.variant_rates),
-             f"{d.signed:.6f}", f"{d.absolute:.6f}"]
-        )
+        d = delta_success(row.base, row.variants)
+        w.writerow([row.policy, row.task, row.factor, f"{row.base:.6f}", len(row.variants), f"{d.signed:.6f}",
+                    f"{d.absolute:.6f}"])
     return buf.getvalue()
 
 

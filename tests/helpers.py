@@ -13,7 +13,7 @@ import numpy as np
 from real2sim.bench import arm_6dof, fk_path_actions  # noqa: F401  (re-export)
 from real2sim.chain import IK_DAMPING, IK_MAX_STEP, IK_STALL_ITERS, IK_TOL_POS, IK_TOL_ROT, ChainSpec, JointSpec, ik
 from real2sim.geometry import axis_angle_to_matrix, matrix_to_rotvec, quat_to_rot
-from real2sim.metrics import DeltaSuccess, KruskalResult, MetricsError, ShiftEval, UndefinedStatisticError
+from real2sim.metrics import DeltaSuccess, KruskalResult, MetricsError, UndefinedStatisticError
 from real2sim.profile import LimitSet, PlanningError
 from real2sim.sysid import SysIdError, TrajectoryLosses
 
@@ -198,8 +198,8 @@ def ref_spearman(x, y) -> float:
     return ref_pearson(ref_fractional_ranks(xa), ref_fractional_ranks(ya))
 
 
-def ref_delta_success(s: ShiftEval) -> DeltaSuccess:
-    diffs = np.array(s.variant_rates) - s.base_rate
+def ref_delta_success(base: float, variants) -> DeltaSuccess:
+    diffs = np.asarray(variants, dtype=float) - base
     return DeltaSuccess(_ref_mean(diffs), _ref_mean(np.abs(diffs)))
 
 
@@ -223,18 +223,6 @@ def ref_kruskal_wallis(a, b) -> KruskalResult:
         return KruskalResult(0.0, 1.0)
     h = h_unc / correction
     return KruskalResult(float(h), math.erfc(math.sqrt(float(h) / 2.0)))  # the chi-square (1 dof) tail
-
-
-def ref_aggregate_grouped(rates) -> list[float]:
-    if len(rates) == 0:
-        raise MetricsError("no groups to aggregate")
-    out = []
-    for i, group in enumerate(rates):
-        g = np.asarray(group, dtype=float).reshape(-1)
-        if g.shape[0] == 0:
-            raise MetricsError(f"group {i} is empty")
-        out.append(_ref_mean(g))
-    return out
 
 
 def ref_action_mse(pred, gt) -> float:

@@ -59,7 +59,7 @@ def test_criterion_01_mmrv_reproduction():
         "open-close-drawer-avg": 0.055,
     }
     for task, want in expected.items():
-        got = mmrv(tables[task])
+        got = mmrv(tables[task].real, tables[task].sim)
         assert got == pytest.approx(want, abs=0.0015), f"{task}: {got:.4f} vs {want:.3f}"
     elapsed = check_runtime(t0, 1.0, "criterion 1")
     announce(1, "MMRV reproduction (0.031 / 0.111 / 0.000 / 0.123 / 0.055)", elapsed)
@@ -80,14 +80,14 @@ def test_criterion_02_pearson_reproduction():
 def test_criterion_03_delta_success_reproduction():
     t0 = time.monotonic()
     rows = {
-        (r.policy, r.factor): r.shift
+        (r.policy, r.factor): (r.base, r.variants)
         for r in rep.shifts_from_obj(json.loads(load_fixture("rt1_pick_coke_shift.json")))
     }
     no_aug = lambda factor: rows[("rt-1-no-aug", factor)]
-    assert delta_success(no_aug("lighting")).absolute == pytest.approx(0.040, abs=0.001)
-    assert delta_success(no_aug("table-texture")).absolute == pytest.approx(0.113, abs=0.001)
-    assert delta_success(no_aug("camera-pose")).absolute == pytest.approx(0.753, abs=0.001)
-    bg = delta_success(no_aug("background"))
+    assert delta_success(*no_aug("lighting")).absolute == pytest.approx(0.040, abs=0.001)
+    assert delta_success(*no_aug("table-texture")).absolute == pytest.approx(0.113, abs=0.001)
+    assert delta_success(*no_aug("camera-pose")).absolute == pytest.approx(0.753, abs=0.001)
+    bg = delta_success(*no_aug("background"))
     assert bg.signed == pytest.approx(0.000, abs=0.001)
     assert bg.absolute == pytest.approx(0.013, abs=0.001)
     elapsed = check_runtime(t0, 1.0, "criterion 3")

@@ -17,7 +17,7 @@ from real2sim.data import fixture_path
 from real2sim.imaging import ImageError, read_ppm, write_pgm, write_ppm
 from real2sim.jointsim import synthesize_record
 from real2sim import report as rep
-from real2sim.metrics import MetricsError, PairedEvalTable, PolicyEval
+from real2sim.metrics import MetricsError
 from real2sim.profile import PlanningError
 from real2sim.sysid import SysIdError
 
@@ -188,8 +188,7 @@ def test_metrics_shift_rate_outside_the_unit_interval_names_its_field(tmp_path, 
         ({"sim_rate": True}, "evals[0].sim_rate: not a finite number"),
         ({"real_rate": 10**400}, "evals[0].real_rate: not a finite number"),
         ({"sim_rate": float("nan")}, "evals[0].sim_rate: not a finite number"),
-        # int() would read these outcomes as [0, 0], which matches the stated rate
-        ({"real_rate": 0.0, "real_trials": [0.6, 0.9], "sim_trials": [0, 1]}, "real_trials must be binary"),
+        ({"sim_trials": {"0": 1}}, "evals[0].sim_trials: expected a list of 0/1 outcomes"),
         ({"real_trials": ["1", "0"]}, "evals[0].real_trials: not a finite number"),
         ({"real_trials": "10"}, "evals[0].real_trials: expected a list of 0/1 outcomes"),
     ],
@@ -1417,13 +1416,8 @@ def test_json_output_refuses_nan_and_infinity(value):
 
 
 def test_report_csv_includes_kruskal_footer():
-    table = PairedEvalTable(
-        "demo",
-        (
-            PolicyEval("a", 0.5, 0.25, real_trials=(1, 0, 1, 0), sim_trials=(1, 0, 0, 0)),
-            PolicyEval("b", 0.75, 0.5, real_trials=(1, 1, 1, 0), sim_trials=(1, 0, 1, 0)),
-        ),
-    )
+    table = rep.Table("demo", ("a", "b"), (0.5, 0.75), (0.25, 0.5),
+                      {"a": ((1, 0, 1, 0), (1, 0, 0, 0)), "b": ((1, 1, 1, 0), (1, 0, 1, 0))})
     stats = rep.compute_table_stats(table)
     text = rep.metrics_csv(table, stats)
     assert "kruskal_p:a" in text
@@ -1432,7 +1426,7 @@ def test_report_csv_includes_kruskal_footer():
 
 
 def test_report_undefined_pearson_is_na():
-    table = PairedEvalTable("flat", (PolicyEval("a", 0.5, 0.1), PolicyEval("b", 0.5, 0.9)))
+    table = rep.Table("flat", ("a", "b"), (0.5, 0.5), (0.1, 0.9), {})
     stats = rep.compute_table_stats(table)
     assert stats.pearson is None
     assert ",n/a" in rep.metrics_csv(table, stats)
@@ -1482,11 +1476,24 @@ def _fit_input(anneal=None, trajectories=None):
     return argv
 
 
-def _duplicate_policy_ids(root, tmp):
-    table = two_policy_table("t")
-    table["evals"][1]["policy_id"] = "a"
-    (tmp / "t.json").write_text(json.dumps(table))
-    return ["metrics", "report", "--table", str(tmp / "t.json")]
+def _table_input(first=None, second=None, n=2):
+    """``metrics report`` of a two-policy table, its entries updated by ``first`` and ``second``, cut to ``n``."""
+    def argv(root, tmp):
+        table = two_policy_table("t")
+        for entry, update in zip(table["evals"], (first, second)):
+            entry.update(update or {})
+        del table["evals"][n:]
+        (tmp / "t.json").write_text(json.dumps(table))
+        return ["metrics", "report", "--table", str(tmp / "t.json")]
+    return argv
+
+
+def _shift_input(obj):
+    """``metrics shift`` of the shift file ``obj``."""
+    def argv(root, tmp):
+        (tmp / "s.json").write_text(json.dumps(obj))
+        return ["metrics", "shift", "--shifts", str(tmp / "s.json")]
+    return argv
 
 
 # every fault: its exit code, its error line ({tmp} the test's directory) and the command's arguments but --out
@@ -1509,7 +1516,21 @@ INPUT_FAULTS = {
     "ppm-truncated-header": (2, "truncated header", _composite_input(b"P6\n1 1\n")),
     "ppm-no-whitespace-after-maxval": (2, "missing whitespace after maxval", _composite_input(b"P6\n1 1\n255")),
     "params-without-gains": (2, "{tmp}/pd.json: expected an object with 'p' and 'd'", _replay_input(params={})),
-    "duplicate-policy-ids": (2, "{tmp}/t.json: task 't': duplicate policy ids", _duplicate_policy_ids),
+    "table-real-rate": (3, "{tmp}/t.json.evals[0].real_rate: rate 1.5 outside [0, 1]",
+                        _table_input({"real_rate": 1.5})),
+    "table-sim-rate": (3, "{tmp}/t.json.evals[1].sim_rate: rate -0.25 outside [0, 1]",
+                       _table_input(second={"sim_rate": -0.25})),
+    # int() would read these outcomes as [0, 0], which matches the stated rate
+    "trials-not-binary": (3, "{tmp}/t.json.evals[0].real_trials: outcome 0.6 is not 0 or 1",
+                          _table_input({"real_rate": 0.0, "real_trials": [0.6, 0.9]})),
+    "trials-empty": (3, "{tmp}/t.json.evals[1].sim_trials: no outcomes", _table_input(second={"sim_trials": []})),
+    "trials-mean": (3, "{tmp}/t.json.evals[0].real_trials: mean 1.0 does not equal the rate 0.5",
+                    _table_input({"real_trials": [1, 1]})),
+    "duplicate-policy-ids": (3, "{tmp}/t.json.evals[1].policy_id: 'a' repeats evals[0]",
+                             _table_input(second={"policy_id": "a"})),
+    "one-policy": (3, "{tmp}/t.json.evals: need at least two policies", _table_input(n=1)),
+    "no-shifts": (2, "{tmp}/s.json: no shifts found", _shift_input({"shifts": []})),
+    "no-shifts-bare-list": (2, "{tmp}/s.json: no shifts found", _shift_input([])),
     "ctrl-frequency-zero": (3, "{tmp}/rec.json: ctrl_frequency must be positive and finite",
                             _replay_input(record={"ctrl_frequency": 0.0})),
     "joint-positions-misaligned": (3, "{tmp}/rec.json: joint_positions must align with ee_poses",

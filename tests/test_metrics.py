@@ -8,13 +8,9 @@ import hypothesis.strategies as st
 from real2sim.metrics import (
     DeltaSuccess,
     MetricsError,
-    PairedEvalTable,
-    PolicyEval,
-    ShiftEval,
     UndefinedStatisticError,
     _fractional_ranks,
     action_mse,
-    aggregate_grouped,
     delta_success,
     kruskal_wallis,
     max_rank_violations,
@@ -23,13 +19,7 @@ from real2sim.metrics import (
     rank_violation,
     spearman,
 )
-from real2sim.report import compute_table_stats
-
-
-def table(real, sim, task="t"):
-    return PairedEvalTable(
-        task, tuple(PolicyEval(f"p{i}", r, s) for i, (r, s) in enumerate(zip(real, sim)))
-    )
+from real2sim.report import Table, compute_table_stats, tables_from_obj
 
 
 # Visual-matching success rates of the six public Google Robot checkpoints
@@ -40,48 +30,48 @@ MOVE_SIM = [0.442, 0.354, 0.317, 0.779, 0.042, 0.050]
 
 
 def test_rank_violation_order_preserved():
-    a = PolicyEval("a", 0.9, 0.8)
-    b = PolicyEval("b", 0.5, 0.4)
-    assert rank_violation(a, b) == 0.0
+    a = (0.9, 0.8)
+    b = (0.5, 0.4)
+    assert rank_violation(*a, *b) == 0.0
 
 
 def test_rank_violation_flipped_order():
-    a = PolicyEval("a", 0.9, 0.4)
-    b = PolicyEval("b", 0.5, 0.8)
-    assert rank_violation(a, b) == pytest.approx(0.4)
+    a = (0.9, 0.4)
+    b = (0.5, 0.8)
+    assert rank_violation(*a, *b) == pytest.approx(0.4)
 
 
 def test_rank_violation_published_pair():
-    octo = PolicyEval("octo-base", 0.350, 0.042)
-    rt1_begin = PolicyEval("rt-1-begin", 0.017, 0.050)
-    assert rank_violation(octo, rt1_begin) == pytest.approx(0.333)
+    octo = (0.350, 0.042)
+    rt1_begin = (0.017, 0.050)
+    assert rank_violation(*octo, *rt1_begin) == pytest.approx(0.333)
 
 
 def test_rank_violation_tie_semantics():
     # equal real rates never violate
-    assert rank_violation(PolicyEval("a", 0.5, 0.9), PolicyEval("b", 0.5, 0.1)) == 0.0
+    assert rank_violation(0.5, 0.9, 0.5, 0.1) == 0.0
     # equal sim rates with unequal real violate in exactly one direction
-    hi = PolicyEval("a", 0.8, 0.5)
-    lo = PolicyEval("b", 0.2, 0.5)
-    assert rank_violation(hi, lo) + rank_violation(lo, hi) == pytest.approx(0.6)
-    assert rank_violation(hi, lo) == 0.0 or rank_violation(lo, hi) == 0.0
+    hi = (0.8, 0.5)
+    lo = (0.2, 0.5)
+    assert rank_violation(*hi, *lo) + rank_violation(*lo, *hi) == pytest.approx(0.6)
+    assert rank_violation(*hi, *lo) == 0.0 or rank_violation(*lo, *hi) == 0.0
 
 
 def test_mmrv_pick_coke_can():
-    assert mmrv(table(PICK_REAL, PICK_SIM)) == pytest.approx(0.031, abs=1e-3)
+    assert mmrv(PICK_REAL, PICK_SIM) == pytest.approx(0.031, abs=1e-3)
 
 
 def test_mmrv_move_near():
-    assert mmrv(table(MOVE_REAL, MOVE_SIM)) == pytest.approx(0.111, abs=1e-3)
+    assert mmrv(MOVE_REAL, MOVE_SIM) == pytest.approx(0.111, abs=1e-3)
 
 
 def test_mmrv_order_preserving_is_zero():
-    assert mmrv(table([0.9, 0.5, 0.1], [0.8, 0.6, 0.2])) == 0.0
+    assert mmrv([0.9, 0.5, 0.1], [0.8, 0.6, 0.2]) == 0.0
 
 
 def test_mmrv_needs_two_policies():
     with pytest.raises(MetricsError):
-        mmrv(table([0.5], [0.5]))
+        mmrv([0.5], [0.5])
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -91,7 +81,7 @@ def test_mmrv_bounded_by_largest_real_gap(seed):
     n = int(rng.integers(2, 9))
     real = rng.random(n)
     sim = rng.random(n)
-    value = mmrv(table(real, sim))
+    value = mmrv(real, sim)
     assert 0.0 <= value <= np.ptp(real) + 1e-12
     assert value <= 1.0
 
@@ -103,14 +93,13 @@ def test_mmrv_invariant_under_monotone_sim_transform(seed):
     n = int(rng.integers(2, 8))
     real = rng.random(n)
     sim = rng.random(n)
-    base = mmrv(table(real, sim))
+    base = mmrv(real, sim)
     warped = 1.0 / (1.0 + np.exp(-3.0 * sim))  # strictly increasing into (0, 1)
-    assert mmrv(table(real, warped)) == pytest.approx(base, abs=1e-12)
+    assert mmrv(real, warped) == pytest.approx(base, abs=1e-12)
 
 
 def test_max_rank_violation_per_policy():
-    t = table([0.9, 0.5], [0.4, 0.8])
-    assert max_rank_violations(t) == pytest.approx([0.4, 0.4])
+    assert max_rank_violations([0.9, 0.5], [0.4, 0.8]) == pytest.approx([0.4, 0.4])
 
 
 def test_pearson_affine():
@@ -164,7 +153,6 @@ def test_spearman_with_ties_matches_rank_oracle():
 from helpers import (
     permutation_midp,
     ref_action_mse,
-    ref_aggregate_grouped,
     ref_delta_success,
     ref_fractional_ranks,
     ref_kruskal_wallis,
@@ -193,32 +181,32 @@ def test_spearman_equals_pearson_on_reference_ranks(seed):
 
 def test_delta_success_published_rows():
     # RT-1 trained without augmentation, tabletop pick task
-    assert delta_success(ShiftEval(0.920, (0.960, 0.960))).absolute == pytest.approx(0.040, abs=1e-9)
-    assert delta_success(ShiftEval(0.920, (0.867, 0.747))).absolute == pytest.approx(0.113, abs=1e-9)
-    assert delta_success(ShiftEval(0.920, (0.053, 0.280))).absolute == pytest.approx(0.753, abs=1e-3)
-    bg = delta_success(ShiftEval(0.920, (0.933, 0.907)))
+    assert delta_success(0.920, (0.960, 0.960)).absolute == pytest.approx(0.040, abs=1e-9)
+    assert delta_success(0.920, (0.867, 0.747)).absolute == pytest.approx(0.113, abs=1e-9)
+    assert delta_success(0.920, (0.053, 0.280)).absolute == pytest.approx(0.753, abs=1e-3)
+    bg = delta_success(0.920, (0.933, 0.907))
     assert bg.signed == pytest.approx(0.000, abs=1e-12)
     assert bg.absolute == pytest.approx(0.013, abs=1e-9)
 
 
 def test_delta_success_all_equal():
-    assert delta_success(ShiftEval(0.4, (0.4, 0.4))) == DeltaSuccess(0.0, 0.0)
+    assert delta_success(0.4, (0.4, 0.4)) == DeltaSuccess(0.0, 0.0)
 
 
 def test_delta_success_single_variant():
-    d = delta_success(ShiftEval(0.5, (0.3,)))
+    d = delta_success(0.5, (0.3,))
     assert d.signed == pytest.approx(-0.2)
     assert d.absolute == pytest.approx(0.2)
 
 
 def test_delta_success_empty_variants_rejected():
     with pytest.raises(MetricsError):
-        ShiftEval(0.5, ())
+        delta_success(0.5, ())
 
 
 def test_delta_success_translation_equivariance():
-    base = delta_success(ShiftEval(0.4, (0.5, 0.2)))
-    shifted = delta_success(ShiftEval(0.5, (0.6, 0.3)))
+    base = delta_success(0.4, (0.5, 0.2))
+    shifted = delta_success(0.5, (0.6, 0.3))
     assert shifted.signed == pytest.approx(base.signed, abs=1e-12)
 
 
@@ -287,18 +275,6 @@ def test_kruskal_p_is_the_erfc_tail():
     assert h == pytest.approx(1999.0) and p == 0.0
 
 
-def test_aggregate_grouped():
-    assert aggregate_grouped([[0.4, 0.6]]) == [0.5]
-    assert aggregate_grouped([[0.3, 0.3, 0.3]]) == [pytest.approx(0.3)]
-    out = aggregate_grouped([[0.1, 0.2, 0.3, 0.4], [1.0]])
-    assert out[0] == pytest.approx(0.25, abs=1e-12)
-    assert out[1] == 1.0
-    with pytest.raises(MetricsError):
-        aggregate_grouped([[0.5], []])
-    with pytest.raises(MetricsError):
-        aggregate_grouped([])
-
-
 def test_action_mse_basic():
     assert action_mse([[0.0], [0.0]], [[0.0], [0.0]]) == 0.0
     assert action_mse([0.0, 0.0], [1.0, 1.0]) == pytest.approx(1.0)
@@ -315,22 +291,6 @@ def test_action_mse_matches_naive_loops():
         for k in range(4):
             acc += (pred[t, k] - gt[t, k]) ** 2
     assert action_mse(pred, gt) == pytest.approx(acc / 28, rel=1e-12)
-
-
-def test_policy_eval_validation():
-    with pytest.raises(MetricsError):
-        PolicyEval("p", 1.2, 0.5)
-    with pytest.raises(MetricsError):
-        PolicyEval("p", 0.5, 0.5, real_trials=(1, 0, 2))
-    with pytest.raises(MetricsError):
-        PolicyEval("p", 0.5, 0.5, real_trials=(1, 1))  # mean 1.0 != 0.5
-    ok = PolicyEval("p", 0.5, 0.25, real_trials=(1, 0), sim_trials=(1, 0, 0, 0))
-    assert ok.real_trials == (1, 0)
-
-
-def test_table_rejects_duplicate_ids():
-    with pytest.raises(MetricsError):
-        PairedEvalTable("t", (PolicyEval("a", 0.1, 0.1), PolicyEval("a", 0.2, 0.2)))
 
 
 # numpy references (tests/helpers.py) of the plain-float statistics, on inputs with ties, zero variance and
@@ -360,11 +320,9 @@ def test_statistics_match_reference_bit_for_bit(size):
             assert _fractional_ranks(x.tolist()) == ref_fractional_ranks(x).tolist()
             assert _outcome(pearson, x, y) == _outcome(ref_pearson, x, y)
             assert _outcome(spearman, x, y) == _outcome(ref_spearman, x, y)
-            assert mmrv(table(x, y)) == ref_mmrv(x, y)
+            assert mmrv(x, y) == ref_mmrv(x, y)
             assert kruskal_wallis(x, y) == ref_kruskal_wallis(x, y)
-            shift = ShiftEval(float(y[0]), tuple(x))
-            assert delta_success(shift) == ref_delta_success(shift)
-            assert aggregate_grouped([x, y[: n // 2 + 1]]) == ref_aggregate_grouped([x, y[: n // 2 + 1]])
+            assert delta_success(float(y[0]), x) == ref_delta_success(float(y[0]), x)
         a = rng.integers(0, 2, n)
         b = rng.integers(0, 2, int(rng.integers(1, 2 * n)))
         assert kruskal_wallis(a, b) == ref_kruskal_wallis(a, b)
@@ -379,19 +337,25 @@ def _trials(rng, rate_k, n=50):
     return tuple(rng.permutation([1] * rate_k + [0] * (n - rate_k)).tolist())
 
 
+def _table(evals):
+    """The table of (policy id, real rate, sim rate, real trials, sim trials) entries, in the order given."""
+    ids, real, sim, _, _ = zip(*evals)
+    return Table("t", ids, real, sim, {pid: (rt, st) for pid, _, _, rt, st in evals})
+
+
 def test_statistics_do_not_depend_on_policy_order():
     # success rates k/50 as from 50 trials; a listing order must not leak into any statistic's bits
     rng = np.random.default_rng(24)
     for _ in range(40):
         n = int(rng.integers(5, 60))
         real_k, sim_k = rng.integers(0, 51, n), rng.integers(0, 51, n)
-        evals = [PolicyEval(f"p{i}", r / 50, s / 50, _trials(rng, r), _trials(rng, s))
+        evals = [(f"p{i}", r / 50, s / 50, _trials(rng, r), _trials(rng, s))
                  for i, (r, s) in enumerate(zip(real_k.tolist(), sim_k.tolist()))]
-        base = PairedEvalTable("t", tuple(evals))
+        base = _table(evals)
         stats = compute_table_stats(base)
         for order in (np.arange(n)[::-1], rng.permutation(n)):
-            moved = PairedEvalTable("t", tuple(evals[i] for i in order))
-            assert mmrv(moved) == mmrv(base)
+            moved = _table([evals[i] for i in order])
+            assert mmrv(moved.real, moved.sim) == mmrv(base.real, base.sim)
             assert _outcome(pearson, moved.real, moved.sim) == _outcome(pearson, base.real, base.sim)
             assert _outcome(spearman, moved.real, moved.sim) == _outcome(spearman, base.real, base.sim)
             moved_stats = compute_table_stats(moved)
@@ -399,14 +363,14 @@ def test_statistics_do_not_depend_on_policy_order():
                 stats.mmrv, stats.pearson, stats.spearman, stats.kruskal_p)
             assert moved_stats.max_violations == tuple(stats.max_violations[i] for i in order)
         rates, base_rate = (rng.integers(0, 51, n) / 50).tolist(), float(rng.integers(0, 51)) / 50
-        deltas = delta_success(ShiftEval(base_rate, tuple(rates)))
-        assert delta_success(ShiftEval(base_rate, tuple(rates[::-1]))) == deltas
-        assert delta_success(ShiftEval(base_rate, tuple(rng.permutation(rates).tolist()))) == deltas
+        deltas = delta_success(base_rate, rates)
+        assert delta_success(base_rate, rates[::-1]) == deltas
+        assert delta_success(base_rate, rng.permutation(rates).tolist()) == deltas
 
 
 def test_statistics_take_lists_and_arrays_alike():
     real, sim = PICK_REAL, PICK_SIM
-    assert table(real, sim).real == real and table(real, sim).sim == sim
+    assert mmrv(np.array(real), np.array(sim)) == mmrv(tuple(real), sim)
     assert pearson(np.array(real), np.array(sim)) == pearson(real, sim)
     assert kruskal_wallis(np.array([1, 0, 1]), (0, 0, 1)) == kruskal_wallis([1.0, 0.0, 1.0], [0, 0, 1])
 
@@ -416,6 +380,12 @@ def test_statistics_reject_non_finite_and_ragged_inputs():
         pearson([0.1, float("nan"), 0.3], [0.1, 0.2, 0.3])
     with pytest.raises(MetricsError, match="non-finite"):
         kruskal_wallis([1, 0], [float("inf")])
+    with pytest.raises(MetricsError, match="non-finite"):
+        mmrv([0.1, float("nan")], [0.1, 0.2])
+    with pytest.raises(MetricsError, match="non-finite"):
+        delta_success(float("inf"), [0.5])
+    with pytest.raises(MetricsError, match="length mismatch"):
+        max_rank_violations([0.1, 0.2, 0.3], [0.1, 0.2])
     with pytest.raises(MetricsError, match="unequal length"):
         action_mse([[0.0, 1.0], [0.0]], [[0.0, 1.0], [0.0]])
     with pytest.raises(MetricsError, match="shape mismatch"):
@@ -423,7 +393,13 @@ def test_statistics_reject_non_finite_and_ragged_inputs():
 
 
 def test_policy_trials_must_equal_0_or_1():
+    def parse(real_rate, real_trials):
+        return tables_from_obj({"task": "t", "evals": [
+            {"policy_id": "a", "real_rate": real_rate, "sim_rate": 0.0, "real_trials": real_trials, "sim_trials": [0]},
+            {"policy_id": "b", "real_rate": 0.0, "sim_rate": 0.0},
+        ]}, "t.json")[0]
+
     # int() would truncate these to (0, 0), which matches a rate of 0
-    with pytest.raises(MetricsError, match="must be binary"):
-        PolicyEval("a", 0.0, 0.0, real_trials=(0.6, 0.9))
-    assert PolicyEval("a", 0.5, 0.0, real_trials=(1.0, 0.0)).real_trials == (1, 0)
+    with pytest.raises(MetricsError, match=r"^t\.json\.evals\[0\]\.real_trials: outcome 0\.6 is not 0 or 1$"):
+        parse(0.0, [0.6, 0.9])
+    assert parse(0.5, [1.0, 0.0]).trials == {"a": ((1, 0), (0,))}
